@@ -1,33 +1,19 @@
 open Isr_model
 
-type t = { model : Model.t; frozen : bool array }
-
-let create model =
-  let nl = model.Model.num_latches in
-  let frozen = Array.make nl true in
+let initial model =
+  let frozen = Array.make model.Model.num_latches true in
   (* Keep the latches the property reads directly. *)
   List.iter
     (fun i ->
       let li = i - model.Model.num_inputs in
       if li >= 0 then frozen.(li) <- false)
     (Isr_aig.Aig.support model.Model.man model.Model.bad);
-  { model; frozen }
+  frozen
 
-let frozen t i = t.frozen.(i)
+let extend model trace = Sim.first_bad model trace
 
-let freeze_state t = Array.copy t.frozen
-
-let restore_state t saved =
-  if Array.length saved <> Array.length t.frozen then
-    invalid_arg "Cba.restore_state: latch count mismatch";
-  Array.blit saved 0 t.frozen 0 (Array.length saved)
-
-let num_frozen t = Array.fold_left (fun n b -> if b then n + 1 else n) 0 t.frozen
-
-let extend t trace = Sim.first_bad t.model trace
-
-let refine t trace ~abstract_state =
-  let states = Sim.run t.model trace in
+let refine model frozen trace ~abstract_state =
+  let states = Sim.run model trace in
   let frames = Array.length trace.Trace.inputs in
   let unfrozen = ref 0 in
   (* Earliest frame where some frozen latch diverges from the concrete
@@ -40,13 +26,13 @@ let refine t trace ~abstract_state =
       let divergent = ref [] in
       Array.iteri
         (fun i frz -> if frz && abs.(i) <> conc.(i) then divergent := i :: !divergent)
-        t.frozen;
+        frozen;
       match !divergent with
       | [] -> at_frame (f + 1)
       | ls ->
         List.iter
           (fun i ->
-            t.frozen.(i) <- false;
+            frozen.(i) <- false;
             incr unfrozen)
           ls
     end
@@ -55,6 +41,6 @@ let refine t trace ~abstract_state =
   if !unfrozen = 0 then begin
     (* Cannot happen for a genuine non-extending counterexample; stay
        safe by fully concretizing. *)
-    Array.iteri (fun i frz -> if frz then (t.frozen.(i) <- false; incr unfrozen)) t.frozen
+    Array.iteri (fun i frz -> if frz then (frozen.(i) <- false; incr unfrozen)) frozen
   end;
   !unfrozen

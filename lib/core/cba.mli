@@ -3,8 +3,9 @@
     The abstraction freezes a subset of latches: a frozen latch's
     next-frame variable is left unconstrained in the unrolling, turning
     it into a free input — the localization abstraction of [13] in the
-    paper.  The initial abstraction keeps only the latches read directly
-    by the property cone.
+    paper.  The abstraction is a mask with one flag per latch, [true]
+    for frozen; the initial abstraction keeps only the latches read
+    directly by the property cone.
 
     [EXTEND] replays an abstract counterexample's primary inputs on the
     concrete model (which is deterministic, so simulation decides it);
@@ -15,25 +16,16 @@
 
 open Isr_model
 
-type t
+val initial : Model.t -> bool array
+(** A fresh frozen mask: every latch frozen except those the property
+    reads directly. *)
 
-val create : Model.t -> t
-val frozen : t -> int -> bool
-(** Usable as the [?frozen] argument of the unrolling. *)
-
-val num_frozen : t -> int
-
-val freeze_state : t -> bool array
-(** A copy of the frozen mask — for checkpoints. *)
-
-val restore_state : t -> bool array -> unit
-(** Overwrites the frozen mask with a previously saved copy.
-    @raise Invalid_argument on latch-count mismatch. *)
-
-val extend : t -> Trace.t -> int option
+val extend : Model.t -> Trace.t -> int option
 (** Depth of the concrete violation under the trace's inputs, if any —
     the paper's EXTEND. *)
 
-val refine : t -> Trace.t -> abstract_state:(frame:int -> bool array) -> int
-(** Re-concretizes divergent latches; returns how many were unfrozen
-    (always [>= 1] when called on a non-extending counterexample). *)
+val refine :
+  Model.t -> bool array -> Trace.t -> abstract_state:(frame:int -> bool array) -> int
+(** Re-concretizes divergent latches by clearing their flags in the
+    frozen mask (in place); returns how many were unfrozen (always
+    [>= 1] when called on a non-extending counterexample). *)

@@ -95,8 +95,10 @@ let stepper = function
   | Itpseq check -> Some (Itpseq_verif.stepper ~mode:Seq_family.Parallel ~check ())
   | Sitpseq (alpha, check) ->
     Some (Itpseq_verif.stepper ~mode:(Seq_family.Serial alpha) ~check ())
-  | Itpseq_cba (alpha, check) -> Some (Itpseq_cba_verif.stepper ~alpha ~check ())
-  | Itpseq_pba (alpha, check) -> Some (Itpseq_pba_verif.stepper ~alpha ~check ())
+  | Itpseq_cba (alpha, check) ->
+    Some (Itpseq_verif.stepper ~check ~abstraction:(Itpseq_verif.Cba alpha) ())
+  | Itpseq_pba (alpha, check) ->
+    Some (Itpseq_verif.stepper ~check ~abstraction:(Itpseq_verif.Pba alpha) ())
   | Kind -> Some (Kind.stepper ())
   | Pdr -> Some (Pdr.stepper ())
   | Portfolio -> None

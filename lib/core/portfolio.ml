@@ -82,7 +82,8 @@ let stepper_of = function
   | `Kind -> Kind.stepper ()
   | `Pdr -> Pdr.stepper ()
   | `Itp -> Itp_verif.stepper ()
-  | `Itpseq_cba -> Itpseq_cba_verif.stepper ()
+  | `Itpseq_cba ->
+    Itpseq_verif.stepper ~check:Bmc.Exact ~abstraction:(Itpseq_verif.Cba 0.5) ()
 
 let lanes ?(limits = Budget.default_limits) model =
   List.mapi

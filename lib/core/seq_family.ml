@@ -53,9 +53,6 @@ let of_refutation ?(system = Itp.McMillan) budget stats u ~ncuts =
         seq;
       seq)
 
-let parallel_family ~system budget stats u ~ncuts =
-  of_refutation ~system budget stats u ~ncuts
-
 (* One serial step (Definition 3): a fresh instance
      I_{j-1}(V^0) ∧ [p(V^0)] ∧ T ∧ … ∧ ¬p(V^last)
    in shifted coordinates, where local frame g is original frame j-1+g.
@@ -118,11 +115,11 @@ let compute ?(system = Itp.McMillan) budget stats ?frozen model ~mode ~check ~k 
   | `Unsat u -> (
     let man = model.Model.man in
     match mode with
-    | Parallel -> `Family (parallel_family ~system budget stats u ~ncuts:k)
+    | Parallel -> `Family (of_refutation ~system budget stats u ~ncuts:k)
     | Serial alpha ->
       let ns = int_of_float (alpha *. float_of_int (k + 1)) in
       let ns = max 0 (min ns k) in
-      if ns = 0 then `Family (parallel_family ~system budget stats u ~ncuts:k)
+      if ns = 0 then `Family (of_refutation ~system budget stats u ~ncuts:k)
       else begin
         (* I_1 comes from the refutation we already own: the j = 1 serial
            instance is the BMC instance itself. *)
@@ -149,14 +146,14 @@ let compute ?(system = Itp.McMillan) budget stats ?frozen model ~mode ~check ~k 
           (* An over-approximate prefix made the instance satisfiable:
              fall back to the all-parallel family (Section IV-C). *)
           Log.debug (fun m -> m "serial saturation at k=%d: parallel fallback" k);
-          `Family (parallel_family ~system budget stats u ~ncuts:k)
+          `Family (of_refutation ~system budget stats u ~ncuts:k)
         | Some prev ->
           if ns = k then `Family family
           else (
             match serial_tail ~system budget stats ?frozen model ~check ~k ~ns prev with
             | None ->
               Log.debug (fun m -> m "serial tail saturated at k=%d: parallel fallback" k);
-              `Family (parallel_family ~system budget stats u ~ncuts:k)
+              `Family (of_refutation ~system budget stats u ~ncuts:k)
             | Some tail ->
               Array.blit tail 0 family ns (k - ns);
               `Family family)

@@ -72,6 +72,12 @@ let ckpt_roundtrip packed model_name () =
     | Ok () -> ()
     | Error msg -> Alcotest.failf "%s: restored verdict fails certification: %s" ctx msg)
 
+(* The ITPSEQ strategies, spelled as [Engine.stepper] builds them. *)
+let itpseq = Itpseq_verif.stepper ()
+let sitpseq = Itpseq_verif.stepper ~mode:(Seq_family.Serial 0.5) ()
+let itpseqcba = Itpseq_verif.stepper ~check:Bmc.Exact ~abstraction:(Itpseq_verif.Cba 0.5) ()
+let itpseqpba = Itpseq_verif.stepper ~check:Bmc.Exact ~abstraction:(Itpseq_verif.Pba 0.0) ()
+
 (* Every engine, on a safe and (where falsification applies) an unsafe
    instance.  BMC never proves, so it only gets the unsafe ones. *)
 let roundtrip_tests =
@@ -81,12 +87,14 @@ let roundtrip_tests =
     ("bmc incremental ckpt/resume (cex)", Bmc.stepper ~check:Bmc.Assume ~incremental:true (), "prodcons6bug");
     ("itp ckpt/resume (safe)", Itp_verif.stepper (), safe);
     ("itp ckpt/resume (cex)", Itp_verif.stepper (), unsafe);
-    ("itpseq ckpt/resume (safe)", Itpseq_verif.stepper (), safe);
-    ("itpseq ckpt/resume (cex)", Itpseq_verif.stepper (), unsafe);
-    ("sitpseq ckpt/resume (safe)", Itpseq_verif.stepper ~mode:(Seq_family.Serial 0.5) (), safe);
-    ("itpseqcba ckpt/resume (safe)", Itpseq_cba_verif.stepper (), safe);
-    ("itpseqcba ckpt/resume (cex)", Itpseq_cba_verif.stepper (), unsafe);
-    ("itpseqpba ckpt/resume (safe)", Itpseq_pba_verif.stepper (), safe);
+    ("itpseq ckpt/resume (safe)", itpseq, safe);
+    ("itpseq ckpt/resume (cex)", itpseq, unsafe);
+    ("sitpseq ckpt/resume (safe)", sitpseq, safe);
+    ("sitpseq ckpt/resume (cex)", sitpseq, unsafe);
+    ("itpseqcba ckpt/resume (safe)", itpseqcba, safe);
+    ("itpseqcba ckpt/resume (cex)", itpseqcba, unsafe);
+    ("itpseqpba ckpt/resume (safe)", itpseqpba, safe);
+    ("itpseqpba ckpt/resume (cex)", itpseqpba, unsafe);
     ("kind ckpt/resume (safe)", Kind.stepper (), safe);
     ("kind ckpt/resume (cex)", Kind.stepper (), unsafe);
     ("pdr ckpt/resume (safe)", Pdr.stepper (), safe);
@@ -95,10 +103,12 @@ let roundtrip_tests =
   |> List.map (fun (doc, p, m) -> Alcotest.test_case doc `Slow (ckpt_roundtrip p m))
 
 (* A checkpoint snapped at EVERY step index of a short run must resume
-   to the reference verdict — not just the midpoint.  Exercised on one
-   sequence engine (the richest snapshot payload: interpolant columns). *)
-let every_cut_point () =
-  let packed = Itpseq_verif.stepper () and name = "traffic6" in
+   to the reference verdict — not just the midpoint.  Exercised on each
+   ITPSEQ strategy (the richest snapshot payloads: interpolant columns,
+   plus the abstraction mask), on runs that cover CBA's in-place
+   refinement loop, a refinement followed by a counterexample, and PBA's
+   in-memory concrete-to-abstract hand-off. *)
+let every_cut_point packed name () =
   let ref_inst = Step.start ~limits packed (build name) in
   let ref_v, _ = Step.drive ref_inst in
   let total = Step.steps_done ref_inst in
@@ -109,14 +119,23 @@ let every_cut_point () =
       let model = build name in
       let inst' = Step.restore ~limits packed model (Step.snapshot inst) in
       let v', _ = Step.drive inst' in
-      same_verdict (Printf.sprintf "itpseq cut@%d/%d" cut total) ref_v v'
+      same_verdict (Printf.sprintf "%s cut@%d/%d" (Step.name inst) cut total) ref_v v'
     end
   done
+
+let cut_point_tests =
+  [
+    ("every cut point resumes to the verdict", itpseq, "traffic6");
+    ("itpseqcba refining proof", itpseqcba, "amba3g4");
+    ("itpseqcba refinement then cex", itpseqcba, "ring6u3");
+    ("itpseqpba concrete/abstract hand-off", itpseqpba, "amba3g4");
+  ]
+  |> List.map (fun (doc, p, m) -> Alcotest.test_case doc `Slow (every_cut_point p m))
 
 (* Restores must be refused when the checkpoint does not describe the
    engine and model it is being applied to. *)
 let restore_mismatch () =
-  let packed = Itpseq_verif.stepper () in
+  let packed = itpseq in
   let inst = Step.start ~limits packed (build "traffic6") in
   step_n inst 2;
   let ck = Step.snapshot inst in
@@ -144,11 +163,83 @@ let ckpt_file_roundtrip () =
   Sys.remove file;
   Alcotest.(check string) "meta json" (Checkpoint.meta_json ck) (Checkpoint.meta_json ck')
 
+(* The payload records the ITPSEQ, ITPSEQCBA and ITPSEQPBA engines
+   marshalled when they were three separate step machines.  Checkpoints
+   they wrote must still resume, and new payloads must still read as
+   them. *)
+module Itpseq_snap = struct
+  type t = { s_k : int; s_cols : Checkpoint.cone array }
+end
+
+module Cba_snap = struct
+  type t = { s_k : int; s_cols : Checkpoint.cone array; s_frozen : bool array }
+end
+
+module Pba_snap = struct
+  type t = { s_k : int; s_cols : Checkpoint.cone array; s_relevant : bool array }
+end
+
+(* Reads a payload as the strategy's old record: its bound, cone count,
+   mask length, and the record marshalled afresh. *)
+let as_itpseq p =
+  let s : Itpseq_snap.t = Marshal.from_string p 0 in
+  (s.s_k, Array.length s.s_cols, 0, Marshal.to_string s [])
+
+let as_cba p =
+  let s : Cba_snap.t = Marshal.from_string p 0 in
+  (s.s_k, Array.length s.s_cols, Array.length s.s_frozen, Marshal.to_string s [])
+
+let as_pba p =
+  let s : Pba_snap.t = Marshal.from_string p 0 in
+  (s.s_k, Array.length s.s_cols, Array.length s.s_relevant, Marshal.to_string s [])
+
+let payload_compat () =
+  let name = "amba3g4" in
+  List.iter
+    (fun (packed, decode, masked) ->
+      let ref_inst = Step.start ~limits packed (build name) in
+      let ref_v, _ = Step.drive ref_inst in
+      let inst = Step.start ~limits packed (build name) in
+      step_n inst (Step.steps_done ref_inst / 2);
+      let ctx = Printf.sprintf "%s on %s" (Step.name inst) name in
+      let ck = Step.snapshot inst in
+      let k, ncols, nmask, old_payload = decode ck.Checkpoint.payload in
+      Alcotest.(check bool) (ctx ^ ": mid-run, past bound 1") true (k >= 2);
+      Alcotest.(check int) (ctx ^ " s_k") (Step.bound inst) k;
+      Alcotest.(check int) (ctx ^ " one cone per entry column") (k - 1) ncols;
+      let model = build name in
+      Alcotest.(check int) (ctx ^ " mask length")
+        (if masked then model.Isr_model.Model.num_latches else 0)
+        nmask;
+      let inst' = Step.restore ~limits packed model { ck with Checkpoint.payload = old_payload } in
+      same_verdict (ctx ^ " from the old record") ref_v (fst (Step.drive inst')))
+    [
+      (itpseq, as_itpseq, false);
+      (sitpseq, as_itpseq, false);
+      (itpseqcba, as_cba, true);
+      (itpseqpba, as_pba, true);
+    ]
+
+(* Steps are what [Sched] interleaves, so each strategy must take as many
+   as its engine did as a separate step machine — PBA's concrete solve
+   and each CBA refinement are steps of their own. *)
+let step_counts () =
+  List.iter
+    (fun (packed, name, expected) ->
+      let inst = Step.start ~limits packed (build name) in
+      ignore (Step.drive inst);
+      Alcotest.(check int) (Step.name inst ^ " on " ^ name) expected (Step.steps_done inst))
+    [
+      (itpseq, "amba3g4", 9); (itpseq, "vending7bug", 37);
+      (sitpseq, "amba3g4", 9); (sitpseq, "vending7bug", 37);
+      (itpseqcba, "amba3g4", 11); (itpseqcba, "vending7bug", 37);
+      (itpseqpba, "amba3g4", 12); (itpseqpba, "vending7bug", 44);
+    ]
+
 (* --- scheduler ------------------------------------------------------------ *)
 
 let lane_members =
-  [ ("itpseq", Itpseq_verif.stepper ()); ("sitpseq", Itpseq_verif.stepper ~mode:(Seq_family.Serial 0.5) ());
-    ("kind", Kind.stepper ()) ]
+  [ ("itpseq", itpseq); ("sitpseq", sitpseq); ("kind", Kind.stepper ()) ]
 
 let mk_lanes model_name =
   List.mapi
@@ -249,12 +340,13 @@ let () =
   Alcotest.run "step"
     [
       ("roundtrip", roundtrip_tests);
-      ( "cut-points",
-        [ Alcotest.test_case "every cut point resumes to the verdict" `Slow every_cut_point ] );
+      ("cut-points", cut_point_tests);
       ( "envelope",
         [
           Alcotest.test_case "mismatched restores are refused" `Quick restore_mismatch;
           Alcotest.test_case "file round-trip preserves meta" `Quick ckpt_file_roundtrip;
+          Alcotest.test_case "itpseq payloads keep their record layouts" `Quick payload_compat;
+          Alcotest.test_case "itpseq step counts per strategy" `Quick step_counts;
         ] );
       ( "sched",
         [
