@@ -128,8 +128,7 @@ let eval m env root =
   and lit_value l = if is_complemented l then not (node_value (node_of l)) else node_value (node_of l) in
   lit_value root
 
-let eval64 m env root =
-  let memo = Hashtbl.create 64 in
+let eval64 ?(memo = Hashtbl.create 64) m env root =
   let rec node_value node =
     match Hashtbl.find_opt memo node with
     | Some v -> v

@@ -65,8 +65,10 @@ val eval : man -> (int -> bool) -> lit -> bool
 (** [eval m env l] evaluates [l] with input [i] set to [env i].
     Memoized over the cone of [l]. *)
 
-val eval64 : man -> (int -> int64) -> lit -> int64
-(** 64 parallel evaluations packed in an [int64] word. *)
+val eval64 : ?memo:(int, int64) Hashtbl.t -> man -> (int -> int64) -> lit -> int64
+(** 64 parallel evaluations packed in an [int64] word.  [memo] (default:
+    a fresh table) caches node values across calls; it stays valid only
+    while [env] answers the same. *)
 
 val support : man -> lit -> int list
 (** Sorted input indices the literal structurally depends on. *)

@@ -42,6 +42,7 @@ type st = {
   limits : Budget.limits;
   budget : Budget.t;
   stats : Verdict.stats;
+  incl : Incl.t;
   system : Itp.system option;
   mutable k : int;
   mutable phase : phase;
@@ -54,11 +55,13 @@ let finish st v =
   (v, st.stats)
 
 let mk ~limits ~system ~k model =
+  let budget = Budget.start limits and stats = Verdict.mk_stats () in
   {
     model;
     limits;
-    budget = Budget.start limits;
-    stats = Verdict.mk_stats ();
+    budget;
+    stats;
+    incl = Incl.create budget stats model;
     system;
     k;
     phase = (if k = 0 then Check0 else Outer);
@@ -101,6 +104,9 @@ let step st =
       else begin
         Verdict.note_bound st.stats k;
         Verdict.beat st.stats ~step:k "itp.outer";
+        (* The bound's image chain starts over from new interpolants,
+           which share little with the last bound's encoding. *)
+        Incl.reset st.incl;
         (* Exact first iteration: A rooted at the real initial states,
            so a satisfiable answer is a genuine counterexample. *)
         let first =
@@ -123,7 +129,7 @@ let step st =
         Isr_obs.Trace.span "itp.inner"
           ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
           (fun () ->
-            if Incl.implies st.budget st.stats st.model cur r then `Fixpoint
+            if Incl.implies st.incl cur r then `Fixpoint
             else begin
               let u = build_bound_instance st.model ~start:(`Circuit cur) ~k in
               match Budget.solve st.budget st.stats (Unroll.solver u) with

@@ -31,6 +31,7 @@ type st = {
   limits : Budget.limits;
   budget : Budget.t;
   stats : Verdict.stats;
+  incl : Incl.t;
   mode : Seq_family.mode;
   check : Bmc.check;
   system : Isr_itp.Itp.system option;
@@ -81,6 +82,9 @@ let falsify st u =
 let bound_entry = function Pba _ -> Concrete | _ -> Family None
 
 let next_bound st =
+  (* The next sweep's columns are built anew, and this bound's solver
+     would otherwise sit beside the next family's BMC instance. *)
+  Incl.reset st.incl;
   st.k <- st.k + 1;
   st.entry_columns <- Array.copy st.columns;
   st.entry_mask <- Array.copy st.mask;
@@ -189,7 +193,7 @@ let step st =
       if
         Isr_obs.Trace.span "itpseq.sweep"
           ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
-          (fun () -> Incl.implies st.budget st.stats st.model c r)
+          (fun () -> Incl.implies st.incl c r)
       then begin
         Log.debug (fun m -> m "fixpoint at k=%d j=%d" k j);
         Step.Done (finish st (Verdict.Proved { kfp = k; jfp = j; invariant = Some r }))
@@ -215,11 +219,13 @@ let stepper ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system
     | Pba a, _ -> (Printf.sprintf "itpseqpba%.2g-%s" a c, Seq_family.Serial a)
   in
   let mk ~limits ~k ~columns ~mask model =
+    let budget = Budget.start limits and stats = Verdict.mk_stats () in
     {
       model;
       limits;
-      budget = Budget.start limits;
-      stats = Verdict.mk_stats ();
+      budget;
+      stats;
+      incl = Incl.create budget stats model;
       mode;
       check;
       system;

@@ -31,6 +31,9 @@ type stats = {
   g_proof_bytes : M.gauge;
   c_itp_nodes : M.counter;
   h_itp_size : M.histogram;
+  c_incl_checks : M.counter;
+  c_incl_cached : M.counter;
+  c_incl_vars : M.counter;
   g_last_bound : M.gauge;
   c_refinements : M.counter;
   g_frozen_latches : M.gauge;
@@ -64,6 +67,9 @@ let mk_stats () =
     g_proof_bytes = M.gauge m "proof.bytes";
     c_itp_nodes = M.counter m "itp.nodes";
     h_itp_size = M.histogram m "itp.size";
+    c_incl_checks = M.counter m "incl.checks";
+    c_incl_cached = M.counter m "incl.cached";
+    c_incl_vars = M.counter m "incl.new_vars";
     g_last_bound = M.gauge m "bmc.last_bound";
     c_refinements = M.counter m "abs.refinements";
     g_frozen_latches = M.gauge m "abs.frozen_latches";
@@ -96,6 +102,15 @@ let note_bound s k = M.set_max s.g_last_bound (float_of_int k)
 let add_itp_nodes s n =
   M.add s.c_itp_nodes n;
   M.observe s.h_itp_size (float_of_int n)
+
+let incl_checks s = M.value s.c_incl_checks
+let incl_cached s = M.value s.c_incl_cached
+let incl_new_vars s = M.value s.c_incl_vars
+
+let add_incl_check s ~cached ~new_vars =
+  M.incr s.c_incl_checks;
+  if cached then M.incr s.c_incl_cached;
+  M.add s.c_incl_vars new_vars
 
 let incr_refinements s = M.incr s.c_refinements
 let set_abstract_latches s n = M.set s.g_frozen_latches (float_of_int n)
@@ -159,6 +174,9 @@ let pp_stats fmt s =
   if proof_steps s > 0 then
     Format.fprintf fmt ", %d proof steps (~%d bytes)" (proof_steps s)
       (int_of_float (M.gauge_value s.g_proof_bytes));
+  if incl_checks s > 0 then
+    Format.fprintf fmt ", %d inclusion checks (%d from remembered states)" (incl_checks s)
+      (incl_cached s);
   if refinements s > 0 then
     Format.fprintf fmt ", %d refinements (%d latches still frozen)" (refinements s)
       (abstract_latches s);

@@ -57,6 +57,9 @@ type stats = {
   g_proof_bytes : Isr_obs.Metrics.gauge;
   c_itp_nodes : Isr_obs.Metrics.counter;
   h_itp_size : Isr_obs.Metrics.histogram;
+  c_incl_checks : Isr_obs.Metrics.counter;
+  c_incl_cached : Isr_obs.Metrics.counter;
+  c_incl_vars : Isr_obs.Metrics.counter;
   g_last_bound : Isr_obs.Metrics.gauge;
   c_refinements : Isr_obs.Metrics.counter;
   g_frozen_latches : Isr_obs.Metrics.gauge;
@@ -108,6 +111,19 @@ val proof_steps : stats -> int
     the maximum on merge). *)
 
 val itp_nodes : stats -> int
+
+val incl_checks : stats -> int
+(** Inclusion checks decided across the run — ["incl.checks"]. *)
+
+val incl_cached : stats -> int
+(** Inclusion checks answered by a remembered satisfying assignment,
+    with no SAT call — ["incl.cached"]. *)
+
+val incl_new_vars : stats -> int
+(** SAT variables the run's inclusion checks had to add, one per AIG node
+    reached for the first time — ["incl.new_vars"].  Nodes encoded by an
+    earlier check of the same run are not counted again. *)
+
 val last_bound : stats -> int
 val refinements : stats -> int
 val abstract_latches : stats -> int
@@ -120,6 +136,10 @@ val note_bound : stats -> int -> unit
 val add_itp_nodes : stats -> int -> unit
 (** Charge one extracted interpolant of the given AND-node count (also
     feeds the per-interpolant size histogram). *)
+
+val add_incl_check : stats -> cached:bool -> new_vars:int -> unit
+(** Charge one inclusion check that added [new_vars] SAT variables, or
+    that a remembered assignment answered ([cached]). *)
 
 val incr_refinements : stats -> unit
 val set_abstract_latches : stats -> int -> unit

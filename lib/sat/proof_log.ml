@@ -1,6 +1,7 @@
 (* Packed append-only proof store; see the .mli for the record layout. *)
 
 type t = {
+  record : bool;              (* false: hand out ids, store nothing *)
   mutable index : int array;  (* step id -> offset into [data] *)
   mutable nsteps : int;
   mutable ninputs : int;
@@ -9,8 +10,9 @@ type t = {
   dels : Vec.t;               (* flattened (pos, id) deletion events *)
 }
 
-let create () =
-  { index = Array.make 64 0;
+let create ?(record = true) () =
+  { record;
+    index = Array.make 64 0;
     nsteps = 0;
     ninputs = 0;
     data = Array.make 256 0;
@@ -18,10 +20,19 @@ let create () =
     dels = Vec.create ();
   }
 
+let recording t = t.record
 let n_steps t = t.nsteps
 let n_inputs t = t.ninputs
 let n_deletions t = Vec.size t.dels / 2
-let bytes t = 8 * (t.len + t.nsteps + Vec.size t.dels)
+let bytes t = if t.record then 8 * (t.len + t.nsteps + Vec.size t.dels) else 0
+
+let require_record t what =
+  if not t.record then invalid_arg (Printf.sprintf "Proof_log.%s: log records no steps" what)
+
+let next_id t =
+  let id = t.nsteps in
+  t.nsteps <- id + 1;
+  id
 
 let reserve_step t =
   if t.nsteps = Array.length t.index then begin
@@ -29,10 +40,8 @@ let reserve_step t =
     Array.blit t.index 0 a 0 t.nsteps;
     t.index <- a
   end;
-  let id = t.nsteps in
-  t.index.(id) <- t.len;
-  t.nsteps <- id + 1;
-  id
+  t.index.(t.nsteps) <- t.len;
+  next_id t
 
 let reserve_data t n =
   let cap = Array.length t.data in
@@ -48,38 +57,49 @@ let push t x =
 
 let add_input t ~tag lits =
   if tag < 0 then invalid_arg "Proof_log.add_input: negative tag";
-  let id = reserve_step t in
   t.ninputs <- t.ninputs + 1;
-  let nl = Array.length lits in
-  reserve_data t (2 + nl);
-  push t (-(tag + 1));
-  push t nl;
-  Array.iter (push t) lits;
-  id
+  if not t.record then next_id t
+  else begin
+    let id = reserve_step t in
+    let nl = Array.length lits in
+    reserve_data t (2 + nl);
+    push t (-(tag + 1));
+    push t nl;
+    Array.iter (push t) lits;
+    id
+  end
 
 let add_derived t ~lits ~first ~chain =
-  let id = reserve_step t in
-  let nl = Array.length lits in
-  let nc = List.length chain in
-  reserve_data t (3 + nl + (2 * nc));
-  push t first;
-  push t nl;
-  Array.iter (push t) lits;
-  push t nc;
-  List.iter
-    (fun (pivot, aid) ->
-      push t pivot;
-      push t aid)
-    chain;
-  id
+  if not t.record then next_id t
+  else begin
+    let id = reserve_step t in
+    let nl = Array.length lits in
+    let nc = List.length chain in
+    reserve_data t (3 + nl + (2 * nc));
+    push t first;
+    push t nl;
+    Array.iter (push t) lits;
+    push t nc;
+    List.iter
+      (fun (pivot, aid) ->
+        push t pivot;
+        push t aid)
+      chain;
+    id
+  end
 
 let delete t id =
-  Vec.push t.dels t.nsteps;
-  Vec.push t.dels id
+  if t.record then begin
+    Vec.push t.dels t.nsteps;
+    Vec.push t.dels id
+  end
 
-let is_input t id = t.data.(t.index.(id)) < 0
+let is_input t id =
+  require_record t "is_input";
+  t.data.(t.index.(id)) < 0
 
 let tag t id =
+  require_record t "tag";
   let h = t.data.(t.index.(id)) in
   if h < 0 then -h - 1 else -1
 
@@ -99,6 +119,7 @@ let materialize t id =
   end
 
 let to_proof ?(trim = true) t ~empty ~nvars =
+  require_record t "to_proof";
   let n = t.nsteps in
   if empty < 0 || empty >= n then invalid_arg "Proof_log.to_proof: bad empty id";
   let used = Array.make n false in

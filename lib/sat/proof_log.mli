@@ -21,7 +21,13 @@
 
 type t
 
-val create : unit -> t
+val create : ?record:bool -> unit -> t
+(** With [record = false] (default [true]) the log only hands out step
+    ids: nothing is stored, {!bytes} stays 0, deletions are ignored, and
+    {!is_input}, {!tag} and {!to_proof} raise [Invalid_argument].  For
+    solvers whose answers are never justified by a proof. *)
+
+val recording : t -> bool
 
 val n_steps : t -> int
 (** Number of steps appended so far (= the next id to be assigned). *)

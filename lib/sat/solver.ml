@@ -99,7 +99,7 @@ type t = {
 let dummy_clause =
   { cid = -1; lits = [||]; learnt = false; birth_lbd = 0; origin = 0; lbd = 0; act = 0.0; uses = 0 }
 
-let create () =
+let create ?(proof = true) () =
   {
     nvars = 0;
     clauses = Array.make 64 dummy_clause;
@@ -112,7 +112,7 @@ let create () =
     activity = Array.make 16 0.0;
     var_inc = 1.0;
     cla_inc = 1.0;
-    log = Proof_log.create ();
+    log = Proof_log.create ~record:proof ();
     trail = Vec.create ();
     trail_lim = Vec.create ();
     qhead = 0;
@@ -159,7 +159,7 @@ let num_reduces s = s.reduces
 let max_learnt_len s = s.max_learnt_len
 let num_clauses s = s.nclauses
 let next_step_id s = Proof_log.n_steps s.log
-let proof_steps s = Proof_log.n_steps s.log
+let proof_steps s = if Proof_log.recording s.log then Proof_log.n_steps s.log else 0
 let proof_bytes s = Proof_log.bytes s.log
 let on_learnt s cb = s.learnt_cb <- cb
 let on_export s cb = s.export_cb <- cb
@@ -173,7 +173,7 @@ let birth_lbd_counts s = Array.copy s.born_lbd
 let dead_lbd_counts s = Array.copy s.dead_lbd
 let dead_uses_counts s = Array.copy s.dead_uses
 let dead_drift_counts s = Array.copy s.dead_drift
-let refuted s = (not s.ok) && s.empty_id >= 0
+let refuted s = (not s.ok) && s.empty_id >= 0 && Proof_log.recording s.log
 
 let set_reduce s p =
   if p.base <= 0 then invalid_arg "Solver.set_reduce: base must be positive";
@@ -571,9 +571,14 @@ let analyze_assumptions s p =
         if s.level.(v) > 0 then core := q :: !core
       end
       else
+        (* Skip [v]'s own occurrence: re-marking it would leave a stale
+           [seen] flag behind the sweep, and the next conflict analysis
+           on this solver would silently drop that variable from its
+           learnt clause. *)
         Array.iter
           (fun l ->
-            if s.level.(Lit.var l) > 0 then Bytes.set s.seen (Lit.var l) '\001')
+            let w = Lit.var l in
+            if w <> v && s.level.(w) > 0 then Bytes.set s.seen w '\001')
           s.clauses.(r).lits
     end
   done;
@@ -1119,8 +1124,8 @@ let solve_core ?(assumptions = []) ?(conflict_budget = max_int) s =
 let result_name = function Sat -> "sat" | Unsat -> "unsat" | Undef -> "undef"
 
 let proof ?(trim = true) s =
-  if s.ok || s.empty_id < 0 then
-    invalid_arg "Solver.proof: instance not proved unconditionally unsatisfiable";
+  if not (refuted s) then
+    invalid_arg "Solver.proof: no logged refutation";
   Proof_log.to_proof ~trim s.log ~empty:s.empty_id ~nvars:s.nvars
 
 (* Which learnt clauses earned their keep: histogram (by birth LBD) of
@@ -1165,7 +1170,7 @@ let check_result s r =
             end
           done;
           !ok)
-    | Unsat when s.empty_id >= 0 && Check.paranoid () -> (
+    | Unsat when refuted s && Check.paranoid () -> (
       match Proof_check.check (proof s) with
       | Ok () -> Check.record "sat.proof_replay"
       | Error e ->

@@ -37,7 +37,13 @@ type reduce_policy = {
 val default_reduce : reduce_policy
 (** Reduction enabled, [base = 4000], [growth = 1.3], [keep_lbd = 2]. *)
 
-val create : unit -> t
+val create : ?proof:bool -> unit -> t
+(** [proof] (default [true]) turns proof logging on.  A solver created
+    with [~proof:false] answers the same way but keeps no proof log: it is
+    never {!refuted}, {!proof} raises, {!proof_steps} and {!proof_bytes}
+    read 0, and {!iter_input_clauses} raises [Invalid_argument].  For
+    queries whose answer is used only as a yes/no, such as inclusion
+    checks. *)
 
 val new_var : t -> int
 (** Allocates a fresh variable and returns its index. *)
@@ -159,7 +165,7 @@ val dead_drift_counts : t -> int array
 
 val refuted : t -> bool
 (** Whether an unconditional refutation (empty clause) has been derived
-    — exactly when {!proof} will not raise. *)
+    and logged — exactly when {!proof} will not raise. *)
 
 val core_birth_lbd : t -> int array
 (** Histogram (by birth LBD, 16 buckets) of the learnt clauses that

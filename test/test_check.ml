@@ -370,7 +370,9 @@ let test_engine_paranoid () =
   Alcotest.(check bool) "interpolants were linted" true
     (counter_value "check.itp.support.pass" > 0);
   Alcotest.(check bool) "proofs were replayed" true
-    (counter_value "check.sat.proof_replay.pass" > 0)
+    (counter_value "check.sat.proof_replay.pass" > 0);
+  Alcotest.(check bool) "inclusion answers were re-decided" true
+    (counter_value "check.incl.incremental_agrees.pass" > 0)
 
 let () =
   Alcotest.run "check"

@@ -255,6 +255,84 @@ let test_l2s_liveness () =
       (L2s.check_witness free ~justice:js (decode3 trace))
   | v, _ -> Alcotest.failf "two-justice liveness: %a" Verdict.pp v
 
+(* --- inclusion sessions ------------------------------------------------ *)
+
+(* A random state predicate over the latches of [model], constants
+   included. *)
+let random_pred rs model =
+  let open Isr_aig in
+  let man = model.Model.man in
+  let rec go d =
+    if Random.State.int rs 12 = 0 then if Random.State.bool rs then Aig.lit_true else Aig.lit_false
+    else if d = 0 || Random.State.int rs 4 = 0 then
+      let l = Model.latch_lit model (Random.State.int rs model.Model.num_latches) in
+      if Random.State.bool rs then l else Aig.not_ l
+    else
+      let a = go (d - 1) and b = go (d - 1) in
+      let g = if Random.State.bool rs then Aig.and_ man a b else Aig.or_ man a b in
+      if Random.State.bool rs then Aig.not_ g else g
+  in
+  go 4
+
+(* The value of a state predicate in the state whose latch [i] is bit [i]
+   of [state]. *)
+let holds model p state =
+  let open Isr_aig in
+  let man = model.Model.man in
+  Aig.eval man
+    (fun input ->
+      let rec find i =
+        if i = model.Model.num_latches then false
+        else if Aig.input_index man (Model.latch_lit model i) = input then
+          (state lsr i) land 1 = 1
+        else find (i + 1)
+      in
+      find 0)
+    p
+
+(* One session answers a run of random checks — reset now and then, as
+   the engines do at each bound — exactly as enumerating every state. *)
+let prop_incl_matches_enumeration =
+  QCheck2.Test.make ~count:200 ~name:"inclusion session agrees with enumeration"
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let model = Isr_suite.Circuits.counter ~bits:4 ~target:15 in
+      let incl = Incl.create (Budget.start limits) (Verdict.mk_stats ()) model in
+      let states = List.init (1 lsl model.Model.num_latches) Fun.id in
+      List.for_all
+        (fun _ ->
+          if Random.State.int rs 5 = 0 then Incl.reset incl;
+          let a = random_pred rs model and b = random_pred rs model in
+          let h = holds model in
+          Incl.implies incl a b = List.for_all (fun s -> (not (h a s)) || h b s) states
+          && Incl.sat_and incl a b = List.exists (fun s -> h a s && h b s) states)
+        (List.init 8 Fun.id))
+
+(* A node is encoded once per session: repeating a check adds no
+   variable, and a reset starts the encoding over. *)
+let test_incl_memoises () =
+  let model = Registry.build_validated (entry "vending11") in
+  let stats = Verdict.mk_stats () in
+  let incl = Incl.create (Budget.start limits) stats model in
+  let p = Model.prop model and init = Model.init_lit model in
+  Alcotest.(check bool) "init => prop" true (Incl.implies incl init p);
+  let fresh = Verdict.incl_new_vars stats in
+  Alcotest.(check bool) "first check encodes" true (fresh > 0);
+  Alcotest.(check bool) "init => prop again" true (Incl.implies incl init p);
+  Alcotest.(check int) "second check encodes nothing" fresh (Verdict.incl_new_vars stats);
+  Incl.reset incl;
+  Alcotest.(check bool) "init => prop after reset" true (Incl.implies incl init p);
+  Alcotest.(check int) "reset encodes again" (2 * fresh) (Verdict.incl_new_vars stats);
+  Alcotest.(check int) "checks counted" 3 (Verdict.incl_checks stats);
+  Alcotest.(check int) "one SAT call each" 3 (Verdict.sat_calls stats);
+  (* A satisfying assignment is remembered, across a reset too, and
+     answers the same question without the solver. *)
+  Alcotest.(check bool) "init and prop" true (Incl.sat_and incl init p);
+  Incl.reset incl;
+  Alcotest.(check bool) "init and prop again" true (Incl.sat_and incl init p);
+  Alcotest.(check int) "answered from memory" 1 (Verdict.incl_cached stats);
+  Alcotest.(check int) "no SAT call for it" 4 (Verdict.sat_calls stats)
+
 (* Unknown paths: a tiny budget must yield Unknown, never a wrong
    verdict. *)
 let test_resource_limits () =
@@ -378,6 +456,11 @@ let () =
           Alcotest.test_case "observers cleared" `Quick test_budget_callbacks_cleared;
           Alcotest.test_case "budget expiry dumps flight" `Quick
             test_budget_expiry_dumps_flight;
+        ] );
+      ( "inclusion",
+        [
+          Alcotest.test_case "memoised encoding" `Quick test_incl_memoises;
+          QCheck_alcotest.to_alcotest prop_incl_matches_enumeration;
         ] );
       ( "cross-checks",
         [

@@ -22,8 +22,8 @@ let brute_force nvars clauses =
   done;
   !sat
 
-let solve_clauses nvars clauses =
-  let s = Solver.create () in
+let solve_clauses ?proof nvars clauses =
+  let s = Solver.create ?proof () in
   for _ = 1 to nvars do
     ignore (Solver.new_var s)
   done;
@@ -89,6 +89,38 @@ let test_pigeonhole () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "php %d proof: %a" n Proof_check.pp_error e)
     [ 2; 3; 4; 5 ]
+
+(* Without proof logging the solver still refutes, but keeps nothing a
+   proof could be rebuilt from — and says so instead of answering wrong. *)
+let test_proof_free () =
+  let nv, cls = pigeonhole 4 in
+  let s, r = solve_clauses ~proof:false nv cls in
+  Alcotest.(check bool) "php 4 unsat" true (r = Solver.Unsat);
+  Alcotest.(check bool) "not refuted" false (Solver.refuted s);
+  Alcotest.(check int) "no proof steps" 0 (Solver.proof_steps s);
+  Alcotest.(check int) "no proof bytes" 0 (Solver.proof_bytes s);
+  Alcotest.(check bool) "learnt clauses" true (Solver.num_learnt s > 0);
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "proof raises" true (raises (fun () -> Solver.proof s));
+  Alcotest.(check bool) "input clauses raise" true
+    (raises (fun () -> Solver.iter_input_clauses s (fun ~tag:_ _ -> ())))
+
+(* Regression: collecting the core of a failed assumption left conflict-
+   analysis marks on the propagated variables it walked through, and the
+   next conflict on the same solver skipped them — here it learnt the
+   unit ¬b from x → b, x → ¬b, so the last solve answered Unsat. *)
+let test_core_leaves_no_marks () =
+  let a = 0 and b = 1 and c = 2 and x = 3 in
+  let s = Tutil.fresh_solver 4 in
+  Solver.add_clause s [ nlit a; lit b ];
+  Solver.add_clause s [ nlit b; lit c ];
+  Alcotest.(check bool) "a, not c" true (Solver.solve ~assumptions:[ lit a; nlit c ] s = Solver.Unsat);
+  Alcotest.(check (list int)) "core" [ -3; 1 ]
+    (List.sort compare (List.map Lit.to_dimacs (Solver.unsat_core s)));
+  Solver.add_clause s [ nlit x; lit b ];
+  Solver.add_clause s [ nlit x; nlit b ];
+  Alcotest.(check bool) "x" true (Solver.solve ~assumptions:[ lit x ] s = Solver.Unsat);
+  Alcotest.(check bool) "b" true (Solver.solve ~assumptions:[ lit b ] s = Solver.Sat)
 
 let test_chain_propagation () =
   (* x0 -> x1 -> ... -> x9, x0, ¬x9: unsat purely by propagation. *)
@@ -564,6 +596,25 @@ let prop_unsat_cores_suffice =
         && not (brute_force nvars (clauses @ List.map (fun l -> [ l ]) core))
       | _ -> true)
 
+(* The proof log is write-only during search: turning it off changes no
+   answer, no core and no search statistic — over one solve under
+   assumptions, then one without, as an inclusion session issues them. *)
+let prop_proof_free_same_search =
+  QCheck2.Test.make ~count:500 ~name:"proof-free solver searches alike"
+    ~print:print_cnf_assum gen_cnf_with_assumptions (fun (nvars, clauses, assumptions) ->
+      let run proof =
+        let s = Solver.create ~proof () in
+        for _ = 1 to nvars do
+          ignore (Solver.new_var s)
+        done;
+        List.iter (fun c -> Solver.add_clause s c) clauses;
+        let r1 = Solver.solve ~assumptions s in
+        let core = if r1 = Solver.Unsat then Solver.unsat_core s else [] in
+        let r2 = Solver.solve s in
+        (r1, core, r2, Solver.num_conflicts s, Solver.num_decisions s)
+      in
+      run true = run false)
+
 (* The most aggressive legal policy: reduce after every conflict, keep
    nothing by glue.  Verdicts and proofs must be unaffected — reduction
    only drops clauses that are neither reasons nor needed inputs. *)
@@ -602,6 +653,42 @@ let prop_incremental_equals_batch =
           if got <> brute_force nvars !added then ok := false)
         clauses;
       !ok)
+
+(* One solver, many queries: clauses arrive between solves and every
+   solve runs under its own assumptions, as an inclusion session uses
+   it.  Each answer must match brute force over the clauses so far plus
+   that solve's assumptions as units. *)
+let gen_rounds =
+  let open QCheck2.Gen in
+  let* nvars = int_range 1 8 in
+  let gen_lit = map2 (fun v neg -> Lit.of_var ~neg v) (int_range 0 (nvars - 1)) bool in
+  (* Binary and ternary clauses give propagation chains, so assumptions
+     often fail by propagation rather than by conflict. *)
+  let gen_round =
+    pair (list_size (int_range 0 4) (list_size (int_range 2 3) gen_lit)) (list_size (int_range 1 4) gen_lit)
+  in
+  let* rounds = list_size (int_range 2 12) gen_round in
+  pure (nvars, rounds)
+
+let print_rounds (nvars, rounds) =
+  String.concat " | "
+    (List.map (fun (cs, assumptions) -> print_cnf_assum (nvars, cs, assumptions)) rounds)
+
+let prop_incremental_assumptions =
+  QCheck2.Test.make ~count:1000 ~name:"incremental solves under assumptions"
+    ~print:print_rounds gen_rounds (fun (nvars, rounds) ->
+      let s = Solver.create () in
+      for _ = 1 to nvars do
+        ignore (Solver.new_var s)
+      done;
+      let added = ref [] in
+      List.for_all
+        (fun (cs, assumptions) ->
+          List.iter (fun c -> Solver.add_clause s c) cs;
+          added := cs @ !added;
+          let got = Solver.solve ~assumptions s = Solver.Sat in
+          got = brute_force nvars (List.map (fun l -> [ l ]) assumptions @ !added))
+        rounds)
 
 (* Sharing soundness: everything one instance learns, offered to a
    *different* instance over the same variables, must leave that
@@ -654,7 +741,8 @@ let () =
       [ prop_matches_bruteforce; prop_unsat_proof_checks; prop_sat_model_valid;
         prop_assumptions_equal_units; prop_unsat_cores_suffice;
         prop_reduce_preserves_verdicts; prop_incremental_equals_batch;
-        prop_import_preserves_verdicts ]
+        prop_import_preserves_verdicts; prop_proof_free_same_search;
+        prop_incremental_assumptions ]
   in
   Alcotest.run "isr_sat"
     [
@@ -666,12 +754,15 @@ let () =
           Alcotest.test_case "simple sat" `Quick test_simple_sat;
           Alcotest.test_case "units fix model" `Quick test_model_respects_units;
           Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
+          Alcotest.test_case "proof-free" `Quick test_proof_free;
           Alcotest.test_case "chain propagation" `Quick test_chain_propagation;
           Alcotest.test_case "tautology dropped" `Quick test_tautology_dropped;
           Alcotest.test_case "conflict budget" `Quick test_budget;
           Alcotest.test_case "incremental" `Quick test_incremental;
           Alcotest.test_case "assumptions" `Quick test_assumptions_basic;
           Alcotest.test_case "contradictory assumptions" `Quick test_contradictory_assumptions;
+          Alcotest.test_case "failed assumption leaves no marks" `Quick
+            test_core_leaves_no_marks;
           Alcotest.test_case "interrupt" `Quick test_interrupt;
           Alcotest.test_case "database reduction" `Quick test_reduce_fires;
           Alcotest.test_case "clause lifecycle invariants" `Quick
