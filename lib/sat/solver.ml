@@ -48,10 +48,11 @@ type t = {
   mutable nvars : int;
   mutable clauses : clause array;      (* by database slot; compacts on reduce *)
   mutable nclauses : int;
-  mutable watches : Vec.t array;       (* literal -> clause slots *)
+  mutable watches : Vec.t array;       (* literal -> watch entries (see [watch_clause]) *)
   mutable assigns : int array;         (* var -> -1 unknown / 0 false / 1 true *)
   mutable level : int array;           (* var -> decision level *)
   mutable reason : int array;          (* var -> clause slot or -1 *)
+  mutable tpos : int array;            (* var -> trail index while assigned *)
   mutable phase : Bytes.t;             (* var -> saved phase *)
   mutable activity : float array;
   mutable var_inc : float;
@@ -108,6 +109,7 @@ let create ?(proof = true) () =
     assigns = Array.make 16 (-1);
     level = Array.make 16 0;
     reason = Array.make 16 (-1);
+    tpos = Array.make 16 0;
     phase = Bytes.make 16 '\000';
     activity = Array.make 16 0.0;
     var_inc = 1.0;
@@ -201,6 +203,7 @@ let grow_vars s n =
     s.assigns <- grow_int s.assigns (-1);
     s.level <- grow_int s.level 0;
     s.reason <- grow_int s.reason (-1);
+    s.tpos <- grow_int s.tpos 0;
     let grow_bytes b =
       let b' = Bytes.make cap' '\000' in
       Bytes.blit b 0 b' 0 cap;
@@ -255,19 +258,51 @@ let push_clause s c =
   s.nclauses <- slot + 1;
   slot
 
-let watch s lit slot = Vec.push s.watches.(lit) slot
+(* A watch entry is an int.  A long clause's entry is its slot.  A
+   binary clause's watches never move, so its entry also carries the
+   other literal, ((other + 1) lsl 32) lor slot, and propagation decides
+   the clause without loading it.  Both kinds share one list per literal,
+   in watch order. *)
+let slot_mask = (1 lsl 32) - 1
+let entry_slot w = w land slot_mask
+let entry_other w = (w lsr 32) - 1 (* -1 for a long clause *)
+
+let watch_clause s slot lits =
+  if Array.length lits = 2 then begin
+    Vec.push s.watches.(lits.(0)) (((lits.(1) + 1) lsl 32) lor slot);
+    Vec.push s.watches.(lits.(1)) (((lits.(0) + 1) lsl 32) lor slot)
+  end
+  else begin
+    Vec.push s.watches.(lits.(0)) slot;
+    Vec.push s.watches.(lits.(1)) slot
+  end
 
 let enqueue s lit reason =
   let v = Lit.var lit in
-  Check.check "sat.enqueue_unassigned"
-    (s.assigns.(v) < 0)
-    ~detail:(fun () -> Printf.sprintf "variable %d is already assigned" v);
+  if Check.on () then
+    Check.check "sat.enqueue_unassigned"
+      (s.assigns.(v) < 0)
+      ~detail:(fun () -> Printf.sprintf "variable %d is already assigned" v);
   s.assigns.(v) <- (lit land 1) lxor 1;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
+  s.tpos.(v) <- Vec.size s.trail;
   Vec.push s.trail lit
 
 exception Conflict of int
+
+(* Conflict in the watch list [ws] at entry [i], with [j] entries kept so
+   far: salvage the unvisited watches, then abort propagation. *)
+let conflict s ws ~i ~j slot =
+  let n = Vec.size ws in
+  let j = ref j in
+  for i' = i + 1 to n - 1 do
+    Vec.set ws !j (Vec.get ws i');
+    incr j
+  done;
+  Vec.shrink ws !j;
+  s.qhead <- Vec.size s.trail;
+  raise (Conflict slot)
 
 (* Two-watched-literal propagation; returns the slot of a conflicting
    clause or -1. *)
@@ -282,46 +317,56 @@ let propagate s =
       let n = Vec.size ws in
       let j = ref 0 in
       for i = 0 to n - 1 do
-        let slot = Vec.get ws i in
-        let c = s.clauses.(slot) in
-        let lits = c.lits in
-        (* Ensure the false literal sits at position 1. *)
-        if lits.(0) = false_lit then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- false_lit
-        end;
-        if lit_val s lits.(0) = 1 then begin
-          (* Clause already satisfied: keep the watch. *)
-          Vec.set ws !j slot;
-          incr j
+        let w = Vec.get ws i in
+        let other = entry_other w in
+        if other >= 0 then begin
+          (* Binary clause, decided from the entry; the watch stays. *)
+          Vec.set ws !j w;
+          incr j;
+          let v = lit_val s other in
+          if v = 0 then begin
+            (* Conflict analysis reads the conflict clause in literal
+               order: leave it as [other; false_lit], as the swap on the
+               long-clause path would. *)
+            let lits = s.clauses.(entry_slot w).lits in
+            lits.(0) <- other;
+            lits.(1) <- false_lit;
+            conflict s ws ~i ~j:!j (entry_slot w)
+          end
+          else if v < 0 then enqueue s other (entry_slot w)
         end
         else begin
-          (* Look for a replacement literal to watch. *)
-          let len = Array.length lits in
-          let rec find k =
-            if k >= len then -1 else if lit_val s lits.(k) <> 0 then k else find (k + 1)
-          in
-          let k = find 2 in
-          if k >= 0 then begin
-            lits.(1) <- lits.(k);
-            lits.(k) <- false_lit;
-            watch s lits.(1) slot
+          let slot = w in
+          let lits = s.clauses.(slot).lits in
+          (* Ensure the false literal sits at position 1. *)
+          if lits.(0) = false_lit then begin
+            lits.(0) <- lits.(1);
+            lits.(1) <- false_lit
+          end;
+          if lit_val s lits.(0) = 1 then begin
+            (* Clause already satisfied: keep the watch. *)
+            Vec.set ws !j slot;
+            incr j
           end
           else begin
-            (* Unit or conflicting: the watch stays. *)
-            Vec.set ws !j slot;
-            incr j;
-            if lit_val s lits.(0) = 0 then begin
-              (* Conflict: salvage the remaining watches, then abort. *)
-              for i' = i + 1 to n - 1 do
-                Vec.set ws !j (Vec.get ws i');
-                incr j
-              done;
-              Vec.shrink ws !j;
-              s.qhead <- Vec.size s.trail;
-              raise (Conflict slot)
+            (* Look for a replacement literal to watch. *)
+            let len = Array.length lits in
+            let rec find k =
+              if k >= len then -1 else if lit_val s lits.(k) <> 0 then k else find (k + 1)
+            in
+            let k = find 2 in
+            if k >= 0 then begin
+              lits.(1) <- lits.(k);
+              lits.(k) <- false_lit;
+              Vec.push s.watches.(lits.(1)) slot
             end
-            else enqueue s lits.(0) slot
+            else begin
+              (* Unit or conflicting: the watch stays. *)
+              Vec.set ws !j slot;
+              incr j;
+              if lit_val s lits.(0) = 0 then conflict s ws ~i ~j:!j slot
+              else enqueue s lits.(0) slot
+            end
           end
         end
       done;
@@ -408,8 +453,9 @@ let resolve_level0 s chain =
     if Bytes.get s.mark0 v = '\001' then begin
       Bytes.set s.mark0 v '\000';
       let r = s.reason.(v) in
-      Check.check "sat.level0_has_reason" (r >= 0)
-        ~detail:(fun () -> Printf.sprintf "level-0 variable %d has no reason clause" v);
+      if Check.on () then
+        Check.check "sat.level0_has_reason" (r >= 0)
+          ~detail:(fun () -> Printf.sprintf "level-0 variable %d has no reason clause" v);
       chain := (v, s.clauses.(r).cid) :: !chain;
       Array.iter
         (fun l ->
@@ -476,30 +522,26 @@ let analyze s confl =
     if !counter = 0 then continue := false
     else begin
       slot := s.reason.(v);
-      Check.check "sat.analyze_has_reason" (!slot >= 0)
-        ~detail:(fun () -> Printf.sprintf "trail variable %d has no reason clause" v);
+      if Check.on () then
+        Check.check "sat.analyze_has_reason" (!slot >= 0)
+          ~detail:(fun () -> Printf.sprintf "trail variable %d has no reason clause" v);
       chain := (v, s.clauses.(!slot).cid) :: !chain
     end
   done;
   (* Local clause minimization (Sörensson): a literal is redundant when
      its reason's other literals are all in the clause already or fixed
      at level 0 — resolving it away shrinks the clause without adding
-     anything new.  Literals are processed latest-assigned first, so a
-     removal never invalidates the check for the earlier ones; each
-     removal is recorded in the resolution chain to keep proofs exact. *)
+     anything new.  Literals are processed latest-assigned first (by
+     trail position), so a removal never invalidates the check for the
+     earlier ones; each removal is recorded in the resolution chain to
+     keep proofs exact.  Membership is the [seen] mark, which is 1 on
+     exactly the learnt literals here; a removed literal is marked 2
+     until the final clear. *)
   let original_learnt = !learnt in
   if !learnt <> [] then begin
-    let in_clause = Hashtbl.create 16 in
-    List.iter (fun q -> Hashtbl.replace in_clause (Lit.var q) ()) !learnt;
-    let position = Hashtbl.create 16 in
-    for i = 0 to Vec.size s.trail - 1 do
-      let v = Lit.var (Vec.get s.trail i) in
-      if Hashtbl.mem in_clause v then Hashtbl.replace position v i
-    done;
     let by_pos_desc =
       List.sort
-        (fun a b ->
-          compare (Hashtbl.find position (Lit.var b)) (Hashtbl.find position (Lit.var a)))
+        (fun a b -> Int.compare s.tpos.(Lit.var b) s.tpos.(Lit.var a))
         !learnt
     in
     let kept = ref [] in
@@ -512,11 +554,11 @@ let analyze s confl =
           && Array.for_all
                (fun l ->
                  let w = Lit.var l in
-                 w = v || s.level.(w) = 0 || Hashtbl.mem in_clause w)
+                 w = v || s.level.(w) = 0 || Bytes.get s.seen w = '\001')
                s.clauses.(r).lits
         in
         if removable then begin
-          Hashtbl.remove in_clause v;
+          Bytes.set s.seen v '\002';
           chain := (v, s.clauses.(r).cid) :: !chain;
           Array.iter
             (fun l ->
@@ -618,8 +660,7 @@ let record_learnt s lits ~lbd first chain =
     let tmp = lits.(1) in
     lits.(1) <- lits.(!best);
     lits.(!best) <- tmp;
-    watch s lits.(0) slot;
-    watch s lits.(1) slot
+    watch_clause s slot lits
   end;
   slot
 
@@ -693,8 +734,9 @@ let reduce_db s =
         let r = s.reason.(v) in
         if r >= 0 then begin
           let r' = map.(r) in
-          Check.check "sat.reduce_keeps_reasons" (r' >= 0)
-            ~detail:(fun () -> Printf.sprintf "reason of variable %d was deleted" v);
+          if Check.on () then
+            Check.check "sat.reduce_keeps_reasons" (r' >= 0)
+              ~detail:(fun () -> Printf.sprintf "reason of variable %d was deleted" v);
           s.reason.(v) <- r'
         end)
       s.trail;
@@ -704,10 +746,7 @@ let reduce_db s =
     Array.iter Vec.clear s.watches;
     for i = 0 to s.nclauses - 1 do
       let c = s.clauses.(i) in
-      if Array.length c.lits >= 2 then begin
-        watch s c.lits.(0) i;
-        watch s c.lits.(1) i
-      end
+      if Array.length c.lits >= 2 then watch_clause s i c.lits
     done;
     s.live_learnt <- s.live_learnt - ndelete;
     s.reduces <- s.reduces + 1;
@@ -798,25 +837,11 @@ let add_clause s ?(tag = 0) lits =
              end
            done
          with Exit -> ());
-        watch s arr.(0) slot;
-        watch s arr.(1) slot;
+        watch_clause s slot arr;
         if !pos < 2 then Vec.push s.pending slot
     end
   end
 
-(* Clause import for multi-domain sharing.  A peer's learnt clause is
-   never trusted: it is re-derived against THIS solver's clause database
-   by reverse unit propagation — assume the negation of every unknown
-   literal on a throwaway decision level and propagate.  A conflict
-   means the clause (or a subset of it) is a unit-propagation
-   consequence of the local formula, and walking the throwaway trail
-   segment backwards through the reason clauses yields an exact trivial
-   resolution chain for it, logged into [Proof_log] like any locally
-   learnt clause.  No conflict means the clause is not a local
-   consequence (the racing engines encode different instances) and it is
-   dropped.  Either way the proof log only ever contains locally
-   certified steps, so LRAT export, interpolation labeling and the
-   Paranoid replay survive sharing unchanged. *)
 (* Re-examine the pending clauses at solve start: enqueue the unit ones,
    derive the empty clause from falsified ones.  Clauses whose literal
    got satisfied at the root level are dropped from the list. *)
@@ -845,6 +870,19 @@ let flush_pending s =
   List.iter (fun slot -> Vec.push s.pending slot) (List.rev !kept);
   not !failed
 
+(* Clause import for multi-domain sharing.  A peer's learnt clause is
+   never trusted: it is re-derived against THIS solver's clause database
+   by reverse unit propagation — assume the negation of every unknown
+   literal on a throwaway decision level and propagate.  A conflict
+   means the clause (or a subset of it) is a unit-propagation
+   consequence of the local formula, and walking the throwaway trail
+   segment backwards through the reason clauses yields an exact trivial
+   resolution chain for it, logged into [Proof_log] like any locally
+   learnt clause.  No conflict means the clause is not a local
+   consequence (the racing engines encode different instances) and it is
+   dropped.  Either way the proof log only ever contains locally
+   certified steps, so LRAT export, interpolation labeling and the
+   Paranoid replay survive sharing unchanged. *)
 let import_clause s ?lbd lits =
   let lits = List.sort_uniq Lit.compare lits in
   let rec tauto = function
@@ -965,8 +1003,7 @@ let import_clause s ?lbd lits =
           else begin
             (* Every literal is unassigned at the root here (each was a
                throwaway decision's negation), so any two watches do. *)
-            watch s arr.(0) slot;
-            watch s arr.(1) slot
+            watch_clause s slot arr
           end
         end;
         `Imported
@@ -1146,17 +1183,55 @@ let core_birth_lbd s =
     used;
   h
 
+(* The watch invariant behind propagation and [reduce_db]'s rebuild:
+   every clause of length >= 2 is watched exactly once on [lits.(0)] and
+   once on [lits.(1)], every entry names a live slot watching the list's
+   literal, and a binary clause's entry carries its other literal. *)
+let watches_consistent s =
+  let on0 = Array.make s.nclauses 0 and on1 = Array.make s.nclauses 0 in
+  let ok = ref true in
+  Array.iteri
+    (fun lit ws ->
+      Vec.iter
+        (fun w ->
+          let slot = entry_slot w in
+          if slot >= s.nclauses then ok := false
+          else begin
+            let lits = s.clauses.(slot).lits in
+            let len = Array.length lits in
+            if len < 2 then ok := false
+            else begin
+              let pos = if lits.(0) = lit then 0 else if lits.(1) = lit then 1 else -1 in
+              if pos < 0 then ok := false
+              else begin
+                let counts = if pos = 0 then on0 else on1 in
+                counts.(slot) <- counts.(slot) + 1;
+                let other = if len = 2 then lits.(1 - pos) else -1 in
+                if entry_other w <> other then ok := false
+              end
+            end
+          end)
+        ws)
+    s.watches;
+  for i = 0 to s.nclauses - 1 do
+    if Array.length s.clauses.(i).lits >= 2 && (on0.(i) <> 1 || on1.(i) <> 1) then
+      ok := false
+  done;
+  !ok
+
 (* Sanitizer probes at the solve boundary.  Fast checks the answer
    against the clause database (trail consistency; on Sat, every input
-   clause satisfied).  Paranoid additionally replays the resolution
-   proof behind every unconditional Unsat — on the trimmed
-   reconstruction, so the proof-log round-trip is validated too. *)
+   clause satisfied).  Paranoid additionally checks the watch lists and
+   replays the resolution proof behind every unconditional Unsat — on
+   the trimmed reconstruction, so the proof-log round-trip is validated
+   too. *)
 let check_result s r =
   if Check.on () then begin
     Check.probe "sat.trail_consistent" (fun () ->
         let ok = ref true in
         Vec.iter (fun l -> if lit_val s l <> 1 then ok := false) s.trail;
         !ok);
+    Check.probe_paranoid "sat.watches_consistent" (fun () -> watches_consistent s);
     match r with
     | Sat ->
       Check.probe "sat.model_satisfies" (fun () ->

@@ -349,6 +349,30 @@ let test_solver_proof_replay () =
   Alcotest.(check bool) "proof replay metered" true
     (counter_value "check.sat.proof_replay.pass" > 0)
 
+(* The watch-list probe runs at every Paranoid solve boundary, and only
+   there; a reduction-heavy solve makes it see rebuilt watch lists. *)
+let test_solver_watch_probe () =
+  let nvars, clauses = pigeonhole 5 in
+  let solve () =
+    let s = Solver.create () in
+    Solver.set_reduce s { Solver.enabled = true; base = 20; growth = 1.1; keep_lbd = 0 };
+    for _ = 1 to nvars do
+      ignore (Solver.new_var s)
+    done;
+    List.iter (fun c -> Solver.add_clause s c) clauses;
+    let r = Solver.solve s in
+    Alcotest.(check bool) "unsat" true (r = Solver.Unsat);
+    Alcotest.(check bool) "reductions fired" true (Solver.num_reduces s > 0)
+  in
+  with_level Check.Fast (fun () ->
+      solve ();
+      Alcotest.(check int) "not probed at fast" 0
+        (counter_value "check.sat.watches_consistent.pass"));
+  with_level Check.Paranoid (fun () ->
+      solve ();
+      Alcotest.(check bool) "watch invariant probed" true
+        (counter_value "check.sat.watches_consistent.pass" > 0))
+
 let test_engine_paranoid () =
   (* One safe suite instance end-to-end under Paranoid: the itpseq engine
      proves it while every emitted interpolant is linted. *)
@@ -371,6 +395,8 @@ let test_engine_paranoid () =
     (counter_value "check.itp.support.pass" > 0);
   Alcotest.(check bool) "proofs were replayed" true
     (counter_value "check.sat.proof_replay.pass" > 0);
+  Alcotest.(check bool) "watch lists were checked" true
+    (counter_value "check.sat.watches_consistent.pass" > 0);
   Alcotest.(check bool) "inclusion answers were re-decided" true
     (counter_value "check.incl.incremental_agrees.pass" > 0)
 
@@ -413,6 +439,7 @@ let () =
           Alcotest.test_case "off is no-op" `Quick test_level_off_is_noop;
           Alcotest.test_case "paranoid probe" `Quick test_level_paranoid_probe;
           Alcotest.test_case "solver proof replay" `Quick test_solver_proof_replay;
+          Alcotest.test_case "solver watch probe" `Quick test_solver_watch_probe;
           Alcotest.test_case "engine end-to-end" `Quick test_engine_paranoid;
         ] );
     ]

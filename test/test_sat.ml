@@ -515,6 +515,115 @@ let test_import_bad_provenance_rejected () =
       (String.length d.Isr_check.Diag.check > 5
       && String.sub d.Isr_check.Diag.check 0 5 = "lrat.")
 
+(* --- search identity ---------------------------------------------------- *)
+
+(* Interpolants, and with them k_fp/j_fp, follow the exact shape of a
+   refutation, so a solver speed-up must leave the search untouched.
+   These cases pin the search on fixed problems: the effort counters and
+   a digest of every learnt clause's literal sequence, in learning order,
+   together with every logged resolution chain.  Any change to decision,
+   propagation or conflict-analysis order moves at least one of them.
+   The values were recorded with the earlier kernel, which minimised
+   learnt clauses by scanning the whole trail and loaded every binary
+   clause on each watch visit; the current kernel must reproduce them. *)
+
+(* A fixed linear congruential generator, so the instances do not depend
+   on the standard library's [Random]. *)
+let random_3sat ~seed ~nvars ~nclauses =
+  let state = ref seed in
+  let next bound =
+    state := ((!state * 1103515245) + 12345) land 0x7fffffff;
+    (!state lsr 8) mod bound
+  in
+  let clause () =
+    List.init 3 (fun _ ->
+        let v = next nvars in
+        Lit.of_var ~neg:(next 2 = 1) v)
+  in
+  (nvars, List.init nclauses (fun _ -> clause ()))
+
+let search_fingerprint s solve =
+  let buf = Buffer.create 4096 in
+  let add_int i =
+    Buffer.add_string buf (string_of_int i);
+    Buffer.add_char buf ' '
+  in
+  Solver.on_export s
+    (Some
+       (fun ~lits ~lbd ->
+         add_int lbd;
+         Array.iter add_int lits;
+         Buffer.add_char buf '\n'));
+  let r = solve () in
+  Solver.on_export s None;
+  if Solver.refuted s then
+    Array.iter
+      (function
+        | Proof.Derived { lits; first; chain } ->
+          Array.iter add_int lits;
+          add_int first;
+          Array.iter
+            (fun (v, id) ->
+              add_int v;
+              add_int id)
+            chain;
+          Buffer.add_char buf '\n'
+        | Proof.Input _ | Proof.Trimmed -> ())
+      (Solver.proof ~trim:false s).Proof.steps;
+  let result =
+    match r with Solver.Sat -> "sat" | Solver.Unsat -> "unsat" | Solver.Undef -> "undef"
+  in
+  Printf.sprintf "%s conflicts=%d decisions=%d propagations=%d learnt=%d steps=%d digest=%s"
+    result (Solver.num_conflicts s) (Solver.num_decisions s)
+    (Solver.num_propagations s) (Solver.num_learnt s) (Solver.proof_steps s)
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let cnf_fingerprint (nvars, clauses) =
+  let s = Tutil.fresh_solver nvars in
+  List.iter (fun c -> Solver.add_clause s c) clauses;
+  search_fingerprint s (fun () -> Solver.solve s)
+
+let bmc_fingerprint name check k =
+  let model =
+    match Isr_suite.Registry.find name with
+    | Some e -> Isr_suite.Registry.build_validated e
+    | None -> Alcotest.failf "no registry entry %s" name
+  in
+  let u = Isr_core.Bmc.build_instance model ~check ~k in
+  let s = Isr_model.Unroll.solver u in
+  search_fingerprint s (fun () -> Solver.solve s)
+
+let search_pins =
+  [
+    ( "php 6->5",
+      (fun () -> cnf_fingerprint (pigeonhole 5)),
+      "unsat conflicts=135 decisions=169 propagations=1578 learnt=134 steps=216 \
+       digest=1fd6122b19765b0fa242f5ce114d8dc6" );
+    ( "random 3-sat seed 7",
+      (fun () -> cnf_fingerprint (random_3sat ~seed:7 ~nvars:150 ~nclauses:639)),
+      "unsat conflicts=3103 decisions=3656 propagations=97182 learnt=3102 steps=3737 \
+       digest=db3c0d603a81bf84c94c66a5fcfc33c2" );
+    ( "random 3-sat seed 11",
+      (fun () -> cnf_fingerprint (random_3sat ~seed:11 ~nvars:150 ~nclauses:600)),
+      "sat conflicts=1368 decisions=1713 propagations=45789 learnt=1368 steps=1963 \
+       digest=ea5ea1cca411299184aa03d3eb37858d" );
+    ( "bmc vending11 bound k=10",
+      (fun () -> bmc_fingerprint "vending11" Isr_core.Bmc.Bound 10),
+      "unsat conflicts=32 decisions=62 propagations=2365 learnt=31 steps=1167 \
+       digest=a96e0ca36db5d295b77ff5e9b2bf06b4" );
+    ( "bmc rether33 exact k=30",
+      (fun () -> bmc_fingerprint "rether33" Isr_core.Bmc.Exact 30),
+      "unsat conflicts=333 decisions=535 propagations=118785 learnt=332 steps=5009 \
+       digest=c89762dbfd01d0433c974122c9de8358" );
+  ]
+
+let search_identity_cases =
+  List.map
+    (fun (name, run, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "search fingerprint" expected (run ())))
+    search_pins
+
 (* --- property tests --------------------------------------------------- *)
 
 let gen_cnf =
@@ -533,15 +642,39 @@ let print_cnf (nvars, clauses) =
           (fun c -> String.concat "," (List.map (fun l -> string_of_int (Lit.to_dimacs l)) c))
           clauses))
 
-let prop_matches_bruteforce =
-  QCheck2.Test.make ~count:500 ~name:"solver agrees with brute force" ~print:print_cnf gen_cnf
+(* Binary implication chains under longer clauses.  [gen_cnf]'s formulas
+   are almost always decided by propagation alone; here each variable is
+   usually implied by one earlier literal, so a search takes several
+   decisions, propagates along the chains, and learns clauses over
+   several levels whose chained literals minimisation removes. *)
+let gen_cnf_chains =
+  let open QCheck2.Gen in
+  let* nvars = int_range 8 16 in
+  let gen_lit = map2 (fun v neg -> Lit.of_var ~neg v) (int_range 0 (nvars - 1)) bool in
+  let link v =
+    let* linked = float_range 0.0 1.0 in
+    let* parent = int_range 0 (v - 1) in
+    let* pneg = bool and* vneg = bool in
+    pure
+      (if linked < 0.8 then [ [ Lit.of_var ~neg:pneg parent; Lit.of_var ~neg:vneg v ] ]
+       else [])
+  in
+  let* chains = flatten_l (List.init (nvars - 1) (fun i -> link (i + 1))) in
+  let* nlong = int_range (5 * nvars / 2) (5 * nvars) in
+  let* long = list_size (pure nlong) (int_range 3 4 >>= fun n -> list_size (pure n) gen_lit) in
+  pure (nvars, List.concat chains @ long)
+
+let chains_label = "binary chains: "
+
+let prop_matches_bruteforce ?(label = "") ?(count = 500) gen =
+  QCheck2.Test.make ~count ~name:(label ^ "solver agrees with brute force") ~print:print_cnf gen
     (fun (nvars, clauses) ->
       let _, r = solve_clauses nvars clauses in
       let expected = brute_force nvars clauses in
       (r = Solver.Sat) = expected)
 
-let prop_unsat_proof_checks =
-  QCheck2.Test.make ~count:500 ~name:"unsat proofs replay" ~print:print_cnf gen_cnf
+let prop_unsat_proof_checks ?(label = "") ?(count = 500) gen =
+  QCheck2.Test.make ~count ~name:(label ^ "unsat proofs replay") ~print:print_cnf gen
     (fun (nvars, clauses) ->
       let s, r = solve_clauses nvars clauses in
       match r with
@@ -618,9 +751,9 @@ let prop_proof_free_same_search =
 (* The most aggressive legal policy: reduce after every conflict, keep
    nothing by glue.  Verdicts and proofs must be unaffected — reduction
    only drops clauses that are neither reasons nor needed inputs. *)
-let prop_reduce_preserves_verdicts =
-  QCheck2.Test.make ~count:300 ~name:"aggressive reduction preserves verdicts"
-    ~print:print_cnf gen_cnf (fun (nvars, clauses) ->
+let prop_reduce_preserves_verdicts ?(label = "") ?(count = 300) gen =
+  QCheck2.Test.make ~count ~name:(label ^ "aggressive reduction preserves verdicts")
+    ~print:print_cnf gen (fun (nvars, clauses) ->
       let s = Solver.create () in
       Solver.set_reduce s { Solver.enabled = true; base = 1; growth = 1.0; keep_lbd = 0 };
       for _ = 1 to nvars do
@@ -634,8 +767,8 @@ let prop_reduce_preserves_verdicts =
       | Solver.Unsat -> Proof_check.check (Solver.proof s) = Ok ()
       | _ -> true)
 
-let prop_incremental_equals_batch =
-  QCheck2.Test.make ~count:300 ~name:"incremental = from-scratch" ~print:print_cnf gen_cnf
+let prop_incremental_equals_batch ?(label = "") ?(count = 300) gen =
+  QCheck2.Test.make ~count ~name:(label ^ "incremental = from-scratch") ~print:print_cnf gen
     (fun (nvars, clauses) ->
       (* Add clauses one at a time, solving after each addition; the final
          verdict must match a single batch solve. *)
@@ -738,11 +871,15 @@ let () =
      calls of the individual tests. *)
   Isr_check_core.Level.set Isr_check_core.Level.Paranoid;
   let qsuite = List.map QCheck_alcotest.to_alcotest
-      [ prop_matches_bruteforce; prop_unsat_proof_checks; prop_sat_model_valid;
+      [ prop_matches_bruteforce gen_cnf; prop_unsat_proof_checks gen_cnf; prop_sat_model_valid;
         prop_assumptions_equal_units; prop_unsat_cores_suffice;
-        prop_reduce_preserves_verdicts; prop_incremental_equals_batch;
+        prop_reduce_preserves_verdicts gen_cnf; prop_incremental_equals_batch gen_cnf;
         prop_import_preserves_verdicts; prop_proof_free_same_search;
-        prop_incremental_assumptions ]
+        prop_incremental_assumptions;
+        prop_matches_bruteforce ~label:chains_label gen_cnf_chains;
+        prop_unsat_proof_checks ~label:chains_label gen_cnf_chains;
+        prop_reduce_preserves_verdicts ~label:chains_label gen_cnf_chains;
+        prop_incremental_equals_batch ~label:chains_label ~count:100 gen_cnf_chains ]
   in
   Alcotest.run "isr_sat"
     [
@@ -777,6 +914,7 @@ let () =
           Alcotest.test_case "bad provenance rejected" `Quick
             test_import_bad_provenance_rejected;
         ] );
+      ("search identity", search_identity_cases);
       ("lit", [ Alcotest.test_case "roundtrips" `Quick test_lit_roundtrip ]);
       ("vec", [ Alcotest.test_case "empty vector grows" `Quick test_vec_empty_grows ]);
       ( "dimacs",
