@@ -664,17 +664,15 @@ let gen_cnf_chains =
   let* long = list_size (pure nlong) (int_range 3 4 >>= fun n -> list_size (pure n) gen_lit) in
   pure (nvars, List.concat chains @ long)
 
-let chains_label = "binary chains: "
-
-let prop_matches_bruteforce ?(label = "") ?(count = 500) gen =
-  QCheck2.Test.make ~count ~name:(label ^ "solver agrees with brute force") ~print:print_cnf gen
+let prop_matches_bruteforce ?(count = 500) gen =
+  QCheck2.Test.make ~count ~name:"solver agrees with brute force" ~print:print_cnf gen
     (fun (nvars, clauses) ->
       let _, r = solve_clauses nvars clauses in
       let expected = brute_force nvars clauses in
       (r = Solver.Sat) = expected)
 
-let prop_unsat_proof_checks ?(label = "") ?(count = 500) gen =
-  QCheck2.Test.make ~count ~name:(label ^ "unsat proofs replay") ~print:print_cnf gen
+let prop_unsat_proof_checks ?(count = 500) gen =
+  QCheck2.Test.make ~count ~name:"unsat proofs replay" ~print:print_cnf gen
     (fun (nvars, clauses) ->
       let s, r = solve_clauses nvars clauses in
       match r with
@@ -751,8 +749,8 @@ let prop_proof_free_same_search =
 (* The most aggressive legal policy: reduce after every conflict, keep
    nothing by glue.  Verdicts and proofs must be unaffected — reduction
    only drops clauses that are neither reasons nor needed inputs. *)
-let prop_reduce_preserves_verdicts ?(label = "") ?(count = 300) gen =
-  QCheck2.Test.make ~count ~name:(label ^ "aggressive reduction preserves verdicts")
+let prop_reduce_preserves_verdicts ?(count = 300) gen =
+  QCheck2.Test.make ~count ~name:"aggressive reduction preserves verdicts"
     ~print:print_cnf gen (fun (nvars, clauses) ->
       let s = Solver.create () in
       Solver.set_reduce s { Solver.enabled = true; base = 1; growth = 1.0; keep_lbd = 0 };
@@ -767,8 +765,8 @@ let prop_reduce_preserves_verdicts ?(label = "") ?(count = 300) gen =
       | Solver.Unsat -> Proof_check.check (Solver.proof s) = Ok ()
       | _ -> true)
 
-let prop_incremental_equals_batch ?(label = "") ?(count = 300) gen =
-  QCheck2.Test.make ~count ~name:(label ^ "incremental = from-scratch") ~print:print_cnf gen
+let prop_incremental_equals_batch ?(count = 300) gen =
+  QCheck2.Test.make ~count ~name:"incremental = from-scratch" ~print:print_cnf gen
     (fun (nvars, clauses) ->
       (* Add clauses one at a time, solving after each addition; the final
          verdict must match a single batch solve. *)
@@ -875,11 +873,14 @@ let () =
         prop_assumptions_equal_units; prop_unsat_cores_suffice;
         prop_reduce_preserves_verdicts gen_cnf; prop_incremental_equals_batch gen_cnf;
         prop_import_preserves_verdicts; prop_proof_free_same_search;
-        prop_incremental_assumptions;
-        prop_matches_bruteforce ~label:chains_label gen_cnf_chains;
-        prop_unsat_proof_checks ~label:chains_label gen_cnf_chains;
-        prop_reduce_preserves_verdicts ~label:chains_label gen_cnf_chains;
-        prop_incremental_equals_batch ~label:chains_label ~count:100 gen_cnf_chains ]
+        prop_incremental_assumptions ]
+  in
+  (* Alcotest sizes its name column by the longest group name, so group
+     names stay at most as long as "properties" to keep test names whole. *)
+  let chains = List.map QCheck_alcotest.to_alcotest
+      [ prop_matches_bruteforce gen_cnf_chains; prop_unsat_proof_checks gen_cnf_chains;
+        prop_reduce_preserves_verdicts gen_cnf_chains;
+        prop_incremental_equals_batch ~count:100 gen_cnf_chains ]
   in
   Alcotest.run "isr_sat"
     [
@@ -914,7 +915,7 @@ let () =
           Alcotest.test_case "bad provenance rejected" `Quick
             test_import_bad_provenance_rejected;
         ] );
-      ("search identity", search_identity_cases);
+      ("identity", search_identity_cases);
       ("lit", [ Alcotest.test_case "roundtrips" `Quick test_lit_roundtrip ]);
       ("vec", [ Alcotest.test_case "empty vector grows" `Quick test_vec_empty_grows ]);
       ( "dimacs",
@@ -925,4 +926,5 @@ let () =
           Alcotest.test_case "separators" `Quick test_dimacs_separators;
         ] );
       ("properties", qsuite);
+      ("chains", chains);
     ]
