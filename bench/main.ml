@@ -482,517 +482,267 @@ let regress_cmd =
              got slower beyond the noise threshold, changed verdict, or vanished")
     Term.(const run $ baseline_arg $ current_arg $ threshold_arg $ min_delta_arg)
 
-(* --- par (sequential vs racing portfolio) ------------------------------------------- *)
+(* --- compare (a fixed A-vs-B row) ------------------------------------------------ *)
 
-(* Instances where the sequential portfolio pays for its early members
-   (eijkring12 and hamming8: BMC burns its whole slice while k-induction
-   proves instantly — racing buys the slice back) next to easy ones
-   where both modes should tie. *)
-let par_default_benches = [ "eijkring12"; "hamming8"; "peterson"; "vending11" ]
+(* One side of a comparison.  A side that [rewrites_model] solves a
+   simplified model, so it may decide within the budget what the original
+   could not; the gate then holds it to pass/fail agreement only. *)
+type side = {
+  label : string;  (* the snapshot's engine name *)
+  run : jobs:int -> Budget.limits -> Model.t -> Verdict.t * Verdict.stats;
+  rewrites_model : bool;
+}
 
-let par_cmd =
-  let run time bound conflicts jobs names repeat out_path check trace metrics progress =
-    with_obs ~check ~progress ~trace ~metrics (fun ~record:_ ->
-        let limits = limits_of ~time ~bound ~conflicts in
-        let names = if names = [] then par_default_benches else names in
-        let entries =
-          List.map
-            (fun n ->
-              match Registry.find n with
-              | Some e -> e
-              | None ->
-                prerr_endline
-                  (Printf.sprintf "isr-bench: no benchmark named %S" n);
-                exit 2)
-            names
-        in
-        let median times =
-          let a = List.sort compare times in
-          List.nth a (List.length a / 2)
-        in
-        let disagreements = ref 0 in
-        Format.fprintf out "%-12s %-10s %-10s %9s %9s %8s@." "bench" "seq" "par"
-          "seq[s]" "par[s]" "speedup";
-        let runs =
-          List.concat_map
-            (fun (entry : Registry.entry) ->
-              let model = Registry.build_validated entry in
-              let seq = List.init repeat (fun _ -> Portfolio.verify ~limits model) in
-              let par =
-                List.init repeat (fun _ -> Isr_par.portfolio ~jobs ~limits model)
-              in
-              let describe = function
-                | Verdict.Proved _ -> "pass"
-                | Verdict.Falsified _ -> "fail"
-                | Verdict.Unknown _ -> "unknown"
-              in
-              let sv = fst (List.hd seq) and pv = fst (List.hd par) in
-              (* All engines are sound, so sequential and raced runs must
-                 agree on pass/fail; count any divergence and gate on it. *)
-              if
-                Verdict.is_proved sv <> Verdict.is_proved pv
-                || Verdict.is_falsified sv <> Verdict.is_falsified pv
-              then incr disagreements;
-              let t_of rs = median (List.map (fun (_, s) -> Verdict.time s) rs) in
-              let ts = t_of seq and tp = t_of par in
-              Format.fprintf out "%-12s %-10s %-10s %9.3f %9.3f %7.2fx@."
-                entry.Registry.name (describe sv) (describe pv) ts tp
-                (if tp > 0.0 then ts /. tp else Float.nan);
-              [
-                Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                  ~engine:"portfolio-seq" seq;
-                Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                  ~engine:"portfolio-par" par;
-              ])
-            entries
-        in
-        let store = Isr_exp.Bench_store.make ~suite:"par" ~repeat ~time_limit:time runs in
-        Isr_exp.Bench_store.save out_path store;
-        Format.fprintf out "wrote %s: %d runs (%d instances, repeat %d)@." out_path
-          (List.length runs) (List.length entries) repeat;
-        if !disagreements > 0 then begin
-          Format.fprintf out "%d verdict disagreement(s) between modes@." !disagreements;
-          Format.pp_print_flush out ();
-          exit 3
-        end)
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Domains to race ($(b,0) = the machine's recommended count).")
-  in
-  let names_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "name" ] ~docv:"BENCH"
-          ~doc:"Benchmark to include (repeatable); default: a safe mid-size set.")
-  in
-  let repeat_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "repeat" ] ~docv:"N" ~doc:"Samples per (instance, mode) cell.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_par.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the snapshot.")
-  in
-  Cmd.v
-    (Cmd.info "par"
-       ~doc:"Race the parallel portfolio against the sequential schedule on the \
-             same instances, check the verdicts agree, and persist both sides as \
-             a snapshot")
-    Term.(
-      const run $ time_arg 10.0 $ bound_arg $ conflicts_arg $ jobs_arg $ names_arg
-      $ repeat_arg $ out_arg $ check_arg $ trace_arg $ metrics_arg $ progress_arg)
+let sequential label =
+  let run ~jobs:_ limits m = Portfolio.verify ~limits m in
+  { label; run; rewrites_model = false }
 
-(* --- share (isolated race vs clause-sharing race) ----------------------------------- *)
+let racing ?share label =
+  let run ~jobs limits m = Isr_par.portfolio ~jobs ?share ~limits m in
+  { label; run; rewrites_model = false }
 
-let share_cmd =
-  let run time bound conflicts jobs lbd len names repeat out_path check trace metrics
-      progress =
-    with_obs ~check ~progress ~trace ~metrics (fun ~record:_ ->
-        let limits = limits_of ~time ~bound ~conflicts in
-        let filter = { Isr_par.Share.max_lbd = lbd; max_len = len } in
-        let names = if names = [] then par_default_benches else names in
-        let entries =
-          List.map
-            (fun n ->
-              match Registry.find n with
-              | Some e -> e
-              | None ->
-                prerr_endline
-                  (Printf.sprintf "isr-bench: no benchmark named %S" n);
-                exit 2)
-            names
-        in
-        let median times =
-          let a = List.sort compare times in
-          List.nth a (List.length a / 2)
-        in
-        let disagreements = ref 0 in
-        Format.fprintf out "%-12s %-10s %-10s %9s %9s %8s %7s %7s@." "bench" "seq"
-          "share" "seq[s]" "share[s]" "speedup" "import" "export";
-        let runs =
-          List.concat_map
-            (fun (entry : Registry.entry) ->
-              let model = Registry.build_validated entry in
-              let seq = List.init repeat (fun _ -> Portfolio.verify ~limits model) in
-              let shr =
-                List.init repeat (fun _ ->
-                    Isr_par.portfolio ~jobs ~share:filter ~limits model)
-              in
-              let describe = function
-                | Verdict.Proved _ -> "pass"
-                | Verdict.Falsified _ -> "fail"
-                | Verdict.Unknown _ -> "unknown"
-              in
-              let sv = fst (List.hd seq) and pv = fst (List.hd shr) in
-              (* Imports are re-derived against the importer's own clause
-                 database, so sharing must never flip a verdict; gate on
-                 any divergence from the sequential schedule. *)
-              if
-                Verdict.is_proved sv <> Verdict.is_proved pv
-                || Verdict.is_falsified sv <> Verdict.is_falsified pv
-              then incr disagreements;
-              let t_of rs = median (List.map (fun (_, s) -> Verdict.time s) rs) in
-              let ts = t_of seq and tp = t_of shr in
-              let stats = snd (List.hd shr) in
-              Format.fprintf out "%-12s %-10s %-10s %9.3f %9.3f %7.2fx %7d %7d@."
-                entry.Registry.name (describe sv) (describe pv) ts tp
-                (if tp > 0.0 then ts /. tp else Float.nan)
-                (Verdict.shared_imported stats)
-                (Verdict.shared_exported stats);
-              [
-                Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                  ~engine:"portfolio-seq" seq;
-                Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                  ~engine:"portfolio-share" shr;
-              ])
-            entries
-        in
-        let store =
-          Isr_exp.Bench_store.make ~suite:"share" ~repeat ~time_limit:time runs
-        in
-        Isr_exp.Bench_store.save out_path store;
-        Format.fprintf out "wrote %s: %d runs (%d instances, repeat %d)@." out_path
-          (List.length runs) (List.length entries) repeat;
-        if !disagreements > 0 then begin
-          Format.fprintf out "%d verdict disagreement(s) between modes@." !disagreements;
-          Format.pp_print_flush out ();
-          exit 3
-        end)
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Domains to race ($(b,0) = the machine's recommended count).")
-  in
-  let lbd_arg =
-    Arg.(
-      value & opt int Isr_par.Share.default_filter.Isr_par.Share.max_lbd
-      & info [ "lbd" ] ~docv:"N" ~doc:"Export clauses with glue <= $(docv).")
-  in
-  let len_arg =
-    Arg.(
-      value & opt int Isr_par.Share.default_filter.Isr_par.Share.max_len
-      & info [ "len" ] ~docv:"N" ~doc:"... or length <= $(docv).")
-  in
-  let names_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "name" ] ~docv:"BENCH"
-          ~doc:"Benchmark to include (repeatable); default: the par suite's set, \
-                so the snapshot diffs against BENCH_par.json.")
-  in
-  let repeat_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "repeat" ] ~docv:"N" ~doc:"Samples per (instance, mode) cell.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_share.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the snapshot.")
-  in
-  Cmd.v
-    (Cmd.info "share"
-       ~doc:"Race the clause-sharing portfolio against the sequential schedule on \
-             the par suite's instances, check every verdict agrees (sharing must \
-             never flip one), report import/export traffic, and persist both \
-             sides as a snapshot comparable with BENCH_par.json")
-    Term.(
-      const run $ time_arg 10.0 $ bound_arg $ conflicts_arg $ jobs_arg $ lbd_arg
-      $ len_arg $ names_arg $ repeat_arg $ out_arg $ check_arg $ trace_arg
-      $ metrics_arg $ progress_arg)
-
-(* --- preprocess (static analysis off vs on) ----------------------------------------- *)
-
-let preprocess_cmd =
-  let run time bound conflicts mode names mid_only repeat out_path check trace metrics progress =
-    with_obs ~check ~progress ~trace ~metrics (fun ~record:_ ->
-        let limits = limits_of ~time ~bound ~conflicts in
-        let entries =
-          match names with
-          | [] -> entries_for mid_only Registry.fig6
-          | names ->
-            List.map
-              (fun n ->
-                match Registry.find n with
-                | Some e -> e
-                | None ->
-                  prerr_endline (Printf.sprintf "isr-bench: no benchmark named %S" n);
-                  exit 2)
-              names
-        in
-        let median xs =
-          let a = List.sort compare xs in
-          List.nth a (List.length a / 2)
-        in
-        let describe = function
-          | Verdict.Proved _ -> "pass"
-          | Verdict.Falsified _ -> "fail"
-          | Verdict.Unknown _ -> "unknown"
-        in
-        let disagreements = ref 0 in
-        Format.fprintf out "%-16s %-8s %-8s %7s %7s %6s %6s %8s %8s %8s@." "bench" "raw"
-          "ana" "ands" "ands'" "lat" "lat'" "raw[s]" "ana[s]" "speedup";
-        let runs =
-          List.concat_map
-            (fun (entry : Registry.entry) ->
-              let model = Registry.build_validated entry in
-              (* One analyzed sample: the pipeline runs inside the timed
-                 region, so the snapshot charges its cost honestly; a
-                 trivial verdict skips the portfolio, and counterexamples
-                 are lifted and replay-checked on the original. *)
-              let sample_analyzed () =
-                let t0 = Isr_obs.Clock.now () in
-                let r = Isr_analyze.run ~mode model in
-                let verdict, stats =
-                  match r.Isr_analyze.verdict with
-                  | Some (Isr_analyze.Safe { invariant }) ->
-                    ( Verdict.Proved { kfp = 0; jfp = 0; invariant = Some invariant },
-                      Verdict.mk_stats () )
-                  | Some (Isr_analyze.Unsafe { trace }) ->
-                    ( Verdict.Falsified { depth = Trace.depth trace; trace },
-                      Verdict.mk_stats () )
-                  | None -> (
-                    match Portfolio.verify ~limits r.Isr_analyze.model with
-                    | Verdict.Falsified { depth; trace }, s ->
-                      (Verdict.Falsified { depth; trace = r.Isr_analyze.lift trace }, s)
-                    | out -> out)
-                in
-                Verdict.set_time stats (Isr_obs.Clock.now () -. t0);
-                (r, (verdict, stats))
-              in
-              let raw = List.init repeat (fun _ -> Portfolio.verify ~limits model) in
-              let analyzed = List.init repeat (fun _ -> sample_analyzed ()) in
-              let r = fst (List.hd analyzed) in
-              let analyzed = List.map snd analyzed in
-              let rv = fst (List.hd raw) and av = fst (List.hd analyzed) in
-              (* The analyzer only rewrites under certificate, so whenever
-                 both sides conclude they must agree on pass/fail — and a
-                 lifted counterexample must replay on the original design.
-                 An unknown on one side is a resource question, not a
-                 soundness one (preprocessing routinely turns a timeout
-                 into a proof), so it never counts as a flip. *)
-              let conclusive v = Verdict.is_proved v || Verdict.is_falsified v in
-              if conclusive rv && conclusive av && Verdict.is_proved rv <> Verdict.is_proved av
-              then begin
-                incr disagreements;
-                Format.fprintf out "%-16s VERDICT FLIP: %s -> %s@." entry.Registry.name
-                  (describe rv) (describe av)
-              end;
-              (match av with
-              | Verdict.Falsified { trace; _ } when not (Sim.check_trace model trace) ->
-                incr disagreements;
-                Format.fprintf out "%-16s lifted trace does NOT replay@." entry.Registry.name
-              | _ -> ());
-              let t_of rs = median (List.map (fun (_, s) -> Verdict.time s) rs) in
-              let tr = t_of raw and ta = t_of analyzed in
-              Format.fprintf out "%-16s %-8s %-8s %7d %7d %6d %6d %8.3f %8.3f %7.2fx@."
-                entry.Registry.name (describe rv) (describe av)
-                (Model.num_ands r.Isr_analyze.original)
-                (Model.num_ands r.Isr_analyze.model)
-                r.Isr_analyze.original.Model.num_latches
-                r.Isr_analyze.model.Model.num_latches tr ta
-                (if ta > 0.0 then tr /. ta else Float.nan);
-              [
-                Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                  ~engine:"portfolio-raw" raw;
-                Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                  ~engine:"portfolio-analyzed" analyzed;
-              ])
-            entries
-        in
-        let store =
-          Isr_exp.Bench_store.make ~suite:"preprocess" ~repeat ~time_limit:time runs
-        in
-        Isr_exp.Bench_store.save out_path store;
-        Format.fprintf out "wrote %s: %d runs (%d instances, repeat %d)@." out_path
-          (List.length runs) (List.length entries) repeat;
-        if !disagreements > 0 then begin
-          Format.fprintf out "%d verdict disagreement(s) between modes@." !disagreements;
-          Format.pp_print_flush out ();
-          exit 3
-        end)
-  in
-  let mode_arg =
-    let mode_conv =
-      Arg.conv
-        ( (fun s -> Result.map_error (fun e -> `Msg e) (Isr_analyze.mode_of_string s)),
-          fun fmt m -> Format.pp_print_string fmt (Isr_analyze.mode_to_string m) )
+(* The analysis runs inside the timed region, so the snapshot charges its
+   cost; a trivial verdict skips the portfolio, and counterexamples are
+   lifted back onto the original model. *)
+let analyzed =
+  let run ~jobs:_ limits model =
+    let t0 = Isr_obs.Clock.now () in
+    let registry = Isr_obs.Metrics.create () in
+    let r = Isr_analyze.run ~mode:Isr_analyze.Full ~registry model in
+    let verdict, stats =
+      match r.Isr_analyze.verdict with
+      | Some (Isr_analyze.Safe { invariant }) ->
+        ( Verdict.Proved { kfp = 0; jfp = 0; invariant = Some invariant },
+          Verdict.mk_stats () )
+      | Some (Isr_analyze.Unsafe { trace }) ->
+        (Verdict.Falsified { depth = Trace.depth trace; trace }, Verdict.mk_stats ())
+      | None -> (
+        match Portfolio.verify ~limits r.Isr_analyze.model with
+        | Verdict.Falsified { depth; trace }, s ->
+          (Verdict.Falsified { depth; trace = r.Isr_analyze.lift trace }, s)
+        | out -> out)
     in
+    Isr_obs.Metrics.merge ~into:(Verdict.registry stats) registry;
+    Verdict.set_time stats (Isr_obs.Clock.now () -. t0);
+    (verdict, stats)
+  in
+  { label = "portfolio-analyzed"; run; rewrites_model = true }
+
+(* Incremental assume-k keeps one solver across all depths, so its learnt
+   database grows past the reduction trigger; the per-depth solvers of
+   plain BMC are discarded too young to reach it. *)
+let bmc_assume_inc ~reduce label =
+  let run ~jobs:_ (limits : Budget.limits) model =
+    let limits = { limits with reduce = { limits.reduce with enabled = reduce } } in
+    Bmc.run ~check:Bmc.Assume ~incremental:true ~limits model
+  in
+  { label; run; rewrites_model = false }
+
+(* A registry metric printed for both sides, times [scale]. *)
+type column = { head : string; metric : string; scale : float }
+
+type row = {
+  a : side;
+  b : side;
+  benches : string list;  (* default instances, before --mid-only *)
+  time : float;  (* default --time *)
+  out_file : string;  (* default -o *)
+  suite : string;  (* the snapshot's suite label *)
+  columns : column list;
+}
+
+let col ?(scale = 1.0) head metric = { head; metric; scale }
+
+(* The parallel rows share one instance set, so BENCH_par.json and
+   BENCH_share.json compare cell by cell. *)
+let par_benches = [ "eijkring12"; "hamming8"; "peterson"; "vending11" ]
+
+let rows =
+  let seq = sequential "portfolio-seq" in
+  [
+    ( "par",
+      { a = seq; b = racing "portfolio-par"; benches = par_benches; time = 10.0;
+        out_file = "BENCH_par.json"; suite = "par"; columns = [] } );
+    ( "share",
+      { a = seq; b = racing ~share:Isr_par.Share.default_filter "portfolio-share";
+        benches = par_benches; time = 10.0; out_file = "BENCH_share.json";
+        suite = "share";
+        columns = [ col "import" "share.imported"; col "export" "share.exported" ] } );
+    ( "preprocess",
+      { a = sequential "portfolio-raw"; b = analyzed;
+        benches = List.map (fun (e : Registry.entry) -> e.name) Registry.fig6;
+        time = 10.0; out_file = "BENCH_analyze.json"; suite = "preprocess";
+        columns =
+          [ col "ands" "analyze.ands_before"; col "ands'" "analyze.ands_after";
+            col "lat" "analyze.latches_before"; col "lat'" "analyze.latches_after" ] } );
+    (* Long BMC refutations: thousands of learnt clauses accumulate over a
+       deep unrolling, where reduction either pays or doesn't.  Deadline-
+       bounded runs tie on time, so the bound reached is the progress
+       measure. *)
+    ( "reduce",
+      { a = bmc_assume_inc ~reduce:false "bmc-assume-inc-noreduce";
+        b = bmc_assume_inc ~reduce:true "bmc-assume-inc-reduce";
+        benches = [ "eijkring12"; "hamming8" ]; time = 30.0;
+        out_file = "BENCH_reduce.json"; suite = "reduce";
+        columns =
+          [ col "k" "bmc.last_bound";
+            col ~scale:(float_of_int (Sys.word_size / 8) /. 1048576.0) "MB"
+              "gc.peak_heap_words";
+            col "reduces" "sat.db.reduce" ] } );
+  ]
+
+(* A counter's or gauge's value in one run's registry; [None] when the run
+   never registered it (a raw run has no analyze.* gauges). *)
+let metric_value stats name =
+  let reg = Verdict.registry stats in
+  if not (List.mem name (Isr_obs.Metrics.names reg)) then None
+  else
+    Some
+      (let open Isr_obs.Metrics in
+       try float_of_int (value (counter reg name))
+       with Invalid_argument _ -> gauge_value (gauge reg name))
+
+let compare_cmd =
+  let run row time bound conflicts jobs names mid_only repeat out_path check trace metrics
+      progress =
+    let time = Option.value time ~default:row.time in
+    let out_path = Option.value out_path ~default:row.out_file in
+    let find n =
+      match Registry.find n with
+      | Some e -> e
+      | None ->
+        prerr_endline (Printf.sprintf "isr-bench: no benchmark named %S" n);
+        exit 2
+    in
+    let entries =
+      match names with
+      | [] -> entries_for mid_only (List.map find row.benches)
+      | names -> List.map find names
+    in
+    let limits = limits_of ~time ~bound ~conflicts in
+    let same_model = not (row.a.rewrites_model || row.b.rewrites_model) in
+    let module B = Isr_exp.Bench_store in
+    let pp_disagreement fmt = function
+      | B.Flip { a; b } ->
+        Format.fprintf fmt "VERDICT FLIP: %s %s vs %s %s" row.a.label a row.b.label b
+      | B.No_replay side ->
+        Format.fprintf fmt "%s trace does NOT replay on the original"
+          (if side = `A then row.a.label else row.b.label)
+    in
+    let cell c samples =
+      match List.filter_map (fun (_, s) -> metric_value s c.metric) samples with
+      | [] -> "-"
+      | vs ->
+        let v = c.scale *. B.median vs in
+        if c.scale = 1.0 then Printf.sprintf "%.0f" v else Printf.sprintf "%.1f" v
+    in
+    let print_columns f =
+      List.iter (fun c -> Format.fprintf out " %9s %9s" (f `A c) (f `B c)) row.columns;
+      Format.fprintf out "@."
+    in
+    let disagreements =
+      with_obs ~check ~progress ~trace ~metrics @@ fun ~record ->
+      Format.fprintf out "A = %s, B = %s@.%-16s %-9s %-9s %8s %8s %8s" row.a.label
+        row.b.label "bench" "A" "B" "A[s]" "B[s]" "speedup";
+      print_columns (fun side c -> (if side = `A then "A:" else "B:") ^ c.head);
+      let count = ref 0 in
+      let runs =
+        List.concat_map
+          (fun (entry : Registry.entry) ->
+            let model = Registry.build_validated entry in
+            let instance_hash = Isr_fraig.Fraig.property_hash model in
+            (* Compact before each sample, outside the timed region: the
+               major heap keeps its words between runs of one process, so
+               a later sample would otherwise inherit an earlier peak. *)
+            let samples side =
+              List.init repeat (fun _ ->
+                  Gc.compact ();
+                  let verdict, stats = side.run ~jobs limits model in
+                  record
+                    { Isr_exp.Runner.bench = entry.name; engine_name = side.label;
+                      instance_hash; verdict; stats };
+                  (verdict, stats))
+            in
+            let sa = samples row.a in
+            let sb = samples row.b in
+            List.iter2
+              (fun (va, _) (vb, _) ->
+                List.iter
+                  (fun d ->
+                    incr count;
+                    Format.fprintf out "%-16s %a@." entry.name pp_disagreement d)
+                  (B.disagreements ~same_model ~replays:(Sim.check_trace model) va vb))
+              sa sb;
+            let ra = B.mk_run ~bench:entry.name ~engine:row.a.label sa in
+            let rb = B.mk_run ~bench:entry.name ~engine:row.b.label sb in
+            let ta = ra.time_median and tb = rb.time_median in
+            Format.fprintf out "%-16s %-9s %-9s %8.3f %8.3f %7.2fx" entry.name ra.verdict
+              rb.verdict ta tb
+              (if tb > 0.0 then ta /. tb else Float.nan);
+            print_columns (fun side c -> cell c (if side = `A then sa else sb));
+            [ ra; rb ])
+          entries
+      in
+      B.save out_path (B.make ~suite:row.suite ~repeat ~time_limit:time runs);
+      Format.fprintf out "wrote %s: %d runs (%d instances, repeat %d)@." out_path
+        (List.length runs) (List.length entries) repeat;
+      !count
+    in
+    if disagreements > 0 then begin
+      Format.fprintf out "%d verdict disagreement(s) between modes@." disagreements;
+      exit 3
+    end
+  in
+  let row_arg =
+    let doc =
+      String.concat "; "
+        (List.map
+           (fun (n, r) -> Printf.sprintf "$(b,%s): %s vs %s" n r.a.label r.b.label)
+           rows)
+    in
+    Arg.(required & pos 0 (some (enum rows)) None & info [] ~docv:"ROW" ~doc)
+  in
+  let time_arg =
     Arg.(
-      value & opt mode_conv Isr_analyze.Full
-      & info [ "mode" ] ~docv:"MODE" ~doc:"Analyzer pass selection: fast or full.")
+      value & opt (some float) None
+      & info [ "time" ] ~doc:"Per-run time limit [s]; default 10, 30 for $(b,reduce).")
+  in
+  let jobs_arg =
+    Arg.(
+      value & opt int 0
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:"Domains a racing side uses ($(b,0) = the machine's recommended count).")
   in
   let names_arg =
     Arg.(
       value & opt_all string []
       & info [ "name" ] ~docv:"BENCH"
-          ~doc:"Benchmark to include (repeatable); default: the whole Figure 6 suite.")
+          ~doc:"Benchmark to include (repeatable); default: the row's instances.")
   in
   let repeat_arg =
     Arg.(
       value & opt int 3
-      & info [ "repeat" ] ~docv:"N" ~doc:"Samples per (instance, mode) cell.")
+      & info [ "repeat" ] ~docv:"N" ~doc:"Samples per (instance, side) cell.")
   in
   let out_arg =
     Arg.(
-      value
-      & opt string "BENCH_analyze.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the snapshot.")
+      value & opt (some string) None
+      & info [ "o"; "out" ] ~docv:"FILE"
+          ~doc:"Where to write the snapshot; default: the row's committed BENCH_*.json.")
   in
   Cmd.v
-    (Cmd.info "preprocess"
-       ~doc:"Run the portfolio with and without the certified static-analysis \
-             pipeline on the same instances, check the verdicts agree (lifted \
-             counterexamples must replay on the original), report per-instance \
-             node/latch reductions and wall-clock deltas, and persist both sides \
-             as a snapshot")
+    (Cmd.info "compare"
+       ~exits:
+         (Cmd.Exit.info 2 ~doc:"on an unknown benchmark name."
+         :: Cmd.Exit.info 3 ~doc:"on a verdict disagreement."
+         :: Cmd.Exit.defaults)
+       ~doc:"Run both sides of a comparison row on the same instances, print their \
+             times and metrics, persist both as a snapshot, and exit 3 when any pair \
+             of verdicts disagrees or a counterexample fails to replay")
     Term.(
-      const run $ time_arg 10.0 $ bound_arg $ conflicts_arg $ mode_arg $ names_arg
+      const run $ row_arg $ time_arg $ bound_arg $ conflicts_arg $ jobs_arg $ names_arg
       $ mid_only_arg $ repeat_arg $ out_arg $ check_arg $ trace_arg $ metrics_arg
       $ progress_arg)
-
-(* --- reduce (learnt-database reduction off vs on) ----------------------------------- *)
-
-(* Long BMC refutation runs: thousands of learnt clauses accumulate over
-   a deep unrolling, which is where the learnt-database reduction either
-   pays (smaller live heap, same verdict) or doesn't.  Incremental
-   assume-k keeps one solver across all depths, so its learnt database
-   actually grows past the reduction trigger — the per-depth solvers of
-   plain BMC are discarded too young to ever reach it. *)
-let reduce_default_benches = [ "eijkring12"; "hamming8" ]
-
-let reduce_cmd =
-  let run time bound conflicts names repeat out_path check trace metrics progress =
-    with_obs ~check ~progress ~trace ~metrics (fun ~record:_ ->
-        let base = limits_of ~time ~bound ~conflicts in
-        let limits_off =
-          { base with
-            Budget.reduce = { Isr_sat.Solver.default_reduce with enabled = false } }
-        in
-        let names = if names = [] then reduce_default_benches else names in
-        let entries =
-          List.map
-            (fun n ->
-              match Registry.find n with
-              | Some e -> e
-              | None ->
-                prerr_endline
-                  (Printf.sprintf "isr-bench: no benchmark named %S" n);
-                exit 2)
-            names
-        in
-        let median xs =
-          let a = List.sort compare xs in
-          List.nth a (List.length a / 2)
-        in
-        let peak_mb (stats : Verdict.stats) =
-          let words =
-            Isr_obs.Metrics.gauge_value
-              (Isr_obs.Metrics.gauge (Verdict.registry stats) "gc.peak_heap_words")
-          in
-          words *. float_of_int (Sys.word_size / 8) /. 1048576.0
-        in
-        let disagreements = ref 0 in
-        Format.fprintf out "%-12s %-9s %-9s %8s %8s %7s %7s %9s %9s %8s@." "bench" "off"
-          "on" "off[s]" "on[s]" "off[k]" "on[k]" "off[MB]" "on[MB]" "reduces";
-        let runs =
-          List.concat_map
-            (fun (entry : Registry.entry) ->
-              let model = Registry.build_validated entry in
-              (* Compact before each sample: the major heap does not give
-                 words back between runs of one process, so without this
-                 the second mode would inherit the first mode's peak. *)
-              let sample limits =
-                Gc.compact ();
-                Bmc.run ~check:Bmc.Assume ~incremental:true ~limits model
-              in
-              let off = List.init repeat (fun _ -> sample limits_off) in
-              let on = List.init repeat (fun _ -> sample base) in
-              let describe = function
-                | Verdict.Proved _ -> "pass"
-                | Verdict.Falsified _ -> "fail"
-                | Verdict.Unknown _ -> "unknown"
-              in
-              let ov = fst (List.hd off) and nv = fst (List.hd on) in
-              (* Reduction must never flip a verdict — it only forgets
-                 derived clauses, never inputs. *)
-              if
-                Verdict.is_proved ov <> Verdict.is_proved nv
-                || Verdict.is_falsified ov <> Verdict.is_falsified nv
-              then incr disagreements;
-              let t_of rs = median (List.map (fun (_, s) -> Verdict.time s) rs) in
-              let m_of rs = median (List.map (fun (_, s) -> peak_mb s) rs) in
-              (* Deadline-bounded runs tie on wall time by construction;
-                 the bound reached is the real progress measure (a deeper
-                 unrolling also legitimately costs more heap). *)
-              let k_of rs =
-                median (List.map (fun (_, s) -> Verdict.last_bound s) rs)
-              in
-              let reduces =
-                List.fold_left
-                  (fun acc (_, s) -> max acc (Verdict.db_reduces s))
-                  0 on
-              in
-              Format.fprintf out "%-12s %-9s %-9s %8.3f %8.3f %7d %7d %9.1f %9.1f %8d@."
-                entry.Registry.name (describe ov) (describe nv) (t_of off) (t_of on)
-                (k_of off) (k_of on) (m_of off) (m_of on) reduces;
-              [
-                Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                  ~engine:"bmc-assume-inc-noreduce" off;
-                Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                  ~engine:"bmc-assume-inc-reduce" on;
-              ])
-            entries
-        in
-        let store =
-          Isr_exp.Bench_store.make ~suite:"reduce" ~repeat ~time_limit:time runs
-        in
-        Isr_exp.Bench_store.save out_path store;
-        Format.fprintf out "wrote %s: %d runs (%d instances, repeat %d)@." out_path
-          (List.length runs) (List.length entries) repeat;
-        if !disagreements > 0 then begin
-          Format.fprintf out "%d verdict disagreement(s) between modes@." !disagreements;
-          Format.pp_print_flush out ();
-          exit 3
-        end)
-  in
-  let names_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "name" ] ~docv:"BENCH"
-          ~doc:
-            "Benchmark to include (repeatable); default: long-running BMC \
-             refutations.")
-  in
-  let repeat_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "repeat" ] ~docv:"N" ~doc:"Samples per (instance, mode) cell.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_reduce.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the snapshot.")
-  in
-  Cmd.v
-    (Cmd.info "reduce"
-       ~doc:"Run long BMC refutations with the learnt-database reduction disabled \
-             and enabled, compare wall time and peak major-heap size, check the \
-             verdicts agree, and persist both sides as a snapshot")
-    Term.(
-      const run $ time_arg 30.0 $ bound_arg $ conflicts_arg $ names_arg $ repeat_arg
-      $ out_arg $ check_arg $ trace_arg $ metrics_arg $ progress_arg)
-
 (* --- all (default) ------------------------------------------------------------------ *)
 
 let all time bound conflicts mid_only check trace metrics ledger profile progress =
@@ -1037,7 +787,7 @@ let () =
       [
         table1_cmd; fig6_cmd; fig7_cmd; ablation_checks_cmd; ablation_alpha_cmd;
         ablation_systems_cmd; abstraction_cmd; extended_cmd; kernels_cmd;
-        snapshot_cmd; regress_cmd; par_cmd; share_cmd; preprocess_cmd; reduce_cmd;
+        snapshot_cmd; regress_cmd; compare_cmd;
       ]
   in
   exit (Cmd.eval group)

@@ -229,3 +229,25 @@ let pp_regression fmt = function
   | Verdict_changed { bench; engine; base; cur } ->
     Format.fprintf fmt "VERDICT %s/%s: %s -> %s" bench engine base cur
   | Missing { bench; engine } -> Format.fprintf fmt "MISSING %s/%s" bench engine
+
+(* -------------------------------------------------------------------- *)
+(* Verdict-agreement gate.                                              *)
+
+type disagreement =
+  | Flip of { a : string; b : string }
+  | No_replay of [ `A | `B ]
+
+let disagreements ~same_model ~replays a b =
+  let ta = verdict_tag a and tb = verdict_tag b in
+  (* Unknown vs conclusive is a flip only between runs on the same model:
+     a rewritten model may legitimately decide what the original could
+     not in the same budget. *)
+  let flip =
+    if ta = tb || ((ta = "unknown" || tb = "unknown") && not same_model) then []
+    else [ Flip { a = ta; b = tb } ]
+  in
+  let replay side = function
+    | Verdict.Falsified { trace; _ } when not (replays trace) -> [ No_replay side ]
+    | _ -> []
+  in
+  flip @ replay `A a @ replay `B b

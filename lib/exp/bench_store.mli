@@ -85,3 +85,24 @@ val compare_to_baseline :
     ignored (additions are not regressions). *)
 
 val pp_regression : Format.formatter -> regression -> unit
+
+type disagreement =
+  | Flip of { a : string; b : string }
+      (** the two verdict tags (["proved"] / ["falsified"] / ["unknown"]) *)
+  | No_replay of [ `A | `B ]
+      (** that side's counterexample does not replay on the original model *)
+
+val disagreements :
+  same_model:bool ->
+  replays:(Isr_model.Trace.t -> bool) ->
+  Verdict.t ->
+  Verdict.t ->
+  disagreement list
+(** The verdict-agreement gate of [bench compare] for one pair of runs
+    [a] and [b] on the same instance; [[]] means they agree.  Two
+    conclusive verdicts must agree on pass/fail.  When [same_model]
+    (neither side rewrote the model before solving) the verdict classes
+    must match outright, so an unknown against a conclusive verdict
+    disagrees as well.  Every counterexample, on either side, must pass
+    [replays] (the harness uses {!Isr_model.Sim.check_trace} on the
+    original model). *)

@@ -221,6 +221,49 @@ let test_bench_regressions () =
   Alcotest.(check bool) "missing line names the pair" true
     (contains (line (B.Missing { bench = "g"; engine = "e" })) "g/e")
 
+(* --- verdict-agreement gate ------------------------------------------------- *)
+
+let proved = Verdict.Proved { kfp = 4; jfp = 2; invariant = None }
+let unknown = Verdict.Unknown Verdict.Time_limit
+let falsified = Verdict.Falsified { depth = 3; trace = { Isr_model.Trace.inputs = [||] } }
+
+let gate ?(same_model = true) ?(replays = true) a b =
+  B.disagreements ~same_model ~replays:(fun _ -> replays) a b
+
+let test_gate_unknown () =
+  Alcotest.(check bool) "proved vs unknown on one model disagrees" true
+    (gate proved unknown = [ B.Flip { a = "proved"; b = "unknown" } ]);
+  Alcotest.(check bool) "unknown vs falsified on one model disagrees" true
+    (gate unknown falsified <> []);
+  Alcotest.(check bool) "proved vs unknown across a rewrite agrees" true
+    (gate ~same_model:false proved unknown = []);
+  Alcotest.(check bool) "unknown vs proved across a rewrite agrees" true
+    (gate ~same_model:false unknown proved = [])
+
+let test_gate_flip () =
+  List.iter
+    (fun same_model ->
+      Alcotest.(check bool) "proved vs falsified disagrees" true
+        (gate ~same_model proved falsified = [ B.Flip { a = "proved"; b = "falsified" } ]))
+    [ true; false ]
+
+let test_gate_replay () =
+  Alcotest.(check bool) "side A trace must replay" true
+    (gate ~replays:false falsified proved
+    = [ B.Flip { a = "falsified"; b = "proved" }; B.No_replay `A ]);
+  Alcotest.(check bool) "side B trace must replay, even across a rewrite" true
+    (gate ~same_model:false ~replays:false unknown falsified = [ B.No_replay `B ]);
+  Alcotest.(check bool) "both traces checked" true
+    (gate ~replays:false falsified falsified = [ B.No_replay `A; B.No_replay `B ])
+
+let test_gate_agree () =
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "equal verdicts agree" true (gate v v = []);
+      Alcotest.(check bool) "equal verdicts agree across a rewrite" true
+        (gate ~same_model:false v v = []))
+    [ proved; unknown; falsified ]
+
 let () =
   Alcotest.run "isr_exp"
     [
@@ -240,5 +283,12 @@ let () =
           Alcotest.test_case "save/load round trip" `Quick test_bench_roundtrip;
           Alcotest.test_case "load rejects bad files" `Quick test_bench_load_errors;
           Alcotest.test_case "regression gate" `Quick test_bench_regressions;
+        ] );
+      ( "agreement",
+        [
+          Alcotest.test_case "unknown flips on one model only" `Quick test_gate_unknown;
+          Alcotest.test_case "pass/fail flips always" `Quick test_gate_flip;
+          Alcotest.test_case "traces replay on either side" `Quick test_gate_replay;
+          Alcotest.test_case "equal verdicts agree" `Quick test_gate_agree;
         ] );
     ]
