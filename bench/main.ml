@@ -497,9 +497,9 @@ let sequential label =
   let run ~jobs:_ limits m = Portfolio.verify ~limits m in
   { label; run; rewrites_model = false }
 
-let racing ?share label =
-  let run ~jobs limits m = Isr_par.portfolio ~jobs ?share ~limits m in
-  { label; run; rewrites_model = false }
+let racing =
+  let run ~jobs limits m = Isr_par.portfolio ~jobs ~limits m in
+  { label = "portfolio-par"; run; rewrites_model = false }
 
 (* The analysis runs inside the timed region, so the snapshot charges its
    cost; a trivial verdict skips the portfolio, and counterexamples are
@@ -553,21 +553,12 @@ type row = {
 
 let col ?(scale = 1.0) head metric = { head; metric; scale }
 
-(* The parallel rows share one instance set, so BENCH_par.json and
-   BENCH_share.json compare cell by cell. *)
-let par_benches = [ "eijkring12"; "hamming8"; "peterson"; "vending11" ]
-
 let rows =
-  let seq = sequential "portfolio-seq" in
   [
     ( "par",
-      { a = seq; b = racing "portfolio-par"; benches = par_benches; time = 10.0;
+      { a = sequential "portfolio-seq"; b = racing;
+        benches = [ "eijkring12"; "hamming8"; "peterson"; "vending11" ]; time = 10.0;
         out_file = "BENCH_par.json"; suite = "par"; columns = [] } );
-    ( "share",
-      { a = seq; b = racing ~share:Isr_par.Share.default_filter "portfolio-share";
-        benches = par_benches; time = 10.0; out_file = "BENCH_share.json";
-        suite = "share";
-        columns = [ col "import" "share.imported"; col "export" "share.exported" ] } );
     ( "preprocess",
       { a = sequential "portfolio-raw"; b = analyzed;
         benches = List.map (fun (e : Registry.entry) -> e.name) Registry.fig6;

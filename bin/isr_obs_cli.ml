@@ -284,9 +284,6 @@ let pp_event (e : E.t) =
     | E.Analyze { pass; ands_before; ands_after; latches_before; latches_after } ->
       Printf.sprintf "analyze       %s ands=%d->%d latches=%d->%d" pass ands_before
         ands_after latches_before latches_after
-    | E.Share { worker; exported; imported; dropped } ->
-      Printf.sprintf "share         w%d exported=%d imported=%d dropped=%d" worker
-        exported imported dropped
     | E.Step { lane; engine; n; pos; status } ->
       Printf.sprintf "step          l%d %s n=%d pos=%d %s" lane engine n pos status
   in
@@ -440,89 +437,6 @@ let explain_cmd =
     (Cmd.info "explain-race"
        ~doc:"Reconstruct a parallel race from its merged event stream: who won, \
              and why every other worker stopped")
-    Term.(const run $ ledger_arg $ run_arg $ path_arg)
-
-(* --- share -------------------------------------------------------------------- *)
-
-(* [Share] events carry cumulative per-worker counters stamped at import
-   rounds with nonzero traffic — the last event of a worker is its final
-   tally, the count of events its number of active rounds. *)
-let share_traffic events =
-  match events with
-  | [] -> die "empty event stream"
-  | first :: _ ->
-    let t0 = first.E.ts in
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun e ->
-        match e.E.kind with
-        | E.Share { worker; exported; imported; dropped } ->
-          let rounds =
-            match Hashtbl.find_opt tbl worker with
-            | Some (r, _, _, _, _) -> r + 1
-            | None -> 1
-          in
-          Hashtbl.replace tbl worker (rounds, exported, imported, dropped, e.E.ts -. t0)
-        | _ -> ())
-      events;
-    if Hashtbl.length tbl = 0 then begin
-      print_endline "no share traffic recorded (run without --share, or nothing eligible)";
-      0
-    end
-    else begin
-      let workers =
-        List.sort compare (Hashtbl.fold (fun w _ acc -> w :: acc) tbl [])
-      in
-      Printf.printf "%-6s %8s %8s %8s %8s  %s\n" "worker" "rounds" "exported" "imported"
-        "dropped" "last";
-      let te = ref 0 and ti = ref 0 and td = ref 0 in
-      List.iter
-        (fun w ->
-          let rounds, ex, im, dr, ts = Hashtbl.find tbl w in
-          te := !te + ex;
-          ti := !ti + im;
-          td := !td + dr;
-          Printf.printf "w%-5d %8d %8d %8d %8d  +%.4fs\n" w rounds ex im dr ts)
-        workers;
-      Printf.printf "%-6s %8s %8d %8d %8d\n" "total" "" !te !ti !td;
-      (* No exports-vs-imports cross-check: drops are counted on the
-         importer side and every export is examined by each of the other
-         workers, so imported + dropped may legitimately reach
-         (workers - 1) x exported; meanwhile a worker that only exported
-         stays invisible until its first import round.  The stream is a
-         sample of the cumulative counters, not a ledger. *)
-      0
-    end
-
-let share_cmd =
-  let run dir run_id path =
-    let path =
-      match (path, run_id) with
-      | Some p, None -> p
-      | None, Some id ->
-        let lg, entries = load_entries dir in
-        let e = find_entry entries id in
-        (match e.L.events_path with
-        | Some p -> L.resolve lg p
-        | None -> die "run %s has no event stream recorded" id)
-      | Some _, Some _ -> die "give either EVENTS or --run, not both"
-      | None, None -> die "give an EVENTS file or --run ID"
-    in
-    match E.read_jsonl path with
-    | exception Failure msg -> die "%s" msg
-    | events -> share_traffic events
-  in
-  let path_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"EVENTS") in
-  let run_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "run" ] ~docv:"RUN" ~doc:"Take the event stream of this ledger run.")
-  in
-  Cmd.v
-    (Cmd.info "share"
-       ~doc:"Clause-sharing traffic of a parallel run: per-worker export/import/drop \
-             tallies from the stream's Share events")
     Term.(const run $ ledger_arg $ run_arg $ path_arg)
 
 (* --- steps -------------------------------------------------------------------- *)
@@ -825,6 +739,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            ls_cmd; show_cmd; diff_cmd; tail_cmd; explain_cmd; share_cmd; steps_cmd;
+            ls_cmd; show_cmd; diff_cmd; tail_cmd; explain_cmd; steps_cmd;
             ckpt_cmd; export_cmd; clauses_cmd; top_cmd;
           ]))

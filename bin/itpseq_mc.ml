@@ -308,45 +308,6 @@ let par_arg =
            bounds are probed in parallel. Other engines ignore the flag and run \
            sequentially.")
 
-let share_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some "") (some string) None
-    & info [ "share" ] ~docv:"FILTER"
-        ~doc:
-          "With --par and the portfolio or bmc engines, exchange learnt \
-           clauses between the racing domains.  Every import is re-derived \
-           and certified against the importer's own clause database, so \
-           proofs, interpolants and the sanitizers are oblivious to sharing. \
-           $(docv) selects what is exported: $(b,lbd:N,len:M) shares clauses \
-           with glue <= N or length <= M (default lbd:4,len:8).")
-
-(* "lbd:N,len:M" (either part optional, any order) -> Share.filter. *)
-let parse_share_filter s =
-  let f = ref Isr_par.Share.default_filter in
-  let parts = List.filter (fun p -> p <> "") (String.split_on_char ',' s) in
-  let ok =
-    List.for_all
-      (fun part ->
-        match String.split_on_char ':' part with
-        | [ "lbd"; n ] -> (
-          match int_of_string_opt n with
-          | Some n when n >= 0 ->
-            f := { !f with Isr_par.Share.max_lbd = n };
-            true
-          | _ -> false)
-        | [ "len"; n ] -> (
-          match int_of_string_opt n with
-          | Some n when n >= 0 ->
-            f := { !f with Isr_par.Share.max_len = n };
-            true
-          | _ -> false)
-        | _ -> false)
-      parts
-  in
-  if ok then Ok !f
-  else Error (Printf.sprintf "bad --share filter %S (expected lbd:N,len:M)" s)
-
 let no_reduce_arg =
   Arg.(
     value & flag
@@ -417,19 +378,9 @@ let check_arg =
            lint every emitted interpolant).")
 
 let verify_term =
-  let run verbose file name engine time bound conflicts witness coi fraig analyze compact certify property witness_file json trace metrics events ledger check profile profile_json progress par share no_reduce reduce_base flight checkpoint resume =
+  let run verbose file name engine time bound conflicts witness coi fraig analyze compact certify property witness_file json trace metrics events ledger check profile profile_json progress par no_reduce reduce_base flight checkpoint resume =
     setup_logs verbose;
     Isr_check.Level.set check;
-    let share =
-      match share with
-      | None -> None
-      | Some s -> (
-        match parse_share_filter s with
-        | Ok f -> Some f
-        | Error e ->
-          prerr_endline ("itpseq_mc: " ^ e);
-          exit 2)
-    in
     match load_model ~property file name with
     | Error e ->
       prerr_endline e;
@@ -584,10 +535,6 @@ let verify_term =
           }
         in
         let run_real_engine () =
-          (match (share, par) with
-          | Some _, None ->
-            Logs.warn (fun m -> m "--share needs --par to have peers; ignored")
-          | _ -> ());
           match (eng, par) with
           | _, None when stepwise ->
             (* The explicit kernel path: start (or restore) the instance
@@ -615,11 +562,11 @@ let verify_term =
                and profiles keep one shape across modes. *)
             Isr_obs.Trace.span "engine"
               ~args:[ ("engine", Engine.name eng); ("model", model.Model.name) ]
-              (fun () -> Isr_par.portfolio ~jobs ?share ~limits model)
+              (fun () -> Isr_par.portfolio ~jobs ~limits model)
           | Engine.Bmc_only check, Some jobs ->
             Isr_obs.Trace.span "engine"
               ~args:[ ("engine", Engine.name eng); ("model", model.Model.name) ]
-              (fun () -> Isr_par.bmc ~check ~jobs ?share ~limits model)
+              (fun () -> Isr_par.bmc ~check ~jobs ~limits model)
           | _, Some _ ->
             Logs.warn (fun m ->
                 m "--par applies to the portfolio and bmc engines; running %s sequentially"
@@ -766,12 +713,6 @@ let verify_term =
                     ("conflicts", string_of_int conflicts);
                     ("par",
                      match par with None -> "seq" | Some 0 -> "auto" | Some j -> string_of_int j);
-                    ("share",
-                     match share with
-                     | None -> "off"
-                     | Some f ->
-                       Printf.sprintf "lbd:%d,len:%d" f.Isr_par.Share.max_lbd
-                         f.Isr_par.Share.max_len);
                     ("analyze",
                      match analyze with
                      | None -> "off"
@@ -867,7 +808,7 @@ let verify_term =
     $ conflicts_arg $ witness_arg $ coi_arg $ fraig_arg $ analyze_arg $ compact_arg $ certify_arg $ property_arg
     $ witness_file_arg $ json_arg $ trace_arg $ metrics_arg $ events_arg $ ledger_arg
     $ check_arg $ profile_arg
-    $ profile_json_arg $ progress_arg $ par_arg $ share_arg $ no_reduce_arg
+    $ profile_json_arg $ progress_arg $ par_arg $ no_reduce_arg
     $ reduce_base_arg $ flight_arg $ checkpoint_arg $ resume_arg)
 
 let verify_cmd = Cmd.v (Cmd.info "verify" ~doc:"Verify a model with one engine") verify_term

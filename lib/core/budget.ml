@@ -35,30 +35,6 @@ let with_cancel c f =
   set_cancel (Some c);
   Fun.protect ~finally:(fun () -> set_cancel old) f
 
-(* Ambient clause-share context, same shape as the cancel token: the
-   parallel runner installs one per worker domain and every budgeted SAT
-   call inside exports its learnt clauses through [export] and pulls
-   peers' clauses in with [import] at slice boundaries — the solver is
-   guaranteed to sit at the root level there, which is the safe point to
-   splice clauses in.  Sequential runs never install one. *)
-type share = {
-  export : lits:Lit.t array -> lbd:int -> bool;
-      (* offer one locally learnt clause; [true] = accepted by the ring *)
-  import : Solver.t -> int * int * int;
-      (* drain peers' clauses into the solver; returns
-         (imported, satisfied, dropped) counts for this round *)
-}
-
-let share_key : share option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let set_share sh = Domain.DLS.set share_key sh
-let current_share () = Domain.DLS.get share_key
-
-let with_share sh f =
-  let old = current_share () in
-  set_share (Some sh);
-  Fun.protect ~finally:(fun () -> set_share old) f
-
 type t = {
   l : limits;
   t0 : float;
@@ -117,30 +93,10 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
   Solver.set_origin solver (Isr_obs.Metrics.value stats.Verdict.c_sat_calls);
   Solver.on_learnt solver
     (Some
-       (fun ~len ~lbd ->
-         Isr_obs.Metrics.observe stats.Verdict.h_learnt_len (float_of_int len);
+       (fun ~lits ~lbd ->
+         Isr_obs.Metrics.observe stats.Verdict.h_learnt_len
+           (float_of_int (Array.length lits));
          Isr_obs.Metrics.observe stats.Verdict.h_clause_birth_lbd (float_of_int lbd)));
-  (* Clause sharing, when the ambient context is installed: learnt
-     clauses flow out through the export ring, and peers' clauses are
-     drained in at slice boundaries (the solver is at the root level
-     there — the only safe point to splice clauses in). *)
-  let sh = current_share () in
-  (match sh with
-  | None -> ()
-  | Some sh ->
-    Solver.on_export solver
-      (Some
-         (fun ~lits ~lbd ->
-           if sh.export ~lits ~lbd then
-             Isr_obs.Metrics.incr stats.Verdict.c_share_export)));
-  let import_round () =
-    match sh with
-    | None -> ()
-    | Some sh ->
-      let imported, satisfied, dropped = sh.import solver in
-      Isr_obs.Metrics.add stats.Verdict.c_share_import imported;
-      Isr_obs.Metrics.add stats.Verdict.c_share_drop (satisfied + dropped)
-  in
   (* Both the deadline and a race's cancel token must stop the search
      mid-slice, not after up to 20k more conflicts: the solver polls this
      every few hundred conflicts / decisions (and every [poll_props]
@@ -217,7 +173,6 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
       ignore (Isr_obs.Flight.dump ~reason:"budget.conflicts" ());
       raise Out_of_conflicts
     end;
-    import_round ();
     let before = Solver.num_conflicts solver in
     let d0 = Solver.num_decisions solver and p0 = Solver.num_propagations solver in
     let r0 = Solver.num_restarts solver in
@@ -254,7 +209,6 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
   Fun.protect
     ~finally:(fun () ->
       Solver.on_learnt solver None;
-      Solver.on_export solver None;
       Solver.on_restart solver None;
       Solver.on_reduce solver None;
       Solver.set_interrupt solver None;

@@ -46,34 +46,6 @@ val set_cancel : bool Atomic.t option -> unit
 val current_cancel : unit -> bool Atomic.t option
 (** The calling domain's current cancel token, if any. *)
 
-type share = {
-  export : lits:Lit.t array -> lbd:int -> bool;
-      (** offered every locally learnt clause (a private copy of its
-          literals plus its glue); returns [true] when the ring accepted
-          it — counted as ["share.exported"] *)
-  import : Solver.t -> int * int * int;
-      (** drain peers' pending clauses into the solver (via
-          {!Isr_sat.Solver.import_clause}); returns the round's
-          [(imported, satisfied, dropped)] counts — charged to
-          ["share.imported"] / ["share.dropped"] *)
-}
-(** Clause-sharing context.  Like the cancel token it is ambient and
-    domain-local: the parallel runner installs one per worker, and every
-    {!solve} under it exports learnt clauses as they are born and runs
-    one import round per conflict slice (the solver sits at the root
-    level at slice boundaries — the safe point to splice clauses in,
-    i.e. at least every restart of the slice loop). *)
-
-val with_share : share -> (unit -> 'a) -> 'a
-(** [with_share sh f] runs [f] with [sh] as the calling domain's share
-    context; restored on return or raise, like {!with_cancel}. *)
-
-val set_share : share option -> unit
-(** Imperative form of {!with_share}; [None] clears. *)
-
-val current_share : unit -> share option
-(** The calling domain's current share context, if any. *)
-
 val check_time : t -> unit
 (** A passed deadline also dumps the flight recorder (when armed)
     before raising, so budget-expired runs leave their forensic trail.

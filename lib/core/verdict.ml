@@ -20,9 +20,6 @@ type stats = {
   g_db_kept : M.gauge;
   c_clause_born : M.counter;
   c_clause_deleted : M.counter;
-  c_share_export : M.counter;
-  c_share_import : M.counter;
-  c_share_drop : M.counter;
   h_clause_birth_lbd : M.histogram;
   h_clause_uses_death : M.histogram;
   h_clause_drift : M.histogram;
@@ -56,9 +53,6 @@ let mk_stats () =
     g_db_kept = M.gauge m "sat.db.kept";
     c_clause_born = M.counter m "clause.born";
     c_clause_deleted = M.counter m "clause.deleted";
-    c_share_export = M.counter m "share.exported";
-    c_share_import = M.counter m "share.imported";
-    c_share_drop = M.counter m "share.dropped";
     h_clause_birth_lbd = M.histogram m "clause.birth_lbd";
     h_clause_uses_death = M.histogram m "clause.uses_at_death";
     h_clause_drift = M.histogram m "clause.lbd_drift";
@@ -87,9 +81,6 @@ let max_learnt_len s = int_of_float (M.hist_max s.h_learnt_len)
 let db_reduces s = M.value s.c_db_reduce
 let clauses_born s = M.value s.c_clause_born
 let clauses_deleted s = M.value s.c_clause_deleted
-let shared_exported s = M.value s.c_share_export
-let shared_imported s = M.value s.c_share_import
-let shared_dropped s = M.value s.c_share_drop
 let proof_steps s = int_of_float (M.gauge_value s.g_proof_steps)
 let itp_nodes s = M.value s.c_itp_nodes
 let last_bound s = int_of_float (M.gauge_value s.g_last_bound)
@@ -180,6 +171,3 @@ let pp_stats fmt s =
   if refinements s > 0 then
     Format.fprintf fmt ", %d refinements (%d latches still frozen)" (refinements s)
       (abstract_latches s);
-  if shared_exported s > 0 || shared_imported s > 0 then
-    Format.fprintf fmt ", shared %d exported / %d imported / %d dropped"
-      (shared_exported s) (shared_imported s) (shared_dropped s)

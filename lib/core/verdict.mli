@@ -46,9 +46,6 @@ type stats = {
   g_db_kept : Isr_obs.Metrics.gauge;
   c_clause_born : Isr_obs.Metrics.counter;
   c_clause_deleted : Isr_obs.Metrics.counter;
-  c_share_export : Isr_obs.Metrics.counter;
-  c_share_import : Isr_obs.Metrics.counter;
-  c_share_drop : Isr_obs.Metrics.counter;
   h_clause_birth_lbd : Isr_obs.Metrics.histogram;
   h_clause_uses_death : Isr_obs.Metrics.histogram;
   h_clause_drift : Isr_obs.Metrics.histogram;
@@ -93,18 +90,6 @@ val clauses_born : stats -> int
 
 val clauses_deleted : stats -> int
 (** Learnt clauses deleted by database reductions across the run. *)
-
-val shared_exported : stats -> int
-(** Learnt clauses this run exported into the share ring — the
-    ["share.exported"] counter (zero when sharing is off). *)
-
-val shared_imported : stats -> int
-(** Peers' clauses this run imported (re-derived and certified against
-    its own database) — ["share.imported"]. *)
-
-val shared_dropped : stats -> int
-(** Share candidates this run rejected (not a local unit-propagation
-    consequence, or already satisfied) — ["share.dropped"]. *)
 
 val proof_steps : stats -> int
 (** Proof-log steps of the largest solver the run touched (gauges keep

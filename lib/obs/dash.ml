@@ -16,8 +16,6 @@ type lane = {
   rate : float;
   phase : string;
   cuts : int;
-  exported : int;
-  imported : int;
   verdict : string option;
   cancelled : (Event.cause * int) option;
   last_ts : float;
@@ -44,8 +42,6 @@ type acc = {
   mutable a_prev_restart : (float * int) option;
   mutable a_phase : string;
   mutable a_cuts : int;
-  mutable a_exported : int;
-  mutable a_imported : int;
   mutable a_verdict : string option;
   mutable a_cancelled : (Event.cause * int) option;
   mutable a_last_ts : float;
@@ -71,8 +67,6 @@ let view events =
           a_prev_restart = None;
           a_phase = "";
           a_cuts = 0;
-          a_exported = 0;
-          a_imported = 0;
           a_verdict = None;
           a_cancelled = None;
           a_last_ts = 0.0;
@@ -140,11 +134,6 @@ let view events =
         let a = lane_of_dom e.Event.dom in
         a.a_cuts <- a.a_cuts + 1;
         touch a
-      | Event.Share { worker; exported; imported; _ } ->
-        let a = lane worker in
-        a.a_exported <- exported;
-        a.a_imported <- imported;
-        touch a
       | Event.Step { lane = l; pos; _ } ->
         let a = lane l in
         a.a_bound <- pos;
@@ -166,8 +155,6 @@ let view events =
           rate = a.a_rate;
           phase = a.a_phase;
           cuts = a.a_cuts;
-          exported = a.a_exported;
-          imported = a.a_imported;
           verdict = a.a_verdict;
           cancelled = a.a_cancelled;
           last_ts = a.a_last_ts;
@@ -225,11 +212,11 @@ let render ?width ?gc v =
   in
   line "isr top  %d lanes  %d events  elapsed %.2fs" (List.length v.lanes) v.total
     (v.t_end -. v.t0);
-  line "%-4s %-14s %5s %9s %9s %7s %6s %4s %9s %-10s %s" "lane" "engines" "bound"
-    "confl" "confl/s" "learnt" "red" "cut" "share" "phase" "state";
+  line "%-4s %-14s %5s %9s %9s %7s %6s %4s %-10s %s" "lane" "engines" "bound"
+    "confl" "confl/s" "learnt" "red" "cut" "phase" "state";
   List.iter
     (fun l ->
-      line "%-4s %-14s %5s %9s %9s %7s %6s %4s %9s %-10s %s" (lane_label l.worker)
+      line "%-4s %-14s %5s %9s %9s %7s %6s %4s %-10s %s" (lane_label l.worker)
         l.engines
         (if l.bound >= 0 then string_of_int l.bound else "-")
         (si l.conflicts)
@@ -237,9 +224,6 @@ let render ?width ?gc v =
         (si l.learnt)
         (if l.reduces > 0 then Printf.sprintf "%d/%s" l.reduces (si l.kept) else "-")
         (if l.cuts > 0 then string_of_int l.cuts else "-")
-        (if l.exported > 0 || l.imported > 0 then
-           Printf.sprintf "%s>%s<" (si l.exported) (si l.imported)
-         else "-")
         (if l.phase = "" then "-" else l.phase)
         (state v l))
     v.lanes;

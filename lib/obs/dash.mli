@@ -22,9 +22,6 @@ type lane = {
   rate : float;      (** conflicts/s between the last two restarts *)
   phase : string;    (** last [Phase] label, [""] none *)
   cuts : int;        (** interpolant cuts extracted *)
-  exported : int;    (** clauses exported to the share ring (cumulative,
-                         from the last [Share] event; [0] none) *)
-  imported : int;    (** peers' clauses imported (cumulative) *)
   verdict : string option;          (** published by this lane *)
   cancelled : (Event.cause * int) option;  (** cause and canceller *)
   last_ts : float;   (** this lane's most recent event *)

@@ -9,7 +9,8 @@
 (* Schema 2 extends Reduce with the victims' LBD and use-count
    histograms (clause-lifecycle analytics); readers accept schema-1
    streams, where those arrays decode as empty.  Schema 3 adds the
-   [Share] clause-traffic event and the [Exhausted] cancellation cause.
+   [Exhausted] cancellation cause (and a clause-sharing ["share"] event,
+   since removed: its lines load as unknown events and are skipped).
    Schema 4 adds the [Step] engine-kernel record.  [write_jsonl] stamps
    the lowest schema that covers the stream, so a recording without
    newer features stays loadable by older readers (which skip unknown
@@ -42,7 +43,6 @@ type kind =
       latches_before : int;
       latches_after : int;
     }
-  | Share of { worker : int; exported : int; imported : int; dropped : int }
   | Step of { lane : int; engine : string; n : int; pos : int; status : string }
 
 type t = { ts : float; dom : int; seq : int; kind : kind }
@@ -177,7 +177,7 @@ let record r ~ts ~dom kind =
           | Cancel _ -> 6
           | Verdict _ -> 7
           | Analyze _ -> 8
-          | Share _ -> 9
+          (* 9 is unused, so the codes of the other kinds keep their values. *)
           | Step _ -> 10);
         push b (ns_of_ts ts);
         (match kind with
@@ -221,11 +221,6 @@ let record r ~ts ~dom kind =
           push b ands_after;
           push b latches_before;
           push b latches_after
-        | Share { worker; exported; imported; dropped } ->
-          push b worker;
-          push b exported;
-          push b imported;
-          push b dropped
         | Step { lane; engine; n; pos; status } ->
           push b lane;
           push b (str engine);
@@ -296,15 +291,6 @@ let decode_domain r dom (b : buf) =
               latches_after = b.a.(p + 4);
             },
           p + 5 )
-      | 9 ->
-        ( Share
-            {
-              worker = b.a.(p);
-              exported = b.a.(p + 1);
-              imported = b.a.(p + 2);
-              dropped = b.a.(p + 3);
-            },
-          p + 4 )
       | 10 ->
         ( Step
             {
@@ -391,11 +377,6 @@ let json_of_event e =
       (Printf.sprintf
          "\"analyze\",\"pass\":%s,\"ands_before\":%d,\"ands_after\":%d,\"latches_before\":%d,\"latches_after\":%d"
          (Json.quote pass) ands_before ands_after latches_before latches_after)
-  | Share { worker; exported; imported; dropped } ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"share\",\"worker\":%d,\"exported\":%d,\"imported\":%d,\"dropped\":%d" worker
-         exported imported dropped)
   | Step { lane; engine; n; pos; status } ->
     Buffer.add_string b
       (Printf.sprintf
@@ -409,9 +390,7 @@ let json_of_event e =
 let schema_needed evs =
   let has p = List.exists (fun e -> p e.kind) evs in
   if has (function Step _ -> true | _ -> false) then schema_version
-  else if
-    has (function Share _ | Cancel { cause = Exhausted; _ } -> true | _ -> false)
-  then 3
+  else if has (function Cancel { cause = Exhausted; _ } -> true | _ -> false) then 3
   else 2
 
 let write_jsonl r oc =
@@ -480,15 +459,6 @@ let event_of_json j =
                latches_before = num "latches_before";
                latches_after = num "latches_after";
              })
-      | "share" ->
-        Some
-          (Share
-             {
-               worker = num "worker";
-               exported = num "exported";
-               imported = num "imported";
-               dropped = num "dropped";
-             })
       | "step" ->
         Some
           (Step
@@ -552,8 +522,6 @@ let chrome_name = function
   | Verdict { worker; verdict } -> Printf.sprintf "w%d wins: %s" worker verdict
   | Analyze { pass; ands_before; ands_after; _ } ->
     Printf.sprintf "analyze.%s %d->%d" pass ands_before ands_after
-  | Share { worker; exported; imported; _ } ->
-    Printf.sprintf "share w%d %d>/%d<" worker exported imported
   | Step { lane; engine; pos; _ } -> Printf.sprintf "step L%d %s @%d" lane engine pos
 
 let to_chrome evs =

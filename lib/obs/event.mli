@@ -28,10 +28,11 @@ val schema_version : int
     {e lowest} version that covers the stream, so older readers keep
     loading recordings that use no newer feature.  Schema 2 added the
     [dead_lbd]/[dead_uses] arrays to {!kind.Reduce}; schema-1 streams
-    still load (the arrays decode as empty).  Schema 3 added
-    {!kind.Share} and the [Exhausted] cause; schema 4 added the
-    engine-kernel {!kind.Step} record — older readers skip those lines
-    (unknown events and causes decode as [None]). *)
+    still load (the arrays decode as empty).  Schema 3 added the
+    [Exhausted] cause (and a clause-sharing ["share"] event, since
+    removed); schema 4 added the engine-kernel {!kind.Step} record —
+    readers skip lines they do not know (unknown events and causes
+    decode as [None]), so schema-3 ["share"] lines load as nothing. *)
 
 type cause =
   | Race_won   (** a racing worker published a definitive verdict *)
@@ -78,11 +79,6 @@ type kind =
       latches_after : int;
     }
       (** one static-analysis pass applied: model size before/after *)
-  | Share of { worker : int; exported : int; imported : int; dropped : int }
-      (** clause-sharing traffic: cumulative counts for [worker] at an
-          import round — clauses exported to its ring, peers' clauses
-          imported (re-derived locally), and candidates dropped (not a
-          local consequence, or already satisfied) *)
   | Step of { lane : int; engine : string; n : int; pos : int; status : string }
       (** one engine-kernel step boundary: scheduler lane id, engine
           spelling, cumulative step count [n] for that instance, the

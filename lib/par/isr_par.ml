@@ -3,116 +3,6 @@ open Isr_model
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(* Learnt-clause exchange between racing domains.  Each worker owns a
-   bounded export ring (mutex-striped: one lock per exporter, never a
-   global one); its budgeted SAT calls push eligible learnt clauses in
-   as they are born, and every peer drains the ring at its own conflict
-   slice boundaries through {!Isr_sat.Solver.import_clause} — which
-   re-derives each candidate against the importer's own clause database
-   and logs a real resolution chain, so certification never depends on a
-   foreign domain's proof log.  A full ring overwrites its oldest
-   entries: exporters never block, slow importers lose stale clauses. *)
-module Share = struct
-  type filter = { max_lbd : int; max_len : int }
-
-  (* Glue <= 4 or length <= 8: the classic HordeSat-flavoured "cheap and
-     likely reusable" slice of the learnt stream. *)
-  let default_filter = { max_lbd = 4; max_len = 8 }
-
-  let eligible f ~lits ~lbd = lbd <= f.max_lbd || Array.length lits <= f.max_len
-
-  type entry = { e_lits : Isr_sat.Lit.t array; e_lbd : int }
-
-  (* [head] counts entries ever written; slot = seq mod capacity. *)
-  type ring = { lock : Mutex.t; buf : entry array; mutable head : int }
-
-  let capacity = 256
-
-  type t = {
-    filter : filter;
-    rings : ring array;        (* exporter -> its ring *)
-    cursors : int array array; (* cursors.(importer).(exporter) = next seq *)
-    exported : int array;      (* cumulative per-worker traffic counts; *)
-    imported : int array;      (* each cell is only ever written by its *)
-    dropped : int array;       (* own worker's domain *)
-  }
-
-  let create ~jobs filter =
-    let dummy = { e_lits = [||]; e_lbd = 0 } in
-    {
-      filter;
-      rings =
-        Array.init jobs (fun _ ->
-            { lock = Mutex.create (); buf = Array.make capacity dummy; head = 0 });
-      cursors = Array.make_matrix jobs jobs 0;
-      exported = Array.make jobs 0;
-      imported = Array.make jobs 0;
-      dropped = Array.make jobs 0;
-    }
-
-  (* The budget layer's ambient share context for [worker]: install with
-     [Budget.with_share] inside the worker's domain. *)
-  let attach h ~worker =
-    let nw = Array.length h.rings in
-    let export ~lits ~lbd =
-      eligible h.filter ~lits ~lbd
-      && begin
-           let r = h.rings.(worker) in
-           Mutex.protect r.lock (fun () ->
-               r.buf.(r.head mod capacity) <- { e_lits = lits; e_lbd = lbd };
-               r.head <- r.head + 1);
-           h.exported.(worker) <- h.exported.(worker) + 1;
-           true
-         end
-    in
-    let import solver =
-      let imported = ref 0 and satisfied = ref 0 and dropped = ref 0 in
-      for peer = 0 to nw - 1 do
-        if peer <> worker then begin
-          let r = h.rings.(peer) in
-          (* Snapshot under the lock, re-derive outside it: importing
-             runs unit propagation and must not stall the exporter. *)
-          let batch =
-            Mutex.protect r.lock (fun () ->
-                let first = max h.cursors.(worker).(peer) (r.head - capacity) in
-                let n = r.head - first in
-                h.cursors.(worker).(peer) <- r.head;
-                Array.init n (fun i -> r.buf.((first + i) mod capacity)))
-          in
-          Array.iter
-            (fun e ->
-              match
-                Isr_sat.Solver.import_clause solver ~lbd:e.e_lbd
-                  (Array.to_list e.e_lits)
-              with
-              | `Imported -> incr imported
-              | `Satisfied -> incr satisfied
-              | `Dropped -> incr dropped)
-            batch
-        end
-      done;
-      h.imported.(worker) <- h.imported.(worker) + !imported;
-      h.dropped.(worker) <- h.dropped.(worker) + !satisfied + !dropped;
-      if !imported + !satisfied + !dropped > 0 && Isr_obs.Event.enabled () then
-        Isr_obs.Event.emit
-          (Isr_obs.Event.Share
-             {
-               worker;
-               exported = h.exported.(worker);
-               imported = h.imported.(worker);
-               dropped = h.dropped.(worker);
-             });
-      (!imported, !satisfied, !dropped)
-    in
-    { Budget.export; import }
-end
-
-(* Run [body] under [worker]'s share context when a hub is present. *)
-let with_share_ctx hub ~worker body =
-  match hub with
-  | None -> body ()
-  | Some h -> Budget.with_share (Share.attach h ~worker) body
-
 (* Round-robin partition of the portfolio across [jobs] domains, keeping
    the sequential order (cheap members first) inside each group so a
    2-way race still tries random simulation before PDR. *)
@@ -152,7 +42,7 @@ let with_analysis ?analyze model k =
     Isr_obs.Metrics.merge ~into:(Verdict.registry stats) areg;
     (verdict, stats)
 
-let portfolio_race ~jobs ~limits ~share ~members model =
+let portfolio_race ~jobs ~limits ~members model =
   let t0 = Isr_obs.Clock.now () in
   let cancel = Atomic.make false in
   let winner : (string * Verdict.t) option Atomic.t = Atomic.make None in
@@ -166,11 +56,16 @@ let portfolio_race ~jobs ~limits ~share ~members model =
   let claimed = Array.init (List.length indexed) (fun _ -> Atomic.make false) in
   let groups = partition jobs indexed in
   let ngroups = List.length groups in
-  let hub = Option.map (fun f -> Share.create ~jobs:ngroups f) share in
-  (* Each racer gets the whole wall-clock budget: the race trades cores
-     for latency, it does not split the deadline. *)
+  (* The race has one deadline, [t0 + time_limit], and every racer runs
+     up to it: the race trades cores for latency, it does not split the
+     deadline.  A lane claimed after another retires gets only the time
+     left, not a fresh budget. *)
+  let deadline = t0 +. limits.Budget.time_limit in
   let claim (i, w, m) =
     if Atomic.compare_and_set claimed.(i) false true then
+      let limits =
+        { limits with Budget.time_limit = Float.max 0.0 (deadline -. Isr_obs.Clock.now ()) }
+      in
       Some
         {
           Sched.id = i;
@@ -188,7 +83,6 @@ let portfolio_race ~jobs ~limits ~share ~members model =
      deadline (or exhaustion) self-edge. *)
   let worker w group () =
     Budget.with_cancel cancel @@ fun () ->
-    with_share_ctx hub ~worker:w @@ fun () ->
     if Isr_obs.Event.enabled () then
       Isr_obs.Event.emit
         (Isr_obs.Event.Spawn
@@ -267,15 +161,15 @@ let portfolio_race ~jobs ~limits ~share ~members model =
     let reasons = List.concat_map fst results in
     (Verdict.Unknown (Sched.worst_reason reasons Verdict.Time_limit), total)
 
-let portfolio ?(jobs = 0) ?analyze ?share ?(limits = Budget.default_limits) model =
+let portfolio ?(jobs = 0) ?analyze ?(limits = Budget.default_limits) model =
   with_analysis ?analyze model @@ fun model ->
   let jobs = if jobs <= 0 then default_jobs () else jobs in
   let jobs = min jobs (List.length Portfolio.members) in
   if jobs = 1 then
     (* One domain needs no race: the same lanes run under the sequential
-       interleaver (there is nobody to share with either). *)
+       interleaver. *)
     Portfolio.verify ~limits model
-  else portfolio_race ~jobs ~limits ~share ~members:Portfolio.members model
+  else portfolio_race ~jobs ~limits ~members:Portfolio.members model
 
 (* Bound-parallel BMC probes.
 
@@ -291,8 +185,7 @@ let portfolio ?(jobs = 0) ?analyze ?share ?(limits = Budget.default_limits) mode
    true minimal depth, exactly as in sequential deepening.  Races on
    [best]/[current] are benign: at worst a doomed probe runs to
    completion, never a wrong verdict. *)
-let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?analyze ?share ?(limits = Budget.default_limits)
-    model =
+let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?analyze ?(limits = Budget.default_limits) model =
   with_analysis ?analyze model @@ fun model ->
   let jobs = if jobs <= 0 then default_jobs () else jobs in
   (* There are [bound_limit + 1] bounds to probe (0 included), so more
@@ -303,7 +196,6 @@ let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?analyze ?share ?(limits = Budget.defau
     else limits.Budget.bound_limit + 1
   in
   let jobs = max 1 (min jobs bound_cap) in
-  let hub = Option.map (fun f -> Share.create ~jobs f) share in
   let t0 = Isr_obs.Clock.now () in
   let next = Atomic.make 0 in
   let best = Atomic.make max_int in
@@ -331,7 +223,6 @@ let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?analyze ?share ?(limits = Budget.defau
   in
   let worker i () =
     Budget.with_cancel tokens.(i) @@ fun () ->
-    with_share_ctx hub ~worker:i @@ fun () ->
     if Isr_obs.Event.enabled () then
       Isr_obs.Event.emit (Isr_obs.Event.Spawn { worker = i; engines = "bmc" });
     let budget = Budget.start limits in

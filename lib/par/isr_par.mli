@@ -4,7 +4,8 @@
     {!Isr_core.Budget}:
 
     - {!portfolio} races the members of {!Isr_core.Portfolio} across
-      domains, each under the {e whole} wall-clock budget; the first
+      domains, each until the race's one deadline (its start plus
+      [time_limit], also for members claimed late); the first
       definitive verdict wins and the losers observe the shared cancel
       token within one conflict slice.
     - {!bmc} runs bound-parallel BMC probes: one atomic counter hands
@@ -31,34 +32,9 @@ open Isr_core
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], floored at 1. *)
 
-(** Learnt-clause exchange between the racing domains.
-
-    Each worker owns a bounded export ring; its budgeted SAT calls push
-    learnt clauses that pass the filter in as they are born, and peers
-    drain the rings at their own conflict-slice boundaries through
-    {!Isr_sat.Solver.import_clause}.  Imports are {e re-derived} against
-    the importer's own clause database and logged with a real resolution
-    chain, so proofs, interpolation labeling, LRAT export and the
-    Paranoid sanitizer replay are oblivious to sharing; a candidate that
-    is not a local unit-propagation consequence (the racing engines
-    encode different instances) is simply dropped.  Sharing therefore
-    never changes a verdict or BMC's reported depth minimality — only
-    how fast a worker gets there.  Traffic is observable as the
-    [share.*] metrics and [Share] search events. *)
-module Share : sig
-  type filter = {
-    max_lbd : int;  (** export clauses with glue <= this ... *)
-    max_len : int;  (** ... or length <= this *)
-  }
-
-  val default_filter : filter
-  (** Glue <= 4 or length <= 8. *)
-end
-
 val portfolio :
   ?jobs:int ->
   ?analyze:Isr_analyze.mode ->
-  ?share:Share.filter ->
   ?limits:Budget.limits ->
   Model.t ->
   Verdict.t * Verdict.stats
@@ -73,17 +49,12 @@ val portfolio :
 
     Racing pays even on a single core: the first definitive answer
     cancels members that would have burnt their whole sequential time
-    slice before it got a turn.
-
-    [?share] turns on learnt-clause exchange between the racing domains
-    with the given {!Share.filter} (absent: isolated domains, as
-    before).  [jobs = 1] has nobody to share with and ignores it. *)
+    slice before it got a turn. *)
 
 val bmc :
   ?check:Bmc.check ->
   ?jobs:int ->
   ?analyze:Isr_analyze.mode ->
-  ?share:Share.filter ->
   ?limits:Budget.limits ->
   Model.t ->
   Verdict.t * Verdict.stats
@@ -91,7 +62,4 @@ val bmc :
     fresh instance, so there is no incremental variant).  Falsifies with
     the minimal counterexample depth or answers [Unknown] like
     {!Isr_core.Bmc.run}.  Each worker runs under its own budget of
-    [limits] — the conflict pool is per-worker, not global.  [?share]
-    exchanges learnt clauses between the probes; every import is
-    re-derived against the receiving probe's own unrolling, so the
-    reported depth stays minimal exactly as without sharing. *)
+    [limits] — the conflict pool is per-worker, not global. *)

@@ -82,11 +82,8 @@ type t = {
   dead_uses : int array;               (* victims by uses before deletion *)
   dead_drift : int array;              (* victims by birth_lbd - lbd at death *)
   mutable birth : Bytes.t;             (* cid -> birth LBD (clamped to 255); 0 = input *)
-  mutable learnt_cb : (len:int -> lbd:int -> unit) option;
-      (* observes each learned clause (length and glue) *)
-  mutable export_cb : (lits:Lit.t array -> lbd:int -> unit) option;
-      (* observes each learned clause's literals (clause sharing); never
-         fired for imported clauses, so shared clauses cannot ping-pong *)
+  mutable learnt_cb : (lits:Lit.t array -> lbd:int -> unit) option;
+      (* observes each learned clause (literals, lent for the call, and glue) *)
   mutable restart_cb : (int -> unit) option; (* observes each restart (cumulative count) *)
   mutable reduce_cb : (reduce_info -> unit) option;
       (* observes each database reduction *)
@@ -140,7 +137,6 @@ let create ?(proof = true) () =
     dead_drift = Array.make hist_buckets 0;
     birth = Bytes.make 64 '\000';
     learnt_cb = None;
-    export_cb = None;
     restart_cb = None;
     reduce_cb = None;
     interrupt = None;
@@ -164,7 +160,6 @@ let next_step_id s = Proof_log.n_steps s.log
 let proof_steps s = if Proof_log.recording s.log then Proof_log.n_steps s.log else 0
 let proof_bytes s = Proof_log.bytes s.log
 let on_learnt s cb = s.learnt_cb <- cb
-let on_export s cb = s.export_cb <- cb
 let on_restart s cb = s.restart_cb <- cb
 let on_reduce s cb = s.reduce_cb <- cb
 let set_interrupt s cb = s.interrupt <- cb
@@ -642,10 +637,9 @@ let record_learnt s lits ~lbd first chain =
     s.birth <- b'
   end;
   Bytes.set s.birth cid (Char.chr (min lbd 255));
-  (match s.learnt_cb with None -> () | Some f -> f ~len ~lbd);
-  (* The copy shields the hook from the watch-order mutations below (and
-     from propagation's in-place reordering later). *)
-  (match s.export_cb with None -> () | Some f -> f ~lits:(Array.copy lits) ~lbd);
+  (* Fired before the watch swap below: the hook sees the literals in
+     learnt order, asserting literal first. *)
+  (match s.learnt_cb with None -> () | Some f -> f ~lits ~lbd);
   let slot =
     push_clause s
       { cid; lits; learnt = true; birth_lbd = lbd; origin = s.origin; lbd; act = s.cla_inc; uses = 0 }
@@ -869,148 +863,6 @@ let flush_pending s =
   Vec.clear s.pending;
   List.iter (fun slot -> Vec.push s.pending slot) (List.rev !kept);
   not !failed
-
-(* Clause import for multi-domain sharing.  A peer's learnt clause is
-   never trusted: it is re-derived against THIS solver's clause database
-   by reverse unit propagation — assume the negation of every unknown
-   literal on a throwaway decision level and propagate.  A conflict
-   means the clause (or a subset of it) is a unit-propagation
-   consequence of the local formula, and walking the throwaway trail
-   segment backwards through the reason clauses yields an exact trivial
-   resolution chain for it, logged into [Proof_log] like any locally
-   learnt clause.  No conflict means the clause is not a local
-   consequence (the racing engines encode different instances) and it is
-   dropped.  Either way the proof log only ever contains locally
-   certified steps, so LRAT export, interpolation labeling and the
-   Paranoid replay survive sharing unchanged. *)
-let import_clause s ?lbd lits =
-  let lits = List.sort_uniq Lit.compare lits in
-  let rec tauto = function
-    | a :: (b :: _ as rest) -> (Lit.var a = Lit.var b && a <> b) || tauto rest
-    | _ -> false
-  in
-  if
-    (not s.ok)
-    || tauto lits
-    || List.exists (fun l -> l < 0 || Lit.var l >= s.nvars) lits
-  then `Dropped
-  else begin
-    cancel_until s 0;
-    (* Root units still parked on the pending list (clauses added since
-       the last solve) must be enqueued first, exactly as at solve start
-       — both so a root-satisfied candidate is recognised as such and so
-       the fixpoint below is over the full database. *)
-    if not (flush_pending s) then begin
-      s.last_result <- Undef;
-      `Dropped
-    end
-    else begin
-    (* Root propagation must be at fixpoint before reasons are walked. *)
-    let confl = propagate s in
-    if confl >= 0 then begin
-      (* The local database is already refuted at the root — record that
-         instead of the import. *)
-      analyze_final s confl;
-      s.last_result <- Undef;
-      `Dropped
-    end
-    else if List.exists (fun l -> lit_val s l = 1) lits then `Satisfied
-    else begin
-      let unknown = List.filter (fun l -> lit_val s l = -1) lits in
-      Vec.push s.trail_lim (Vec.size s.trail);
-      List.iter (fun l -> enqueue s (Lit.neg l) (-1)) unknown;
-      let confl = propagate s in
-      if confl < 0 then begin
-        cancel_until s 0;
-        `Dropped
-      end
-      else begin
-        (* Eliminate every seen throwaway-level variable via its reason,
-           walking the trail backwards (reasons only mention literals
-           assigned earlier, so one sweep resolves in valid order); the
-           throwaway decisions themselves contribute their negation —
-           a literal of the imported clause — and level-0 variables are
-           resolved away through [resolve_level0].  The result is the
-           imported clause restricted to its underived literals. *)
-        let first = s.clauses.(confl).cid in
-        let chain = ref [] in
-        let out = ref [] in
-        let zeros = ref false in
-        let see q =
-          let v = Lit.var q in
-          if s.level.(v) = 0 then begin
-            if Bytes.get s.mark0 v = '\000' then begin
-              Bytes.set s.mark0 v '\001';
-              zeros := true
-            end
-          end
-          else if Bytes.get s.seen v = '\000' then Bytes.set s.seen v '\001'
-        in
-        Array.iter see s.clauses.(confl).lits;
-        let bound = Vec.get s.trail_lim 0 in
-        for i = Vec.size s.trail - 1 downto bound do
-          let q = Vec.get s.trail i in
-          let v = Lit.var q in
-          if Bytes.get s.seen v = '\001' then begin
-            Bytes.set s.seen v '\000';
-            let r = s.reason.(v) in
-            if r < 0 then out := Lit.neg q :: !out
-            else begin
-              chain := (v, s.clauses.(r).cid) :: !chain;
-              Array.iter (fun l -> if Lit.var l <> v then see l) s.clauses.(r).lits
-            end
-          end
-        done;
-        if !zeros then resolve_level0 s chain;
-        let chain = List.rev !chain in
-        cancel_until s 0;
-        let arr = Array.of_list !out in
-        let cid = Proof_log.add_derived s.log ~lits:arr ~first ~chain in
-        s.last_result <- Undef;
-        let len = Array.length arr in
-        let lbd = match lbd with Some g -> max 1 g | None -> max 1 len in
-        s.learnt_count <- s.learnt_count + 1;
-        if len > s.max_learnt_len then s.max_learnt_len <- len;
-        hist_bump s.born_lbd lbd;
-        if cid >= Bytes.length s.birth then begin
-          let b' = Bytes.make (max (2 * Bytes.length s.birth) (cid + 1)) '\000' in
-          Bytes.blit s.birth 0 b' 0 (Bytes.length s.birth);
-          s.birth <- b'
-        end;
-        Bytes.set s.birth cid (Char.chr (min lbd 255));
-        if len = 0 then begin
-          (* The conflict needed no throwaway decision at all: the local
-             database is unsatisfiable outright. *)
-          s.ok <- false;
-          s.empty_id <- cid
-        end
-        else begin
-          s.live_learnt <- s.live_learnt + 1;
-          let slot =
-            push_clause s
-              {
-                cid;
-                lits = arr;
-                learnt = true;
-                birth_lbd = lbd;
-                origin = s.origin;
-                lbd;
-                act = s.cla_inc;
-                uses = 0;
-              }
-          in
-          if len = 1 then Vec.push s.pending slot
-          else begin
-            (* Every literal is unassigned at the root here (each was a
-               throwaway decision's negation), so any two watches do. *)
-            watch_clause s slot arr
-          end
-        end;
-        `Imported
-      end
-    end
-    end
-  end
 
 let pick_branch_var s =
   let rec loop () =

@@ -56,25 +56,6 @@ val add_clause : t -> ?tag:int -> Lit.t list -> unit
     [tag] (default 0) is recorded in the proof for interpolation; it must
     be [>= 0]. *)
 
-val import_clause :
-  t -> ?lbd:int -> Lit.t list -> [ `Imported | `Satisfied | `Dropped ]
-(** Offers a peer's learnt clause to this solver (clause sharing across
-    domains).  The clause is {e never trusted}: it is re-derived against
-    this solver's own clause database by reverse unit propagation —
-    assume the negations of its unknown literals on a throwaway decision
-    level and propagate.  On conflict, the clause (restricted to the
-    literals the derivation actually needed) enters the database as a
-    learnt clause whose {e real} resolution chain is logged into the
-    proof, so LRAT export, interpolation labeling and the Paranoid proof
-    replay are oblivious to sharing; [`Dropped] means it is not a
-    unit-propagation consequence of the local formula (the peer solved a
-    different instance, or the derivation needs search) and nothing was
-    recorded.  [`Satisfied] means a literal is already true at the root.
-    [lbd] seeds the clause's glue for the reduction heuristics (default:
-    its length).  Backtracks to the root level first, like
-    {!add_clause}.  Imported clauses never re-fire the {!on_export}
-    hook, so shared clauses cannot ping-pong between domains. *)
-
 val solve : ?assumptions:Lit.t list -> ?conflict_budget:int -> t -> result
 (** Runs the search under the given assumption literals (installed as the
     first decisions).  [conflict_budget] bounds the number of conflicts
@@ -191,17 +172,13 @@ val proof_bytes : t -> int
 (** Current footprint of the proof log in bytes — the ["proof.bytes"]
     gauge. *)
 
-val on_learnt : t -> (len:int -> lbd:int -> unit) option -> unit
-(** Installs (or clears) an observer called with the length and glue
+val on_learnt : t -> (lits:Lit.t array -> lbd:int -> unit) option -> unit
+(** Installs (or clears) an observer called with the literals and glue
     (LBD at learn time) of every clause learned from a conflict — the
     hook behind the learned-clause-length and birth-LBD histograms of
-    {!Isr_obs.Metrics}. *)
-
-val on_export : t -> (lits:Lit.t array -> lbd:int -> unit) option -> unit
-(** Installs (or clears) an observer called with the literals (a private
-    copy) and glue of every clause learned from a conflict — the export
-    side of clause sharing.  Not fired for clauses entering through
-    {!import_clause}. *)
+    {!Isr_obs.Metrics}.  The array is the solver's own, lent for the
+    duration of the call: read it there, never keep or mutate it.  The
+    asserting literal comes first. *)
 
 val on_restart : t -> (int -> unit) option -> unit
 (** Installs (or clears) an observer called with the cumulative restart

@@ -170,6 +170,53 @@ let test_lrat_bogus_hint () =
   | Ok _ -> Alcotest.fail "bogus hint accepted"
   | Error d -> Alcotest.(check string) "check name" "lrat.unknown_hint" d.Diag.check
 
+(* Seeded bad provenance: the first addition keeps its literals but cites
+   input clause 1 as its only hint.  Clause 1 exists, so only replaying
+   the hints (not looking them up) can reject the step — a checker that
+   trusted derived clauses would accept the tampered certificate. *)
+let test_lrat_tampered_hint () =
+  let nvars, clauses = pigeonhole 3 in
+  let proof = refuted_proof nvars clauses in
+  let cnf = Proof.to_dimacs proof in
+  let lines =
+    Proof.to_lrat proof |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  (match Isr_check.Lrat_check.check_strings ~cnf ~lrat:(String.concat "\n" lines) with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "control proof rejected: %a" Diag.pp d);
+  let is_addition line =
+    match String.split_on_char ' ' line with _ :: "d" :: _ -> false | _ -> true
+  in
+  let first = ref true in
+  let tampered =
+    List.map
+      (fun line ->
+        if not (!first && is_addition line) then line
+        else begin
+          first := false;
+          match String.split_on_char ' ' line with
+          | id :: rest ->
+            let rec lits acc = function
+              | "0" :: _ | [] -> List.rev acc
+              | t :: tl -> lits (t :: acc) tl
+            in
+            let broken = String.concat " " ((id :: lits [] rest) @ [ "0"; "1"; "0" ]) in
+            Alcotest.(check bool) "hints changed" true (broken <> line);
+            broken
+          | [] -> line
+        end)
+      lines
+  in
+  match Isr_check.Lrat_check.check_strings ~cnf ~lrat:(String.concat "\n" tampered) with
+  | Ok _ -> Alcotest.fail "tampered hints accepted"
+  | Error d ->
+    let check = d.Diag.check in
+    Alcotest.(check bool) ("an lrat replay check fired: " ^ check) true
+      (String.length check > 5
+      && String.sub check 0 5 = "lrat."
+      && check <> "lrat.unknown_hint")
+
 (* A reducing solver interleaves [d] lines into the export; the checker
    must enforce them (drop the clauses) and still accept the proof. *)
 let test_lrat_deletions_roundtrip () =
@@ -418,6 +465,7 @@ let () =
           Alcotest.test_case "unroll round-trip" `Quick test_lrat_unroll;
           Alcotest.test_case "truncated proof rejected" `Quick test_lrat_truncated;
           Alcotest.test_case "bogus hint rejected" `Quick test_lrat_bogus_hint;
+          Alcotest.test_case "tampered hint rejected" `Quick test_lrat_tampered_hint;
           Alcotest.test_case "deletions round-trip" `Quick test_lrat_deletions_roundtrip;
           Alcotest.test_case "deleted hint rejected" `Quick test_lrat_deleted_hint_rejected;
         ] );

@@ -881,7 +881,6 @@ let all_kinds =
     Event.Cancel { worker = 2; cause = Event.Deadline; by = 2 };
     Event.Cancel { worker = 3; cause = Event.Min_depth; by = 1 };
     Event.Cancel { worker = 4; cause = Event.Exhausted; by = 4 };
-    Event.Share { worker = 1; exported = 120; imported = 34; dropped = 7 };
     Event.Verdict { worker = 1; verdict = "proved" };
     Event.Analyze
       {
@@ -1052,9 +1051,33 @@ let test_event_schema1_compat () =
         Alcotest.(check int) "dead_uses defaults empty" 0 (Array.length dead_uses)
       | evs -> Alcotest.failf "expected one reduce event, got %d" (List.length evs))
 
+(* Schema-3 streams may hold clause-sharing ["share"] lines, an event
+   kind that no longer exists: they load, the share line is skipped and
+   the events around it are kept. *)
+let test_event_schema3_share_skipped () =
+  let path = Filename.temp_file "isr_events" ".jsonl" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "{\"stream\":\"isr-events\",\"schema\":3}\n";
+      output_string oc
+        "{\"ts\":0.1,\"dom\":0,\"seq\":0,\"ev\":\"dispatch\",\"worker\":1,\"bound\":4}\n";
+      output_string oc
+        "{\"ts\":0.2,\"dom\":0,\"seq\":1,\"ev\":\"share\",\"worker\":1,\"exported\":120,\"imported\":34,\"dropped\":7}\n";
+      output_string oc
+        "{\"ts\":0.3,\"dom\":0,\"seq\":2,\"ev\":\"cancel\",\"worker\":1,\"cause\":\"exhausted\",\"by\":1}\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      match Event.read_jsonl path with
+      | [
+       { Event.kind = Event.Dispatch { worker = 1; bound = 4 }; _ };
+       { Event.kind = Event.Cancel { worker = 1; cause = Event.Exhausted; by = 1 }; _ };
+      ] ->
+        ()
+      | evs -> Alcotest.failf "expected dispatch then cancel, got %d events" (List.length evs))
+
 (* [write_jsonl] stamps the lowest schema that covers the stream: a
-   recording using no schema-3 feature (Share events, Exhausted cause)
-   must stay loadable by schema-2 readers, which reject higher headers. *)
+   recording using no schema-3 feature (the Exhausted cause) must stay
+   loadable by schema-2 readers, which reject higher headers. *)
 let test_event_minimal_schema () =
   let header_of emits =
     with_recorder (fun r ->
@@ -1068,14 +1091,12 @@ let test_event_minimal_schema () =
                 match Json.parse (input_line ic) with
                 | j -> int_of_float (Json.num_field "schema" j))))
   in
-  Alcotest.(check int) "share-free stream stamps 2" 2
+  Alcotest.(check int) "exhaustion-free stream stamps 2" 2
     (header_of
        [
          Event.Restart { conflicts = 1; decisions = 2; learnt = 3 };
          Event.Cancel { worker = 0; cause = Event.Deadline; by = 0 };
        ]);
-  Alcotest.(check int) "share traffic needs 3" 3
-    (header_of [ Event.Share { worker = 0; exported = 1; imported = 0; dropped = 0 } ]);
   Alcotest.(check int) "exhausted cause needs 3" 3
     (header_of [ Event.Cancel { worker = 0; cause = Event.Exhausted; by = 0 } ])
 
@@ -1474,6 +1495,8 @@ let () =
             test_chrome_emitter_roundtrip;
           Alcotest.test_case "dropped accounting" `Quick test_event_dropped;
           Alcotest.test_case "schema-1 compatibility" `Quick test_event_schema1_compat;
+          Alcotest.test_case "schema-3 share lines skipped" `Quick
+            test_event_schema3_share_skipped;
           Alcotest.test_case "minimal schema stamping" `Quick test_event_minimal_schema;
           Alcotest.test_case "unknown kinds and causes skipped" `Quick
             test_event_unknown_skipped;

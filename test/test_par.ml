@@ -58,93 +58,24 @@ let test_bmc_par_depth () =
         Alcotest.failf "%s: seq %a vs par %a" name Verdict.pp vs Verdict.pp vp)
     [ "vending7bug"; "traffic5bug"; "prodcons6bug" ]
 
-(* --- clause sharing ----------------------------------------------------------- *)
-
-(* Sharing must be invisible in the answers: same verdicts as the
-   sequential schedule, same ground truth, same minimal counterexample
-   depth — only the share.* traffic counters may differ from a run
-   without it. *)
-let test_share_race_agrees () =
-  List.iter
-    (fun name ->
-      let e = entry name in
-      let model = Registry.build_validated e in
-      let seq, _ = Portfolio.verify ~limits model in
-      let par, stats =
-        Isr_par.portfolio ~jobs:4 ~share:Isr_par.Share.default_filter ~limits model
-      in
-      Alcotest.(check bool)
-        (name ^ ": proved agree") (Verdict.is_proved seq) (Verdict.is_proved par);
-      Alcotest.(check bool)
-        (name ^ ": falsified agree")
-        (Verdict.is_falsified seq) (Verdict.is_falsified par);
-      (match (e.Registry.expected, par) with
-      | Registry.Safe, Verdict.Proved _ -> ()
-      | Registry.Unsafe d, Verdict.Falsified { depth; trace } ->
-        Alcotest.(check int) (name ^ ": minimal depth") d depth;
-        Alcotest.(check bool) (name ^ ": trace replays") true
-          (Sim.check_trace model trace)
-      | _, v -> Alcotest.failf "%s: shared-race verdict %a" name Verdict.pp v);
-      Alcotest.(check bool) (name ^ ": stats merged") true (Verdict.sat_calls stats > 0))
-    race_names
-
-(* Depth minimality must be deterministic under sharing: every replay
-   reports the sequential depth, regardless of which probe's imports
-   accelerated whom. *)
-let test_share_bmc_depth () =
-  List.iter
-    (fun name ->
-      let e = entry name in
-      let model = Registry.build_validated e in
-      let ds =
-        match Bmc.run ~check:Bmc.Exact ~limits model with
-        | Verdict.Falsified { depth; _ }, _ -> depth
-        | v, _ -> Alcotest.failf "%s: sequential bmc %a" name Verdict.pp v
-      in
-      for _ = 1 to 2 do
-        match
-          Isr_par.bmc ~jobs:4 ~share:Isr_par.Share.default_filter ~limits model
-        with
-        | Verdict.Falsified { depth = dp; trace }, _ ->
-          Alcotest.(check int) (name ^ ": same depth") ds dp;
-          Alcotest.(check bool) (name ^ ": trace replays") true
-            (Sim.check_trace model trace)
-        | v, _ -> Alcotest.failf "%s: shared bmc %a" name Verdict.pp v
-      done)
-    [ "vending7bug"; "traffic5bug" ]
-
-(* Agreement may not hinge on a friendly filter: any (max_lbd, max_len)
-   pair — including 0/0, which shares nothing — must leave both engines'
-   answers at the ground truth. *)
-let prop_share_filter_agrees =
-  let gen =
-    let open QCheck2.Gen in
-    let* max_lbd = int_range 0 6 in
-    let* max_len = int_range 0 10 in
-    let* name = oneofl [ "traffic6"; "vending7bug"; "fifo2bug" ] in
-    pure (max_lbd, max_len, name)
+(* [--time] is one deadline for the whole race.  fifo3 stays undecided
+   for far longer than the limit, and its lanes retire at different
+   times, so workers keep claiming pending members; each claimed member
+   may run only until the race's deadline, not for a fresh full budget
+   of its own. *)
+let test_race_deadline () =
+  let model = Registry.build_validated (entry "fifo3") in
+  let time_limit = 2.0 in
+  let t0 = Isr_obs.Clock.now () in
+  let verdict, _ =
+    Isr_par.portfolio ~jobs:4 ~limits:{ Budget.default_limits with time_limit } model
   in
-  let print (lbd, len, name) = Printf.sprintf "lbd:%d,len:%d on %s" lbd len name in
-  QCheck2.Test.make ~count:6 ~name:"random filters preserve ground truth" ~print gen
-    (fun (max_lbd, max_len, name) ->
-      let e = entry name in
-      let model = Registry.build_validated e in
-      let share = { Isr_par.Share.max_lbd; max_len } in
-      let ok_portfolio =
-        match (e.Registry.expected, fst (Isr_par.portfolio ~jobs:3 ~share ~limits model)) with
-        | Registry.Safe, Verdict.Proved _ -> true
-        | Registry.Unsafe d, Verdict.Falsified { depth; _ } -> d = depth
-        | _ -> false
-      in
-      let ok_bmc =
-        match e.Registry.expected with
-        | Registry.Safe -> true (* bmc alone cannot prove; skip the slow full sweep *)
-        | Registry.Unsafe d -> (
-          match fst (Isr_par.bmc ~jobs:3 ~share ~limits model) with
-          | Verdict.Falsified { depth; _ } -> d = depth
-          | _ -> false)
-      in
-      ok_portfolio && ok_bmc)
+  let elapsed = Isr_obs.Clock.now () -. t0 in
+  (match verdict with
+  | Verdict.Unknown _ -> ()
+  | v -> Alcotest.failf "fifo3 decided within %.1fs: %a" time_limit Verdict.pp v);
+  if elapsed > 1.5 *. time_limit then
+    Alcotest.failf "race ran %.2fs under a %.1fs limit" elapsed time_limit
 
 (* A pre-set token aborts before any search is attempted. *)
 let test_cancel_preset () =
@@ -379,21 +310,16 @@ let () =
   Alcotest.run "isr_par"
     [
       ( "portfolio",
-        [ Alcotest.test_case "race agrees with sequential" `Slow test_race_agrees ] );
+        [
+          Alcotest.test_case "race agrees with sequential" `Slow test_race_agrees;
+          Alcotest.test_case "race stops at its deadline" `Slow test_race_deadline;
+        ] );
       ( "bmc",
         [
           Alcotest.test_case "bound-parallel depth" `Slow test_bmc_par_depth;
           Alcotest.test_case "unlimited bound spawns all workers" `Slow
             test_bmc_jobs_unlimited_bound;
         ] );
-      ( "share",
-        List.map QCheck_alcotest.to_alcotest [ prop_share_filter_agrees ]
-        @ [
-            Alcotest.test_case "shared race agrees with sequential" `Slow
-              test_share_race_agrees;
-            Alcotest.test_case "shared bmc depth deterministic" `Slow
-              test_share_bmc_depth;
-          ] );
       ( "events",
         [
           Alcotest.test_case "portfolio race story replays" `Slow test_race_event_story;

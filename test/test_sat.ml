@@ -380,141 +380,6 @@ let test_dimacs_separators () =
     Alcotest.(check bool) "crlf parses alike" true (c = r)
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> Alcotest.failf "parse: %s" e
 
-(* --- clause import (sharing) ------------------------------------------ *)
-
-(* The three outcomes of [import_clause], on a chain x0 -> x1 -> x2. *)
-let test_import_paths () =
-  let s = Solver.create () in
-  for _ = 1 to 3 do
-    ignore (Solver.new_var s)
-  done;
-  Solver.add_clause s [ nlit 0; lit 1 ];
-  Solver.add_clause s [ nlit 1; lit 2 ];
-  Alcotest.(check bool) "UP consequence imported" true
-    (Solver.import_clause s [ nlit 0; lit 2 ] = `Imported);
-  Alcotest.(check bool) "non-consequence dropped" true
-    (Solver.import_clause s [ lit 0; lit 2 ] = `Dropped);
-  Alcotest.(check bool) "foreign variable dropped" true
-    (Solver.import_clause s [ lit 7 ] = `Dropped);
-  Solver.add_clause s [ lit 0 ];
-  Alcotest.(check bool) "root-satisfied candidate" true
-    (Solver.import_clause s [ lit 0; lit 1 ] = `Satisfied);
-  Alcotest.(check bool) "solver still usable" true (Solver.solve s = Solver.Sat)
-
-let lrat_roundtrip proof =
-  Isr_check.Lrat_check.check_strings ~cnf:(Proof.to_dimacs proof)
-    ~lrat:(Proof.to_lrat proof)
-
-(* An imported clause carries a real resolution chain: a refutation that
-   leans on it must replay exactly and export checkable LRAT hints. *)
-let test_import_in_refutation () =
-  let s = Solver.create () in
-  for _ = 1 to 3 do
-    ignore (Solver.new_var s)
-  done;
-  Solver.add_clause s [ nlit 0; lit 1 ];
-  Solver.add_clause s [ nlit 1; lit 2 ];
-  Alcotest.(check bool) "imported" true
-    (Solver.import_clause s [ nlit 0; lit 2 ] = `Imported);
-  Solver.add_clause s [ lit 0 ];
-  Solver.add_clause s [ nlit 2 ];
-  Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
-  Alcotest.(check bool) "proof replays" true
-    (Proof_check.check (Solver.proof s) = Ok ());
-  match lrat_roundtrip (Solver.proof ~trim:false s) with
-  | Ok _ -> ()
-  | Error d -> Alcotest.failf "LRAT rejected: %s" d.Isr_check.Diag.message
-
-(* Cross-solver sharing end to end: everything one php(4) solver learns
-   is offered to an identical peer; the peer's own refutation (with the
-   accepted imports spliced in) must replay and round-trip as LRAT. *)
-let test_import_cross_solver () =
-  let nv, cls = pigeonhole 4 in
-  let s1 = Solver.create () in
-  for _ = 1 to nv do
-    ignore (Solver.new_var s1)
-  done;
-  let shared = ref [] in
-  Solver.on_export s1
-    (Some (fun ~lits ~lbd:_ -> shared := Array.to_list lits :: !shared));
-  List.iter (fun c -> Solver.add_clause s1 c) cls;
-  Alcotest.(check bool) "exporter unsat" true (Solver.solve s1 = Solver.Unsat);
-  Solver.on_export s1 None;
-  Alcotest.(check bool) "something was exported" true (!shared <> []);
-  let s2 = Solver.create () in
-  for _ = 1 to nv do
-    ignore (Solver.new_var s2)
-  done;
-  List.iter (fun c -> Solver.add_clause s2 c) cls;
-  let imported = ref 0 in
-  List.iter
-    (fun c ->
-      match Solver.import_clause s2 c with
-      | `Imported -> incr imported
-      | `Satisfied | `Dropped -> ())
-    (List.rev !shared);
-  Alcotest.(check bool) "some imports accepted" true (!imported > 0);
-  Alcotest.(check bool) "importer unsat" true (Solver.solve s2 = Solver.Unsat);
-  Alcotest.(check bool) "proof replays" true
-    (Proof_check.check (Solver.proof s2) = Ok ());
-  match lrat_roundtrip (Solver.proof s2) with
-  | Ok r ->
-    Alcotest.(check bool) "derived steps present" true
-      (r.Isr_check.Lrat_check.additions > 0)
-  | Error d -> Alcotest.failf "LRAT rejected: %s" d.Isr_check.Diag.message
-
-(* Seeded bad provenance: re-point the imported step's hints at the wrong
-   antecedent.  An LRAT checker that trusted the clause (instead of
-   replaying its hints) would accept the tampered certificate. *)
-let test_import_bad_provenance_rejected () =
-  let s = Solver.create () in
-  for _ = 1 to 3 do
-    ignore (Solver.new_var s)
-  done;
-  Solver.add_clause s [ nlit 0; lit 1 ];
-  Solver.add_clause s [ nlit 1; lit 2 ];
-  Alcotest.(check bool) "imported" true
-    (Solver.import_clause s [ nlit 0; lit 2 ] = `Imported);
-  Solver.add_clause s [ lit 0 ];
-  Solver.add_clause s [ nlit 2 ];
-  Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
-  let proof = Solver.proof ~trim:false s in
-  let cnf = Proof.to_dimacs proof in
-  let lines =
-    Proof.to_lrat proof |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  (* The first addition line is the imported clause (it is the first
-     derived step of the log); keep its literals, break its hints. *)
-  let tampered =
-    List.mapi
-      (fun i line ->
-        if i > 0 then line
-        else
-          match String.split_on_char ' ' line with
-          | id :: rest ->
-            let lits = ref [] and seen0 = ref false in
-            List.iter
-              (fun t ->
-                if not !seen0 then
-                  if t = "0" then seen0 := true else lits := t :: !lits)
-              rest;
-            String.concat " " ((id :: List.rev !lits) @ [ "0"; "1"; "0" ])
-          | [] -> line)
-      lines
-  in
-  (match Isr_check.Lrat_check.check_strings ~cnf ~lrat:(String.concat "\n" lines) with
-  | Ok _ -> ()
-  | Error d -> Alcotest.failf "control proof rejected: %s" d.Isr_check.Diag.message);
-  match
-    Isr_check.Lrat_check.check_strings ~cnf ~lrat:(String.concat "\n" tampered)
-  with
-  | Ok _ -> Alcotest.fail "tampered provenance accepted"
-  | Error d ->
-    Alcotest.(check bool) "an lrat check fired" true
-      (String.length d.Isr_check.Diag.check > 5
-      && String.sub d.Isr_check.Diag.check 0 5 = "lrat.")
-
 (* --- search identity ---------------------------------------------------- *)
 
 (* Interpolants, and with them k_fp/j_fp, follow the exact shape of a
@@ -548,14 +413,14 @@ let search_fingerprint s solve =
     Buffer.add_string buf (string_of_int i);
     Buffer.add_char buf ' '
   in
-  Solver.on_export s
+  Solver.on_learnt s
     (Some
        (fun ~lits ~lbd ->
          add_int lbd;
          Array.iter add_int lits;
          Buffer.add_char buf '\n'));
   let r = solve () in
-  Solver.on_export s None;
+  Solver.on_learnt s None;
   if Solver.refuted s then
     Array.iter
       (function
@@ -821,47 +686,6 @@ let prop_incremental_assumptions =
           got = brute_force nvars (List.map (fun l -> [ l ]) assumptions @ !added))
         rounds)
 
-(* Sharing soundness: everything one instance learns, offered to a
-   *different* instance over the same variables, must leave that
-   instance's verdict (and proof checkability) untouched — imports are
-   re-derived locally, and what doesn't re-derive is dropped. *)
-let gen_two_cnfs =
-  let open QCheck2.Gen in
-  let* nvars = int_range 1 6 in
-  let gen_lit = map2 (fun v neg -> Lit.of_var ~neg v) (int_range 0 (nvars - 1)) bool in
-  let gen_clause = list_size (int_range 1 3) gen_lit in
-  let* c1 = list_size (int_range 1 20) gen_clause in
-  let* c2 = list_size (int_range 1 20) gen_clause in
-  pure (nvars, c1, c2)
-
-let print_two_cnfs (nvars, c1, c2) =
-  Printf.sprintf "%s || %s" (print_cnf (nvars, c1)) (print_cnf (nvars, c2))
-
-let prop_import_preserves_verdicts =
-  QCheck2.Test.make ~count:300 ~name:"imports never flip verdicts"
-    ~print:print_two_cnfs gen_two_cnfs (fun (nvars, c1, c2) ->
-      let s1 = Solver.create () in
-      for _ = 1 to nvars do
-        ignore (Solver.new_var s1)
-      done;
-      let shared = ref [] in
-      Solver.on_export s1
-        (Some (fun ~lits ~lbd:_ -> shared := Array.to_list lits :: !shared));
-      List.iter (fun c -> Solver.add_clause s1 c) c1;
-      ignore (Solver.solve s1);
-      let s2 = Solver.create () in
-      for _ = 1 to nvars do
-        ignore (Solver.new_var s2)
-      done;
-      List.iter (fun c -> Solver.add_clause s2 c) c2;
-      List.iter (fun c -> ignore (Solver.import_clause s2 c)) (List.rev !shared);
-      let r = Solver.solve s2 in
-      (r = Solver.Sat) = brute_force nvars c2
-      &&
-      match r with
-      | Solver.Unsat -> Proof_check.check (Solver.proof s2) = Ok ()
-      | _ -> true)
-
 let () =
   (* The whole solver suite runs under the Paranoid sanitizer: every
      unconditional UNSAT answer is proof-replayed inside Solver.solve
@@ -872,7 +696,7 @@ let () =
       [ prop_matches_bruteforce gen_cnf; prop_unsat_proof_checks gen_cnf; prop_sat_model_valid;
         prop_assumptions_equal_units; prop_unsat_cores_suffice;
         prop_reduce_preserves_verdicts gen_cnf; prop_incremental_equals_batch gen_cnf;
-        prop_import_preserves_verdicts; prop_proof_free_same_search;
+        prop_proof_free_same_search;
         prop_incremental_assumptions ]
   in
   (* Alcotest sizes its name column by the longest group name, so group
@@ -906,14 +730,6 @@ let () =
           Alcotest.test_case "clause lifecycle invariants" `Quick
             test_clause_lifecycle_invariants;
           Alcotest.test_case "reduce policy validation" `Quick test_set_reduce_validates;
-        ] );
-      ( "import",
-        [
-          Alcotest.test_case "outcome paths" `Quick test_import_paths;
-          Alcotest.test_case "import in refutation" `Quick test_import_in_refutation;
-          Alcotest.test_case "cross-solver LRAT roundtrip" `Quick test_import_cross_solver;
-          Alcotest.test_case "bad provenance rejected" `Quick
-            test_import_bad_provenance_rejected;
         ] );
       ("identity", search_identity_cases);
       ("lit", [ Alcotest.test_case "roundtrips" `Quick test_lit_roundtrip ]);
