@@ -17,15 +17,18 @@ type man = {
   nvars : int;
 }
 
-let create ?(max_nodes = max_int) ~nvars () =
+let create ?(max_nodes = max_int) ?(size_hint = 1024) ~nvars () =
+  (* The node arrays double on demand and the tables rehash, so the hint
+     only sets where they start; the two terminals always fit. *)
+  let size = max 2 size_hint in
   let m =
     {
-      vars = Array.make 1024 max_int;
-      lows = Array.make 1024 0;
-      highs = Array.make 1024 0;
+      vars = Array.make size max_int;
+      lows = Array.make size 0;
+      highs = Array.make size 0;
       n = 2;
-      unique = Hashtbl.create 4096;
-      ite_cache = Hashtbl.create 4096;
+      unique = Hashtbl.create (4 * size);
+      ite_cache = Hashtbl.create (4 * size);
       max_nodes;
       nvars;
     }

@@ -13,9 +13,14 @@ exception Overflow
 type man
 type t = int
 
-val create : ?max_nodes:int -> nvars:int -> unit -> man
+val create : ?max_nodes:int -> ?size_hint:int -> nvars:int -> unit -> man
 (** [max_nodes] default is unlimited.  [nvars] is just the initial
-    declared count; {!var} accepts any index below it. *)
+    declared count; {!var} accepts any index below it.  [size_hint]
+    (default 1024) is the initial node capacity, with the unique table
+    and the [ite] cache at four times that; both grow on demand, so the
+    hint changes only the allocation, never a result.  A manager built
+    for one small BDD should ask for little: the default arrays go
+    straight to the major heap. *)
 
 val bfalse : t
 val btrue : t

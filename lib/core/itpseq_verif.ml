@@ -28,6 +28,12 @@ type phase =
 
 type st = {
   model : Model.t;
+  (* The columns, the sweep's R_j and every inclusion check live in a
+     state space of their own (a manager without transition logic).
+     Compaction then adds no node to the model's manager, where a later
+     interpolant could hash-cons onto it: that would renumber the cone
+     the serial families encode, and change their search. *)
+  space : Model.t;
   limits : Budget.limits;
   budget : Budget.t;
   stats : Verdict.stats;
@@ -40,7 +46,8 @@ type st = {
      relevant latches (cumulative across bounds); empty for [None]. *)
   mask : bool array;
   mutable k : int;
-  (* Column conjunctions ℐ_j, 1-based; grows by one per bound. *)
+  (* Column conjunctions ℐ_j, 1-based, in [space]; grows by one per
+     bound. *)
   mutable columns : Aig.lit array;
   (* [columns] and [mask] as of the entry of bound [k] — what a snapshot
      carries. *)
@@ -117,14 +124,51 @@ let refine st u =
       ];
   Log.debug (fun m -> m "k=%d: refined %d latches (%d still frozen)" k n still_frozen)
 
+(* Paranoid: decide that a compacted column is equivalent to its
+   original, on a session with its own budget and registry so the run's
+   conflict budget and counts do not depend on the check level. *)
+let check_equiv st ~j c c' =
+  if Isr_check.Level.paranoid () then begin
+    let incl =
+      Incl.create (Budget.start (Budget.limits st.budget)) (Verdict.mk_stats ()) st.space
+    in
+    let fwd = Incl.implies incl c c' and bwd = Incl.implies incl c' c in
+    Isr_check.Level.check "itpseq.compact_equiv" (fwd && bwd) ~detail:(fun () ->
+        Printf.sprintf "k=%d column %d: original => compacted %b, compacted => original %b"
+          st.k j fwd bwd)
+  end
+
+(* Rebuild every column in BDD-canonical form and keep the smaller
+   circuit.  Columns feed only [Incl], which answers semantically, so
+   this changes no verdict, k_fp/j_fp or interpolant — only the size of
+   what every sweep check encodes or simulates. *)
+let compact_columns st =
+  let before = ref 0 and after = ref 0 in
+  Isr_obs.Trace.span "itpseq.compact"
+    ~args:[ ("k", string_of_int st.k) ]
+    ~end_args:(fun () ->
+      [ ("nodes_before", string_of_int !before); ("nodes_after", string_of_int !after) ])
+    (fun () ->
+      st.columns <-
+        Array.mapi
+          (fun idx c ->
+            let c', b, a = Isr_bdd.Compact.column st.space c in
+            before := !before + b;
+            after := !after + a;
+            if c' <> c then check_equiv st ~j:(idx + 1) c c';
+            c')
+          st.columns)
+
 (* Update columns: conjoin interior terms, append column k. *)
 let conjoin_family st family =
-  let entry = st.entry_columns in
+  let man = st.space.Model.man and entry = st.entry_columns in
+  let copy = Aig.copier ~src:st.model.Model.man ~dst:man ~map:(Aig.input man) in
   st.columns <-
     Array.init st.k (fun idx ->
-        if idx < Array.length entry then Aig.and_ st.model.Model.man entry.(idx) family.(idx)
-        else family.(idx));
-  st.phase <- Sweep { j = 1; r = Model.init_lit st.model }
+        let itp = copy family.(idx) in
+        if idx < Array.length entry then Aig.and_ man entry.(idx) itp else itp);
+  compact_columns st;
+  st.phase <- Sweep { j = 1; r = Model.init_lit st.space }
 
 let step st =
   let status =
@@ -196,11 +240,13 @@ let step st =
           (fun () -> Incl.implies st.incl c r)
       then begin
         Log.debug (fun m -> m "fixpoint at k=%d j=%d" k j);
-        Step.Done (finish st (Verdict.Proved { kfp = k; jfp = j; invariant = Some r }))
+        let man = st.model.Model.man in
+        let invariant = Aig.copier ~src:st.space.Model.man ~dst:man ~map:(Aig.input man) r in
+        Step.Done (finish st (Verdict.Proved { kfp = k; jfp = j; invariant = Some invariant }))
       end
       else begin
         if j >= k then next_bound st
-        else st.phase <- Sweep { j = j + 1; r = Aig.or_ st.model.Model.man r c };
+        else st.phase <- Sweep { j = j + 1; r = Aig.or_ st.space.Model.man r c };
         Step.Running
       end
   in
@@ -218,14 +264,17 @@ let stepper ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system
     | Cba a, _ -> (Printf.sprintf "itpseqcba%.2g-%s" a c, Seq_family.Serial a)
     | Pba a, _ -> (Printf.sprintf "itpseqpba%.2g-%s" a c, Seq_family.Serial a)
   in
-  let mk ~limits ~k ~columns ~mask model =
+  let mk ~limits ~k ~cones ~mask model =
     let budget = Budget.start limits and stats = Verdict.mk_stats () in
+    let space = Model.state_space model in
+    let columns = Checkpoint.lits_of_cones space.Model.man cones in
     {
       model;
+      space;
       limits;
       budget;
       stats;
-      incl = Incl.create budget stats model;
+      incl = Incl.create budget stats space;
       mode;
       check;
       system;
@@ -249,30 +298,29 @@ let stepper ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system
             | Cba _ -> Cba.initial model
             | Pba _ -> Array.make model.Model.num_latches false
           in
-          mk ~limits ~k:0 ~columns:[||] ~mask model);
+          mk ~limits ~k:0 ~cones:[||] ~mask model);
       step;
       stats = (fun st -> st.stats);
       bound = (fun st -> st.k);
       snapshot =
         (fun st ->
           let s_k = match st.phase with Check0 -> 0 | _ -> st.k in
-          let s_cols = Checkpoint.cones_of_lits st.model.Model.man st.entry_columns in
+          let s_cols = Checkpoint.cones_of_lits st.space.Model.man st.entry_columns in
           match abstraction with
           | None -> Marshal.to_string { s_k; s_cols } []
           | Cba _ | Pba _ ->
             Marshal.to_string { m_k = s_k; m_cols = s_cols; m_mask = st.entry_mask } []);
       restore =
         (fun ~limits model payload ->
-          let columns = Checkpoint.lits_of_cones model.Model.man in
           match abstraction with
           | None ->
             let s : snap = Marshal.from_string payload 0 in
-            mk ~limits ~k:s.s_k ~columns:(columns s.s_cols) ~mask:[||] model
+            mk ~limits ~k:s.s_k ~cones:s.s_cols ~mask:[||] model
           | Cba _ | Pba _ ->
             let s : masked_snap = Marshal.from_string payload 0 in
             if Array.length s.m_mask <> model.Model.num_latches then
               invalid_arg "Itpseq_verif.restore: latch count mismatch";
-            mk ~limits ~k:s.m_k ~columns:(columns s.m_cols) ~mask:s.m_mask model);
+            mk ~limits ~k:s.m_k ~cones:s.m_cols ~mask:s.m_mask model);
     }
 
 let verify ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system ?limits model =

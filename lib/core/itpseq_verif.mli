@@ -6,7 +6,10 @@
 
     The matrix of interpolants is maintained column-wise:
     ℐ{_j} = ⋀{_i≥j} I{^i}{_j}, and the fixpoint test ℐ{_j} ⇒ R{_j-1}
-    runs after every column update.  The BMC check defaults to
+    runs after every column update.  Each update rebuilds the columns in
+    BDD-canonical form ({!Isr_bdd.Compact.column}) in a state space of
+    their own ({!Isr_model.Model.state_space}), so they stay small and
+    add nothing to the model's manager.  The BMC check defaults to
     {e assume-k}, the formulation Section III recommends; [Exact] is
     available for the Figure-7 comparison. *)
 

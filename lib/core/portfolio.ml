@@ -54,17 +54,17 @@ let randsim_stepper () =
             match Isr_model.Rand_sim.falsify st.model with
             | Some trace -> (
               let cap = Isr_model.Trace.depth trace in
-              match
+              let v, bmc_stats =
                 Bmc.run ~check:Bmc.Exact
                   ~limits:{ st.limits with Budget.bound_limit = cap }
                   st.model
-              with
-              | (Verdict.Falsified _, _) as r -> Step.Done r
-              | _, bmc_stats ->
-                (* Keep the SAT effort of the failed minimization on the
-                   books. *)
-                Verdict.merge_into ~into:st.stats bmc_stats;
-                Step.Done (finish st (Verdict.Falsified { depth = cap; trace })))
+              in
+              (* The minimization's SAT effort goes on the lane's books,
+                 the only registry the scheduler merges. *)
+              Verdict.merge_into ~into:st.stats bmc_stats;
+              match v with
+              | Verdict.Falsified _ -> Step.Done (finish st v)
+              | _ -> Step.Done (finish st (Verdict.Falsified { depth = cap; trace })))
             | None -> Step.Done (finish st (Verdict.Unknown Verdict.Time_limit))
           in
           (st, status));

@@ -31,6 +31,13 @@ let init_lit t =
 
 let init_state t = Array.copy t.init
 
+let state_space t =
+  let man = Aig.create () in
+  for _ = 1 to Aig.num_inputs t.man do
+    ignore (Aig.fresh_input man)
+  done;
+  { t with man; next = [||]; bad = Aig.lit_false }
+
 let validate t =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   if Array.length t.next <> t.num_latches then

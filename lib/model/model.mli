@@ -32,6 +32,14 @@ val init_lit : t -> Aig.lit
 val init_state : t -> bool array
 (** Copy of the initial latch values. *)
 
+val state_space : t -> t
+(** [state_space t] has the inputs, latches and initial values of [t]
+    over a fresh manager, and no transition logic: [next] is empty and
+    [bad] is false.  It holds state predicates an engine builds for
+    itself, so that they add no node to [t]'s manager; a lit of one
+    manager is copied into the other with {!Aig.copier}, inputs mapped
+    by index. *)
+
 val validate : t -> (unit, string) Result.t
 (** Checks structural sanity: array lengths agree, [next] and [bad] cones
     only reach declared inputs and latches. *)

@@ -160,39 +160,128 @@ let gated_counter_for_compact () =
   Array.iteri (fun i l -> Builder.set_next b l q1.(i)) q;
   Builder.finish b ~bad:(Builder.vec_eq_const b q 3)
 
+(* Semantically q0 | q1 | q2, built the long way. *)
+let redundant_pred model =
+  let open Isr_aig in
+  let aman = model.Model.man and q i = Model.latch_lit model i in
+  Aig.big_or aman
+    [
+      Aig.and_ aman (q 0) (q 1);
+      Aig.and_ aman (q 0) (Aig.not_ (q 1));
+      Aig.and_ aman (Aig.not_ (q 0)) (q 1);
+      Aig.big_and aman [ Aig.not_ (q 0); Aig.not_ (q 1); q 2 ];
+    ]
+
+(* Does [q] agree with [p] on every state of the model's latches? *)
+let equivalent_on_all_states model p q =
+  let ni = model.Model.num_inputs and nl = model.Model.num_latches in
+  let aman = model.Model.man in
+  let ok = ref true in
+  for mask = 0 to (1 lsl nl) - 1 do
+    let env i = i >= ni && (mask lsr (i - ni)) land 1 = 1 in
+    if Isr_aig.Aig.eval aman env p <> Isr_aig.Aig.eval aman env q then ok := false
+  done;
+  !ok
+
 let test_compact_preserves_and_shrinks () =
-  (* A deliberately redundant predicate over the latches of a model. *)
   let model = counter_model ~bits:4 ~target:9 () in
   let aman = model.Model.man in
-  let q i = Model.latch_lit model i in
-  let open Isr_aig in
-  (* (q0 & q1) | (q0 & !q1) | (!q0 & q1) | (!q0 & !q1 & q2) ... built the
-     long way; semantically q0 | q1 | q2. *)
-  let p =
-    Aig.big_or aman
-      [
-        Aig.and_ aman (q 0) (q 1);
-        Aig.and_ aman (q 0) (Aig.not_ (q 1));
-        Aig.and_ aman (Aig.not_ (q 0)) (q 1);
-        Aig.big_and aman [ Aig.not_ (q 0); Aig.not_ (q 1); q 2 ];
-      ]
-  in
+  let p = redundant_pred model in
   let compacted = Isr_bdd.Compact.state_predicate model p in
   Alcotest.(check bool) "not larger" true
-    (Aig.cone_size aman compacted <= Aig.cone_size aman p);
-  (* Semantics preserved on every assignment of the 4 latches. *)
-  for mask = 0 to 15 do
-    let env i =
-      if i < model.Model.num_inputs then false
-      else (mask lsr (i - model.Model.num_inputs)) land 1 = 1
-    in
-    Alcotest.(check bool) "same value" (Aig.eval aman env p) (Aig.eval aman env compacted)
-  done;
+    (Isr_aig.Aig.cone_size aman compacted <= Isr_aig.Aig.cone_size aman p);
+  Alcotest.(check bool) "same value on every state" true
+    (equivalent_on_all_states model p compacted);
   (* Predicates reading primary inputs are left alone. *)
   let gated = gated_counter_for_compact () in
   let pi = Model.input_lit gated 0 in
   Alcotest.(check int) "pi predicate unchanged" pi
     (Isr_bdd.Compact.state_predicate gated pi)
+
+(* --- column compaction ---------------------------------------------- *)
+
+(* A model with [n] free-running latches and one primary input. *)
+let latch_model n =
+  let b = Builder.create "latches" in
+  ignore (Builder.input b);
+  Array.iter (fun l -> Builder.set_next b l (Isr_aig.Aig.not_ l)) (Builder.latches b n);
+  Builder.finish b ~bad:Isr_aig.Aig.lit_false
+
+let rec build_aig model = function
+  | T -> Isr_aig.Aig.lit_true
+  | F -> Isr_aig.Aig.lit_false
+  | V i -> Model.latch_lit model i
+  | Not e -> Isr_aig.Aig.not_ (build_aig model e)
+  | And (a, b) -> Isr_aig.Aig.and_ model.Model.man (build_aig model a) (build_aig model b)
+  | Or (a, b) -> Isr_aig.Aig.or_ model.Model.man (build_aig model a) (build_aig model b)
+  | Xor (a, b) -> Isr_aig.Aig.xor_ model.Model.man (build_aig model a) (build_aig model b)
+
+(* Random latch predicates over 1 to 10 latches, with repeated leaves so
+   the circuits carry the redundancy compaction removes. *)
+let gen_latch_pred =
+  let open QCheck2.Gen in
+  int_range 1 10 >>= fun n ->
+  let leaf = oneof [ pure T; pure F; map (fun i -> V i) (int_range 0 (n - 1)) ] in
+  let expr =
+    sized_size (int_range 0 40) @@ fix (fun self size ->
+        if size = 0 then leaf
+        else
+          let sub = self (size / 2) in
+          oneof
+            [
+              map (fun e -> Not e) sub;
+              map2 (fun a b -> And (a, b)) sub sub;
+              map2 (fun a b -> Or (a, b)) sub sub;
+              map2 (fun a b -> Xor (a, b)) sub sub;
+            ])
+  in
+  map (fun e -> (n, e)) expr
+
+let print_latch_pred (n, e) = Printf.sprintf "%d latches: %s" n (print_expr e)
+
+let prop_column_equivalent_not_larger =
+  QCheck2.Test.make ~count:300 ~name:"column: equivalent, never larger"
+    ~print:print_latch_pred gen_latch_pred (fun (n, e) ->
+      let model = latch_model n in
+      let aman = model.Model.man in
+      let p = build_aig model e in
+      let c, before, after = Compact.column model p in
+      equivalent_on_all_states model p c
+      && before = Isr_aig.Aig.cone_size aman p
+      && after = Isr_aig.Aig.cone_size aman c
+      && after <= before)
+
+(* Hints from 0 up make the node arrays start below the BDD's size and
+   grow on the way. *)
+let prop_size_hint_neutral =
+  QCheck2.Test.make ~count:300 ~name:"size hint never changes result"
+    ~print:(fun (e, h) -> Printf.sprintf "%s, hint %d" (print_expr e) h)
+    QCheck2.Gen.(pair gen_expr (int_range 0 64))
+    (fun (e, hint) ->
+      let aman = Isr_aig.Aig.create () in
+      let inputs = Array.init nv (fun _ -> Isr_aig.Aig.fresh_input aman) in
+      let rebuild m = Bdd.to_aig m aman ~var_lit:(fun v -> inputs.(v)) (build m e) in
+      rebuild (Bdd.create ~nvars:nv ()) = rebuild (Bdd.create ~size_hint:hint ~nvars:nv ()))
+
+let test_column_kept () =
+  let model = latch_model 4 in
+  let open Isr_aig in
+  let aman = model.Model.man in
+  let p = redundant_pred model in
+  let c, _, _ = Compact.column model p in
+  Alcotest.(check bool) "an unbounded rebuild shrinks it" true (c <> p);
+  (* A primary input, read redundantly: (pi & q0) | (pi & !q0). *)
+  let pi = Model.input_lit model 0 in
+  let with_pi =
+    Aig.or_ aman (Aig.and_ aman pi (Model.latch_lit model 0))
+      (Aig.and_ aman pi (Aig.not_ (Model.latch_lit model 0)))
+  in
+  let c, before, after = Compact.column model with_pi in
+  Alcotest.(check bool) "input-reading column unchanged" true (c == with_pi);
+  Alcotest.(check int) "sizes of the kept column" before after;
+  (* Three BDD nodes cannot hold q0 | q1 | q2. *)
+  let c, _, _ = Compact.column ~max_nodes:3 model p in
+  Alcotest.(check bool) "overflowing column unchanged" true (c == p)
 
 (* A 3-bit counter whose bad condition is unsatisfiable (q = 5 and q = 2
    simultaneously): safe, with the full d_F = 7 forward diameter. *)
@@ -277,7 +366,15 @@ let test_overflow_reported () =
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_eval; prop_canonicity; prop_exists; prop_and_exists; prop_to_aig_roundtrip ]
+      [
+        prop_eval;
+        prop_canonicity;
+        prop_exists;
+        prop_and_exists;
+        prop_to_aig_roundtrip;
+        prop_column_equivalent_not_larger;
+        prop_size_hint_neutral;
+      ]
   in
   Alcotest.run "isr_bdd"
     [
@@ -287,6 +384,7 @@ let () =
           Alcotest.test_case "any_sat" `Quick test_any_sat;
           Alcotest.test_case "overflow" `Quick test_overflow;
           Alcotest.test_case "compact" `Quick test_compact_preserves_and_shrinks;
+          Alcotest.test_case "column kept" `Quick test_column_kept;
         ] );
       ( "reach",
         [

@@ -447,6 +447,23 @@ let test_engine_paranoid () =
   Alcotest.(check bool) "inclusion answers were re-decided" true
     (counter_value "check.incl.incremental_agrees.pass" > 0)
 
+let test_compact_paranoid () =
+  (* ITPSEQ compacts its columns at every bound before tcas12's depth-12
+     bug; under Paranoid each rebuilt column is decided equivalent to its
+     original. *)
+  with_level Check.Paranoid @@ fun () ->
+  let model =
+    match Isr_suite.Registry.find "tcas12" with
+    | Some e -> Isr_suite.Registry.build_validated e
+    | None -> Alcotest.fail "tcas12 missing from registry"
+  in
+  (match Itpseq_verif.verify model with
+  | Verdict.Falsified { depth = 12; _ }, _ -> ()
+  | v, _ -> Alcotest.failf "expected FAIL (depth=12), got %a" Verdict.pp v);
+  Alcotest.(check bool) "compacted columns were checked" true
+    (counter_value "check.itpseq.compact_equiv.pass" > 0);
+  Alcotest.(check int) "no mismatch" 0 (counter_value "check.itpseq.compact_equiv.fail")
+
 let () =
   Alcotest.run "check"
     [
@@ -489,5 +506,6 @@ let () =
           Alcotest.test_case "solver proof replay" `Quick test_solver_proof_replay;
           Alcotest.test_case "solver watch probe" `Quick test_solver_watch_probe;
           Alcotest.test_case "engine end-to-end" `Quick test_engine_paranoid;
+          Alcotest.test_case "column compaction" `Quick test_compact_paranoid;
         ] );
     ]

@@ -441,6 +441,25 @@ let test_budget_expiry_dumps_flight () =
              | _ -> false)
            evs))
 
+(* Randsim is the first lane, so on a bug random simulation hits it wins
+   on its first turn.  The BMC minimisation it runs is the portfolio's
+   only SAT effort then, and must reach the totals exactly once. *)
+let test_portfolio_randsim_effort () =
+  let e = entry "vending7bug" in
+  let model = Registry.build_validated e in
+  let cap =
+    match Rand_sim.falsify model with
+    | Some t -> Trace.depth t
+    | None -> Alcotest.fail "random simulation misses vending7bug"
+  in
+  let _, bmc = Bmc.run ~check:Bmc.Exact ~limits:{ limits with Budget.bound_limit = cap } model in
+  let verdict, stats = Portfolio.verify ~limits (Registry.build_validated e) in
+  (match verdict with
+  | Verdict.Falsified _ -> ()
+  | v -> Alcotest.failf "expected a counterexample, got %a" Verdict.pp v);
+  Alcotest.(check bool) "minimisation effort reported" true (Verdict.sat_calls stats > 0);
+  Alcotest.(check int) "counted once" (Verdict.sat_calls bmc) (Verdict.sat_calls stats)
+
 let () =
   Alcotest.run "isr_core"
     [
@@ -475,5 +494,9 @@ let () =
       ( "liveness",
         [
           Alcotest.test_case "l2s" `Slow test_l2s_liveness;
+        ] );
+      ( "portfolio",
+        [
+          Alcotest.test_case "randsim effort counted" `Quick test_portfolio_randsim_effort;
         ] );
     ]
