@@ -283,6 +283,42 @@ let kernels () =
       (Staged.stage (fun () ->
            ignore (Bmc.build_instance model ~check:Bmc.Assume ~k:10)))
   in
+  (* Intake-bound encoding: 760 padding latches around a small cone,
+     about 59k variables and 160k clauses at k=8. *)
+  let padded =
+    match Registry.find "industrialB3" with
+    | Some e -> Registry.build_validated e
+    | None -> assert false
+  in
+  let t_unroll_padded =
+    Test.make ~name:"unroll encode industrialB3 exact k=8"
+      (Staged.stage (fun () ->
+           ignore (Bmc.build_instance padded ~check:Bmc.Exact ~k:8)))
+  in
+  (* Clause intake alone: the Tseitin shape (two binary clauses and one
+     ternary per AND gate) over random fanins, 10k gates. *)
+  let gates = 10_000 in
+  let stream =
+    let state = ref 7 in
+    let next bound =
+      state := ((!state * 1103515245) + 12345) land 0x7fffffff;
+      (!state lsr 8) mod bound
+    in
+    List.init gates (fun g ->
+        let v = Isr_sat.Lit.pos (1000 + g) in
+        let a = Isr_sat.Lit.of_var ~neg:(next 2 = 1) (next (1000 + g)) in
+        let b = Isr_sat.Lit.of_var ~neg:(next 2 = 1) (next (1000 + g)) in
+        let nv = Isr_sat.Lit.neg v in
+        [ [ nv; a ]; [ nv; b ]; [ v; Isr_sat.Lit.neg a; Isr_sat.Lit.neg b ] ])
+    |> List.concat
+  in
+  let t_add_clause =
+    Test.make ~name:"add_clause stream (30k clauses)"
+      (Staged.stage (fun () ->
+           let s = Isr_sat.Solver.create () in
+           ignore (Isr_sat.Solver.new_vars s (1000 + gates));
+           List.iter (fun c -> Isr_sat.Solver.add_clause s c) stream))
+  in
   let t_itpseq =
     Test.make ~name:"itpseq extraction (10 cuts)"
       (Staged.stage (fun () ->
@@ -299,7 +335,8 @@ let kernels () =
       (Staged.stage (fun () -> ignore (Isr_bdd.Reach.forward model)))
   in
   let tests =
-    Test.make_grouped ~name:"kernels" [ t_solve; t_unroll; t_itpseq; t_bdd ]
+    Test.make_grouped ~name:"kernels"
+      [ t_solve; t_unroll; t_unroll_padded; t_add_clause; t_itpseq; t_bdd ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in

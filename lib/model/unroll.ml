@@ -1,5 +1,4 @@
 open Isr_sat
-open Isr_aig
 module Tseitin = Isr_cnf.Tseitin
 module Check = Isr_check_core.Level
 
@@ -9,17 +8,42 @@ type t = {
   mutable states : Lit.t array array;      (* frame -> latch -> SAT literal *)
   mutable pis : Lit.t array option array;  (* frame -> PI -> SAT literal *)
   mutable nframes : int;
-  var_to_latch : (int, int * Aig.lit) Hashtbl.t; (* SAT var -> frame, latch lit *)
-  clause_to_latch : (int, int) Hashtbl.t; (* equality clause id -> latch index *)
+  eq_ids : Vec.t;   (* proof-log ids of the state-equality clauses, increasing *)
+  eq_latch : Vec.t; (* latch index of each, at the same position *)
 }
 
 let fresh_lit t = Lit.pos (Solver.new_var t)
 
+(* [n] fresh variables in one block, as positive literals. *)
+let fresh_lits solver n =
+  let v0 = Solver.new_vars solver n in
+  Array.init n (fun i -> Lit.pos (v0 + i))
+
+(* The last index [i] in [lo, hi) with [key i <= x], or [lo - 1]. *)
+let rec last_le key x lo hi =
+  if lo >= hi then lo - 1
+  else
+    let mid = (lo + hi) / 2 in
+    if key mid <= x then last_le key x (mid + 1) hi else last_le key x lo mid
+
+(* State variables are allocated frame after frame, and within a frame in
+   latch order, so each [states.(f)] is sorted by variable and every
+   variable of a frame precedes those of the next: the frames themselves
+   are the variable -> (frame, latch) map, searched by bisection. *)
+let latch_at t frame v =
+  let a = t.states.(frame) in
+  let i = last_le (fun i -> Lit.var a.(i)) v 0 (Array.length a) in
+  if i >= 0 && Lit.var a.(i) = v then i else -1
+
+(* The frame whose state variables span [v], or -1. *)
+let frame_of t v =
+  let first f = if Array.length t.states.(f) = 0 then max_int else Lit.var t.states.(f).(0) in
+  last_le first v 0 t.nframes
+
 let create ?reduce model =
   let solver = Solver.create () in
   (match reduce with Some p -> Solver.set_reduce solver p | None -> ());
-  let nl = model.Model.num_latches in
-  let state0 = Array.init nl (fun _ -> fresh_lit solver) in
+  let state0 = fresh_lits solver model.Model.num_latches in
   let t =
     {
       model;
@@ -27,14 +51,11 @@ let create ?reduce model =
       states = Array.make 8 [||];
       pis = Array.make 8 None;
       nframes = 1;
-      var_to_latch = Hashtbl.create 64;
-      clause_to_latch = Hashtbl.create 64;
+      eq_ids = Vec.create ();
+      eq_latch = Vec.create ();
     }
   in
   t.states.(0) <- state0;
-  Array.iteri
-    (fun i l -> Hashtbl.add t.var_to_latch (Lit.var l) (0, Model.latch_lit model i))
-    state0;
   t
 
 let model t = t.model
@@ -60,7 +81,7 @@ let pi_frame t frame =
   match t.pis.(frame) with
   | Some a -> a
   | None ->
-    let a = Array.init t.model.Model.num_inputs (fun _ -> fresh_lit t.solver) in
+    let a = fresh_lits t.solver t.model.Model.num_inputs in
     t.pis.(frame) <- Some a;
     a
 
@@ -78,6 +99,17 @@ let assert_init t ~tag =
       Solver.add_clause t.solver ~tag [ l ])
     t.states.(0)
 
+(* The next clause added belongs to latch [i].  A solver that is
+   already refuted adds nothing, and the id is attributed again. *)
+let attribute t i =
+  let cid = Solver.next_step_id t.solver in
+  let n = Vec.size t.eq_ids in
+  if n > 0 && Vec.last t.eq_ids = cid then Vec.set t.eq_latch (n - 1) i
+  else begin
+    Vec.push t.eq_ids cid;
+    Vec.push t.eq_latch i
+  end
+
 let add_transition ?(frozen = fun _ -> false) t ~tag =
   let frame = t.nframes - 1 in
   let ctx = frame_ctx t ~frame ~tag in
@@ -92,45 +124,45 @@ let add_transition ?(frozen = fun _ -> false) t ~tag =
              abstraction keys on which of them reach the unsat core.
              Keyed on stable proof-log ids — database slots shift when
              the learnt database is reduced. *)
-          Hashtbl.replace t.clause_to_latch (Solver.next_step_id t.solver) i;
+          attribute t i;
           Solver.add_clause t.solver ~tag [ Lit.neg v; enc ];
-          Hashtbl.replace t.clause_to_latch (Solver.next_step_id t.solver) i;
+          attribute t i;
           Solver.add_clause t.solver ~tag [ v; Lit.neg enc ];
           v
         end)
   in
   grow t;
-  (* The frame map must stay injective: every state variable of the new
-     frame is fresh, or boundary_map/any_state_map would be ambiguous
-     and interpolation cuts unsound. *)
-  if Check.on () then
+  (* The frame map must stay injective and searchable: every state
+     variable of the new frame follows every earlier one, or
+     boundary_map/any_state_map would be ambiguous and interpolation
+     cuts unsound. *)
+  if Check.on () then begin
+    let last = t.states.(frame) in
+    let prev = ref (if Array.length last = 0 then -1 else Lit.var last.(Array.length last - 1)) in
     Array.iter
       (fun l ->
-        Check.check "unroll.state_vars_fresh"
-          (not (Hashtbl.mem t.var_to_latch (Lit.var l)))
-          ~detail:(fun () ->
-            Printf.sprintf "state variable %d already maps to a latch" (Lit.var l)))
-      next_state;
+        Check.check "unroll.state_vars_fresh" (Lit.var l > !prev) ~detail:(fun () ->
+            Printf.sprintf "state variable %d does not follow variable %d" (Lit.var l) !prev);
+        prev := Lit.var l)
+      next_state
+  end;
   t.states.(t.nframes) <- next_state;
-  t.nframes <- t.nframes + 1;
-  Array.iteri
-    (fun i l ->
-      Hashtbl.add t.var_to_latch (Lit.var l) (t.nframes - 1, Model.latch_lit t.model i))
-    next_state
+  t.nframes <- t.nframes + 1
 
 let encode t ~frame ~tag l = Tseitin.lit (frame_ctx t ~frame ~tag) l
 let assert_circuit t ~frame ~tag l = Tseitin.assert_lit (frame_ctx t ~frame ~tag) l
 let add_clause t ~tag lits = Solver.add_clause t.solver ~tag lits
 
-let boundary_map t ~frame v =
-  match Hashtbl.find_opt t.var_to_latch v with
-  | Some (f, l) when f = frame -> Some l
-  | _ -> None
+let state_map t frame v =
+  let i = if frame < 0 || frame >= t.nframes then -1 else latch_at t frame v in
+  if i < 0 then None else Some (Model.latch_lit t.model i)
 
-let any_state_map t v =
-  match Hashtbl.find_opt t.var_to_latch v with Some (_, l) -> Some l | None -> None
+let boundary_map t ~frame v = state_map t frame v
+let any_state_map t v = state_map t (frame_of t v) v
 
-let latch_of_clause t cid = Hashtbl.find_opt t.clause_to_latch cid
+let latch_of_clause t cid =
+  let k = last_le (Vec.get t.eq_ids) cid 0 (Vec.size t.eq_ids) in
+  if k >= 0 && Vec.get t.eq_ids k = cid then Some (Vec.get t.eq_latch k) else None
 
 let trace t =
   let inputs =

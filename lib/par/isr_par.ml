@@ -47,10 +47,10 @@ let portfolio_race ~jobs ~limits ~members model =
   let cancel = Atomic.make false in
   let winner : (string * Verdict.t) option Atomic.t = Atomic.make None in
   (* Members are identified by their global index: lane ids in the event
-     stream, and the claim flags below, both use it.  A member belongs to
-     whichever domain CAS-claims it — each domain seeds its scheduler
-     with the head of its round-robin group and leaves the tail in the
-     common pool, so a domain whose lanes retire early picks up pending
+     stream, and the claim flags below, both use it.  Each domain seeds
+     its scheduler with the head of its round-robin group; the tails stay
+     in the common pool, where a member belongs to whichever domain
+     CAS-claims it, so a domain whose lanes retire early picks up pending
      members from anywhere (work hand-off between lanes). *)
   let indexed = List.mapi (fun i (w, m) -> (i, w, m)) members in
   let claimed = Array.init (List.length indexed) (fun _ -> Atomic.make false) in
@@ -61,19 +61,31 @@ let portfolio_race ~jobs ~limits ~members model =
      deadline.  A lane claimed after another retires gets only the time
      left, not a fresh budget. *)
   let deadline = t0 +. limits.Budget.time_limit in
-  let claim (i, w, m) =
-    if Atomic.compare_and_set claimed.(i) false true then
-      let limits =
-        { limits with Budget.time_limit = Float.max 0.0 (deadline -. Isr_obs.Clock.now ()) }
-      in
-      Some
-        {
-          Sched.id = i;
-          name = Portfolio.member_name m;
-          weight = Portfolio.weight w;
-          inst = Step.start ~lane:i ~limits (Portfolio.stepper_of m) model;
-        }
-    else None
+  let start (i, w, m) =
+    let limits =
+      { limits with Budget.time_limit = Float.max 0.0 (deadline -. Isr_obs.Clock.now ()) }
+    in
+    {
+      Sched.id = i;
+      name = Portfolio.member_name m;
+      weight = Portfolio.weight w;
+      inst = Step.start ~lane:i ~limits (Portfolio.stepper_of m) model;
+    }
+  in
+  let claim ((i, _, _) as x) =
+    if Atomic.compare_and_set claimed.(i) false true then Some (start x) else None
+  in
+  (* Each domain's seed, the head half of its group, is claimed here,
+     before any domain runs: a domain that starts late still gets its
+     own seed, and only the tails are left to steal. *)
+  let seeds =
+    List.map
+      (fun group ->
+        let n = max 1 ((List.length group + 1) / 2) in
+        let seed = List.filteri (fun j _ -> j < n) group in
+        List.iter (fun (i, _, _) -> Atomic.set claimed.(i) true) seed;
+        seed)
+      groups
   in
   (* Lifecycle events carry the logical worker index [w], not the domain
      id: domain ids vary across replays, worker indices do not, so the
@@ -81,7 +93,7 @@ let portfolio_race ~jobs ~limits ~members model =
      emits its own verdict plus one causal cancellation edge per loser;
      a worker whose whole slate retires without a verdict records a
      deadline (or exhaustion) self-edge. *)
-  let worker w group () =
+  let worker w group seed () =
     Budget.with_cancel cancel @@ fun () ->
     if Isr_obs.Event.enabled () then
       Isr_obs.Event.emit
@@ -95,12 +107,7 @@ let portfolio_race ~jobs ~limits ~members model =
       | [] -> None
       | x :: tl -> ( match claim x with Some l -> Some l | None -> scan tl)
     in
-    let rec take n xs =
-      if n = 0 then []
-      else match scan xs with None -> [] | Some l -> l :: take (n - 1) xs
-    in
-    (* Seed with the head half of the group; the rest stays stealable. *)
-    let lanes = take (max 1 ((List.length group + 1) / 2)) group in
+    let lanes = List.map start seed in
     let refill () = match scan group with Some l -> Some l | None -> scan indexed in
     let stats = Verdict.mk_stats () in
     match Sched.run ~refill ~into:stats lanes with
@@ -151,7 +158,9 @@ let portfolio_race ~jobs ~limits ~members model =
       ])
   @@ fun () ->
   Isr_obs.Resource.with_attached (Verdict.registry total) @@ fun () ->
-  let domains = List.mapi (fun w g -> Domain.spawn (worker w g)) groups in
+  let domains =
+    List.mapi (fun w (g, seed) -> Domain.spawn (worker w g seed)) (List.combine groups seeds)
+  in
   let results = List.map Domain.join domains in
   List.iter (fun (_, stats) -> Verdict.merge_into ~into:total stats) results;
   Verdict.set_time total (Isr_obs.Clock.now () -. t0);
@@ -201,25 +210,28 @@ let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?analyze ?(limits = Budget.default_limi
   let best = Atomic.make max_int in
   let tokens = Array.init jobs (fun _ -> Atomic.make false) in
   let current = Array.init jobs (fun _ -> Atomic.make max_int) in
+  (* Publications are serialized, and only one that lowers [best] is
+     announced: the stream's verdicts then name strictly decreasing
+     depths, and its last one the minimum. *)
+  let publish_lock = Mutex.create () in
   let publish depth i =
-    let rec shrink () =
-      let b = Atomic.get best in
-      if depth < b && not (Atomic.compare_and_set best b depth) then shrink ()
-    in
-    shrink ();
-    let b = Atomic.get best in
-    if Isr_obs.Event.enabled () then
-      Isr_obs.Event.emit
-        (Isr_obs.Event.Verdict { worker = i; verdict = Printf.sprintf "falsified(d=%d)" depth });
-    Array.iteri
-      (fun j c ->
-        if j <> i && Atomic.get c >= b then begin
-          Atomic.set tokens.(j) true;
-          if Isr_obs.Event.enabled () then
-            Isr_obs.Event.emit
-              (Isr_obs.Event.Cancel { worker = j; cause = Isr_obs.Event.Min_depth; by = i })
-        end)
-      current
+    Mutex.protect publish_lock @@ fun () ->
+    if depth < Atomic.get best then begin
+      Atomic.set best depth;
+      if Isr_obs.Event.enabled () then
+        Isr_obs.Event.emit
+          (Isr_obs.Event.Verdict
+             { worker = i; verdict = Printf.sprintf "falsified(d=%d)" depth });
+      Array.iteri
+        (fun j c ->
+          if j <> i && Atomic.get c >= depth then begin
+            Atomic.set tokens.(j) true;
+            if Isr_obs.Event.enabled () then
+              Isr_obs.Event.emit
+                (Isr_obs.Event.Cancel { worker = j; cause = Isr_obs.Event.Min_depth; by = i })
+          end)
+        current
+    end
   in
   let worker i () =
     Budget.with_cancel tokens.(i) @@ fun () ->

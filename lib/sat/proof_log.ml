@@ -34,10 +34,17 @@ let next_id t =
   t.nsteps <- id + 1;
   id
 
+(* [Array.blit] into an array of the major heap goes through the write
+   barrier element by element; a loop over ints stores directly. *)
+let copy (src : int array) (dst : int array) ~at n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst (at + i) (Array.unsafe_get src i)
+  done
+
 let reserve_step t =
   if t.nsteps = Array.length t.index then begin
     let a = Array.make (2 * t.nsteps) 0 in
-    Array.blit t.index 0 a 0 t.nsteps;
+    copy t.index a ~at:0 t.nsteps;
     t.index <- a
   end;
   t.index.(t.nsteps) <- t.len;
@@ -47,13 +54,25 @@ let reserve_data t n =
   let cap = Array.length t.data in
   if t.len + n > cap then begin
     let a = Array.make (max (2 * cap) (t.len + n)) 0 in
-    Array.blit t.data 0 a 0 t.len;
+    copy t.data a ~at:0 t.len;
     t.data <- a
   end
 
 let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
+
+let push_lits t lits =
+  let nl = Array.length lits in
+  copy lits t.data ~at:t.len nl;
+  t.len <- t.len + nl
+
+let rec push_chain t = function
+  | [] -> ()
+  | (pivot, aid) :: rest ->
+    push t pivot;
+    push t aid;
+    push_chain t rest
 
 let add_input t ~tag lits =
   if tag < 0 then invalid_arg "Proof_log.add_input: negative tag";
@@ -65,7 +84,7 @@ let add_input t ~tag lits =
     reserve_data t (2 + nl);
     push t (-(tag + 1));
     push t nl;
-    Array.iter (push t) lits;
+    push_lits t lits;
     id
   end
 
@@ -78,13 +97,9 @@ let add_derived t ~lits ~first ~chain =
     reserve_data t (3 + nl + (2 * nc));
     push t first;
     push t nl;
-    Array.iter (push t) lits;
+    push_lits t lits;
     push t nc;
-    List.iter
-      (fun (pivot, aid) ->
-        push t pivot;
-        push t aid)
-      chain;
+    push_chain t chain;
     id
   end
 

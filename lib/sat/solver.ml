@@ -48,7 +48,8 @@ type t = {
   mutable nvars : int;
   mutable clauses : clause array;      (* by database slot; compacts on reduce *)
   mutable nclauses : int;
-  mutable watches : Vec.t array;       (* literal -> watch entries (see [watch_clause]) *)
+  mutable watches : int array array;   (* literal -> watch entries (see [watch_clause]) *)
+  mutable wlen : int array;            (* literal -> live entries of [watches] *)
   mutable assigns : int array;         (* var -> -1 unknown / 0 false / 1 true *)
   mutable level : int array;           (* var -> decision level *)
   mutable reason : int array;          (* var -> clause slot or -1 *)
@@ -98,53 +99,58 @@ let dummy_clause =
   { cid = -1; lits = [||]; learnt = false; birth_lbd = 0; origin = 0; lbd = 0; act = 0.0; uses = 0 }
 
 let create ?(proof = true) () =
-  {
-    nvars = 0;
-    clauses = Array.make 64 dummy_clause;
-    nclauses = 0;
-    watches = Array.init 32 (fun _ -> Vec.create ~cap:4 ());
-    assigns = Array.make 16 (-1);
-    level = Array.make 16 0;
-    reason = Array.make 16 (-1);
-    tpos = Array.make 16 0;
-    phase = Bytes.make 16 '\000';
-    activity = Array.make 16 0.0;
-    var_inc = 1.0;
-    cla_inc = 1.0;
-    log = Proof_log.create ~record:proof ();
-    trail = Vec.create ();
-    trail_lim = Vec.create ();
-    qhead = 0;
-    order = Heap.create ();
-    ok = true;
-    empty_id = -1;
-    last_result = Undef;
-    core = [];
-    conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    restarts = 0;
-    learnt_count = 0;
-    live_learnt = 0;
-    reduces = 0;
-    policy = default_reduce;
-    reduce_limit = default_reduce.base;
-    max_learnt_len = 0;
-    origin = 0;
-    born_lbd = Array.make hist_buckets 0;
-    dead_lbd = Array.make hist_buckets 0;
-    dead_uses = Array.make hist_buckets 0;
-    dead_drift = Array.make hist_buckets 0;
-    birth = Bytes.make 64 '\000';
-    learnt_cb = None;
-    restart_cb = None;
-    reduce_cb = None;
-    interrupt = None;
-    seen = Bytes.make 16 '\000';
-    mark0 = Bytes.make 16 '\000';
-    lbd_mark = Bytes.make 17 '\000';
-    pending = Vec.create ();
-  }
+  let s =
+    {
+      nvars = 0;
+      clauses = Array.make 64 dummy_clause;
+      nclauses = 0;
+      watches = Array.make 32 [||];
+      wlen = Array.make 32 0;
+      assigns = Array.make 16 (-1);
+      level = Array.make 16 0;
+      reason = Array.make 16 (-1);
+      tpos = Array.make 16 0;
+      phase = Bytes.make 16 '\000';
+      activity = Array.make 16 0.0;
+      var_inc = 1.0;
+      cla_inc = 1.0;
+      log = Proof_log.create ~record:proof ();
+      trail = Vec.create ();
+      trail_lim = Vec.create ();
+      qhead = 0;
+      order = Heap.create ();
+      ok = true;
+      empty_id = -1;
+      last_result = Undef;
+      core = [];
+      conflicts = 0;
+      decisions = 0;
+      propagations = 0;
+      restarts = 0;
+      learnt_count = 0;
+      live_learnt = 0;
+      reduces = 0;
+      policy = default_reduce;
+      reduce_limit = default_reduce.base;
+      max_learnt_len = 0;
+      origin = 0;
+      born_lbd = Array.make hist_buckets 0;
+      dead_lbd = Array.make hist_buckets 0;
+      dead_uses = Array.make hist_buckets 0;
+      dead_drift = Array.make hist_buckets 0;
+      birth = Bytes.make 64 '\000';
+      learnt_cb = None;
+      restart_cb = None;
+      reduce_cb = None;
+      interrupt = None;
+      seen = Bytes.make 16 '\000';
+      mark0 = Bytes.make 16 '\000';
+      lbd_mark = Bytes.make 17 '\000';
+      pending = Vec.create ();
+    }
+  in
+  Heap.set_activity s.order s.activity;
+  s
 
 let nvars s = s.nvars
 let num_conflicts s = s.conflicts
@@ -219,19 +225,29 @@ let grow_vars s n =
   let wcap = Array.length s.watches in
   if 2 * n > wcap then begin
     let wcap' = max (2 * wcap) (2 * n) in
-    let w' =
-      Array.init wcap' (fun i -> if i < wcap then s.watches.(i) else Vec.create ~cap:4 ())
-    in
-    s.watches <- w'
+    (* A literal gets its own list on its first watch: until then it
+       shares the empty array. *)
+    let w' = Array.make wcap' [||] in
+    Array.blit s.watches 0 w' 0 wcap;
+    s.watches <- w';
+    let l' = Array.make wcap' 0 in
+    Array.blit s.wlen 0 l' 0 wcap;
+    s.wlen <- l'
   end
 
-let new_var s =
-  let v = s.nvars in
-  s.nvars <- v + 1;
+(* The variables enter the branching heap in index order, one by one,
+   exactly as [n] calls of [new_var] would insert them. *)
+let new_vars s n =
+  if n < 0 then invalid_arg "Solver.new_vars: negative count";
+  let v0 = s.nvars in
+  s.nvars <- v0 + n;
   grow_vars s s.nvars;
-  Heap.set_activity s.order s.activity;
-  Heap.insert s.order v;
-  v
+  for v = v0 to v0 + n - 1 do
+    Heap.insert s.order v
+  done;
+  v0
+
+let new_var s = new_vars s 1
 
 (* Value of a literal: -1 unknown, 0 false, 1 true. *)
 let lit_val s l =
@@ -262,14 +278,29 @@ let slot_mask = (1 lsl 32) - 1
 let entry_slot w = w land slot_mask
 let entry_other w = (w lsr 32) - 1 (* -1 for a long clause *)
 
+let push_watch s lit w =
+  let n = s.wlen.(lit) in
+  let ws = s.watches.(lit) in
+  let ws =
+    if n < Array.length ws then ws
+    else begin
+      let ws' = Array.make (max 4 (2 * n)) 0 in
+      Array.blit ws 0 ws' 0 n;
+      s.watches.(lit) <- ws';
+      ws'
+    end
+  in
+  Array.unsafe_set ws n w;
+  s.wlen.(lit) <- n + 1
+
 let watch_clause s slot lits =
   if Array.length lits = 2 then begin
-    Vec.push s.watches.(lits.(0)) (((lits.(1) + 1) lsl 32) lor slot);
-    Vec.push s.watches.(lits.(1)) (((lits.(0) + 1) lsl 32) lor slot)
+    push_watch s lits.(0) (((lits.(1) + 1) lsl 32) lor slot);
+    push_watch s lits.(1) (((lits.(0) + 1) lsl 32) lor slot)
   end
   else begin
-    Vec.push s.watches.(lits.(0)) slot;
-    Vec.push s.watches.(lits.(1)) slot
+    push_watch s lits.(0) slot;
+    push_watch s lits.(1) slot
   end
 
 let enqueue s lit reason =
@@ -286,16 +317,15 @@ let enqueue s lit reason =
 
 exception Conflict of int
 
-(* Conflict in the watch list [ws] at entry [i], with [j] entries kept so
-   far: salvage the unvisited watches, then abort propagation. *)
-let conflict s ws ~i ~j slot =
-  let n = Vec.size ws in
-  let j = ref j in
-  for i' = i + 1 to n - 1 do
-    Vec.set ws !j (Vec.get ws i');
-    incr j
+(* Conflict in the watch list [ws] of [lit] at entry [i], with [j]
+   entries kept so far: salvage the unvisited watches, then abort
+   propagation. *)
+let conflict s ws lit ~i ~j slot =
+  let n = s.wlen.(lit) in
+  for k = i + 1 to n - 1 do
+    Array.unsafe_set ws (j + k - i - 1) (Array.unsafe_get ws k)
   done;
-  Vec.shrink ws !j;
+  s.wlen.(lit) <- j + n - i - 1;
   s.qhead <- Vec.size s.trail;
   raise (Conflict slot)
 
@@ -308,15 +338,17 @@ let propagate s =
       s.qhead <- s.qhead + 1;
       s.propagations <- s.propagations + 1;
       let false_lit = Lit.neg p in
+      (* Pushes below go to other literals' lists, never to this one:
+         [ws] and [n] stay valid for the whole sweep. *)
       let ws = s.watches.(false_lit) in
-      let n = Vec.size ws in
+      let n = s.wlen.(false_lit) in
       let j = ref 0 in
       for i = 0 to n - 1 do
-        let w = Vec.get ws i in
+        let w = Array.unsafe_get ws i in
         let other = entry_other w in
         if other >= 0 then begin
           (* Binary clause, decided from the entry; the watch stays. *)
-          Vec.set ws !j w;
+          Array.unsafe_set ws !j w;
           incr j;
           let v = lit_val s other in
           if v = 0 then begin
@@ -326,7 +358,7 @@ let propagate s =
             let lits = s.clauses.(entry_slot w).lits in
             lits.(0) <- other;
             lits.(1) <- false_lit;
-            conflict s ws ~i ~j:!j (entry_slot w)
+            conflict s ws false_lit ~i ~j:!j (entry_slot w)
           end
           else if v < 0 then enqueue s other (entry_slot w)
         end
@@ -340,7 +372,7 @@ let propagate s =
           end;
           if lit_val s lits.(0) = 1 then begin
             (* Clause already satisfied: keep the watch. *)
-            Vec.set ws !j slot;
+            Array.unsafe_set ws !j slot;
             incr j
           end
           else begin
@@ -353,19 +385,19 @@ let propagate s =
             if k >= 0 then begin
               lits.(1) <- lits.(k);
               lits.(k) <- false_lit;
-              Vec.push s.watches.(lits.(1)) slot
+              push_watch s lits.(1) slot
             end
             else begin
               (* Unit or conflicting: the watch stays. *)
-              Vec.set ws !j slot;
+              Array.unsafe_set ws !j slot;
               incr j;
-              if lit_val s lits.(0) = 0 then conflict s ws ~i ~j:!j slot
+              if lit_val s lits.(0) = 0 then conflict s ws false_lit ~i ~j:!j slot
               else enqueue s lits.(0) slot
             end
           end
         end
       done;
-      Vec.shrink ws !j
+      s.wlen.(false_lit) <- !j
     done;
     -1
   with Conflict slot -> slot
@@ -737,7 +769,7 @@ let reduce_db s =
     for i = 0 to Vec.size s.pending - 1 do
       Vec.set s.pending i map.(Vec.get s.pending i)
     done;
-    Array.iter Vec.clear s.watches;
+    Array.fill s.wlen 0 (Array.length s.wlen) 0;
     for i = 0 to s.nclauses - 1 do
       let c = s.clauses.(i) in
       if Array.length c.lits >= 2 then watch_clause s i c.lits
@@ -769,6 +801,33 @@ let reduce_db s =
      all-glue/all-locked database does not retrigger every conflict. *)
   s.reduce_limit <- int_of_float (float_of_int s.reduce_limit *. s.policy.growth) + 1
 
+(* Sorts [a] in place, merges duplicates into its prefix and returns
+   the prefix length: the literals of [List.sort_uniq Lit.compare]. *)
+let sort_uniq_in_place a =
+  let n = Array.length a in
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else Array.sort Lit.compare a;
+  if n = 0 then 0
+  else begin
+    let m = ref 1 in
+    for i = 1 to n - 1 do
+      if a.(i) <> a.(!m - 1) then begin
+        a.(!m) <- a.(i);
+        incr m
+      end
+    done;
+    !m
+  end
+
 (* Adding clauses is allowed at any time; the solver backtracks to the
    root level first.  Unit consequences are deferred to the next solve
    (via the pending list) so that proof shapes do not depend on
@@ -780,18 +839,19 @@ let add_clause s ?(tag = 0) lits =
     s.last_result <- Undef;
     (* Merge duplicates, drop tautologies.  Literals are otherwise kept
        untouched so the clause matches its proof role exactly. *)
-    let lits = List.sort_uniq Lit.compare lits in
-    let rec tauto = function
-      | a :: (b :: _ as rest) -> (Lit.var a = Lit.var b && a <> b) || tauto rest
-      | _ -> false
-    in
-    if not (tauto lits) then begin
-      List.iter
-        (fun l ->
-          if Lit.var l >= s.nvars || l < 0 then
-            invalid_arg "Solver.add_clause: unknown variable")
-        lits;
-      let arr = Array.of_list lits in
+    let arr = Array.of_list lits in
+    let len = sort_uniq_in_place arr in
+    let tauto = ref false in
+    for i = 1 to len - 1 do
+      if Lit.var arr.(i - 1) = Lit.var arr.(i) then tauto := true
+    done;
+    if not !tauto then begin
+      for i = 0 to len - 1 do
+        let l = arr.(i) in
+        if Lit.var l >= s.nvars || l < 0 then
+          invalid_arg "Solver.add_clause: unknown variable"
+      done;
+      let arr = if len = Array.length arr then arr else Array.sub arr 0 len in
       let cid = Proof_log.add_input s.log ~tag arr in
       let slot =
         push_clause s
@@ -806,31 +866,26 @@ let add_clause s ?(tag = 0) lits =
             uses = 0;
           }
       in
-      match Array.length arr with
+      match len with
       | 0 ->
         s.ok <- false;
         s.empty_id <- cid
       | 1 -> Vec.push s.pending slot
       | _ ->
         (* Watch two non-false literals when possible (under the current
-           root-level assignment); when fewer exist, the clause is unit
-           or false right now and goes to the pending list. *)
-        let len = Array.length arr in
-        let swap i j =
-          let t = arr.(i) in
-          arr.(i) <- arr.(j);
-          arr.(j) <- t
-        in
-        let pos = ref 0 in
-        (try
-           for i = 0 to len - 1 do
-             if !pos < 2 && lit_val s arr.(i) <> 0 then begin
-               swap !pos i;
-               incr pos;
-               if !pos = 2 then raise Exit
-             end
-           done
-         with Exit -> ());
+           root-level assignment), moving them to the front in clause
+           order; when fewer exist, the clause is unit or false right now
+           and goes to the pending list. *)
+        let pos = ref 0 and i = ref 0 in
+        while !pos < 2 && !i < len do
+          let l = arr.(!i) in
+          if lit_val s l <> 0 then begin
+            arr.(!i) <- arr.(!pos);
+            arr.(!pos) <- l;
+            incr pos
+          end;
+          incr i
+        done;
         watch_clause s slot arr;
         if !pos < 2 then Vec.push s.pending slot
     end
@@ -1044,8 +1099,10 @@ let watches_consistent s =
   let ok = ref true in
   Array.iteri
     (fun lit ws ->
-      Vec.iter
-        (fun w ->
+      if s.wlen.(lit) > Array.length ws then ok := false
+      else
+        for i = 0 to s.wlen.(lit) - 1 do
+          let w = ws.(i) in
           let slot = entry_slot w in
           if slot >= s.nclauses then ok := false
           else begin
@@ -1062,8 +1119,8 @@ let watches_consistent s =
                 if entry_other w <> other then ok := false
               end
             end
-          end)
-        ws)
+          end
+        done)
     s.watches;
   for i = 0 to s.nclauses - 1 do
     if Array.length s.clauses.(i).lits >= 2 && (on0.(i) <> 1 || on1.(i) <> 1) then

@@ -48,6 +48,12 @@ val create : ?proof:bool -> unit -> t
 val new_var : t -> int
 (** Allocates a fresh variable and returns its index. *)
 
+val new_vars : t -> int -> int
+(** [new_vars s n] allocates [n] fresh variables in one block and returns
+    the first index; the block is [v .. v + n - 1].  Equivalent to [n]
+    calls of {!new_var}, branching order included.
+    @raise Invalid_argument when [n < 0]. *)
+
 val nvars : t -> int
 
 val add_clause : t -> ?tag:int -> Lit.t list -> unit

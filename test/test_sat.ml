@@ -448,15 +448,52 @@ let cnf_fingerprint (nvars, clauses) =
   List.iter (fun c -> Solver.add_clause s c) clauses;
   search_fingerprint s (fun () -> Solver.solve s)
 
-let bmc_fingerprint name check k =
+let bmc_instance name check k =
   let model =
     match Isr_suite.Registry.find name with
     | Some e -> Isr_suite.Registry.build_validated e
     | None -> Alcotest.failf "no registry entry %s" name
   in
-  let u = Isr_core.Bmc.build_instance model ~check ~k in
-  let s = Isr_model.Unroll.solver u in
+  Isr_core.Bmc.build_instance model ~check ~k
+
+let bmc_fingerprint name check k =
+  let s = Isr_model.Unroll.solver (bmc_instance name check k) in
   search_fingerprint s (fun () -> Solver.solve s)
+
+(* Intake identity: besides the search, the digest covers what the
+   unroller hands the solver — every input clause's tag and stored
+   literals (before and after the solve, which moves watched literals),
+   the variable count, and the latch attribution of every proof-log id.
+   Its pin was recorded before the intake path (watch storage, clause
+   normalisation, unroller maps) was rewritten. *)
+let intake_fingerprint name check k =
+  let u = bmc_instance name check k in
+  let s = Isr_model.Unroll.solver u in
+  let buf = Buffer.create 65536 in
+  let add_int i =
+    Buffer.add_string buf (string_of_int i);
+    Buffer.add_char buf ' '
+  in
+  let add_inputs () =
+    Solver.iter_input_clauses s (fun ~tag lits ->
+        add_int tag;
+        Array.iter add_int lits;
+        Buffer.add_char buf '\n')
+  in
+  add_int (Solver.nvars s);
+  let steps = Solver.next_step_id s in
+  for cid = 0 to steps - 1 do
+    match Isr_model.Unroll.latch_of_clause u cid with
+    | Some i ->
+      add_int cid;
+      add_int i
+    | None -> ()
+  done;
+  add_inputs ();
+  let search = search_fingerprint s (fun () -> Solver.solve s) in
+  add_inputs ();
+  Printf.sprintf "%s vars=%d inputs=%s" search (Solver.nvars s)
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let search_pins =
   [
@@ -480,6 +517,11 @@ let search_pins =
       (fun () -> bmc_fingerprint "rether33" Isr_core.Bmc.Exact 30),
       "unsat conflicts=333 decisions=535 propagations=118785 learnt=332 steps=5009 \
        digest=c89762dbfd01d0433c974122c9de8358" );
+    ( "bmc industrialA1 exact k=6",
+      (fun () -> intake_fingerprint "industrialA1" Isr_core.Bmc.Exact 6),
+      "unsat conflicts=1 decisions=0 propagations=733 learnt=0 steps=19297 \
+       digest=67c1e7c26c4b7718d65b9a498b45f8c6 vars=6909 \
+       inputs=95c8a698b298754a858df2ba3fda9913" );
   ]
 
 let search_identity_cases =
@@ -686,6 +728,89 @@ let prop_incremental_assumptions =
           got = brute_force nvars (List.map (fun l -> [ l ]) assumptions @ !added))
         rounds)
 
+(* Clause intake: [add_clause] stores each clause as [List.sort_uniq]
+   leaves it, drops tautologies, and ignores everything after the empty
+   clause.  Before any solve no literal is assigned, so the watch
+   selection leaves the sorted order as it is. *)
+let gen_intake =
+  let open QCheck2.Gen in
+  let* nvars = int_range 1 6 in
+  let gen_lit = map2 (fun v neg -> Lit.of_var ~neg v) (int_range 0 (nvars - 1)) bool in
+  let gen_clause = frequency [ (1, pure []); (10, list_size (int_range 1 8) gen_lit) ] in
+  let* clauses = list_size (int_range 0 12) (pair (int_range 0 3) gen_clause) in
+  let* unknown = map2 (fun k neg -> Lit.of_var ~neg (nvars + k)) (int_range 0 3) bool in
+  pure (nvars, clauses, unknown)
+
+let print_intake (nvars, clauses, unknown) =
+  Printf.sprintf "%s unknown=%d"
+    (print_cnf (nvars, List.map snd clauses))
+    (Lit.to_dimacs unknown)
+
+let tautology c =
+  let rec go = function a :: (b :: _ as rest) -> Lit.var a = Lit.var b || go rest | _ -> false in
+  go c
+
+let prop_intake_normalises =
+  QCheck2.Test.make ~count:1000 ~name:"add_clause stores sort_uniq minus tautologies"
+    ~print:print_intake gen_intake (fun (nvars, clauses, unknown) ->
+      let s = Tutil.fresh_solver nvars in
+      List.iter (fun (tag, c) -> Solver.add_clause s ~tag c) clauses;
+      let stored = ref [] in
+      Solver.iter_input_clauses s (fun ~tag lits -> stored := (tag, Array.to_list lits) :: !stored);
+      let rec expected = function
+        | [] -> []
+        | (tag, c) :: rest ->
+          let c = List.sort_uniq Lit.compare c in
+          if tautology c then expected rest
+          else if c = [] then [ (tag, c) ]
+          else (tag, c) :: expected rest
+      in
+      let base =
+        List.find_opt (fun c -> not (tautology c)) (List.map (fun (_, c) -> List.sort_uniq Lit.compare c) clauses)
+      in
+      let raises =
+        let s = Tutil.fresh_solver nvars in
+        match Solver.add_clause s (unknown :: Option.value ~default:[] base) with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.rev !stored = expected clauses && raises)
+
+(* Watch storage under churn: clauses of every length (units included)
+   arrive between solves, so some are added under root-level
+   assignments and watched out of sorted order, and a reduction after
+   every conflict rebuilds the lists.  The suite runs at Paranoid, so
+   every solve ends with the [sat.watches_consistent] probe. *)
+let gen_churn =
+  let open QCheck2.Gen in
+  let* nvars = int_range 6 14 in
+  let gen_lit = map2 (fun v neg -> Lit.of_var ~neg v) (int_range 0 (nvars - 1)) bool in
+  let gen_clause =
+    frequency [ (1, list_size (int_range 1 2) gen_lit); (6, list_size (int_range 3 5) gen_lit) ]
+  in
+  let gen_round =
+    pair (list_size (int_range 0 12) gen_clause) (list_size (int_range 0 3) gen_lit)
+  in
+  let* rounds = list_size (int_range 1 8) gen_round in
+  pure (nvars, rounds)
+
+let watch_probes () =
+  Isr_obs.Metrics.value
+    (Isr_obs.Metrics.counter (Isr_check_core.Level.metrics ()) "check.sat.watches_consistent.pass")
+
+let prop_watches_consistent =
+  QCheck2.Test.make ~count:500 ~name:"watch lists stay consistent under churn"
+    ~print:print_rounds gen_churn (fun (nvars, rounds) ->
+      let s = Tutil.fresh_solver nvars in
+      Solver.set_reduce s { Solver.enabled = true; base = 1; growth = 1.0; keep_lbd = 0 };
+      let before = watch_probes () in
+      List.iter
+        (fun (cs, assumptions) ->
+          List.iter (fun c -> Solver.add_clause s c) cs;
+          ignore (Solver.solve ~assumptions s))
+        rounds;
+      watch_probes () - before = List.length rounds)
+
 let () =
   (* The whole solver suite runs under the Paranoid sanitizer: every
      unconditional UNSAT answer is proof-replayed inside Solver.solve
@@ -742,5 +867,7 @@ let () =
           Alcotest.test_case "separators" `Quick test_dimacs_separators;
         ] );
       ("properties", qsuite);
+      ( "intake",
+        List.map QCheck_alcotest.to_alcotest [ prop_intake_normalises; prop_watches_consistent ] );
       ("chains", chains);
     ]
