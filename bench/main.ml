@@ -330,13 +330,33 @@ let kernels () =
                   ~var_map:(Unroll.any_state_map u))
            done))
   in
+  (* The same padded design refuted at k=8: about 160k steps, of which
+     a few dozen are used, so the cost is in reading the log, not in
+     building interpolants. *)
+  let padded_u =
+    let u = Bmc.build_instance padded ~check:Bmc.Exact ~k:8 in
+    match Isr_sat.Solver.solve (Unroll.solver u) with
+    | Isr_sat.Solver.Unsat -> u
+    | _ -> assert false
+  in
+  let t_itpseq_padded =
+    Test.make ~name:"family extraction industrialB3 exact k=8 (8 cuts)"
+      (Staged.stage (fun () ->
+           let p = Isr_sat.Solver.proof (Unroll.solver padded_u) in
+           let info = Isr_itp.Itp.analyze p in
+           for cut = 1 to 8 do
+             ignore
+               (Isr_itp.Itp.interpolant ~info p ~cut ~man:padded.Model.man
+                  ~var_map:(Unroll.any_state_map padded_u))
+           done))
+  in
   let t_bdd =
     Test.make ~name:"bdd forward reach (vending11)"
       (Staged.stage (fun () -> ignore (Isr_bdd.Reach.forward model)))
   in
   let tests =
     Test.make_grouped ~name:"kernels"
-      [ t_solve; t_unroll; t_unroll_padded; t_add_clause; t_itpseq; t_bdd ]
+      [ t_solve; t_unroll; t_unroll_padded; t_add_clause; t_itpseq; t_itpseq_padded; t_bdd ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -186,7 +186,7 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
     | r ->
       check_time b;
       (* Proof-core attribution by birth LBD, only when observability is
-         on (it costs a proof reconstruction) and only when a refutation
+         on (it costs a sweep of the used cone) and only when a refutation
          actually exists (Unsat under assumptions has none). *)
       if r = Solver.Unsat && Isr_obs.Event.enabled () && Solver.refuted solver then
         observe_counts stats.Verdict.h_clause_core_lbd (Solver.core_birth_lbd solver);

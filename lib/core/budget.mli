@@ -64,7 +64,8 @@ val solve : ?assumptions:Lit.t list -> t -> Verdict.stats -> Solver.t -> Solver.
     stamped as the solver's clause origin, births/deletions charge the
     ["clause.*"] counters and histograms, and an unconditional [Unsat]
     folds the proof core's birth-LBD histogram — the latter only when
-    {!Isr_obs.Event.enabled} (it costs a proof reconstruction).  The
+    {!Isr_obs.Event.enabled} (it costs a sweep of the proof's used
+    cone, which later readers of the proof then share).  The
     interrupt poll also services deferred flight-recorder dump
     requests, and both budget-exhaustion raises dump the flight
     recorder first when it is armed.  Whatever the outcome, the

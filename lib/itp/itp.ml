@@ -12,29 +12,22 @@ type info = {
   minp : int array;  (* variable -> smallest partition tag it occurs in *)
   maxp : int array;  (* variable -> largest partition tag it occurs in *)
   ntags : int;
-  used : bool array; (* clause id -> reachable from the empty clause *)
+  used : int array;  (* ascending ids reachable from the empty clause *)
+  pos : int array;   (* used id -> its position in [used] *)
 }
 
+(* Labels need every input clause, used or not: a variable's partition
+   range is fixed by all of its occurrences. *)
 let analyze (p : Proof.t) =
   Isr_obs.Trace.span "itp.analyze" @@ fun () ->
-  let n = p.Proof.nvars in
-  let minp = Array.make n max_int in
-  let maxp = Array.make n 0 in
-  let ntags = ref 0 in
-  Array.iter
-    (function
-      | Proof.Derived _ | Proof.Trimmed -> ()
-      | Proof.Input { lits; tag } ->
-        if tag < 1 then invalid_arg "Itp.analyze: input clause with tag < 1";
-        ntags := max !ntags tag;
-        Array.iter
-          (fun l ->
-            let v = Lit.var l in
-            if tag < minp.(v) then minp.(v) <- tag;
-            if tag > maxp.(v) then maxp.(v) <- tag)
-          lits)
-    p.Proof.steps;
-  { minp; maxp; ntags = !ntags; used = Proof.used p }
+  let lo, ntags = Proof.tag_range p in
+  if lo < 1 then invalid_arg "Itp.analyze: input clause with tag < 1";
+  let minp, maxp = Proof.var_tag_ranges p in
+  let used = Proof.used p in
+  (* The empty clause is the largest used id. *)
+  let pos = Array.make (Proof.empty p + 1) 0 in
+  Array.iteri (fun i id -> pos.(id) <- i) used;
+  { minp; maxp; ntags; used; pos }
 
 (* Literal/variable label at a cut.  Unused variables (never in an input
    clause) can only appear as pivots of irrelevant resolutions; treating
@@ -65,59 +58,44 @@ let interpolant ?info ?(system = McMillan) (p : Proof.t) ~cut ~man ~var_map =
     let al = map_var (Lit.var l) in
     if Lit.is_neg l then Aig.not_ al else al
   in
-  let attrs =
-    Proof.fold_inorder
-      (fun ~get id step ->
-        if not info.used.(id) then Aig.lit_false
-        else
-          match step with
-          (* Trimmed steps are never used: the guard above already
-             returned for them. *)
-          | Proof.Trimmed -> Aig.lit_false
-          | Proof.Input { lits; tag } ->
-            if tag <= cut then
-              (* A-clause: disjunction of its b-labeled literals. *)
-              Array.fold_left
-                (fun acc l ->
-                  if label (Lit.var l) = Lb then Aig.or_ man acc (map_lit l) else acc)
-                Aig.lit_false lits
-            else
-              (* B-clause: conjunction of its negated a-labeled literals. *)
-              Array.fold_left
-                (fun acc l ->
-                  if label (Lit.var l) = La then
-                    Aig.and_ man acc (Aig.not_ (map_lit l))
-                  else acc)
-                Aig.lit_true lits
-          | Proof.Derived { first; chain; _ } ->
-            Array.fold_left
-              (fun acc (pivot, aid) ->
-                let other = get aid in
-                match label pivot with
-                | La -> Aig.or_ man acc other
-                | Lb -> Aig.and_ man acc other
-                | Lab ->
-                  (* Pudlák: disjoin each premise's own pivot phase.  The
-                     antecedent's phase is read off its literals; the
-                     running resolvent holds the complement. *)
-                  let ant_lits = Proof.lits p aid in
-                  let phase_in_ant =
-                    let rec find k =
-                      if k >= Array.length ant_lits then
-                        invalid_arg "Itp.interpolant: pivot absent from antecedent"
-                      else if Lit.var ant_lits.(k) = pivot then ant_lits.(k)
-                      else find (k + 1)
-                    in
-                    find 0
-                  in
-                  let l_ant = map_lit phase_in_ant in
-                  Aig.and_ man
-                    (Aig.or_ man acc (Aig.not_ l_ant))
-                    (Aig.or_ man other l_ant))
-              (get first) chain)
-      p
+  (* Attributes are indexed by position in the used cone, which is
+     visited in id order, so antecedents are always done first. *)
+  let used = info.used in
+  let attrs = Array.make (Array.length used) Aig.lit_false in
+  let get id = attrs.(info.pos.(id)) in
+  (* A-clause: disjunction of its b-labeled literals. *)
+  let seed_a acc l = if label (Lit.var l) = Lb then Aig.or_ man acc (map_lit l) else acc in
+  (* B-clause: conjunction of its negated a-labeled literals. *)
+  let seed_b acc l =
+    if label (Lit.var l) = La then Aig.and_ man acc (Aig.not_ (map_lit l)) else acc
   in
-  attrs.(p.Proof.empty)
+  let resolve acc pivot aid =
+    let other = get aid in
+    match label pivot with
+    | La -> Aig.or_ man acc other
+    | Lb -> Aig.and_ man acc other
+    | Lab ->
+      (* Pudlák: disjoin each premise's own pivot phase.  The
+         antecedent's phase is read off its literals; the running
+         resolvent holds the complement. *)
+      let phase =
+        Proof.fold_lits p aid
+          (fun found l -> if found < 0 && Lit.var l = pivot then l else found)
+          (-1)
+      in
+      if phase < 0 then invalid_arg "Itp.interpolant: pivot absent from antecedent";
+      let l_ant = map_lit phase in
+      Aig.and_ man (Aig.or_ man acc (Aig.not_ l_ant)) (Aig.or_ man other l_ant)
+  in
+  Array.iteri
+    (fun i id ->
+      let tag = Proof.tag p id in
+      attrs.(i) <-
+        (if tag < 0 then Proof.fold_chain p id resolve (get (Proof.first p id))
+         else if tag <= cut then Proof.fold_lits p id seed_a Aig.lit_false
+         else Proof.fold_lits p id seed_b Aig.lit_true))
+    used;
+  attrs.(info.pos.(Proof.empty p))
 
 let sequence ?info ?system (p : Proof.t) ~man ~var_map =
   let info = match info with Some i -> i | None -> analyze p in

@@ -1,72 +1,158 @@
-type step =
-  | Input of { lits : Lit.t array; tag : int }
-  | Derived of { lits : Lit.t array; first : int; chain : (int * int) array }
-  | Trimmed
+(* A read-only view of a packed proof log; see proof_log.mli for the
+   record layout:
+     input:    [-(tag+1); nlits; lit...]
+     derived:  [first;    nlits; lit...; nchain; pivot; aid; ...] *)
 
 type t = {
-  steps : step array;
+  index : int array;          (* step id -> offset into [data] *)
+  data : int array;
+  nsteps : int;
   empty : int;
   nvars : int;
-  deletions : (int * int) array;
+  dels : int array;           (* flattened (pos, id) deletion events *)
+  ndels : int;
+  mutable used : int array option;  (* memo: ascending ids of the used cone *)
 }
 
-let lits p id =
-  match p.steps.(id) with
-  | Input { lits; _ } | Derived { lits; _ } -> lits
-  | Trimmed -> invalid_arg "Proof.lits: trimmed step"
+let of_packed ~index ~data ~nsteps ~deletions ~ndeletions ~empty ~nvars =
+  if empty < 0 || empty >= nsteps then invalid_arg "Proof.of_packed: bad empty id";
+  { index; data; nsteps; empty; nvars; dels = deletions; ndels = ndeletions; used = None }
+
+let n_steps p = p.nsteps
+let empty p = p.empty
+let nvars p = p.nvars
+let n_deletions p = p.ndels
+
+let is_input p id = p.data.(p.index.(id)) < 0
 
 let tag p id =
-  match p.steps.(id) with Input { tag; _ } -> Some tag | Derived _ | Trimmed -> None
+  let h = p.data.(p.index.(id)) in
+  if h < 0 then -h - 1 else -1
 
-let max_tag p =
-  Array.fold_left
-    (fun acc s -> match s with Input { tag; _ } -> max acc tag | Derived _ | Trimmed -> acc)
-    0 p.steps
+let nlits p id = p.data.(p.index.(id) + 1)
+let lit p id k = p.data.(p.index.(id) + 2 + k)
+let lits p id =
+  let o = p.index.(id) in
+  Array.sub p.data (o + 2) p.data.(o + 1)
 
-let fold_inorder f p =
-  let n = Array.length p.steps in
-  assert (n > 0);
-  let attr = ref [||] in
-  let get id =
-    assert (id >= 0 && id < Array.length !attr);
-    !attr.(id)
-  in
-  let first = f ~get 0 p.steps.(0) in
-  attr := Array.make n first;
-  for id = 1 to n - 1 do
-    !attr.(id) <- f ~get id p.steps.(id)
-  done;
-  !attr
+let first p id = p.data.(p.index.(id))
 
-let used p =
-  let n = Array.length p.steps in
-  let mark = Array.make n false in
-  (* Antecedents always have smaller ids: one backwards sweep suffices. *)
-  mark.(p.empty) <- true;
-  for id = n - 1 downto 0 do
-    if mark.(id) then
-      match p.steps.(id) with
-      | Input _ | Trimmed -> ()
-      | Derived { first; chain; _ } ->
-        mark.(first) <- true;
-        Array.iter (fun (_, aid) -> mark.(aid) <- true) chain
-  done;
-  mark
-
-let core p =
-  let mark = used p in
-  let acc = ref [] in
-  for id = Array.length p.steps - 1 downto 0 do
-    if mark.(id) then
-      match p.steps.(id) with Input _ -> acc := id :: !acc | Derived _ | Trimmed -> ()
+let fold_lits p id f acc =
+  let o = p.index.(id) in
+  let acc = ref acc in
+  for i = o + 2 to o + 1 + p.data.(o + 1) do
+    acc := f !acc p.data.(i)
   done;
   !acc
 
-let core_tags p =
-  core p
-  |> List.filter_map (fun id ->
-         match p.steps.(id) with Input { tag; _ } -> Some tag | Derived _ | Trimmed -> None)
-  |> List.sort_uniq Int.compare
+(* Offset of a derived step's [nchain] word. *)
+let chain_at p id =
+  let o = p.index.(id) in
+  o + 2 + p.data.(o + 1)
+
+let chain_length p id = p.data.(chain_at p id)
+let pivot p id k = p.data.(chain_at p id + 1 + (2 * k))
+let antecedent p id k = p.data.(chain_at p id + 2 + (2 * k))
+
+let fold_chain p id f acc =
+  let c = chain_at p id in
+  let acc = ref acc in
+  for k = 0 to p.data.(c) - 1 do
+    acc := f !acc p.data.(c + 1 + (2 * k)) p.data.(c + 2 + (2 * k))
+  done;
+  !acc
+
+type step =
+  | Input of { lits : Lit.t array; tag : int }
+  | Derived of { lits : Lit.t array; first : int; chain : (int * int) array }
+
+let step p id =
+  if is_input p id then Input { lits = lits p id; tag = tag p id }
+  else
+    Derived
+      {
+        lits = lits p id;
+        first = first p id;
+        chain = Array.init (chain_length p id) (fun k -> (pivot p id k, antecedent p id k));
+      }
+
+let tag_range p =
+  let lo = ref max_int and hi = ref 0 in
+  for id = 0 to p.nsteps - 1 do
+    let h = p.data.(p.index.(id)) in
+    if h < 0 then begin
+      let tag = -h - 1 in
+      if tag < !lo then lo := tag;
+      if tag > !hi then hi := tag
+    end
+  done;
+  (!lo, !hi)
+
+let var_tag_ranges p =
+  let minp = Array.make p.nvars max_int and maxp = Array.make p.nvars 0 in
+  for id = 0 to p.nsteps - 1 do
+    let o = p.index.(id) in
+    let h = p.data.(o) in
+    if h < 0 then begin
+      let tag = -h - 1 in
+      for i = o + 2 to o + 1 + p.data.(o + 1) do
+        let v = Lit.var p.data.(i) in
+        if tag < minp.(v) then minp.(v) <- tag;
+        if tag > maxp.(v) then maxp.(v) <- tag
+      done
+    end
+  done;
+  (minp, maxp)
+
+(* Antecedents always have smaller ids, and no used step lies above the
+   empty clause: one backwards sweep from it marks the cone, and one
+   forward pass over the marks lists it in ascending order. *)
+let used p =
+  match p.used with
+  | Some u -> u
+  | None ->
+    let mark = Bytes.make (p.empty + 1) '\000' in
+    Bytes.set mark p.empty '\001';
+    let count = ref 0 in
+    for id = p.empty downto 0 do
+      if Bytes.get mark id = '\001' then begin
+        incr count;
+        let o = p.index.(id) in
+        let h = p.data.(o) in
+        if h >= 0 then begin
+          Bytes.set mark h '\001';
+          let c = o + 2 + p.data.(o + 1) in
+          for k = 0 to p.data.(c) - 1 do
+            Bytes.set mark p.data.(c + 2 + (2 * k)) '\001'
+          done
+        end
+      end
+    done;
+    let u = Array.make !count 0 in
+    let n = ref 0 in
+    for id = 0 to p.empty do
+      if Bytes.get mark id = '\001' then begin
+        u.(!n) <- id;
+        incr n
+      end
+    done;
+    p.used <- Some u;
+    u
+
+let is_used p id =
+  let u = used p in
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let x = u.(mid) in
+    x = id || if x < id then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length u)
+
+let core p = Array.fold_right (fun id acc -> if is_input p id then id :: acc else acc) (used p) []
+
+let core_tags p = core p |> List.map (tag p) |> List.sort_uniq Int.compare
 
 (* LRAT-style export.  Clauses are renumbered inputs-first: inputs take
    ids 1..m in step order (matching their position in [to_dimacs]), used
@@ -81,47 +167,42 @@ let core_tags p =
 
 let to_dimacs p =
   let buf = Buffer.create 1024 in
-  let ninputs =
-    Array.fold_left
-      (fun n s -> match s with Input _ -> n + 1 | Derived _ | Trimmed -> n)
-      0 p.steps
-  in
-  Printf.bprintf buf "p cnf %d %d\n" p.nvars ninputs;
-  Array.iter
-    (function
-      | Derived _ | Trimmed -> ()
-      | Input { lits; _ } ->
-        Array.iter (fun l -> Printf.bprintf buf "%d " (Lit.to_dimacs l)) lits;
-        Buffer.add_string buf "0\n")
-    p.steps;
+  let ninputs = ref 0 in
+  for id = 0 to p.nsteps - 1 do
+    if is_input p id then incr ninputs
+  done;
+  Printf.bprintf buf "p cnf %d %d\n" p.nvars !ninputs;
+  for id = 0 to p.nsteps - 1 do
+    if is_input p id then begin
+      for k = 0 to nlits p id - 1 do
+        Printf.bprintf buf "%d " (Lit.to_dimacs (lit p id k))
+      done;
+      Buffer.add_string buf "0\n"
+    end
+  done;
   Buffer.contents buf
 
 let to_lrat p =
-  let n = Array.length p.steps in
-  let newid = Array.make n 0 in
+  let newid = Array.make p.nsteps 0 in
   let next = ref 0 in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Input _ ->
-        incr next;
-        newid.(i) <- !next
-      | Derived _ | Trimmed -> ())
-    p.steps;
-  let mark = used p in
+  for id = 0 to p.nsteps - 1 do
+    if is_input p id then begin
+      incr next;
+      newid.(id) <- !next
+    end
+  done;
   let buf = Buffer.create 1024 in
   (* Deletion events are interleaved at their recorded positions: all
      events with [pos <= i] are flushed before step [i]'s addition line.
      A deleted clause was created before its deletion ([id < pos]), so
      any used clause named by a flushed event already carries its new
-     id; events naming trimmed clauses are dropped (the checker never
-     saw an addition to delete). *)
-  let dels = p.deletions in
+     id; events naming unused derived clauses are dropped (the checker
+     never saw an addition to delete). *)
   let di = ref 0 in
   let flush_deletions upto =
     let ids = ref [] in
-    while !di < Array.length dels && fst dels.(!di) <= upto do
-      let id = snd dels.(!di) in
+    while !di < p.ndels && p.dels.(2 * !di) <= upto do
+      let id = p.dels.((2 * !di) + 1) in
       if newid.(id) > 0 then ids := newid.(id) :: !ids;
       incr di
     done;
@@ -132,56 +213,21 @@ let to_lrat p =
       List.iter (fun id -> Printf.bprintf buf " %d" id) ids;
       Buffer.add_string buf " 0\n"
   in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Derived { lits; first; chain } when mark.(i) ->
+  Array.iter
+    (fun i ->
+      if not (is_input p i) then begin
         flush_deletions i;
         incr next;
         newid.(i) <- !next;
         Printf.bprintf buf "%d" !next;
-        Array.iter (fun l -> Printf.bprintf buf " %d" (Lit.to_dimacs l)) lits;
-        Buffer.add_string buf " 0";
-        for k = Array.length chain - 1 downto 0 do
-          Printf.bprintf buf " %d" newid.(snd chain.(k))
+        for k = 0 to nlits p i - 1 do
+          Printf.bprintf buf " %d" (Lit.to_dimacs (lit p i k))
         done;
-        Printf.bprintf buf " %d 0\n" newid.(first)
-      | _ -> ())
-    p.steps;
+        Buffer.add_string buf " 0";
+        for k = chain_length p i - 1 downto 0 do
+          Printf.bprintf buf " %d" newid.(antecedent p i k)
+        done;
+        Printf.bprintf buf " %d 0\n" newid.(first p i)
+      end)
+    (used p);
   Buffer.contents buf
-
-let bytes_estimate p =
-  let words = ref 0 in
-  Array.iter
-    (fun s ->
-      words :=
-        !words
-        +
-        match s with
-        | Input { lits; _ } -> Array.length lits + 3
-        | Derived { lits; chain; _ } -> Array.length lits + (2 * Array.length chain) + 4
-        | Trimmed -> 1)
-    p.steps;
-  8 * (!words + (2 * Array.length p.deletions))
-
-let pp_stats fmt p =
-  let inputs = ref 0 and derived = ref 0 and trimmed = ref 0 and chain_len = ref 0 in
-  let used_inputs = ref 0 and used_derived = ref 0 in
-  let mark = used p in
-  Array.iteri
-    (fun id s ->
-      match s with
-      | Input _ ->
-        incr inputs;
-        if mark.(id) then incr used_inputs
-      | Derived { chain; _ } ->
-        incr derived;
-        if mark.(id) then incr used_derived;
-        chain_len := !chain_len + Array.length chain
-      | Trimmed -> incr trimmed)
-    p.steps;
-  Format.fprintf fmt
-    "proof: %d/%d inputs used, %d/%d derived used (%d trimmed), %d deletions, %d \
-     resolutions, ~%d bytes, empty=%d"
-    !used_inputs !inputs !used_derived (!derived + !trimmed) !trimmed
-    (Array.length p.deletions) !chain_len (bytes_estimate p) p.empty

@@ -10,64 +10,128 @@
     derived clause (as a set of literals).  The last step of the proof
     derives the empty clause.
 
-    Proofs are reconstructed on demand from the solver's append-only
-    {!Proof_log}.  Reconstruction normally {e trims}: derived steps not
-    reachable from the empty clause come back as {!Trimmed} placeholders
-    (ids stay stable, payloads are dropped).  Input steps are always
-    materialized — interpolation labels variables by their occurrences
-    across {e all} input clauses, so inputs must survive trimming even
-    when unused.  [deletions] records the clause-database deletion events
-    of the originating solve, interleaved into {!to_lrat} as [d] lines. *)
+    A proof is a read-only {e view} of the solver's packed, append-only
+    {!Proof_log}: it shares the log's arrays and fixes the step count when
+    it is made, so nothing is copied.  The view stays valid while the log
+    grows: growth copies into fresh arrays and appends only above the
+    view's extent, so every record the view can reach is frozen.  The
+    accessors read the log's records in place; {!step} builds one step as
+    a value, for tests and cold paths.
+
+    Every step of the log is reachable through the view, used or not.
+    Interpolation labels variables by their occurrences across {e all}
+    input clauses, so inputs outside the used cone still matter; derived
+    steps outside it never do, and {!used} lists the ones that do. *)
+
+type t
+
+val of_packed :
+  index:int array ->
+  data:int array ->
+  nsteps:int ->
+  deletions:int array ->
+  ndeletions:int ->
+  empty:int ->
+  nvars:int ->
+  t
+(** The view behind {!Proof_log.view}: steps [0 .. nsteps - 1] laid out
+    in [data] as {!Proof_log} describes, [index.(id)] the offset of step
+    [id], and [ndeletions] flattened [(pos, id)] pairs in [deletions].
+    The arrays are shared, not copied: the caller must never write them
+    below these extents.
+    @raise Invalid_argument when [empty] is not a step id. *)
+
+val n_steps : t -> int
+(** Steps in the view: ids are [0 .. n_steps - 1]. *)
+
+val empty : t -> int
+(** Id of the (derived or input) empty clause. *)
+
+val nvars : t -> int
+(** Number of variables in the instance. *)
+
+(** {2 Reading steps in place} *)
+
+val is_input : t -> int -> bool
+
+val tag : t -> int -> int
+(** Partition tag of an input step (0 when untagged); [-1] for a derived
+    step. *)
+
+val nlits : t -> int -> int
+
+val lit : t -> int -> int -> Lit.t
+(** [lit p id k] is the [k]-th literal of step [id], [0 <= k < nlits]. *)
+
+val lits : t -> int -> Lit.t array
+(** A fresh copy of the literals of step [id]. *)
+
+val fold_lits : t -> int -> ('a -> Lit.t -> 'a) -> 'a -> 'a
+(** [fold_lits p id f acc] folds [f] over the literals of step [id] in
+    order. *)
+
+val first : t -> int -> int
+(** First antecedent of a derived step. *)
+
+val chain_length : t -> int -> int
+(** Resolutions in the chain of a derived step. *)
+
+val pivot : t -> int -> int -> int
+(** [pivot p id k]: the pivot variable of the [k]-th resolution. *)
+
+val antecedent : t -> int -> int -> int
+(** [antecedent p id k]: the clause id resolved in at the [k]-th
+    resolution. *)
+
+val fold_chain : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
+(** [fold_chain p id f acc] folds [f acc pivot antecedent] over the
+    resolution chain of derived step [id], in resolution order. *)
 
 type step =
   | Input of { lits : Lit.t array; tag : int }
       (** An original clause with its partition tag (0 when untagged). *)
   | Derived of { lits : Lit.t array; first : int; chain : (int * int) array }
       (** A learned clause: [chain] is an array of [(pivot_var, clause_id)]. *)
-  | Trimmed
-      (** A derived step outside the used cone, elided by reconstruction.
-          Never an antecedent of any materialized step. *)
 
-type t = {
-  steps : step array;  (** indexed by clause id *)
-  empty : int;         (** id of the (derived or input) empty clause *)
-  nvars : int;         (** number of variables in the instance *)
-  deletions : (int * int) array;
-      (** Database deletion events in log order: [(pos, id)] says clause
-          [id] was deleted from the solver's clause database when [pos]
-          steps existed — i.e. between the creation of steps [pos - 1]
-          and [pos].  Deleted clauses remain valid proof steps (the log
-          is append-only); the events only gate {!to_lrat}'s [d] lines. *)
-}
+val step : t -> int -> step
+(** Step [id] built as a value. *)
 
-val lits : t -> int -> Lit.t array
-(** Literals of the clause with the given id.
-    @raise Invalid_argument on a {!Trimmed} step. *)
+val tag_range : t -> int * int
+(** Smallest and largest partition tag among input clauses. *)
 
-val tag : t -> int -> int option
-(** Partition tag of an input clause, [None] for derived clauses. *)
+val var_tag_ranges : t -> int array * int array
+(** [(minp, maxp)]: for every variable, the smallest and the largest tag
+    of an input clause it occurs in ([max_int] and [0] when it occurs in
+    none). *)
 
-val max_tag : t -> int
-(** Largest partition tag among input clauses. *)
+val n_deletions : t -> int
+(** Database deletion events in the view.  Event [(pos, id)] says clause
+    [id] left the solver's clause database when [pos] steps existed —
+    between the creation of steps [pos - 1] and [pos].  Deleted clauses
+    remain valid proof steps (the log is append-only); the events only
+    gate {!to_lrat}'s [d] lines. *)
 
-val fold_inorder : (get:(int -> 'a) -> int -> step -> 'a) -> t -> 'a array
-(** [fold_inorder f p] computes an attribute for every clause in id order;
-    [f ~get id step] may consult the attribute of any clause with a
-    smaller id through [get]. *)
+(** {2 The used cone} *)
 
-val used : t -> bool array
-(** Clause ids reachable from the empty clause through antecedent edges —
-    the part of the proof that actually derives unsatisfiability.
-    Solvers log every learned clause, so typically much of the proof is
-    unused.  {!Trimmed} steps are never used. *)
+val used : t -> int array
+(** Ids reachable from the empty clause through antecedent edges, in
+    ascending order — the part of the proof that actually derives
+    unsatisfiability; its last element is {!empty}.  Solvers log every
+    learned clause, so typically most of the proof is unused.  Computed
+    by one backward sweep on first use and memoised in the view; the
+    array is shared, so callers must not write it. *)
+
+val is_used : t -> int -> bool
 
 val core : t -> int list
-(** Ids of the {e input} clauses in the used part: the unsatisfiable
-    core.  Proof-based abstraction keys on which transition clauses
-    appear here. *)
+(** Ids of the {e input} clauses in the used part, ascending: the
+    unsatisfiable core.  Proof-based abstraction keys on which
+    transition clauses appear here. *)
 
 val core_tags : t -> int list
 (** Sorted distinct partition tags occurring in the core. *)
+
+(** {2 Exports} *)
 
 val to_dimacs : t -> string
 (** DIMACS CNF rendering of the input clauses.  Clause [i] of the file
@@ -83,20 +147,10 @@ val to_lrat : t -> string
     is checkable by reverse unit propagation alone (see
     [Isr_check.Lrat_check]) with no knowledge of the solver.
 
-    Database {!deletions} are interleaved as [<id> d <id>* 0] lines at
-    their recorded positions (events whose clause was trimmed, or that
-    fall after the last used step, are dropped).  A deleted clause is by
-    construction never a hint of a later step — the solver can only
-    resolve against clauses still in its database — so the export
-    checks under strict deletion semantics.  Empty when an input clause
-    itself is empty. *)
-
-val bytes_estimate : t -> int
-(** Estimated in-memory footprint of the materialized steps in bytes
-    (literals, chains and per-step headers; {!Trimmed} steps count one
-    word).  The quantity behind the ["proof.bytes"] gauge. *)
-
-val pp_stats : Format.formatter -> t -> unit
-(** One line with used-vs-total step counts, resolution count, the
-    {!bytes_estimate} and the empty-clause id, so trimming wins show up
-    in [--trace] output. *)
+    Database deletions are interleaved as [<id> d <id>* 0] lines at
+    their recorded positions (events whose clause is an unused derived
+    step, or that fall after the last used step, are dropped).  A
+    deleted clause is by construction never a hint of a later step — the
+    solver can only resolve against clauses still in its database — so
+    the export checks under strict deletion semantics.  Empty when an
+    input clause itself is empty. *)

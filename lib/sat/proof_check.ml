@@ -27,28 +27,24 @@ let resolve clause_id res other pivot =
   in
   Lset.union (Lset.remove lp res) (Lset.remove ln other)
 
+(* Only the used cone is replayed: it is exactly what derives the empty
+   clause, and every antecedent of a used step is used. *)
 let check (p : Proof.t) =
   try
-    let sets =
-      Proof.fold_inorder
-        (fun ~get id step ->
-          match step with
-          | Proof.Input { lits; _ } -> set_of_lits lits
-          (* A trimmed step is outside the used cone, so no materialized
-             step resolves against it; give it an empty attribute (any
-             accidental reference would fail the resolution replay). *)
-          | Proof.Trimmed -> Lset.empty
-          | Proof.Derived { lits; first; chain } ->
-            let res =
-              Array.fold_left
-                (fun res (pivot, aid) -> resolve id res (get aid) pivot)
-                (get first) chain
-            in
-            if not (Lset.equal res (set_of_lits lits)) then
-              raise (Fail (Wrong_result { clause = id }));
-            res)
-        p
-    in
-    if not (Lset.is_empty sets.(p.Proof.empty)) then raise (Fail Empty_not_empty);
+    let sets = Array.make (Proof.n_steps p) Lset.empty in
+    Array.iter
+      (fun id ->
+        let lits = set_of_lits (Proof.lits p id) in
+        if Proof.is_input p id then sets.(id) <- lits
+        else begin
+          let res = ref sets.(Proof.first p id) in
+          for k = 0 to Proof.chain_length p id - 1 do
+            res := resolve id !res sets.(Proof.antecedent p id k) (Proof.pivot p id k)
+          done;
+          if not (Lset.equal !res lits) then raise (Fail (Wrong_result { clause = id }));
+          sets.(id) <- !res
+        end)
+      (Proof.used p);
+    if not (Lset.is_empty sets.(Proof.empty p)) then raise (Fail Empty_not_empty);
     Ok ()
   with Fail e -> Error e

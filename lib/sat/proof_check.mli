@@ -15,4 +15,4 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 val check : Proof.t -> (unit, error) Result.t
-(** Replays every derived clause of the proof. *)
+(** Replays every derived clause in the used cone of the proof. *)

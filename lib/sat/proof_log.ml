@@ -7,7 +7,8 @@ type t = {
   mutable ninputs : int;
   mutable data : int array;
   mutable len : int;
-  dels : Vec.t;               (* flattened (pos, id) deletion events *)
+  mutable dels : int array;   (* flattened (pos, id) deletion events *)
+  mutable ndels : int;        (* events recorded (pairs, not words) *)
 }
 
 let create ?(record = true) () =
@@ -17,14 +18,15 @@ let create ?(record = true) () =
     ninputs = 0;
     data = Array.make 256 0;
     len = 0;
-    dels = Vec.create ();
+    dels = Array.make 16 0;
+    ndels = 0;
   }
 
 let recording t = t.record
 let n_steps t = t.nsteps
 let n_inputs t = t.ninputs
-let n_deletions t = Vec.size t.dels / 2
-let bytes t = if t.record then 8 * (t.len + t.nsteps + Vec.size t.dels) else 0
+let n_deletions t = t.ndels
+let bytes t = if t.record then 8 * (t.len + t.nsteps + (2 * t.ndels)) else 0
 
 let require_record t what =
   if not t.record then invalid_arg (Printf.sprintf "Proof_log.%s: log records no steps" what)
@@ -41,22 +43,22 @@ let copy (src : int array) (dst : int array) ~at n =
     Array.unsafe_set dst (at + i) (Array.unsafe_get src i)
   done
 
+(* Growth always copies into a fresh array and leaves the old one as it
+   was: a {!view} holding the old array keeps reading frozen records. *)
+let grown (a : int array) ~used ~need =
+  let b = Array.make (max (2 * Array.length a) need) 0 in
+  copy a b ~at:0 used;
+  b
+
 let reserve_step t =
-  if t.nsteps = Array.length t.index then begin
-    let a = Array.make (2 * t.nsteps) 0 in
-    copy t.index a ~at:0 t.nsteps;
-    t.index <- a
-  end;
+  if t.nsteps = Array.length t.index then
+    t.index <- grown t.index ~used:t.nsteps ~need:(t.nsteps + 1);
   t.index.(t.nsteps) <- t.len;
   next_id t
 
 let reserve_data t n =
-  let cap = Array.length t.data in
-  if t.len + n > cap then begin
-    let a = Array.make (max (2 * cap) (t.len + n)) 0 in
-    copy t.data a ~at:0 t.len;
-    t.data <- a
-  end
+  if t.len + n > Array.length t.data then
+    t.data <- grown t.data ~used:t.len ~need:(t.len + n)
 
 let push t x =
   t.data.(t.len) <- x;
@@ -105,65 +107,19 @@ let add_derived t ~lits ~first ~chain =
 
 let delete t id =
   if t.record then begin
-    Vec.push t.dels t.nsteps;
-    Vec.push t.dels id
+    let w = 2 * t.ndels in
+    if w + 2 > Array.length t.dels then t.dels <- grown t.dels ~used:w ~need:(w + 2);
+    t.dels.(w) <- t.nsteps;
+    t.dels.(w + 1) <- id;
+    t.ndels <- t.ndels + 1
   end
-
-let is_input t id =
-  require_record t "is_input";
-  t.data.(t.index.(id)) < 0
 
 let tag t id =
   require_record t "tag";
   let h = t.data.(t.index.(id)) in
   if h < 0 then -h - 1 else -1
 
-let materialize t id =
-  let o = t.index.(id) in
-  let h = t.data.(o) in
-  let nl = t.data.(o + 1) in
-  let lits = Array.sub t.data (o + 2) nl in
-  if h < 0 then Proof.Input { lits; tag = -h - 1 }
-  else begin
-    let co = o + 2 + nl in
-    let nc = t.data.(co) in
-    let chain =
-      Array.init nc (fun k -> (t.data.(co + 1 + (2 * k)), t.data.(co + 2 + (2 * k))))
-    in
-    Proof.Derived { lits; first = h; chain }
-  end
-
-let to_proof ?(trim = true) t ~empty ~nvars =
-  require_record t "to_proof";
-  let n = t.nsteps in
-  if empty < 0 || empty >= n then invalid_arg "Proof_log.to_proof: bad empty id";
-  let used = Array.make n false in
-  used.(empty) <- true;
-  if trim then
-    (* Antecedents always have smaller ids: one backwards sweep. *)
-    for id = n - 1 downto 0 do
-      if used.(id) then begin
-        let o = t.index.(id) in
-        let h = t.data.(o) in
-        if h >= 0 then begin
-          used.(h) <- true;
-          let co = o + 2 + t.data.(o + 1) in
-          let nc = t.data.(co) in
-          for k = 0 to nc - 1 do
-            used.(t.data.(co + 2 + (2 * k))) <- true
-          done
-        end
-      end
-    done;
-  let steps =
-    Array.init n (fun id ->
-        (* Inputs survive trimming: interpolation labels variables by
-           their occurrences across all input clauses. *)
-        if (not trim) || used.(id) || is_input t id then materialize t id
-        else Proof.Trimmed)
-  in
-  let ndel = n_deletions t in
-  let deletions =
-    Array.init ndel (fun k -> (Vec.get t.dels (2 * k), Vec.get t.dels ((2 * k) + 1)))
-  in
-  { Proof.steps; empty; nvars; deletions }
+let view t ~empty ~nvars =
+  require_record t "view";
+  Proof.of_packed ~index:t.index ~data:t.data ~nsteps:t.nsteps ~deletions:t.dels
+    ~ndeletions:t.ndels ~empty ~nvars

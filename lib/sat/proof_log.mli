@@ -16,15 +16,17 @@
     v}
     The head word disambiguates: tags are [>= 0] so the input marker is
     [<= -1], while a derived step's [first] antecedent id is [>= 0].
-    Deletion events are [(pos, id)] pairs in a side vector, where [pos]
-    is the number of steps that existed when the deletion happened. *)
+    Deletion events are [(pos, id)] pairs in a side array, where [pos]
+    is the number of steps that existed when the deletion happened.
+    {!Proof} reads these records in place through {!view}: this layout
+    is the contract between the two modules. *)
 
 type t
 
 val create : ?record:bool -> unit -> t
 (** With [record = false] (default [true]) the log only hands out step
     ids: nothing is stored, {!bytes} stays 0, deletions are ignored, and
-    {!is_input}, {!tag} and {!to_proof} raise [Invalid_argument].  For
+    {!tag} and {!view} raise [Invalid_argument].  For
     solvers whose answers are never justified by a proof. *)
 
 val recording : t -> bool
@@ -55,14 +57,13 @@ val delete : t -> int -> unit
     itself stays in the log — deletion only marks the point in the step
     sequence after which the clause left the solver's database. *)
 
-val is_input : t -> int -> bool
-
 val tag : t -> int -> int
 (** Partition tag of an input step; [-1] for derived steps. *)
 
-val to_proof : ?trim:bool -> t -> empty:int -> nvars:int -> Proof.t
-(** Materializes the log as a {!Proof.t} rooted at the [empty] step.
-    With [trim] (the default), derived steps outside the used cone of
-    [empty] become {!Proof.Trimmed} placeholders; input steps are always
-    materialized because interpolation labels variables over {e all}
-    input clauses.  Deletion events are carried over verbatim. *)
+val view : t -> empty:int -> nvars:int -> Proof.t
+(** The log as a {!Proof.t} rooted at the [empty] step, without copying:
+    the view shares the log's arrays and covers the steps and deletion
+    events recorded so far.  Appending afterwards never changes what the
+    view reads — growth moves the log to fresh arrays, and new records
+    land above the view's extent.
+    @raise Invalid_argument when [empty] is not a step id. *)

@@ -59,6 +59,7 @@ type t = {
   mutable var_inc : float;
   mutable cla_inc : float;             (* clause-activity increment *)
   log : Proof_log.t;                   (* append-only proof store *)
+  mutable view : Proof.t option;       (* the refutation's proof, once asked for *)
   trail : Vec.t;                       (* assigned literals, in order *)
   trail_lim : Vec.t;                   (* trail size at each decision *)
   mutable qhead : int;
@@ -115,6 +116,7 @@ let create ?(proof = true) () =
       var_inc = 1.0;
       cla_inc = 1.0;
       log = Proof_log.create ~record:proof ();
+      view = None;
       trail = Vec.create ();
       trail_lim = Vec.create ();
       qhead = 0;
@@ -1067,27 +1069,32 @@ let solve_core ?(assumptions = []) ?(conflict_budget = max_int) s =
 
 let result_name = function Sat -> "sat" | Unsat -> "unsat" | Undef -> "undef"
 
-let proof ?(trim = true) s =
+let proof s =
   if not (refuted s) then
     invalid_arg "Solver.proof: no logged refutation";
-  Proof_log.to_proof ~trim s.log ~empty:s.empty_id ~nvars:s.nvars
+  match s.view with
+  | Some p -> p
+  | None ->
+    (* Once refuted the solver takes no more clauses, so the log is
+       final and one view (with its memoised used cone) serves every
+       caller. *)
+    let p = Proof_log.view s.log ~empty:s.empty_id ~nvars:s.nvars in
+    s.view <- Some p;
+    p
 
 (* Which learnt clauses earned their keep: histogram (by birth LBD) of
    the learnt steps reachable from the empty clause.  Deleted clauses
    count too — deletion removes a clause from the database, not from the
    resolutions it already served — which is why birth LBDs are kept per
-   proof id, not per clause.  Costs a proof reconstruction; callers gate
-   it on observability being on. *)
+   proof id, not per clause.  Reads the used cone of the cached view. *)
 let core_birth_lbd s =
-  let p = proof ~trim:true s in
-  let used = Proof.used p in
   let h = Array.make hist_buckets 0 in
-  Array.iteri
-    (fun id u ->
-      if u && id < Bytes.length s.birth then
+  Array.iter
+    (fun id ->
+      if id < Bytes.length s.birth then
         let b = Char.code (Bytes.get s.birth id) in
         if b > 0 then hist_bump h b)
-    used;
+    (Proof.used (proof s));
   h
 
 (* The watch invariant behind propagation and [reduce_db]'s rebuild:
@@ -1131,9 +1138,8 @@ let watches_consistent s =
 (* Sanitizer probes at the solve boundary.  Fast checks the answer
    against the clause database (trail consistency; on Sat, every input
    clause satisfied).  Paranoid additionally checks the watch lists and
-   replays the resolution proof behind every unconditional Unsat — on
-   the trimmed reconstruction, so the proof-log round-trip is validated
-   too. *)
+   replays the used cone of the resolution proof behind every
+   unconditional Unsat, read through the same view interpolation uses. *)
 let check_result s r =
   if Check.on () then begin
     Check.probe "sat.trail_consistent" (fun () ->

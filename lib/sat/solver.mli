@@ -15,7 +15,7 @@
     activity scores driving MiniSat-style learnt-clause deletion
     ({!reduce_policy}).  Deleting a learnt clause from the database
     never loses a proof antecedent — the log is append-only and
-    {!proof} reconstructs (and trims) the proof from it on demand. *)
+    {!proof} is a read-only view of it. *)
 
 type t
 
@@ -82,12 +82,11 @@ val unsat_core : t -> Lit.t list
     unsatisfiable.
     @raise Invalid_argument when the last result was not [Unsat]. *)
 
-val proof : ?trim:bool -> t -> Proof.t
+val proof : t -> Proof.t
 (** The resolution proof of {e unconditional} unsatisfiability (a proof
-    exists whenever [Unsat] was answered with no assumptions involved),
-    reconstructed from the append-only proof log.  With [trim] (the
-    default), derived steps outside the used cone come back as
-    {!Proof.Trimmed}; inputs are always materialized.
+    exists whenever [Unsat] was answered with no assumptions involved):
+    a view of the append-only proof log, made on the first call and
+    shared by later ones (the log is final once refuted).
     @raise Invalid_argument otherwise. *)
 
 val next_step_id : t -> int
@@ -156,10 +155,10 @@ val refuted : t -> bool
 
 val core_birth_lbd : t -> int array
 (** Histogram (by birth LBD, 16 buckets) of the learnt clauses that
-    participate in the trimmed refutation — including clauses deleted
-    after serving their resolutions.  Each bucket is bounded by the
-    corresponding {!birth_lbd_counts} bucket.  Costs a proof
-    reconstruction; gate it on observability being enabled.
+    participate in the refutation — including clauses deleted after
+    serving their resolutions.  Each bucket is bounded by the
+    corresponding {!birth_lbd_counts} bucket.  Reads the used cone of
+    {!proof}, computing it if no caller has yet.
     @raise Invalid_argument when not {!refuted}. *)
 
 val num_reduces : t -> int

@@ -231,12 +231,66 @@ let test_lrat_deletions_roundtrip () =
   Alcotest.(check bool) "reductions fired" true (Solver.num_reduces s > 0);
   let proof = Solver.proof s in
   Alcotest.(check bool) "proof records deletions" true
-    (Array.length proof.Proof.deletions > 0);
+    (Proof.n_deletions proof > 0);
   match roundtrip proof with
   | Error d -> Alcotest.failf "LRAT with deletions rejected: %a" Diag.pp d
   | Ok r ->
     Alcotest.(check bool) "export carries d lines" true
       (r.Isr_check.Lrat_check.deletions > 0)
+
+(* A view fixes what it reads when it is made.  The log below refutes
+   x, (not x or y), (not y) with one unused derived step and two
+   deletions; afterwards it grows to several times its initial capacity
+   in steps, words and deletion events, so every array it owns is
+   reallocated.  Views made before the growth (one queried before it,
+   one only after) must answer exactly as before, and a view of the
+   grown log must read the same first steps. *)
+let test_view_survives_growth () =
+  let log = Proof_log.create () in
+  let x = 0 and y = 1 in
+  let c0 = Proof_log.add_input log ~tag:1 [| lit x |] in
+  let c1 = Proof_log.add_input log ~tag:1 [| nlit x; lit y |] in
+  let c2 = Proof_log.add_input log ~tag:2 [| nlit y |] in
+  let unused = Proof_log.add_derived log ~lits:[| nlit x |] ~first:c1 ~chain:[ (y, c2) ] in
+  Proof_log.delete log unused;
+  let d = Proof_log.add_derived log ~lits:[| lit y |] ~first:c1 ~chain:[ (x, c0) ] in
+  Proof_log.delete log c1;
+  let empty = Proof_log.add_derived log ~lits:[||] ~first:d ~chain:[ (y, c2) ] in
+  let nsteps = Proof_log.n_steps log in
+  let view () = Proof_log.view log ~empty ~nvars:2 in
+  let answers p =
+    (Array.to_list (Proof.used p), Proof.core p, Proof.to_dimacs p, Proof.to_lrat p)
+  in
+  let early = view () and lazy_view = view () in
+  let before = answers early in
+  let accepted p =
+    match Isr_check.Lrat_check.check_strings ~cnf:(Proof.to_dimacs p) ~lrat:(Proof.to_lrat p) with
+    | Ok r -> r.Isr_check.Lrat_check.deletions > 0
+    | Error d -> Alcotest.failf "LRAT rejected: %a" Diag.pp d
+  in
+  Alcotest.(check bool) "export accepted with its deletions" true (accepted early);
+  for i = 0 to 499 do
+    let id = Proof_log.add_input log ~tag:3 [| lit (i mod 7); nlit ((i + 1) mod 7); lit 9 |] in
+    if i mod 2 = 0 then Proof_log.delete log id
+  done;
+  Alcotest.(check bool) "log grew" true
+    (Proof_log.n_steps log > 8 * nsteps && Proof_log.n_deletions log > 200);
+  let show (used, core, cnf, lrat) =
+    Printf.sprintf "used=%s core=%s\n%s%s"
+      (String.concat "," (List.map string_of_int used))
+      (String.concat "," (List.map string_of_int core))
+      cnf lrat
+  in
+  Alcotest.(check string) "early view unchanged" (show before) (show (answers early));
+  Alcotest.(check string) "lazy view unchanged" (show before) (show (answers lazy_view));
+  Alcotest.(check bool) "export still accepted" true (accepted early);
+  let grown = view () in
+  Alcotest.(check int) "grown view sees the appended steps" (Proof_log.n_steps log)
+    (Proof.n_steps grown);
+  for id = 0 to nsteps - 1 do
+    Alcotest.(check bool) (Printf.sprintf "step %d reads the same" id) true
+      (Proof.step early id = Proof.step grown id)
+  done
 
 (* Seeded defect: a proof that deletes a clause and then cites it as a
    hint.  Strict deletion semantics must reject the later step — a
@@ -485,6 +539,7 @@ let () =
           Alcotest.test_case "tampered hint rejected" `Quick test_lrat_tampered_hint;
           Alcotest.test_case "deletions round-trip" `Quick test_lrat_deletions_roundtrip;
           Alcotest.test_case "deleted hint rejected" `Quick test_lrat_deleted_hint_rejected;
+          Alcotest.test_case "view survives log growth" `Quick test_view_survives_growth;
         ] );
       ( "lint",
         [

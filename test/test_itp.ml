@@ -118,6 +118,58 @@ let test_sequence_three_partitions () =
     done;
     Alcotest.(check bool) "chain conditions" true !ok
 
+(* --- family identity ------------------------------------------------------ *)
+
+(* The interpolation sequence of an exact BMC refutation, as ITPSEQ reads
+   it: the cone size of every cut's interpolant and the size of the
+   model's manager after extraction.  AIG nodes are hash-consed in
+   creation order, so the manager size pins the order in which the
+   extraction built them.  The pins were recorded while proofs were
+   still copied out of the log into an array of steps. *)
+let family_fingerprint name k system =
+  let model =
+    match Isr_suite.Registry.find name with
+    | Some e -> Isr_suite.Registry.build_validated e
+    | None -> Alcotest.failf "no registry entry %s" name
+  in
+  let u = Isr_core.Bmc.build_instance model ~check:Isr_core.Bmc.Exact ~k in
+  let s = Isr_model.Unroll.solver u in
+  if Solver.solve s <> Solver.Unsat then Alcotest.failf "%s k=%d: expected unsat" name k;
+  let man = model.Isr_model.Model.man in
+  let seq =
+    Itp.sequence ~system (Solver.proof s) ~man ~var_map:(Isr_model.Unroll.any_state_map u)
+  in
+  Printf.sprintf "cones=%s nodes=%d"
+    (String.concat "," (Array.to_list (Array.map (fun l -> string_of_int (Aig.cone_size man l)) seq)))
+    (Aig.num_nodes man)
+
+let family_pins =
+  [
+    ("industrialA1", 6, Itp.McMillan, "cones=2,1,1,0,1,2 nodes=1138");
+    ("industrialA1", 6, Itp.Pudlak, "cones=4,2,2,1,1,2 nodes=1142");
+    ("industrialA1", 6, Itp.McMillan_dual, "cones=3,3,1,2,2,2 nodes=1142");
+    ("rether33", 30, Itp.McMillan,
+      "cones=235,265,275,274,309,321,335,338,371,359,357,378,420,407,309,\
+       371,375,355,332,319,346,341,327,336,336,263,280,218,123,111 nodes=7700");
+    ("rether33", 30, Itp.Pudlak,
+      "cones=333,338,346,341,398,444,461,455,492,481,512,527,606,608,468,\
+       548,554,546,523,495,541,524,500,491,468,376,391,272,140,111 nodes=10372");
+    ("rether33", 30, Itp.McMillan_dual,
+      "cones=280,316,364,356,463,469,476,507,503,636,582,653,676,588,541,\
+       592,615,564,555,597,600,571,564,525,472,438,341,253,137,111 nodes=11822");
+  ]
+
+let family_cases =
+  List.map
+    (fun (name, k, system, expected) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s exact k=%d %s" name k (Itp.system_name system))
+        `Quick
+        (fun () ->
+          Alcotest.(check string) "family fingerprint" expected
+            (family_fingerprint name k system)))
+    family_pins
+
 (* --- property tests ----------------------------------------------------- *)
 
 let nv = 5
@@ -164,7 +216,7 @@ let prop_sequence_def2 =
            largest surviving tag; since a tautology holds under every
            assignment, checking Definition 2 over the proof's own tag
            range is equivalent. *)
-        let ntags = Proof.max_tag proof in
+        let ntags = snd (Proof.tag_range proof) in
         QCheck2.assume (ntags >= 2);
         let man, seq = seq_over_inputs nv proof in
         let part i = List.filter_map (fun (t, c) -> if t = i then Some c else None) tcs in
@@ -244,7 +296,7 @@ let prop_sequence_def2_system system sys_name =
       match solve_tagged nv tcs with
       | None -> QCheck2.assume_fail ()
       | Some proof ->
-        let ntags = Proof.max_tag proof in
+        let ntags = snd (Proof.tag_range proof) in
         QCheck2.assume (ntags >= 2);
         let man = Aig.create () in
         let inputs = Array.init nv (fun _ -> Aig.fresh_input man) in
@@ -265,6 +317,122 @@ let prop_sequence_def2_system system sys_name =
         done;
         !ok)
 
+(* The interpolation algorithm as it ran while proofs were copied out of
+   the log: every step built as a value, one attribute per step id in id
+   order, steps outside the used cone skipped.  The view-based
+   interpolant must build the very same AIG nodes in the same order, in
+   a fresh manager each. *)
+let reference_interpolant ~system p ~cut ~man ~var_map =
+  let n = Proof.n_steps p in
+  let steps = Array.init n (Proof.step p) in
+  let minp = Array.make (Proof.nvars p) max_int and maxp = Array.make (Proof.nvars p) 0 in
+  Array.iter
+    (function
+      | Proof.Input { lits; tag } ->
+        Array.iter
+          (fun l ->
+            let v = Lit.var l in
+            minp.(v) <- min minp.(v) tag;
+            maxp.(v) <- max maxp.(v) tag)
+          lits
+      | Proof.Derived _ -> ())
+    steps;
+  let used = Array.make n false in
+  used.(Proof.empty p) <- true;
+  for id = n - 1 downto 0 do
+    match steps.(id) with
+    | Proof.Derived { first; chain; _ } when used.(id) ->
+      used.(first) <- true;
+      Array.iter (fun (_, aid) -> used.(aid) <- true) chain
+    | _ -> ()
+  done;
+  let label v =
+    if maxp.(v) <= cut then `A
+    else if minp.(v) > cut then `B
+    else match system with Itp.McMillan -> `B | Itp.Pudlak -> `AB | Itp.McMillan_dual -> `A
+  in
+  let map_lit l =
+    let a = Option.get (var_map (Lit.var l)) in
+    if Lit.is_neg l then Aig.not_ a else a
+  in
+  let lits_of id =
+    match steps.(id) with Proof.Input { lits; _ } | Proof.Derived { lits; _ } -> lits
+  in
+  let attrs = Array.make n Aig.lit_false in
+  for id = 0 to n - 1 do
+    if used.(id) then
+      attrs.(id) <-
+        (match steps.(id) with
+        | Proof.Input { lits; tag } when tag <= cut ->
+          Array.fold_left
+            (fun acc l -> if label (Lit.var l) = `B then Aig.or_ man acc (map_lit l) else acc)
+            Aig.lit_false lits
+        | Proof.Input { lits; _ } ->
+          Array.fold_left
+            (fun acc l ->
+              if label (Lit.var l) = `A then Aig.and_ man acc (Aig.not_ (map_lit l)) else acc)
+            Aig.lit_true lits
+        | Proof.Derived { first; chain; _ } ->
+          Array.fold_left
+            (fun acc (pivot, aid) ->
+              let other = attrs.(aid) in
+              match label pivot with
+              | `A -> Aig.or_ man acc other
+              | `B -> Aig.and_ man acc other
+              | `AB ->
+                let phase = List.find (fun l -> Lit.var l = pivot) (Array.to_list (lits_of aid)) in
+                let l_ant = map_lit phase in
+                Aig.and_ man (Aig.or_ man acc (Aig.not_ l_ant)) (Aig.or_ man other l_ant))
+            attrs.(first) chain)
+  done;
+  attrs.(Proof.empty p)
+
+let gen_tagged_chains =
+  let open QCheck2.Gen in
+  let* nvars, clauses = Tutil.gen_cnf_chains in
+  let* ntags = int_range 2 4 in
+  let* tags = list_size (pure (List.length clauses)) (int_range 1 ntags) in
+  pure (nvars, List.combine tags clauses)
+
+let print_tagged_chains (nvars, tcs) =
+  Printf.sprintf "nvars=%d %s" nvars (print_partitioned tcs)
+
+(* Refutations from a solver that reduces its database after every
+   conflict, so the log holds many deleted and unused steps between the
+   used ones. *)
+let prop_view_matches_reference =
+  QCheck2.Test.make ~count:300 ~name:"view interpolants equal the reference"
+    ~print:print_tagged_chains gen_tagged_chains (fun (nvars, tcs) ->
+      let s = Tutil.fresh_solver nvars in
+      Solver.set_reduce s { Solver.enabled = true; base = 1; growth = 1.0; keep_lbd = 0 };
+      List.iter (fun (tag, c) -> Solver.add_clause s ~tag c) tcs;
+      if Solver.solve s <> Solver.Unsat then QCheck2.assume_fail ()
+      else begin
+        let p = Solver.proof s in
+        let info = Itp.analyze p in
+        (* The interpolant and every node of its manager, in creation
+           order: equal exactly when the same nodes were built in the
+           same order. *)
+        let over_inputs build =
+          let man = Aig.create () in
+          let inputs = Array.init nvars (fun _ -> Aig.fresh_input man) in
+          let l = build man (fun v -> if v < nvars then Some inputs.(v) else None) in
+          ( l,
+            List.init (Aig.num_nodes man) (fun i ->
+                if Aig.is_and man (2 * i) then Some (Aig.fanins man (2 * i)) else None) )
+        in
+        List.for_all
+          (fun system ->
+            List.for_all
+              (fun cut ->
+                over_inputs (fun man var_map ->
+                    Itp.interpolant ~info ~system p ~cut ~man ~var_map)
+                = over_inputs (fun man var_map ->
+                      reference_interpolant ~system p ~cut ~man ~var_map))
+              (List.init (snd (Proof.tag_range p) - 1) (fun j -> j + 1)))
+          [ Itp.McMillan; Itp.Pudlak; Itp.McMillan_dual ]
+      end)
+
 (* The unsat core really is unsatisfiable, and proofs restricted to used
    steps still derive the empty clause. *)
 let prop_core_unsat =
@@ -278,7 +446,7 @@ let prop_core_unsat =
           List.map (fun id -> Array.to_list (Proof.lits proof id)) core_ids
         in
         (not (Tutil.brute_sat nv core_clauses))
-        && List.for_all (fun id -> (Proof.used proof).(id)) core_ids)
+        && List.for_all (Proof.is_used proof) core_ids)
 
 let () =
   let props =
@@ -292,6 +460,7 @@ let () =
         prop_sequence_def2_system Itp.Pudlak "pudlak";
         prop_sequence_def2_system Itp.McMillan_dual "mcmillan-dual";
         prop_core_unsat;
+        prop_view_matches_reference;
       ]
   in
   Alcotest.run "isr_itp"
@@ -304,5 +473,6 @@ let () =
           Alcotest.test_case "untagged rejected" `Quick test_untagged_rejected;
           Alcotest.test_case "three partitions" `Quick test_sequence_three_partitions;
         ] );
+      ("family", family_cases);
       ("properties", props);
     ]

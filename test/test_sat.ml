@@ -254,7 +254,7 @@ let test_reduce_fires () =
   Alcotest.(check int) "every dead histogram sums to deleted" 0 !dead_mismatches;
   let p = Solver.proof s in
   Alcotest.(check int) "every deletion logged" !deleted_total
-    (Array.length p.Proof.deletions);
+    (Proof.n_deletions p);
   (* The trimmed proof must still replay: reduction may only forget
      clauses the refutation does not need. *)
   match Proof_check.check p with
@@ -421,20 +421,22 @@ let search_fingerprint s solve =
          Buffer.add_char buf '\n'));
   let r = solve () in
   Solver.on_learnt s None;
-  if Solver.refuted s then
-    Array.iter
-      (function
-        | Proof.Derived { lits; first; chain } ->
-          Array.iter add_int lits;
-          add_int first;
-          Array.iter
-            (fun (v, id) ->
-              add_int v;
-              add_int id)
-            chain;
-          Buffer.add_char buf '\n'
-        | Proof.Input _ | Proof.Trimmed -> ())
-      (Solver.proof ~trim:false s).Proof.steps;
+  if Solver.refuted s then begin
+    let p = Solver.proof s in
+    for id = 0 to Proof.n_steps p - 1 do
+      match Proof.step p id with
+      | Proof.Derived { lits; first; chain } ->
+        Array.iter add_int lits;
+        add_int first;
+        Array.iter
+          (fun (v, id) ->
+            add_int v;
+            add_int id)
+          chain;
+        Buffer.add_char buf '\n'
+      | Proof.Input _ -> ()
+    done
+  end;
   let result =
     match r with Solver.Sat -> "sat" | Solver.Unsat -> "unsat" | Solver.Undef -> "undef"
   in
@@ -443,9 +445,13 @@ let search_fingerprint s solve =
     (Solver.num_propagations s) (Solver.num_learnt s) (Solver.proof_steps s)
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
-let cnf_fingerprint (nvars, clauses) =
+let cnf_solver (nvars, clauses) =
   let s = Tutil.fresh_solver nvars in
   List.iter (fun c -> Solver.add_clause s c) clauses;
+  s
+
+let cnf_fingerprint cnf =
+  let s = cnf_solver cnf in
   search_fingerprint s (fun () -> Solver.solve s)
 
 let bmc_instance name check k =
@@ -524,12 +530,65 @@ let search_pins =
        inputs=95c8a698b298754a858df2ba3fda9913" );
   ]
 
+(* Export identity on the same problems: digests of the DIMACS and LRAT
+   renderings of each refutation and of its core ids, and the birth-LBD
+   histogram of the learnt clauses the refutation uses.  The pins were
+   recorded while proofs were still copied out of the log into an array
+   of steps; reading the log in place must reproduce them. *)
+let export_fingerprint s =
+  match Solver.solve s with
+  | Solver.Unsat ->
+    let p = Solver.proof s in
+    let md5 x = Digest.to_hex (Digest.string x) in
+    let ints a = String.concat "," (List.map string_of_int a) in
+    Printf.sprintf "dimacs=%s lrat=%s core=%s lbd=%s"
+      (md5 (Proof.to_dimacs p))
+      (md5 (Proof.to_lrat p))
+      (md5 (ints (Proof.core p)))
+      (ints (Array.to_list (Solver.core_birth_lbd s)))
+  | Solver.Sat -> "sat"
+  | Solver.Undef -> "undef"
+
+let export_pins =
+  [
+    ( "php 6->5 export",
+      (fun () -> cnf_solver (pigeonhole 5)),
+      "dimacs=125e04e3cd136d64edb40ca046de4a1b lrat=9b1ea6469c2414f619b03f0fb0496493 \
+       core=d5b45b47d382972c2f4bcf54238607ed lbd=0,4,11,28,28,31,17,9,2,1,0,0,0,0,0,0" );
+    ( "random 3-sat seed 7 export",
+      (fun () -> cnf_solver (random_3sat ~seed:7 ~nvars:150 ~nclauses:639)),
+      "dimacs=b85baac1c48dbde0351ca474ac3b1c7e lrat=576b997faace526c2771fb7e2ab6bb3c \
+       core=ddc4059979d6bc55040b22f1fca66cfd lbd=0,7,75,233,421,493,532,454,303,190,119,52,16,4,0,0" );
+    ( "random 3-sat seed 11 export",
+      (fun () -> cnf_solver (random_3sat ~seed:11 ~nvars:150 ~nclauses:600)),
+      "sat" );
+    ( "bmc vending11 bound k=10 export",
+      (fun () -> Isr_model.Unroll.solver (bmc_instance "vending11" Isr_core.Bmc.Bound 10)),
+      "dimacs=ffdbdafff3571e02a5551bf621b0e124 lrat=53c7342a1d178ec01fa9469d80db5e52 \
+       core=4b8ea869c438ad2445370f7cd67463ba lbd=0,4,11,9,2,2,0,1,0,0,0,0,0,0,0,0" );
+    ( "bmc rether33 exact k=30 export",
+      (fun () -> Isr_model.Unroll.solver (bmc_instance "rether33" Isr_core.Bmc.Exact 30)),
+      "dimacs=f71f361e7ac570ade8b01e9ba5d27005 lrat=f21fa07ee1078a22107b259c348b7f9e \
+       core=0b6cc321e18a5707630494e956d2ef31 lbd=0,9,52,83,52,31,18,10,9,6,6,11,9,5,4,6" );
+    ( "bmc industrialA1 exact k=6 export",
+      (fun () ->
+        Isr_model.Unroll.solver (bmc_instance "industrialA1" Isr_core.Bmc.Exact 6)),
+      "dimacs=64219c5445557ae2dbe2cd4473989ca8 lrat=ab994848017f0dfee9ca35c81944593f \
+       core=744a6e929c6e1ab9c7982ce8307486f9 lbd=0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0" );
+  ]
+
 let search_identity_cases =
   List.map
     (fun (name, run, expected) ->
       Alcotest.test_case name `Quick (fun () ->
           Alcotest.(check string) "search fingerprint" expected (run ())))
     search_pins
+  @ List.map
+      (fun (name, solver, expected) ->
+        Alcotest.test_case name `Quick (fun () ->
+            Alcotest.(check string) "export fingerprint" expected
+              (export_fingerprint (solver ()))))
+      export_pins
 
 (* --- property tests --------------------------------------------------- *)
 
@@ -548,28 +607,6 @@ let print_cnf (nvars, clauses) =
        (List.map
           (fun c -> String.concat "," (List.map (fun l -> string_of_int (Lit.to_dimacs l)) c))
           clauses))
-
-(* Binary implication chains under longer clauses.  [gen_cnf]'s formulas
-   are almost always decided by propagation alone; here each variable is
-   usually implied by one earlier literal, so a search takes several
-   decisions, propagates along the chains, and learns clauses over
-   several levels whose chained literals minimisation removes. *)
-let gen_cnf_chains =
-  let open QCheck2.Gen in
-  let* nvars = int_range 8 16 in
-  let gen_lit = map2 (fun v neg -> Lit.of_var ~neg v) (int_range 0 (nvars - 1)) bool in
-  let link v =
-    let* linked = float_range 0.0 1.0 in
-    let* parent = int_range 0 (v - 1) in
-    let* pneg = bool and* vneg = bool in
-    pure
-      (if linked < 0.8 then [ [ Lit.of_var ~neg:pneg parent; Lit.of_var ~neg:vneg v ] ]
-       else [])
-  in
-  let* chains = flatten_l (List.init (nvars - 1) (fun i -> link (i + 1))) in
-  let* nlong = int_range (5 * nvars / 2) (5 * nvars) in
-  let* long = list_size (pure nlong) (int_range 3 4 >>= fun n -> list_size (pure n) gen_lit) in
-  pure (nvars, List.concat chains @ long)
 
 let prop_matches_bruteforce ?(count = 500) gen =
   QCheck2.Test.make ~count ~name:"solver agrees with brute force" ~print:print_cnf gen
@@ -827,9 +864,9 @@ let () =
   (* Alcotest sizes its name column by the longest group name, so group
      names stay at most as long as "properties" to keep test names whole. *)
   let chains = List.map QCheck_alcotest.to_alcotest
-      [ prop_matches_bruteforce gen_cnf_chains; prop_unsat_proof_checks gen_cnf_chains;
-        prop_reduce_preserves_verdicts gen_cnf_chains;
-        prop_incremental_equals_batch ~count:100 gen_cnf_chains ]
+      [ prop_matches_bruteforce Tutil.gen_cnf_chains; prop_unsat_proof_checks Tutil.gen_cnf_chains;
+        prop_reduce_preserves_verdicts Tutil.gen_cnf_chains;
+        prop_incremental_equals_batch ~count:100 Tutil.gen_cnf_chains ]
   in
   Alcotest.run "isr_sat"
     [
