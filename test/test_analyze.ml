@@ -309,9 +309,358 @@ let test_metrics_recorded () =
   Alcotest.(check bool) "analyze.* gauges present" true
     (List.mem "analyze.ands_before" names && List.mem "analyze.ands_after" names)
 
+(* --- identity pins -------------------------------------------------------- *)
+
+(* Simulation speed-ups must leave every analysis result untouched.  For
+   each Figure 6 instance these cases pin, at the default check level:
+   the [Full] pipeline's pass table, its verdict (with a digest of the
+   invariant's cone or of the trace), a digest of the reduced model's
+   next/bad cones, the ternary fixpoint of the original model, and what
+   [Rand_sim.falsify] returns on the reduced model, which is what the
+   portfolio's random-simulation lane runs.  The values were recorded with the
+   hash-table evaluators that preceded the compiled cone programs. *)
+
+let short_md5 s = String.sub (Digest.to_hex (Digest.string s)) 0 12
+
+let cones_digest man roots =
+  let buf = Buffer.create 4096 in
+  List.iter (fun r -> Printf.bprintf buf "%d " r) roots;
+  Aig.iter_cones man roots ~f:(fun node ->
+      let l = node lsl 1 in
+      if Aig.is_and man l then
+        let f0, f1 = Aig.fanins man l in
+        Printf.bprintf buf "%d=%d&%d " node f0 f1
+      else if Aig.is_input man l then Printf.bprintf buf "%d=i%d " node (Aig.input_index man l)
+      else Printf.bprintf buf "%d=0 " node);
+  short_md5 (Buffer.contents buf)
+
+let trace_digest (tr : Trace.t) =
+  short_md5
+    (String.concat "|"
+       (Array.to_list
+          (Array.map
+             (fun frame ->
+               String.init (Array.length frame) (fun i -> if frame.(i) then '1' else '0'))
+             tr.Trace.inputs)))
+
+let identity_fingerprint (e : Isr_suite.Registry.entry) =
+  with_level Level.Off @@ fun () ->
+  let m = Isr_suite.Registry.build_validated e in
+  let r = A.run ~mode:A.Full m in
+  let passes =
+    String.concat " "
+      (List.map
+         (fun (p : A.pass_stats) ->
+           Printf.sprintf "%s:%d>%d/%d>%d/%d" p.A.pass p.A.ands_before p.A.ands_after
+             p.A.latches_before p.A.latches_after p.A.claims)
+         r.A.passes)
+  in
+  let verdict =
+    match r.A.verdict with
+    | None -> "none"
+    | Some (A.Safe { invariant }) -> "safe:" ^ cones_digest m.Model.man [ invariant ]
+    | Some (A.Unsafe { trace }) ->
+      Printf.sprintf "unsafe%d:%s" (Trace.depth trace) (trace_digest trace)
+  in
+  let rm = r.A.model in
+  let model =
+    Printf.sprintf "%d/%d/%s/%s" rm.Model.num_inputs rm.Model.num_latches
+      (String.init rm.Model.num_latches (fun i -> if rm.Model.init.(i) then '1' else '0')
+      |> short_md5)
+      (cones_digest rm.Model.man (rm.Model.bad :: Array.to_list rm.Model.next))
+  in
+  let lfp =
+    short_md5 (String.concat "" (Array.to_list (Array.map Ternary.to_string (Ternary.lfp m))))
+  in
+  let rand =
+    match Rand_sim.falsify rm with
+    | None -> "none"
+    | Some tr -> Printf.sprintf "d%d:%s" (Trace.depth tr) (trace_digest tr)
+  in
+  Printf.sprintf "[%s] %s model=%s lfp=%s rand=%s" passes verdict model lfp rand
+
+let identity_pins =
+  [
+    ("amba2g3",
+     "[] none model=2/3/c6f057b86584/032d961a6dfe lfp=f561aaf6ef0b rand=none");
+    ("amba3g4",
+     "[] none model=3/5/dcddb75469b4/cbf3ee669897 lfp=fb0e22c79ac7 rand=none");
+    ("amba4bug",
+     "[fraig:64>57/6>6/6] none model=4/6/670b14728ad9/50b07cd82a98 lfp=dad3a37aa9d5 rand=d2:0e9a198093f6");
+    ("eijkring8",
+     "[] none model=1/8/d1ca3aaf52b4/7951d6fd7153 lfp=0b0cfc07fca8 rand=none");
+    ("eijkring12",
+     "[] none model=1/12/df26925296c7/dfefb934a052 lfp=f94c84fac5cb rand=none");
+    ("eijkring10u7",
+     "[] none model=1/10/a4bcaee7d57e/478633f48df4 lfp=336311a01618 rand=d8:d7593d0a65e0");
+    ("lfsr8d40",
+     "[] none model=0/8/d1ca3aaf52b4/cb8c8f580f77 lfp=0b0cfc07fca8 rand=d40:d62381f46f0f");
+    ("lfsr9safe",
+     "[] none model=0/9/4999644a5eb7/e35e8cfdf993 lfp=aba369f7d2b2 rand=none");
+    ("vending11",
+     "[fraig:35>34/4>4/1] none model=2/4/4a7d1ed41447/261338c8bfa4 lfp=ea416ed0759d rand=none");
+    ("vending7bug",
+     "[] none model=2/4/4a7d1ed41447/e34dc98b6b00 lfp=ea416ed0759d rand=d8:bef1d3593cea");
+    ("traffic6",
+     "[coi:23>23/7>7/0] none model=0/7/7086e2b607ee/1d1f5a1cf15f lfp=04adb4e2f055 rand=none");
+    ("traffic5bug",
+     "[fraig:25>24/7>7/1] none model=1/7/7086e2b607ee/c2e9898c0132 lfp=04adb4e2f055 rand=d1:3baf8cec88b3");
+    ("peterson",
+     "[fraig:50>42/7>7/8] none model=1/7/29c3eea3f305/3a478a5fe6d9 lfp=04adb4e2f055 rand=none");
+    ("prodcons8",
+     "[fraig:54>46/4>4/6] none model=2/4/4a7d1ed41447/332564bf0106 lfp=ea416ed0759d rand=none");
+    ("prodcons6bug",
+     "[fraig:36>31/3>3/3] none model=2/3/c6f057b86584/959f294efac6 lfp=f561aaf6ef0b rand=d9:f344e08443a2");
+    ("coherence3",
+     "[fraig:74>64/6>6/4] none model=6/6/670b14728ad9/29201f731be7 lfp=dad3a37aa9d5 rand=none");
+    ("coherence4",
+     "[fraig:107>94/8>8/5] none model=8/8/dd4b21e9ef71/29bb3db9cc9f lfp=0b0cfc07fca8 rand=none");
+    ("coherence3bug",
+     "[fraig:65>55/6>6/4] none model=6/6/670b14728ad9/26d55ad55acd lfp=dad3a37aa9d5 rand=d2:101a3de7fc6f");
+    ("reactor2x3",
+     "[coi:38>21/9>6/0] none model=0/6/670b14728ad9/4867d1d91092 lfp=aba369f7d2b2 rand=none");
+    ("reactor3x2",
+     "[coi:31>10/8>4/0] none model=0/4/4a7d1ed41447/a6773f4a5b10 lfp=0b0cfc07fca8 rand=none");
+    ("guidance4",
+     "[fraig:43>33/8>8/10] none model=2/8/dd4b21e9ef71/cfed10b3dc49 lfp=0b0cfc07fca8 rand=none");
+    ("tcas12",
+     "[fraig:53>47/4>4/5] none model=2/4/ae2bac2e4b4d/b1bcda8812f9 lfp=ea416ed0759d rand=d20:acb8d4bb4a79");
+    ("tcas25",
+     "[fraig:70>61/5>5/7] none model=2/5/a2369958a964/433f45dcc213 lfp=fb0e22c79ac7 rand=d45:f21d96b4cbd4");
+    ("feistel8x8",
+     "[coi:152>24/20>4/0 fraig:24>21/4>4/1] none model=0/4/4a7d1ed41447/0b373889619f lfp=baf1da0e2b90 rand=none");
+    ("rether16",
+     "[fraig:39>30/6>6/6] none model=1/6/cd714cc33cfd/01feb7c4352e lfp=dad3a37aa9d5 rand=d16:e84d23a3628a");
+    ("rether33",
+     "[fraig:48>36/7>7/8] none model=1/7/3e267ff3c8b6/c444a56b193a lfp=04adb4e2f055 rand=d33:36ffe75b0689");
+    ("counter6t40",
+     "[] none model=0/6/670b14728ad9/4d238f7630b0 lfp=dad3a37aa9d5 rand=d40:d62381f46f0f");
+    ("countermod6m50",
+     "[fraig:33>31/6>6/2] none model=0/6/670b14728ad9/1bcd7011a279 lfp=dad3a37aa9d5 rand=none");
+    ("gcount5t20",
+     "[] none model=1/5/dcddb75469b4/b8ab119965b2 lfp=fb0e22c79ac7 rand=d30:f3ffb5197525");
+    ("fifo3",
+     "[fraig:124>116/10>10/5] none model=2/10/f1b708bba17f/77c2207a97b1 lfp=336311a01618 rand=none");
+    ("fifo2bug",
+     "[fraig:75>70/7>7/3] none model=2/7/29c3eea3f305/8df66ece14cd lfp=04adb4e2f055 rand=d11:aded4844b186");
+    ("elevator6",
+     "[fraig:42>38/5>5/3] none model=2/5/dcddb75469b4/f2757150d8ec lfp=fb0e22c79ac7 rand=none");
+    ("hamming8",
+     "[] none model=9/9/4c93008615c2/2874bfa4ab5a lfp=aba369f7d2b2 rand=none");
+    ("hamming6bug",
+     "[fraig:55>54/7>7/1] none model=7/7/29c3eea3f305/495b8ea5fe4e lfp=04adb4e2f055 rand=d2:73314fa042c2");
+    ("dekker",
+     "[fraig:70>62/5>5/8] none model=1/5/dcddb75469b4/30b6b4a804ee lfp=fb0e22c79ac7 rand=none");
+    ("johnson6",
+     "[fraig:35>23/6>6/11] none model=0/6/670b14728ad9/eb6b1ab872bc lfp=dad3a37aa9d5 rand=none");
+    ("johnson5u8",
+     "[] none model=0/5/dcddb75469b4/3e1edf831b71 lfp=fb0e22c79ac7 rand=d8:ab057f6585ea");
+    ("stack4",
+     "[fraig:72>62/5>5/7] none model=2/5/dcddb75469b4/e51426a65ac0 lfp=fb0e22c79ac7 rand=none");
+    ("stack3bug",
+     "[fraig:53>46/4>4/5] none model=2/4/4a7d1ed41447/aec67c9a5e5c lfp=ea416ed0759d rand=d20:43c866e94ccc");
+    ("industrialA1",
+     "[coi:985>25/125>5/0 fraig:25>23/5>5/2] none model=0/5/dcddb75469b4/8d26d6fff93e lfp=09caa6eb477f rand=none");
+    ("industrialA2",
+     "[coi:2007>167/242>12/0] none model=1/12/df26925296c7/dfefb934a052 lfp=43f12bcec39e rand=none");
+    ("industrialA3",
+     "[coi:1875>35/234>4/0 fraig:35>33/4>4/2] none model=2/4/4a7d1ed41447/327c4e2aeb39 lfp=90a9feac84e4 rand=none");
+    ("industrialA4",
+     "[coi:1876>21/239>6/0] none model=0/6/670b14728ad9/4867d1d91092 lfp=9a3c0fc38259 rand=none");
+    ("industrialB1",
+     "[coi:5654>55/704>4/0 fraig:55>47/4>4/5] none model=2/4/4a7d1ed41447/9792c3e0a745 lfp=367e687092c2 rand=none");
+    ("industrialB2",
+     "[coi:5941>21/744>4/0 fraig:21>18/4>4/2] none model=1/4/1e48c4420b70/50534c9c54c7 lfp=333277817832 rand=d5:7f4f79a0a29c");
+    ("industrialB3",
+     "[coi:6127>50/769>9/0 fraig:50>38/9>9/12] none model=2/9/4c93008615c2/1d2530628df9 lfp=c49f128aa402 rand=none");
+    ("industrialC1",
+     "[coi:6034>36/753>3/0 fraig:36>33/3>3/3] none model=2/3/dc5c7986daef/89508fb97f36 lfp=ca6c8546719b rand=d4:33c6bb75e669");
+    ("industrialC2",
+     "[coi:4714>74/586>6/0 fraig:74>64/6>6/4] none model=6/6/670b14728ad9/29201f731be7 lfp=07a76cccbc2d rand=none");
+    ("industrialD1",
+     "[coi:765>50/97>7/0 fraig:50>42/7>7/8] none model=1/7/29c3eea3f305/3a478a5fe6d9 lfp=3c4a9e48254f rand=none");
+    ("industrialE1",
+     "[coi:4754>18/595>3/0 fraig:18>15/3>3/3] none model=0/3/c6f057b86584/38d743066268 lfp=5d9956f4bc43 rand=none");
+    ("industrialF1",
+     "[coi:12854>55/1604>4/0 fraig:55>48/4>4/5] none model=2/4/4a7d1ed41447/9392bcbdbd12 lfp=d19687f30520 rand=none");
+    ("industrialF2",
+     "[coi:17632>34/2204>4/0 fraig:34>33/4>4/1] none model=2/4/4a7d1ed41447/70c6f8c0f604 lfp=c1d520d99442 rand=none");
+    ("industrialF3",
+     "[coi:15232>33/1906>6/0 fraig:33>31/6>6/2] none model=0/6/670b14728ad9/617c84ac492e lfp=34677a757f49 rand=none");
+    ("counter7t10",
+     "[] none model=0/7/29c3eea3f305/6211a078e002 lfp=04adb4e2f055 rand=d10:58f422b04397");
+    ("counter7t20",
+     "[] none model=0/7/29c3eea3f305/1f56ed4888cb lfp=04adb4e2f055 rand=d20:6742c1eabe7e");
+    ("counter7t30",
+     "[] none model=0/7/29c3eea3f305/c0be74f554d2 lfp=04adb4e2f055 rand=d30:947c0dd7aa45");
+    ("counter7t50",
+     "[] none model=0/7/29c3eea3f305/7df303dfb32e lfp=04adb4e2f055 rand=d50:a42ad072087e");
+    ("counter7t70",
+     "[] none model=0/7/29c3eea3f305/77d5c7890064 lfp=04adb4e2f055 rand=none");
+    ("counter7t90",
+     "[] none model=0/7/29c3eea3f305/7110b0d28b36 lfp=04adb4e2f055 rand=none");
+    ("countermod7m12",
+     "[fraig:40>36/7>7/4] none model=0/7/29c3eea3f305/eba94606c4d2 lfp=04adb4e2f055 rand=none");
+    ("countermod7m24",
+     "[fraig:39>35/7>7/4] none model=0/7/29c3eea3f305/8e4f284f41df lfp=04adb4e2f055 rand=none");
+    ("countermod7m48",
+     "[fraig:38>34/7>7/4] none model=0/7/29c3eea3f305/07a118cfc7fa lfp=04adb4e2f055 rand=none");
+    ("countermod7m96",
+     "[fraig:37>33/7>7/4] none model=0/7/29c3eea3f305/ad6dba4ee0d4 lfp=04adb4e2f055 rand=none");
+    ("ring4safe",
+     "[] none model=1/4/a9b7ba70783b/62d30065928e lfp=ea416ed0759d rand=none");
+    ("ring6safe",
+     "[] none model=1/6/14ee22eaba29/42f53b0fd5c2 lfp=dad3a37aa9d5 rand=none");
+    ("ring10safe",
+     "[] none model=1/10/a4bcaee7d57e/2407c48f4458 lfp=336311a01618 rand=none");
+    ("ring14safe",
+     "[] none model=1/14/7b00c4611cac/bc7fd449cfaf lfp=4e619f5b28df rand=none");
+    ("ring16safe",
+     "[] none model=1/16/aa7372eaa327/33a68c363c73 lfp=45ed9cc2f92b rand=none");
+    ("ring6u3",
+     "[] none model=1/6/14ee22eaba29/c6e8b04d539c lfp=dad3a37aa9d5 rand=d3:aceedeb370c9");
+    ("ring8u5",
+     "[] none model=1/8/d1ca3aaf52b4/21b6c6e88ab7 lfp=0b0cfc07fca8 rand=d6:552a2361e6c3");
+    ("ring12u9",
+     "[] none model=1/12/df26925296c7/171aa715ce2e lfp=f94c84fac5cb rand=d12:b755e9be1be9");
+    ("ring14u11",
+     "[] none model=1/14/7b00c4611cac/6d3e90ae29ec lfp=4e619f5b28df rand=d14:954ddcc7e839");
+    ("tcas6",
+     "[fraig:36>33/3>3/3] none model=2/3/84eb13cfed01/c54780c178c6 lfp=f561aaf6ef0b rand=d6:fb6fee53e485");
+    ("tcas9",
+     "[fraig:53>47/4>4/5] none model=2/4/b8c37e33defd/e2996d889f1f lfp=ea416ed0759d rand=d9:f344e08443a2");
+    ("tcas15",
+     "[fraig:52>46/4>4/5] none model=2/4/b59c67bf196a/04f392e1a6d0 lfp=ea416ed0759d rand=d25:58d3a40fe221");
+    ("tcas18",
+     "[fraig:70>61/5>5/7] none model=2/5/1e685a8cce29/2005db570573 lfp=fb0e22c79ac7 rand=d32:cf0054ab78f3");
+    ("tcas21",
+     "[fraig:70>61/5>5/7] none model=2/5/6dfc35c47756/04973666a025 lfp=fb0e22c79ac7 rand=d37:32da0611e2a9");
+    ("tcas30",
+     "[fraig:70>61/5>5/7] none model=2/5/8e88848cecf2/eadb45f617b9 lfp=fb0e22c79ac7 rand=d58:980af7b4f2d9");
+    ("rether8",
+     "[fraig:30>24/5>5/4] none model=1/5/0079cb8b7e61/dd641050168e lfp=fb0e22c79ac7 rand=d8:b7d6b9ed84a3");
+    ("rether12",
+     "[fraig:30>24/5>5/4] none model=1/5/3868562ccab9/dd641050168e lfp=fb0e22c79ac7 rand=d12:b5f5d9b82cb5");
+    ("rether20",
+     "[fraig:39>30/6>6/6] none model=1/6/6d6125c1ccb0/01feb7c4352e lfp=dad3a37aa9d5 rand=d20:fc2a0a3dda92");
+    ("rether24",
+     "[fraig:39>30/6>6/6] none model=1/6/bdcbb11c3e09/01feb7c4352e lfp=dad3a37aa9d5 rand=d24:ff933eb2677b");
+    ("rether40",
+     "[fraig:48>36/7>7/8] none model=1/7/d8fb548b5da8/c444a56b193a lfp=04adb4e2f055 rand=d40:0c6f5c2010c1");
+    ("vending5",
+     "[fraig:25>24/3>3/1] none model=2/3/c6f057b86584/b08cc31d1bde lfp=f561aaf6ef0b rand=none");
+    ("vending9",
+     "[fraig:36>34/4>4/2] none model=2/4/4a7d1ed41447/7ac39040f659 lfp=ea416ed0759d rand=none");
+    ("vending14",
+     "[fraig:34>33/4>4/1] none model=2/4/4a7d1ed41447/70c6f8c0f604 lfp=ea416ed0759d rand=none");
+    ("vending18",
+     "[fraig:45>42/5>5/3] none model=2/5/dcddb75469b4/59f1af1760bc lfp=fb0e22c79ac7 rand=none");
+    ("vending5bug",
+     "[] none model=2/3/c6f057b86584/8beec73dbc75 lfp=f561aaf6ef0b rand=d6:fd9119eaa263");
+    ("vending9bug",
+     "[fraig:32>31/4>4/1] none model=2/4/4a7d1ed41447/dea386bd1065 lfp=ea416ed0759d rand=d13:c1529286f9d9");
+    ("vending13bug",
+     "[] none model=2/4/4a7d1ed41447/9d8889371bbd lfp=ea416ed0759d rand=d18:728e7432ca0a");
+    ("prodcons4",
+     "[fraig:37>32/3>3/4] none model=2/3/c6f057b86584/168ca3a9ccb1 lfp=f561aaf6ef0b rand=none");
+    ("prodcons6",
+     "[fraig:38>33/3>3/3] none model=2/3/c6f057b86584/258a66d07b97 lfp=f561aaf6ef0b rand=none");
+    ("prodcons12",
+     "[fraig:55>48/4>4/5] none model=2/4/4a7d1ed41447/9392bcbdbd12 lfp=ea416ed0759d rand=none");
+    ("prodcons16",
+     "[fraig:71>60/5>5/8] none model=2/5/dcddb75469b4/e89d52775afd lfp=fb0e22c79ac7 rand=none");
+    ("prodcons4bug",
+     "[fraig:36>32/3>3/3] none model=2/3/c6f057b86584/5149bc78df51 lfp=f561aaf6ef0b rand=d5:ee59ddeaad27");
+    ("prodcons10bug",
+     "[fraig:52>44/4>4/5] none model=2/4/4a7d1ed41447/15ed32ba1128 lfp=ea416ed0759d rand=d22:f702dbdb49e0");
+    ("prodcons14bug",
+     "[fraig:52>44/4>4/5] none model=2/4/4a7d1ed41447/e7c8e8ab2e38 lfp=ea416ed0759d rand=d55:77a25d5888a7");
+    ("arbiter4",
+     "[fraig:60>53/6>6/6] none model=4/6/670b14728ad9/32934d23aa69 lfp=dad3a37aa9d5 rand=none");
+    ("arbiter5",
+     "[fraig:107>106/8>8/1] none model=5/8/dd4b21e9ef71/59d99f8d0f13 lfp=0b0cfc07fca8 rand=none");
+    ("arbiter6",
+     "[fraig:158>157/9>9/1] none model=6/9/4c93008615c2/215813e1dd27 lfp=aba369f7d2b2 rand=none");
+    ("coherence5x",
+     "[fraig:143>127/10>10/6] none model=10/10/f1b708bba17f/2301d33d5315 lfp=336311a01618 rand=none");
+    ("coherence6x",
+     "[fraig:182>163/12>12/7] none model=12/12/35b9ab5a36f3/dfb3bedf16cf lfp=f94c84fac5cb rand=none");
+    ("traffic4",
+     "[coi:22>22/7>7/0 fraig:22>19/7>7/2] none model=0/7/7086e2b607ee/493ca6958c7b lfp=04adb4e2f055 rand=none");
+    ("traffic9",
+     "[coi:30>30/8>8/0 fraig:30>28/8>8/2] none model=0/8/6f7b6fc969e9/f9f7e0383260 lfp=0b0cfc07fca8 rand=none");
+    ("traffic12",
+     "[coi:28>28/8>8/0 fraig:28>27/8>8/1] none model=0/8/6f7b6fc969e9/4f9d17dd9fc9 lfp=0b0cfc07fca8 rand=none");
+    ("feistel4x6",
+     "[coi:112>16/15>3/0 fraig:16>13/3>3/1] none model=0/3/c6f057b86584/f44c87e9e940 lfp=de59bd9061c9 rand=none");
+    ("feistel6x10",
+     "[coi:178>18/23>3/0 fraig:18>15/3>3/3] none model=0/3/c6f057b86584/38d743066268 lfp=ff4045bf8e01 rand=none");
+    ("feistel10x12",
+     "[coi:218>26/28>4/0 fraig:26>25/4>4/1] none model=0/4/4a7d1ed41447/91e8303932ce lfp=cd25b7f1c589 rand=none");
+    ("guidance3",
+     "[fraig:36>28/7>7/8] none model=2/7/29c3eea3f305/bd77253e8dcf lfp=04adb4e2f055 rand=none");
+    ("guidance5",
+     "[fraig:50>38/9>9/12] none model=2/9/4c93008615c2/1d2530628df9 lfp=aba369f7d2b2 rand=none");
+    ("guidance6",
+     "[fraig:57>43/10>10/14] none model=2/10/f1b708bba17f/2f815ed92ae0 lfp=336311a01618 rand=none");
+    ("lfsr8d15",
+     "[] none model=0/8/d1ca3aaf52b4/990b06dacd81 lfp=0b0cfc07fca8 rand=d15:a90f25bd3ae4");
+    ("lfsr8d25",
+     "[] none model=0/8/d1ca3aaf52b4/d97e7f33f00d lfp=0b0cfc07fca8 rand=d25:1760b0def5d9");
+    ("lfsr8d55",
+     "[] none model=0/8/d1ca3aaf52b4/38dbb578bbee lfp=0b0cfc07fca8 rand=d55:d49ab2ef74a0");
+    ("reactor2x2",
+     "[coi:20>10/6>4/0] none model=0/4/4a7d1ed41447/a6773f4a5b10 lfp=dad3a37aa9d5 rand=none");
+    ("reactor4x2",
+     "[coi:42>10/10>4/0] none model=0/4/4a7d1ed41447/a6773f4a5b10 lfp=336311a01618 rand=none");
+    ("reactor2x4",
+     "[coi:57>33/12>8/0] none model=0/8/dd4b21e9ef71/b24c64363e6a lfp=f94c84fac5cb rand=none");
+    ("fifo2safe",
+     "[fraig:77>72/7>7/3] none model=2/7/29c3eea3f305/d6b37b14d5ee lfp=04adb4e2f055 rand=none");
+    ("fifo4safe",
+     "[fraig:171>160/13>13/7] none model=2/13/4aad0d9ff118/f7b8ee7345b6 lfp=df7c0a3fa598 rand=none");
+    ("fifo3bug",
+     "[fraig:122>114/10>10/5] none model=2/10/f1b708bba17f/a64511f9bc73 lfp=336311a01618 rand=d61:453505491d7c");
+    ("elevator4",
+     "[fraig:27>24/4>4/1] none model=2/4/4a7d1ed41447/51051b40d770 lfp=ea416ed0759d rand=none");
+    ("elevator8",
+     "[fraig:42>37/5>5/3] none model=2/5/dcddb75469b4/787e605cff55 lfp=fb0e22c79ac7 rand=none");
+    ("hamming5",
+     "[] none model=6/6/670b14728ad9/d6d3e09864fa lfp=dad3a37aa9d5 rand=none");
+    ("hamming12",
+     "[] none model=13/13/4aad0d9ff118/5fd397b467de lfp=df7c0a3fa598 rand=none");
+    ("johnson4",
+     "[fraig:15>7/4>4/7] none model=0/4/4a7d1ed41447/c077ab35cc80 lfp=ea416ed0759d rand=none");
+    ("johnson8",
+     "[fraig:63>47/8>8/15] none model=0/8/dd4b21e9ef71/96ef40b49087 lfp=0b0cfc07fca8 rand=none");
+    ("johnson10",
+     "[fraig:99>79/10>10/19] none model=0/10/f1b708bba17f/2a6abcef3430 lfp=336311a01618 rand=none");
+    ("stack3",
+     "[fraig:55>48/4>4/5] none model=2/4/4a7d1ed41447/139db5b96ff2 lfp=ea416ed0759d rand=none");
+    ("stack5",
+     "[fraig:89>76/6>6/9] none model=2/6/670b14728ad9/5e863494c945 lfp=dad3a37aa9d5 rand=none");
+    ("industrialP150",
+     "[coi:1225>26/155>5/0 fraig:26>24/5>5/2] none model=0/5/dcddb75469b4/640a2c000f61 lfp=734d17f15740 rand=none");
+    ("industrialP300",
+     "[coi:2426>26/305>5/0 fraig:26>24/5>5/2] none model=0/5/dcddb75469b4/640a2c000f61 lfp=c84b0c4ae777 rand=none");
+    ("industrialP450",
+     "[coi:3626>26/455>5/0 fraig:26>24/5>5/2] none model=0/5/dcddb75469b4/640a2c000f61 lfp=af646a3f8d2a rand=none");
+  ]
+
+let identity_cases =
+  List.map
+    (fun (e : Isr_suite.Registry.entry) ->
+      Alcotest.test_case e.Isr_suite.Registry.name `Quick (fun () ->
+          match List.assoc_opt e.Isr_suite.Registry.name identity_pins with
+          | None -> Alcotest.failf "no identity pin for %s" e.Isr_suite.Registry.name
+          | Some expected ->
+            Alcotest.(check string) "analysis fingerprint" expected (identity_fingerprint e)))
+    Isr_suite.Registry.fig6
+
 let () =
   Alcotest.run "isr_analyze"
     [
+      ("identity", identity_cases);
       ( "ternary",
         List.map QCheck_alcotest.to_alcotest
           [ ternary_concrete_agreement; ternary_monotone; lfp_sound ] );
