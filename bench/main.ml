@@ -354,9 +354,31 @@ let kernels () =
     Test.make ~name:"bdd forward reach (vending11)"
       (Staged.stage (fun () -> ignore (Isr_bdd.Reach.forward model)))
   in
+  (* Simulation kernels.  ring16safe is safe, so random simulation runs
+     all 16 rounds of 65 frames, and its FRAIG sweep fails hundreds of
+     miters; industrialF2's ternary fixpoint runs over 17k ANDs. *)
+  let fig6 name =
+    match Registry.find name with Some e -> Registry.build_validated e | None -> assert false
+  in
+  let ring = fig6 "ring16safe" and f2 = fig6 "industrialF2" in
+  let t_randsim =
+    Test.make ~name:"randsim falsify (safe fig6 model)"
+      (Staged.stage (fun () -> ignore (Rand_sim.falsify ring)))
+  in
+  let t_lfp =
+    Test.make ~name:"ternary lfp industrialF2"
+      (Staged.stage (fun () -> ignore (Isr_analyze.Ternary.lfp f2)))
+  in
+  let t_fraig =
+    Test.make ~name:"fraig sweep ring16safe"
+      (Staged.stage (fun () -> ignore (Isr_fraig.Fraig.sweep ring)))
+  in
   let tests =
     Test.make_grouped ~name:"kernels"
-      [ t_solve; t_unroll; t_unroll_padded; t_add_clause; t_itpseq; t_itpseq_padded; t_bdd ]
+      [
+        t_solve; t_unroll; t_unroll_padded; t_add_clause; t_itpseq; t_itpseq_padded; t_bdd;
+        t_randsim; t_lfp; t_fraig;
+      ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -37,6 +37,16 @@ let create () =
   m.n <- 1;
   m
 
+let copy m =
+  {
+    fanin0 = Array.copy m.fanin0;
+    fanin1 = Array.copy m.fanin1;
+    n = m.n;
+    ninputs = m.ninputs;
+    strash = Hashtbl.copy m.strash;
+    inputs = Array.copy m.inputs;
+  }
+
 let grow m =
   if m.n = Array.length m.fanin0 then begin
     let cap = 2 * m.n in
@@ -82,6 +92,9 @@ let fanins m l =
   if not (is_and m l) then invalid_arg "Aig.fanins: not an AND node";
   let node = node_of l in
   (m.fanin0.(node), m.fanin1.(node))
+
+let fanin0 m node = m.fanin0.(node)
+let fanin1 m node = m.fanin1.(node)
 
 let and_ m a b =
   (* One-level simplifications. *)

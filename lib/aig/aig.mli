@@ -25,6 +25,11 @@ val input : man -> int -> lit
 (** Positive literal of the [i]-th input.
     @raise Invalid_argument if the input does not exist. *)
 
+val copy : man -> man
+(** A private duplicate: the same nodes under the same indices, so every
+    literal of the original means the same in the copy.  Nodes added to
+    one afterwards do not appear in the other. *)
+
 val num_inputs : man -> int
 val num_nodes : man -> int
 (** Total node count, including the constant and the inputs. *)
@@ -46,6 +51,12 @@ val input_index : man -> lit -> int
 val fanins : man -> lit -> lit * lit
 (** Fanins of an AND literal (complement bit of the literal ignored).
     @raise Invalid_argument on non-AND literals. *)
+
+val fanin0 : man -> int -> lit
+val fanin1 : man -> int -> lit
+(** [fanin0 m node] and [fanin1 m node]: the fanins of AND node [node],
+    without a tuple; [fanin0 >= fanin1].  Unspecified on other nodes.
+    For walks over node indices such as {!Prog.compile}. *)
 
 (* Constructors *)
 

@@ -155,15 +155,12 @@ let const_pass c =
       ~env:(Ternary.env_of m ~state:fix ~inputs:xin)
       (m.Model.bad :: Array.to_list m.Model.next)
   in
-  let const_nodes = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun node tv ->
-      if Aig.is_and man (node lsl 1) then
-        match Ternary.to_bool tv with
-        | Some b -> Hashtbl.add const_nodes node b
-        | None -> ())
-    tvs;
-  if consts = [] && Hashtbl.length const_nodes = 0 then ()
+  let const_nodes = ref [] in
+  Ternary.iter_ands tvs ~f:(fun node tv ->
+      match Ternary.to_bool tv with
+      | Some b -> const_nodes := (node, b) :: !const_nodes
+      | None -> ());
+  if consts = [] && !const_nodes = [] then ()
   else begin
     let facts = List.map (fact_lit m) consts in
     let claims = ref 0 in
@@ -201,14 +198,10 @@ let const_pass c =
     (* At Paranoid additionally certify the X-insensitive AND nodes with
        one pooled query: facts ∧ (∨ node ≠ c) must be UNSAT. *)
     let fold_nodes_ok =
-      if not (Level.paranoid ()) || Hashtbl.length const_nodes = 0 then true
+      if not (Level.paranoid ()) || !const_nodes = [] then true
       else begin
         let breaches =
-          Hashtbl.fold
-            (fun node b acc ->
-              let l = node lsl 1 in
-              (if b then Aig.not_ l else l) :: acc)
-            const_nodes []
+          List.map (fun (node, b) -> if b then Aig.not_ (node lsl 1) else node lsl 1) !const_nodes
         in
         incr claims;
         match
@@ -226,7 +219,12 @@ let const_pass c =
            ~hint:"raise the certificate conflict budget"
            "stuck-at certificate undischarged within budget; pass skipped")
     else begin
-      let fold_nodes = if fold_nodes_ok then const_nodes else Hashtbl.create 0 in
+      (* Every copied node lies in the cones [tvs] evaluated. *)
+      let folded node =
+        if fold_nodes_ok && Aig.is_and man (node lsl 1) then
+          Ternary.to_bool (Ternary.lit_value tvs (node lsl 1))
+        else None
+      in
       if not fold_nodes_ok then
         add_diag c
           (Diag.warning ~check:"analyze.const_node"
@@ -269,7 +267,7 @@ let const_pass c =
           | Some v -> v
           | None ->
             let v =
-              match Hashtbl.find_opt fold_nodes node with
+              match folded node with
               | Some cb -> if cb then Aig.lit_true else Aig.lit_false
               | None ->
                 let l0 = node lsl 1 in
@@ -551,15 +549,13 @@ let try_unsafe c =
     | Ternary.F -> None
     | Ternary.X ->
       let state = Isr_model.Rand_sim.init64 m in
+      let frame64 = Isr_model.Rand_sim.frame64 m ~latch_mask:(fun _ -> false) in
       let rand = Random.State.make [| 0xd0a11 |] in
       let rec probe k =
         if k = 0 then None
         else begin
           let words = Array.init ni (fun _ -> Random.State.bits64 rand) in
-          let fr =
-            Isr_model.Rand_sim.frame64 m ~latch_mask:(fun _ -> false) ~state
-              ~input:(fun i -> words.(i))
-          in
+          let fr = frame64 ~state ~input:(fun i -> words.(i)) in
           if fr.Isr_model.Rand_sim.bad <> 0L then begin
             let rec lane b =
               if Int64.logand (Int64.shift_right_logical fr.Isr_model.Rand_sim.bad b) 1L = 1L

@@ -17,33 +17,24 @@ let refines a b = b = X || a = b
 let tnot = function F -> T | T -> F | X -> X
 let tand a b = match (a, b) with F, _ | _, F -> F | T, T -> T | _ -> X
 
-let node_values man ~env roots =
-  let memo : (int, tv) Hashtbl.t = Hashtbl.create 256 in
-  let rec node_value node =
-    match Hashtbl.find_opt memo node with
-    | Some v -> v
-    | None ->
-      let v =
-        let l = node lsl 1 in
-        if Aig.is_const man l then F
-        else if Aig.is_input man l then env (Aig.input_index man l)
-        else begin
-          let f0, f1 = Aig.fanins man l in
-          tand (lit_value f0) (lit_value f1)
-        end
-      in
-      Hashtbl.add memo node v;
-      v
-  and lit_value l =
-    let v = node_value (Aig.node_of l) in
-    if Aig.is_complemented l then tnot v else v
-  in
-  List.iter (fun r -> ignore (lit_value r)) roots;
-  memo
+(* The codes of {!Isr_aig.Prog}'s ternary domain. *)
+let code = function F -> Prog.t_false | T -> Prog.t_true | X -> Prog.t_x
+let of_code c = if c = Prog.t_false then F else if c = Prog.t_true then T else X
 
-let lit_value memo l =
-  let v = Hashtbl.find memo (Aig.node_of l) in
-  if Aig.is_complemented l then tnot v else v
+type values = { prog : Prog.t; trits : Bytes.t }
+
+let node_values man ~env roots =
+  let prog = Prog.compile man roots in
+  let trits = Prog.trits prog in
+  Prog.eval3 prog trits (fun i -> code (env i));
+  { prog; trits }
+
+let lit_value v l = of_code (Prog.lit_trit v.prog v.trits l)
+
+let iter_ands v ~f =
+  for s = 0 to Prog.size v.prog - 1 do
+    if Prog.is_and v.prog s then f (Prog.node v.prog s) (of_code (Prog.trit v.trits s))
+  done
 
 let env_of (model : Model.t) ~state ~inputs i =
   if i < model.Model.num_inputs then
@@ -51,35 +42,37 @@ let env_of (model : Model.t) ~state ~inputs i =
   else state.(i - model.Model.num_inputs)
 
 let eval_lit (model : Model.t) ~state ~inputs l =
-  let memo = node_values model.Model.man ~env:(env_of model ~state ~inputs) [ l ] in
-  lit_value memo l
+  lit_value (node_values model.Model.man ~env:(env_of model ~state ~inputs) [ l ]) l
 
 let step (model : Model.t) ~state ~inputs =
-  let memo =
+  let v =
     node_values model.Model.man
       ~env:(env_of model ~state ~inputs)
       (Array.to_list model.Model.next)
   in
-  Array.map (lit_value memo) model.Model.next
+  Array.map (lit_value v) model.Model.next
 
 let bad_now model ~state ~inputs = eval_lit model ~state ~inputs model.Model.bad
 
 let lfp (model : Model.t) =
-  let nl = model.Model.num_latches in
-  let xinputs = Array.make model.Model.num_inputs X in
-  let state = Array.init nl (fun i -> of_bool model.Model.init.(i)) in
-  (* Kleene iteration joining each step image into the state: values only
-     ever move const -> X, so the loop runs at most [nl] + 1 times. *)
+  let ni = model.Model.num_inputs and nl = model.Model.num_latches in
+  let next = model.Model.next in
+  let prog = Prog.compile model.Model.man (Array.to_list next) in
+  let trits = Prog.trits prog in
+  let state = Array.init nl (fun i -> code (of_bool model.Model.init.(i))) in
+  (* Kleene iteration joining each step image into the state (the join
+     of two codes is their [lor]): values only ever move const -> X, so
+     the loop runs at most [nl] + 1 times. *)
   let changed = ref true in
   while !changed do
     changed := false;
-    let ns = step model ~state ~inputs:xinputs in
+    Prog.eval3 prog trits (fun i -> if i < ni then Prog.t_x else state.(i - ni));
     for i = 0 to nl - 1 do
-      let v = join state.(i) ns.(i) in
+      let v = state.(i) lor Prog.lit_trit prog trits next.(i) in
       if v <> state.(i) then begin
         state.(i) <- v;
         changed := true
       end
     done
   done;
-  state
+  Array.map of_code state

@@ -30,14 +30,21 @@ val refines : tv -> tv -> bool
 val tnot : tv -> tv
 val tand : tv -> tv -> tv
 
-val node_values :
-  Aig.man -> env:(int -> tv) -> Aig.lit list -> (int, tv) Hashtbl.t
-(** Ternary value of every node in the union of the root cones under one
-    shared memo; [env] assigns a value to each AIG input. *)
+type values
+(** Ternary values of a union cone, evaluated by one compiled program
+    ({!Isr_aig.Prog}). *)
 
-val lit_value : (int, tv) Hashtbl.t -> Aig.lit -> tv
-(** Literal value out of a {!node_values} table (complement applied).
+val node_values : Aig.man -> env:(int -> tv) -> Aig.lit list -> values
+(** Ternary value of every node in the union of the root cones; [env]
+    assigns a value to each AIG input. *)
+
+val lit_value : values -> Aig.lit -> tv
+(** Literal value out of {!node_values} (complement applied).
     @raise Not_found if the literal's node was not under any root. *)
+
+val iter_ands : values -> f:(int -> tv -> unit) -> unit
+(** [iter_ands v ~f] calls [f node value] on every AND node of the cone,
+    in ascending node order. *)
 
 val env_of : Model.t -> state:tv array -> inputs:tv array -> int -> tv
 (** Standard model environment: primary inputs from [inputs] (missing
@@ -46,7 +53,7 @@ val env_of : Model.t -> state:tv array -> inputs:tv array -> int -> tv
 val eval_lit : Model.t -> state:tv array -> inputs:tv array -> Aig.lit -> tv
 
 val step : Model.t -> state:tv array -> inputs:tv array -> tv array
-(** All next-state functions under one shared memo. *)
+(** All next-state functions, evaluated by one program. *)
 
 val bad_now : Model.t -> state:tv array -> inputs:tv array -> tv
 
@@ -54,4 +61,5 @@ val lfp : Model.t -> tv array
 (** Least fixpoint of ternary reachability: starts at the concrete
     initial state and joins step images under all-[X] inputs until
     stable.  A latch still constant in the result is stuck at that value
-    in {e every} reachable state of the model. *)
+    in {e every} reachable state of the model.  The next-state program
+    is compiled once and re-evaluated per iteration. *)

@@ -3,8 +3,12 @@ open Isr_aig
 open Isr_model
 module Tseitin = Isr_cnf.Tseitin
 
-(* Miter-based equivalence of two literals over the same inputs. *)
-let equivalent ?(conflict_budget = 10_000) man a b =
+(* Miter-based equivalence of two literals over the same inputs.  A
+   difference comes with its witness: the value of every input the two
+   cones read. *)
+type miter = Equal | Differ of (int * bool) list | Undecided
+
+let miter ~conflict_budget man a b =
   let solver = Solver.create () in
   let input_vars = Hashtbl.create 16 in
   let input_lit i =
@@ -21,89 +25,127 @@ let equivalent ?(conflict_budget = 10_000) man a b =
   Solver.add_clause solver [ la; lb ];
   Solver.add_clause solver [ Lit.neg la; Lit.neg lb ];
   match Solver.solve ~conflict_budget solver with
-  | Solver.Unsat -> Some true
-  | Solver.Sat -> Some false
-  | Solver.Undef -> None
+  | Solver.Unsat -> Equal
+  | Solver.Sat ->
+    Differ (Hashtbl.fold (fun i l acc -> (i, Solver.lit_value solver l) :: acc) input_vars [])
+  | Solver.Undef -> Undecided
+
+let equivalent ?(conflict_budget = 10_000) man a b =
+  match miter ~conflict_budget man a b with
+  | Equal -> Some true
+  | Differ _ -> Some false
+  | Undecided -> None
 
 let sweep ?(rounds = 8) ?(conflict_budget = 10_000) (m : Model.t) =
   let man = m.Model.man in
-  let roots = m.Model.bad :: Array.to_list m.Model.next in
+  let prog = Prog.compile man (m.Model.bad :: Array.to_list m.Model.next) in
   let ninputs = Aig.num_inputs man in
   let rand = Random.State.make [| 0xf4a16 |] in
-  (* Accumulated signature per node, refined round by round and by SAT
-     counterexamples.  Using a growing list of (per-input) pattern words
-     hashed together keeps signatures stable across refreshes. *)
-  let patterns : int64 array list ref = ref [] in
-  for _ = 1 to rounds do
-    patterns := Array.init ninputs (fun _ -> Random.State.bits64 rand) :: !patterns
-  done;
-  let combined : (int, int64 list) Hashtbl.t = Hashtbl.create 256 in
-  let recompute () =
-    Hashtbl.reset combined;
-    List.iter
-      (fun pat ->
-        let sigs = Rand_sim.signatures man ~roots ~pattern:(fun i -> pat.(i)) in
-        Hashtbl.iter
-          (fun node v ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt combined node) in
-            Hashtbl.replace combined node (v :: prev))
-          sigs)
-      !patterns
+  (* Seed signatures: a node's words under [rounds] random 64-lane
+     patterns, as a string key. *)
+  let seeds =
+    Array.init rounds (fun _ ->
+        let pattern = Array.init ninputs (fun _ -> Random.State.bits64 rand) in
+        let buf = Prog.words prog in
+        Prog.eval64 prog buf (fun i -> pattern.(i));
+        buf)
   in
-  recompute ();
+  let key s ~compl =
+    let k = Bytes.create (8 * rounds) in
+    Array.iteri
+      (fun r buf ->
+        let w = Prog.word buf s in
+        Bytes.set_int64_ne k (8 * r) (if compl then Int64.lognot w else w))
+      seeds;
+    Bytes.unsafe_to_string k
+  in
+  (* Refinement: every SAT counterexample fills one lane of the newest
+     refinement word, whose other lanes stay random.  Each lane is a
+     real input assignment, so two nodes that differ on any lane of any
+     word cannot be equivalent. *)
+  let refine = ref [] and pattern = ref [||] and lanes = ref 64 and stale = ref false in
+  let add_cex cex =
+    if !lanes = 64 then begin
+      pattern := Array.init ninputs (fun _ -> Random.State.bits64 rand);
+      refine := Prog.words prog :: !refine;
+      lanes := 0
+    end;
+    let bit = Int64.shift_left 1L !lanes in
+    List.iter
+      (fun (i, v) ->
+        let w = !pattern.(i) in
+        !pattern.(i) <- (if v then Int64.logor w bit else Int64.logand w (Int64.lognot bit)))
+      cex;
+    incr lanes;
+    stale := true
+  in
+  let agree s c ~compl =
+    (match !refine with
+    | buf :: _ when !stale ->
+      Prog.eval64 prog buf (fun i -> !pattern.(i));
+      stale := false
+    | _ -> ());
+    let flip = if compl then -1L else 0L in
+    List.for_all (fun buf -> Int64.logxor (Prog.word buf s) (Prog.word buf c) = flip) !refine
+  in
   (* Rebuild bottom-up in a fresh manager, merging nodes whose signature
      matches a previously placed representative and whose equivalence a
-     SAT miter confirms.  Signatures are matched up to complement. *)
+     SAT miter confirms.  Signatures are matched up to complement.  A
+     bucket's candidates are tried newest first; those that disagree
+     with the node on a refinement word are skipped, since their miter
+     could only fail, so the first equivalent candidate is the one an
+     unrefined sweep would merge with. *)
   let dst = Aig.create () in
   let new_inputs = Array.init ninputs (fun _ -> Aig.fresh_input dst) in
-  (* representative buckets: signature -> (old node, new lit) list *)
-  let buckets : (int64 list, (int * Aig.lit) list) Hashtbl.t = Hashtbl.create 256 in
-  let mapping : (int, Aig.lit) Hashtbl.t = Hashtbl.create 256 in
+  (* representative buckets: signature -> (old slot, new lit) list *)
+  let buckets : (string, (int * Aig.lit) list) Hashtbl.t = Hashtbl.create 256 in
+  let mapping = Array.make (Prog.size prog) (-1) in
   let merges = ref 0 in
-  let rec rebuild_node node =
-    match Hashtbl.find_opt mapping node with
-    | Some l -> l
-    | None ->
-      let l0 = node lsl 1 in
-      let nl =
-        if Aig.is_const man l0 then Aig.lit_false
-        else if Aig.is_input man l0 then new_inputs.(Aig.input_index man l0)
-        else begin
-          let f0, f1 = Aig.fanins man l0 in
-          let built = Aig.and_ dst (rebuild_lit f0) (rebuild_lit f1) in
-          match Hashtbl.find_opt combined node with
-          | None -> built
-          | Some signature ->
-            let norm = List.map Int64.lognot signature in
-            let try_bucket key ~compl =
-              match Hashtbl.find_opt buckets key with
-              | None -> None
-              | Some candidates ->
-                List.find_map
-                  (fun (old, repr_new) ->
-                    let target = if compl then Aig.not_ (old lsl 1) else old lsl 1 in
-                    match equivalent ~conflict_budget man l0 target with
-                    | Some true ->
-                      incr merges;
-                      Some (if compl then Aig.not_ repr_new else repr_new)
-                    | _ -> None)
-                  candidates
-            in
-            (match try_bucket signature ~compl:false with
-            | Some repr -> repr
-            | None -> (
-              match try_bucket norm ~compl:true with
-              | Some repr -> repr
-              | None ->
-                let prev = Option.value ~default:[] (Hashtbl.find_opt buckets signature) in
-                Hashtbl.replace buckets signature ((node, built) :: prev);
-                built))
-        end
-      in
-      Hashtbl.add mapping node nl;
-      nl
+  let try_bucket s l0 k ~compl =
+    match Hashtbl.find_opt buckets k with
+    | None -> None
+    | Some candidates ->
+      List.find_map
+        (fun (c, repr_new) ->
+          if not (agree s c ~compl) then None
+          else begin
+            let target = Prog.node prog c lsl 1 in
+            let target = if compl then Aig.not_ target else target in
+            match miter ~conflict_budget man l0 target with
+            | Equal ->
+              incr merges;
+              Some (if compl then Aig.not_ repr_new else repr_new)
+            | Differ cex ->
+              add_cex cex;
+              None
+            | Undecided -> None
+          end)
+        candidates
+  in
+  let rec rebuild_slot s =
+    if mapping.(s) < 0 then begin
+      let l0 = Prog.node prog s lsl 1 in
+      mapping.(s) <-
+        (if Aig.is_const man l0 then Aig.lit_false
+         else if Aig.is_input man l0 then new_inputs.(Aig.input_index man l0)
+         else begin
+           let f0, f1 = Aig.fanins man l0 in
+           let built = Aig.and_ dst (rebuild_lit f0) (rebuild_lit f1) in
+           let k = key s ~compl:false in
+           match try_bucket s l0 k ~compl:false with
+           | Some repr -> repr
+           | None -> (
+             match try_bucket s l0 (key s ~compl:true) ~compl:true with
+             | Some repr -> repr
+             | None ->
+               let prev = Option.value ~default:[] (Hashtbl.find_opt buckets k) in
+               Hashtbl.replace buckets k ((s, built) :: prev);
+               built)
+         end)
+    end;
+    mapping.(s)
   and rebuild_lit l =
-    let nl = rebuild_node (Aig.node_of l) in
+    let nl = rebuild_slot (Prog.slot prog l) in
     if Aig.is_complemented l then Aig.not_ nl else nl
   in
   let next = Array.map rebuild_lit m.Model.next in
@@ -158,11 +200,9 @@ let property_hash ?(rounds = 8) (m : Model.t) =
      constant-true property still hashes distinctly per latch count. *)
   h := fnv !h (Int64.of_int m.Model.num_latches);
   h := fnv !h (Int64.of_int (Array.fold_left (fun a b -> if b then a + 1 else a) 0 needed));
+  let frame64 = Rand_sim.frame64 m ~latch_mask:(fun l -> needed.(l)) in
   for round = 0 to rounds - 1 do
-    let fr =
-      Rand_sim.frame64 m ~latch_mask:(fun l -> needed.(l)) ~state
-        ~input:(fun i -> pattern_word ~round ~input:i)
-    in
+    let fr = frame64 ~state ~input:(fun i -> pattern_word ~round ~input:i) in
     h := fnv !h fr.Rand_sim.bad;
     for l = 0 to m.Model.num_latches - 1 do
       if needed.(l) then h := fnv !h fr.Rand_sim.next.(l)

@@ -19,9 +19,13 @@ val equivalent :
 val sweep : ?rounds:int -> ?conflict_budget:int -> Model.t -> Model.t * int
 (** Rebuilds the model with semantically equivalent internal nodes
     merged ([rounds] 64-pattern simulation rounds seed the classes,
-    default 8).  The result is sequentially identical: same inputs, same
-    latches (same order and initial values), equivalent next-state and
-    bad functions.  Also returns the number of SAT-confirmed merges. *)
+    default 8).  Each failed miter's counterexample becomes a pattern
+    lane, and later candidates that disagree with a node on it are
+    skipped without a miter; that changes no merge, since they cannot
+    be equivalent.  The result is sequentially identical: same inputs,
+    same latches (same order and initial values), equivalent next-state
+    and bad functions.  Also returns the number of SAT-confirmed
+    merges. *)
 
 val sweep_model : ?rounds:int -> ?conflict_budget:int -> Model.t -> Model.t
 (** [sweep] without the merge count. *)

@@ -1,59 +1,34 @@
 open Isr_aig
 
-(* The one 64-lane simulation kernel: node signatures of the union of the
-   root cones under a single shared memo.  Sweeping (Fraig), semantic
-   fingerprinting and the static analyzer all evaluate through here. *)
-let signatures man ~roots ~pattern =
-  let memo = Hashtbl.create 256 in
-  let rec node_sig node =
-    match Hashtbl.find_opt memo node with
-    | Some v -> v
-    | None ->
-      let v =
-        let l = node lsl 1 in
-        if Aig.is_const man l then 0L
-        else if Aig.is_input man l then pattern (Aig.input_index man l)
-        else begin
-          let f0, f1 = Aig.fanins man l in
-          Int64.logand (lit_sig f0) (lit_sig f1)
-        end
-      in
-      Hashtbl.add memo node v;
-      v
-  and lit_sig l =
-    let v = node_sig (Aig.node_of l) in
-    if Aig.is_complemented l then Int64.lognot v else v
-  in
-  List.iter (fun r -> ignore (lit_sig r)) roots;
-  memo
-
-let lit_word sigs l =
-  let v = Hashtbl.find sigs (Aig.node_of l) in
-  if Aig.is_complemented l then Int64.lognot v else v
-
 let init64 (model : Model.t) =
   Array.init model.Model.num_latches (fun i -> if model.Model.init.(i) then -1L else 0L)
 
 type frame64 = { bad : int64; next : int64 array }
 
-let frame64 ?latch_mask (model : Model.t) ~state ~input =
-  let ni = model.Model.num_inputs in
-  let keep = match latch_mask with None -> fun _ -> true | Some f -> f in
-  let nexts =
-    List.filteri (fun i _ -> keep i) (Array.to_list model.Model.next)
+(* One program over the bad cone and the kept next-state cones, compiled
+   when the model is applied and evaluated once per frame into the same
+   buffer. *)
+let frame64 ?latch_mask (model : Model.t) =
+  let nl = model.Model.num_latches and ni = model.Model.num_inputs in
+  let kept =
+    match latch_mask with None -> Array.make nl true | Some f -> Array.init nl f
   in
-  let pattern i = if i < ni then input i else state.(i - ni) in
-  let sigs = signatures model.Model.man ~roots:(model.Model.bad :: nexts) ~pattern in
-  {
-    bad = lit_word sigs model.Model.bad;
-    next =
-      Array.init model.Model.num_latches (fun i ->
-          if keep i then lit_word sigs model.Model.next.(i) else 0L);
-  }
+  let nexts = List.filteri (fun i _ -> kept.(i)) (Array.to_list model.Model.next) in
+  let prog = Prog.compile model.Model.man (model.Model.bad :: nexts) in
+  let buf = Prog.words prog in
+  fun ~state ~input ->
+    Prog.eval64 prog buf (fun i -> if i < ni then input i else state.(i - ni));
+    {
+      bad = Prog.lit_word prog buf model.Model.bad;
+      next =
+        Array.init nl (fun i ->
+            if kept.(i) then Prog.lit_word prog buf model.Model.next.(i) else 0L);
+    }
 
 let falsify ?(rounds = 16) ?(max_depth = 64) ?(seed = 0x5eed) model =
   let rand = Random.State.make [| seed |] in
   let ni = model.Model.num_inputs and nl = model.Model.num_latches in
+  let frame = frame64 model in
   let result = ref None in
   let round _ =
     if !result = None then begin
@@ -64,7 +39,7 @@ let falsify ?(rounds = 16) ?(max_depth = 64) ?(seed = 0x5eed) model =
         if depth <= max_depth && !result = None then begin
           let frame_inputs = Array.init ni (fun _ -> Random.State.bits64 rand) in
           inputs_log := frame_inputs :: !inputs_log;
-          let fr = frame64 model ~state ~input:(fun i -> frame_inputs.(i)) in
+          let fr = frame ~state ~input:(fun i -> frame_inputs.(i)) in
           if fr.bad <> 0L then begin
             (* Extract the lowest lane that hit the bad state. *)
             let rec lane b = if Int64.logand (Int64.shift_right_logical fr.bad b) 1L = 1L then b else lane (b + 1) in

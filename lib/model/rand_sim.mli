@@ -1,23 +1,12 @@
-(** Bit-parallel random simulation: the shared 64-lane kernel plus a
-    cheap falsification front-end.
+(** Bit-parallel random simulation: sequential frames over 64 packed
+    executions, plus a cheap falsification front-end.
 
     Runs 64 executions at a time, packing one execution per bit of an
-    [int64] word and evaluating the whole design once per frame through
-    one shared per-node signature table.  The same kernel drives
-    {!falsify}, Fraig's sweeping signatures, semantic fingerprinting and
-    the static analyzer's depth-0 witness search. *)
-
-open Isr_aig
-
-val signatures :
-  Aig.man -> roots:Aig.lit list -> pattern:(int -> int64) -> (int, int64) Hashtbl.t
-(** [signatures man ~roots ~pattern] evaluates every node in the union
-    of the root cones under the packed input assignment [pattern] with a
-    single shared memo, and returns the node → word table. *)
-
-val lit_word : (int, int64) Hashtbl.t -> Aig.lit -> int64
-(** Literal value out of a {!signatures} table (complement applied).
-    @raise Not_found if the literal's node was not under any root. *)
+    [int64] word, and evaluates each frame as one compiled cone program
+    ({!Isr_aig.Prog}) over the bad and next-state cones.  The same
+    frames drive {!falsify}, semantic fingerprinting and the static
+    analyzer's depth-0 witness search; Fraig's sweeping signatures run
+    {!Isr_aig.Prog} directly. *)
 
 val init64 : Model.t -> int64 array
 (** Latch words broadcast from the initial values. *)
@@ -29,12 +18,14 @@ val frame64 :
   frame64
 (** One sequential frame over 64 packed executions: evaluates the bad
     cone and every next-state function (restricted to [latch_mask] when
-    given; masked-out latches get [0L]) under one shared signature
-    table. *)
+    given; masked-out latches get [0L]).  Applied to the model alone,
+    [frame64 ?latch_mask model] compiles the program once (reading
+    [latch_mask] once per latch) and returns the per-frame function. *)
 
 val falsify :
   ?rounds:int -> ?max_depth:int -> ?seed:int -> Model.t -> Trace.t option
 (** [falsify model] runs [rounds] (default 16) batches of 64 random
-    executions, each up to [max_depth] (default 64) frames, and returns a
-    concrete trace for the first bad-state hit.  The returned trace
-    always replays ({!Sim.check_trace}). *)
+    executions.  Each execution checks the bad state at depths 0 to
+    [max_depth] (default 64), that is in [max_depth] + 1 frames, and the
+    first hit becomes a concrete trace.  The returned trace always
+    replays ({!Sim.check_trace}). *)

@@ -1,3 +1,4 @@
+open Isr_aig
 open Isr_core
 open Isr_model
 
@@ -45,7 +46,7 @@ let with_analysis ?analyze model k =
 let portfolio_race ~jobs ~limits ~members model =
   let t0 = Isr_obs.Clock.now () in
   let cancel = Atomic.make false in
-  let winner : (string * Verdict.t) option Atomic.t = Atomic.make None in
+  let winner : (Sched.lane * Verdict.t) option Atomic.t = Atomic.make None in
   (* Members are identified by their global index: lane ids in the event
      stream, and the claim flags below, both use it.  Each domain seeds
      its scheduler with the head of its round-robin group; the tails stay
@@ -61,15 +62,22 @@ let portfolio_race ~jobs ~limits ~members model =
      deadline.  A lane claimed after another retires gets only the time
      left, not a fresh budget. *)
   let deadline = t0 +. limits.Budget.time_limit in
+  (* Engines add nodes to their model's manager (interpolants, PDR
+     cubes), and a manager must not be mutated from two domains at once:
+     each lane runs on a private copy, node for node the same as
+     [model]'s manager. *)
+  let lane_models = Array.make (List.length indexed) model in
   let start (i, w, m) =
     let limits =
       { limits with Budget.time_limit = Float.max 0.0 (deadline -. Isr_obs.Clock.now ()) }
     in
+    let lane_model = { model with Model.man = Aig.copy model.Model.man } in
+    lane_models.(i) <- lane_model;
     {
       Sched.id = i;
       name = Portfolio.member_name m;
       weight = Portfolio.weight w;
-      inst = Step.start ~lane:i ~limits (Portfolio.stepper_of m) model;
+      inst = Step.start ~lane:i ~limits (Portfolio.stepper_of m) lane_model;
     }
   in
   let claim ((i, _, _) as x) =
@@ -113,7 +121,7 @@ let portfolio_race ~jobs ~limits ~members model =
     match Sched.run ~refill ~into:stats lanes with
     | exception Budget.Cancelled -> ([], stats)
     | Sched.Winner { lane; verdict } ->
-      if Atomic.compare_and_set winner None (Some (lane.Sched.name, verdict)) then begin
+      if Atomic.compare_and_set winner None (Some (lane, verdict)) then begin
         Atomic.set cancel true;
         if Isr_obs.Event.enabled () then begin
           Isr_obs.Event.emit
@@ -154,7 +162,7 @@ let portfolio_race ~jobs ~limits ~members model =
     ~end_args:(fun () ->
       [
         ("winner",
-         match Atomic.get winner with Some (name, _) -> name | None -> "none");
+         match Atomic.get winner with Some (lane, _) -> lane.Sched.name | None -> "none");
       ])
   @@ fun () ->
   Isr_obs.Resource.with_attached (Verdict.registry total) @@ fun () ->
@@ -165,6 +173,12 @@ let portfolio_race ~jobs ~limits ~members model =
   List.iter (fun (_, stats) -> Verdict.merge_into ~into:total stats) results;
   Verdict.set_time total (Isr_obs.Clock.now () -. t0);
   match Atomic.get winner with
+  | Some (lane, Verdict.Proved ({ invariant = Some inv; _ } as p)) ->
+    (* The invariant lives in the winning lane's copy; rebuild it in
+       [model]'s manager, now that no domain runs. *)
+    let man = model.Model.man in
+    let back = Aig.copier ~src:lane_models.(lane.Sched.id).Model.man ~dst:man ~map:(Aig.input man) in
+    (Verdict.Proved { p with invariant = Some (back inv) }, total)
   | Some (_, verdict) -> (verdict, total)
   | None ->
     let reasons = List.concat_map fst results in

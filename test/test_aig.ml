@@ -183,10 +183,46 @@ let prop_substitute_semantics =
       done;
       !ok)
 
+(* A compiled cone program computes, lane by lane, what [Aig.eval]
+   computes on every node of the union cone: random roots over one
+   manager (plus logic outside the cone), random 64-lane patterns. *)
+let prop_prog_eval64 =
+  QCheck2.Test.make ~count:300 ~name:"program eval64 = Aig.eval per lane"
+    ~print:(fun (roots, dead, _) ->
+      String.concat " ; " (List.map print_expr roots) ^ " / dead " ^ print_expr dead)
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 1 4) (gen_expr nv))
+        (gen_expr nv)
+        (list_size (pure nv) ui64))
+    (fun (roots, dead, words) ->
+      let m = Aig.create () in
+      let inputs = Array.init nv (fun _ -> Aig.fresh_input m) in
+      let lits = List.map (build m inputs) roots in
+      ignore (build m inputs dead);
+      let words = Array.of_list words in
+      let p = Prog.compile m lits in
+      let buf = Prog.words p in
+      Prog.eval64 p buf (fun i -> words.(i));
+      let lane_env b i = Int64.logand (Int64.shift_right_logical words.(i) b) 1L = 1L in
+      let agrees w l =
+        List.for_all
+          (fun b -> (Int64.logand (Int64.shift_right_logical w b) 1L = 1L) = Aig.eval m (lane_env b) l)
+          (List.init 64 Fun.id)
+      in
+      Prog.size p = List.length (Aig.fold_cones m lits ~init:[] ~f:(fun acc n -> n :: acc))
+      && List.for_all (fun l -> agrees (Prog.lit_word p buf l) l) lits
+      && List.for_all
+           (fun s -> agrees (Prog.word buf s) (Prog.node p s lsl 1))
+           (List.init (Prog.size p) Fun.id))
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_eval_matches; prop_eval64_matches; prop_support_sound; prop_substitute_semantics ]
+      [
+        prop_eval_matches; prop_eval64_matches; prop_support_sound; prop_substitute_semantics;
+        prop_prog_eval64;
+      ]
   in
   Alcotest.run "isr_aig"
     [

@@ -178,6 +178,105 @@ let lfp_sound =
         input_masks;
       !ok)
 
+(* The 64-lane frame computes what [Aig.eval] computes in each lane, with
+   and without a latch mask (masked latches read [0L]). *)
+let frame64_lanes =
+  QCheck2.Test.make ~count:300 ~name:"frame64 = Aig.eval lane by lane"
+    ~print:(fun _ -> "<circuit+words+mask>")
+    QCheck2.Gen.(
+      quad gen_circuit (list_size (pure (ni + nl)) ui64) (list_size (pure nl) bool) bool)
+    (fun (circuit, words, mask, masked) ->
+      let m = build circuit in
+      let words = Array.of_list words and mask = Array.of_list mask in
+      let state = Array.sub words ni nl in
+      let fr =
+        if masked then
+          Rand_sim.frame64 ~latch_mask:(fun i -> mask.(i)) m ~state ~input:(fun i -> words.(i))
+        else Rand_sim.frame64 m ~state ~input:(fun i -> words.(i))
+      in
+      let bit w b = Int64.logand (Int64.shift_right_logical w b) 1L = 1L in
+      List.for_all
+        (fun b ->
+          let eval l = Aig.eval m.Model.man (fun i -> bit words.(i) b) l in
+          bit fr.Rand_sim.bad b = eval m.Model.bad
+          && List.for_all
+               (fun i ->
+                 if masked && not mask.(i) then fr.Rand_sim.next.(i) = 0L
+                 else bit fr.Rand_sim.next.(i) b = eval m.Model.next.(i))
+               (List.init nl Fun.id))
+        (List.init 64 Fun.id))
+
+(* The reference ternary evaluator: a recursive walk with one memo per
+   evaluation, the algorithm the compiled programs replaced. *)
+let ref_node_values man ~env roots =
+  let memo = Hashtbl.create 64 in
+  let rec node_value node =
+    match Hashtbl.find_opt memo node with
+    | Some v -> v
+    | None ->
+      let l = node lsl 1 in
+      let v =
+        if Aig.is_const man l then Ternary.F
+        else if Aig.is_input man l then env (Aig.input_index man l)
+        else
+          let f0, f1 = Aig.fanins man l in
+          Ternary.tand (lit_value f0) (lit_value f1)
+      in
+      Hashtbl.add memo node v;
+      v
+  and lit_value l =
+    let v = node_value (Aig.node_of l) in
+    if Aig.is_complemented l then Ternary.tnot v else v
+  in
+  List.iter (fun r -> ignore (lit_value r)) roots;
+  lit_value
+
+let ref_lfp (m : Model.t) =
+  let xin = Array.make m.Model.num_inputs Ternary.X in
+  let state = Array.map Ternary.of_bool m.Model.init in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let value =
+      ref_node_values m.Model.man ~env:(Ternary.env_of m ~state ~inputs:xin)
+        (Array.to_list m.Model.next)
+    in
+    let ns = Array.map value m.Model.next in
+    Array.iteri
+      (fun i v ->
+        let v = Ternary.join state.(i) v in
+        if v <> state.(i) then begin
+          state.(i) <- v;
+          changed := true
+        end)
+      ns
+  done;
+  state
+
+let gen_tv = QCheck2.Gen.oneofl [ Ternary.F; Ternary.T; Ternary.X ]
+
+(* Every node of the cone, both polarities, under a random ternary
+   environment; and the reachability fixpoint. *)
+let ternary_reference =
+  QCheck2.Test.make ~count:300 ~name:"ternary = reference evaluator"
+    ~print:(fun _ -> "<circuit+env>")
+    QCheck2.Gen.(triple gen_circuit (list_size (pure nl) gen_tv) (list_size (pure ni) gen_tv))
+    (fun (circuit, state, inputs) ->
+      let m = build circuit in
+      let state = Array.of_list state and inputs = Array.of_list inputs in
+      let env = Ternary.env_of m ~state ~inputs in
+      let roots = m.Model.bad :: Array.to_list m.Model.next in
+      let v = Ternary.node_values m.Model.man ~env roots in
+      let expected = ref_node_values m.Model.man ~env roots in
+      Aig.fold_cones m.Model.man roots ~init:true ~f:(fun ok node ->
+          let l = node lsl 1 in
+          ok
+          && Ternary.lit_value v l = expected l
+          && Ternary.lit_value v (Aig.not_ l) = expected (Aig.not_ l))
+      && Ternary.bad_now m ~state ~inputs = expected m.Model.bad
+      && Ternary.step m ~state ~inputs = Array.map expected m.Model.next
+      && Ternary.lfp m = ref_lfp m)
+
 (* --- pipeline ----------------------------------------------------------- *)
 
 (* Trivial verdicts agree with exhaustive reachability, under full
@@ -663,7 +762,10 @@ let () =
       ("identity", identity_cases);
       ( "ternary",
         List.map QCheck_alcotest.to_alcotest
-          [ ternary_concrete_agreement; ternary_monotone; lfp_sound ] );
+          [
+            ternary_concrete_agreement; ternary_monotone; lfp_sound; frame64_lanes;
+            ternary_reference;
+          ] );
       ( "pipeline",
         List.map QCheck_alcotest.to_alcotest [ verdict_sound; lift_replays ] );
       ( "units",

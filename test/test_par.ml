@@ -31,9 +31,14 @@ let test_race_agrees () =
       Alcotest.(check bool)
         (name ^ ": falsified agree")
         (Verdict.is_falsified seq) (Verdict.is_falsified par);
-      (* And both match the generator's ground truth. *)
+      (* And both match the generator's ground truth.  Lanes run on
+         private copies of the manager, so a raced invariant must have
+         been copied back into [model]'s manager to certify there. *)
       (match (e.Registry.expected, par) with
-      | Registry.Safe, Verdict.Proved _ -> ()
+      | Registry.Safe, Verdict.Proved _ ->
+        Alcotest.(check (result unit string))
+          (name ^ ": raced invariant certifies") (Ok ())
+          (Certify.check_verdict model par)
       | Registry.Unsafe d, Verdict.Falsified { depth; trace } ->
         Alcotest.(check int) (name ^ ": minimal depth") d depth;
         Alcotest.(check bool) (name ^ ": trace replays") true
@@ -277,15 +282,17 @@ let test_bmc_jobs_unlimited_bound () =
    self-edge.  With two lanes, the members partition round-robin into
    (randsim, kind, itp) and (bmc, pdr, itpseqcba): randsim answers
    [Time_limit] when it finds nothing, so only the second lane can be
-   exhausted — and with the bound cap at 0 on a safe design, it must
-   be. *)
+   exhausted — and with the bound cap at 0 on a safe design that no
+   member decides at that cap, it must be, however the two domains are
+   timed: no lane can win the race and cancel the other first. *)
 let test_exhausted_cause () =
-  let model = Registry.build_validated (entry "amba2g3") in
-  (* With the bound cap at 0 the (bmc, pdr, itpseqcba) lane burns through
-     its slate in milliseconds, every member bound-limited, long before
-     the other lane's random simulation finishes — so its self-edge must
-     say "exhausted", never "deadline". *)
+  let model = Registry.build_validated (entry "amba3g4") in
   let tight = { limits with Budget.bound_limit = 0 } in
+  (* The precondition, checked sequentially: every member runs and none
+     decides, so the race has no winner. *)
+  (match Portfolio.verify ~limits:tight model with
+  | Verdict.Unknown _, _ -> ()
+  | v, _ -> Alcotest.failf "a member decides amba3g4 at bound cap 0: %a" Verdict.pp v);
   let (_, _), evs =
     record_race (fun () -> Isr_par.portfolio ~jobs:2 ~limits:tight model)
   in
