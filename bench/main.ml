@@ -107,12 +107,12 @@ let progress_mode = function
   | `Plain -> Isr_obs.Progress.Plain
   | `Jsonl -> Isr_obs.Progress.Jsonl
 
-(* Observability plumbing shared by every command: installs the span sink
-   (Chrome channel, profile collector, or a tee of both) and the progress
-   reporter for the command's whole duration, and hands the body a
-   [record] callback streaming per-run JSON lines to the metrics file.
-   Every finalizer runs even when an earlier one raises, so a broken
-   trace file cannot leave the metrics channel unflushed. *)
+(* Observability plumbing shared by every command: subscribes the Chrome
+   writer, the profile collector and the progress reporter for the
+   command's whole duration, and hands the body a [record] callback
+   streaming per-run JSON lines to the metrics file.  Every finalizer
+   runs even when an earlier one raises, so a broken trace file cannot
+   leave the metrics channel unflushed. *)
 let open_out_or_die path =
   try open_out path
   with Sys_error msg ->
@@ -123,15 +123,19 @@ let with_obs ?(check = Isr_check.Off) ?(profile = false) ?(progress = None)
     ?(ledger = None) ?(config = "") ~trace ~metrics f =
   Isr_check.Level.set check;
   let prof = if profile then Some (Isr_obs.Profile.collector ()) else None in
-  let chrome = Option.map open_out_or_die trace in
-  let sink =
-    match (Option.map Isr_obs.Trace.chrome_channel chrome, prof) with
-    | None, None -> None
-    | Some s, None -> Some s
-    | None, Some (s, _) -> Some s
-    | Some a, Some (b, _) -> Some (Isr_obs.Trace.tee a b)
+  let chrome = Option.map (fun f -> Isr_obs.Chrome.writer (open_out_or_die f)) trace in
+  let reporter =
+    Option.map (fun m -> Isr_obs.Progress.to_stderr (progress_mode m)) progress
   in
-  Option.iter Isr_obs.Trace.set_sink sink;
+  let consumers =
+    List.filter_map Fun.id
+      [
+        Option.map fst chrome;
+        Option.map fst prof;
+        Option.map Isr_obs.Progress.consumer reporter;
+      ]
+  in
+  List.iter Isr_obs.Event.subscribe consumers;
   let record, finish_metrics =
     match metrics with
     | None -> ((fun _ -> ()), fun () -> ())
@@ -160,22 +164,14 @@ let with_obs ?(check = Isr_check.Off) ?(profile = false) ?(progress = None)
   let safe g = try g () with e -> prerr_endline ("isr-bench: " ^ Printexc.to_string e) in
   Fun.protect
     ~finally:(fun () ->
-      if sink <> None then begin
-        safe Isr_obs.Trace.flush;
-        safe Isr_obs.Trace.clear_sink
-      end;
-      (match chrome with Some oc -> safe (fun () -> close_out oc) | None -> ());
+      List.iter Isr_obs.Event.unsubscribe consumers;
+      Option.iter Isr_obs.Progress.finish reporter;
+      Option.iter (fun (_, close) -> safe close) chrome;
       safe finish_metrics)
     (fun () ->
-      let body () = f ~record in
-      let result =
-        match progress with
-        | None -> body ()
-        | Some m -> Isr_obs.Progress.with_stderr (progress_mode m) body
-      in
+      let result = f ~record in
       (match prof with
       | Some (_, snapshot) ->
-        Isr_obs.Trace.flush ();
         Format.fprintf out "@.%a@." (fun f n -> Isr_obs.Profile.pp f n) (snapshot ())
       | None -> ());
       result)

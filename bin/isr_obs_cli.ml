@@ -257,7 +257,7 @@ let diff_cmd =
 let pp_event (e : E.t) =
   let payload =
     match e.E.kind with
-    | E.Restart { conflicts; decisions; learnt } ->
+    | E.Restart { conflicts; decisions; learnt; _ } ->
       Printf.sprintf "restart       conflicts=%d decisions=%d learnt=%d" conflicts decisions
         learnt
     | E.Reduce { kept; dropped; lbd; dead_uses; _ } ->
@@ -267,7 +267,7 @@ let pp_event (e : E.t) =
         glue unused
     | E.Itp_cut { cut; support; nodes } ->
       Printf.sprintf "itp.cut %-5d support=%d nodes=%d" cut support nodes
-    | E.Phase { phase; step; detail } ->
+    | E.Phase { phase; step; detail; _ } ->
       Printf.sprintf "phase         %s%s%s" phase
         (if step >= 0 then Printf.sprintf " %d" step else "")
         (if detail <> "" then " " ^ detail else "")
@@ -562,8 +562,9 @@ let export_cmd =
     | exception Failure msg -> die "%s" msg
     | events ->
       let oc = try open_out out with Sys_error msg -> die "%s" msg in
-      output_string oc (E.to_chrome events);
-      close_out oc;
+      let writer, close = Isr_obs.Chrome.writer oc in
+      E.replay writer events;
+      close ();
       Printf.printf "wrote %s: %d events\n" out (List.length events);
       0
   in

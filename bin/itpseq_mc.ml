@@ -165,44 +165,11 @@ let progress_mode = function
   | `Plain -> Isr_obs.Progress.Plain
   | `Jsonl -> Isr_obs.Progress.Jsonl
 
-let with_progress opt f =
-  match opt with
-  | None -> f ()
-  | Some m -> Isr_obs.Progress.with_stderr (progress_mode m) f
-
-(* Tracing covers everything between sink installation and [flush];
-   [Fun.protect] keeps the JSON well formed even when the run raises.
-   The profiler rides the same event stream: its collector sink is teed
-   with the Chrome sink when both are requested. *)
 let open_out_or_die path =
   try open_out path
   with Sys_error msg ->
     prerr_endline ("itpseq_mc: " ^ msg);
     exit 2
-
-let with_trace ~trace ~profile f =
-  let prof = if profile then Some (Isr_obs.Profile.collector ()) else None in
-  let chrome = Option.map open_out_or_die trace in
-  let sink =
-    match (Option.map Isr_obs.Trace.chrome_channel chrome, prof) with
-    | None, None -> None
-    | Some s, None -> Some s
-    | None, Some (s, _) -> Some s
-    | Some a, Some (b, _) -> Some (Isr_obs.Trace.tee a b)
-  in
-  let result =
-    match sink with
-    | None -> f ()
-    | Some s ->
-      Isr_obs.Trace.set_sink s;
-      Fun.protect
-        ~finally:(fun () ->
-          Isr_obs.Trace.flush ();
-          Isr_obs.Trace.clear_sink ();
-          Option.iter close_out chrome)
-        f
-  in
-  (result, Option.map (fun (_, snapshot) -> snapshot ()) prof)
 
 let write_metrics metrics_file stats =
   match metrics_file with
@@ -448,29 +415,53 @@ let verify_term =
           end
           else model
         in
-        (* The event recorder covers the static analyzer and the engine
-           run; it is installed whenever either consumer (--events,
-           --ledger) wants the stream. *)
+        (* Every consumer of the run's observability channel is
+           subscribed here and covers the static analyzer and the engine
+           run: the event recorder (for --events and --ledger), the
+           Chrome writer (--trace), the profile collector (--profile,
+           --profile-json) and the heartbeat reporter (--progress). *)
         let recorder =
           if events <> None || ledger <> None then Some (Isr_obs.Event.recorder ())
           else None
         in
-        Option.iter Isr_obs.Event.set_recorder recorder;
-        (* A SIGTERM checkpoint exit (exit 143 inside Step.drive) must
-           not lose the stream recorded so far — the interrupted half is
+        let chrome = Option.map (fun f -> Isr_obs.Chrome.writer (open_out_or_die f)) trace in
+        let prof =
+          if profile || profile_json <> None then Some (Isr_obs.Profile.collector ()) else None
+        in
+        let reporter =
+          Option.map (fun m -> Isr_obs.Progress.to_stderr (progress_mode m)) progress
+        in
+        let consumers =
+          List.filter_map Fun.id
+            [
+              Option.map Isr_obs.Event.recording recorder;
+              Option.map fst chrome;
+              Option.map fst prof;
+              Option.map Isr_obs.Progress.consumer reporter;
+            ]
+        in
+        List.iter Isr_obs.Event.subscribe consumers;
+        let unsubscribe () =
+          List.iter Isr_obs.Event.unsubscribe consumers;
+          Option.iter Isr_obs.Progress.finish reporter
+        in
+        (* One exit path closes every consumer that writes a file.  A
+           SIGTERM checkpoint exit (exit 143 inside Step.drive) runs
+           [at_exit] handlers but no finaliser, and must not lose the
+           trace or the stream recorded so far — the interrupted half is
            exactly what isr_obs steps inspects before a resume.  The
-           normal post-run export disarms this. *)
+           normal post-run export writes the stream itself. *)
         let events_flushed = ref false in
-        (match (recorder, events) with
-        | Some r, Some f ->
-          at_exit (fun () ->
-              if not !events_flushed then
-                match open_out f with
-                | oc ->
-                  Isr_obs.Event.write_jsonl r oc;
-                  close_out oc
-                | exception Sys_error _ -> ())
-        | _ -> ());
+        at_exit (fun () ->
+            Option.iter (fun (_, close) -> try close () with Sys_error _ -> ()) chrome;
+            match (recorder, events) with
+            | Some r, Some f when not !events_flushed -> (
+              match open_out f with
+              | oc ->
+                Isr_obs.Event.write_jsonl r oc;
+                close_out oc
+              | exception Sys_error _ -> ())
+            | _ -> ());
         (* The flight recorder covers the same region (and the signal
            handlers stay live until process exit); its rings also flip
            [Event.enabled] on, so --flight works without --events. *)
@@ -516,7 +507,7 @@ let verify_term =
               Some (r, areg)
             with Isr_check.Level.Violation { check; detail } ->
               ignore (Isr_obs.Flight.dump ~reason:"violation" ());
-              if recorder <> None then Isr_obs.Event.clear_recorder ();
+              unsubscribe ();
               Format.eprintf "sanitizer violation [%s]: %s@." check detail;
               exit 5)
         in
@@ -589,13 +580,8 @@ let verify_term =
             (verdict, stats)
           | _ -> run_real_engine ()
         in
-        let (verdict, stats), profile_root =
-          try
-            Fun.protect
-              ~finally:(fun () -> if recorder <> None then Isr_obs.Event.clear_recorder ())
-              (fun () ->
-                with_trace ~trace ~profile:(profile || profile_json <> None) (fun () ->
-                    with_progress progress (fun () -> Isr_obs.Flight.guard run_engine)))
+        let verdict, stats =
+          try Fun.protect ~finally:unsubscribe (fun () -> Isr_obs.Flight.guard run_engine)
           with Isr_check.Level.Violation { check; detail } ->
             ignore (Isr_obs.Flight.dump ~reason:"violation" ());
             Format.eprintf "sanitizer violation [%s]: %s@." check detail;
@@ -610,9 +596,10 @@ let verify_term =
         | Some (_, areg) -> Isr_obs.Metrics.merge ~into:(Verdict.registry stats) areg
         | None -> ());
         write_metrics metrics stats;
-        (match profile_root with
+        (match prof with
         | None -> ()
-        | Some root ->
+        | Some (_, snapshot) ->
+          let root = snapshot () in
           (match profile_json with
           | Some path ->
             let oc = open_out_or_die path in

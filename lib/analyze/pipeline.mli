@@ -69,8 +69,8 @@ type result = {
 val run : ?mode:mode -> ?registry:Isr_obs.Metrics.t -> Model.t -> result
 (** Runs the pipeline.  When [registry] is given, [analyze.*] gauges and
     counters (sizes before/after, time, claims, trivial verdict) are
-    recorded into it.  Per-pass {!Isr_obs.Event.Analyze} events are
-    emitted when a recorder is installed. *)
+    recorded into it.  Per-pass {!Isr_obs.Event.Analyze} records are
+    posted when a consumer reads search records. *)
 
 val total_claims : result -> int
 

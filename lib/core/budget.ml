@@ -109,21 +109,16 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
        (fun () ->
          Isr_obs.Flight.poll ();
          cancelled b || elapsed b > b.l.time_limit));
-  (* Restart-cadence heartbeats.  Deltas are charged to the registry only
-     at slice boundaries, so read the live solver counters here: registry
-     value before this call plus the in-call delta. *)
+  (* Restart and reduction records, which the progress reporter renders
+     as heartbeats.  Deltas are charged to the registry only at slice
+     boundaries, so read the live solver counters here: registry value
+     before this call plus the in-call delta. *)
   let c_base = Isr_obs.Metrics.value stats.Verdict.c_conflicts
   and p_base = Isr_obs.Metrics.value stats.Verdict.c_propagations in
   let sc0 = Solver.num_conflicts solver and sp0 = Solver.num_propagations solver in
   Solver.on_restart solver
     (Some
-       (fun n ->
-         if Isr_obs.Progress.enabled () then
-           Isr_obs.Progress.tick ~step:n
-             ~conflicts:(c_base + Solver.num_conflicts solver - sc0)
-             ~propagations:(p_base + Solver.num_propagations solver - sp0)
-             ~learnt:(Isr_obs.Metrics.hist_count stats.Verdict.h_learnt_len)
-             "sat.restart";
+       (fun _ ->
          if Isr_obs.Event.enabled () then
            Isr_obs.Event.emit
              (Isr_obs.Event.Restart
@@ -131,9 +126,8 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
                   conflicts = c_base + Solver.num_conflicts solver - sc0;
                   decisions = Solver.num_decisions solver;
                   learnt = Solver.num_live_learnt solver;
+                  propagations = p_base + Solver.num_propagations solver - sp0;
                 })));
-  (* Database reductions: charge the registry and post a heartbeat with
-     the same cumulative-effort convention as the restart one. *)
   Solver.on_reduce solver
     (Some
        (fun (ri : Solver.reduce_info) ->
@@ -143,12 +137,6 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
             just threw away, and how much did their glue improve. *)
          observe_counts stats.Verdict.h_clause_uses_death ri.Solver.dead_uses;
          observe_counts stats.Verdict.h_clause_drift ri.Solver.dead_drift;
-         if Isr_obs.Progress.enabled () then
-           Isr_obs.Progress.tick ~step:ri.Solver.kept
-             ~conflicts:(c_base + Solver.num_conflicts solver - sc0)
-             ~propagations:(p_base + Solver.num_propagations solver - sp0)
-             ~learnt:(Isr_obs.Metrics.hist_count stats.Verdict.h_learnt_len)
-             "sat.db.reduce";
          if Isr_obs.Event.enabled () then
            Isr_obs.Event.emit
              (Isr_obs.Event.Reduce

@@ -115,13 +115,6 @@ let refine st u =
   let still_frozen = num_frozen st in
   Verdict.incr_refinements st.stats;
   Verdict.beat st.stats ~step:k ~detail:(Printf.sprintf "refined %d" n) "cba.refine";
-  Isr_obs.Trace.instant "cba.refine"
-    ~args:
-      [
-        ("k", string_of_int k);
-        ("unfrozen", string_of_int n);
-        ("still_frozen", string_of_int still_frozen);
-      ];
   Log.debug (fun m -> m "k=%d: refined %d latches (%d still frozen)" k n still_frozen)
 
 (* Paranoid: decide that a compacted column is equivalent to its
@@ -193,8 +186,6 @@ let step st =
         mark_core_latches st u;
         Verdict.incr_refinements st.stats;
         let nrelevant = Array.length st.mask - num_frozen st in
-        Isr_obs.Trace.instant "pba.core"
-          ~args:[ ("k", string_of_int k); ("relevant", string_of_int nrelevant) ];
         Log.debug (fun m -> m "k=%d: %d relevant latches" k nrelevant);
         st.phase <- Family (Some u);
         Step.Running)

@@ -108,23 +108,23 @@ let set_abstract_latches s n = M.set s.g_frozen_latches (float_of_int n)
 let set_time s t = M.set s.g_time t
 let merge_into ~into s = M.merge ~into:into.metrics s.metrics
 
-(* One progress heartbeat, charged with the run's cumulative search
-   effort.  Reporter-off is the common case: a single flag test.  The
-   same call sites feed the structured event log, so every engine's
-   phase transitions (bound advance, frame push, refinement) land in
-   the stream without per-engine wiring. *)
-let beat ?step ?detail s phase =
-  if Isr_obs.Progress.enabled () then
-    Isr_obs.Progress.tick ?step ?detail ~conflicts:(M.value s.c_conflicts)
-      ~propagations:(M.value s.c_propagations)
-      ~learnt:(M.hist_count s.h_learnt_len) phase;
+(* One phase record, charged with the run's cumulative search effort:
+   every engine's phase transitions (bound advance, frame push,
+   refinement) land in the event stream without per-engine wiring, and
+   the progress reporter renders them as heartbeats.  Nobody listening
+   is the common case: a single flag test. *)
+let beat ?(step = -1) ?(detail = "") s phase =
   if Isr_obs.Event.enabled () then
     Isr_obs.Event.emit
       (Isr_obs.Event.Phase
          {
            phase;
-           step = Option.value ~default:(-1) step;
-           detail = Option.value ~default:"" detail;
+           step;
+           total = -1;
+           detail;
+           conflicts = M.value s.c_conflicts;
+           propagations = M.value s.c_propagations;
+           learnt = M.hist_count s.h_learnt_len;
          })
 
 let is_proved = function Proved _ -> true | Falsified _ | Unknown _ -> false

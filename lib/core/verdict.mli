@@ -131,9 +131,10 @@ val set_abstract_latches : stats -> int -> unit
 val set_time : stats -> float -> unit
 
 val beat : ?step:int -> ?detail:string -> stats -> string -> unit
-(** Post one {!Isr_obs.Progress} heartbeat for this run, carrying the
-    registry's cumulative conflicts/propagations/learnt-clause count.
-    A flag test when no progress reporter is installed. *)
+(** Post one {!Isr_obs.Event.kind.Phase} record for this run, carrying
+    the registry's cumulative conflicts/propagations/learnt-clause count;
+    the progress reporter renders it as a heartbeat.  A flag test when
+    nobody reads search records. *)
 
 val merge_into : into:stats -> stats -> unit
 (** Registry-wide merge (counters add, gauges max, histograms combine) —

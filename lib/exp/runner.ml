@@ -30,12 +30,22 @@ type progress = {
   p_total : int;
 }
 
-(* Default progress sink: forward to the global heartbeat reporter (a
-   no-op without one), so any caller of [run_entry] gets --progress
-   coverage for free. *)
+(* Default progress sink: post the suite position as a phase record (a
+   no-op with nobody listening), so any caller of [run_entry] gets
+   --progress coverage for free. *)
 let obs_progress p =
-  Isr_obs.Progress.tick ~step:(p.p_index + 1) ~total:p.p_total
-    ~detail:(p.p_bench ^ "/" ^ p.p_engine) "suite.run"
+  if Isr_obs.Event.enabled () then
+    Isr_obs.Event.emit
+      (Isr_obs.Event.Phase
+         {
+           phase = "suite.run";
+           step = p.p_index + 1;
+           total = p.p_total;
+           detail = p.p_bench ^ "/" ^ p.p_engine;
+           conflicts = 0;
+           propagations = 0;
+           learnt = 0;
+         })
 
 (* Lift a per-entry progress (index within the entry's engine list) to a
    whole-suite one: [index] is the entry's position among [total]. *)

@@ -53,8 +53,9 @@ type progress = {
 (** Announced just {e before} each engine run starts. *)
 
 val obs_progress : progress -> unit
-(** The default progress sink: a ["suite.run"] heartbeat to the global
-    {!Isr_obs.Progress} reporter (no-op when none is installed). *)
+(** The default progress sink: a ["suite.run"] {!Isr_obs.Event.kind.Phase}
+    record with the position as step and total, which the progress
+    reporter renders as a heartbeat (no-op with nobody listening). *)
 
 val globalize : index:int -> total:int -> (progress -> unit) -> progress -> unit
 (** [globalize ~index ~total sink] rebases a per-entry progress (engine

@@ -1,26 +1,22 @@
-(** The one Chrome trace-event JSON emitter.
+(** The Chrome trace-event JSON writer.
 
-    Both observability streams render to the Chrome/Perfetto trace-event
-    format: {!Trace} sinks write span begin/end/instant records, and
-    {!Event.to_chrome} exports the merged search-event stream as instant
-    events.  This module is the single place that knows the wire
-    details — pid is always 1, the emitting domain id becomes thread id
-    [dom + 1] so parallel races render one lane per domain, timestamps
-    convert from seconds to microseconds with one decimal, and instant
-    events carry the ["s":"t"] scope Perfetto needs to draw them. *)
+    One writer renders the whole {!Event} channel for Perfetto
+    (https://ui.perfetto.dev) or chrome://tracing: spans as [B]/[E]
+    records and search records as thread-scoped instant ([i]) markers,
+    one lane per domain.  It subscribes like any other consumer for a
+    live [--trace] file, and [isr_obs export] replays a recorded stream
+    through it ({!Event.replay}).
 
-val add_event :
-  Buffer.t ->
-  first:bool ->
-  ph:string ->
-  ?name:string ->
-  tid:int ->
-  ts:float ->
-  (string * string) list ->
-  unit
-(** Append one trace-event object to [b].  [ph] is the Chrome phase
-    ("B", "E" or "i"), [tid] the raw domain id (rendered as [tid + 1]),
-    [ts] the {!Clock} timestamp in seconds, and the final argument the
-    [args] key/value pairs (escaped; omitted when empty).  When [first]
-    is false a [",\n"] separator is emitted before the object, so a
-    caller streaming into a JSON array only tracks one flag. *)
+    Wire rules, all in this module: pid is always 1, the emitting domain
+    id becomes thread id [dom + 1], timestamps convert from seconds to
+    microseconds with one decimal, span arguments are escaped strings,
+    and an instant carries its record's payload ({!Event.json_of_kind})
+    as its ["json"] argument plus the ["s":"t"] scope Perfetto needs to
+    draw it. *)
+
+val writer : out_channel -> Event.consumer * (unit -> unit)
+(** A consumer writing one JSON array to the channel, and the function
+    that closes it: the first call terminates the array and closes the
+    channel, later calls do nothing, and anything posted after the close
+    is dropped.  The writer owns the channel and serialises posts from
+    several domains under its own lock. *)

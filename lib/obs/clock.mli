@@ -1,7 +1,7 @@
 (** The single time base of the observability layer: wall-clock seconds
     since process start, clamped to be monotonically non-decreasing so
     spans and budgets survive NTP adjustments.  Every engine, the budget
-    enforcement and the trace sinks read this clock — CPU time
+    enforcement and the event channel read this clock — CPU time
     ([Sys.time]) is reserved for nothing anymore, so per-engine timings
     and the deadline agree with each other. *)
 

@@ -1,4 +1,5 @@
-(* Packed search-event recorder; see the .mli for the model.
+(* The instrumentation channel and its packed recorder; see the .mli
+   for the model.
 
    On-the-wire layout (per-domain int buffers): each record is
      [code; ts_ns; payload...]
@@ -14,7 +15,9 @@
    Schema 4 adds the [Step] engine-kernel record.  [write_jsonl] stamps
    the lowest schema that covers the stream, so a recording without
    newer features stays loadable by older readers (which skip unknown
-   events/causes anyway). *)
+   events/causes anyway).  Optional fields added later (Restart's
+   [propagations], Phase's [total] and counters) need no new version:
+   readers default them and older readers ignore them. *)
 let schema_version = 4
 
 let min_schema_version = 1
@@ -22,7 +25,7 @@ let min_schema_version = 1
 type cause = Race_won | Deadline | Min_depth | Exhausted
 
 type kind =
-  | Restart of { conflicts : int; decisions : int; learnt : int }
+  | Restart of { conflicts : int; decisions : int; learnt : int; propagations : int }
   | Reduce of {
       kept : int;
       dropped : int;
@@ -31,7 +34,15 @@ type kind =
       dead_uses : int array;
     }
   | Itp_cut of { cut : int; support : int; nodes : int }
-  | Phase of { phase : string; step : int; detail : string }
+  | Phase of {
+      phase : string;
+      step : int;
+      total : int;
+      detail : string;
+      conflicts : int;
+      propagations : int;
+      learnt : int;
+    }
   | Spawn of { worker : int; engines : string }
   | Dispatch of { worker : int; bound : int }
   | Cancel of { worker : int; cause : cause; by : int }
@@ -62,6 +73,65 @@ let cause_of_name = function
 
 let cause_code = function Race_won -> 0 | Deadline -> 1 | Min_depth -> 2 | Exhausted -> 3
 let cause_of_code = function 0 -> Race_won | 1 -> Deadline | 3 -> Exhausted | _ -> Min_depth
+
+(* --- the channel ----------------------------------------------------------- *)
+
+type args = (string * string) list
+
+type span =
+  | Begin of { name : string; ts : float; tid : int; args : args }
+  | End of { ts : float; tid : int; args : args }
+
+type consumer = {
+  on_span : (span -> unit) option;
+  on_record : (ts:float -> dom:int -> kind -> unit) option;
+}
+
+(* The subscriber list is an immutable list swapped whole on
+   (un)subscription, so an emitting domain reads one consistent list
+   without a lock; each consumer locks its own state.  The reader lists
+   are derived from it, and their emptiness is the whole fast path of
+   [emit] and [Trace.span]. *)
+let subscribers : consumer list ref = ref []
+let span_readers : (span -> unit) list ref = ref []
+let record_readers : (ts:float -> dom:int -> kind -> unit) list ref = ref []
+
+let refresh () =
+  span_readers := List.filter_map (fun c -> c.on_span) !subscribers;
+  record_readers := List.filter_map (fun c -> c.on_record) !subscribers
+
+let subscribe c =
+  if not (List.memq c !subscribers) then begin
+    subscribers := !subscribers @ [ c ];
+    refresh ()
+  end
+
+let unsubscribe c =
+  subscribers := List.filter (fun c' -> c' != c) !subscribers;
+  refresh ()
+
+let enabled () = match !record_readers with [] -> false | _ -> true
+let spans_enabled () = match !span_readers with [] -> false | _ -> true
+
+(* Records posted with no reader at all: a call site skipped its
+   [enabled] guard, or the consumers were torn down mid-run.  Visible
+   through {!dropped} (surfaced as the [obs.dropped] gauge) instead of
+   vanishing silently. *)
+let dropped_n = Atomic.make 0
+let dropped () = Atomic.get dropped_n
+
+let emit kind =
+  match !record_readers with
+  | [] -> Atomic.incr dropped_n
+  | readers ->
+    let ts = Clock.now () in
+    let dom = (Domain.self () :> int) in
+    List.iter (fun f -> f ~ts ~dom kind) readers
+
+let emit_span s = List.iter (fun f -> f s) !span_readers
+
+let replay c evs =
+  Option.iter (fun f -> List.iter (fun e -> f ~ts:e.ts ~dom:e.dom e.kind) evs) c.on_record
 
 (* --- recording --------------------------------------------------------- *)
 
@@ -127,41 +197,6 @@ let buf_of r dom =
 let ns_of_ts ts = int_of_float (ts *. 1e9)
 let ts_of_ns ns = float_of_int ns *. 1e-9
 
-let current : recorder option ref = ref None
-
-(* The flight recorder listens through a tap: a second consumer fed the
-   same (ts, dom, kind) stream without the packed-buffer cost model.
-   [on] is the union flag — [enabled] stays one read whether the
-   recorder, the tap, or both are live. *)
-let tap : (ts:float -> dom:int -> kind -> unit) option ref = ref None
-let on = ref false
-let refresh_on () = on := !current <> None || !tap <> None
-
-(* Emissions that found no consumer at all: a call site skipped its
-   [enabled] guard, or the consumers were torn down mid-run.  Visible
-   through {!dropped} (surfaced as the [obs.dropped] gauge) instead of
-   vanishing silently. *)
-let dropped_n = Atomic.make 0
-let dropped () = Atomic.get dropped_n
-
-let set_recorder r =
-  current := Some r;
-  refresh_on ()
-
-let clear_recorder () =
-  current := None;
-  refresh_on ()
-
-let set_tap f =
-  tap := Some f;
-  refresh_on ()
-
-let clear_tap () =
-  tap := None;
-  refresh_on ()
-
-let enabled () = !on
-
 let record r ~ts ~dom kind =
   Mutex.protect r.lock (fun () ->
         let b = buf_of r dom in
@@ -181,10 +216,11 @@ let record r ~ts ~dom kind =
           | Step _ -> 10);
         push b (ns_of_ts ts);
         (match kind with
-        | Restart { conflicts; decisions; learnt } ->
+        | Restart { conflicts; decisions; learnt; propagations } ->
           push b conflicts;
           push b decisions;
-          push b learnt
+          push b learnt;
+          push b propagations
         | Reduce { kept; dropped; lbd; dead_lbd; dead_uses } ->
           push b kept;
           push b dropped;
@@ -198,10 +234,14 @@ let record r ~ts ~dom kind =
           push b cut;
           push b support;
           push b nodes
-        | Phase { phase; step; detail } ->
+        | Phase { phase; step; total; detail; conflicts; propagations; learnt } ->
           push b (str phase);
           push b step;
-          push b (str detail)
+          push b (str detail);
+          push b total;
+          push b conflicts;
+          push b propagations;
+          push b learnt
         | Spawn { worker; engines } ->
           push b worker;
           push b (str engines)
@@ -229,14 +269,7 @@ let record r ~ts ~dom kind =
           push b (str status));
         r.nevents <- r.nevents + 1)
 
-let emit kind =
-  if not !on then Atomic.incr dropped_n
-  else begin
-    let ts = Clock.now () in
-    let dom = (Domain.self () :> int) in
-    (match !current with None -> () | Some r -> record r ~ts ~dom kind);
-    match !tap with None -> () | Some f -> f ~ts ~dom kind
-  end
+let recording r = { on_span = None; on_record = Some (record r) }
 
 let count r = Mutex.protect r.lock (fun () -> r.nevents)
 
@@ -254,8 +287,13 @@ let decode_domain r dom (b : buf) =
       match code with
       | 0 ->
         ( Restart
-            { conflicts = b.a.(p); decisions = b.a.(p + 1); learnt = b.a.(p + 2) },
-          p + 3 )
+            {
+              conflicts = b.a.(p);
+              decisions = b.a.(p + 1);
+              learnt = b.a.(p + 2);
+              propagations = b.a.(p + 3);
+            },
+          p + 4 )
       | 1 ->
         let n = b.a.(p + 2) in
         let q = p + 3 + n in
@@ -273,8 +311,17 @@ let decode_domain r dom (b : buf) =
       | 2 ->
         (Itp_cut { cut = b.a.(p); support = b.a.(p + 1); nodes = b.a.(p + 2) }, p + 3)
       | 3 ->
-        ( Phase { phase = s b.a.(p); step = b.a.(p + 1); detail = s b.a.(p + 2) },
-          p + 3 )
+        ( Phase
+            {
+              phase = s b.a.(p);
+              step = b.a.(p + 1);
+              detail = s b.a.(p + 2);
+              total = b.a.(p + 3);
+              conflicts = b.a.(p + 4);
+              propagations = b.a.(p + 5);
+              learnt = b.a.(p + 6);
+            },
+          p + 7 )
       | 4 -> (Spawn { worker = b.a.(p); engines = s b.a.(p + 1) }, p + 2)
       | 5 -> (Dispatch { worker = b.a.(p); bound = b.a.(p + 1) }, p + 2)
       | 6 ->
@@ -326,15 +373,15 @@ let events r =
 
 (* --- JSONL --------------------------------------------------------------- *)
 
-let json_of_event e =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"ts\":%.6f,\"dom\":%d,\"seq\":%d,\"ev\":" e.ts e.dom e.seq);
-  (match e.kind with
-  | Restart { conflicts; decisions; learnt } ->
+(* Appends the ["ev"] tag and the fields of [kind] to an open object. *)
+let add_kind b kind =
+  Buffer.add_string b "\"ev\":";
+  match kind with
+  | Restart { conflicts; decisions; learnt; propagations } ->
     Buffer.add_string b
-      (Printf.sprintf "\"restart\",\"conflicts\":%d,\"decisions\":%d,\"learnt\":%d"
-         conflicts decisions learnt)
+      (Printf.sprintf
+         "\"restart\",\"conflicts\":%d,\"decisions\":%d,\"learnt\":%d,\"propagations\":%d"
+         conflicts decisions learnt propagations)
   | Reduce { kept; dropped; lbd; dead_lbd; dead_uses } ->
     let arr name a =
       Buffer.add_string b (Printf.sprintf ",\"%s\":[" name);
@@ -353,11 +400,16 @@ let json_of_event e =
     Buffer.add_string b
       (Printf.sprintf "\"itp.cut\",\"cut\":%d,\"support\":%d,\"nodes\":%d" cut support
          nodes)
-  | Phase { phase; step; detail } ->
+  | Phase { phase; step; total; detail; conflicts; propagations; learnt } ->
+    let int_field name v = Buffer.add_string b (Printf.sprintf ",\"%s\":%d" name v) in
     Buffer.add_string b (Printf.sprintf "\"phase\",\"phase\":%s" (Json.quote phase));
-    if step >= 0 then Buffer.add_string b (Printf.sprintf ",\"step\":%d" step);
+    if step >= 0 then int_field "step" step;
+    if total >= 0 then int_field "total" total;
     if detail <> "" then
-      Buffer.add_string b (Printf.sprintf ",\"detail\":%s" (Json.quote detail))
+      Buffer.add_string b (Printf.sprintf ",\"detail\":%s" (Json.quote detail));
+    if conflicts > 0 then int_field "conflicts" conflicts;
+    if propagations > 0 then int_field "propagations" propagations;
+    if learnt > 0 then int_field "learnt" learnt
   | Spawn { worker; engines } ->
     Buffer.add_string b
       (Printf.sprintf "\"spawn\",\"worker\":%d,\"engines\":%s" worker
@@ -381,7 +433,19 @@ let json_of_event e =
     Buffer.add_string b
       (Printf.sprintf
          "\"step\",\"lane\":%d,\"engine\":%s,\"n\":%d,\"pos\":%d,\"status\":%s" lane
-         (Json.quote engine) n pos (Json.quote status)));
+         (Json.quote engine) n pos (Json.quote status))
+
+let json_of_kind kind =
+  let b = Buffer.create 96 in
+  Buffer.add_char b '{';
+  add_kind b kind;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+let json_of_event e =
+  let b = Buffer.create 128 in
+  Buffer.add_string b (Printf.sprintf "{\"ts\":%.6f,\"dom\":%d,\"seq\":%d," e.ts e.dom e.seq);
+  add_kind b e.kind;
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -403,79 +467,98 @@ let write_jsonl r oc =
       output_char oc '\n')
     evs
 
+(* A line missing a field its kind requires decodes as [None] and is
+   skipped like a torn line: the typed accessors raise [Parse_error]
+   naming the field, and that is the only error this function can meet. *)
 let event_of_json j =
   match Json.field "ev" j with
-  | None -> None
   | Some (Json.Str ev) -> (
     let num name = int_of_float (Json.num_field name j) in
-    let onum name = Option.value ~default:(-1) (Json.opt_int_field name j) in
+    let onum ~default name = Option.value ~default (Json.opt_int_field name j) in
     let ostr name = Option.value ~default:"" (Json.opt_str_field name j) in
-    let kind =
-      match ev with
-      | "restart" ->
-        Some
-          (Restart
-             { conflicts = num "conflicts"; decisions = num "decisions"; learnt = num "learnt" })
-      | "reduce" ->
-        (* Missing arrays decode as empty, which is also how schema-1
-           lines (no dead_* fields) stay loadable. *)
-        let arr name =
-          match Json.field name j with
-          | Some (Json.Arr xs) ->
-            Array.of_list
-              (List.filter_map
-                 (function Json.Num f -> Some (int_of_float f) | _ -> None)
-                 xs)
-          | _ -> [||]
-        in
-        Some
-          (Reduce
-             {
-               kept = num "kept";
-               dropped = num "dropped";
-               lbd = arr "lbd";
-               dead_lbd = arr "dead_lbd";
-               dead_uses = arr "dead_uses";
-             })
-      | "itp.cut" ->
-        Some (Itp_cut { cut = num "cut"; support = num "support"; nodes = num "nodes" })
-      | "phase" ->
-        Some (Phase { phase = Json.str_field "phase" j; step = onum "step"; detail = ostr "detail" })
-      | "spawn" -> Some (Spawn { worker = num "worker"; engines = ostr "engines" })
-      | "dispatch" -> Some (Dispatch { worker = num "worker"; bound = num "bound" })
-      | "cancel" -> (
-        match cause_of_name (Json.str_field "cause" j) with
-        | Some cause -> Some (Cancel { worker = num "worker"; cause; by = num "by" })
-        | None -> None)
-      | "verdict" ->
-        Some (Verdict { worker = num "worker"; verdict = Json.str_field "verdict" j })
-      | "analyze" ->
-        Some
-          (Analyze
-             {
-               pass = Json.str_field "pass" j;
-               ands_before = num "ands_before";
-               ands_after = num "ands_after";
-               latches_before = num "latches_before";
-               latches_after = num "latches_after";
-             })
-      | "step" ->
-        Some
-          (Step
-             {
-               lane = num "lane";
-               engine = ostr "engine";
-               n = num "n";
-               pos = num "pos";
-               status = ostr "status";
-             })
-      | _ -> None
-    in
-    match kind with
-    | Some kind ->
-      Some { ts = Json.num_field "ts" j; dom = num "dom"; seq = onum "seq"; kind }
-    | None -> None)
-  | Some _ -> None
+    try
+      let kind =
+        match ev with
+        | "restart" ->
+          Some
+            (Restart
+               {
+                 conflicts = num "conflicts";
+                 decisions = num "decisions";
+                 learnt = num "learnt";
+                 propagations = onum ~default:0 "propagations";
+               })
+        | "reduce" ->
+          (* Missing arrays decode as empty, which is also how schema-1
+             lines (no dead_* fields) stay loadable. *)
+          let arr name =
+            match Json.field name j with
+            | Some (Json.Arr xs) ->
+              Array.of_list
+                (List.filter_map
+                   (function Json.Num f -> Some (int_of_float f) | _ -> None)
+                   xs)
+            | _ -> [||]
+          in
+          Some
+            (Reduce
+               {
+                 kept = num "kept";
+                 dropped = num "dropped";
+                 lbd = arr "lbd";
+                 dead_lbd = arr "dead_lbd";
+                 dead_uses = arr "dead_uses";
+               })
+        | "itp.cut" ->
+          Some (Itp_cut { cut = num "cut"; support = num "support"; nodes = num "nodes" })
+        | "phase" ->
+          Some
+            (Phase
+               {
+                 phase = Json.str_field "phase" j;
+                 step = onum ~default:(-1) "step";
+                 total = onum ~default:(-1) "total";
+                 detail = ostr "detail";
+                 conflicts = onum ~default:0 "conflicts";
+                 propagations = onum ~default:0 "propagations";
+                 learnt = onum ~default:0 "learnt";
+               })
+        | "spawn" -> Some (Spawn { worker = num "worker"; engines = ostr "engines" })
+        | "dispatch" -> Some (Dispatch { worker = num "worker"; bound = num "bound" })
+        | "cancel" -> (
+          match cause_of_name (Json.str_field "cause" j) with
+          | Some cause -> Some (Cancel { worker = num "worker"; cause; by = num "by" })
+          | None -> None)
+        | "verdict" ->
+          Some (Verdict { worker = num "worker"; verdict = Json.str_field "verdict" j })
+        | "analyze" ->
+          Some
+            (Analyze
+               {
+                 pass = Json.str_field "pass" j;
+                 ands_before = num "ands_before";
+                 ands_after = num "ands_after";
+                 latches_before = num "latches_before";
+                 latches_after = num "latches_after";
+               })
+        | "step" ->
+          Some
+            (Step
+               {
+                 lane = num "lane";
+                 engine = ostr "engine";
+                 n = num "n";
+                 pos = num "pos";
+                 status = ostr "status";
+               })
+        | _ -> None
+      in
+      Option.map
+        (fun kind ->
+          { ts = Json.num_field "ts" j; dom = num "dom"; seq = onum ~default:(-1) "seq"; kind })
+        kind
+    with Json.Parse_error _ -> None)
+  | _ -> None
 
 let read_jsonl path =
   let ic =
@@ -493,45 +576,19 @@ let read_jsonl path =
              | exception Json.Parse_error _ -> ()
              | j -> (
                match Json.field "stream" j with
-               | Some (Json.Str "isr-events") ->
-                 let v = int_of_float (Json.num_field "schema" j) in
-                 if v < min_schema_version || v > schema_version then
+               | Some (Json.Str "isr-events") -> (
+                 match Json.opt_int_field "schema" j with
+                 | Some v when v >= min_schema_version && v <= schema_version -> ()
+                 | Some v ->
                    failwith
                      (Printf.sprintf
                         "Event.read_jsonl %s: unsupported schema %d (expected %d..%d)" path
                         v min_schema_version schema_version)
+                 | None ->
+                   failwith (Printf.sprintf "Event.read_jsonl %s: header without a schema" path))
                | _ -> (
                  match event_of_json j with Some e -> out := e :: !out | None -> ()))
            end
          done
        with End_of_file -> ());
       List.rev !out)
-
-(* --- Chrome export --------------------------------------------------------- *)
-
-let chrome_name = function
-  | Restart _ -> "restart"
-  | Reduce _ -> "db.reduce"
-  | Itp_cut { cut; _ } -> Printf.sprintf "itp.cut %d" cut
-  | Phase { phase; step; _ } ->
-    if step >= 0 then Printf.sprintf "%s %d" phase step else phase
-  | Spawn { worker; _ } -> Printf.sprintf "spawn w%d" worker
-  | Dispatch { worker; bound } -> Printf.sprintf "w%d: bound %d" worker bound
-  | Cancel { worker; cause; _ } ->
-    Printf.sprintf "cancel w%d (%s)" worker (cause_name cause)
-  | Verdict { worker; verdict } -> Printf.sprintf "w%d wins: %s" worker verdict
-  | Analyze { pass; ands_before; ands_after; _ } ->
-    Printf.sprintf "analyze.%s %d->%d" pass ands_before ands_after
-  | Step { lane; engine; pos; _ } -> Printf.sprintf "step L%d %s @%d" lane engine pos
-
-let to_chrome evs =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i e ->
-      Chrome.add_event b ~first:(i = 0) ~ph:"i" ~name:(chrome_name e.kind) ~tid:e.dom
-        ~ts:e.ts
-        [ ("json", json_of_event e) ])
-    evs;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b

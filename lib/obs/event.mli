@@ -1,25 +1,28 @@
-(** Structured search-event log.
+(** The one instrumentation channel.
 
-    Where {!Trace} answers "where did the time go" and {!Metrics}
-    "how much work was done", the event log answers "what happened, in
-    what order": solver restarts with live counters, clause-database
-    reductions with an LBD snapshot, per-cut interpolant extractions,
-    engine phase transitions, and the lifecycle of a parallel race
-    (worker spawn, bound dispatch, cancellation with its cause).  A run
-    recorded with events enabled can be replayed after the fact — the
-    [isr_obs] CLI reconstructs who won a portfolio race and why from
-    nothing but this stream.
+    Every observation of a run leaves through this module: timed spans
+    (begin/end pairs, posted by {!Trace.span}), and search records —
+    solver restarts with live counters, clause-database reductions with
+    an LBD snapshot, per-cut interpolant extractions, engine phase
+    transitions (which double as progress heartbeats), and the lifecycle
+    of a parallel race (worker spawn, bound dispatch, cancellation with
+    its cause).  Each fact is posted once, to one list of {!consumer}s:
+    the packed {!recorder}, the flight rings, the {!Profile} collector,
+    the {!Chrome} writer and the {!Progress} reporter all subscribe to
+    the same list.
 
-    Emission is built for the solver's cadence, not the propagation
-    loop's: events are coarse (restarts, reductions, cuts, phases), so
-    one mutex around a per-domain int buffer is cheap.  When no recorder
-    is installed, {!emit} is a single flag test — guard the payload
-    construction with {!enabled} at call sites and the disabled path
-    allocates nothing.
+    Two flags, both derived from that list, say whether anyone listens:
+    {!Trace.enabled} (a consumer reads spans) and {!enabled} (a consumer
+    reads search records).  Call sites guard payload construction with
+    them, so a run with nobody listening pays one flag test per site and
+    allocates nothing, and a run that only profiles spans never builds a
+    search payload.
 
-    Events are packed into per-domain int arrays (strings interned into
-    a shared table, in the spirit of the proof store's int framing) and
-    merged deterministically on read by [(timestamp, domain id,
+    Dispatch takes no lock: each consumer synchronises itself, because
+    records arrive from every racing domain at once.  The recorder
+    packs records into per-domain int arrays (strings interned into a
+    shared table, in the spirit of the proof store's int framing) and
+    merges them deterministically on read by [(timestamp, domain id,
     per-domain sequence number)], so the same recording always replays
     in the same order. *)
 
@@ -32,7 +35,11 @@ val schema_version : int
     [Exhausted] cause (and a clause-sharing ["share"] event, since
     removed); schema 4 added the engine-kernel {!kind.Step} record —
     readers skip lines they do not know (unknown events and causes
-    decode as [None]), so schema-3 ["share"] lines load as nothing. *)
+    decode as [None]), so schema-3 ["share"] lines load as nothing.
+    Fields added since ([propagations] on {!kind.Restart}; [total] and
+    the cumulative counters on {!kind.Phase}) are optional: older lines
+    without them decode with the defaults, older readers ignore them,
+    and no header version changes. *)
 
 type cause =
   | Race_won   (** a racing worker published a definitive verdict *)
@@ -41,9 +48,15 @@ type cause =
   | Exhausted  (** the worker ran out of work (its whole member slate
                    answered bound-limited) before any budget expired *)
 
+val cause_name : cause -> string
+(** The cause's spelling in JSONL streams (["winner"], ["deadline"],
+    ["min-depth"], ["exhausted"]). *)
+
 type kind =
-  | Restart of { conflicts : int; decisions : int; learnt : int }
-      (** solver restart, with the live in-call counters *)
+  | Restart of { conflicts : int; decisions : int; learnt : int; propagations : int }
+      (** solver restart: the run's cumulative [conflicts] and
+          [propagations], and the solver's own decisions and live learnt
+          clauses ([propagations] is 0 in streams older than the field) *)
   | Reduce of {
       kept : int;
       dropped : int;
@@ -59,9 +72,21 @@ type kind =
   | Itp_cut of { cut : int; support : int; nodes : int }
       (** one extracted interpolant: cut index, support-variable count
           and AIG cone size *)
-  | Phase of { phase : string; step : int; detail : string }
+  | Phase of {
+      phase : string;
+      step : int;
+      total : int;
+      detail : string;
+      conflicts : int;
+      propagations : int;
+      learnt : int;
+    }
       (** engine phase transition (bound advance, frame push,
-          refinement); [step] is [-1] when the phase has no index *)
+          refinement, suite position); [step] is [-1] when the phase has
+          no index, [total] is [-1] unless the number of steps is known.
+          The counters are the run's cumulative search effort at the
+          transition (0 where the poster has none, and in streams older
+          than the fields). *)
   | Spawn of { worker : int; engines : string }
       (** parallel race: worker domain spawned for these engines *)
   | Dispatch of { worker : int; bound : int }
@@ -90,9 +115,64 @@ type kind =
 type t = {
   ts : float;  (** monotonic {!Clock} time *)
   dom : int;   (** emitting domain ([Domain.self]) *)
-  seq : int;   (** per-domain sequence number, assigned at emission *)
+  seq : int;   (** per-domain sequence number, in emission order *)
   kind : kind;
 }
+
+(* --- consumers --------------------------------------------------------- *)
+
+type args = (string * string) list
+
+type span =
+  | Begin of { name : string; ts : float; tid : int; args : args }
+  | End of { ts : float; tid : int; args : args }
+(** A span boundary, re-exported as {!Trace.event}.  [tid] is the
+    emitting domain ([Domain.self]); the Chrome writer renders one lane
+    per domain and {!Profile} keeps one span stack per domain, so
+    parallel runs stay well nested. *)
+
+type consumer = {
+  on_span : (span -> unit) option;
+  on_record : (ts:float -> dom:int -> kind -> unit) option;
+}
+(** A reader of the channel: either callback may be absent.  Callbacks
+    run on the emitting domain, possibly from several domains at once,
+    so a consumer with state takes its own lock. *)
+
+val subscribe : consumer -> unit
+(** Add a consumer (subscribing one that is already there does nothing)
+    and recompute both flags.  Subscribing and unsubscribing are
+    single-domain affairs: do them before spawning workers. *)
+
+val unsubscribe : consumer -> unit
+(** Remove a consumer (by physical equality) and recompute both flags. *)
+
+val enabled : unit -> bool
+(** One flag read: true when a subscribed consumer reads search
+    records.  Call sites guard payload construction with it. *)
+
+val spans_enabled : unit -> bool
+(** One flag read: true when a subscribed consumer reads spans
+    ({!Trace.enabled}). *)
+
+val emit : kind -> unit
+(** Post one search record, stamped with the current clock and domain,
+    to every consumer that reads records.  With none subscribed the
+    record is counted as dropped and otherwise ignored. *)
+
+val emit_span : span -> unit
+(** Post one span boundary to every consumer that reads spans;
+    {!Trace.span} builds them. *)
+
+val replay : consumer -> t list -> unit
+(** Feed recorded search records to a consumer, as if they were being
+    emitted (used to export a stream to Chrome). *)
+
+val dropped : unit -> int
+(** Records emitted with no reader subscribed (a call site skipped its
+    {!enabled} guard, or consumers were torn down mid-run).  Surfaced by
+    {!Resource} as the [obs.dropped] gauge together with flight-ring
+    evictions. *)
 
 (* --- recording ------------------------------------------------------- *)
 
@@ -100,36 +180,9 @@ type recorder
 
 val recorder : unit -> recorder
 
-val set_recorder : recorder -> unit
-(** Install [r] as the global recorder; {!emit} appends to it from any
-    domain. *)
-
-val clear_recorder : unit -> unit
-
-val set_tap : (ts:float -> dom:int -> kind -> unit) -> unit
-(** Install a second consumer fed every emission (after the recorder,
-    same timestamp and domain stamp).  The flight recorder's ring
-    buffers hang off this hook; installing a tap also turns {!enabled}
-    on, so guarded call sites start constructing payloads.  The tap is
-    called outside any lock — it must synchronise internally. *)
-
-val clear_tap : unit -> unit
-
-val enabled : unit -> bool
-(** One flag read; call sites guard payload construction with this so
-    the disabled path costs nothing.  True when a recorder or a tap (or
-    both) is installed. *)
-
-val emit : kind -> unit
-(** Record one event, stamped with the current clock and domain, into
-    the recorder and/or tap.  With neither installed the event is
-    counted as dropped and otherwise ignored. *)
-
-val dropped : unit -> int
-(** Emissions that found no consumer installed (a call site skipped its
-    {!enabled} guard, or consumers were torn down mid-run).  Surfaced by
-    {!Resource} as the [obs.dropped] gauge together with flight-ring
-    evictions. *)
+val recording : recorder -> consumer
+(** The recorder's subscription: packs every search record under the
+    recorder's own lock. *)
 
 val events : recorder -> t list
 (** Decode and deterministically merge every domain's stream: sorted by
@@ -139,6 +192,10 @@ val count : recorder -> int
 
 (* --- JSONL ----------------------------------------------------------- *)
 
+val json_of_kind : kind -> string
+(** The record's payload as one JSON object: the ["ev"] tag and its
+    fields, without timestamp, domain or sequence number. *)
+
 val json_of_event : t -> string
 (** One JSON object, single line. *)
 
@@ -147,13 +204,11 @@ val write_jsonl : recorder -> out_channel -> unit
     features) followed by one line per merged event. *)
 
 val event_of_json : Json.t -> t option
-(** Inverse of {!json_of_event}; [None] for header or foreign lines. *)
+(** Inverse of {!json_of_event}; [None] for header or foreign lines, and
+    for event lines missing a field the kind requires. *)
 
 val read_jsonl : string -> t list
-(** Load an exported stream back.  Unknown lines are skipped; a header
-    with an unsupported schema version fails.
-    @raise Failure on unreadable files or version mismatch. *)
-
-val to_chrome : t list -> string
-(** Render a merged stream as a Chrome trace-event JSON document
-    (instant events, one lane per domain). *)
+(** Load an exported stream back.  Lines that do not parse, or that lack
+    a required field, are skipped; a header with an unsupported or
+    missing schema version fails.
+    @raise Failure on unreadable files or a bad header, naming the file. *)

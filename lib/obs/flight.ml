@@ -1,7 +1,8 @@
 (* Flight recorder; see the .mli for the model.
 
-   Concurrency: the rings are filled through the Event tap from every
-   racing domain, so all ring state lives under one mutex (the tap fires
+   Concurrency: the rings are filled through an Event subscription from
+   every racing domain, so all ring state lives under one mutex (records
+   arrive
    at the solver's coarse cadence — restarts, reductions, phases — not
    per propagation).  Signal handlers are the delicate part: OCaml runs
    them at safe points inside normal code, which may be *inside* the
@@ -52,7 +53,7 @@ let pending : string option Atomic.t = Atomic.make None
 let last_dump : (string * float * string) ref = ref ("", neg_infinity, "")
 
 let dummy_event =
-  { Event.ts = 0.0; dom = 0; seq = -1; kind = Event.Phase { phase = ""; step = -1; detail = "" } }
+  { Event.ts = 0.0; dom = 0; seq = -1; kind = Event.Dispatch { worker = 0; bound = 0 } }
 
 let armed () = !state <> None
 let recorded () = match !state with None -> 0 | Some st -> st.recorded
@@ -202,6 +203,19 @@ let poll () =
   | None -> ()
   | Some reason -> try_dump ~reason ()
 
+(* One subscription serves every arming: it records into whatever state
+   is armed when a record arrives. *)
+let consumer =
+  {
+    Event.on_span = None;
+    on_record =
+      Some
+        (fun ~ts ~dom kind ->
+          match !state with
+          | None -> ()
+          | Some st -> Mutex.protect st.lock (fun () -> record_locked st ~ts ~dom kind));
+  }
+
 let arm ?(capacity = default_capacity) ~dir () =
   let capacity = max 1 capacity in
   (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
@@ -220,13 +234,10 @@ let arm ?(capacity = default_capacity) ~dir () =
   in
   state := Some st;
   Atomic.set pending None;
-  Event.set_tap (fun ~ts ~dom kind ->
-      match !state with
-      | None -> ()
-      | Some st -> Mutex.protect st.lock (fun () -> record_locked st ~ts ~dom kind))
+  Event.subscribe consumer
 
 let disarm () =
-  Event.clear_tap ();
+  Event.unsubscribe consumer;
   state := None;
   Atomic.set pending None
 

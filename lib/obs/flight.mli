@@ -5,7 +5,7 @@
     runs that most need explaining — timeouts, sanitizer violations,
     hung parallel races, kill -9'd batch jobs — are exactly the ones
     that never flush a stream.  The flight recorder closes that gap: a
-    per-domain ring buffer taps the {!Event} stream and keeps only the
+    per-domain ring buffer subscribed to the {!Event} channel keeps only the
     most recent [capacity] events per domain (plus periodic GC counter
     snapshots), costing a bounded amount of memory no matter how long
     the run.  On {!Budget} expiry, a sanitizer violation, an uncaught
@@ -13,10 +13,11 @@
     schema-versioned [flight.jsonl] into the run directory — a forensic
     trail of the last seconds instead of nothing.
 
-    Disabled cost: arming installs the event tap, so {!Event.enabled}
-    turns on and guarded call sites start paying the (cheap, coarse)
-    emission cost; when not armed the fast path is the same single flag
-    read as before and nothing allocates.
+    Disabled cost: arming subscribes the rings, which read search
+    records only, so {!Event.enabled} turns on and guarded call sites
+    start paying the (cheap, coarse) emission cost; when not armed the
+    fast path is the same single flag read as before and nothing
+    allocates.
 
     Dump files are torn-tail-safe: written to a temporary sibling and
     renamed into place, so a dump interrupted by a second signal leaves
@@ -38,12 +39,12 @@ val default_capacity : int
 (** Per-domain ring capacity used when [arm] is not given one (256). *)
 
 val arm : ?capacity:int -> dir:string -> unit -> unit
-(** Start recording: install the {!Event} tap and signal handlers'
-    target state.  Dumps land in [dir ^ "/flight.jsonl"].  Re-arming
+(** Start recording: subscribe the rings to the {!Event} channel and set
+    the signal handlers' target state.  Dumps land in [dir ^ "/flight.jsonl"].  Re-arming
     replaces any previous state. *)
 
 val disarm : unit -> unit
-(** Stop recording and clear the tap.  Does not dump. *)
+(** Stop recording and unsubscribe the rings.  Does not dump. *)
 
 val armed : unit -> bool
 

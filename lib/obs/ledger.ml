@@ -205,13 +205,16 @@ let load t =
                | exception Json.Parse_error _ -> ()
                | j -> (
                  match Json.field "store" j with
-                 | Some (Json.Str "isr-ledger") ->
-                   let v = int_of_float (Json.num_field "schema" j) in
-                   if v <> schema_version then
+                 | Some (Json.Str "isr-ledger") -> (
+                   match Json.opt_int_field "schema" j with
+                   | Some v when v = schema_version -> ()
+                   | Some v ->
                      failwith
                        (Printf.sprintf
                           "Ledger.load %s: unsupported schema %d (expected %d)" file v
                           schema_version)
+                   | None ->
+                     failwith (Printf.sprintf "Ledger.load %s: header without a schema" file))
                  | _ -> (
                    match entry_of_json j with Some e -> out := e :: !out | None -> ()))
              end

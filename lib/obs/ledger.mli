@@ -58,8 +58,9 @@ val append : t -> entry -> entry
 
 val load : t -> entry list
 (** All entries, oldest first.  Malformed lines are skipped; a header
-    with an unsupported schema version fails.
-    @raise Failure on an unreadable ledger or version mismatch. *)
+    with an unsupported or missing schema version fails.
+    @raise Failure on an unreadable ledger or a bad header, naming the
+    file. *)
 
 val find : t -> string -> entry option
 (** Look an entry up by run id. *)

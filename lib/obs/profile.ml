@@ -78,7 +78,6 @@ let feed b (e : Trace.event) =
       n.btotal <- n.btotal +. Float.max 0.0 (ts -. t0);
       Hashtbl.replace b.stacks tid rest
     | [] -> (* stray end: tolerate unbalanced streams *) ())
-  | Trace.Instant { ts; _ } -> note_ts b ts
 
 (* Snapshot: still-open spans are charged provisionally up to the last
    seen timestamp.  The builder is left untouched, so feeding the real
@@ -105,11 +104,15 @@ let snapshot b =
         bn.border
     in
     let children = List.sort (fun a b -> compare b.total a.total) children in
+    let child_total = List.fold_left (fun acc c -> acc +. c.total) 0.0 children in
+    (* Concurrent domains can charge the root's children more than the
+       window between the first and last event; the root then takes
+       their sum, so [total = self + children] holds everywhere. *)
     let total =
-      if bn == b.root then if b.seen then b.last_ts -. b.first_ts else 0.0
+      if bn == b.root then
+        Float.max child_total (if b.seen then b.last_ts -. b.first_ts else 0.0)
       else bn.btotal +. extra
     in
-    let child_total = List.fold_left (fun acc c -> acc +. c.total) 0.0 children in
     {
       name = bn.bname;
       calls = (if bn == b.root then 1 else bn.bcalls);
@@ -127,8 +130,9 @@ let of_events events =
 
 let collector () =
   let b = create () in
-  let sink = { Trace.emit = feed b; flush = (fun () -> ()) } in
-  (sink, fun () -> snapshot b)
+  let lock = Mutex.create () in
+  ( { Event.on_span = Some (fun e -> Mutex.protect lock (fun () -> feed b e)); on_record = None },
+    fun () -> Mutex.protect lock (fun () -> snapshot b) )
 
 let root_total n = n.total
 

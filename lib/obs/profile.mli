@@ -5,12 +5,12 @@
     (children included) and self time (total minus direct children).
     The root is a synthetic ["(root)"] node whose total is the event
     window ([last ts - first ts]) — for a run traced end to end this is
-    the run's wall time.
+    the run's wall time — or, when spans from several domains overlap
+    and add up to more than the window, their sum.
 
-    Build one either from a recorded stream ({!of_events}, e.g. from a
-    {!Trace.memory} sink) or live through {!collector}, a sink that
-    folds events as they arrive (constant memory in the event count;
-    combine with another sink via {!Trace.tee}). *)
+    Build one either from a recorded list of spans ({!of_events}) or
+    live through {!collector}, a consumer of the {!Event} channel that
+    folds spans as they arrive (constant memory in the span count). *)
 
 type node = {
   name : string;
@@ -25,11 +25,12 @@ val of_events : Trace.event list -> node
     tolerated: stray [End]s are dropped and spans still open at the end
     of the stream are charged up to the last seen timestamp. *)
 
-val collector : unit -> Trace.sink * (unit -> node)
-(** A live folding sink and its snapshot function.  Snapshots are cheap
-    and non-destructive: open spans are charged provisionally, and a
-    later snapshot (after more events) supersedes the provisional
-    charge. *)
+val collector : unit -> Event.consumer * (unit -> node)
+(** A live folding consumer (it reads spans only) and its snapshot
+    function.  Spans from several domains are folded under the
+    collector's own lock.  Snapshots are cheap and non-destructive: open
+    spans are charged provisionally, and a later snapshot (after more
+    spans) supersedes the provisional charge. *)
 
 val root_total : node -> float
 (** The event-window total of a (root) node. *)

@@ -1,7 +1,8 @@
-(* Live progress heartbeats.  Engines post ticks (bound advanced, frame
-   pushed, refinement, solver restart) through the global [beat]; an
-   installed reporter rate-limits them to one rendered line per
-   configured interval and renders for the output at hand: single-line
+(* Live progress heartbeats.  Engines post search records (bound
+   advanced, frame pushed, refinement, solver restart) on the Event
+   channel; a subscribed reporter turns the heartbeat records into ticks,
+   rate-limits them to one rendered line per configured interval and
+   renders for the output at hand: single-line
    rewrite on a TTY, one line per heartbeat when piped, or JSON lines
    for tooling.  Each accepted heartbeat also samples the GC through
    [Resource], so memory tracks time in the run's registry. *)
@@ -152,33 +153,29 @@ let finish r =
         r.dirty <- false
       end)
 
-(* --- global reporter ------------------------------------------------------- *)
+(* --- the channel's heartbeat records ------------------------------------------ *)
 
-let current : reporter option ref = ref None
+let tick_of_record : Event.kind -> tick option = function
+  | Phase { phase; step; total; detail; conflicts; propagations; learnt } ->
+    let opt n = if n >= 0 then Some n else None in
+    Some { phase; step = opt step; total = opt total; detail; conflicts; propagations; learnt }
+  | Restart { conflicts; propagations; learnt; _ } ->
+    Some (mk_tick ~conflicts ~propagations ~learnt "sat.restart")
+  | Reduce { kept; _ } -> Some (mk_tick ~step:kept "sat.db.reduce")
+  | Itp_cut _ | Spawn _ | Dispatch _ | Cancel _ | Verdict _ | Analyze _ | Step _ -> None
 
-let set_reporter r = current := Some r
-let enabled () = !current <> None
-
-let clear_reporter () =
-  (match !current with Some r -> finish r | None -> ());
-  current := None
-
-let beat t = match !current with Some r -> ignore (emit r t) | None -> ()
-
-let tick ?step ?total ?detail ?conflicts ?propagations ?learnt phase =
-  match !current with
-  | None -> ()
-  | Some r ->
-    ignore (emit r (mk_tick ?step ?total ?detail ?conflicts ?propagations ?learnt phase))
+let consumer r =
+  {
+    Event.on_span = None;
+    on_record =
+      Some (fun ~ts:_ ~dom:_ kind -> Option.iter (fun t -> ignore (emit r t)) (tick_of_record kind));
+  }
 
 (* --- CLI conveniences ------------------------------------------------------ *)
 
 let auto_mode ?(fd = Unix.stderr) () = if Unix.isatty fd then Tty else Plain
 
-let with_stderr ?clock ?interval ?width mode f =
-  let write s =
-    output_string stderr s;
-    flush stderr
-  in
-  set_reporter (make ?clock ?interval ?width ~mode write);
-  Fun.protect ~finally:clear_reporter f
+let to_stderr ?clock ?interval ?width mode =
+  make ?clock ?interval ?width ~mode (fun s ->
+      output_string stderr s;
+      flush stderr)

@@ -1,18 +1,20 @@
 (** Rate-limited live progress heartbeats.
 
-    Engines post {!tick}s at natural advancement points — a BMC/ITPSEQ
-    bound finished, a PDR frame pushed, a CBA refinement, a solver
-    restart — each carrying the run's cumulative conflict/propagation/
-    learnt-clause counters.  A reporter (installed globally, like a
-    {!Trace} sink) renders at most one line per [interval] seconds:
+    Heartbeats are rendered from search records on the {!Event}
+    channel: engines post a {!Event.kind.Phase} at natural advancement
+    points (a BMC/ITPSEQ bound finished, a PDR frame pushed, a CBA
+    refinement, a suite run started) with the run's cumulative
+    conflict/propagation/learnt-clause counters, and the solver a
+    {!Event.kind.Restart} (with its live counters) or an
+    {!Event.kind.Reduce}.  A reporter subscribed through {!consumer}
+    renders at most one line per [interval] seconds:
 
     - [Tty]: a single line rewritten in place ([\r] + erase);
     - [Plain]: one full line per accepted heartbeat (piped output);
     - [Jsonl]: one JSON object per accepted heartbeat.
 
     Every accepted heartbeat also calls {!Resource.sample}, so GC
-    gauges advance with the heartbeat cadence even when tracing is off.
-    Without a reporter installed a tick is two loads and a branch. *)
+    gauges advance with the heartbeat cadence even when tracing is off. *)
 
 type tick = {
   phase : string;        (** e.g. ["bmc.bound"], ["pdr.frame"], ["sat.restart"] *)
@@ -69,33 +71,16 @@ val finish : reporter -> unit
 val emitted : reporter -> int
 (** Heartbeats rendered so far. *)
 
-val set_reporter : reporter -> unit
-val clear_reporter : unit -> unit
-(** [clear_reporter] also {!finish}es the reporter. *)
-
-val enabled : unit -> bool
-
-val beat : tick -> unit
-(** Post to the installed reporter; no-op (and allocation-free apart
-    from the tick itself) without one. *)
-
-val tick :
-  ?step:int ->
-  ?total:int ->
-  ?detail:string ->
-  ?conflicts:int ->
-  ?propagations:int ->
-  ?learnt:int ->
-  string ->
-  unit
-(** [beat] with the tick built in place; does not build anything when no
-    reporter is installed. *)
+val consumer : reporter -> Event.consumer
+(** The reporter's subscription: it reads search records and {!emit}s
+    one heartbeat per [Phase] (rendered as itself), [Restart] (as
+    ["sat.restart"]) and [Reduce] (as ["sat.db.reduce"], its survivors
+    as the step); other records are not heartbeats. *)
 
 val auto_mode : ?fd:Unix.file_descr -> unit -> mode
 (** [Tty] when [fd] (default stderr) is a terminal, [Plain] otherwise —
     the [--progress auto] policy of the CLIs. *)
 
-val with_stderr :
-  ?clock:(unit -> float) -> ?interval:float -> ?width:int -> mode -> (unit -> 'a) -> 'a
-(** Installs a stderr-writing reporter for the extent of the callback
-    ({!clear_reporter} runs even on exceptions). *)
+val to_stderr : ?clock:(unit -> float) -> ?interval:float -> ?width:int -> mode -> reporter
+(** A reporter writing to stderr, as the CLIs' [--progress] subscribes
+    it (through {!consumer}) for the run and {!finish}es it after. *)

@@ -4,10 +4,10 @@
    portfolio's — and samples always land in the innermost registry.
    The stack is domain-local: each racing domain attaches its own run's
    registry and samples its own GC counters, so parallel members never
-   write into each other's books.  While at least one registry is
-   attached anywhere (an atomic count across domains), a Trace boundary
-   hook samples at every span begin/end; heartbeat reporters call
-   [sample] on their own cadence. *)
+   write into each other's books.  Samples are taken at attach and
+   detach; the heartbeat reporter calls [sample] on its own cadence.
+   Spans never sample, so tracing a run leaves its [gc.*] gauges as
+   they are. *)
 
 module M = Metrics
 
@@ -29,9 +29,6 @@ type handles = {
 }
 
 let attached_stack : handles list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
-
-(* Domains with a non-empty stack; governs the global boundary hook. *)
-let active = Atomic.make 0
 
 let attached () = Domain.DLS.get attached_stack <> []
 
@@ -85,15 +82,8 @@ let sample_into h =
 let sample () =
   match Domain.DLS.get attached_stack with [] -> () | h :: _ -> sample_into h
 
-(* The hook itself samples the calling domain's innermost registry; the
-   atomic count only decides whether any hook is worth installing.  The
-   install/clear races at the 0↔1 edge are benign: the worst case is a
-   missed (or spurious, no-op) boundary sample. *)
 let attach ?clock reg =
-  let stack = Domain.DLS.get attached_stack in
-  Domain.DLS.set attached_stack (mk ?clock reg :: stack);
-  if stack = [] && Atomic.fetch_and_add active 1 = 0 then
-    Trace.set_boundary_hook sample;
+  Domain.DLS.set attached_stack (mk ?clock reg :: Domain.DLS.get attached_stack);
   sample ()
 
 let detach () =
@@ -101,9 +91,7 @@ let detach () =
   | [] -> ()
   | h :: rest ->
     sample_into h;
-    Domain.DLS.set attached_stack rest;
-    if rest = [] && Atomic.fetch_and_add active (-1) = 1 then
-      Trace.clear_boundary_hook ()
+    Domain.DLS.set attached_stack rest
 
 let with_attached ?clock reg f =
   attach ?clock reg;

@@ -1,9 +1,9 @@
 (** GC/memory accounting for verification runs.
 
     [attach reg] pushes a registry onto the attachment stack; while any
-    registry is attached, {!sample} (called by heartbeat reporters and,
-    through a {!Trace} boundary hook, at every span begin/end when
-    tracing is on) folds a [Gc.quick_stat] into the innermost registry:
+    registry is attached, {!sample} (called at attach and detach and by
+    the heartbeat reporter at every rendered heartbeat) folds a
+    [Gc.quick_stat] into the innermost registry:
 
     - [gc.heap_words] (gauge) — current major-heap words
     - [gc.peak_heap_words] (gauge, max-kept) — the run's heap high-water mark

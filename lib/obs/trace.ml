@@ -1,151 +1,33 @@
-type args = (string * string) list
+type args = Event.args
 
-type event =
+type event = Event.span =
   | Begin of { name : string; ts : float; tid : int; args : args }
   | End of { ts : float; tid : int; args : args }
-  | Instant of { name : string; ts : float; tid : int; args : args }
 
-type sink = { emit : event -> unit; flush : unit -> unit }
+let enabled = Event.spans_enabled
 
-let null = { emit = ignore; flush = (fun () -> ()) }
+let tid () = (Domain.self () :> int)
 
-(* The enabled flag is the whole fast path: [span] tests it once and,
-   when false, tail-calls the thunk without touching the sink. *)
-let current = ref null
-let on = ref false
-
-(* One emission lock for every installed sink: spans may be emitted from
-   several domains at once (the parallel portfolio), and the sinks —
-   Chrome buffers, the memory sink, profile collectors — are plain
-   mutable structures.  The lock is only ever taken when a sink is
-   installed, so the disabled fast path stays lock-free. *)
-let lock = Mutex.create ()
-
-let event_tid () = (Domain.self () :> int)
-
-let set_sink s =
-  current := s;
-  on := s != null
-
-let clear_sink () =
-  current := null;
-  on := false
-
-let enabled () = !on
-let flush () = Mutex.protect lock (fun () -> !current.flush ())
-
-let memory () =
-  let events = ref [] in
-  let sink = { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) } in
-  (sink, fun () -> List.rev !events)
-
-let tee a b =
-  {
-    emit =
-      (fun e ->
-        a.emit e;
-        b.emit e);
-    flush =
-      (fun () ->
-        a.flush ();
-        b.flush ());
-  }
-
-(* --- Chrome trace-event JSON --------------------------------------------- *)
-
-(* The emitting domain becomes the Chrome thread id (via {!Chrome}), so
-   the parallel portfolio renders as one lane per domain instead of one
-   garbled lane of interleaved begins/ends. *)
-let chrome_event b ~first e =
-  match e with
-  | Begin { name; ts; tid; args } -> Chrome.add_event b ~first ~ph:"B" ~name ~tid ~ts args
-  | End { ts; tid; args } -> Chrome.add_event b ~first ~ph:"E" ~tid ~ts args
-  | Instant { name; ts; tid; args } -> Chrome.add_event b ~first ~ph:"i" ~name ~tid ~ts args
-
-(* Closing the top-level array must be idempotent: [flush] is routinely
-   reached twice (once by the tracing scope, once by a [Fun.protect]
-   finaliser), and a second "]" would corrupt the file.  Events arriving
-   after the close are dropped. *)
-let chrome buf =
-  Buffer.add_string buf "[\n";
-  let first = ref true in
-  let closed = ref false in
-  {
-    emit =
-      (fun e ->
-        if not !closed then begin
-          chrome_event buf ~first:!first e;
-          first := false
-        end);
-    flush =
-      (fun () ->
-        if not !closed then begin
-          closed := true;
-          Buffer.add_string buf "\n]\n"
-        end);
-  }
-
-let chrome_channel oc =
-  let buf = Buffer.create 256 in
-  let sink = chrome buf in
-  let closed = ref false in
-  {
-    emit =
-      (fun e ->
-        sink.emit e;
-        if Buffer.length buf > 65536 then begin
-          Buffer.output_buffer oc buf;
-          Buffer.clear buf
-        end);
-    flush =
-      (fun () ->
-        if not !closed then begin
-          closed := true;
-          sink.flush ();
-          Buffer.output_buffer oc buf;
-          Buffer.clear buf;
-          Stdlib.flush oc
-        end);
-  }
-
-(* --- emission -------------------------------------------------------------- *)
-
-(* Called at every span boundary while tracing is enabled; Resource
-   hooks GC sampling in here.  Kept out of the disabled fast path, and
-   outside the emission lock: the hook samples the calling domain's own
-   attached registry. *)
-let boundary_hook : (unit -> unit) ref = ref (fun () -> ())
-
-let set_boundary_hook f = boundary_hook := f
-let clear_boundary_hook () = boundary_hook := fun () -> ()
-
-let emit e = Mutex.protect lock (fun () -> !current.emit e)
-
-let begin_span ?(args = []) name =
-  if !on then begin
-    !boundary_hook ();
-    emit (Begin { name; ts = Clock.now (); tid = event_tid (); args })
-  end
-
-let end_span ?(args = []) () =
-  if !on then begin
-    !boundary_hook ();
-    emit (End { ts = Clock.now (); tid = event_tid (); args })
-  end
-
-let instant ?(args = []) name =
-  if !on then emit (Instant { name; ts = Clock.now (); tid = event_tid (); args })
-
-let span ?args ?end_args name f =
-  if not !on then f ()
+let span ?(args = []) ?end_args name f =
+  if not (Event.spans_enabled ()) then f ()
   else begin
-    begin_span ?args name;
+    Event.emit_span (Begin { name; ts = Clock.now (); tid = tid (); args });
+    let finish args = Event.emit_span (End { ts = Clock.now (); tid = tid (); args }) in
     match f () with
     | v ->
-      let args = match end_args with None -> [] | Some g -> g () in
-      end_span ~args ();
+      finish (match end_args with None -> [] | Some g -> g ());
       v
     | exception e ->
-      end_span ~args:[ ("exception", Printexc.exn_slot_name e) ] ();
+      finish [ ("exception", Printexc.exn_slot_name e) ];
       raise e
   end
+
+let sink : Event.consumer option ref = ref None
+
+let set_sink c =
+  Event.subscribe c;
+  sink := Some c
+
+let clear_sink () =
+  Option.iter Event.unsubscribe !sink;
+  sink := None

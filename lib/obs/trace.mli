@@ -1,68 +1,26 @@
 (** Nested span tracing on the monotonic clock.
 
-    A global sink receives begin/end/instant events; the default sink is
-    {!null} and the fast path is a single flag test — [span] with the
-    null sink installed calls its thunk directly and allocates nothing.
-    Sinks ship with the library: an in-memory sink for tests and a
-    Chrome trace-event JSON sink whose output loads in Perfetto
-    (https://ui.perfetto.dev) or chrome://tracing.
+    Spans are one kind of traffic on the {!Event} channel: [span] posts
+    a begin/end pair to every subscribed consumer that reads spans (the
+    {!Profile} collector, the {!Chrome} writer).  With none subscribed
+    the fast path is a single flag test — [span] calls its thunk
+    directly and allocates nothing.
 
     Span arguments are pre-rendered [(key, value)] string pairs; end
     arguments are supplied as a thunk that only runs when tracing is
     enabled, so instrumentation sites pay nothing for building counter
-    deltas in the common disabled case.
+    deltas in the common disabled case. *)
 
-    Emission is domain-safe: events may arrive from several domains at
-    once (the parallel portfolio) and are serialised through one
-    emission lock, so sinks never see concurrent [emit] calls.
-    Installing or clearing a sink, by contrast, is a single-domain
-    affair — do it before spawning workers. *)
+type args = Event.args
 
-type args = (string * string) list
-
-type event =
+type event = Event.span =
   | Begin of { name : string; ts : float; tid : int; args : args }
   | End of { ts : float; tid : int; args : args }
-  | Instant of { name : string; ts : float; tid : int; args : args }
-(** [tid] is the integer id of the emitting domain ({!Domain.self}); the
-    Chrome sink renders one lane per domain and {!Profile} keeps one
-    span stack per domain, so parallel runs stay well nested. *)
-
-type sink = { emit : event -> unit; flush : unit -> unit }
-
-val null : sink
-(** Drops everything. *)
-
-val memory : unit -> sink * (unit -> event list)
-(** An in-memory sink and a function returning the events recorded so
-    far, in emission order. *)
-
-val tee : sink -> sink -> sink
-(** Every event (and flush) goes to both sinks, left first — e.g. a
-    Chrome file and a live {!Profile} collector from the same run. *)
-
-val chrome : Buffer.t -> sink
-(** Renders Chrome trace-event JSON into the buffer; the first [flush]
-    closes the top-level array, further flushes are no-ops and events
-    emitted after the close are dropped. *)
-
-val chrome_channel : out_channel -> sink
-(** Streams Chrome trace-event JSON to the channel; the first [flush]
-    closes the array and flushes the channel, further flushes are
-    no-ops (the channel is never written again). *)
-
-val set_sink : sink -> unit
-(** Installs a sink and enables tracing (unless it is {!null}). *)
-
-val clear_sink : unit -> unit
-(** Back to {!null}; tracing disabled. *)
+(** [tid] is the integer id of the emitting domain ({!Domain.self}). *)
 
 val enabled : unit -> bool
-(** True when a non-null sink is installed.  Callers may use this to
-    guard expensive argument construction. *)
-
-val flush : unit -> unit
-(** Flushes the current sink. *)
+(** True when a subscribed consumer reads spans ({!Event.spans_enabled}).
+    Callers may use this to guard expensive argument construction. *)
 
 val span : ?args:args -> ?end_args:(unit -> args) -> string -> (unit -> 'a) -> 'a
 (** [span name f] brackets [f ()] in a begin/end pair.  [end_args] is
@@ -70,16 +28,9 @@ val span : ?args:args -> ?end_args:(unit -> args) -> string -> (unit -> 'a) -> '
     carries the exception name instead and the exception is re-raised.
     With tracing disabled this is exactly [f ()]. *)
 
-val instant : ?args:args -> string -> unit
-(** A zero-duration marker event. *)
+val set_sink : Event.consumer -> unit
+(** Subscribe one consumer (usually a {!Profile.collector}) to the
+    channel; {!clear_sink} unsubscribes it again. *)
 
-val begin_span : ?args:args -> string -> unit
-val end_span : ?args:args -> unit -> unit
-(** Explicit bracket for call sites where a function wrapper does not
-    fit; the caller owns the pairing discipline. *)
-
-val set_boundary_hook : (unit -> unit) -> unit
-val clear_boundary_hook : unit -> unit
-(** A callback invoked at every span begin/end while tracing is enabled
-    (never on the disabled fast path).  {!Resource} uses it to sample
-    the GC at span boundaries; last installer wins. *)
+val clear_sink : unit -> unit
+(** Unsubscribe the consumer of the last {!set_sink}, if any. *)

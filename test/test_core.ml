@@ -414,7 +414,16 @@ let test_budget_expiry_dumps_flight () =
       (* Something in the ring before the search, so the dump provably
          carries the pre-expiry tail. *)
       Isr_obs.Event.emit
-        (Isr_obs.Event.Phase { phase = "test.pre"; step = -1; detail = "" });
+        (Isr_obs.Event.Phase
+           {
+             phase = "test.pre";
+             step = -1;
+             total = -1;
+             detail = "";
+             conflicts = 0;
+             propagations = 0;
+             learnt = 0;
+           });
       let s = php_solver 5 in
       let stats = Verdict.mk_stats () in
       let tiny =

@@ -1,19 +1,25 @@
 (* Tests for the observability library: span emission order and nesting,
    exception safety, histogram bucket boundaries, Chrome trace JSON
-   well-formedness (via a small parser), the null-sink fast path, and the
-   end-to-end span structure of a real engine run. *)
+   well-formedness (via a small parser), the unsubscribed fast path, and
+   the end-to-end span structure of a real engine run. *)
 
 open Isr_obs
 
-let with_memory_sink f =
-  let sink, events = Trace.memory () in
-  Trace.set_sink sink;
-  Fun.protect ~finally:Trace.clear_sink (fun () -> f events)
+(* A consumer that keeps every span, for the extent of [f]. *)
+let with_span_log f =
+  let log = ref [] in
+  let c = { Event.on_span = Some (fun e -> log := e :: !log); on_record = None } in
+  Event.subscribe c;
+  Fun.protect ~finally:(fun () -> Event.unsubscribe c) (fun () -> f (fun () -> List.rev !log))
+
+let phase ?(step = -1) ?(total = -1) ?(detail = "") ?(conflicts = 0) ?(propagations = 0)
+    ?(learnt = 0) name =
+  Event.Phase { phase = name; step; total; detail; conflicts; propagations; learnt }
 
 (* --- spans ---------------------------------------------------------------- *)
 
 let test_span_order () =
-  with_memory_sink (fun events ->
+  with_span_log (fun events ->
       let r =
         Trace.span "outer" ~args:[ ("k", "1") ] (fun () ->
             Trace.span "inner" (fun () -> 42))
@@ -30,7 +36,7 @@ let test_span_order () =
       | evs -> Alcotest.failf "unexpected event shape (%d events)" (List.length evs))
 
 let test_span_exception () =
-  with_memory_sink (fun events ->
+  with_span_log (fun events ->
       (try Trace.span "boom" (fun () -> failwith "no") with Failure _ -> ());
       match events () with
       | [ Trace.Begin _; Trace.End e ] ->
@@ -40,15 +46,27 @@ let test_span_exception () =
           e.args
       | _ -> Alcotest.fail "expected exactly Begin/End")
 
-let test_instant_and_enabled () =
+(* The two flags follow the subscriber list: a span reader turns spans
+   on and leaves search payloads off, and a record reader the reverse. *)
+let test_span_and_record_flags () =
   Alcotest.(check bool) "disabled by default" false (Trace.enabled ());
-  with_memory_sink (fun events ->
+  Alcotest.(check bool) "records off by default" false (Event.enabled ());
+  with_span_log (fun events ->
       Alcotest.(check bool) "enabled with sink" true (Trace.enabled ());
-      Trace.instant "mark" ~args:[ ("x", "y") ];
+      Alcotest.(check bool) "a span reader leaves records off" false (Event.enabled ());
+      Trace.span "mark" ~args:[ ("x", "y") ] (fun () -> ());
       match events () with
-      | [ Trace.Instant i ] -> Alcotest.(check string) "name" "mark" i.name
-      | _ -> Alcotest.fail "expected one instant");
-  Alcotest.(check bool) "disabled after clear" false (Trace.enabled ())
+      | [ Trace.Begin b; Trace.End _ ] -> Alcotest.(check string) "name" "mark" b.name
+      | _ -> Alcotest.fail "expected one span");
+  Alcotest.(check bool) "disabled after clear" false (Trace.enabled ());
+  let reader = { Event.on_span = None; on_record = Some (fun ~ts:_ ~dom:_ _ -> ()) } in
+  Event.subscribe reader;
+  Fun.protect
+    ~finally:(fun () -> Event.unsubscribe reader)
+    (fun () ->
+      Alcotest.(check bool) "a record reader turns records on" true (Event.enabled ());
+      Alcotest.(check bool) "a record reader leaves spans off" false (Trace.enabled ()));
+  Alcotest.(check bool) "records off after unsubscribe" false (Event.enabled ())
 
 (* The disabled fast path must not allocate: a span with a pre-built
    thunk is a flag test plus a call. *)
@@ -365,19 +383,31 @@ let jnum = function Jnum f -> f | _ -> Alcotest.fail "expected number"
 
 (* --- Chrome trace JSON ---------------------------------------------------- *)
 
-let test_chrome_json () =
-  let buf = Buffer.create 256 in
-  Trace.set_sink (Trace.chrome buf);
+(* Runs [f] with a Chrome writer subscribed and returns what it wrote.
+   [f] gets the writer's close function. *)
+let chrome_text f =
+  let path = Filename.temp_file "isr_trace" ".json" in
   Fun.protect
-    ~finally:(fun () ->
-      Trace.flush ();
-      Trace.clear_sink ())
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace.span "outer" ~args:[ ("k", "2"); ("q\"uote", "a\nb") ] (fun () ->
-          Trace.instant "tick";
-          Trace.span "inner" (fun () -> ())));
+      let writer, close = Chrome.writer (open_out path) in
+      Event.subscribe writer;
+      Fun.protect
+        ~finally:(fun () ->
+          Event.unsubscribe writer;
+          close ())
+        (fun () -> f close);
+      In_channel.with_open_bin path In_channel.input_all)
+
+let test_chrome_json () =
+  let text =
+    chrome_text (fun _ ->
+        Trace.span "outer" ~args:[ ("k", "2"); ("q\"uote", "a\nb") ] (fun () ->
+            Event.emit (phase "tick");
+            Trace.span "inner" (fun () -> ())))
+  in
   let events =
-    match parse_json (Buffer.contents buf) with
+    match parse_json text with
     | Jlist evs -> evs
     | _ -> Alcotest.fail "expected a top-level array"
   in
@@ -409,28 +439,19 @@ let test_chrome_json () =
   Alcotest.(check string) "instant scope" "t" (jstr (member_exn "s" inst))
 
 let test_chrome_channel_file () =
-  let path = Filename.temp_file "isr_trace" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      Trace.set_sink (Trace.chrome_channel oc);
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.flush ();
-          Trace.clear_sink ();
-          close_out oc)
-        (fun () ->
-          Trace.span "s" (fun () -> ());
-          (* The finaliser above flushes again: both paths are routinely
-             reached, and the second close must not emit a second "]". *)
-          Trace.flush ());
-      let text = In_channel.with_open_text path In_channel.input_all in
-      match parse_json text with
-      | Jlist [ b; e ] ->
-        Alcotest.(check string) "B" "B" (jstr (member_exn "ph" b));
-        Alcotest.(check string) "E" "E" (jstr (member_exn "ph" e))
-      | _ -> Alcotest.fail "expected two events")
+  let text =
+    chrome_text (fun close ->
+        Trace.span "s" (fun () -> ());
+        (* The finaliser closes again: both paths are routinely reached
+           (the end of a run and the exit handler), and the second close
+           must not emit a second "]". *)
+        close ())
+  in
+  match parse_json text with
+  | Jlist [ b; e ] ->
+    Alcotest.(check string) "B" "B" (jstr (member_exn "ph" b));
+    Alcotest.(check string) "E" "E" (jstr (member_exn "ph" e))
+  | _ -> Alcotest.fail "expected two events"
 
 let test_metrics_json () =
   let r = Metrics.create () in
@@ -449,20 +470,28 @@ let test_metrics_json () =
   | _ -> Alcotest.fail "expected one bucket"
 
 let test_chrome_flush_idempotent () =
-  let buf = Buffer.create 256 in
-  Trace.set_sink (Trace.chrome buf);
-  Fun.protect ~finally:Trace.clear_sink (fun () ->
-      Trace.span "s" (fun () -> Trace.instant "i");
-      Trace.flush ();
-      let first = Buffer.contents buf in
-      (match parse_json first with
-      | Jlist l -> Alcotest.(check int) "three events" 3 (List.length l)
-      | _ -> Alcotest.fail "expected an array");
-      Trace.flush ();
-      Alcotest.(check string) "second flush is a no-op" first (Buffer.contents buf);
-      Trace.instant "late";
-      Trace.flush ();
-      Alcotest.(check string) "events after close are dropped" first (Buffer.contents buf))
+  let path = Filename.temp_file "isr_trace" ".json" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let writer, close = Chrome.writer (open_out path) in
+      Event.subscribe writer;
+      Fun.protect
+        ~finally:(fun () -> Event.unsubscribe writer)
+        (fun () ->
+          Trace.span "s" (fun () -> Event.emit (phase "i"));
+          close ();
+          let first = read () in
+          (match parse_json first with
+          | Jlist l -> Alcotest.(check int) "three events" 3 (List.length l)
+          | _ -> Alcotest.fail "expected an array");
+          close ();
+          Alcotest.(check string) "second flush is a no-op" first (read ());
+          Event.emit (phase "late");
+          Trace.span "late" (fun () -> ());
+          close ();
+          Alcotest.(check string) "events after close are dropped" first (read ())))
 
 (* --- profiles -------------------------------------------------------------- *)
 
@@ -556,13 +585,15 @@ let test_profile_hot () =
 
 let test_profile_collector () =
   let sink, snapshot = Profile.collector () in
-  sink.Trace.emit (ev_b "a" 0.0);
-  sink.Trace.emit (ev_b "b" 1.0);
+  let feed = Option.get sink.Event.on_span in
+  Alcotest.(check bool) "reads spans only" true (sink.Event.on_record = None);
+  feed (ev_b "a" 0.0);
+  feed (ev_b "b" 1.0);
   (* Open spans are charged provisionally up to the last timestamp... *)
   let s1 = snapshot () in
   Alcotest.(check (float 1e-9)) "provisional a" 1.0 (find_child "a" s1).Profile.total;
-  sink.Trace.emit (ev_e 2.0);
-  sink.Trace.emit (ev_e 5.0);
+  feed (ev_e 2.0);
+  feed (ev_e 5.0);
   (* ...and a later snapshot supersedes the provisional charge. *)
   let s2 = snapshot () in
   let a = find_child "a" s2 in
@@ -677,22 +708,35 @@ let test_progress_width_clamp () =
   Alcotest.(check bool) "width sanity" true (Progress.default_width () > 1)
 
 let test_progress_global () =
-  Alcotest.(check bool) "disabled by default" false (Progress.enabled ());
-  Progress.tick "ignored" (* must be a silent no-op without a reporter *);
+  Alcotest.(check bool) "disabled by default" false (Event.enabled ());
+  Event.emit (phase "ignored") (* must be a silent no-op without a reporter *);
   let now = ref 0.0 in
   let lines = ref [] in
-  Progress.set_reporter
-    (Progress.make
-       ~clock:(fun () -> !now)
-       ~interval:1.0 ~mode:Progress.Plain
-       (fun s -> lines := s :: !lines));
-  Fun.protect ~finally:Progress.clear_reporter (fun () ->
-      Alcotest.(check bool) "enabled with reporter" true (Progress.enabled ());
-      Progress.tick ~step:1 "bmc.bound";
+  let reporter =
+    Progress.consumer
+      (Progress.make
+         ~clock:(fun () -> !now)
+         ~interval:1.0 ~mode:Progress.Plain
+         (fun s -> lines := s :: !lines))
+  in
+  Event.subscribe reporter;
+  Fun.protect
+    ~finally:(fun () -> Event.unsubscribe reporter)
+    (fun () ->
+      Alcotest.(check bool) "enabled with reporter" true (Event.enabled ());
+      Event.emit (phase ~step:1 "bmc.bound");
       now := 0.1;
-      Progress.tick ~step:2 "bmc.bound";
-      Alcotest.(check int) "global ticks rate-limited" 1 (List.length !lines));
-  Alcotest.(check bool) "disabled after clear" false (Progress.enabled ())
+      Event.emit (phase ~step:2 "bmc.bound");
+      Alcotest.(check int) "global ticks rate-limited" 1 (List.length !lines);
+      (* Records that are not heartbeats never render, even on time. *)
+      now := 5.0;
+      Event.emit (Event.Dispatch { worker = 0; bound = 1 });
+      Alcotest.(check int) "only heartbeat records render" 1 (List.length !lines);
+      Event.emit (phase ~step:3 ~total:8 ~detail:"vending11/itpseq" "suite.run");
+      Alcotest.(check (list string)) "a phase renders as itself"
+        [ "[   5.0s] suite.run 3/8 vending11/itpseq\n" ]
+        [ List.hd !lines ]);
+  Alcotest.(check bool) "disabled after clear" false (Event.enabled ())
 
 (* --- resource sampling ----------------------------------------------------- *)
 
@@ -742,7 +786,7 @@ let test_engine_span_structure () =
     { Budget.time_limit = 30.0; conflict_limit = 2_000_000; bound_limit = 60; reduce = Isr_sat.Solver.default_reduce }
   in
   let events =
-    with_memory_sink (fun events ->
+    with_span_log (fun events ->
         let verdict, stats = Engine.run (Engine.Itpseq Bmc.Assume) ~limits model in
         Alcotest.(check bool) "falsified" true (Verdict.is_falsified verdict);
         Alcotest.(check bool) "sat calls counted" true (Verdict.sat_calls stats > 0);
@@ -759,8 +803,7 @@ let test_engine_span_structure () =
       | Trace.End _ -> (
         match !stack with
         | _ :: tl -> stack := tl
-        | [] -> Alcotest.fail "unbalanced end")
-      | Trace.Instant _ -> ())
+        | [] -> Alcotest.fail "unbalanced end"))
     events;
   Alcotest.(check (list string)) "all spans closed" [] !stack;
   let has_chain pred = List.exists pred !seen_chain in
@@ -858,12 +901,13 @@ let test_quantile_pinned () =
 
 let with_recorder f =
   let r = Event.recorder () in
-  Event.set_recorder r;
-  Fun.protect ~finally:Event.clear_recorder (fun () -> f r)
+  let c = Event.recording r in
+  Event.subscribe c;
+  Fun.protect ~finally:(fun () -> Event.unsubscribe c) (fun () -> f r)
 
 let all_kinds =
   [
-    Event.Restart { conflicts = 120; decisions = 4500; learnt = 37 };
+    Event.Restart { conflicts = 120; decisions = 4500; learnt = 37; propagations = 9100 };
     Event.Reduce
       {
         kept = 20;
@@ -873,8 +917,9 @@ let all_kinds =
         dead_uses = [| 9; 4; 2 |];
       };
     Event.Itp_cut { cut = 4; support = 12; nodes = 311 };
-    Event.Phase { phase = "itpseq.outer"; step = 3; detail = "k=5" };
-    Event.Phase { phase = "cba"; step = -1; detail = "" };
+    phase ~step:3 ~detail:"k=5" ~conflicts:77 ~propagations:4554 ~learnt:63 "itpseq.outer";
+    phase "cba";
+    phase ~step:2 ~total:8 ~detail:"vending11/itpseq" "suite.run";
     Event.Spawn { worker = 1; engines = "bmc+itp" };
     Event.Dispatch { worker = 1; bound = 17 };
     Event.Cancel { worker = 0; cause = Event.Race_won; by = 1 };
@@ -894,7 +939,7 @@ let all_kinds =
 
 let test_event_roundtrip () =
   Alcotest.(check bool) "disabled by default" false (Event.enabled ());
-  Event.emit (Event.Phase { phase = "ignored"; step = -1; detail = "" });
+  Event.emit (phase "ignored");
   with_recorder (fun r ->
       Alcotest.(check bool) "enabled with recorder" true (Event.enabled ());
       List.iter Event.emit all_kinds;
@@ -945,7 +990,18 @@ let test_event_jsonl_file () =
 let test_event_chrome () =
   with_recorder (fun r ->
       List.iter Event.emit all_kinds;
-      match Json.parse (Event.to_chrome (Event.events r)) with
+      (* The export path: a recorded stream replayed through the writer. *)
+      let path = Filename.temp_file "isr_events" ".json" in
+      let text =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            let writer, close = Chrome.writer (open_out path) in
+            Event.replay writer (Event.events r);
+            close ();
+            In_channel.with_open_bin path In_channel.input_all)
+      in
+      match Json.parse text with
       | Json.Arr rows ->
         Alcotest.(check int) "one trace row per event" (List.length all_kinds)
           (List.length rows);
@@ -990,16 +1046,24 @@ let test_event_merge_deterministic () =
 
 (* --- shared chrome emitter ---------------------------------------------------- *)
 
-(* The one wire-format authority behind both Trace's chrome sink and
-   Event.to_chrome: every quirk of the format (1-based tids, µs
-   timestamps, escaped args, the "s" scope on instants) must round-trip
-   through the JSON parser. *)
+(* The one Chrome writer renders spans and search records alike: every
+   quirk of the format (1-based tids, µs timestamps, escaped names and
+   args, the "s" scope on instants) must round-trip through the JSON
+   parser. *)
 let test_chrome_emitter_roundtrip () =
-  let b = Buffer.create 128 in
-  Chrome.add_event b ~first:true ~ph:"i" ~name:"cut \"q\"" ~tid:3 ~ts:1.5
-    [ ("detail", "a\nb") ];
-  Chrome.add_event b ~first:false ~ph:"B" ~name:"span" ~tid:0 ~ts:2.0 [];
-  match Json.parse ("[" ^ Buffer.contents b ^ "]") with
+  let path = Filename.temp_file "isr_trace" ".json" in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let writer, close = Chrome.writer (open_out path) in
+        Option.get writer.Event.on_record ~ts:1.5 ~dom:3 (phase ~detail:"a\nb" "cut \"q\"");
+        Option.get writer.Event.on_span
+          (Trace.Begin { name = "span"; ts = 2.0; tid = 0; args = [ ("detail", "a\nb") ] });
+        close ();
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  match Json.parse text with
   | Json.Arr [ i; bgn ] ->
     Alcotest.(check (option string)) "name escaped and back" (Some "cut \"q\"")
       (Json.opt_str_field "name" i);
@@ -1010,10 +1074,18 @@ let test_chrome_emitter_roundtrip () =
     | Some (Json.Num us) -> Alcotest.(check (float 0.01)) "seconds to us" 1.5e6 us
     | _ -> Alcotest.fail "no ts");
     (match Json.field "args" i with
+    | Some a -> (
+      match Json.opt_str_field "json" a with
+      | Some payload ->
+        Alcotest.(check (option string)) "record payload escaped and back" (Some "a\nb")
+          (Json.opt_str_field "detail" (Json.parse payload))
+      | None -> Alcotest.fail "no record payload")
+    | None -> Alcotest.fail "no args");
+    (match Json.field "args" bgn with
     | Some a ->
       Alcotest.(check (option string)) "args escaped and back" (Some "a\nb")
         (Json.opt_str_field "detail" a)
-    | None -> Alcotest.fail "no args");
+    | None -> Alcotest.fail "no span args");
     Alcotest.(check (option string)) "ph passes through" (Some "B")
       (Json.opt_str_field "ph" bgn);
     Alcotest.(check bool) "no scope on non-instant" true (Json.field "s" bgn = None)
@@ -1023,7 +1095,7 @@ let test_chrome_emitter_roundtrip () =
 
 let test_event_dropped () =
   let before = Event.dropped () in
-  Event.emit (Event.Phase { phase = "nobody-listening"; step = -1; detail = "" });
+  Event.emit (phase "nobody-listening");
   Event.emit (Event.Dispatch { worker = 0; bound = 1 });
   Alcotest.(check int) "consumerless emissions counted" (before + 2) (Event.dropped ());
   with_recorder (fun _ ->
@@ -1094,7 +1166,7 @@ let test_event_minimal_schema () =
   Alcotest.(check int) "exhaustion-free stream stamps 2" 2
     (header_of
        [
-         Event.Restart { conflicts = 1; decisions = 2; learnt = 3 };
+         Event.Restart { conflicts = 1; decisions = 2; learnt = 3; propagations = 4 };
          Event.Cancel { worker = 0; cause = Event.Deadline; by = 0 };
        ]);
   Alcotest.(check int) "exhausted cause needs 3" 3
@@ -1143,7 +1215,7 @@ let with_flight ?capacity f =
 let test_flight_wraparound () =
   with_flight ~capacity:8 (fun _dir ->
       Alcotest.(check bool) "armed" true (Flight.armed ());
-      Alcotest.(check bool) "tap turns emission on" true (Event.enabled ());
+      Alcotest.(check bool) "the rings turn emission on" true (Event.enabled ());
       for i = 0 to 19 do
         Event.emit (Event.Dispatch { worker = 0; bound = i })
       done;
@@ -1216,7 +1288,7 @@ let test_flight_sigusr1 () =
 
 let test_flight_guard () =
   with_flight (fun dir ->
-      Event.emit (Event.Phase { phase = "before-crash"; step = -1; detail = "" });
+      Event.emit (phase "before-crash");
       (match Flight.guard (fun () -> failwith "boom") with
       | _ -> Alcotest.fail "guard swallowed the exception"
       | exception Failure msg -> Alcotest.(check string) "exception re-raised" "boom" msg);
@@ -1245,12 +1317,14 @@ let test_dash_fixture () =
       ev 0.00 4 0 (Event.Spawn { worker = 0; engines = "itpseq" });
       ev 0.01 5 0 (Event.Spawn { worker = 1; engines = "bmc" });
       ev 0.02 5 1 (Event.Dispatch { worker = 1; bound = 3 });
-      ev 0.10 4 1 (Event.Restart { conflicts = 100; decisions = 50; learnt = 10 });
-      ev 0.60 4 2 (Event.Restart { conflicts = 600; decisions = 80; learnt = 30 });
+      ev 0.10 4 1
+        (Event.Restart { conflicts = 100; decisions = 50; learnt = 10; propagations = 0 });
+      ev 0.60 4 2
+        (Event.Restart { conflicts = 600; decisions = 80; learnt = 30; propagations = 0 });
       ev 0.65 4 3
         (Event.Reduce
            { kept = 20; dropped = 10; lbd = [| 20 |]; dead_lbd = [||]; dead_uses = [||] });
-      ev 0.70 4 4 (Event.Phase { phase = "itpseq.outer"; step = 4; detail = "" });
+      ev 0.70 4 4 (phase ~step:4 "itpseq.outer");
       ev 0.90 5 2 (Event.Verdict { worker = 1; verdict = "falsified(d=3)" });
       ev 0.91 5 3 (Event.Cancel { worker = 0; cause = Event.Race_won; by = 1 });
     ]
@@ -1290,8 +1364,8 @@ let test_dash_fixture () =
 let test_dash_sequential () =
   let events =
     [
-      ev 0.1 0 0 (Event.Restart { conflicts = 10; decisions = 5; learnt = 2 });
-      ev 0.2 0 1 (Event.Phase { phase = "itpseq.outer"; step = 2; detail = "" });
+      ev 0.1 0 0 (Event.Restart { conflicts = 10; decisions = 5; learnt = 2; propagations = 0 });
+      ev 0.2 0 1 (phase ~step:2 "itpseq.outer");
     ]
   in
   let v = Dash.view events in
@@ -1454,6 +1528,177 @@ let test_ledger_robustness () =
       | _ -> Alcotest.fail "future ledger schema should be rejected"
       | exception Failure _ -> ())
 
+(* --- pins: what a run shows ------------------------------------------------ *)
+
+(* Five short runs pinned by what an observer sees of them: the profile
+   tree as (span path, calls), the search-record sequence without its
+   timestamps and sequence numbers, and the lines of a Plain heartbeat
+   reporter on a frozen clock with no rate limit.  The expected texts
+   live in pins/; on a mismatch the actual text is written next to the
+   test binary as <name>.actual. *)
+
+let pin_runs =
+  [
+    ("vending7bug", "itpseq-assume");
+    ("peterson", "itpseqcba0.5-exact");
+    ("industrialA1", "itpseqpba0-exact");
+    ("ring6u3", "pdr");
+    ("peterson", "portfolio");
+  ]
+
+let pin_limits =
+  {
+    Isr_core.Budget.time_limit = 60.0;
+    conflict_limit = 2_000_000;
+    bound_limit = 60;
+    reduce = Isr_sat.Solver.default_reduce;
+  }
+
+let rec profile_paths prefix (n : Profile.node) =
+  List.concat_map
+    (fun (c : Profile.node) ->
+      let path = if prefix = "" then c.Profile.name else prefix ^ "/" ^ c.Profile.name in
+      Printf.sprintf "%s x%d" path c.Profile.calls :: profile_paths path c)
+    n.Profile.children
+
+(* The record fields as of the pinning commit; [ts] and [seq] are left
+   out, fields added later are not shown. *)
+let pin_record (e : Event.t) =
+  let k =
+    match e.Event.kind with
+    | Event.Restart { conflicts; decisions; learnt; _ } ->
+      Printf.sprintf "restart conflicts=%d decisions=%d learnt=%d" conflicts decisions learnt
+    | Event.Reduce { kept; dropped; lbd; dead_lbd; dead_uses } ->
+      let a x = String.concat "," (Array.to_list (Array.map string_of_int x)) in
+      Printf.sprintf "reduce kept=%d dropped=%d lbd=%s dead_lbd=%s dead_uses=%s" kept dropped
+        (a lbd) (a dead_lbd) (a dead_uses)
+    | Event.Itp_cut { cut; support; nodes } ->
+      Printf.sprintf "itp.cut cut=%d support=%d nodes=%d" cut support nodes
+    | Event.Phase { phase; step; detail; _ } ->
+      Printf.sprintf "phase %s step=%d detail=%S" phase step detail
+    | Event.Spawn { worker; engines } -> Printf.sprintf "spawn worker=%d engines=%s" worker engines
+    | Event.Dispatch { worker; bound } -> Printf.sprintf "dispatch worker=%d bound=%d" worker bound
+    | Event.Cancel { worker; cause; by } ->
+      Printf.sprintf "cancel worker=%d cause=%d by=%d" worker
+        (match cause with
+        | Event.Race_won -> 0
+        | Event.Deadline -> 1
+        | Event.Min_depth -> 2
+        | Event.Exhausted -> 3)
+        by
+    | Event.Verdict { worker; verdict } -> Printf.sprintf "verdict worker=%d %s" worker verdict
+    | Event.Analyze { pass; ands_before; ands_after; latches_before; latches_after } ->
+      Printf.sprintf "analyze %s %d->%d %d->%d" pass ands_before ands_after latches_before
+        latches_after
+    | Event.Step { lane; engine; n; pos; status } ->
+      Printf.sprintf "step lane=%d %s n=%d pos=%d %s" lane engine n pos status
+  in
+  Printf.sprintf "d%d %s" e.Event.dom k
+
+let pin_name (bench, engine) = bench ^ "-" ^ engine
+
+let pin_observe (bench, engine) =
+  let open Isr_core in
+  let entry =
+    match Isr_suite.Registry.find bench with
+    | Some e -> e
+    | None -> Alcotest.failf "no %s entry" bench
+  in
+  let model = Isr_suite.Registry.build_validated entry in
+  let eng = match Engine.of_name engine with Ok e -> e | Error m -> Alcotest.fail m in
+  let collector, profile = Profile.collector () in
+  let recorder = Event.recorder () in
+  let beats = ref [] in
+  let reporter =
+    Progress.make
+      ~clock:(fun () -> 0.0)
+      ~interval:0.0 ~mode:Progress.Plain
+      (fun s -> beats := String.trim s :: !beats)
+  in
+  let consumers = [ collector; Event.recording recorder; Progress.consumer reporter ] in
+  List.iter Event.subscribe consumers;
+  let verdict, _ =
+    Fun.protect
+      ~finally:(fun () -> List.iter Event.unsubscribe consumers)
+      (fun () -> Engine.run eng ~limits:pin_limits model)
+  in
+  let verdict_line =
+    Printf.sprintf "verdict %s %s"
+      (if Verdict.is_proved verdict then "proved"
+       else if Verdict.is_falsified verdict then "falsified"
+       else "unknown")
+      (match Verdict.kfp verdict with Some k -> string_of_int k | None -> "-")
+  in
+  String.concat "\n"
+    ((verdict_line :: "== profile" :: List.sort compare (profile_paths "" (profile ())))
+    @ ("== records" :: List.map pin_record (Event.events recorder))
+    @ ("== heartbeats" :: List.rev !beats))
+  ^ "\n"
+
+let test_pin run () =
+  let actual = pin_observe run in
+  let name = pin_name run in
+  let expected =
+    let path = Filename.concat "pins" (name ^ ".txt") in
+    if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else ""
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin (name ^ ".actual") (fun oc -> output_string oc actual);
+    Alcotest.failf "%s: observed run differs from pins/%s.txt (actual text in %s.actual)"
+      name name name
+  end
+
+let pin_cases =
+  List.map (fun run -> Alcotest.test_case (pin_name run) `Quick (test_pin run)) pin_runs
+
+(* A line that lacks a field is skipped like a torn line, and a header
+   that lacks its schema fails with a [Failure] naming the file — never
+   with the JSON reader's own exception. *)
+let test_missing_fields () =
+  let with_lines lines f =
+    let path = Filename.temp_file "isr_missing" ".jsonl" in
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  in
+  let header = "{\"stream\":\"isr-events\",\"schema\":4}" in
+  let dispatch = "{\"ts\":0.3,\"dom\":0,\"seq\":2,\"ev\":\"dispatch\",\"worker\":1,\"bound\":4}" in
+  List.iter
+    (fun (what, line) ->
+      with_lines [ header; line; dispatch ] (fun path ->
+          (match Event.read_jsonl path with
+          | [ { Event.kind = Event.Dispatch _; _ } ] -> ()
+          | evs -> Alcotest.failf "%s: expected the dispatch alone, got %d" what (List.length evs)
+          | exception Json.Parse_error msg -> Alcotest.failf "%s: Parse_error %s" what msg);
+          match Flight.read path with
+          | _, [ _ ] -> ()
+          | _, evs -> Alcotest.failf "%s: flight read %d events" what (List.length evs)))
+    [
+      ("restart without decisions", "{\"ts\":1.0,\"dom\":0,\"ev\":\"restart\",\"conflicts\":3}");
+      ("phase without ts", "{\"dom\":0,\"seq\":1,\"ev\":\"phase\",\"phase\":\"bmc.bound\"}");
+      ( "cancel without cause",
+        "{\"ts\":0.2,\"dom\":0,\"seq\":1,\"ev\":\"cancel\",\"worker\":1,\"by\":1}" );
+    ];
+  let names_file what path = function
+    | Failure msg ->
+      let n = String.length path and m = String.length msg in
+      let rec has i = i + n <= m && (String.sub msg i n = path || has (i + 1)) in
+      Alcotest.(check bool) (what ^ " names the file") true (has 0)
+    | e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  with_lines [ "{\"stream\":\"isr-events\"}"; dispatch ] (fun path ->
+      match Event.read_jsonl path with
+      | _ -> Alcotest.fail "an events header without a schema was accepted"
+      | exception e -> names_file "events header" path e);
+  with_ledger_dir (fun dir ->
+      let lg = Ledger.open_ dir in
+      let file = Filename.concat dir "ledger.jsonl" in
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc "{\"store\":\"isr-ledger\"}\n");
+      match Ledger.load lg with
+      | _ -> Alcotest.fail "a ledger header without a schema was accepted"
+      | exception e -> names_file "ledger header" file e)
+
 let () =
   Alcotest.run "isr_obs"
     [
@@ -1461,7 +1706,7 @@ let () =
         [
           Alcotest.test_case "span order and nesting" `Quick test_span_order;
           Alcotest.test_case "span exception safety" `Quick test_span_exception;
-          Alcotest.test_case "instant and enabled" `Quick test_instant_and_enabled;
+          Alcotest.test_case "span and record flags" `Quick test_span_and_record_flags;
           Alcotest.test_case "null sink allocates nothing" `Quick test_null_sink_no_alloc;
         ] );
       ( "metrics",
@@ -1524,6 +1769,8 @@ let () =
           Alcotest.test_case "append, reopen, load, find" `Quick test_ledger_append_load;
           Alcotest.test_case "config fingerprint" `Quick test_ledger_fingerprint;
           Alcotest.test_case "torn lines and future schema" `Quick test_ledger_robustness;
+          Alcotest.test_case "missing fields skipped, missing schema named" `Quick
+            test_missing_fields;
         ] );
       ( "profile",
         [
@@ -1542,6 +1789,7 @@ let () =
         ] );
       ( "resource",
         [ Alcotest.test_case "gc sampling" `Quick test_resource_sampling ] );
+      ("pins", pin_cases);
       ( "integration",
         [
           Alcotest.test_case "engine span structure" `Slow test_engine_span_structure;

@@ -157,8 +157,9 @@ let lifecycle evs =
 
 let record_race f =
   let r = Event.recorder () in
-  Event.set_recorder r;
-  let result = Fun.protect ~finally:Event.clear_recorder f in
+  let c = Event.recording r in
+  Event.subscribe c;
+  let result = Fun.protect ~finally:(fun () -> Event.unsubscribe c) f in
   (result, Event.events r)
 
 (* Replaying the same portfolio race must tell the same story: the same
@@ -313,6 +314,83 @@ let test_exhausted_cause () =
        (function `Cancel (_, Event.Exhausted, _) -> true | _ -> false)
        life)
 
+(* Every kind of consumer at once under a two-domain race: a profile
+   collector, a Chrome writer and a recorder subscribed side by side,
+   each fed from both racing domains through its own lock. *)
+let test_race_consumers () =
+  let model = Registry.build_validated (entry "peterson") in
+  let path = Filename.temp_file "isr_race" ".json" in
+  let collector, profile = Isr_obs.Profile.collector () in
+  let writer, close = Isr_obs.Chrome.writer (open_out path) in
+  let r = Event.recorder () in
+  let consumers = [ collector; writer; Event.recording r ] in
+  List.iter Event.subscribe consumers;
+  let verdict, _ =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter Event.unsubscribe consumers;
+        close ())
+      (fun () -> Isr_par.portfolio ~jobs:2 ~limits model)
+  in
+  Alcotest.(check bool) "peterson proved" true (Verdict.is_proved verdict);
+  let rows =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        match Isr_obs.Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+        | Isr_obs.Json.Arr rows -> rows
+        | _ -> Alcotest.fail "the Chrome output is not a JSON array")
+  in
+  let field name row =
+    match Isr_obs.Json.opt_str_field name row with Some v -> v | None -> ""
+  in
+  let tid row = Option.get (Isr_obs.Json.opt_int_field "tid" row) in
+  (* Each domain's spans are balanced, and never close more than they
+     opened. *)
+  let depth = Hashtbl.create 4 and underflow = ref false in
+  List.iter
+    (fun row ->
+      let d = Option.value ~default:0 (Hashtbl.find_opt depth (tid row)) in
+      match field "ph" row with
+      | "B" -> Hashtbl.replace depth (tid row) (d + 1)
+      | "E" ->
+        if d = 0 then underflow := true;
+        Hashtbl.replace depth (tid row) (d - 1)
+      | _ -> ())
+    rows;
+  Alcotest.(check bool) "no span closes below depth 0" false !underflow;
+  Hashtbl.iter (fun _ d -> Alcotest.(check int) "each domain's spans balanced" 0 d) depth;
+  (* One lane per domain: the lanes are exactly the domains that posted,
+     and the two racing domains each have their own. *)
+  let evs = Event.events r in
+  let lanes = List.sort_uniq compare (List.map tid rows) in
+  let posted =
+    List.sort_uniq compare
+      (List.map (fun e -> e.Event.dom + 1) evs
+      @ List.filter_map
+          (fun row -> if field "ph" row = "i" then None else Some (tid row))
+          rows)
+  in
+  Alcotest.(check (list int)) "one lane per posting domain" posted lanes;
+  Alcotest.(check bool) "both racing domains have a lane" true (List.length lanes >= 2);
+  Alcotest.(check int) "one marker per search record" (List.length evs)
+    (List.length (List.filter (fun row -> field "ph" row = "i") rows));
+  (* The profile folds both domains into one tree that still adds up. *)
+  let rec adds_up (n : Isr_obs.Profile.node) =
+    let children =
+      List.fold_left (fun acc (c : Isr_obs.Profile.node) -> acc +. c.total) 0.0 n.children
+    in
+    Alcotest.(check (float 1e-9)) (n.name ^ ": total = self + children") n.total
+      (n.self +. children);
+    List.iter adds_up n.children
+  in
+  adds_up (profile ());
+  let life = lifecycle evs in
+  Alcotest.(check bool) "the recorder holds the spawns" true
+    (List.exists (function `Spawn _ -> true | _ -> false) life);
+  Alcotest.(check bool) "the recorder holds the verdict" true
+    (List.exists (function `Verdict _ -> true | _ -> false) life)
+
 let () =
   Alcotest.run "isr_par"
     [
@@ -333,6 +411,7 @@ let () =
           Alcotest.test_case "bound-parallel cancellation edges" `Slow
             test_bmc_event_story;
           Alcotest.test_case "exhausted slate cause" `Slow test_exhausted_cause;
+          Alcotest.test_case "consumers under a two-domain race" `Slow test_race_consumers;
         ] );
       ( "cancellation",
         [
