@@ -568,40 +568,21 @@ type side = {
   rewrites_model : bool;
 }
 
-let sequential label =
-  let run ~jobs:_ limits m = Portfolio.verify ~limits m in
-  { label; run; rewrites_model = false }
-
-let racing =
-  let run ~jobs limits m = Isr_par.portfolio ~jobs ~limits m in
-  { label = "portfolio-par"; run; rewrites_model = false }
-
-(* The analysis runs inside the timed region, so the snapshot charges its
-   cost; a trivial verdict skips the portfolio, and counterexamples are
-   lifted back onto the original model. *)
-let analyzed =
-  let run ~jobs:_ limits model =
+(* A portfolio side, run through the verify pipeline: [analyze] before
+   it, and the domain race instead of the sequential interleaver when
+   [race].  The clock runs around the whole call, so an analyzing side is
+   charged for its analysis. *)
+let portfolio ~analyze ~race label =
+  let run ~jobs limits model =
     let t0 = Isr_obs.Clock.now () in
-    let registry = Isr_obs.Metrics.create () in
-    let r = Isr_analyze.run ~mode:Isr_analyze.Full ~registry model in
-    let verdict, stats =
-      match r.Isr_analyze.verdict with
-      | Some (Isr_analyze.Safe { invariant }) ->
-        ( Verdict.Proved { kfp = 0; jfp = 0; invariant = Some invariant },
-          Verdict.mk_stats () )
-      | Some (Isr_analyze.Unsafe { trace }) ->
-        (Verdict.Falsified { depth = Trace.depth trace; trace }, Verdict.mk_stats ())
-      | None -> (
-        match Portfolio.verify ~limits r.Isr_analyze.model with
-        | Verdict.Falsified { depth; trace }, s ->
-          (Verdict.Falsified { depth; trace = r.Isr_analyze.lift trace }, s)
-        | out -> out)
-    in
-    Isr_obs.Metrics.merge ~into:(Verdict.registry stats) registry;
-    Verdict.set_time stats (Isr_obs.Clock.now () -. t0);
-    (verdict, stats)
+    let jobs = if race then Some jobs else None in
+    let o = Isr_par.verify ~analyze ?jobs ~limits Engine.Portfolio model in
+    Verdict.set_time o.stats (Isr_obs.Clock.now () -. t0);
+    (o.verdict, o.stats)
   in
-  { label = "portfolio-analyzed"; run; rewrites_model = true }
+  { label; run; rewrites_model = analyze <> Isr_analyze.Off }
+
+let sequential = portfolio ~analyze:Isr_analyze.Off ~race:false
 
 (* Incremental assume-k keeps one solver across all depths, so its learnt
    database grows past the reduction trigger; the per-depth solvers of
@@ -631,11 +612,13 @@ let col ?(scale = 1.0) head metric = { head; metric; scale }
 let rows =
   [
     ( "par",
-      { a = sequential "portfolio-seq"; b = racing;
+      { a = sequential "portfolio-seq";
+        b = portfolio ~analyze:Isr_analyze.Off ~race:true "portfolio-par";
         benches = [ "eijkring12"; "hamming8"; "peterson"; "vending11" ]; time = 10.0;
         out_file = "BENCH_par.json"; suite = "par"; columns = [] } );
     ( "preprocess",
-      { a = sequential "portfolio-raw"; b = analyzed;
+      { a = sequential "portfolio-raw";
+        b = portfolio ~analyze:Isr_analyze.Full ~race:false "portfolio-analyzed";
         benches = List.map (fun (e : Registry.entry) -> e.name) Registry.fig6;
         time = 10.0; out_file = "BENCH_analyze.json"; suite = "preprocess";
         columns =

@@ -73,9 +73,6 @@ let conflicts_arg =
 let witness_arg =
   Arg.(value & flag & info [ "witness" ] ~doc:"Print the counterexample trace on FAIL.")
 
-let coi_arg =
-  Arg.(value & flag & info [ "coi" ] ~doc:"Apply cone-of-influence reduction first.")
-
 let property_arg =
   Arg.(
     value & opt int 0
@@ -227,11 +224,6 @@ let json_of_verdict ~model_name ~engine_name verdict (stats : Verdict.stats) cer
   Buffer.add_string b "}";
   Buffer.contents b
 
-let fraig_arg =
-  Arg.(
-    value & flag
-    & info [ "fraig" ] ~doc:"Apply SAT sweeping (merge equivalent logic) first.")
-
 let analyze_arg =
   let mode_conv =
     Arg.conv
@@ -345,7 +337,7 @@ let check_arg =
            lint every emitted interpolant).")
 
 let verify_term =
-  let run verbose file name engine time bound conflicts witness coi fraig analyze compact certify property witness_file json trace metrics events ledger check profile profile_json progress par no_reduce reduce_base flight checkpoint resume =
+  let run verbose file name engine time bound conflicts witness analyze compact certify property witness_file json trace metrics events ledger check profile profile_json progress par no_reduce reduce_base flight checkpoint resume =
     setup_logs verbose;
     Isr_check.Level.set check;
     match load_model ~property file name with
@@ -399,22 +391,6 @@ let verify_term =
           end
         end;
         if not json then Format.printf "model: %a@." Model.pp_stats original;
-        let reduction = if coi then Some (Coi.reduce original) else None in
-        let model =
-          match reduction with
-          | Some r ->
-            if not json then Format.printf "coi:   %a@." Model.pp_stats r.Coi.model;
-            r.Coi.model
-          | None -> original
-        in
-        let model =
-          if fraig then begin
-            let swept = Isr_fraig.Fraig.sweep_model model in
-            if not json then Format.printf "fraig: %a@." Model.pp_stats swept;
-            swept
-          end
-          else model
-        in
         (* Every consumer of the run's observability channel is
            subscribed here and covers the static analyzer and the engine
            run: the event recorder (for --events and --ledger), the
@@ -492,28 +468,6 @@ let verify_term =
                (fun _ ->
                  Step.request_checkpoint ();
                  Atomic.set ckpt_cancel true));
-        let analysis =
-          match analyze with
-          | None | Some Isr_analyze.Off -> None
-          | Some mode -> (
-            try
-              let areg = Isr_obs.Metrics.create () in
-              let r = Isr_analyze.run ~mode ~registry:areg model in
-              if not json then begin
-                Format.printf "%a@." Isr_analyze.pp_summary r;
-                if r.Isr_analyze.verdict = None then
-                  Format.printf "analyze: %a@." Model.pp_stats r.Isr_analyze.model
-              end;
-              Some (r, areg)
-            with Isr_check.Level.Violation { check; detail } ->
-              ignore (Isr_obs.Flight.dump ~reason:"violation" ());
-              unsubscribe ();
-              Format.eprintf "sanitizer violation [%s]: %s@." check detail;
-              exit 5)
-        in
-        let model =
-          match analysis with Some (r, _) -> r.Isr_analyze.model | None -> model
-        in
         let limits =
           { Budget.time_limit = time;
             conflict_limit = conflicts;
@@ -525,63 +479,40 @@ let verify_term =
               };
           }
         in
-        let run_real_engine () =
-          match (eng, par) with
-          | _, None when stepwise ->
-            (* The explicit kernel path: start (or restore) the instance
-               and drive it with the checkpoint plumbing armed.  The
-               cancel token must be ambient before [Step.start] so the
-               engine's budget captures it. *)
-            Budget.with_cancel ckpt_cancel (fun () ->
-                Isr_obs.Trace.span "engine"
-                  ~args:[ ("engine", Engine.name eng); ("model", model.Model.name) ]
-                  (fun () ->
-                    match Engine.stepper eng with
-                    | None -> assert false (* portfolio rejected above *)
-                    | Some p -> (
-                      match resume_ck with
-                      | Some ck -> (
-                        match Step.restore ~limits p model ck with
-                        | inst -> Step.drive ?checkpoint inst
-                        | exception Invalid_argument msg ->
-                          prerr_endline ("itpseq_mc: " ^ msg);
-                          exit 2)
-                      | None -> Step.drive ?checkpoint (Step.start ~limits p model))))
-          | _, None -> Engine.run eng ~limits model
-          | Engine.Portfolio, Some jobs ->
-            (* Same "engine" root span as the sequential path, so traces
-               and profiles keep one shape across modes. *)
-            Isr_obs.Trace.span "engine"
-              ~args:[ ("engine", Engine.name eng); ("model", model.Model.name) ]
-              (fun () -> Isr_par.portfolio ~jobs ~limits model)
-          | Engine.Bmc_only check, Some jobs ->
-            Isr_obs.Trace.span "engine"
-              ~args:[ ("engine", Engine.name eng); ("model", model.Model.name) ]
-              (fun () -> Isr_par.bmc ~check ~jobs ~limits model)
-          | _, Some _ ->
-            Logs.warn (fun m ->
-                m "--par applies to the portfolio and bmc engines; running %s sequentially"
-                  (Engine.name eng));
-            Engine.run eng ~limits model
+        (* The explicit kernel path: start (or restore) the instance and
+           drive it with the checkpoint plumbing armed.  The cancel token
+           must be ambient before [Step.start] so the engine's budget
+           captures it. *)
+        let drive model =
+          Budget.with_cancel ckpt_cancel @@ fun () ->
+          match Engine.stepper eng with
+          | None -> assert false (* portfolio rejected above *)
+          | Some p -> (
+            match resume_ck with
+            | Some ck -> (
+              match Step.restore ~limits p model ck with
+              | inst -> Step.drive ?checkpoint inst
+              | exception Invalid_argument msg ->
+                prerr_endline ("itpseq_mc: " ^ msg);
+                exit 2)
+            | None -> Step.drive ?checkpoint (Step.start ~limits p model))
         in
-        let run_engine () =
-          match analysis with
-          | Some (r, _) when r.Isr_analyze.verdict <> None ->
-            (* The analyzer decided alone: no engine run. *)
-            let stats = Verdict.mk_stats () in
-            let verdict =
-              match r.Isr_analyze.verdict with
-              | Some (Isr_analyze.Safe { invariant }) ->
-                Verdict.Proved { kfp = 0; jfp = 0; invariant = Some invariant }
-              | Some (Isr_analyze.Unsafe { trace }) ->
-                Verdict.Falsified { depth = Trace.depth trace; trace }
-              | None -> assert false
-            in
-            (verdict, stats)
-          | _ -> run_real_engine ()
+        let report r =
+          if not json then begin
+            Format.printf "%a@." Isr_analyze.pp_summary r;
+            if r.Isr_analyze.verdict = None then
+              Format.printf "analyze: %a@." Model.pp_stats r.Isr_analyze.model
+          end
         in
-        let verdict, stats =
-          try Fun.protect ~finally:unsubscribe (fun () -> Isr_obs.Flight.guard run_engine)
+        let outcome =
+          try
+            Fun.protect ~finally:unsubscribe @@ fun () ->
+            Isr_obs.Flight.guard @@ fun () ->
+            Isr_par.verify
+              ~analyze:(Option.value analyze ~default:Isr_analyze.Off)
+              ?jobs:par ~report
+              ?drive:(if stepwise then Some drive else None)
+              ~limits eng original
           with Isr_check.Level.Violation { check; detail } ->
             ignore (Isr_obs.Flight.dump ~reason:"violation" ());
             Format.eprintf "sanitizer violation [%s]: %s@." check detail;
@@ -590,11 +521,7 @@ let verify_term =
         (* The engine region is over; later SIGUSR1s find nothing to
            dump, which is the honest answer once the rings stop filling. *)
         Isr_obs.Flight.disarm ();
-        (* Fold analyze.* gauges into the run registry so --metrics and
-           the ledger see the reduction alongside the search effort. *)
-        (match analysis with
-        | Some (_, areg) -> Isr_obs.Metrics.merge ~into:(Verdict.registry stats) areg
-        | None -> ());
+        let stats = outcome.Isr_par.stats in
         write_metrics metrics stats;
         (match prof with
         | None -> ()
@@ -614,31 +541,6 @@ let verify_term =
           end);
         if Isr_check.Level.on () && not json then
           Format.printf "%a@." Isr_check.Level.pp_summary ();
-        (* Lift counterexamples of the analyzed model back to its input
-           space, and pick the model each artifact refers to: traces are
-           lifted all the way back, but an invariant the engine proved
-           lives on the analyzed manager (a trivial-verdict invariant is
-           already expressed on the pre-analysis model). *)
-        let verdict, model =
-          match analysis with
-          | None -> (verdict, model)
-          | Some (r, _) -> (
-            match verdict with
-            | Verdict.Falsified { depth; trace } when r.Isr_analyze.verdict = None ->
-              ( Verdict.Falsified { depth; trace = r.Isr_analyze.lift trace },
-                r.Isr_analyze.original )
-            | Verdict.Proved _ when r.Isr_analyze.verdict = None ->
-              (verdict, r.Isr_analyze.model)
-            | _ -> (verdict, r.Isr_analyze.original))
-        in
-        (* Lift counterexamples of the reduced model back to the original
-           input space so the replay check below runs on the real design. *)
-        let verdict, model =
-          match (verdict, reduction) with
-          | Verdict.Falsified { depth; trace }, Some r ->
-            (Verdict.Falsified { depth; trace = Coi.lift_trace r trace }, original)
-          | v, _ -> (v, model)
-        in
         (* Export the event stream and/or the ledger entry pointing at it. *)
         let write_events path r =
           let oc = open_out_or_die path in
@@ -665,7 +567,7 @@ let verify_term =
               (* No explicit file: park the stream inside the ledger's
                  events/ directory, keyed by instance and wall clock. *)
               let rel =
-                Printf.sprintf "events/%s-%d.jsonl" model.Model.name
+                Printf.sprintf "events/%s-%d.jsonl" original.Model.name
                   (int_of_float (Unix.gettimeofday () *. 1000.0))
               in
               write_events (Isr_obs.Ledger.resolve lg rel) r;
@@ -675,124 +577,88 @@ let verify_term =
         (match ledger_t with
         | None -> ()
         | Some lg ->
-          let compact s = String.concat " " (String.split_on_char '\n' s) in
           (* The ledger identifies the run by the instance the user asked
              to verify, not by the analyzer's rewrite of it — otherwise
              analyzed and plain runs of one design would never diff as
              the same property cone. *)
-          let subject =
-            match analysis with
-            | Some (r, _) -> r.Isr_analyze.original
-            | None -> model
+          let config =
+            Isr_obs.Ledger.fingerprint
+              [
+                ("time", Printf.sprintf "%g" time);
+                ("bound", string_of_int bound);
+                ("conflicts", string_of_int conflicts);
+                ("par",
+                 match par with None -> "seq" | Some 0 -> "auto" | Some j -> string_of_int j);
+                ("analyze",
+                 match analyze with
+                 | None -> "off"
+                 | Some m -> Isr_analyze.mode_to_string m);
+              ]
           in
-          let entry =
-            {
-              Isr_obs.Ledger.id = "";
-              time = "";
-              instance = subject.Model.name;
-              instance_hash = Isr_fraig.Fraig.property_hash subject;
-              engine = Engine.name eng;
-              config =
-                Isr_obs.Ledger.fingerprint
-                  [
-                    ("time", Printf.sprintf "%g" time);
-                    ("bound", string_of_int bound);
-                    ("conflicts", string_of_int conflicts);
-                    ("par",
-                     match par with None -> "seq" | Some 0 -> "auto" | Some j -> string_of_int j);
-                    ("analyze",
-                     match analyze with
-                     | None -> "off"
-                     | Some m -> Isr_analyze.mode_to_string m);
-                  ];
-              verdict =
-                (match verdict with
-                | Verdict.Proved _ -> "proved"
-                | Verdict.Falsified _ -> "falsified"
-                | Verdict.Unknown _ -> "unknown");
-              kfp = Verdict.kfp verdict;
-              jfp = Verdict.jfp verdict;
-              wall_s = Verdict.time stats;
-              conflicts = Verdict.conflicts stats;
-              sat_calls = Verdict.sat_calls stats;
-              itp_nodes = Verdict.itp_nodes stats;
-              metrics_json = compact (Isr_obs.Metrics.to_json (Verdict.registry stats));
-              events_path = stored_events;
-              profile_path = profile_json;
-            }
+          let stored =
+            Isr_exp.Runner.ledger_record ~config ?events_path:stored_events
+              ?profile_path:profile_json lg
+              {
+                Isr_exp.Runner.bench = original.Model.name;
+                engine_name = Engine.name eng;
+                instance_hash = Isr_fraig.Fraig.property_hash original;
+                verdict = outcome.verdict;
+                stats;
+              }
           in
-          let stored = Isr_obs.Ledger.append lg entry in
           if not json then
             Format.printf "ledger: %s @@ %s@." stored.Isr_obs.Ledger.id
               (Isr_obs.Ledger.dir lg));
-        if not json then
-          Format.printf "%s: %a@.stats: %a@." (Engine.name eng) Verdict.pp verdict
+        (* Under --json stdout holds the JSON object alone; every other
+           line goes to stderr. *)
+        let out = if json then Format.err_formatter else Format.std_formatter in
+        if not json then begin
+          Format.printf "%s: %a@.stats: %a@." (Engine.name eng) Verdict.pp outcome.verdict
             Verdict.pp_stats stats;
-        (match (verdict, checkpoint) with
-        | Verdict.Unknown _, Some path when not json ->
-          Format.printf "checkpoint: written to %s@." path
-        | _ -> ());
+          match (outcome.verdict, checkpoint) with
+          | Verdict.Unknown _, Some path -> Format.printf "checkpoint: written to %s@." path
+          | _ -> ()
+        end;
+        (* --compact rewrites the invariant before it is checked. *)
+        let outcome =
+          match outcome.verdict with
+          | Verdict.Proved ({ invariant = Some inv; _ } as p) when compact ->
+            let model = outcome.model in
+            let inv' = Isr_bdd.Compact.state_predicate model inv in
+            Format.fprintf out "compact: invariant %d -> %d AND nodes@."
+              (Isr_aig.Aig.cone_size model.Model.man inv)
+              (Isr_aig.Aig.cone_size model.Model.man inv');
+            { outcome with verdict = Verdict.Proved { p with invariant = Some inv' } }
+          | _ -> outcome
+        in
+        let code, note = Isr_par.check ~certify outcome in
+        let verdict = outcome.verdict in
         if json then begin
           let certified =
             match verdict with
-            | Verdict.Proved { invariant = Some inv; _ } when certify ->
-              Some (Certify.check model inv = Ok ())
+            | Verdict.Proved { invariant = Some _; _ } when certify -> Some (code = 0)
             | _ -> None
           in
           print_endline
-            (json_of_verdict ~model_name:model.Model.name ~engine_name:(Engine.name eng)
-               verdict stats certified)
+            (json_of_verdict ~model_name:outcome.model.Model.name
+               ~engine_name:(Engine.name eng) verdict stats certified)
         end;
-        match verdict with
-        | Verdict.Proved { invariant; _ } ->
-          let invariant =
-            match invariant with
-            | Some inv when compact ->
-              let inv' = Isr_bdd.Compact.state_predicate model inv in
-              if not json then
-                Format.printf "compact: invariant %d -> %d AND nodes@."
-                  (Isr_aig.Aig.cone_size model.Model.man inv)
-                  (Isr_aig.Aig.cone_size model.Model.man inv');
-              Some inv'
-            | other -> other
-          in
-          if certify && not json then begin
-            match invariant with
-            | None ->
-              Format.printf "certificate: engine provided none@.";
-              0
-            | Some inv -> (
-              match Certify.check model inv with
-              | Ok () ->
-                Format.printf
-                  "certificate: invariant checked (initiation, consecution, safety)@.";
-                0
-              | Error f ->
-                Format.printf "certificate: INVALID — %a@." Certify.pp_failure f;
-                3)
-          end
-          else 0
+        (match verdict with
         | Verdict.Falsified { trace; _ } ->
-          if witness then Format.printf "%a@." Trace.pp trace;
-          (match witness_file with
-          | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (Aiger.witness_to_string model trace));
-            if not json then Format.printf "witness written to %s@." path
-          | None -> ());
-          if Sim.check_trace model trace then begin
-            if not json then Format.printf "witness: replayed on the concrete model@.";
-            1
-          end
-          else begin
-            Format.printf "witness: REPLAY FAILED (internal error)@.";
-            3
-          end
-        | Verdict.Unknown _ -> 4))
+          if witness then Format.fprintf out "%a@." Trace.pp trace;
+          Option.iter
+            (fun path ->
+              Out_channel.with_open_text path (fun oc ->
+                  Out_channel.output_string oc (Aiger.witness_to_string outcome.model trace));
+              Format.fprintf out "witness written to %s@." path)
+            witness_file
+        | _ -> ());
+        Option.iter (Format.fprintf out "%s@.") note;
+        code))
   in
   Term.(
     const run $ verbose_arg $ file_arg $ name_arg $ engine_arg $ time_arg $ bound_arg
-    $ conflicts_arg $ witness_arg $ coi_arg $ fraig_arg $ analyze_arg $ compact_arg $ certify_arg $ property_arg
+    $ conflicts_arg $ witness_arg $ analyze_arg $ compact_arg $ certify_arg $ property_arg
     $ witness_file_arg $ json_arg $ trace_arg $ metrics_arg $ events_arg $ ledger_arg
     $ check_arg $ profile_arg
     $ profile_json_arg $ progress_arg $ par_arg $ no_reduce_arg

@@ -103,21 +103,18 @@ let stepper = function
   | Pdr -> Some (Pdr.stepper ())
   | Portfolio -> None
 
-let run engine ?limits model =
-  (* The root span of a run: everything an engine does — bound checks,
-     interpolant extraction, SAT calls — nests below it. *)
+(* The root span of a run: everything an engine does — bound checks,
+   interpolant extraction, SAT calls — nests below it. *)
+let span engine model f =
   Isr_obs.Trace.span "engine"
     ~args:[ ("engine", name engine); ("model", model.Isr_model.Model.name) ]
-  @@ fun () ->
-  match engine with
-  (* The incremental BMC solver is a portfolio-member tuning knob, not a
-     default; plain deepening keeps the historical [run] behavior. *)
-  | Bmc_only check -> Step.drive (Step.start ?limits (Bmc.stepper ~check ()) model)
-  | Portfolio -> Portfolio.verify ?limits model
-  | engine -> (
-    match stepper engine with
-    | Some p -> Step.drive (Step.start ?limits p model)
-    | None -> assert false)
+    f
+
+let run engine ?limits model =
+  span engine model @@ fun () ->
+  match stepper engine with
+  | Some p -> Step.drive (Step.start ?limits p model)
+  | None -> Portfolio.verify ?limits model
 
 let verify_both ?limits model =
   List.map (fun e -> (e, fst (run e ?limits model))) all

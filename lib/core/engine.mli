@@ -36,9 +36,13 @@ val stepper : t -> Step.packed option
     which is a schedule of kernels rather than a kernel itself (its lanes
     are exposed through {!Portfolio.lanes}). *)
 
+val span : t -> Model.t -> (unit -> 'a) -> 'a
+(** [span e m f] runs [f] under the ["engine"] root span of a run of [e]
+    on [m], the span every trace and profile of a run is rooted at. *)
+
 val run : t -> ?limits:Budget.limits -> Model.t -> Verdict.t * Verdict.stats
 (** A thin driver over the kernel: [Step.start] then [Step.drive] under
-    the ["engine"] root span (the portfolio drives its lanes through
+    the {!span} (the portfolio drives its lanes through
     {!Sched} instead).  Verdicts are unchanged from the historical
     direct-recursion engines. *)
 

@@ -143,7 +143,7 @@ let jfp = function
 let pp fmt = function
   | Proved { kfp; jfp; invariant } ->
     Format.fprintf fmt "PASS (kfp=%d, jfp=%d%s)" kfp jfp
-      (match invariant with Some _ -> ", certified invariant" | None -> "")
+      (match invariant with Some _ -> ", invariant" | None -> "")
   | Falsified { depth; _ } -> Format.fprintf fmt "FAIL (depth=%d)" depth
   | Unknown Time_limit -> Format.fprintf fmt "UNKNOWN (time limit)"
   | Unknown Conflict_limit -> Format.fprintf fmt "UNKNOWN (conflict limit)"

@@ -159,8 +159,6 @@ let sweep ?(rounds = 8) ?(conflict_budget = 10_000) (m : Model.t) =
     },
     !merges )
 
-let sweep_model ?rounds ?conflict_budget m = fst (sweep ?rounds ?conflict_budget m)
-
 (* --- semantic instance fingerprint ---------------------------------------- *)
 
 (* xorshift64*: deterministic per-(round, input) pattern words, so the

@@ -27,9 +27,6 @@ val sweep : ?rounds:int -> ?conflict_budget:int -> Model.t -> Model.t * int
     and bad functions.  Also returns the number of SAT-confirmed
     merges. *)
 
-val sweep_model : ?rounds:int -> ?conflict_budget:int -> Model.t -> Model.t
-(** [sweep] without the merge count. *)
-
 val property_hash : ?rounds:int -> Model.t -> string
 (** Semantic instance fingerprint of the property cone, as a 16-digit
     hex string: the cone of influence of [bad] is closed over the

@@ -17,32 +17,6 @@ let verdict_tag = function
   | Verdict.Falsified { depth; _ } -> Printf.sprintf "falsified(d=%d)" depth
   | Verdict.Unknown _ -> "unknown"
 
-(* One up-front analyzer run shared by every domain: a trivial verdict
-   short-circuits the race entirely, otherwise the workers race the
-   simplified model and a winning counterexample is lifted back to the
-   original inputs.  The analyzer's registry is merged into the returned
-   stats either way. *)
-let with_analysis ?analyze model k =
-  match analyze with
-  | None | Some Isr_analyze.Off -> k model
-  | Some mode ->
-    let areg = Isr_obs.Metrics.create () in
-    let r = Isr_analyze.run ~mode ~registry:areg model in
-    let verdict, stats =
-      match r.Isr_analyze.verdict with
-      | Some (Isr_analyze.Safe { invariant }) ->
-        (Verdict.Proved { kfp = 0; jfp = 0; invariant = Some invariant }, Verdict.mk_stats ())
-      | Some (Isr_analyze.Unsafe { trace }) ->
-        (Verdict.Falsified { depth = Trace.depth trace; trace }, Verdict.mk_stats ())
-      | None -> (
-        match k r.Isr_analyze.model with
-        | Verdict.Falsified { depth; trace }, stats ->
-          (Verdict.Falsified { depth; trace = r.Isr_analyze.lift trace }, stats)
-        | out -> out)
-    in
-    Isr_obs.Metrics.merge ~into:(Verdict.registry stats) areg;
-    (verdict, stats)
-
 let portfolio_race ~jobs ~limits ~members model =
   let t0 = Isr_obs.Clock.now () in
   let cancel = Atomic.make false in
@@ -184,8 +158,7 @@ let portfolio_race ~jobs ~limits ~members model =
     let reasons = List.concat_map fst results in
     (Verdict.Unknown (Sched.worst_reason reasons Verdict.Time_limit), total)
 
-let portfolio ?(jobs = 0) ?analyze ?(limits = Budget.default_limits) model =
-  with_analysis ?analyze model @@ fun model ->
+let portfolio ?(jobs = 0) ?(limits = Budget.default_limits) model =
   let jobs = if jobs <= 0 then default_jobs () else jobs in
   let jobs = min jobs (List.length Portfolio.members) in
   if jobs = 1 then
@@ -208,8 +181,7 @@ let portfolio ?(jobs = 0) ?analyze ?(limits = Budget.default_limits) model =
    true minimal depth, exactly as in sequential deepening.  Races on
    [best]/[current] are benign: at worst a doomed probe runs to
    completion, never a wrong verdict. *)
-let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?analyze ?(limits = Budget.default_limits) model =
-  with_analysis ?analyze model @@ fun model ->
+let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?(limits = Budget.default_limits) model =
   let jobs = if jobs <= 0 then default_jobs () else jobs in
   (* There are [bound_limit + 1] bounds to probe (0 included), so more
      workers than that would idle — but [bound_limit] is [max_int] for
@@ -327,3 +299,68 @@ let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?analyze ?(limits = Budget.default_limi
       else Verdict.Bound_limit limits.Budget.bound_limit
     in
     (Verdict.Unknown reason, total)
+
+type outcome = { verdict : Verdict.t; stats : Verdict.stats; model : Model.t }
+
+(* The analyzer runs once, before any engine and outside its root span;
+   the engine, whichever way it is dispatched, runs under that span on
+   the analyzed model.  A counterexample is lifted back onto [model], so
+   only an engine's invariant lives on the analyzed model. *)
+let verify ~analyze ?jobs ?(report = ignore) ?drive ~limits engine model =
+  let run m =
+    let in_span f = Engine.span engine m f in
+    let sequential () =
+      match drive with
+      | None -> Engine.run engine ~limits m
+      | Some d -> in_span (fun () -> d m)
+    in
+    match (jobs, engine) with
+    | None, _ -> sequential ()
+    | Some jobs, Engine.Portfolio -> in_span (fun () -> portfolio ~jobs ~limits m)
+    | Some jobs, Engine.Bmc_only check -> in_span (fun () -> bmc ~check ~jobs ~limits m)
+    | Some _, _ ->
+      Logs.warn (fun f ->
+          f "--par applies to the portfolio and bmc engines; running %s sequentially"
+            (Engine.name engine));
+      sequential ()
+  in
+  match analyze with
+  | Isr_analyze.Off ->
+    let verdict, stats = run model in
+    { verdict; stats; model }
+  | mode ->
+    let areg = Isr_obs.Metrics.create () in
+    let r = Isr_analyze.run ~mode ~registry:areg model in
+    report r;
+    let trivial verdict = { verdict; stats = Verdict.mk_stats (); model } in
+    let outcome =
+      match r.Isr_analyze.verdict with
+      | Some (Isr_analyze.Safe { invariant }) ->
+        trivial (Verdict.Proved { kfp = 0; jfp = 0; invariant = Some invariant })
+      | Some (Isr_analyze.Unsafe { trace }) ->
+        trivial (Verdict.Falsified { depth = Trace.depth trace; trace })
+      | None -> (
+        match run r.Isr_analyze.model with
+        | Verdict.Falsified { depth; trace }, stats ->
+          let verdict = Verdict.Falsified { depth; trace = r.Isr_analyze.lift trace } in
+          { verdict; stats; model }
+        | verdict, stats -> { verdict; stats; model = r.Isr_analyze.model })
+    in
+    (* Fold the analyze.* gauges into the run registry, so metrics and
+       ledgers see the reduction beside the search effort. *)
+    Isr_obs.Metrics.merge ~into:(Verdict.registry outcome.stats) areg;
+    outcome
+
+let check ~certify { verdict; model; _ } =
+  match verdict with
+  | Verdict.Proved { invariant = None; _ } ->
+    (0, if certify then Some "certificate: engine provided none" else None)
+  | Verdict.Proved { invariant = Some inv; _ } when certify -> (
+    match Certify.check model inv with
+    | Ok () -> (0, Some "certificate: invariant checked (initiation, consecution, safety)")
+    | Error f -> (3, Some (Format.asprintf "certificate: INVALID — %a" Certify.pp_failure f)))
+  | Verdict.Proved _ -> (0, None)
+  | Verdict.Falsified { trace; _ } ->
+    if Sim.check_trace model trace then (1, Some "witness: replayed on the concrete model")
+    else (3, Some "witness: REPLAY FAILED (internal error)")
+  | Verdict.Unknown _ -> (4, None)

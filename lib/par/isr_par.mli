@@ -1,6 +1,10 @@
-(** True multicore execution on OCaml 5 domains.
+(** One verification run, and true multicore execution on OCaml 5
+    domains.
 
-    Two shapes, both built on the cooperative cancel tokens of
+    {!verify} is the pipeline every front end runs: analyze, dispatch the
+    engine, lift the result back, and report the model its artifact
+    lives on; {!check} then checks that artifact.  The parallel
+    dispatch has two shapes, both built on the cooperative cancel tokens of
     {!Isr_core.Budget}:
 
     - {!portfolio} races the members of {!Isr_core.Portfolio} across
@@ -18,13 +22,7 @@
     sequential schedule on proved/falsified; only the deciding member
     (and hence the depth bookkeeping of [Unknown] runs) may differ.
     Workers merge their per-run metric registries into the returned
-    {!Isr_core.Verdict.stats} at join.
-
-    Both entry points take [?analyze]: the certified static analyzer
-    ({!Isr_analyze.run}) executes {e once} up front on the calling
-    domain; a trivial verdict skips the race entirely, otherwise every
-    worker races the simplified model and a winning counterexample is
-    lifted back to the original inputs before returning. *)
+    {!Isr_core.Verdict.stats} at join. *)
 
 open Isr_model
 open Isr_core
@@ -34,7 +32,6 @@ val default_jobs : unit -> int
 
 val portfolio :
   ?jobs:int ->
-  ?analyze:Isr_analyze.mode ->
   ?limits:Budget.limits ->
   Model.t ->
   Verdict.t * Verdict.stats
@@ -54,7 +51,6 @@ val portfolio :
 val bmc :
   ?check:Bmc.check ->
   ?jobs:int ->
-  ?analyze:Isr_analyze.mode ->
   ?limits:Budget.limits ->
   Model.t ->
   Verdict.t * Verdict.stats
@@ -63,3 +59,43 @@ val bmc :
     the minimal counterexample depth or answers [Unknown] like
     {!Isr_core.Bmc.run}.  Each worker runs under its own budget of
     [limits] — the conflict pool is per-worker, not global. *)
+
+type outcome = {
+  verdict : Verdict.t;  (** a trace is on the input model's inputs *)
+  stats : Verdict.stats;  (** with the analyzer's [analyze.*] metrics merged in *)
+  model : Model.t;
+      (** the model the verdict's artifact lives on: the input model for
+          a trace or a trivial invariant, the analyzed model for an
+          engine's invariant *)
+}
+
+val verify :
+  analyze:Isr_analyze.mode ->
+  ?jobs:int ->
+  ?report:(Isr_analyze.result -> unit) ->
+  ?drive:(Model.t -> Verdict.t * Verdict.stats) ->
+  limits:Budget.limits ->
+  Engine.t ->
+  Model.t ->
+  outcome
+(** One verification run of [engine] on the input model.
+
+    Unless [analyze] is [Off], {!Isr_analyze.run} runs once first and its
+    result goes to [report]; a trivial verdict ends the run there.
+    Otherwise the engine runs on the analyzed model under the
+    {!Isr_core.Engine.span} root span: the {!portfolio} race for
+    [Portfolio] and the {!bmc} probes for [Bmc_only] when [jobs] is
+    given ([0]: {!default_jobs}); a warning and a sequential run for any
+    other engine given [jobs].  A sequential run is [drive] (a driver
+    with its own checkpoint plumbing, say), by default {!Engine.run}.
+    A counterexample is lifted back onto the input model.  The
+    statistics are the engine's; the analysis time is not in
+    {!Verdict.time}. *)
+
+val check : certify:bool -> outcome -> int * string option
+(** Checks the outcome's artifact: an invariant with
+    {!Isr_core.Certify.check} on [outcome.model] when [certify] is set,
+    a trace with {!Isr_model.Sim.check_trace} on it always.  Returns the
+    run's exit class — 0 proved, 1 falsified, 3 a certificate or trace
+    that does not check, 4 unknown — and the line that reports the check,
+    if there is one. *)

@@ -40,7 +40,7 @@ let redundant_model () =
 
 let test_sweep_preserves_behaviour () =
   let m = redundant_model () in
-  let swept = Fraig.sweep_model m in
+  let swept = fst (Fraig.sweep m) in
   Alcotest.(check int) "same inputs" m.Model.num_inputs swept.Model.num_inputs;
   Alcotest.(check int) "same latches" m.Model.num_latches swept.Model.num_latches;
   let rand = Random.State.make [| 99 |] in
@@ -56,7 +56,7 @@ let test_sweep_preserves_behaviour () =
 
 let test_sweep_shrinks_redundancy () =
   let m = redundant_model () in
-  let swept = Fraig.sweep_model m in
+  let swept = fst (Fraig.sweep m) in
   (* The two mux decompositions must collapse: bad = q1 xor q2 where both
      latches now load the same node. *)
   Alcotest.(check bool)
@@ -74,7 +74,7 @@ let test_sweep_verdicts () =
       | None -> Alcotest.failf "missing %s" name
       | Some e ->
         let m = Isr_suite.Registry.build_validated e in
-        let swept = Fraig.sweep_model m in
+        let swept = fst (Fraig.sweep m) in
         let limits =
           { Isr_core.Budget.time_limit = 30.0; conflict_limit = 2_000_000; bound_limit = 60; reduce = Isr_sat.Solver.default_reduce }
         in
@@ -146,7 +146,7 @@ let prop_sweep_random =
     (QCheck2.Gen.pair gen_circuit (QCheck2.Gen.int_bound 10000))
     (fun (spec, seed) ->
       let m = build_circuit spec in
-      let swept = Fraig.sweep_model m in
+      let swept = fst (Fraig.sweep m) in
       let rand = Random.State.make [| seed |] in
       let ok = ref true in
       for _ = 1 to 20 do

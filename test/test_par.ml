@@ -1,7 +1,9 @@
 (* The parallel runner: raced verdicts must agree with the sequential
    portfolio (and with the ground truth), bound-parallel BMC must report
    the same minimal depth as sequential deepening, and losers must
-   observe cancellation promptly instead of running to their deadline. *)
+   observe cancellation promptly instead of running to their deadline;
+   the verify pipeline built on them must agree with the ground truth
+   under every analyze mode and give each bad artifact exit class 3. *)
 
 open Isr_core
 open Isr_model
@@ -391,6 +393,84 @@ let test_race_consumers () =
   Alcotest.(check bool) "the recorder holds the verdict" true
     (List.exists (function `Verdict _ -> true | _ -> false) life)
 
+(* The verify pipeline under every analyze mode and dispatch: each run
+   gives the ground-truth verdict, a trace replays on the input model,
+   and an invariant certifies on the model the pipeline reports for it. *)
+let test_pipeline_matrix () =
+  let runs =
+    [
+      ("industrialA2", [ "itpseq"; "portfolio" ]);
+      ("vending7bug", [ "itpseq"; "portfolio"; "bmc" ]);
+      ("peterson", [ "itpseq"; "portfolio" ]);
+      (* COI keeps 2 of its inputs, so its traces are lifted for real. *)
+      ("industrialC1", [ "itpseq"; "bmc" ]);
+    ]
+  in
+  List.iter
+    (fun (name, engines) ->
+      let e = entry name in
+      let model = Registry.build_validated e in
+      List.iter
+        (fun engine ->
+          let eng = Result.get_ok (Engine.of_name engine) in
+          List.iter
+            (fun analyze ->
+              List.iter
+                (fun jobs ->
+                  let tag =
+                    Printf.sprintf "%s/%s/%s/j%d" name engine
+                      (Isr_analyze.mode_to_string analyze) jobs
+                  in
+                  let o = Isr_par.verify ~analyze ~jobs ~limits eng model in
+                  (match o.verdict with
+                  | Verdict.Proved { invariant; _ } -> (
+                    Alcotest.(check bool) (tag ^ ": agrees") true (Registry.agrees e `Proved);
+                    match Option.map (Certify.check o.model) invariant with
+                    | None | Some (Ok ()) -> ()
+                    | Some (Error f) -> Alcotest.failf "%s: %a" tag Certify.pp_failure f)
+                  | Verdict.Falsified { depth; trace } ->
+                    Alcotest.(check bool)
+                      (tag ^ ": agrees") true
+                      (Registry.agrees e (`Falsified depth));
+                    Alcotest.(check bool)
+                      (tag ^ ": trace replays on the input model") true
+                      (Sim.check_trace model trace)
+                  | v -> Alcotest.failf "%s: %a" tag Verdict.pp v);
+                  (* Fast analysis cuts industrialA2's 242 latches to 12,
+                     and an engine's invariant lives on that model. *)
+                  if name = "industrialA2" && analyze <> Isr_analyze.Off then
+                    Alcotest.(check int) (tag ^ ": proof model") 12 o.model.Model.num_latches)
+                [ 1; 2 ])
+            [ Isr_analyze.Off; Isr_analyze.Fast; Isr_analyze.Full ])
+        engines)
+    runs
+
+(* The artifact check is what gives a run its exit class: a bad
+   invariant and a trace that stops short of the bad state each give 3. *)
+let test_check_bad_artifacts () =
+  let model = Registry.build_validated (entry "vending7bug") in
+  let stats = Verdict.mk_stats () in
+  let inv = Isr_aig.Aig.lit_true in
+  Alcotest.(check bool)
+    "true is no invariant of an unsafe design" true
+    (Certify.check model inv = Error Certify.Not_safe);
+  let proved = Verdict.Proved { kfp = 0; jfp = 0; invariant = Some inv } in
+  Alcotest.(check int)
+    "a bad invariant is class 3" 3
+    (fst (Isr_par.check ~certify:true { Isr_par.verdict = proved; stats; model }));
+  match Bmc.run ~check:Bmc.Exact ~limits model with
+  | Verdict.Falsified { depth; trace }, _ ->
+    let inputs = trace.Trace.inputs in
+    let short = { Trace.inputs = Array.sub inputs 0 (Array.length inputs - 1) } in
+    let outcome trace = { Isr_par.verdict = Verdict.Falsified { depth; trace }; stats; model } in
+    Alcotest.(check int)
+      "the whole trace is class 1" 1
+      (fst (Isr_par.check ~certify:false (outcome trace)));
+    Alcotest.(check int)
+      "a trace one frame short is class 3" 3
+      (fst (Isr_par.check ~certify:false (outcome short)))
+  | v, _ -> Alcotest.failf "vending7bug: %a" Verdict.pp v
+
 let () =
   Alcotest.run "isr_par"
     [
@@ -412,6 +492,11 @@ let () =
             test_bmc_event_story;
           Alcotest.test_case "exhausted slate cause" `Slow test_exhausted_cause;
           Alcotest.test_case "consumers under a two-domain race" `Slow test_race_consumers;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "analyze x engine x jobs matrix" `Slow test_pipeline_matrix;
+          Alcotest.test_case "bad artifacts are class 3" `Quick test_check_bad_artifacts;
         ] );
       ( "cancellation",
         [
