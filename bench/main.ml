@@ -12,249 +12,87 @@ open Isr_suite
 
 let out = Format.std_formatter
 
-let limits_of ~time ~bound ~conflicts =
-  { Budget.time_limit = time; conflict_limit = conflicts; bound_limit = bound;
-    reduce = Isr_sat.Solver.default_reduce }
-
-let time_arg default =
-  Arg.(value & opt float default & info [ "time" ] ~doc:"Per-run time limit [s].")
-
-let bound_arg = Arg.(value & opt int 120 & info [ "bound" ] ~doc:"BMC bound limit.")
-
-let conflicts_arg =
-  Arg.(value & opt int 2_000_000 & info [ "conflicts" ] ~doc:"Conflict budget per run.")
+let tool = "isr-bench"
 
 let mid_only_arg =
   Arg.(value & flag & info [ "mid-only" ] ~doc:"Skip the industrial-size instances.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace-event JSON file covering every run; open it in \
-           Perfetto (ui.perfetto.dev) or chrome://tracing.")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write one JSON line per engine run (benchmark, engine, verdict, full \
-           metrics-registry snapshot).")
-
-let ledger_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ledger" ] ~docv:"DIR"
-        ~doc:
-          "Append every engine run to the persistent run ledger rooted at $(docv): \
-           instance fingerprint, engine, config, verdict, depths and the metrics \
-           snapshot.  Inspect with $(b,isr_obs) ls/show/diff.")
-
-(* The run-configuration fingerprint stored with each ledger entry, so
-   cross-run diffs can tell apart budget changes from engine changes. *)
-let config_of ~time ~bound ~conflicts =
-  Isr_obs.Ledger.fingerprint
-    [
-      ("time", Printf.sprintf "%g" time);
-      ("bound", string_of_int bound);
-      ("conflicts", string_of_int conflicts);
-    ]
-
-let check_arg =
-  let level_conv =
-    Arg.conv
-      ( (fun s -> Result.map_error (fun e -> `Msg e) (Isr_check.Level.of_string s)),
-        fun fmt l -> Format.pp_print_string fmt (Isr_check.Level.to_string l) )
-  in
-  Arg.(
-    value
-    & opt level_conv Isr_check.Off
-    & info [ "check" ] ~docv:"LEVEL"
-        ~doc:
-          "Sanitizer level for every run: $(b,off) (the default — no overhead), \
-           $(b,fast) (metered invariant probes) or $(b,paranoid) (additionally \
-           replays proofs and lints interpolants).")
-
-let profile_arg =
-  Arg.(
-    value & flag
-    & info [ "profile" ]
-        ~doc:
-          "Print a call-tree span profile after the command: per span path the \
-           call count, total and self wall time, plus the hottest spans by self \
-           time.")
-
-let progress_arg =
-  let modes = [ ("auto", `Auto); ("tty", `Tty); ("plain", `Plain); ("jsonl", `Jsonl) ] in
-  Arg.(
-    value
-    & opt ~vopt:(Some `Auto) (some (enum modes)) None
-    & info [ "progress" ] ~docv:"MODE"
-        ~doc:
-          "Live heartbeats on stderr (suite position, bound/frame advanced, solver \
-           restarts with conflict rates), at most one per second.  $(docv) is \
-           $(b,auto) (TTY single-line rewrite, plain lines when piped), $(b,tty), \
-           $(b,plain) or $(b,jsonl).")
-
-let progress_mode = function
-  | `Auto -> Isr_obs.Progress.auto_mode ()
-  | `Tty -> Isr_obs.Progress.Tty
-  | `Plain -> Isr_obs.Progress.Plain
-  | `Jsonl -> Isr_obs.Progress.Jsonl
-
-(* Observability plumbing shared by every command: subscribes the Chrome
-   writer, the profile collector and the progress reporter for the
-   command's whole duration, and hands the body a [record] callback
-   streaming per-run JSON lines to the metrics file.  Every finalizer
-   runs even when an earlier one raises, so a broken trace file cannot
-   leave the metrics channel unflushed. *)
-let open_out_or_die path =
-  try open_out path
-  with Sys_error msg ->
-    prerr_endline ("isr-bench: " ^ msg);
-    exit 2
-
-let with_obs ?(check = Isr_check.Off) ?(profile = false) ?(progress = None)
-    ?(ledger = None) ?(config = "") ~trace ~metrics f =
-  Isr_check.Level.set check;
-  let prof = if profile then Some (Isr_obs.Profile.collector ()) else None in
-  let chrome = Option.map (fun f -> Isr_obs.Chrome.writer (open_out_or_die f)) trace in
-  let reporter =
-    Option.map (fun m -> Isr_obs.Progress.to_stderr (progress_mode m)) progress
-  in
-  let consumers =
-    List.filter_map Fun.id
-      [
-        Option.map fst chrome;
-        Option.map fst prof;
-        Option.map Isr_obs.Progress.consumer reporter;
-      ]
-  in
-  List.iter Isr_obs.Event.subscribe consumers;
-  let record, finish_metrics =
-    match metrics with
-    | None -> ((fun _ -> ()), fun () -> ())
-    | Some path ->
-      let oc = open_out_or_die path in
-      ( (fun r ->
-          output_string oc (Isr_exp.Runner.json_of_record r);
-          output_char oc '\n';
-          flush oc),
-        fun () -> close_out oc )
-  in
-  let record =
-    match ledger with
-    | None -> record
-    | Some dir ->
-      let lg =
-        try Isr_obs.Ledger.open_ dir
-        with Sys_error msg ->
-          prerr_endline ("isr-bench: " ^ msg);
-          exit 2
-      in
-      fun r ->
-        record r;
-        ignore (Isr_exp.Runner.ledger_record ~config lg r)
-  in
-  let safe g = try g () with e -> prerr_endline ("isr-bench: " ^ Printexc.to_string e) in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter Isr_obs.Event.unsubscribe consumers;
-      Option.iter Isr_obs.Progress.finish reporter;
-      Option.iter (fun (_, close) -> safe close) chrome;
-      safe finish_metrics)
-    (fun () ->
-      let result = f ~record in
-      (match prof with
-      | Some (_, snapshot) ->
-        Format.fprintf out "@.%a@." (fun f n -> Isr_obs.Profile.pp f n) (snapshot ())
-      | None -> ());
-      result)
 
 let entries_for mid_only lst =
   if mid_only then List.filter (fun e -> e.Registry.category = Registry.Mid) lst
   else lst
 
-(* --- table1 ------------------------------------------------------------- *)
+(* The term every engine-running command shares: its budget (bound 120,
+   2M conflicts, the command's [time]), --mid-only where taken, and the
+   observability flags [obs] (all of them but --flight by default), with
+   [body] run inside one session.  [body] gets the budget, the
+   mid-only switch and the session's run sink; the profile, when asked
+   for, is printed after it. *)
+let session_cmd ?(mid_only = false)
+    ?(obs = Isr_cli.obs ~metrics:true ~ledger:true ~profile:true ~progress:true ())
+    ~time body =
+  let run budget mid_only obs body =
+    Isr_cli.run ~tool ~config:(Isr_cli.config budget) obs @@ fun s ->
+    let result = body budget ~mid_only ~record:(fun r -> ignore (Isr_cli.record s r)) in
+    Option.iter
+      (Format.fprintf out "@.%a@." (fun f n -> Isr_obs.Profile.pp f n))
+      (Isr_cli.finish s);
+    result
+  in
+  Term.(
+    const run
+    $ Isr_cli.budget ~time ~bound:120 ~conflicts:2_000_000
+    $ (if mid_only then mid_only_arg else const false)
+    $ obs $ body)
+
+(* A reproduction that runs [f] with the limits, and the entries of
+   [suite] (narrowed by --mid-only when [suite] is given). *)
+let experiment ?suite ~time name doc f =
+  Cmd.v (Cmd.info name ~doc)
+    (session_cmd ~mid_only:(suite <> None) ~time
+       (Term.const (fun budget ~mid_only ~record ->
+            let entries = entries_for mid_only (Option.value suite ~default:[]) in
+            f ~limits:(Isr_cli.limits budget) ~entries ~record)))
 
 let table1_cmd =
-  let run time bound conflicts mid_only check trace metrics ledger profile progress =
-    with_obs ~check ~profile ~progress ~ledger
-      ~config:(config_of ~time ~bound ~conflicts) ~trace ~metrics (fun ~record ->
-        Isr_exp.Table1.run
-          ~limits:(limits_of ~time ~bound ~conflicts)
-          ~entries:(entries_for mid_only Registry.table1)
-          ~record ~out ())
-  in
-  Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table I")
-    Term.(
-      const run $ time_arg 20.0 $ bound_arg $ conflicts_arg $ mid_only_arg $ check_arg
-      $ trace_arg $ metrics_arg $ ledger_arg $ profile_arg $ progress_arg)
-
-(* --- fig6 ----------------------------------------------------------------- *)
+  experiment ~suite:Registry.table1 ~time:20.0 "table1" "Reproduce Table I"
+    (fun ~limits ~entries ~record -> Isr_exp.Table1.run ~limits ~entries ~record ~out ())
 
 let fig6_cmd =
-  let run time bound conflicts mid_only check trace metrics ledger profile progress =
-    with_obs ~check ~profile ~progress ~ledger
-      ~config:(config_of ~time ~bound ~conflicts) ~trace ~metrics (fun ~record ->
-        Isr_exp.Fig6.run
-          ~limits:(limits_of ~time ~bound ~conflicts)
-          ~entries:(entries_for mid_only Registry.fig6)
-          ~record ~out ())
-  in
-  Cmd.v (Cmd.info "fig6" ~doc:"Reproduce Figure 6 (cactus plot data)")
-    Term.(
-      const run $ time_arg 10.0 $ bound_arg $ conflicts_arg $ mid_only_arg $ check_arg
-      $ trace_arg $ metrics_arg $ ledger_arg $ profile_arg $ progress_arg)
-
-(* --- fig7 ------------------------------------------------------------------ *)
+  experiment ~suite:Registry.fig6 ~time:10.0 "fig6" "Reproduce Figure 6 (cactus plot data)"
+    (fun ~limits ~entries ~record -> Isr_exp.Fig6.run ~limits ~entries ~record ~out ())
 
 let fig7_cmd =
-  let run time bound conflicts mid_only check trace metrics ledger profile progress =
-    with_obs ~check ~profile ~progress ~ledger
-      ~config:(config_of ~time ~bound ~conflicts) ~trace ~metrics (fun ~record ->
-        Isr_exp.Fig7.run
-          ~limits:(limits_of ~time ~bound ~conflicts)
-          ~entries:(entries_for mid_only Registry.fig6)
-          ~record ~out ())
-  in
-  Cmd.v (Cmd.info "fig7" ~doc:"Reproduce Figure 7 (exact-k vs assume-k scatter)")
-    Term.(
-      const run $ time_arg 10.0 $ bound_arg $ conflicts_arg $ mid_only_arg $ check_arg
-      $ trace_arg $ metrics_arg $ ledger_arg $ profile_arg $ progress_arg)
+  experiment ~suite:Registry.fig6 ~time:10.0 "fig7"
+    "Reproduce Figure 7 (exact-k vs assume-k scatter)"
+    (fun ~limits ~entries ~record -> Isr_exp.Fig7.run ~limits ~entries ~record ~out ())
 
-(* --- ablations --------------------------------------------------------------- *)
+let extended_cmd =
+  experiment ~time:20.0 "extended"
+    "Beyond the paper: all engines incl. PBA/k-induction/PDR/portfolio"
+    (fun ~limits ~entries:_ ~record -> Isr_exp.Extended.run ~limits ~record ~out ())
+
+let abstraction_cmd =
+  experiment ~time:30.0 "abstraction" "Section V: CBA vs PBA on industrial designs"
+    (fun ~limits ~entries:_ ~record -> Isr_exp.Abstraction.run ~limits ~record ~out ())
+
+(* The ablations take the budget, --check and --trace only. *)
+let ablation name doc f =
+  Cmd.v (Cmd.info name ~doc)
+    (session_cmd ~obs:(Isr_cli.obs ()) ~time:20.0
+       (Term.const (fun budget ~mid_only:_ ~record:_ ->
+            f (Isr_cli.limits budget))))
 
 let ablation_checks_cmd =
-  let run time bound conflicts check trace =
-    with_obs ~check ~trace ~metrics:None (fun ~record:_ ->
-        Isr_exp.Ablation.checks ~limits:(limits_of ~time ~bound ~conflicts) ~out ())
-  in
-  Cmd.v
-    (Cmd.info "ablation-checks" ~doc:"A1: bound-k vs exact-k vs assume-k SAT effort")
-    Term.(const run $ time_arg 20.0 $ bound_arg $ conflicts_arg $ check_arg $ trace_arg)
+  ablation "ablation-checks" "A1: bound-k vs exact-k vs assume-k SAT effort"
+    (fun limits -> Isr_exp.Ablation.checks ~limits ~out ())
 
 let ablation_alpha_cmd =
-  let run time bound conflicts check trace =
-    with_obs ~check ~trace ~metrics:None (fun ~record:_ ->
-        Isr_exp.Ablation.alpha ~limits:(limits_of ~time ~bound ~conflicts) ~out ())
-  in
-  Cmd.v (Cmd.info "ablation-alpha" ~doc:"A2: serial fraction sweep for SITPSEQ")
-    Term.(const run $ time_arg 20.0 $ bound_arg $ conflicts_arg $ check_arg $ trace_arg)
+  ablation "ablation-alpha" "A2: serial fraction sweep for SITPSEQ"
+    (fun limits -> Isr_exp.Ablation.alpha ~limits ~out ())
 
 let ablation_systems_cmd =
-  let run time bound conflicts check trace =
-    with_obs ~check ~trace ~metrics:None (fun ~record:_ ->
-        Isr_exp.Ablation.systems ~limits:(limits_of ~time ~bound ~conflicts) ~out ())
-  in
-  Cmd.v
-    (Cmd.info "ablation-systems" ~doc:"A3: labeled interpolation systems in ITPSEQ")
-    Term.(const run $ time_arg 20.0 $ bound_arg $ conflicts_arg $ check_arg $ trace_arg)
+  ablation "ablation-systems" "A3: labeled interpolation systems in ITPSEQ"
+    (fun limits -> Isr_exp.Ablation.systems ~limits ~out ())
 
 (* --- bechamel kernels ----------------------------------------------------------- *)
 
@@ -390,29 +228,6 @@ let kernels () =
     results;
   Format.pp_print_flush out ()
 
-let extended_cmd =
-  let run time bound conflicts check trace metrics ledger profile progress =
-    with_obs ~check ~profile ~progress ~ledger
-      ~config:(config_of ~time ~bound ~conflicts) ~trace ~metrics (fun ~record ->
-        Isr_exp.Extended.run ~limits:(limits_of ~time ~bound ~conflicts) ~record ~out ())
-  in
-  Cmd.v
-    (Cmd.info "extended" ~doc:"Beyond the paper: all engines incl. PBA/k-induction/PDR/portfolio")
-    Term.(
-      const run $ time_arg 20.0 $ bound_arg $ conflicts_arg $ check_arg $ trace_arg
-      $ metrics_arg $ ledger_arg $ profile_arg $ progress_arg)
-
-let abstraction_cmd =
-  let run time bound conflicts check trace metrics ledger profile progress =
-    with_obs ~check ~profile ~progress ~ledger
-      ~config:(config_of ~time ~bound ~conflicts) ~trace ~metrics (fun ~record ->
-        Isr_exp.Abstraction.run ~limits:(limits_of ~time ~bound ~conflicts) ~record ~out ())
-  in
-  Cmd.v (Cmd.info "abstraction" ~doc:"Section V: CBA vs PBA on industrial designs")
-    Term.(
-      const run $ time_arg 30.0 $ bound_arg $ conflicts_arg $ check_arg $ trace_arg
-      $ metrics_arg $ ledger_arg $ profile_arg $ progress_arg)
-
 let kernels_cmd =
   Cmd.v (Cmd.info "kernels" ~doc:"Bechamel micro-benchmarks") Term.(const kernels $ const ())
 
@@ -425,53 +240,44 @@ let snapshot_entries () =
   List.filter (fun e -> e.Registry.category = Registry.Mid) Registry.table1
 
 let snapshot_cmd =
-  let run time bound conflicts check trace metrics ledger repeat out_path progress flight =
-    if flight then begin
-      (* Same dump triggers as itpseq_mc --flight; the CI overhead guard
-         runs the suite with this on and gates the slowdown. *)
-      Isr_obs.Flight.arm ~dir:"." ();
-      Isr_obs.Flight.install_signals ()
-    end;
-    Fun.protect ~finally:Isr_obs.Flight.disarm @@ fun () ->
-    with_obs ~check ~progress ~ledger
-      ~config:(config_of ~time ~bound ~conflicts) ~trace ~metrics (fun ~record ->
-        let limits = limits_of ~time ~bound ~conflicts in
-        let entries = snapshot_entries () in
-        let engines = Isr_exp.Table1.engines in
-        let n = List.length entries in
-        let runs =
-          List.concat
-            (List.mapi
-               (fun i entry ->
-                 let rows =
-                   List.init repeat (fun _ ->
-                       Isr_exp.Runner.run_entry
-                         ~progress:
-                           (Isr_exp.Runner.globalize ~index:i ~total:n
-                              Isr_exp.Runner.obs_progress)
-                         ~record ~limits ~engines entry)
+  let run repeat out_path budget ~mid_only:_ ~record =
+    let limits = Isr_cli.limits budget in
+    let entries = snapshot_entries () in
+    let engines = Isr_exp.Table1.engines in
+    let n = List.length entries in
+    let runs =
+      List.concat
+        (List.mapi
+           (fun i entry ->
+             let rows =
+               List.init repeat (fun _ ->
+                   Isr_exp.Runner.run_entry
+                     ~progress:
+                       (Isr_exp.Runner.globalize ~index:i ~total:n
+                          Isr_exp.Runner.obs_progress)
+                     ~record ~limits ~engines entry)
+             in
+             let first = List.hd rows in
+             List.mapi
+               (fun j (er : Isr_exp.Runner.engine_result) ->
+                 let samples =
+                   List.map
+                     (fun row ->
+                       let r = List.nth row.Isr_exp.Runner.results j in
+                       (r.Isr_exp.Runner.verdict, r.Isr_exp.Runner.stats))
+                     rows
                  in
-                 let first = List.hd rows in
-                 List.mapi
-                   (fun j (er : Isr_exp.Runner.engine_result) ->
-                     let samples =
-                       List.map
-                         (fun row ->
-                           let r = List.nth row.Isr_exp.Runner.results j in
-                           (r.Isr_exp.Runner.verdict, r.Isr_exp.Runner.stats))
-                         rows
-                     in
-                     Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
-                       ~engine:(Engine.name er.Isr_exp.Runner.engine) samples)
-                   first.Isr_exp.Runner.results)
-               entries)
-        in
-        let store =
-          Isr_exp.Bench_store.make ~suite:"mid" ~repeat ~time_limit:time runs
-        in
-        Isr_exp.Bench_store.save out_path store;
-        Format.fprintf out "wrote %s: %d runs (%d instances x %d engines, repeat %d)@."
-          out_path (List.length runs) n (List.length engines) repeat)
+                 Isr_exp.Bench_store.mk_run ~bench:entry.Registry.name
+                   ~engine:(Engine.name er.Isr_exp.Runner.engine) samples)
+               first.Isr_exp.Runner.results)
+           entries)
+    in
+    let store =
+      Isr_exp.Bench_store.make ~suite:"mid" ~repeat ~time_limit:budget.Isr_cli.time runs
+    in
+    Isr_exp.Bench_store.save out_path store;
+    Format.fprintf out "wrote %s: %d runs (%d instances x %d engines, repeat %d)@."
+      out_path (List.length runs) n (List.length engines) repeat
   in
   let repeat_arg =
     Arg.(
@@ -486,20 +292,15 @@ let snapshot_cmd =
       & opt string "BENCH_new.json"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the snapshot.")
   in
-  let flight_arg =
-    Arg.(
-      value & flag
-      & info [ "flight" ]
-          ~doc:"Arm the flight recorder for the whole suite (the CI overhead \
-                guard measures this configuration against the plain one).")
-  in
+  (* --flight: the CI overhead guard runs the suite with the recorder
+     armed and gates the slowdown against the plain run. *)
   Cmd.v
     (Cmd.info "snapshot"
        ~doc:"Run the benchmark suite and persist a versioned result snapshot \
              (median-of-N wall times with spread) for later regression checks")
-    Term.(
-      const run $ time_arg 10.0 $ bound_arg $ conflicts_arg $ check_arg $ trace_arg
-      $ metrics_arg $ ledger_arg $ repeat_arg $ out_arg $ progress_arg $ flight_arg)
+    (session_cmd ~time:10.0
+       ~obs:(Isr_cli.obs ~metrics:true ~ledger:true ~progress:true ~flight:true ())
+       Term.(const run $ repeat_arg $ out_arg))
 
 let regress_cmd =
   let run baseline current threshold min_delta =
@@ -652,23 +453,21 @@ let metric_value stats name =
        with Invalid_argument _ -> gauge_value (gauge reg name))
 
 let compare_cmd =
-  let run row time bound conflicts jobs names mid_only repeat out_path check trace metrics
-      progress =
+  let run row time bound conflicts jobs names mid_only repeat out_path obs =
     let time = Option.value time ~default:row.time in
     let out_path = Option.value out_path ~default:row.out_file in
     let find n =
       match Registry.find n with
       | Some e -> e
       | None ->
-        prerr_endline (Printf.sprintf "isr-bench: no benchmark named %S" n);
-        exit 2
+        Isr_cli.fail ~tool (Printf.sprintf "no benchmark named %S" n)
     in
     let entries =
       match names with
       | [] -> entries_for mid_only (List.map find row.benches)
       | names -> List.map find names
     in
-    let limits = limits_of ~time ~bound ~conflicts in
+    let limits = Isr_cli.limits { time; bound; conflicts } in
     let same_model = not (row.a.rewrites_model || row.b.rewrites_model) in
     let module B = Isr_exp.Bench_store in
     let pp_disagreement fmt = function
@@ -690,7 +489,7 @@ let compare_cmd =
       Format.fprintf out "@."
     in
     let disagreements =
-      with_obs ~check ~progress ~trace ~metrics @@ fun ~record ->
+      Isr_cli.run ~tool obs @@ fun s ->
       Format.fprintf out "A = %s, B = %s@.%-16s %-9s %-9s %8s %8s %8s" row.a.label
         row.b.label "bench" "A" "B" "A[s]" "B[s]" "speedup";
       print_columns (fun side c -> (if side = `A then "A:" else "B:") ^ c.head);
@@ -707,9 +506,10 @@ let compare_cmd =
               List.init repeat (fun _ ->
                   Gc.compact ();
                   let verdict, stats = side.run ~jobs limits model in
-                  record
-                    { Isr_exp.Runner.bench = entry.name; engine_name = side.label;
-                      instance_hash; verdict; stats };
+                  ignore
+                    (Isr_cli.record s
+                       { Isr_exp.Runner.bench = entry.name; engine_name = side.label;
+                         instance_hash; verdict; stats });
                   (verdict, stats))
             in
             let sa = samples row.a in
@@ -789,43 +589,37 @@ let compare_cmd =
              times and metrics, persist both as a snapshot, and exit 3 when any pair \
              of verdicts disagrees or a counterexample fails to replay")
     Term.(
-      const run $ row_arg $ time_arg $ bound_arg $ conflicts_arg $ jobs_arg $ names_arg
-      $ mid_only_arg $ repeat_arg $ out_arg $ check_arg $ trace_arg $ metrics_arg
-      $ progress_arg)
+      const run $ row_arg $ time_arg $ Isr_cli.bound 120 $ Isr_cli.conflicts 2_000_000
+      $ jobs_arg $ names_arg $ mid_only_arg $ repeat_arg $ out_arg
+      $ Isr_cli.obs ~metrics:true ~progress:true ())
 (* --- all (default) ------------------------------------------------------------------ *)
 
-let all time bound conflicts mid_only check trace metrics ledger profile progress =
-  with_obs ~check ~profile ~progress ~ledger
-    ~config:(config_of ~time ~bound ~conflicts) ~trace ~metrics
-  @@ fun ~record ->
-  let limits = limits_of ~time ~bound ~conflicts in
-  let entries6 = entries_for mid_only Registry.fig6 in
-  let entries1 = entries_for mid_only Registry.table1 in
-  Format.fprintf out "=== Table I ===@.";
-  Isr_exp.Table1.run ~limits ~entries:entries1 ~record ~out ();
-  Format.fprintf out "@.=== Figure 6 ===@.";
-  Isr_exp.Fig6.run ~limits ~entries:entries6 ~record ~out ();
-  Format.fprintf out "@.=== Figure 7 ===@.";
-  Isr_exp.Fig7.run ~limits ~entries:entries6 ~record ~out ();
-  Format.fprintf out "@.=== Ablation A1 (BMC checks) ===@.";
-  Isr_exp.Ablation.checks ~limits ~out ();
-  Format.fprintf out "@.=== Ablation A2 (alpha sweep) ===@.";
-  Isr_exp.Ablation.alpha ~limits ~out ();
-  Format.fprintf out "@.=== Ablation A3 (interpolation systems) ===@.";
-  Isr_exp.Ablation.systems ~limits ~out ();
-  if not mid_only then begin
-    Format.fprintf out "@.=== Abstraction: CBA vs PBA (Section V) ===@.";
-    Isr_exp.Abstraction.run ~limits ~record ~out ()
-  end;
-  Format.fprintf out "@.=== Extended engines (beyond the paper) ===@.";
-  Isr_exp.Extended.run ~limits ~record ~out ();
-  Format.fprintf out "@.=== Kernels ===@.";
-  kernels ()
-
 let all_term =
-  Term.(
-    const all $ time_arg 5.0 $ bound_arg $ conflicts_arg $ mid_only_arg $ check_arg
-    $ trace_arg $ metrics_arg $ ledger_arg $ profile_arg $ progress_arg)
+  session_cmd ~mid_only:true ~time:5.0
+    (Term.const (fun budget ~mid_only ~record ->
+         let limits = Isr_cli.limits budget in
+         let entries6 = entries_for mid_only Registry.fig6 in
+         let entries1 = entries_for mid_only Registry.table1 in
+         Format.fprintf out "=== Table I ===@.";
+         Isr_exp.Table1.run ~limits ~entries:entries1 ~record ~out ();
+         Format.fprintf out "@.=== Figure 6 ===@.";
+         Isr_exp.Fig6.run ~limits ~entries:entries6 ~record ~out ();
+         Format.fprintf out "@.=== Figure 7 ===@.";
+         Isr_exp.Fig7.run ~limits ~entries:entries6 ~record ~out ();
+         Format.fprintf out "@.=== Ablation A1 (BMC checks) ===@.";
+         Isr_exp.Ablation.checks ~limits ~out ();
+         Format.fprintf out "@.=== Ablation A2 (alpha sweep) ===@.";
+         Isr_exp.Ablation.alpha ~limits ~out ();
+         Format.fprintf out "@.=== Ablation A3 (interpolation systems) ===@.";
+         Isr_exp.Ablation.systems ~limits ~out ();
+         if not mid_only then begin
+           Format.fprintf out "@.=== Abstraction: CBA vs PBA (Section V) ===@.";
+           Isr_exp.Abstraction.run ~limits ~record ~out ()
+         end;
+         Format.fprintf out "@.=== Extended engines (beyond the paper) ===@.";
+         Isr_exp.Extended.run ~limits ~record ~out ();
+         Format.fprintf out "@.=== Kernels ===@.";
+         kernels ()))
 
 let () =
   let info =

@@ -64,12 +64,6 @@ let engine_arg =
            parameterized families accept an inline alpha, e.g. \
            sitpseq0.25-exact.")
 
-let time_arg = Arg.(value & opt float 60.0 & info [ "time" ] ~doc:"Time limit [s].")
-let bound_arg = Arg.(value & opt int 200 & info [ "bound" ] ~doc:"Bound limit.")
-
-let conflicts_arg =
-  Arg.(value & opt int 5_000_000 & info [ "conflicts" ] ~doc:"Conflict budget.")
-
 let witness_arg =
   Arg.(value & flag & info [ "witness" ] ~doc:"Print the counterexample trace on FAIL.")
 
@@ -89,22 +83,6 @@ let json_arg =
     value & flag
     & info [ "json" ] ~doc:"Emit the result as a JSON object on stdout (for tooling).")
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace-event JSON file of the run; open it in Perfetto \
-           (ui.perfetto.dev) or chrome://tracing.")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Write a JSON snapshot of the run's metrics registry.")
-
 let events_arg =
   Arg.(
     value
@@ -116,66 +94,12 @@ let events_arg =
            lifecycle) and write it as JSON lines to $(docv).  Analyse with \
            $(b,isr_obs) tail/explain-race/export.")
 
-let ledger_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ledger" ] ~docv:"DIR"
-        ~doc:
-          "Append this run to the persistent run ledger rooted at $(docv) \
-           (instance fingerprint, engine, config, verdict, depths, metrics \
-           snapshot and the event stream).  Inspect with $(b,isr_obs) \
-           ls/show/diff.")
-
-let profile_arg =
-  Arg.(
-    value & flag
-    & info [ "profile" ]
-        ~doc:
-          "Print a call-tree span profile after the run: per span path the call \
-           count, total and self wall time, plus the hottest spans by self time.")
-
 let profile_json_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "profile-json" ] ~docv:"FILE"
         ~doc:"Write the call-tree span profile as nested JSON.")
-
-let progress_mode_enum =
-  [ ("auto", `Auto); ("tty", `Tty); ("plain", `Plain); ("jsonl", `Jsonl) ]
-
-let progress_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some `Auto) (some (enum progress_mode_enum)) None
-    & info [ "progress" ] ~docv:"MODE"
-        ~doc:
-          "Live heartbeats on stderr (bound/frame advanced, refinements, solver \
-           restarts, with conflict/propagation rates), at most one per second. \
-           $(docv) is $(b,auto) (TTY single-line rewrite, plain lines when piped), \
-           $(b,tty), $(b,plain) or $(b,jsonl).")
-
-let progress_mode = function
-  | `Auto -> Isr_obs.Progress.auto_mode ()
-  | `Tty -> Isr_obs.Progress.Tty
-  | `Plain -> Isr_obs.Progress.Plain
-  | `Jsonl -> Isr_obs.Progress.Jsonl
-
-let open_out_or_die path =
-  try open_out path
-  with Sys_error msg ->
-    prerr_endline ("itpseq_mc: " ^ msg);
-    exit 2
-
-let write_metrics metrics_file stats =
-  match metrics_file with
-  | None -> ()
-  | Some path ->
-    let oc = open_out_or_die path in
-    Out_channel.output_string oc (Isr_obs.Metrics.to_json (Verdict.registry stats));
-    Out_channel.output_char oc '\n';
-    close_out oc
 
 (* Minimal JSON rendering; all of our strings are identifier-like. *)
 let json_of_verdict ~model_name ~engine_name verdict (stats : Verdict.stats) certified =
@@ -284,19 +208,6 @@ let reduce_base_arg =
           "First live-learnt-clause threshold of the database reduction schedule \
            (grows geometrically afterwards).")
 
-let flight_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "flight" ] ~docv:"N"
-        ~doc:
-          "Arm the flight recorder: a constant-memory per-domain ring of the last \
-           $(docv) search events (default 256) plus periodic GC snapshots. On \
-           budget expiry, a sanitizer violation, an uncaught exception, SIGUSR1 \
-           or SIGTERM the merged rings are dumped as flight.jsonl (next to the \
-           ledger's event streams when --ledger is given, else the working \
-           directory). Inspect with $(b,isr_obs) top / tail.")
-
 let checkpoint_arg =
   Arg.(
     value
@@ -321,25 +232,13 @@ let resume_arg =
            from its entry, so the final verdict, convergence depths and \
            certificate match an uninterrupted run.")
 
-let check_arg =
-  let level_conv =
-    Arg.conv
-      ( (fun s -> Result.map_error (fun e -> `Msg e) (Isr_check.Level.of_string s)),
-        fun fmt l -> Format.pp_print_string fmt (Isr_check.Level.to_string l) )
-  in
-  Arg.(
-    value
-    & opt level_conv Isr_check.Off
-    & info [ "check" ] ~docv:"LEVEL"
-        ~doc:
-          "Sanitizer level: off (default), fast (metered invariant probes at phase \
-           boundaries) or paranoid (additionally replay every refutation proof and \
-           lint every emitted interpolant).")
+let tool = "itpseq_mc"
 
 let verify_term =
-  let run verbose file name engine time bound conflicts witness analyze compact certify property witness_file json trace metrics events ledger check profile profile_json progress par no_reduce reduce_base flight checkpoint resume =
+  let run verbose file name engine budget witness analyze compact certify property
+      witness_file json events (obs : Isr_cli.obs) profile_json par no_reduce reduce_base
+      checkpoint resume =
     setup_logs verbose;
-    Isr_check.Level.set check;
     match load_model ~property file name with
     | Error e ->
       prerr_endline e;
@@ -349,18 +248,13 @@ let verify_term =
       | Error e ->
         prerr_endline e;
         2
-      | Ok eng -> (
+      | Ok eng ->
         (* Resume: the checkpoint decides the engine; --engine is only a
            cross-check. *)
         let resume_ck =
-          match resume with
-          | None -> None
-          | Some path -> (
-            match Checkpoint.read path with
-            | ck -> Some ck
-            | exception Failure msg ->
-              prerr_endline ("itpseq_mc: " ^ msg);
-              exit 2)
+          Option.map
+            (fun path -> try Checkpoint.read path with Failure msg -> Isr_cli.fail ~tool msg)
+            resume
         in
         let eng =
           match resume_ck with
@@ -372,93 +266,55 @@ let verify_term =
                 Logs.info (fun m ->
                     m "resuming engine %s from the checkpoint" ck.Checkpoint.engine);
               e
-            | Error msg ->
-              prerr_endline ("itpseq_mc: " ^ msg);
-              exit 2)
+            | Error msg -> Isr_cli.fail ~tool msg)
         in
         let stepwise = checkpoint <> None || resume_ck <> None in
         if stepwise then begin
           (match eng with
           | Engine.Portfolio ->
-            prerr_endline
-              "itpseq_mc: --checkpoint/--resume apply to single engines, not the \
-               portfolio";
-            exit 2
+            Isr_cli.fail ~tool
+              "--checkpoint/--resume apply to single engines, not the portfolio"
           | _ -> ());
-          if par <> None then begin
-            prerr_endline "itpseq_mc: --checkpoint/--resume do not combine with --par";
-            exit 2
-          end
+          if par <> None then
+            Isr_cli.fail ~tool "--checkpoint/--resume do not combine with --par"
         end;
         if not json then Format.printf "model: %a@." Model.pp_stats original;
-        (* Every consumer of the run's observability channel is
-           subscribed here and covers the static analyzer and the engine
-           run: the event recorder (for --events and --ledger), the
-           Chrome writer (--trace), the profile collector (--profile,
-           --profile-json) and the heartbeat reporter (--progress). *)
+        (* The event recorder feeds --events and --ledger.  The --events
+           file is opened now and written when the session closes, which
+           includes a SIGTERM checkpoint exit: the interrupted half is
+           exactly what isr_obs steps inspects before a resume. *)
         let recorder =
-          if events <> None || ledger <> None then Some (Isr_obs.Event.recorder ())
+          if events <> None || obs.ledger <> None then Some (Isr_obs.Event.recorder ())
           else None
         in
-        let chrome = Option.map (fun f -> Isr_obs.Chrome.writer (open_out_or_die f)) trace in
-        let prof =
-          if profile || profile_json <> None then Some (Isr_obs.Profile.collector ()) else None
+        let open_out path = try open_out path with Sys_error msg -> Isr_cli.fail ~tool msg in
+        let write_events r oc =
+          Isr_obs.Event.write_jsonl r oc;
+          close_out oc
         in
-        let reporter =
-          Option.map (fun m -> Isr_obs.Progress.to_stderr (progress_mode m)) progress
-        in
+        let events_oc = Option.map open_out events in
         let consumers =
-          List.filter_map Fun.id
-            [
-              Option.map Isr_obs.Event.recording recorder;
-              Option.map fst chrome;
-              Option.map fst prof;
-              Option.map Isr_obs.Progress.consumer reporter;
+          Option.to_list
+            (Option.map
+               (fun r ->
+                 (Isr_obs.Event.recording r, fun () -> Option.iter (write_events r) events_oc))
+               recorder)
+        in
+        let config =
+          Isr_cli.config budget
+          @ [
+              ("par", match par with None -> "seq" | Some 0 -> "auto" | Some j -> string_of_int j);
+              ("analyze",
+               match analyze with None -> "off" | Some m -> Isr_analyze.mode_to_string m);
             ]
         in
-        List.iter Isr_obs.Event.subscribe consumers;
-        let unsubscribe () =
-          List.iter Isr_obs.Event.unsubscribe consumers;
-          Option.iter Isr_obs.Progress.finish reporter
-        in
-        (* One exit path closes every consumer that writes a file.  A
-           SIGTERM checkpoint exit (exit 143 inside Step.drive) runs
-           [at_exit] handlers but no finaliser, and must not lose the
-           trace or the stream recorded so far — the interrupted half is
-           exactly what isr_obs steps inspects before a resume.  The
-           normal post-run export writes the stream itself. *)
-        let events_flushed = ref false in
-        at_exit (fun () ->
-            Option.iter (fun (_, close) -> try close () with Sys_error _ -> ()) chrome;
-            match (recorder, events) with
-            | Some r, Some f when not !events_flushed -> (
-              match open_out f with
-              | oc ->
-                Isr_obs.Event.write_jsonl r oc;
-                close_out oc
-              | exception Sys_error _ -> ())
-            | _ -> ());
-        (* The flight recorder covers the same region (and the signal
-           handlers stay live until process exit); its rings also flip
-           [Event.enabled] on, so --flight works without --events. *)
-        (match flight with
-        | None -> ()
-        | Some cap ->
-          let dir =
-            match ledger with
-            | Some d ->
-              (try if not (Sys.file_exists d) then Unix.mkdir d 0o755
-               with Unix.Unix_error _ -> ());
-              Filename.concat d "events"
-            | None -> "."
-          in
-          Isr_obs.Flight.arm ?capacity:(if cap > 0 then Some cap else None) ~dir ();
-          Isr_obs.Flight.install_signals ());
+        Isr_cli.run ~tool ~config ~collect_profile:(profile_json <> None) ~consumers obs
+        @@ fun session ->
         (* With --checkpoint, SIGTERM must reach a safe-point instead of
            killing the process outright (which is what the flight
-           recorder's own handler, installed just above, would do): the
-           handler requests a checkpoint and trips the cancel token, an
-           in-flight SAT call unwinds with [Budget.Cancelled], and
+           recorder's own handler, installed by the session, would do):
+           the handler requests a checkpoint and trips the cancel token,
+           an in-flight SAT call unwinds with [Budget.Cancelled], and
            [Step.drive] writes the checkpoint, dumps the flight ring and
            exits 143. *)
         let ckpt_cancel = Atomic.make false in
@@ -469,15 +325,10 @@ let verify_term =
                  Step.request_checkpoint ();
                  Atomic.set ckpt_cancel true));
         let limits =
-          { Budget.time_limit = time;
-            conflict_limit = conflicts;
-            bound_limit = bound;
-            reduce =
-              { Isr_sat.Solver.default_reduce with
-                enabled = not no_reduce;
-                base = reduce_base;
-              };
-          }
+          Isr_cli.limits
+            ~reduce:
+              { Isr_sat.Solver.default_reduce with enabled = not no_reduce; base = reduce_base }
+            budget
         in
         (* The explicit kernel path: start (or restore) the instance and
            drive it with the checkpoint plumbing armed.  The cancel token
@@ -492,9 +343,7 @@ let verify_term =
             | Some ck -> (
               match Step.restore ~limits p model ck with
               | inst -> Step.drive ?checkpoint inst
-              | exception Invalid_argument msg ->
-                prerr_endline ("itpseq_mc: " ^ msg);
-                exit 2)
+              | exception Invalid_argument msg -> Isr_cli.fail ~tool msg)
             | None -> Step.drive ?checkpoint (Step.start ~limits p model))
         in
         let report r =
@@ -506,8 +355,6 @@ let verify_term =
         in
         let outcome =
           try
-            Fun.protect ~finally:unsubscribe @@ fun () ->
-            Isr_obs.Flight.guard @@ fun () ->
             Isr_par.verify
               ~analyze:(Option.value analyze ~default:Isr_analyze.Off)
               ?jobs:par ~report
@@ -520,95 +367,56 @@ let verify_term =
         in
         (* The engine region is over; later SIGUSR1s find nothing to
            dump, which is the honest answer once the rings stop filling. *)
-        Isr_obs.Flight.disarm ();
+        let profile = Isr_cli.finish session in
         let stats = outcome.Isr_par.stats in
-        write_metrics metrics stats;
-        (match prof with
-        | None -> ()
-        | Some (_, snapshot) ->
-          let root = snapshot () in
-          (match profile_json with
-          | Some path ->
-            let oc = open_out_or_die path in
-            output_string oc (Isr_obs.Profile.to_json root);
-            output_char oc '\n';
-            close_out oc
-          | None -> ());
-          if profile then begin
-            (* Keep stdout machine-readable under --json. *)
-            let fmt = if json then Format.err_formatter else Format.std_formatter in
-            Format.fprintf fmt "%a@." (fun f n -> Isr_obs.Profile.pp f n) root
-          end);
+        Option.iter
+          (fun root ->
+            Option.iter
+              (fun path ->
+                let oc = open_out path in
+                output_string oc (Isr_obs.Profile.to_json root);
+                output_char oc '\n';
+                close_out oc)
+              profile_json;
+            if obs.profile then begin
+              (* Keep stdout machine-readable under --json. *)
+              let fmt = if json then Format.err_formatter else Format.std_formatter in
+              Format.fprintf fmt "%a@." (fun f n -> Isr_obs.Profile.pp f n) root
+            end)
+          profile;
         if Isr_check.Level.on () && not json then
           Format.printf "%a@." Isr_check.Level.pp_summary ();
-        (* Export the event stream and/or the ledger entry pointing at it. *)
-        let write_events path r =
-          let oc = open_out_or_die path in
-          Isr_obs.Event.write_jsonl r oc;
-          close_out oc
+        (* Without --events the ledger keeps the stream in its events/
+           directory, keyed by instance and wall clock. *)
+        let events_path =
+          match (recorder, Isr_cli.ledger session) with
+          | Some r, Some lg when events = None ->
+            let rel =
+              Printf.sprintf "events/%s-%d.jsonl" original.Model.name
+                (int_of_float (Unix.gettimeofday () *. 1000.0))
+            in
+            write_events r (open_out (Isr_obs.Ledger.resolve lg rel));
+            Some rel
+          | _ -> events
         in
-        let open_ledger dir =
-          try Isr_obs.Ledger.open_ dir
-          with Sys_error msg ->
-            prerr_endline ("itpseq_mc: " ^ msg);
-            exit 2
-        in
-        let ledger_t = Option.map open_ledger ledger in
-        let stored_events =
-          match recorder with
-          | None -> None
-          | Some r -> (
-            match (events, ledger_t) with
-            | Some f, _ ->
-              write_events f r;
-              events_flushed := true;
-              Some f
-            | None, Some lg ->
-              (* No explicit file: park the stream inside the ledger's
-                 events/ directory, keyed by instance and wall clock. *)
-              let rel =
-                Printf.sprintf "events/%s-%d.jsonl" original.Model.name
-                  (int_of_float (Unix.gettimeofday () *. 1000.0))
-              in
-              write_events (Isr_obs.Ledger.resolve lg rel) r;
-              Some rel
-            | None, None -> None)
-        in
-        (match ledger_t with
-        | None -> ()
-        | Some lg ->
-          (* The ledger identifies the run by the instance the user asked
-             to verify, not by the analyzer's rewrite of it — otherwise
-             analyzed and plain runs of one design would never diff as
-             the same property cone. *)
-          let config =
-            Isr_obs.Ledger.fingerprint
-              [
-                ("time", Printf.sprintf "%g" time);
-                ("bound", string_of_int bound);
-                ("conflicts", string_of_int conflicts);
-                ("par",
-                 match par with None -> "seq" | Some 0 -> "auto" | Some j -> string_of_int j);
-                ("analyze",
-                 match analyze with
-                 | None -> "off"
-                 | Some m -> Isr_analyze.mode_to_string m);
-              ]
+        if obs.metrics <> None || obs.ledger <> None then begin
+          (* A run is named by the instance the user asked to verify, not
+             by the analyzer's rewrite of it — otherwise analyzed and
+             plain runs of one design would never diff as the same
+             property cone. *)
+          let run =
+            { Isr_exp.Runner.bench = original.Model.name; engine_name = Engine.name eng;
+              instance_hash = Isr_fraig.Fraig.property_hash original;
+              verdict = outcome.verdict; stats }
           in
-          let stored =
-            Isr_exp.Runner.ledger_record ~config ?events_path:stored_events
-              ?profile_path:profile_json lg
-              {
-                Isr_exp.Runner.bench = original.Model.name;
-                engine_name = Engine.name eng;
-                instance_hash = Isr_fraig.Fraig.property_hash original;
-                verdict = outcome.verdict;
-                stats;
-              }
-          in
-          if not json then
-            Format.printf "ledger: %s @@ %s@." stored.Isr_obs.Ledger.id
-              (Isr_obs.Ledger.dir lg));
+          match
+            (Isr_cli.record session ?events_path ?profile_path:profile_json run,
+             Isr_cli.ledger session)
+          with
+          | Some stored, Some lg when not json ->
+            Format.printf "ledger: %s @@ %s@." stored.Isr_obs.Ledger.id (Isr_obs.Ledger.dir lg)
+          | _ -> ()
+        end;
         (* Under --json stdout holds the JSON object alone; every other
            line goes to stderr. *)
         let out = if json then Format.err_formatter else Format.std_formatter in
@@ -640,7 +448,7 @@ let verify_term =
             | _ -> None
           in
           print_endline
-            (json_of_verdict ~model_name:outcome.model.Model.name
+            (json_of_verdict ~model_name:original.Model.name
                ~engine_name:(Engine.name eng) verdict stats certified)
         end;
         (match verdict with
@@ -654,15 +462,16 @@ let verify_term =
             witness_file
         | _ -> ());
         Option.iter (Format.fprintf out "%s@.") note;
-        code))
+        code)
   in
   Term.(
-    const run $ verbose_arg $ file_arg $ name_arg $ engine_arg $ time_arg $ bound_arg
-    $ conflicts_arg $ witness_arg $ analyze_arg $ compact_arg $ certify_arg $ property_arg
-    $ witness_file_arg $ json_arg $ trace_arg $ metrics_arg $ events_arg $ ledger_arg
-    $ check_arg $ profile_arg
-    $ profile_json_arg $ progress_arg $ par_arg $ no_reduce_arg
-    $ reduce_base_arg $ flight_arg $ checkpoint_arg $ resume_arg)
+    const run $ verbose_arg $ file_arg $ name_arg $ engine_arg
+    $ Isr_cli.budget ~time:60.0 ~bound:200 ~conflicts:5_000_000
+    $ witness_arg $ analyze_arg $ compact_arg $ certify_arg $ property_arg
+    $ witness_file_arg $ json_arg $ events_arg
+    $ Isr_cli.obs ~metrics:true ~ledger:true ~profile:true ~progress:true ~flight:true ()
+    $ profile_json_arg $ par_arg $ no_reduce_arg $ reduce_base_arg $ checkpoint_arg
+    $ resume_arg)
 
 let verify_cmd = Cmd.v (Cmd.info "verify" ~doc:"Verify a model with one engine") verify_term
 

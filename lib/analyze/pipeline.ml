@@ -671,18 +671,23 @@ let run ?(mode = Fast) ?registry (original : Model.t) =
 
 let pp_summary fmt (r : result) =
   let open Format in
-  (match r.passes with
-  | [] -> fprintf fmt "analyze: no reduction applied@,"
-  | ps ->
-    fprintf fmt "@[<v>%-9s %19s %15s %7s@," "pass" "ANDs" "latches" "claims";
-    List.iter
-      (fun p ->
-        fprintf fmt "%-9s %8d -> %8d %6d -> %5d %7d@," p.pass p.ands_before p.ands_after
-          p.latches_before p.latches_after p.claims)
-      ps;
-    fprintf fmt "@]");
-  match r.verdict with
-  | Some (Safe _) -> fprintf fmt "verdict: SAFE (inductive invariant certificate)@,"
-  | Some (Unsafe { trace }) ->
-    fprintf fmt "verdict: UNSAFE (depth-%d witness)@," (Trace.depth trace)
-  | None -> ()
+  let table =
+    match r.passes with
+    | [] -> [ "analyze: no reduction applied" ]
+    | ps ->
+      sprintf "%-9s %19s %15s %7s" "pass" "ANDs" "latches" "claims"
+      :: List.map
+           (fun p ->
+             sprintf "%-9s %8d -> %8d %6d -> %5d %7d" p.pass p.ands_before p.ands_after
+               p.latches_before p.latches_after p.claims)
+           ps
+  in
+  let verdict =
+    match r.verdict with
+    | Some (Safe _) -> [ "verdict: SAFE (inductive invariant certificate)" ]
+    | Some (Unsafe { trace }) ->
+      [ sprintf "verdict: UNSAFE (depth-%d witness)" (Trace.depth trace) ]
+    | None -> []
+  in
+  (* Breaks go between lines only: the caller ends the last one. *)
+  fprintf fmt "@[<v>%a@]" (pp_print_list pp_print_string) (table @ verdict)

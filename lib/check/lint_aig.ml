@@ -55,10 +55,12 @@ let lint_ascii ?(name = "aiger") text =
     |> List.mapi (fun i l -> (i + 1, String.trim l))
     |> List.filter (fun (_, l) -> l <> "")
   in
+  (* A negative number is malformed wherever it appears. *)
   let ints line =
     let parts = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
     let nums = List.map int_of_string_opt parts in
-    if List.mem None nums then None else Some (List.map Option.get nums)
+    if List.exists (function None -> true | Some n -> n < 0) nums then None
+    else Some (List.map Option.get nums)
   in
   match lines with
   | [] -> [ Diag.error ~check:"aig.header" "empty file" ]
@@ -67,9 +69,9 @@ let lint_ascii ?(name = "aiger") text =
     match
       match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
       | "aag" :: nums -> (
-        match List.map int_of_string_opt nums with
-        | [ Some m; Some i; Some l; Some o; Some a ] -> Some (m, i, l, o, a, 0)
-        | [ Some m; Some i; Some l; Some o; Some a; Some b ] -> Some (m, i, l, o, a, b)
+        match ints (String.concat " " nums) with
+        | Some [ m; i; l; o; a ] -> Some (m, i, l, o, a, 0)
+        | Some [ m; i; l; o; a; b ] -> Some (m, i, l, o, a, b)
         | _ -> None)
       | _ -> None
     with
@@ -83,15 +85,27 @@ let lint_ascii ?(name = "aiger") text =
         add
           (Diag.errorf ~check:"aig.header" ~loc:(loc hline)
              "header claims M = %d but I + L + A = %d" m (i + l + a));
-      let needed = i + l + o + a + b in
       let rest = Array.of_list rest in
-      if Array.length rest < needed then
+      let present = Array.length rest in
+      (* A saturating sum: the header's counts may be anything. *)
+      let needed =
+        List.fold_left (fun acc n -> if n > max_int - acc then max_int else acc + n) 0
+          [ i; l; o; a; b ]
+      in
+      if present < needed then
         add
           (Diag.errorf ~check:"aig.truncated" ~loc:(loc hline)
              ~hint:"the header announces more definition lines than the file holds"
-             "file truncated: %d definition lines expected, %d present" needed
-             (Array.length rest));
-      let avail = min needed (Array.length rest) in
+             "file truncated: %d definition lines expected, %d present" needed present);
+      if o + b = 0 then
+        add
+          (Diag.warning ~check:"aig.no_output"
+             ~hint:"add an output or bad line naming the property"
+             "no output or bad literal: nothing to verify");
+      (* Past this point no loop runs further than the lines present. *)
+      let i = min i present and l = min l present and o = min o present
+      and a = min a present and b = min b present in
+      let avail = min (i + l + o + a + b) present in
       let defs : (int, def * int) Hashtbl.t = Hashtbl.create 64 in
       let refs = ref [] (* (literal, line) to resolve once all defs are in *) in
       let define line v d =
@@ -170,11 +184,6 @@ let lint_ascii ?(name = "aiger") text =
             reference line r1
           | _ -> malformed line "and")
       done;
-      if o + b = 0 then
-        add
-          (Diag.warning ~check:"aig.no_output"
-             ~hint:"add an output or bad line naming the property"
-             "no output or bad literal: nothing to verify");
       (* Dangling references: every used variable must be defined. *)
       List.iter
         (fun (al, line) ->

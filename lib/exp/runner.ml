@@ -59,50 +59,42 @@ let verdict_tag = function
   | Verdict.Falsified _ -> "falsified"
   | Verdict.Unknown _ -> "unknown"
 
-let json_of_record r =
+(* The one projection of a run record: the ledger entry (unstamped, so
+   [id] and [time] are empty until {!Isr_obs.Ledger.append}), which the
+   --metrics line renders too.  The registry snapshot is collapsed to one
+   line so both stay greppable. *)
+let entry ?(config = "") ?events_path ?profile_path r =
+  let compact s = String.concat " " (String.split_on_char '\n' s) in
+  {
+    Isr_obs.Ledger.id = "";
+    time = "";
+    instance = r.bench;
+    instance_hash = r.instance_hash;
+    engine = r.engine_name;
+    config;
+    verdict = verdict_tag r.verdict;
+    kfp = Verdict.kfp r.verdict;
+    jfp = Verdict.jfp r.verdict;
+    wall_s = Verdict.time r.stats;
+    conflicts = Verdict.conflicts r.stats;
+    sat_calls = Verdict.sat_calls r.stats;
+    itp_nodes = Verdict.itp_nodes r.stats;
+    metrics_json = compact (Isr_obs.Metrics.to_json (Verdict.registry r.stats));
+    events_path;
+    profile_path;
+  }
+
+let json_of_entry (e : Isr_obs.Ledger.entry) =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf "{\"bench\":\"%s\",\"engine\":\"%s\",\"verdict\":\"%s\""
-       (json_escape r.bench) (json_escape r.engine_name) (verdict_tag r.verdict));
-  if r.instance_hash <> "" then
-    Buffer.add_string b (Printf.sprintf ",\"hash\":\"%s\"" r.instance_hash);
-  (match Verdict.kfp r.verdict with
-  | Some k -> Buffer.add_string b (Printf.sprintf ",\"kfp\":%d" k)
-  | None -> ());
-  (match Verdict.jfp r.verdict with
-  | Some j -> Buffer.add_string b (Printf.sprintf ",\"jfp\":%d" j)
-  | None -> ());
-  (* The registry snapshot is pretty-printed; collapse it so each record
-     stays a single JSON line. *)
-  let compact s = String.concat " " (String.split_on_char '\n' s) in
-  Buffer.add_string b
-    (Printf.sprintf ",\"metrics\":%s}"
-       (compact (Isr_obs.Metrics.to_json (Verdict.registry r.stats))));
+       (json_escape e.instance) (json_escape e.engine) e.verdict);
+  if e.instance_hash <> "" then
+    Buffer.add_string b (Printf.sprintf ",\"hash\":\"%s\"" e.instance_hash);
+  Option.iter (fun k -> Buffer.add_string b (Printf.sprintf ",\"kfp\":%d" k)) e.kfp;
+  Option.iter (fun j -> Buffer.add_string b (Printf.sprintf ",\"jfp\":%d" j)) e.jfp;
+  Buffer.add_string b (Printf.sprintf ",\"metrics\":%s}" e.metrics_json);
   Buffer.contents b
-
-(* Project one run record into the persistent ledger.  The metrics
-   snapshot is collapsed to one line so the ledger stays greppable. *)
-let ledger_record ?(config = "") ?events_path ?profile_path ledger r =
-  let compact s = String.concat " " (String.split_on_char '\n' s) in
-  Isr_obs.Ledger.append ledger
-    {
-      Isr_obs.Ledger.id = "";
-      time = "";
-      instance = r.bench;
-      instance_hash = r.instance_hash;
-      engine = r.engine_name;
-      config;
-      verdict = verdict_tag r.verdict;
-      kfp = Verdict.kfp r.verdict;
-      jfp = Verdict.jfp r.verdict;
-      wall_s = Verdict.time r.stats;
-      conflicts = Verdict.conflicts r.stats;
-      sat_calls = Verdict.sat_calls r.stats;
-      itp_nodes = Verdict.itp_nodes r.stats;
-      metrics_json = compact (Isr_obs.Metrics.to_json (Verdict.registry r.stats));
-      events_path;
-      profile_path;
-    }
 
 let run_entry ?(progress = obs_progress) ?(record = fun _ -> ()) ~limits ~engines
     entry =

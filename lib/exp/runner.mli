@@ -28,21 +28,23 @@ type record = {
   stats : Verdict.stats;
 }
 (** One engine run on one benchmark — the unit of the per-run JSON stats
-    stream ([--metrics] in the bench harness). *)
+    stream ([--metrics]) and of the run ledger ([--ledger]). *)
 
-val json_of_record : record -> string
-(** A single-line JSON object: bench, engine, verdict tag, kfp/jfp when
-    defined, and the full metrics-registry snapshot. *)
-
-val ledger_record :
+val entry :
   ?config:string ->
   ?events_path:string ->
   ?profile_path:string ->
-  Isr_obs.Ledger.t ->
   record ->
   Isr_obs.Ledger.entry
-(** Append one run record to the persistent ledger ([--ledger] in the
-    bench harness); returns the stored entry with its assigned id. *)
+(** The one projection of a run record, shared by the [--metrics] line
+    and the persistent ledger: an unstamped entry ([id] and [time] are
+    assigned by {!Isr_obs.Ledger.append}) carrying the metrics-registry
+    snapshot as one line of JSON. *)
+
+val json_of_entry : Isr_obs.Ledger.entry -> string
+(** The [--metrics] line of an entry: a single-line JSON object with
+    bench, engine, verdict tag, hash when known, kfp/jfp when defined,
+    and the full metrics-registry snapshot under ["metrics"]. *)
 
 type progress = {
   p_bench : string;   (** registry entry name *)

@@ -6,12 +6,15 @@ let parse_ascii_outputs ?(name = "aiger") text =
     String.split_on_char '\n' text |> List.map String.trim
     |> List.filter (fun l -> l <> "")
   in
+  (* A literal or count is never negative, so a line holding one is
+     malformed like any other bad line. *)
   let ints line =
     String.split_on_char ' ' line
     |> List.filter (fun s -> s <> "")
     |> List.map int_of_string_opt
     |> fun l ->
-    if List.mem None l then None else Some (List.map Option.get l)
+    if List.exists (function None -> true | Some n -> n < 0) l then None
+    else Some (List.map Option.get l)
   in
   match lines with
   | [] -> Error "empty file"
@@ -19,25 +22,33 @@ let parse_ascii_outputs ?(name = "aiger") text =
     let* m, i, l, o, a, b =
       match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
       | "aag" :: nums -> (
-        match List.map int_of_string_opt nums with
-        | [ Some m; Some i; Some l; Some o; Some a ] -> Ok (m, i, l, o, a, 0)
-        | [ Some m; Some i; Some l; Some o; Some a; Some b ] -> Ok (m, i, l, o, a, b)
+        match ints (String.concat " " nums) with
+        | Some [ m; i; l; o; a ] -> Ok (m, i, l, o, a, 0)
+        | Some [ m; i; l; o; a; b ] -> Ok (m, i, l, o, a, b)
         | _ -> Error "malformed aag header")
       | _ -> Error "not an ascii aiger file (expected 'aag' header)"
     in
-    let needed = i + l + o + a + b in
-    if List.length rest < needed then Error "truncated file"
+    (* Every input, latch, output and AND takes a line: bound the counts
+       by the lines present before anything is sized by them (each one
+       first, so their sum cannot overflow). *)
+    let present = List.length rest in
+    if List.exists (fun n -> n > present) [ i; l; o; a; b ] || i + l + o + a + b > present
+    then Error "truncated file"
     else begin
       let rest = Array.of_list rest in
       let man = Aig.create () in
-      (* aiger var -> our literal; var 0 is constant false *)
-      let var_lit = Array.make (m + 1) (-1) in
-      var_lit.(0) <- Aig.lit_false;
+      (* aiger var -> our literal; var 0 is constant false.  A table, not
+         an array: M bounds the variable indices, not their number. *)
+      let var_lit = Hashtbl.create (i + l + a + 1) in
+      Hashtbl.replace var_lit 0 Aig.lit_false;
+      let defined v = Hashtbl.mem var_lit v in
       let lit_of al =
         let v = al / 2 in
         if v > m then Error (Printf.sprintf "literal %d out of range" al)
-        else if var_lit.(v) < 0 then Error (Printf.sprintf "literal %d used before definition" al)
-        else Ok (if al land 1 = 1 then Aig.not_ var_lit.(v) else var_lit.(v))
+        else
+          match Hashtbl.find_opt var_lit v with
+          | None -> Error (Printf.sprintf "literal %d used before definition" al)
+          | Some x -> Ok (if al land 1 = 1 then Aig.not_ x else x)
       in
       let error = ref None in
       let fail msg = if !error = None then error := Some msg in
@@ -45,8 +56,8 @@ let parse_ascii_outputs ?(name = "aiger") text =
       for k = 0 to i - 1 do
         match ints rest.(k) with
         | Some [ al ] when al land 1 = 0 && al / 2 <= m ->
-          if var_lit.(al / 2) >= 0 then fail "input redefines a variable"
-          else var_lit.(al / 2) <- Aig.fresh_input man
+          if defined (al / 2) then fail "input redefines a variable"
+          else Hashtbl.replace var_lit (al / 2) (Aig.fresh_input man)
         | _ -> fail (Printf.sprintf "bad input line: %s" rest.(k))
       done;
       (* Latches: allocate now, parse next-state literals after ANDs. *)
@@ -55,9 +66,9 @@ let parse_ascii_outputs ?(name = "aiger") text =
       for k = 0 to l - 1 do
         match ints rest.(i + k) with
         | Some (al :: nl :: init_rest) when al land 1 = 0 && al / 2 <= m ->
-          if var_lit.(al / 2) >= 0 then fail "latch redefines a variable"
+          if defined (al / 2) then fail "latch redefines a variable"
           else begin
-            var_lit.(al / 2) <- Aig.fresh_input man;
+            Hashtbl.replace var_lit (al / 2) (Aig.fresh_input man);
             latch_next_lits.(k) <- nl;
             match init_rest with
             | [] | [ 0 ] -> ()
@@ -77,10 +88,10 @@ let parse_ascii_outputs ?(name = "aiger") text =
       for k = 0 to a - 1 do
         match ints rest.(i + l + o + b + k) with
         | Some [ lhs; r0; r1 ] when lhs land 1 = 0 && lhs / 2 <= m ->
-          if var_lit.(lhs / 2) >= 0 then fail "and gate redefines a variable"
+          if defined (lhs / 2) then fail "and gate redefines a variable"
           else begin
             match (lit_of r0, lit_of r1) with
-            | Ok l0, Ok l1 -> var_lit.(lhs / 2) <- Aig.and_ man l0 l1
+            | Ok l0, Ok l1 -> Hashtbl.replace var_lit (lhs / 2) (Aig.and_ man l0 l1)
             | Error e, _ | _, Error e -> fail e
           end
         | _ -> fail (Printf.sprintf "bad and line: %s" rest.(i + l + o + b + k))
@@ -144,7 +155,9 @@ let parse_binary_outputs ?(name = "aiger") text =
     String.split_on_char ' ' line
     |> List.filter (fun s -> s <> "")
     |> List.map (fun s ->
-           match int_of_string_opt s with Some i -> i | None -> fail ("not a number: " ^ s))
+           match int_of_string_opt s with
+           | Some i when i >= 0 -> i
+           | _ -> fail ("not a literal: " ^ s))
   in
   (* LEB128-style 7-bit little-endian delta. *)
   let read_delta () =
@@ -162,12 +175,20 @@ let parse_binary_outputs ?(name = "aiger") text =
     let m, i, l, o, a, b =
       match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
       | "aig" :: nums -> (
-        match List.map int_of_string_opt nums with
-        | [ Some m; Some i; Some l; Some o; Some a ] -> (m, i, l, o, a, 0)
-        | [ Some m; Some i; Some l; Some o; Some a; Some b ] -> (m, i, l, o, a, b)
+        match ints (String.concat " " nums) with
+        | [ m; i; l; o; a ] -> (m, i, l, o, a, 0)
+        | [ m; i; l; o; a; b ] -> (m, i, l, o, a, b)
         | _ -> fail "malformed aig header")
       | _ -> fail "not a binary aiger file"
     in
+    (* Latch and output lines take at least two bytes each, and so does
+       each AND's pair of deltas.  Inputs are implicit, but each one a
+       file references costs it a byte, so more inputs than bytes are
+       refused too.  The counts are bounded before anything is sized by
+       them. *)
+    let left = len - !pos in
+    if List.exists (fun n -> n > left) [ i; l; o; a; b ] || 2 * (l + o + a + b) > left then
+      fail "header counts exceed the file size";
     if m <> i + l + a then fail "binary aiger requires M = I + L + A";
     let man = Aig.create () in
     let var_lit = Array.make (m + 1) Aig.lit_false in

@@ -408,6 +408,25 @@ let test_metrics_recorded () =
   Alcotest.(check bool) "analyze.* gauges present" true
     (List.mem "analyze.ands_before" names && List.mem "analyze.ands_after" names)
 
+(* The summary is a block the caller ends: no branch may end in a
+   newline of its own, or every `verify --analyze` prints a blank line. *)
+let test_summary_no_trailing_newline () =
+  let m = build ([ L 0; L 1; In 0 ], In 1, [ false; true; false ]) in
+  let check what r =
+    let s = Format.asprintf "%a" A.pp_summary r in
+    Alcotest.(check bool) (what ^ ": non-empty") true (s <> "");
+    Alcotest.(check bool) (what ^ ": no trailing newline") false (s.[String.length s - 1] = '\n')
+  in
+  let off = A.run ~mode:A.Off m in
+  check "no reduction" off;
+  let coi =
+    { A.pass = "coi"; ands_before = 9; ands_after = 4; latches_before = 3; latches_after = 2;
+      claims = 0 }
+  in
+  check "pass table" { off with A.passes = [ coi ] };
+  check "pass table and verdict"
+    { off with A.passes = [ coi ]; verdict = Some (A.Safe { invariant = Aig.lit_true }) }
+
 (* --- identity pins -------------------------------------------------------- *)
 
 (* Simulation speed-ups must leave every analysis result untouched.  For
@@ -775,5 +794,7 @@ let () =
           Alcotest.test_case "reductions compose" `Quick test_reductions_compose;
           Alcotest.test_case "mode off is identity" `Quick test_analyze_off_is_identity;
           Alcotest.test_case "metrics recorded" `Quick test_metrics_recorded;
+          Alcotest.test_case "summary ends without a newline" `Quick
+            test_summary_no_trailing_newline;
         ] );
     ]

@@ -323,6 +323,24 @@ let test_lint_aig_truncated () =
   Alcotest.(check bool) "truncation detected" true
     (has_check "aig.truncated" (Diag.errors ds))
 
+(* The reader's hostile inputs, linted: each gets its error diagnostic
+   at once, whatever count the header declares. *)
+let test_lint_aig_hostile () =
+  List.iter
+    (fun (text, check) ->
+      let ds = Isr_check.Lint_aig.lint_aiger_string ~name:"hostile" text in
+      Alcotest.(check bool) (Printf.sprintf "%S: %s" text check) true
+        (has_check check (Diag.errors ds)))
+    [
+      ("aag 3 1 1 1 1\n2\n4 6\n6\n6 2 -5\n", "aig.header");
+      ("aag 42525637027882 1 0 1 0\n", "aig.truncated");
+      ("aag 3 1 0 1 42525637027882\n2\n2\n", "aig.truncated");
+      ("aag -4 1 0 1 0\n2\n2\n", "aig.header");
+      ("aig 3 1 1 1 1\n-5\n6\n\x02\x02", "aig.parse");
+      ("aig 42525637027882 1 0 1 0\n2\n", "aig.parse");
+      ("aig 42525637027882 42525637027882 0 1 0\n2\n", "aig.parse");
+    ]
+
 let test_lint_aig_clean () =
   (* Single input wired to the output: nothing to complain about. *)
   let ds = Isr_check.Lint_aig.lint_aiger_string ~name:"buf" "aag 1 1 0 1 0\n2\n2\n" in
@@ -545,6 +563,7 @@ let () =
         [
           Alcotest.test_case "aig cycle" `Quick test_lint_aig_cycle;
           Alcotest.test_case "aig truncated" `Quick test_lint_aig_truncated;
+          Alcotest.test_case "aig hostile headers" `Quick test_lint_aig_hostile;
           Alcotest.test_case "aig clean" `Quick test_lint_aig_clean;
           Alcotest.test_case "itp support" `Quick test_lint_itp_support;
           Alcotest.test_case "itp semantic" `Quick test_lint_itp_semantic;

@@ -264,6 +264,63 @@ let test_gate_agree () =
         (gate ~same_model:false v v = []))
     [ proved; unknown; falsified ]
 
+(* --- the command-line session ---------------------------------------- *)
+
+let quiet =
+  { Isr_cli.check = Isr_check.Off; trace = None; metrics = None; ledger = None;
+    profile = false; progress = None; flight = None }
+
+let temp_path suffix = Filename.temp_file "isr_cli" suffix
+
+(* A body that raises still ends the session: nobody is left reading the
+   channel, and the trace it wrote is a complete JSON document. *)
+let test_session_raise () =
+  let trace = temp_path ".json" in
+  (match
+     Isr_cli.run ~tool:"test" { quiet with trace = Some trace } (fun _ ->
+         Alcotest.(check bool) "records read inside" true (Isr_obs.Event.enabled ());
+         Isr_obs.Trace.span "outer" (fun () -> failwith "boom"))
+   with
+  | () -> Alcotest.fail "the body's exception was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "Event.enabled after" false (Isr_obs.Event.enabled ());
+  Alcotest.(check bool) "Trace.enabled after" false (Isr_obs.Trace.enabled ());
+  match Isr_obs.Json.parse (In_channel.with_open_bin trace In_channel.input_all) with
+  | Isr_obs.Json.Arr events ->
+    Alcotest.(check bool) "the span is in the trace" true
+      (List.exists (fun e -> Isr_obs.Json.opt_str_field "name" e = Some "outer") events)
+  | _ -> Alcotest.fail "the trace is not a JSON array"
+
+(* Each --metrics line and the ledger entry of the same run come from one
+   projection, so they agree field by field. *)
+let test_session_record () =
+  let metrics = temp_path ".jsonl" in
+  let ledger = Filename.temp_dir "isr_cli" "ledger" in
+  Isr_cli.run ~tool:"test" { quiet with metrics = Some metrics; ledger = Some ledger }
+    (fun s ->
+      ignore
+        (Isr_exp.Runner.run_suite ~record:(fun r -> ignore (Isr_cli.record s r)) ~limits
+           ~engines:[ Engine.Itp; Engine.Bmc_only Bmc.Assume ]
+           (small_entries [ "vending11"; "vending7bug" ])));
+  let lines =
+    In_channel.with_open_bin metrics In_channel.input_lines
+    |> List.filter (fun l -> l <> "")
+    |> List.map Isr_obs.Json.parse
+  in
+  let entries = Isr_obs.Ledger.load (Isr_obs.Ledger.open_ ledger) in
+  Alcotest.(check int) "one line per entry" (List.length entries) (List.length lines);
+  Alcotest.(check int) "four runs" 4 (List.length lines);
+  List.iter2
+    (fun j (e : Isr_obs.Ledger.entry) ->
+      let str k = Isr_obs.Json.opt_str_field k j and int k = Isr_obs.Json.opt_int_field k j in
+      Alcotest.(check (option string)) "bench" (Some e.instance) (str "bench");
+      Alcotest.(check (option string)) "engine" (Some e.engine) (str "engine");
+      Alcotest.(check (option string)) "verdict" (Some e.verdict) (str "verdict");
+      Alcotest.(check (option int)) "kfp" e.kfp (int "kfp");
+      Alcotest.(check (option int)) "jfp" e.jfp (int "jfp");
+      Alcotest.(check (option string)) "hash" (Some e.instance_hash) (str "hash"))
+    lines entries
+
 let () =
   Alcotest.run "isr_exp"
     [
@@ -276,6 +333,11 @@ let () =
           Alcotest.test_case "ablation alpha" `Slow test_ablation_alpha;
         ] );
       ("runner", [ Alcotest.test_case "cells" `Quick test_runner_cells ]);
+      ( "session",
+        [
+          Alcotest.test_case "a raising body closes the session" `Quick test_session_raise;
+          Alcotest.test_case "metrics lines match ledger entries" `Quick test_session_record;
+        ] );
       ( "bench_store",
         [
           Alcotest.test_case "median and spread" `Quick test_bench_median_spread;

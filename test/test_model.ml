@@ -147,6 +147,36 @@ let test_aiger_errors () =
       | Error _ -> ())
     cases
 
+(* Hostile headers and literals, in both encodings: each must come back
+   as an [Error] at once — no exception, no allocation sized by a count
+   the file does not hold. *)
+let hostile_aiger =
+  [
+    "aag 3 1 1 1 1\n2\n4 6\n6\n6 2 -5\n";
+    "aag 42525637027882 1 0 1 0\n";
+    "aag 3 1 0 1 42525637027882\n2\n2\n";
+    "aag -4 1 0 1 0\n2\n2\n";
+    "aig 3 1 1 1 1\n-5\n6\n\x02\x02";
+    "aig 3 1 1 1 1\n6\n6\n\x04\x07";
+    "aig 42525637027882 1 0 1 0\n2\n";
+    "aig 42525637027882 42525637027882 0 1 0\n2\n";
+    "aig 42525637027883 1 0 1 42525637027882\n2\n";
+  ]
+
+let test_aiger_hostile () =
+  List.iter
+    (fun text ->
+      match Aiger.parse_string text with
+      | Ok _ -> Alcotest.failf "expected an error for %S" text
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "%S raised %s" text (Printexc.to_string e))
+    hostile_aiger;
+  (* M bounds the variable indices, not their number: a huge M over one
+     input is a legal file. *)
+  match Aiger.parse_string "aag 42525637027882 1 0 1 0\n2\n2\n" with
+  | Ok m -> Alcotest.(check int) "inputs" 1 m.Model.num_inputs
+  | Error e -> Alcotest.failf "huge M: %s" e
+
 let test_aiger_minimal () =
   (* Hand-written file: 1 input, 1 latch toggling, bad = latch & input. *)
   let text = "aag 3 1 1 1 1\n2\n4 5 0\n6\n6 4 2\n" in
@@ -441,6 +471,7 @@ let () =
           Alcotest.test_case "init roundtrip" `Quick test_aiger_init_roundtrip;
           Alcotest.test_case "errors" `Quick test_aiger_errors;
           Alcotest.test_case "minimal file" `Quick test_aiger_minimal;
+          Alcotest.test_case "hostile headers and literals" `Quick test_aiger_hostile;
           Alcotest.test_case "multi output" `Quick test_aiger_multi_output;
           Alcotest.test_case "witness roundtrip" `Quick test_witness_roundtrip;
         ] );
