@@ -76,29 +76,42 @@ let lint_parsed ~shared_inputs ~bound ~budget models =
     (fun m -> Isr_check.Lint_aig.lint_model m @ deep ~shared_inputs ~bound ~budget m)
     models
 
+let load_models path =
+  if not (Sys.file_exists path) then
+    Error [ Diag.error ~check:"lint.io" ~loc:path "no such file" ]
+  else
+    let parsed check = Result.map_error (fun msg -> [ Diag.error ~check ~loc:path msg ]) in
+    match String.lowercase_ascii (Filename.extension path) with
+    | ".aag" | ".aig" -> parsed "aig.parse" (Aiger.parse_string_multi ~name:path (read_file path))
+    | ".isl" -> parsed "isl.parse" (Isr_isl.Isl.parse_file path)
+    | ".btor" | ".btor2" -> parsed "btor.parse" (Isr_btor.Btor2.parse_file path)
+    | ext ->
+      Error
+        [
+          Diag.errorf ~check:"lint.unknown_format" ~loc:path
+            ~hint:"static analysis reads netlists: .aag .aig .isl .btor .btor2"
+            "unrecognized model extension %S" ext;
+        ]
+
 let lint_file ~cnf ~shared_inputs ~bound ~budget path =
   if not (Sys.file_exists path) then
     [ Diag.error ~check:"lint.io" ~loc:path "no such file" ]
   else
     match String.lowercase_ascii (Filename.extension path) with
     | ".aag" | ".aig" -> (
-      let text = read_file path in
-      let ds = Isr_check.Lint_aig.lint_aiger_string ~name:path text in
-      (* The deeper passes need a clean parse. *)
+      let netlist = Aiger.decode (read_file path) in
+      let ds = Isr_check.Lint_aig.lint_netlist netlist in
+      (* The deeper passes need a clean netlist. *)
       if Diag.has_errors ds then ds
       else
-        match Aiger.parse_string_multi ~name:path text with
+        match Aiger.models ~name:path netlist with
         | Error msg -> ds @ [ Diag.error ~check:"aig.parse" ~loc:path msg ]
         | Ok models ->
           ds @ List.concat_map (deep ~shared_inputs ~bound ~budget) models)
-    | ".isl" -> (
-      match Isr_isl.Isl.parse_file path with
-      | Error msg -> [ Diag.error ~check:"isl.parse" ~loc:path msg ]
-      | Ok models -> lint_parsed ~shared_inputs ~bound ~budget models)
-    | ".btor" | ".btor2" -> (
-      match Isr_btor.Btor2.parse_file path with
-      | Error msg -> [ Diag.error ~check:"btor.parse" ~loc:path msg ]
-      | Ok models -> lint_parsed ~shared_inputs ~bound ~budget models)
+    | ".isl" | ".btor" | ".btor2" -> (
+      match load_models path with
+      | Ok models -> lint_parsed ~shared_inputs ~bound ~budget models
+      | Error ds -> ds)
     | ".cnf" | ".dimacs" -> Isr_check.Lrat_check.lint_dimacs (read_file path)
     | ".lrat" -> (
       match cnf with
@@ -125,7 +138,11 @@ let lint_file ~cnf ~shared_inputs ~bound ~budget path =
           "unrecognized artifact extension %S" ext;
       ]
 
-let run level files cnf suite shared_inputs bound budget =
+(* One pass of a command over FILEs and --suite entries: [file] and
+   [entry] print their diagnostics through [report], under [guard], which
+   counts a sanitizer violation.  Prints the totals and returns the exit
+   code: 0 clean (warnings allowed), 1 error diagnostics, 2 violation. *)
+let session ~title level files suite ~file ~entry =
   Check.set level;
   let errors = ref 0 and warnings = ref 0 and violations = ref 0 in
   let report label ds =
@@ -135,99 +152,13 @@ let run level files cnf suite shared_inputs bound budget =
         Format.printf "%s: %a@." label Diag.pp d)
       ds
   in
-  let guarded label f =
+  let guard label f =
     try f ()
-    with Check.Violation { check; detail } ->
-      incr violations;
-      Format.printf "%s: violation [%s] %s@." label check detail;
-      []
-  in
-  List.iter
-    (fun path ->
-      report path (guarded path (fun () -> lint_file ~cnf ~shared_inputs ~bound ~budget path)))
-    files;
-  let entries =
-    match suite with
-    | None -> []
-    | Some "all" -> Isr_suite.Registry.fig6
-    | Some name -> (
-      match Isr_suite.Registry.find name with
-      | Some e -> [ e ]
-      | None ->
-        report ("suite:" ^ name)
-          [ Diag.error ~check:"lint.usage" "unknown suite entry" ];
-        [])
-  in
-  List.iter
-    (fun e ->
-      let label = "suite:" ^ e.Isr_suite.Registry.name in
-      report label
-        (guarded label (fun () ->
-             match Isr_suite.Registry.build_validated e with
-             | model -> lint_parsed ~shared_inputs ~bound ~budget [ model ]
-             | exception Invalid_argument msg ->
-               [ Diag.error ~check:"aig.support" msg ])))
-    entries;
-  Format.printf "isr_lint: %d error%s, %d warning%s" !errors
-    (if !errors = 1 then "" else "s")
-    !warnings
-    (if !warnings = 1 then "" else "s");
-  if Check.on () then Format.printf " (%a)" Check.pp_summary ();
-  Format.printf "@.";
-  if !violations > 0 then 2 else if !errors > 0 then 1 else 0
-
-(* --- analyze: the certified preprocessing pipeline as a linter -------- *)
-
-let load_models path =
-  if not (Sys.file_exists path) then
-    Error [ Diag.error ~check:"lint.io" ~loc:path "no such file" ]
-  else
-    match String.lowercase_ascii (Filename.extension path) with
-    | ".aag" | ".aig" -> (
-      match Aiger.parse_string_multi ~name:path (read_file path) with
-      | Ok ms -> Ok ms
-      | Error msg -> Error [ Diag.error ~check:"aig.parse" ~loc:path msg ])
-    | ".isl" -> (
-      match Isr_isl.Isl.parse_file path with
-      | Ok ms -> Ok ms
-      | Error msg -> Error [ Diag.error ~check:"isl.parse" ~loc:path msg ])
-    | ".btor" | ".btor2" -> (
-      match Isr_btor.Btor2.parse_file path with
-      | Ok ms -> Ok ms
-      | Error msg -> Error [ Diag.error ~check:"btor.parse" ~loc:path msg ])
-    | ext ->
-      Error
-        [
-          Diag.errorf ~check:"lint.unknown_format" ~loc:path
-            ~hint:"static analysis reads netlists: .aag .aig .isl .btor .btor2"
-            "unrecognized model extension %S" ext;
-        ]
-
-let analyze_run level mode files suite =
-  Check.set level;
-  let errors = ref 0 and warnings = ref 0 and violations = ref 0 in
-  let report label ds =
-    List.iter
-      (fun d ->
-        if Diag.is_error d then incr errors else incr warnings;
-        Format.printf "%s: %a@." label Diag.pp d)
-      ds
-  in
-  let analyze_model label model =
-    try
-      let r = Isr_analyze.run ~mode model in
-      Format.printf "%s:@.%a@." label Isr_analyze.pp_summary r;
-      report label r.Isr_analyze.diags
     with Check.Violation { check; detail } ->
       incr violations;
       Format.printf "%s: violation [%s] %s@." label check detail
   in
-  List.iter
-    (fun path ->
-      match load_models path with
-      | Error ds -> report path ds
-      | Ok models -> List.iter (analyze_model path) models)
-    files;
+  List.iter (file ~report ~guard) files;
   let entries =
     match suite with
     | None -> []
@@ -240,21 +171,44 @@ let analyze_run level mode files suite =
           [ Diag.error ~check:"lint.usage" "unknown suite entry" ];
         [])
   in
-  List.iter
-    (fun e ->
-      let label = "suite:" ^ e.Isr_suite.Registry.name in
-      match Isr_suite.Registry.build_validated e with
-      | model -> analyze_model label model
-      | exception Invalid_argument msg ->
-        report label [ Diag.error ~check:"aig.support" msg ])
-    entries;
-  Format.printf "isr_lint analyze: %d error%s, %d warning%s" !errors
+  List.iter (fun e -> entry ~report ~guard ("suite:" ^ e.Isr_suite.Registry.name) e) entries;
+  Format.printf "%s: %d error%s, %d warning%s" title !errors
     (if !errors = 1 then "" else "s")
     !warnings
     (if !warnings = 1 then "" else "s");
   if Check.on () then Format.printf " (%a)" Check.pp_summary ();
   Format.printf "@.";
   if !violations > 0 then 2 else if !errors > 0 then 1 else 0
+
+let run level files cnf suite shared_inputs bound budget =
+  session ~title:"isr_lint" level files suite
+    ~file:(fun ~report ~guard path ->
+      guard path (fun () -> report path (lint_file ~cnf ~shared_inputs ~bound ~budget path)))
+    ~entry:(fun ~report ~guard label e ->
+      guard label (fun () ->
+          report label
+            (match Isr_suite.Registry.build_validated e with
+            | model -> lint_parsed ~shared_inputs ~bound ~budget [ model ]
+            | exception Invalid_argument msg -> [ Diag.error ~check:"aig.support" msg ])))
+
+(* --- analyze: the certified preprocessing pipeline as a linter -------- *)
+
+let analyze_run level mode files suite =
+  let analyze_model ~report ~guard label model =
+    guard label (fun () ->
+        let r = Isr_analyze.run ~mode model in
+        Format.printf "%s:@.%a@." label Isr_analyze.pp_summary r;
+        report label r.Isr_analyze.diags)
+  in
+  session ~title:"isr_lint analyze" level files suite
+    ~file:(fun ~report ~guard path ->
+      match load_models path with
+      | Error ds -> report path ds
+      | Ok models -> List.iter (analyze_model ~report ~guard path) models)
+    ~entry:(fun ~report ~guard label e ->
+      match Isr_suite.Registry.build_validated e with
+      | model -> analyze_model ~report ~guard label model
+      | exception Invalid_argument msg -> report label [ Diag.error ~check:"aig.support" msg ])
 
 let level_arg =
   let level_conv =

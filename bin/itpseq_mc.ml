@@ -456,8 +456,10 @@ let verify_term =
           if witness then Format.fprintf out "%a@." Trace.pp trace;
           Option.iter
             (fun path ->
-              Out_channel.with_open_text path (fun oc ->
-                  Out_channel.output_string oc (Aiger.witness_to_string outcome.model trace));
+              (try
+                 Out_channel.with_open_text path (fun oc ->
+                     Out_channel.output_string oc (Aiger.witness_to_string outcome.model trace))
+               with Sys_error msg -> Isr_cli.fail ~tool msg);
               Format.fprintf out "witness written to %s@." path)
             witness_file
         | _ -> ());

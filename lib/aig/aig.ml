@@ -20,14 +20,15 @@ let is_complemented l = l land 1 = 1
 let not_ l = l lxor 1
 let mk_lit node compl = (node lsl 1) lor (if compl then 1 else 0)
 
-let create () =
+let create ?(nodes = 64) () =
+  let nodes = max 64 nodes in
   let m =
     {
-      fanin0 = Array.make 64 0;
-      fanin1 = Array.make 64 0;
+      fanin0 = Array.make nodes 0;
+      fanin1 = Array.make nodes 0;
       n = 0;
       ninputs = 0;
-      strash = Hashtbl.create 251;
+      strash = Hashtbl.create (max 251 nodes);
       inputs = Array.make 16 0;
     }
   in

@@ -13,7 +13,9 @@ type lit = int
 (** [2*node + complement].  [lit_false = 0] and [lit_true = 1] denote the
     constant node's two phases. *)
 
-val create : unit -> man
+val create : ?nodes:int -> unit -> man
+(** [nodes] sizes the node table and the structural hash up front, for a
+    caller that knows how many nodes it will make. *)
 
 val lit_false : lit
 val lit_true : lit

@@ -1,14 +1,19 @@
 (** Structural linting of AIG artifacts.
 
-    Two entry points: {!lint_aiger_string} reads ASCII AIGER text with a
-    deliberately lenient reader of its own — unlike the strict parser in
-    {!Isr_model.Aiger}, it keeps going after the first defect, so a
-    cyclic or dangling netlist yields a typed diagnostic instead of a
-    bare parse error — and {!lint_model} checks an already-built
-    in-memory model.  Checks:
+    {!lint_netlist} checks the netlist that {!Isr_model.Aiger.decode}
+    makes of an AIGER file, in either encoding, so an ASCII file and its
+    binary form get the same checks: each defect the decoder met becomes
+    a diagnostic, and the definitions are checked before any reference
+    is resolved, so a cyclic or dangling netlist yields a typed
+    diagnostic instead of a bare parse error.  {!lint_model} checks an
+    already-built in-memory model.  Checks:
 
-    - [aig.header]: malformed or inconsistent [aag] header counts;
-    - [aig.truncated]: fewer definition lines than the header announces;
+    - [aig.header]: a malformed header, header counts that contradict
+      each other, or a malformed definition line (a token that is not a
+      number, a negative number, the wrong number of fields, a
+      definition by a complemented literal);
+    - [aig.truncated]: fewer definition lines (ASCII) or bytes (binary)
+      than the header announces;
     - [aig.duplicate_def] / [aig.redefines_constant]: a variable defined
       twice, or variable 0 (the constant) defined at all;
     - [aig.dangling]: a reference to a variable that is never defined;
@@ -18,15 +23,17 @@
     - [aig.unreachable] (warning): AND gates outside every output, bad
       and next-state cone;
     - [aig.no_output] (warning): no output or bad line at all;
-    - [aig.const_bad] (warning): the property is structurally constant. *)
+    - [aig.const_bad] (warning, {!lint_model} only): the property is
+      structurally constant. *)
 
 open Isr_aig
 open Isr_model
 
+val lint_netlist : Aiger.netlist -> Diag.t list
+(** The decoder's defects, then the structural checks, in file order. *)
+
 val lint_aiger_string : ?name:string -> string -> Diag.t list
-(** Lints ASCII ([aag]) text structurally.  Binary ([aig]) input is
-    delegated to the strict parser, mapping a parse failure to an
-    [aig.parse] error and a success to {!lint_model}. *)
+(** [lint_netlist (Aiger.decode text)]. *)
 
 val lint_model : Model.t -> Diag.t list
 (** Structural checks on an in-memory model: array-length consistency,

@@ -81,7 +81,15 @@ let step st =
         Step.Done (finish st (Verdict.Falsified { depth; trace = tr }))
       | `Unsat _ ->
         if step_holds st.budget st.stats ~unique:st.unique st.model ~k then
-          Step.Done (finish st (Verdict.Proved { kfp = k; jfp = 0; invariant = None }))
+          (* At k = 0 the two queries are initiation and consecution of
+             the property itself: when bad reads latches only, it is an
+             inductive invariant. *)
+          let m = st.model in
+          let latch_only =
+            List.for_all (fun i -> i >= m.Model.num_inputs) (Isr_aig.Aig.support m.Model.man m.Model.bad)
+          in
+          let invariant = if k = 0 && latch_only then Some (Model.prop m) else None in
+          Step.Done (finish st (Verdict.Proved { kfp = k; jfp = 0; invariant }))
         else begin
           st.k <- k + 1;
           Step.Running

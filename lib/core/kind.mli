@@ -21,4 +21,6 @@ val verify :
   Verdict.t * Verdict.stats
 (** [unique] (default true) adds the pairwise state-difference clauses;
     without them k-induction may diverge on safe models.  On [Proved],
-    [kfp] is the inductive depth and [jfp] is 0. *)
+    [kfp] is the inductive depth and [jfp] is 0; a proof at depth 0 whose
+    bad reads latches only carries the property as its invariant, deeper
+    proofs carry none. *)

@@ -1,249 +1,266 @@
 open Isr_aig
 
-let parse_ascii_outputs ?(name = "aiger") text =
-  let ( let* ) = Result.bind in
-  let lines =
-    String.split_on_char '\n' text |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+(* --- the decoder: either encoding into one netlist ---------------------- *)
+
+type loc = Line of int | And of int
+type part = Input | Latch | Output | And_gate
+
+type problem =
+  | Empty
+  | Bad_header
+  | Bad_max_var of { m : int; defined : int }
+  | Truncated of { needed : int; present : int }
+  | Malformed of part
+  | Negative of part
+
+type defect = loc * problem
+
+type header = { m : int; i : int; l : int; o : int; a : int; b : int }
+
+type netlist = {
+  binary : bool;
+  header : header option;
+  inputs : (int * loc) list;
+  latches : (int * int * int list * loc) list;
+  outputs : (int * loc) list;
+  ands : (int * int * int * loc) list;
+  defects : defect list;
+}
+
+let string_of_loc = function Line n -> Printf.sprintf "line %d" n | And k -> Printf.sprintf "and %d" k
+
+let describe n = function
+  | Empty -> "empty file"
+  | Bad_header -> Printf.sprintf "malformed %s AIGER header" (if n.binary then "binary" else "ASCII")
+  | Bad_max_var { m; defined } -> Printf.sprintf "header claims M = %d but I + L + A = %d" m defined
+  | Truncated { needed; present } ->
+    if n.binary then
+      Printf.sprintf "file truncated: at least %d bytes expected after the header, %d present"
+        needed present
+    else Printf.sprintf "file truncated: %d definition lines expected, %d present" needed present
+  | (Malformed part | Negative part) as p ->
+    Printf.sprintf "%s %s line"
+      (match p with Negative _ -> "negative number on" | _ -> "malformed")
+      (match part with Input -> "input" | Latch -> "latch" | Output -> "output" | And_gate -> "and")
+
+(* A header's counts may be anything: sums saturate. *)
+let sum = List.fold_left (fun x y -> if y > max_int - x then max_int else x + y) 0
+
+(* A line's space-separated numbers.  A token that is not a number makes
+   it [`Malformed]; a negative one (never a literal or a count)
+   [`Negative]. *)
+let numbers tokens =
+  let nums = List.map int_of_string_opt tokens in
+  if List.mem None nums then Error `Malformed
+  else
+    let nums = List.map Option.get nums in
+    if List.exists (fun n -> n < 0) nums then Error `Negative else Ok nums
+
+let tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+
+let parse_header ~magic line =
+  match tokens line with
+  | w :: nums when w = magic -> (
+    match numbers nums with
+    | Ok [ m; i; l; o; a ] -> Some { m; i; l; o; a; b = 0 }
+    | Ok [ m; i; l; o; a; b ] -> Some { m; i; l; o; a; b }
+    | _ -> None)
+  | _ -> None
+
+exception End_of_input
+
+let decode text =
+  let binary = String.length text >= 4 && String.sub text 0 4 = "aig " in
+  let len = String.length text and pos = ref 0 in
+  (* ASCII skips blank lines and trims the others; a binary line is taken
+     as it is, and must end in a newline. *)
+  let ascii_lines =
+    if binary then []
+    else
+      String.split_on_char '\n' text
+      |> List.mapi (fun k l -> (k + 1, String.trim l))
+      |> List.filter (fun (_, l) -> l <> "")
   in
-  (* A literal or count is never negative, so a line holding one is
-     malformed like any other bad line. *)
-  let ints line =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-    |> List.map int_of_string_opt
-    |> fun l ->
-    if List.exists (function None -> true | Some n -> n < 0) l then None
-    else Some (List.map Option.get l)
-  in
-  match lines with
-  | [] -> Error "empty file"
-  | header :: rest ->
-    let* m, i, l, o, a, b =
-      match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
-      | "aag" :: nums -> (
-        match ints (String.concat " " nums) with
-        | Some [ m; i; l; o; a ] -> Ok (m, i, l, o, a, 0)
-        | Some [ m; i; l; o; a; b ] -> Ok (m, i, l, o, a, b)
-        | _ -> Error "malformed aag header")
-      | _ -> Error "not an ascii aiger file (expected 'aag' header)"
-    in
-    (* Every input, latch, output and AND takes a line: bound the counts
-       by the lines present before anything is sized by them (each one
-       first, so their sum cannot overflow). *)
-    let present = List.length rest in
-    if List.exists (fun n -> n > present) [ i; l; o; a; b ] || i + l + o + a + b > present
-    then Error "truncated file"
-    else begin
-      let rest = Array.of_list rest in
-      let man = Aig.create () in
-      (* aiger var -> our literal; var 0 is constant false.  A table, not
-         an array: M bounds the variable indices, not their number. *)
-      let var_lit = Hashtbl.create (i + l + a + 1) in
-      Hashtbl.replace var_lit 0 Aig.lit_false;
-      let defined v = Hashtbl.mem var_lit v in
-      let lit_of al =
-        let v = al / 2 in
-        if v > m then Error (Printf.sprintf "literal %d out of range" al)
-        else
-          match Hashtbl.find_opt var_lit v with
-          | None -> Error (Printf.sprintf "literal %d used before definition" al)
-          | Some x -> Ok (if al land 1 = 1 then Aig.not_ x else x)
-      in
-      let error = ref None in
-      let fail msg = if !error = None then error := Some msg in
-      (* Inputs. *)
-      for k = 0 to i - 1 do
-        match ints rest.(k) with
-        | Some [ al ] when al land 1 = 0 && al / 2 <= m ->
-          if defined (al / 2) then fail "input redefines a variable"
-          else Hashtbl.replace var_lit (al / 2) (Aig.fresh_input man)
-        | _ -> fail (Printf.sprintf "bad input line: %s" rest.(k))
-      done;
-      (* Latches: allocate now, parse next-state literals after ANDs. *)
-      let latch_next_lits = Array.make l 0 in
-      let latch_init = Array.make l false in
-      for k = 0 to l - 1 do
-        match ints rest.(i + k) with
-        | Some (al :: nl :: init_rest) when al land 1 = 0 && al / 2 <= m ->
-          if defined (al / 2) then fail "latch redefines a variable"
-          else begin
-            Hashtbl.replace var_lit (al / 2) (Aig.fresh_input man);
-            latch_next_lits.(k) <- nl;
-            match init_rest with
-            | [] | [ 0 ] -> ()
-            | [ 1 ] -> latch_init.(k) <- true
-            | _ -> fail "unsupported latch reset value"
-          end
-        | _ -> fail (Printf.sprintf "bad latch line: %s" rest.(i + k))
-      done;
-      (* Outputs / bad lines. *)
-      let bad_lits = ref [] in
-      for k = 0 to o + b - 1 do
-        match ints rest.(i + l + k) with
-        | Some [ al ] -> bad_lits := al :: !bad_lits
-        | _ -> fail (Printf.sprintf "bad output line: %s" rest.(i + l + k))
-      done;
-      (* AND gates, topological order required. *)
-      for k = 0 to a - 1 do
-        match ints rest.(i + l + o + b + k) with
-        | Some [ lhs; r0; r1 ] when lhs land 1 = 0 && lhs / 2 <= m ->
-          if defined (lhs / 2) then fail "and gate redefines a variable"
-          else begin
-            match (lit_of r0, lit_of r1) with
-            | Ok l0, Ok l1 -> Hashtbl.replace var_lit (lhs / 2) (Aig.and_ man l0 l1)
-            | Error e, _ | _, Error e -> fail e
-          end
-        | _ -> fail (Printf.sprintf "bad and line: %s" rest.(i + l + o + b + k))
-      done;
-      match !error with
-      | Some msg -> Error msg
-      | None ->
-        let* next =
-          Array.fold_left
-            (fun acc nl ->
-              let* acc = acc in
-              let* l = lit_of nl in
-              Ok (l :: acc))
-            (Ok []) latch_next_lits
-          |> Result.map (fun ls -> Array.of_list (List.rev ls))
-        in
-        let* bads =
-          List.fold_left
-            (fun acc al ->
-              let* acc = acc in
-              let* l = lit_of al in
-              Ok (l :: acc))
-            (Ok []) (List.rev !bad_lits)
-          |> Result.map List.rev
-        in
-        let bad = match bads with [] -> Aig.lit_false | b :: _ -> b in
-        let model =
-          {
-            Model.name;
-            man;
-            num_inputs = i;
-            num_latches = l;
-            next;
-            init = latch_init;
-            bad;
-          }
-        in
-        let* () = Model.validate model in
-        Ok (model, bads)
-    end
-
-(* --- binary (aig) reader ------------------------------------------------ *)
-
-exception Bad of string
-
-let parse_binary_outputs ?(name = "aiger") text =
-  let pos = ref 0 in
-  let len = String.length text in
-  let fail msg = raise (Bad msg) in
+  let next_ascii = ref ascii_lines and line = ref 0 in
   let read_line () =
-    let start = !pos in
-    while !pos < len && text.[!pos] <> '\n' do
-      incr pos
-    done;
-    if !pos >= len then fail "unexpected end of file";
-    let line = String.sub text start (!pos - start) in
-    incr pos;
-    line
+    if binary then begin
+      let e = try String.index_from text !pos '\n' with Not_found -> raise End_of_input in
+      let l = String.sub text !pos (e - !pos) in
+      pos := e + 1;
+      incr line;
+      (!line, l)
+    end
+    else
+      match !next_ascii with
+      | [] -> raise End_of_input
+      | l :: rest ->
+        next_ascii := rest;
+        l
   in
-  let ints line =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-    |> List.map (fun s ->
-           match int_of_string_opt s with
-           | Some i when i >= 0 -> i
-           | _ -> fail ("not a literal: " ^ s))
+  let defects = ref [] in
+  let defect d = defects := d :: !defects in
+  let netlist ?header ?(inputs = []) ?(latches = []) ?(outputs = []) ?(ands = []) () =
+    { binary; header; inputs; latches; outputs; ands; defects = List.rev !defects }
   in
-  (* LEB128-style 7-bit little-endian delta. *)
-  let read_delta () =
-    let rec go shift acc =
-      if !pos >= len then fail "truncated binary section";
-      let byte = Char.code text.[!pos] in
-      incr pos;
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 <> 0 then go (shift + 7) acc else acc
+  match read_line () with
+  | exception End_of_input ->
+    defect (Line 1, if binary then Bad_header else Empty);
+    netlist ()
+  | hline, header -> (
+    match parse_header ~magic:(if binary then "aig" else "aag") header with
+    | None ->
+      defect (Line hline, Bad_header);
+      netlist ()
+    | Some h ->
+      let defined = sum [ h.i; h.l; h.a ] in
+      if if binary then h.m <> defined else h.m < defined then
+        defect (Line hline, Bad_max_var { m = h.m; defined });
+      (* Every count is bounded by the input before anything is sized by
+         it.  An ASCII definition takes a line.  In binary, latch and
+         output lines take at least two bytes each, and so does each
+         AND's pair of deltas; inputs are implicit, but each one a file
+         references costs it a byte. *)
+      let needed, present =
+        if binary then
+          let lines = sum [ h.l; h.o; h.b; h.a ] in
+          (max h.i (sum [ lines; lines ]), len - !pos)
+        else (sum [ h.i; h.l; h.o; h.a; h.b ], List.length ascii_lines - 1)
+      in
+      if needed > present then defect (Line hline, Truncated { needed; present });
+      (* A binary file cut short up front has no sections to read; an
+         ASCII one has the lines present.  A binary file that ends early
+         is truncated where it ends, and nothing after that reads. *)
+      let count n = if binary && needed > present then 0 else min n present in
+      let ended = ref false in
+      let section n part read shape =
+        let entries = ref [] in
+        for k = 0 to count n - 1 do
+          match if !ended then None else Some (read k) with
+          | None -> ()
+          | exception End_of_input ->
+            ended := true;
+            if binary then defect (Line hline, Truncated { needed = present + 1; present })
+          | Some (loc, Error e) ->
+            defect (loc, if e = `Negative then Negative part else Malformed part)
+          | Some (loc, Ok nums) -> (
+            match shape loc nums with
+            | Some x -> entries := x :: !entries
+            | None -> defect (loc, Malformed part))
+        done;
+        List.rev !entries
+      in
+      (* A line's numbers; a binary latch line lacks the implicit lhs. *)
+      let on_line lhs =
+        let n, l = read_line () in
+        (Line n, Result.map (fun ns -> lhs @ ns) (numbers (tokens l)))
+      in
+      let even lit = lit land 1 = 0 in
+      let inputs =
+        section h.i Input
+          (fun k -> if binary then (Line hline, Ok [ (2 * k) + 2 ]) else on_line [])
+          (fun loc -> function [ lit ] when even lit -> Some (lit, loc) | _ -> None)
+      in
+      let latches =
+        section h.l Latch
+          (fun k -> on_line (if binary then [ 2 * (h.i + k + 1) ] else []))
+          (fun loc -> function
+            | lit :: next :: reset when even lit -> Some (lit, next, reset, loc)
+            | _ -> None)
+      in
+      let outputs =
+        section (sum [ h.o; h.b ]) Output
+          (fun _ -> on_line [])
+          (fun loc -> function [ lit ] -> Some (lit, loc) | _ -> None)
+      in
+      let rec read_delta shift acc =
+        if !pos >= len then raise End_of_input;
+        let byte = Char.code text.[!pos] in
+        incr pos;
+        let acc = acc lor ((byte land 0x7f) lsl shift) in
+        if byte land 0x80 <> 0 then read_delta (shift + 7) acc else acc
+      in
+      let ands =
+        section h.a And_gate
+          (fun k ->
+            if not binary then on_line []
+            else
+              (* The lhs is implicit; the deltas are 7-bit little-endian. *)
+              let lhs = 2 * (h.i + h.l + k + 1) in
+              let rhs0 = lhs - read_delta 0 0 in
+              let rhs1 = rhs0 - read_delta 0 0 in
+              (And k, if rhs0 < 0 || rhs1 < 0 then Error `Negative else Ok [ lhs; rhs0; rhs1 ]))
+          (fun loc -> function
+            | [ lhs; rhs0; rhs1 ] when even lhs -> Some (lhs, rhs0, rhs1, loc)
+            | _ -> None)
+      in
+      netlist ~header:h ~inputs ~latches ~outputs ~ands ())
+
+(* --- models from a netlist ---------------------------------------------- *)
+
+exception Unresolved of string
+
+let build ?(name = "aiger") n =
+  match (n.defects, n.header) with
+  | (_, p) :: _, _ -> Error (describe n p)
+  | [], None -> Error (describe n Empty)
+  | [], Some h -> (
+    let fail fmt = Printf.ksprintf (fun msg -> raise (Unresolved msg)) fmt in
+    let defined = h.i + h.l + h.a in
+    let man = Aig.create ~nodes:(defined + 1) () in
+    (* aiger var -> our literal, -1 until defined; var 0 is constant
+       false.  M bounds the variable indices, not their number, so an
+       array only when the numbering is dense (M = I + L + A, as binary
+       requires). *)
+    let find, set =
+      if h.m = defined then
+        let vars = Array.make (h.m + 1) (-1) in
+        (Array.get vars, Array.set vars)
+      else
+        let vars = Hashtbl.create (defined + 1) in
+        ((fun v -> Option.value (Hashtbl.find_opt vars v) ~default:(-1)), Hashtbl.replace vars)
     in
-    go 0 0
-  in
-  try
-    let header = read_line () in
-    let m, i, l, o, a, b =
-      match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
-      | "aig" :: nums -> (
-        match ints (String.concat " " nums) with
-        | [ m; i; l; o; a ] -> (m, i, l, o, a, 0)
-        | [ m; i; l; o; a; b ] -> (m, i, l, o, a, b)
-        | _ -> fail "malformed aig header")
-      | _ -> fail "not a binary aiger file"
-    in
-    (* Latch and output lines take at least two bytes each, and so does
-       each AND's pair of deltas.  Inputs are implicit, but each one a
-       file references costs it a byte, so more inputs than bytes are
-       refused too.  The counts are bounded before anything is sized by
-       them. *)
-    let left = len - !pos in
-    if List.exists (fun n -> n > left) [ i; l; o; a; b ] || 2 * (l + o + a + b) > left then
-      fail "header counts exceed the file size";
-    if m <> i + l + a then fail "binary aiger requires M = I + L + A";
-    let man = Aig.create () in
-    let var_lit = Array.make (m + 1) Aig.lit_false in
-    for v = 1 to i + l do
-      var_lit.(v) <- Aig.fresh_input man
-    done;
+    set 0 Aig.lit_false;
     let lit_of al =
-      if al / 2 > m then fail (Printf.sprintf "literal %d out of range" al);
-      if al land 1 = 1 then Aig.not_ var_lit.(al / 2) else var_lit.(al / 2)
+      if al / 2 > h.m then fail "literal %d out of range" al;
+      let x = find (al / 2) in
+      (* A binary AND's deltas can name its own variable, which reads as
+         the constant until it is defined. *)
+      if x < 0 && not n.binary then fail "literal %d used before definition" al;
+      let x = if x < 0 then Aig.lit_false else x in
+      if al land 1 = 1 then Aig.not_ x else x
     in
-    (* Latch lines: next literal and optional reset. *)
-    let latch_next = Array.make l 0 in
-    let latch_init = Array.make l false in
-    for k = 0 to l - 1 do
-      match ints (read_line ()) with
-      | [ nl ] -> latch_next.(k) <- nl
-      | [ nl; 0 ] -> latch_next.(k) <- nl
-      | [ nl; 1 ] ->
-        latch_next.(k) <- nl;
-        latch_init.(k) <- true
-      | _ -> fail "bad latch line"
-    done;
-    let bad_lits = ref [] in
-    for _ = 1 to o + b do
-      match ints (read_line ()) with
-      | [ al ] -> bad_lits := al :: !bad_lits
-      | _ -> fail "bad output line"
-    done;
-    (* AND gates: lhs implicit, deltas binary. *)
-    for k = 0 to a - 1 do
-      let lhs = 2 * (i + l + k + 1) in
-      let d0 = read_delta () in
-      let d1 = read_delta () in
-      let rhs0 = lhs - d0 in
-      let rhs1 = rhs0 - d1 in
-      if rhs0 < 0 || rhs1 < 0 then fail "negative rhs in binary and gate";
-      var_lit.(lhs / 2) <- Aig.and_ man (lit_of rhs0) (lit_of rhs1)
-    done;
-    let next = Array.map lit_of latch_next in
-    let bads = List.rev_map lit_of !bad_lits in
-    let bad = match bads with [] -> Aig.lit_false | b :: _ -> b in
-    let model =
-      { Model.name; man; num_inputs = i; num_latches = l; next; init = latch_init; bad }
+    let define lit x =
+      if lit / 2 > h.m then fail "variable %d beyond the maximum %d" (lit / 2) h.m;
+      if find (lit / 2) >= 0 then fail "variable %d defined twice" (lit / 2);
+      set (lit / 2) x
     in
-    Result.bind (Model.validate model) (fun () -> Ok (model, bads))
-  with Bad msg -> Error msg
+    try
+      List.iter (fun (lit, _) -> define lit (Aig.fresh_input man)) n.inputs;
+      List.iter (fun (lit, _, _, _) -> define lit (Aig.fresh_input man)) n.latches;
+      let reset = function
+        | [] | [ 0 ] -> false
+        | [ 1 ] -> true
+        | _ -> fail "unsupported latch reset value"
+      in
+      let init = Array.of_list (List.map (fun (_, _, r, _) -> reset r) n.latches) in
+      (* AND gates, in topological order. *)
+      List.iter
+        (fun (lhs, r0, r1, _) ->
+          let l0 = lit_of r0 in
+          define lhs (Aig.and_ man l0 (lit_of r1)))
+        n.ands;
+      let next = Array.of_list (List.map (fun (_, next, _, _) -> lit_of next) n.latches) in
+      let bads = List.map (fun (lit, _) -> lit_of lit) n.outputs in
+      let bad = match bads with [] -> Aig.lit_false | b :: _ -> b in
+      let model =
+        { Model.name; man; num_inputs = h.i; num_latches = h.l; next; init; bad }
+      in
+      Result.map (fun () -> (model, bads)) (Model.validate model)
+    with Unresolved msg -> Error msg)
 
-let parse_outputs ?name text =
-  if String.length text >= 4 && String.sub text 0 4 = "aig " then
-    parse_binary_outputs ?name text
-  else parse_ascii_outputs ?name text
+let parse_string ?name text = Result.map fst (build ?name (decode text))
 
-let parse_string ?name text = Result.map fst (parse_outputs ?name text)
-
-let parse_string_multi ?name text =
+let models ?name n =
   Result.map
     (fun ((model : Model.t), bads) ->
       match bads with
@@ -253,12 +270,9 @@ let parse_string_multi ?name text =
           (fun idx bad ->
             { model with Model.name = Printf.sprintf "%s_p%d" model.Model.name idx; bad })
           bads)
-    (parse_outputs ?name text)
+    (build ?name n)
 
-let parse_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> parse_string ~name:(Filename.remove_extension (Filename.basename path)) text
-  | exception Sys_error msg -> Error msg
+let parse_string_multi ?name text = models ?name (decode text)
 
 (* Shared numbering for both writers: inputs 1..I, latches I+1..I+L, then
    ANDs in topological order (so fanin literals always precede the

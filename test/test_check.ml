@@ -336,9 +336,10 @@ let test_lint_aig_hostile () =
       ("aag 42525637027882 1 0 1 0\n", "aig.truncated");
       ("aag 3 1 0 1 42525637027882\n2\n2\n", "aig.truncated");
       ("aag -4 1 0 1 0\n2\n2\n", "aig.header");
-      ("aig 3 1 1 1 1\n-5\n6\n\x02\x02", "aig.parse");
-      ("aig 42525637027882 1 0 1 0\n2\n", "aig.parse");
-      ("aig 42525637027882 42525637027882 0 1 0\n2\n", "aig.parse");
+      ("aig 3 1 1 1 1\n-5\n6\n\x02\x02", "aig.header");
+      (* Only M is huge, and binary requires M = I + L + A. *)
+      ("aig 42525637027882 1 0 1 0\n2\n", "aig.header");
+      ("aig 42525637027882 42525637027882 0 1 0\n2\n", "aig.truncated");
     ]
 
 let test_lint_aig_clean () =

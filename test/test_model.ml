@@ -122,12 +122,111 @@ let test_aiger_binary_roundtrip () =
       counter_model ~bits:5 ~target:17 ();
     ]
 
+(* The check names the linter gives a file, sorted and without repeats. *)
+let lint_checks text =
+  Isr_check.Lint_aig.lint_aiger_string text
+  |> List.map (fun d -> d.Isr_check.Diag.check)
+  |> List.sort_uniq compare
+
 let test_aiger_ascii_binary_agree () =
   let m = gated_counter ~bits:4 ~target:9 () in
-  match (Aiger.parse_string (Aiger.to_string m), Aiger.parse_string (Aiger.to_binary_string m)) with
+  (match (Aiger.parse_string (Aiger.to_string m), Aiger.parse_string (Aiger.to_binary_string m)) with
   | Ok a, Ok b ->
     Alcotest.(check bool) "same behaviour via both encodings" true (models_equal_by_sim a b)
-  | Error e, _ | _, Error e -> Alcotest.failf "parse: %s" e
+  | Error e, _ | _, Error e -> Alcotest.failf "parse: %s" e);
+  (* One decoder: both encodings of every suite model lint alike. *)
+  List.iter
+    (fun e ->
+      let m = Isr_suite.Registry.build_validated e in
+      Alcotest.(check (list string))
+        (e.Isr_suite.Registry.name ^ " lint checks")
+        (lint_checks (Aiger.to_string m))
+        (lint_checks (Aiger.to_binary_string m)))
+    Isr_suite.Registry.fig6
+
+(* The same defect seeded into both encodings of one model gets the same
+   checks, the named one among them. *)
+let test_aiger_binary_defects () =
+  let m = gated_counter ~bits:3 ~target:5 () in
+  let ascii = Aiger.to_string m and binary = Aiger.to_binary_string m in
+  let ni = m.Model.num_inputs and nl = m.Model.num_latches in
+  let lines text = String.split_on_char '\n' text in
+  let map_line k f text =
+    String.concat "\n" (List.mapi (fun j l -> if j = k then f l else l) (lines text))
+  in
+  let max_var = int_of_string (List.nth (String.split_on_char ' ' (List.hd (lines ascii))) 1) in
+  let set_field k v line =
+    String.concat " " (List.mapi (fun j f -> if j = k then v else f) (String.split_on_char ' ' line))
+  in
+  let comment = Printf.sprintf "c\nmodel %s\n" m.Model.name in
+  let ands_end text = String.length text - String.length comment in
+  List.iter
+    (fun (what, check, seed_ascii, seed_binary) ->
+      let a = lint_checks (seed_ascii ascii) and b = lint_checks (seed_binary binary) in
+      Alcotest.(check bool) (what ^ ": ascii gets " ^ check) true (List.mem check a);
+      Alcotest.(check (list string)) (what ^ ": binary as ascii") a b)
+    [
+      ( "latch reset 2", "aig.latch_init",
+        map_line (ni + 1) (set_field 2 "2"),
+        map_line 1 (set_field 1 "2") );
+      ( "output past M", "aig.out_of_range",
+        map_line (ni + nl + 1) (fun _ -> string_of_int (2 * (max_var + 1))),
+        map_line (nl + 1) (fun _ -> string_of_int (2 * (max_var + 1))) );
+      ( "AND section cut short", "aig.truncated",
+        (fun t ->
+          (* Everything from the last AND line on is gone. *)
+          let keep = List.length (lines t) - 4 in
+          String.concat "\n" (List.filteri (fun j _ -> j < keep) (lines t)) ^ "\n"),
+        fun t -> String.sub t 0 (ands_end t - 1) );
+      ( "M < I + L + A", "aig.header",
+        map_line 0 (set_field 1 (string_of_int (max_var - 1))),
+        map_line 0 (set_field 1 (string_of_int (max_var - 1))) );
+    ]
+
+(* Seeded mutants of one suite file in each encoding: flipped bytes,
+   dropped lines, edited numbers and cut tails.  The decoder, the model
+   builder and the linter return on every one of them. *)
+let test_aiger_mutants_never_raise () =
+  let m = Isr_suite.Registry.build_validated (Option.get (Isr_suite.Registry.find "vending11")) in
+  let rs = Random.State.make [| 24 |] in
+  let mutate text =
+    let len = String.length text in
+    match if len = 0 then 4 else Random.State.int rs 4 with
+    | 4 -> text
+    | 0 ->
+      let b = Bytes.of_string text in
+      Bytes.set b (Random.State.int rs len) (Char.chr (Random.State.int rs 256));
+      Bytes.to_string b
+    | 1 ->
+      let ls = String.split_on_char '\n' text in
+      let k = Random.State.int rs (List.length ls) in
+      String.concat "\n" (List.filteri (fun j _ -> j <> k) ls)
+    | 2 ->
+      (* Replace one space-separated number of the text lines. *)
+      let ls = Array.of_list (String.split_on_char '\n' text) in
+      let k = Random.State.int rs (Array.length ls) in
+      let fs = Array.of_list (String.split_on_char ' ' ls.(k)) in
+      let j = Random.State.int rs (Array.length fs) in
+      fs.(j) <-
+        List.nth
+          [ "-1"; "0"; "1"; "2"; string_of_int max_int; "42525637027882"; "x" ]
+          (Random.State.int rs 7);
+      ls.(k) <- String.concat " " (Array.to_list fs);
+      String.concat "\n" (Array.to_list ls)
+    | _ -> String.sub text 0 (Random.State.int rs len)
+  in
+  List.iter
+    (fun text ->
+      for _ = 1 to 300 do
+        let t = mutate (mutate text) in
+        match
+          ignore (Aiger.models (Aiger.decode t));
+          ignore (Isr_check.Lint_aig.lint_aiger_string t)
+        with
+        | () -> ()
+        | exception e -> Alcotest.failf "%S raised %s" t (Printexc.to_string e)
+      done)
+    [ Aiger.to_string m; Aiger.to_binary_string m ]
 
 let test_aiger_errors () =
   let cases =
@@ -468,6 +567,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_aiger_roundtrip;
           Alcotest.test_case "binary roundtrip" `Quick test_aiger_binary_roundtrip;
           Alcotest.test_case "ascii/binary agree" `Quick test_aiger_ascii_binary_agree;
+          Alcotest.test_case "binary defects lint as ascii" `Quick test_aiger_binary_defects;
+          Alcotest.test_case "mutants never raise" `Quick test_aiger_mutants_never_raise;
           Alcotest.test_case "init roundtrip" `Quick test_aiger_init_roundtrip;
           Alcotest.test_case "errors" `Quick test_aiger_errors;
           Alcotest.test_case "minimal file" `Quick test_aiger_minimal;
