@@ -186,8 +186,7 @@ let lint_netlist (n : Aiger.netlist) =
           | _ -> ()
         end
       in
-      List.iter (fun (_, next, _, _) -> mark (next / 2)) n.Aiger.latches;
-      List.iter (fun (lit, _) -> mark (lit / 2)) n.Aiger.outputs;
+      List.iter (fun (al, _) -> mark (al / 2)) !refs;
       let dead = ref 0 in
       Hashtbl.iter
         (fun v (d, _) ->
@@ -201,7 +200,3 @@ let lint_netlist (n : Aiger.netlist) =
              (if !dead = 1 then "" else "s"))
     end;
     List.rev !ds
-
-let lint_aiger_string ?name text =
-  ignore name;
-  lint_netlist (Aiger.decode text)

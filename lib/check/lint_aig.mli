@@ -32,9 +32,6 @@ open Isr_model
 val lint_netlist : Aiger.netlist -> Diag.t list
 (** The decoder's defects, then the structural checks, in file order. *)
 
-val lint_aiger_string : ?name:string -> string -> Diag.t list
-(** [lint_netlist (Aiger.decode text)]. *)
-
 val lint_model : Model.t -> Diag.t list
 (** Structural checks on an in-memory model: array-length consistency,
     cone support inside the declared inputs and latches

@@ -208,9 +208,9 @@ let build ?(name = "aiger") n =
     let defined = h.i + h.l + h.a in
     let man = Aig.create ~nodes:(defined + 1) () in
     (* aiger var -> our literal, -1 until defined; var 0 is constant
-       false.  M bounds the variable indices, not their number, so an
-       array only when the numbering is dense (M = I + L + A, as binary
-       requires). *)
+       false.  An array reads a file markedly faster than a table, but
+       M bounds the variable indices, not their number, so an array only
+       when the numbering is dense (M = I + L + A, as binary requires). *)
     let find, set =
       if h.m = defined then
         let vars = Array.make (h.m + 1) (-1) in

@@ -308,17 +308,18 @@ let test_lrat_deleted_hint_rejected () =
 
 (* --- seeded artifact defects ------------------------------------------ *)
 
+let lint_aiger text = Isr_check.Lint_aig.lint_netlist (Aiger.decode text)
+
 let test_lint_aig_cycle () =
   (* and(4) = 6 & 2 and and(6) = 4 & 2: a 2-node combinational loop. *)
   let ds =
-    Isr_check.Lint_aig.lint_aiger_string ~name:"cyclic"
-      "aag 3 1 0 1 2\n2\n4\n4 6 2\n6 4 2\n"
+    lint_aiger "aag 3 1 0 1 2\n2\n4\n4 6 2\n6 4 2\n"
   in
   Alcotest.(check bool) "cycle detected" true (has_check "aig.cycle" (Diag.errors ds))
 
 let test_lint_aig_truncated () =
   let ds =
-    Isr_check.Lint_aig.lint_aiger_string ~name:"short" "aag 2 0 0 1 2\n2\n"
+    lint_aiger "aag 2 0 0 1 2\n2\n"
   in
   Alcotest.(check bool) "truncation detected" true
     (has_check "aig.truncated" (Diag.errors ds))
@@ -328,7 +329,7 @@ let test_lint_aig_truncated () =
 let test_lint_aig_hostile () =
   List.iter
     (fun (text, check) ->
-      let ds = Isr_check.Lint_aig.lint_aiger_string ~name:"hostile" text in
+      let ds = lint_aiger text in
       Alcotest.(check bool) (Printf.sprintf "%S: %s" text check) true
         (has_check check (Diag.errors ds)))
     [
@@ -344,7 +345,7 @@ let test_lint_aig_hostile () =
 
 let test_lint_aig_clean () =
   (* Single input wired to the output: nothing to complain about. *)
-  let ds = Isr_check.Lint_aig.lint_aiger_string ~name:"buf" "aag 1 1 0 1 0\n2\n2\n" in
+  let ds = lint_aiger "aag 1 1 0 1 0\n2\n2\n" in
   Alcotest.(check bool) "no errors" false (Diag.has_errors ds)
 
 let test_lint_itp_support () =

@@ -203,6 +203,46 @@ let test_certify_rejects_bogus () =
   | Error Certify.Not_inductive -> ()
   | _ -> Alcotest.fail "credit=0 should fail consecution"
 
+(* k-induction at k = 0 checks initiation and consecution of the property
+   itself, so its proof carries the property as a certificate when bad
+   reads latches only; a bad that reads an input is no state predicate,
+   and a proof at k > 0 carries none. *)
+let test_kind_invariant () =
+  let kind model =
+    match Engine.run Engine.Kind ~limits model with
+    | Verdict.Proved { kfp; invariant; _ }, _ -> (kfp, invariant)
+    | v, _ -> Alcotest.failf "%s: expected a PASS, got %a" model.Model.name Verdict.pp v
+  in
+  let model = Registry.build_validated (entry "vending11") in
+  (match kind model with
+  | 0, Some inv -> (
+    match Certify.check model inv with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "vending11: the k = 0 invariant does not check")
+  | k, inv ->
+    Alcotest.failf "vending11: k = %d, invariant %s" k
+      (if inv = None then "missing" else "present"));
+  (* bad = latch & input with the latch stuck at 0: proved at k = 0. *)
+  let man = Isr_aig.Aig.create () in
+  let x = Isr_aig.Aig.fresh_input man in
+  let l = Isr_aig.Aig.fresh_input man in
+  let input_bad =
+    {
+      Model.name = "input_bad";
+      man;
+      num_inputs = 1;
+      num_latches = 1;
+      next = [| Isr_aig.Aig.lit_false |];
+      init = [| false |];
+      bad = Isr_aig.Aig.and_ man l x;
+    }
+  in
+  let k, inv = kind input_bad in
+  Alcotest.(check (pair int bool)) "bad reads an input" (0, false) (k, Option.is_some inv);
+  let k, inv = kind (Registry.build_validated (entry "peterson")) in
+  Alcotest.(check bool) "peterson proved at k > 0" true (k > 0);
+  Alcotest.(check bool) "peterson carries no invariant" false (Option.is_some inv)
+
 (* Liveness via L2S: justice properties decided by the safety engines. *)
 let test_l2s_liveness () =
   let open Isr_aig in
@@ -499,6 +539,7 @@ let () =
         [
           Alcotest.test_case "proofs certify" `Slow test_certificates;
           Alcotest.test_case "bogus rejected" `Quick test_certify_rejects_bogus;
+          Alcotest.test_case "kind invariant at k = 0" `Quick test_kind_invariant;
         ] );
       ( "liveness",
         [

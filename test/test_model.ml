@@ -124,7 +124,7 @@ let test_aiger_binary_roundtrip () =
 
 (* The check names the linter gives a file, sorted and without repeats. *)
 let lint_checks text =
-  Isr_check.Lint_aig.lint_aiger_string text
+  Isr_check.Lint_aig.lint_netlist (Aiger.decode text)
   |> List.map (fun d -> d.Isr_check.Diag.check)
   |> List.sort_uniq compare
 
@@ -220,8 +220,9 @@ let test_aiger_mutants_never_raise () =
       for _ = 1 to 300 do
         let t = mutate (mutate text) in
         match
-          ignore (Aiger.models (Aiger.decode t));
-          ignore (Isr_check.Lint_aig.lint_aiger_string t)
+          let n = Aiger.decode t in
+          ignore (Aiger.models n);
+          ignore (Isr_check.Lint_aig.lint_netlist n)
         with
         | () -> ()
         | exception e -> Alcotest.failf "%S raised %s" t (Printexc.to_string e)
