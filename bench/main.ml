@@ -101,7 +101,7 @@ let kernels () =
   let model = Circuits.vending ~price:11 ~buggy:false in
   (* Pre-solved refutation for the extraction kernel. *)
   let proof =
-    let u = Bmc.build_instance model ~check:Bmc.Assume ~k:10 in
+    let u = Bmc.build_instance ~proof:true model ~check:Bmc.Assume ~k:10 in
     match Isr_sat.Solver.solve (Unroll.solver u) with
     | Isr_sat.Solver.Unsat -> (u, Isr_sat.Solver.proof (Unroll.solver u))
     | _ -> assert false
@@ -109,13 +109,13 @@ let kernels () =
   let t_solve =
     Test.make ~name:"sat-solve bmc(vending11,k=10)"
       (Staged.stage (fun () ->
-           let u = Bmc.build_instance model ~check:Bmc.Assume ~k:10 in
+           let u = Bmc.build_instance ~proof:true model ~check:Bmc.Assume ~k:10 in
            ignore (Isr_sat.Solver.solve (Unroll.solver u))))
   in
   let t_unroll =
     Test.make ~name:"unroll encode k=10"
       (Staged.stage (fun () ->
-           ignore (Bmc.build_instance model ~check:Bmc.Assume ~k:10)))
+           ignore (Bmc.build_instance ~proof:true model ~check:Bmc.Assume ~k:10)))
   in
   (* Intake-bound encoding: 760 padding latches around a small cone,
      about 59k variables and 160k clauses at k=8. *)
@@ -127,7 +127,7 @@ let kernels () =
   let t_unroll_padded =
     Test.make ~name:"unroll encode industrialB3 exact k=8"
       (Staged.stage (fun () ->
-           ignore (Bmc.build_instance padded ~check:Bmc.Exact ~k:8)))
+           ignore (Bmc.build_instance ~proof:true padded ~check:Bmc.Exact ~k:8)))
   in
   (* Clause intake alone: the Tseitin shape (two binary clauses and one
      ternary per AND gate) over random fanins, 10k gates. *)
@@ -168,7 +168,7 @@ let kernels () =
      a few dozen are used, so the cost is in reading the log, not in
      building interpolants. *)
   let padded_u =
-    let u = Bmc.build_instance padded ~check:Bmc.Exact ~k:8 in
+    let u = Bmc.build_instance ~proof:true padded ~check:Bmc.Exact ~k:8 in
     match Isr_sat.Solver.solve (Unroll.solver u) with
     | Isr_sat.Solver.Unsat -> u
     | _ -> assert false

@@ -28,7 +28,7 @@ let exercise model ~bound ~budget =
      are tiny, so the default trigger would never fire and the
      deletion-aware LRAT path ([d] lines, strict checker semantics)
      would go unexercised. *)
-  let u = Unroll.create ~reduce:{ Solver.default_reduce with base = 10 } model in
+  let u = Unroll.create ~reduce:{ Solver.default_reduce with base = 10 } ~proof:true model in
   Unroll.assert_init u ~tag:1;
   for _ = 1 to bound do
     Unroll.add_transition u ~tag:1

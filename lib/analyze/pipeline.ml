@@ -46,7 +46,8 @@ type result = {
    ran out (the caller must then forgo the rewrite, never trust it). *)
 
 let sat_conj ?(conflict_budget = 100_000) man lits =
-  let solver = Solver.create () in
+  (* Only the answer is read; Paranoid logs to replay the refutation. *)
+  let solver = Solver.create ~proof:(Level.paranoid ()) () in
   let input_vars = Hashtbl.create 16 in
   let input_lit i =
     match Hashtbl.find_opt input_vars i with

@@ -55,6 +55,7 @@ let defect_diag n (loc, p) =
       ~hint:(Printf.sprintf "expected '%s M I L O A [B]'" (if n.Aiger.binary then "aig" else "aag"))
       msg
   | Empty | Bad_max_var _ | Malformed _ | Negative _ -> Diag.error ~check:"aig.header" ?loc msg
+  | Cycle _ -> Diag.error ~check:"aig.cycle" ?loc msg
 
 (* Variable definition sites, recorded before any reference is resolved so
    that forward references and cycles are observable rather than fatal. *)
@@ -116,12 +117,16 @@ let lint_netlist (n : Aiger.netlist) =
         reference loc r0;
         reference loc r1)
       n.Aiger.ands;
-    (* The header's problems first, then every line in file order. *)
+    (* The header's problems first, then every line in file order.  A
+       [Cycle] the decoder met is reported by the cycle check below. *)
     let at_header = Aiger.Line 0 in
     let ds =
-      List.map
+      List.filter_map
         (fun ((loc, p) as d) ->
-          ((match p with Aiger.Malformed _ | Negative _ -> loc | _ -> at_header), defect_diag n d))
+          match p with
+          | Aiger.Cycle _ -> None
+          | Malformed _ | Negative _ -> Some (loc, defect_diag n d)
+          | _ -> Some (at_header, defect_diag n d))
         n.Aiger.defects
       @ (if h.Aiger.o + h.Aiger.b <> 0 then []
          else

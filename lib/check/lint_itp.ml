@@ -21,7 +21,7 @@ let enforce ~what model itp =
    frame.  [props] lists the frames where the property is additionally
    assumed. *)
 let query ?conflict_budget (model : Model.t) ~init ~steps ~props ~goal =
-  let u = Unroll.create model in
+  let u = Unroll.create ~proof:true model in
   let tag = 1 in
   (match init with
   | `Init -> Unroll.assert_init u ~tag

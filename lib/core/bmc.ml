@@ -5,8 +5,8 @@ type check = Bound | Exact | Assume
 
 let check_name = function Bound -> "bound" | Exact -> "exact" | Assume -> "assume"
 
-let build_instance ?frozen model ~check ~k =
-  let u = Unroll.create model in
+let build_instance ?frozen ~proof model ~check ~k =
+  let u = Unroll.create ~proof model in
   Unroll.assert_init u ~tag:1;
   if k = 0 then Unroll.assert_circuit u ~frame:0 ~tag:1 model.Model.bad
   else begin
@@ -29,7 +29,7 @@ let build_instance ?frozen model ~check ~k =
   end;
   u
 
-let check_depth budget stats ?frozen model ~check ~k =
+let check_depth budget stats ?frozen ~proof model ~check ~k =
   Verdict.note_bound stats k;
   Verdict.beat stats ~step:k ~detail:(check_name check) "bmc.bound";
   Isr_obs.Metrics.incr
@@ -37,7 +37,7 @@ let check_depth budget stats ?frozen model ~check ~k =
   Isr_obs.Trace.span "bmc.bound"
     ~args:[ ("k", string_of_int k); ("check", check_name check) ]
     (fun () ->
-      let u = build_instance ?frozen model ~check ~k in
+      let u = build_instance ?frozen ~proof model ~check ~k in
       match Budget.solve budget stats (Unroll.solver u) with
       | Solver.Sat -> `Sat u
       | Solver.Unsat -> `Unsat u
@@ -88,7 +88,7 @@ let inc_unroll st =
   match st.inc with
   | Some u -> u
   | None ->
-    let u = Unroll.create st.model in
+    let u = Unroll.create ~proof:false st.model in
     Unroll.assert_init u ~tag:1;
     for f = 0 to st.k - 1 do
       if st.check = Assume then
@@ -137,7 +137,7 @@ let step st =
         (finish st (Verdict.Unknown (Verdict.Bound_limit st.limits.Budget.bound_limit)))
     else if st.incremental then step_incremental st k
     else
-      match check_depth st.budget st.stats st.model ~check:st.check ~k with
+      match check_depth st.budget st.stats ~proof:false st.model ~check:st.check ~k with
       | `Sat u -> falsified st u ~k
       | `Unsat _ ->
         st.k <- k + 1;

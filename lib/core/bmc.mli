@@ -22,25 +22,31 @@ type check = Bound | Exact | Assume
 val check_name : check -> string
 
 val build_instance :
-  ?frozen:(int -> bool) -> Model.t -> check:check -> k:int -> Unroll.t
+  ?frozen:(int -> bool) -> proof:bool -> Model.t -> check:check -> k:int -> Unroll.t
 (** The depth-[k] instance with Γ tags; [frozen] latches are abstracted
-    to free inputs (CBA).  [k = 0] degenerates to init ∧ bad. *)
+    to free inputs (CBA).  [k = 0] degenerates to init ∧ bad.  [proof]
+    says whether the caller reads the refutation's proof (see
+    {!Unroll.create}): interpolation and proof-based abstraction do; the
+    depth-0 checks, k-induction's base case, the BMC lanes and the
+    bound-parallel probes do not.  Paranoid logs anyway. *)
 
 val check_depth :
   Budget.t ->
   Verdict.stats ->
   ?frozen:(int -> bool) ->
+  proof:bool ->
   Model.t ->
   check:check ->
   k:int ->
   [ `Sat of Unroll.t | `Unsat of Unroll.t ]
 (** Builds and solves one depth; the unrolling gives access to the trace
-    (on [`Sat]) or the proof (on [`Unsat]). *)
+    (on [`Sat]) or, with [proof], the proof (on [`Unsat]). *)
 
 val stepper : ?check:check -> ?incremental:bool -> unit -> Step.packed
 (** The step-wise form: one step is one depth.  Snapshots carry the next
     depth to attempt; an incremental restore rebuilds its solver with
-    frames [0..k-1] already refuted on the first step. *)
+    frames [0..k-1] already refuted on the first step.  Its solvers log
+    no proof. *)
 
 val run :
   ?check:check ->

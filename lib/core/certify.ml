@@ -16,7 +16,7 @@ let check ?(limits = Budget.default_limits) model inv =
   let budget = Budget.start limits in
   let stats = Verdict.mk_stats () in
   let unsat build =
-    let u = Unroll.create model in
+    let u = Unroll.create ~proof:false model in
     build u;
     match Budget.solve budget stats (Unroll.solver u) with
     | Isr_sat.Solver.Unsat -> true

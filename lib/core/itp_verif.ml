@@ -12,7 +12,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
    transitions and the disjunction of the negated property over frames
    1..k (Equation 1 of the paper). *)
 let build_bound_instance model ~start ~k =
-  let u = Unroll.create model in
+  let u = Unroll.create ~proof:true model in
   (match start with
   | `Init -> Unroll.assert_init u ~tag:1
   | `Circuit c -> Unroll.assert_circuit u ~frame:0 ~tag:1 c);
@@ -90,7 +90,7 @@ let step st =
     match st.phase with
     | Check0 -> (
       (* Depth 0: does a bad state intersect the initial states? *)
-      match Bmc.check_depth st.budget st.stats st.model ~check:Bmc.Exact ~k:0 with
+      match Bmc.check_depth st.budget st.stats ~proof:false st.model ~check:Bmc.Exact ~k:0 with
       | `Sat u -> Step.Done (finish st (Verdict.Falsified { depth = 0; trace = Unroll.trace u }))
       | `Unsat _ ->
         st.k <- 1;

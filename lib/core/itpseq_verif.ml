@@ -168,7 +168,7 @@ let step st =
     Step.budget_guard ~finish:(finish st) @@ fun () ->
     match st.phase with
     | Check0 -> (
-      match Bmc.check_depth st.budget st.stats st.model ~check:Bmc.Exact ~k:0 with
+      match Bmc.check_depth st.budget st.stats ~proof:false st.model ~check:Bmc.Exact ~k:0 with
       | `Sat u -> falsify st u
       | `Unsat _ ->
         st.k <- 1;
@@ -180,7 +180,7 @@ let step st =
       (* Concrete check first: SAT is a real counterexample; UNSAT
          yields the core that drives the abstraction. *)
       let k = st.k in
-      match Bmc.check_depth st.budget st.stats st.model ~check:st.check ~k with
+      match Bmc.check_depth st.budget st.stats ~proof:true st.model ~check:st.check ~k with
       | `Sat u -> falsify st u
       | `Unsat u ->
         mark_core_latches st u;

@@ -26,7 +26,7 @@ let assert_frames_differ u ~tag f g =
    property k-inductive (given the base case). *)
 let step_holds budget stats ~unique model ~k =
   Isr_obs.Trace.span "kind.step" ~args:[ ("k", string_of_int k) ] @@ fun () ->
-  let u = Unroll.create model in
+  let u = Unroll.create ~proof:false model in
   for f = 0 to k do
     Unroll.assert_circuit u ~frame:f ~tag:1 (Model.prop model);
     Unroll.add_transition u ~tag:1
@@ -74,7 +74,7 @@ let step st =
       Verdict.beat st.stats ~step:k "kind.step";
       (* Base case: no counterexample of length exactly k (shorter ones
          were excluded at previous iterations). *)
-      match Bmc.check_depth st.budget st.stats st.model ~check:Bmc.Exact ~k with
+      match Bmc.check_depth st.budget st.stats ~proof:false st.model ~check:Bmc.Exact ~k with
       | `Sat u ->
         let tr = Unroll.trace u in
         let depth = match Sim.first_bad st.model tr with Some d -> d | None -> k in

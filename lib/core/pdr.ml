@@ -86,7 +86,7 @@ let inputs_at u ~frame =
 (* Is there a bad state inside F_k?  Returns the offending cube and the
    inputs feeding the bad cone. *)
 let bad_query ctx k =
-  let u = Unroll.create ctx.model in
+  let u = Unroll.create ~proof:false ctx.model in
   assert_frame ctx u k;
   Unroll.assert_circuit u ~frame:0 ~tag:1 ctx.model.Model.bad;
   match Budget.solve ctx.budget ctx.stats (Unroll.solver u) with
@@ -99,7 +99,7 @@ let bad_query ctx k =
    cube (still excluding the initial state). *)
 let relative_query ctx i cube =
   let model = ctx.model in
-  let u = Unroll.create model in
+  let u = Unroll.create ~proof:false model in
   if i - 1 = 0 then Unroll.assert_init u ~tag:1
   else begin
     assert_frame ctx u (i - 1);
@@ -282,7 +282,7 @@ let step st =
     match st.phase with
     | Check0 -> (
       (* Depth 0: init ∧ bad. *)
-      match Bmc.check_depth ctx.budget ctx.stats ctx.model ~check:Bmc.Exact ~k:0 with
+      match Bmc.check_depth ctx.budget ctx.stats ~proof:false ctx.model ~check:Bmc.Exact ~k:0 with
       | `Sat u ->
         Step.Done (finish st (Verdict.Falsified { depth = 0; trace = Unroll.trace u }))
       | `Unsat _ ->

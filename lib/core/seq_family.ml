@@ -62,7 +62,7 @@ let serial_step ~system budget stats ?frozen model ~check ~k ~j prev =
   Isr_obs.Trace.span "itpseq.serial_step"
     ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
   @@ fun () ->
-  let u = Unroll.create model in
+  let u = Unroll.create ~proof:true model in
   Unroll.assert_circuit u ~frame:0 ~tag:1 prev;
   if check = Bmc.Assume && j >= 2 then
     (* p(V^{j-1}) belongs to A_j (partition 1 here). *)
@@ -92,7 +92,7 @@ let serial_step ~system budget stats ?frozen model ~check ~k ~j prev =
 
 (* Parallel tail of Figure 4: ITPSEQ({I_ns, Γ_{ns+1..n}}). *)
 let serial_tail ~system budget stats ?frozen model ~check ~k ~ns prev =
-  let u = Unroll.create model in
+  let u = Unroll.create ~proof:true model in
   Unroll.assert_circuit u ~frame:0 ~tag:1 prev;
   if check = Bmc.Assume && ns >= 1 then
     Unroll.assert_circuit u ~frame:0 ~tag:1 (Model.prop model);
@@ -110,7 +110,7 @@ let serial_tail ~system budget stats ?frozen model ~check ~k ~ns prev =
 
 let compute ?(system = Itp.McMillan) budget stats ?frozen model ~mode ~check ~k =
   if k < 1 then invalid_arg "Seq_family.compute: k must be >= 1";
-  match Bmc.check_depth budget stats ?frozen model ~check ~k with
+  match Bmc.check_depth budget stats ?frozen ~proof:true model ~check ~k with
   | `Sat u -> `Cex u
   | `Unsat u -> (
     let man = model.Model.man in

@@ -24,7 +24,7 @@ let checks ?(limits = Budget.default_limits) ?entries ?(depths = [ 5; 10; 15; 20
                 let budget = Budget.start limits in
                 let stats = Verdict.mk_stats () in
                 let t0 = Isr_obs.Clock.now () in
-                match Bmc.check_depth budget stats model ~check ~k with
+                match Bmc.check_depth budget stats ~proof:false model ~check ~k with
                 | `Unsat _ ->
                   Printf.sprintf "%10.3f %10d"
                     (Isr_obs.Clock.now () -. t0)

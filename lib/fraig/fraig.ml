@@ -9,7 +9,8 @@ module Tseitin = Isr_cnf.Tseitin
 type miter = Equal | Differ of (int * bool) list | Undecided
 
 let miter ~conflict_budget man a b =
-  let solver = Solver.create () in
+  (* Only the answer is read; Paranoid logs to replay the refutation. *)
+  let solver = Solver.create ~proof:(Isr_check_core.Level.paranoid ()) () in
   let input_vars = Hashtbl.create 16 in
   let input_lit i =
     match Hashtbl.find_opt input_vars i with

@@ -12,6 +12,7 @@ type problem =
   | Truncated of { needed : int; present : int }
   | Malformed of part
   | Negative of part
+  | Cycle of int
 
 type defect = loc * problem
 
@@ -42,6 +43,7 @@ let describe n = function
     Printf.sprintf "%s %s line"
       (match p with Negative _ -> "negative number on" | _ -> "malformed")
       (match part with Input -> "input" | Latch -> "latch" | Output -> "output" | And_gate -> "and")
+  | Cycle v -> Printf.sprintf "combinational cycle through and gate %d" v
 
 (* A header's counts may be anything: sums saturate. *)
 let sum = List.fold_left (fun x y -> if y > max_int - x then max_int else x + y) 0
@@ -193,6 +195,12 @@ let decode text =
             | [ lhs; rhs0; rhs1 ] when even lhs -> Some (lhs, rhs0, rhs1, loc)
             | _ -> None)
       in
+      (* The binary format requires lhs > rhs0: a first delta of 0 makes
+         the gate read itself, a cycle seen without resolving anything. *)
+      if binary then
+        List.iter
+          (fun (lhs, rhs0, _, loc) -> if rhs0 / 2 = lhs / 2 then defect (loc, Cycle (lhs / 2)))
+          ands;
       netlist ~header:h ~inputs ~latches ~outputs ~ands ())
 
 (* --- models from a netlist ---------------------------------------------- *)
@@ -223,10 +231,7 @@ let build ?(name = "aiger") n =
     let lit_of al =
       if al / 2 > h.m then fail "literal %d out of range" al;
       let x = find (al / 2) in
-      (* A binary AND's deltas can name its own variable, which reads as
-         the constant until it is defined. *)
-      if x < 0 && not n.binary then fail "literal %d used before definition" al;
-      let x = if x < 0 then Aig.lit_false else x in
+      if x < 0 then fail "literal %d references variable %d, which is never defined" al (al / 2);
       if al land 1 = 1 then Aig.not_ x else x
     in
     let define lit x =
@@ -243,12 +248,67 @@ let build ?(name = "aiger") n =
         | _ -> fail "unsupported latch reset value"
       in
       let init = Array.of_list (List.map (fun (_, _, r, _) -> reset r) n.latches) in
-      (* AND gates, in topological order. *)
-      List.iter
-        (fun (lhs, r0, r1, _) ->
-          let l0 = lit_of r0 in
-          define lhs (Aig.and_ man l0 (lit_of r1)))
-        n.ands;
+      (* AND gates.  A file in topological order (every binary file, and
+         most ASCII ones) is built in file order.  ASCII lets a gate
+         precede its fanins: from the first gate with an undefined fanin
+         on, a gate waiting on an undefined fanin gate defines that gate
+         first, on an explicit stack, and meeting a gate that is already
+         on the stack closes a combinational cycle. *)
+      let ands = Array.of_list n.ands in
+      let nands = Array.length ands in
+      let ready r = r / 2 <= h.m && find (r / 2) >= 0 in
+      let gate (lhs, r0, r1, _) =
+        let l0 = lit_of r0 in
+        define lhs (Aig.and_ man l0 (lit_of r1))
+      in
+      let first = ref 0 in
+      while
+        !first < nands
+        &&
+        let _, r0, r1, _ = ands.(!first) in
+        ready r0 && ready r1
+      do
+        gate ands.(!first);
+        incr first
+      done;
+      if !first < nands then begin
+        let gates = Hashtbl.create (nands - !first) in
+        let gate_of v = Option.value (Hashtbl.find_opt gates v) ~default:(-1) in
+        for k = !first to nands - 1 do
+          let lhs, _, _, _ = ands.(k) in
+          let v = lhs / 2 in
+          if v > h.m then fail "variable %d beyond the maximum %d" v h.m;
+          if find v >= 0 || gate_of v >= 0 then fail "variable %d defined twice" v;
+          Hashtbl.replace gates v k
+        done;
+        let on_stack = Bytes.make nands '\000' in
+        let waits_on r = if r / 2 > h.m || find (r / 2) >= 0 then -1 else gate_of (r / 2) in
+        let rec settle = function
+          | [] -> ()
+          | k :: rest as stack ->
+            let _, r0, r1, _ = ands.(k) in
+            let g = match waits_on r0 with -1 -> waits_on r1 | g -> g in
+            if g < 0 then begin
+              gate ands.(k);
+              settle rest
+            end
+            else begin
+              if Bytes.get on_stack g = '\001' then begin
+                let lg, _, _, _ = ands.(g) in
+                fail "%s" (describe n (Cycle (lg / 2)))
+              end;
+              Bytes.set on_stack g '\001';
+              settle (g :: stack)
+            end
+        in
+        for k = !first to nands - 1 do
+          let lhs, _, _, _ = ands.(k) in
+          if find (lhs / 2) < 0 then begin
+            Bytes.set on_stack k '\001';
+            settle [ k ]
+          end
+        done
+      end;
       let next = Array.of_list (List.map (fun (_, next, _, _) -> lit_of next) n.latches) in
       let bads = List.map (fun (lit, _) -> lit_of lit) n.outputs in
       let bad = match bads with [] -> Aig.lit_false | b :: _ -> b in

@@ -10,8 +10,9 @@
     one set of checks on either encoding.  {!models} builds models from
     a netlist without defects.  The single output — or the first [B]
     badness line, when present — is taken as the bad-state literal.
-    ASCII AND definitions must appear in topological order (the binary
-    encoding enforces it by construction). *)
+    ASCII AND definitions may appear in any order; {!models} defines
+    them in dependency order (the binary encoding is ordered by
+    construction). *)
 
 (** {1 Decoding} *)
 
@@ -30,6 +31,11 @@ type problem =
       (** a token that is not a number, the wrong number of fields, or a
           definition by a complemented literal *)
   | Negative of part  (** a negative number, never a literal *)
+  | Cycle of int
+      (** an AND gate that depends on itself, named by its variable: a
+          binary AND whose first delta is 0 (the format requires
+          [lhs > rhs0]), or, from {!models}, an ASCII cycle through AND
+          gates *)
 
 type defect = loc * problem
 (** Header problems sit at the header line. *)

@@ -40,8 +40,10 @@ let frame_of t v =
   let first f = if Array.length t.states.(f) = 0 then max_int else Lit.var t.states.(f).(0) in
   last_le first v 0 t.nframes
 
-let create ?reduce model =
-  let solver = Solver.create () in
+(* Paranoid replays every refutation it can reach, so it logs a proof
+   whatever the caller reads. *)
+let create ?reduce ~proof model =
+  let solver = Solver.create ~proof:(proof || Check.paranoid ()) () in
   (match reduce with Some p -> Solver.set_reduce solver p | None -> ());
   let state0 = fresh_lits solver model.Model.num_latches in
   let t =

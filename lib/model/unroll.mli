@@ -20,8 +20,17 @@ type t
 
 (** Allocates the unrolling and its solver.  [reduce] overrides the
     solver's learnt-database reduction policy at creation (the budget
-    layer re-applies the run's policy at every solve). *)
-val create : ?reduce:Solver.reduce_policy -> Model.t -> t
+    layer re-applies the run's policy at every solve).
+
+    [proof] says whether the caller reads a resolution proof off the
+    solver ({!Isr_sat.Solver.proof}, an unsat core through
+    {!latch_of_clause}, or the input clauses): the interpolating engines
+    and proof-based abstraction pass [true]; PDR, k-induction, BMC and
+    certificate checks, which only read answers, models and assumption
+    cores, pass [false] and pay for no log.  At the
+    {!Isr_check_core.Level.paranoid} level the solver logs anyway, so
+    the [sat.proof_replay] check covers every refutation. *)
+val create : ?reduce:Solver.reduce_policy -> proof:bool -> Model.t -> t
 val model : t -> Model.t
 val solver : t -> Solver.t
 

@@ -241,7 +241,7 @@ let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?(limits = Budget.default_limits) model
            Atomic.set current.(i) k;
            if Isr_obs.Event.enabled () then
              Isr_obs.Event.emit (Isr_obs.Event.Dispatch { worker = i; bound = k });
-           (match Bmc.check_depth budget stats model ~check ~k with
+           (match Bmc.check_depth budget stats ~proof:false model ~check ~k with
            | `Sat u ->
              let tr = Unroll.trace u in
              let depth = match Sim.first_bad model tr with Some d -> d | None -> k in

@@ -1189,6 +1189,7 @@ let solve ?assumptions ?conflict_budget s =
         ("decisions", string_of_int (s.decisions - d0));
         ("propagations", string_of_int (s.propagations - p0));
         ("restarts", string_of_int (s.restarts - r0));
+        ("proof_bytes", string_of_int (proof_bytes s));
       ]
     in
     Isr_obs.Trace.span "sat.solve" ~end_args (fun () ->

@@ -43,7 +43,17 @@ val create : ?proof:bool -> unit -> t
     never {!refuted}, {!proof} raises, {!proof_steps} and {!proof_bytes}
     read 0, and {!iter_input_clauses} raises [Invalid_argument].  For
     queries whose answer is used only as a yes/no, such as inclusion
-    checks. *)
+    checks.
+
+    Proof contract: a solver logs only when its caller reads a proof.
+    The interpolating engines, proof-based abstraction and the linters
+    that export or iterate clauses log; PDR, k-induction, BMC,
+    certificate checks, FRAIG miters and the analysis certificates do
+    not (see [Isr_model.Unroll.create]).  Those callers still log at
+    the Paranoid check level, so [sat.proof_replay] covers every
+    refutation it covered before; [~proof:false] itself always means no
+    log.  Learnt clauses, LBDs, backjump levels and every search counter
+    are the same with a log and without. *)
 
 val new_var : t -> int
 (** Allocates a fresh variable and returns its index. *)

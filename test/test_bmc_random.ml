@@ -129,7 +129,7 @@ let prop_exact_bmc_matches_bfs =
       let stats = Verdict.mk_stats () in
       let ok = ref true in
       for k = 0 to max_depth do
-        match Bmc.check_depth budget stats model ~check:Bmc.Exact ~k with
+        match Bmc.check_depth budget stats ~proof:false model ~check:Bmc.Exact ~k with
         | `Sat u ->
           if not expected.(k) then ok := false;
           (* And the extracted trace must replay to a bad state within k. *)

@@ -133,7 +133,7 @@ let test_lrat_unroll () =
   (* A refuted BMC instance exercises tagged (interpolation-partitioned)
      input clauses in the export. *)
   let model, _, _ = counter_model () in
-  let u = Unroll.create model in
+  let u = Unroll.create ~proof:true model in
   Unroll.assert_init u ~tag:1;
   Unroll.add_transition u ~tag:1;
   Unroll.add_transition u ~tag:2;

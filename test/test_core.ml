@@ -509,6 +509,73 @@ let test_portfolio_randsim_effort () =
   Alcotest.(check bool) "minimisation effort reported" true (Verdict.sat_calls stats > 0);
   Alcotest.(check int) "counted once" (Verdict.sat_calls bmc) (Verdict.sat_calls stats)
 
+(* Who logs a proof: only the solvers whose caller reads one.  At level
+   Off the PDR, k-induction, BMC, certificate and analysis solvers log
+   nothing (read from the run's registry, or from the [proof_bytes] that
+   ends every [sat.solve] span when no registry is at hand), while the
+   interpolating engines log.  At Paranoid every solver logs again: a PDR
+   run on peterson replays the 11 refutations it replayed when all
+   unrollings logged. *)
+let test_who_logs () =
+  let module Level = Isr_check_core.Level in
+  let saved = Level.get () in
+  Fun.protect ~finally:(fun () -> Level.set saved) @@ fun () ->
+  Level.set Level.Off;
+  let model name = Registry.build_validated (entry name) in
+  let proof_bytes stats =
+    Isr_obs.Metrics.gauge_value (Isr_obs.Metrics.gauge (Verdict.registry stats) "proof.bytes")
+  in
+  let logged eng name = proof_bytes (snd (Engine.run eng ~limits (model name))) in
+  List.iter
+    (fun (eng, name) ->
+      Alcotest.(check (float 0.)) (Engine.name eng ^ " logs nothing") 0. (logged eng name))
+    [ (Engine.Pdr, "peterson"); (Engine.Kind, "traffic6"); (Engine.Bmc_only Bmc.Assume, "vending7bug") ];
+  List.iter
+    (fun eng ->
+      Alcotest.(check bool) (Engine.name eng ^ " logs") true (logged eng "traffic6" > 0.))
+    [ Engine.Itp; Engine.Itpseq Bmc.Assume; Engine.Itpseq_pba (0.0, Bmc.Exact) ];
+  (* Every [sat.solve] of [f ()] reports its solver's log size. *)
+  let solve_bytes f =
+    let seen = ref [] in
+    let sink =
+      {
+        Isr_obs.Event.on_span =
+          Some
+            (function
+            | Isr_obs.Event.End { args; _ } -> (
+              match List.assoc_opt "proof_bytes" args with
+              | Some b -> seen := int_of_string b :: !seen
+              | None -> ())
+            | Isr_obs.Event.Begin _ -> ());
+        on_record = None;
+      }
+    in
+    Isr_obs.Event.subscribe sink;
+    Fun.protect ~finally:(fun () -> Isr_obs.Event.unsubscribe sink) f;
+    !seen
+  in
+  let traffic6 = model "traffic6" in
+  let inv =
+    match Engine.run Engine.Itp ~limits traffic6 with
+    | Verdict.Proved { invariant = Some inv; _ }, _ -> inv
+    | v, _ -> Alcotest.failf "expected an invariant, got %a" Verdict.pp v
+  in
+  let certify = solve_bytes (fun () -> ignore (Certify.check traffic6 inv)) in
+  Alcotest.(check int) "certify solves" 3 (List.length certify);
+  Alcotest.(check (list int)) "certify logs nothing" [] (List.filter (( <> ) 0) certify);
+  let analysis =
+    solve_bytes (fun () ->
+        ignore (Isr_analyze.run ~mode:Isr_analyze.Full (model "industrialA2")))
+  in
+  Alcotest.(check bool) "analysis solves" true (analysis <> []);
+  Alcotest.(check (list int)) "analysis logs nothing" [] (List.filter (( <> ) 0) analysis);
+  Level.set Level.Paranoid;
+  Level.reset_metrics ();
+  ignore (Engine.run Engine.Pdr ~limits (model "peterson"));
+  Alcotest.(check int) "paranoid pdr replays" 11
+    (Isr_obs.Metrics.value
+       (Isr_obs.Metrics.counter (Level.metrics ()) "check.sat.proof_replay.pass"))
+
 let () =
   Alcotest.run "isr_core"
     [
@@ -541,6 +608,7 @@ let () =
           Alcotest.test_case "bogus rejected" `Quick test_certify_rejects_bogus;
           Alcotest.test_case "kind invariant at k = 0" `Quick test_kind_invariant;
         ] );
+      ("proofs", [ Alcotest.test_case "who logs" `Quick test_who_logs ]);
       ( "liveness",
         [
           Alcotest.test_case "l2s" `Slow test_l2s_liveness;

@@ -132,7 +132,7 @@ let family_fingerprint name k system =
     | Some e -> Isr_suite.Registry.build_validated e
     | None -> Alcotest.failf "no registry entry %s" name
   in
-  let u = Isr_core.Bmc.build_instance model ~check:Isr_core.Bmc.Exact ~k in
+  let u = Isr_core.Bmc.build_instance ~proof:true model ~check:Isr_core.Bmc.Exact ~k in
   let s = Isr_model.Unroll.solver u in
   if Solver.solve s <> Solver.Unsat then Alcotest.failf "%s k=%d: expected unsat" name k;
   let man = model.Isr_model.Model.man in

@@ -185,7 +185,8 @@ let test_aiger_binary_defects () =
 
 (* Seeded mutants of one suite file in each encoding: flipped bytes,
    dropped lines, edited numbers and cut tails.  The decoder, the model
-   builder and the linter return on every one of them. *)
+   builder and the linter return on every one of them, and they agree:
+   the linter finds an error exactly when no model is built. *)
 let test_aiger_mutants_never_raise () =
   let m = Isr_suite.Registry.build_validated (Option.get (Isr_suite.Registry.find "vending11")) in
   let rs = Random.State.make [| 24 |] in
@@ -221,10 +222,11 @@ let test_aiger_mutants_never_raise () =
         let t = mutate (mutate text) in
         match
           let n = Aiger.decode t in
-          ignore (Aiger.models n);
-          ignore (Isr_check.Lint_aig.lint_netlist n)
+          (Aiger.models n, Isr_check.Diag.has_errors (Isr_check.Lint_aig.lint_netlist n))
         with
-        | () -> ()
+        | Ok _, false | Error _, true -> ()
+        | Ok _, true -> Alcotest.failf "%S: lint finds an error, the model builds" t
+        | Error e, false -> Alcotest.failf "%S: lint is clean, the model does not build: %s" t e
         | exception e -> Alcotest.failf "%S raised %s" t (Printexc.to_string e)
       done)
     [ Aiger.to_string m; Aiger.to_binary_string m ]
@@ -276,6 +278,66 @@ let test_aiger_hostile () =
   match Aiger.parse_string "aag 42525637027882 1 0 1 0\n2\n2\n" with
   | Ok m -> Alcotest.(check int) "inputs" 1 m.Model.num_inputs
   | Error e -> Alcotest.failf "huge M: %s" e
+
+(* ASCII AND lines may come in any order: a gate listed before its fanin
+   builds the same model as the sorted file, while a real cycle is an
+   error that names it, as the linter does.  A binary AND whose first
+   delta is 0 reads itself, which the format forbids. *)
+let test_aiger_and_order () =
+  let sorted = "aag 4 1 1 1 2\n2\n4 8\n8\n6 4 2\n8 6 3\n" in
+  let swapped = "aag 4 1 1 1 2\n2\n4 8\n8\n8 6 3\n6 4 2\n" in
+  (match (Aiger.parse_string sorted, Aiger.parse_string swapped) with
+  | Ok a, Ok b ->
+    Alcotest.(check string) "swapped builds the sorted model" (Aiger.to_string a) (Aiger.to_string b)
+  | Error e, _ | _, Error e -> Alcotest.failf "parse: %s" e);
+  Alcotest.(check (list string)) "swapped lints clean" [] (lint_checks swapped);
+  (* On a suite file: each AND line swapped with the next, and the last
+     one moved to the front, build a model that behaves as the sorted
+     file's (gates that do not depend on each other may be numbered in
+     another order). *)
+  let m = gated_counter ~bits:4 ~target:9 () in
+  let text = Aiger.to_string m in
+  let reference = Result.get_ok (Aiger.parse_string text) in
+  let ls = Array.of_list (String.split_on_char '\n' text) in
+  let first_and = 1 + m.Model.num_inputs + m.Model.num_latches + 1 in
+  let last = first_and + Model.num_ands m - 1 in
+  let reordered f = String.concat "\n" (Array.to_list (f (Array.copy ls))) in
+  for j = first_and to last - 1 do
+    let swapped =
+      reordered (fun a ->
+          let x = a.(j) in
+          a.(j) <- a.(j + 1);
+          a.(j + 1) <- x;
+          a)
+    in
+    match Aiger.parse_string swapped with
+    | Ok m' ->
+      Alcotest.(check bool) (Printf.sprintf "lines %d, %d swapped" j (j + 1)) true
+        (models_equal_by_sim reference m')
+    | Error e -> Alcotest.failf "lines %d, %d swapped: %s" j (j + 1) e
+  done;
+  let moved =
+    reordered (fun a ->
+        Array.concat
+          [ Array.sub a 0 first_and; [| a.(last) |]; Array.sub a first_and (last - first_and);
+            Array.sub a (last + 1) (Array.length a - last - 1) ])
+  in
+  (match Aiger.parse_string moved with
+  | Ok m' -> Alcotest.(check bool) "last gate first" true (models_equal_by_sim reference m')
+  | Error e -> Alcotest.failf "last gate first: %s" e);
+  let cyclic = "aag 3 1 0 1 2\n2\n6\n4 6 2\n6 4 2\n" in
+  (match Aiger.parse_string cyclic with
+  | Ok _ -> Alcotest.fail "a cycle builds"
+  | Error e ->
+    Alcotest.(check string) "cycle named" "combinational cycle through and gate 2" e);
+  Alcotest.(check (list string)) "cycle lints" [ "aig.cycle" ] (lint_checks cyclic);
+  let self = "aig 1 0 0 1 1\n2\n\000\000" in
+  (match Aiger.parse_string self with
+  | Ok _ -> Alcotest.fail "zero delta builds"
+  | Error e ->
+    Alcotest.(check string) "zero delta named" "combinational cycle through and gate 1" e);
+  Alcotest.(check int) "one aig.cycle" 1
+    (List.length (Isr_check.Lint_aig.lint_netlist (Aiger.decode self)))
 
 let test_aiger_minimal () =
   (* Hand-written file: 1 input, 1 latch toggling, bad = latch & input. *)
@@ -472,7 +534,7 @@ let test_randsim_none_on_safe () =
 
 (* Exact-k BMC on a model: is bad reachable in exactly k steps? *)
 let bmc_exact model k =
-  let u = Unroll.create model in
+  let u = Unroll.create ~proof:false model in
   Unroll.assert_init u ~tag:1;
   for f = 1 to k do
     ignore f;
@@ -509,7 +571,7 @@ let test_unroll_gated () =
 let test_unroll_state_values () =
   let m = counter_model ~bits:3 ~target:2 () in
   match
-    let u = Unroll.create m in
+    let u = Unroll.create ~proof:false m in
     Unroll.assert_init u ~tag:1;
     Unroll.add_transition u ~tag:2;
     Unroll.add_transition u ~tag:3;
@@ -527,7 +589,7 @@ let test_unroll_state_values () =
    name the offending accessor), never read a stale or foreign frame. *)
 let test_unroll_bounds () =
   let m = gated_counter ~bits:3 ~target:3 () in
-  let u = Unroll.create m in
+  let u = Unroll.create ~proof:false m in
   Unroll.assert_init u ~tag:1;
   Unroll.add_transition u ~tag:2;
   Alcotest.(check int) "two frames allocated" 2 (Unroll.nframes u);
@@ -573,6 +635,7 @@ let () =
           Alcotest.test_case "init roundtrip" `Quick test_aiger_init_roundtrip;
           Alcotest.test_case "errors" `Quick test_aiger_errors;
           Alcotest.test_case "minimal file" `Quick test_aiger_minimal;
+          Alcotest.test_case "and order" `Quick test_aiger_and_order;
           Alcotest.test_case "hostile headers and literals" `Quick test_aiger_hostile;
           Alcotest.test_case "multi output" `Quick test_aiger_multi_output;
           Alcotest.test_case "witness roundtrip" `Quick test_witness_roundtrip;

@@ -460,7 +460,7 @@ let bmc_instance name check k =
     | Some e -> Isr_suite.Registry.build_validated e
     | None -> Alcotest.failf "no registry entry %s" name
   in
-  Isr_core.Bmc.build_instance model ~check ~k
+  Isr_core.Bmc.build_instance ~proof:true model ~check ~k
 
 let bmc_fingerprint name check k =
   let s = Isr_model.Unroll.solver (bmc_instance name check k) in
@@ -632,12 +632,14 @@ let prop_sat_model_valid =
         List.for_all (fun c -> List.exists (fun l -> Solver.lit_value s l) c) clauses
       | _ -> true)
 
-let gen_cnf_with_assumptions =
+let with_assumptions gen =
   let open QCheck2.Gen in
-  let* nvars, clauses = gen_cnf in
+  let* nvars, clauses = gen in
   let gen_lit = map2 (fun v neg -> Lit.of_var ~neg v) (int_range 0 (nvars - 1)) bool in
   let* assumptions = list_size (int_range 0 4) gen_lit in
   pure (nvars, clauses, assumptions)
+
+let gen_cnf_with_assumptions = with_assumptions gen_cnf
 
 let print_cnf_assum (nvars, clauses, assumptions) =
   Printf.sprintf "%s assuming %s"
@@ -671,33 +673,51 @@ let prop_unsat_cores_suffice =
         && not (brute_force nvars (clauses @ List.map (fun l -> [ l ]) core))
       | _ -> true)
 
+(* Reduce after every conflict, keep nothing by glue: the most
+   aggressive legal policy. *)
+let every_conflict = { Solver.enabled = true; base = 1; growth = 1.0; keep_lbd = 0 }
+
 (* The proof log is write-only during search: turning it off changes no
-   answer, no core and no search statistic — over one solve under
-   assumptions, then one without, as an inclusion session issues them. *)
-let prop_proof_free_same_search =
-  QCheck2.Test.make ~count:500 ~name:"proof-free solver searches alike"
-    ~print:print_cnf_assum gen_cnf_with_assumptions (fun (nvars, clauses, assumptions) ->
-      let run proof =
-        let s = Solver.create ~proof () in
-        for _ = 1 to nvars do
-          ignore (Solver.new_var s)
-        done;
+   answer, no core, no learnt clause or glue and no search statistic —
+   over one solve under assumptions, then one without, as an inclusion
+   session issues them, at level Off and at Paranoid. *)
+let prop_proof_free_same_search ?(count = 500) ?reduce gen =
+  QCheck2.Test.make ~count ~name:"proof-free solver searches alike"
+    ~print:print_cnf_assum (with_assumptions gen) (fun (nvars, clauses, assumptions) ->
+      let run ~proof level =
+        let saved = Isr_check_core.Level.get () in
+        Isr_check_core.Level.set level;
+        Fun.protect ~finally:(fun () -> Isr_check_core.Level.set saved) @@ fun () ->
+        let s = Tutil.fresh_solver ~proof nvars in
+        Option.iter (Solver.set_reduce s) reduce;
+        let learnt = Buffer.create 256 in
+        Solver.on_learnt s
+          (Some
+             (fun ~lits ~lbd ->
+               Buffer.add_string learnt (string_of_int lbd);
+               Array.iter (fun l -> Buffer.add_string learnt (" " ^ string_of_int l)) lits;
+               Buffer.add_char learnt '\n'));
         List.iter (fun c -> Solver.add_clause s c) clauses;
         let r1 = Solver.solve ~assumptions s in
         let core = if r1 = Solver.Unsat then Solver.unsat_core s else [] in
         let r2 = Solver.solve s in
-        (r1, core, r2, Solver.num_conflicts s, Solver.num_decisions s)
+        ( (r1, core, r2),
+          (Solver.num_conflicts s, Solver.num_decisions s, Solver.num_propagations s),
+          Solver.num_learnt s,
+          Digest.string (Buffer.contents learnt) )
       in
-      run true = run false)
+      let logged = run ~proof:true Isr_check_core.Level.Paranoid in
+      logged = run ~proof:false Isr_check_core.Level.Off
+      && logged = run ~proof:false Isr_check_core.Level.Paranoid)
 
-(* The most aggressive legal policy: reduce after every conflict, keep
-   nothing by glue.  Verdicts and proofs must be unaffected — reduction
-   only drops clauses that are neither reasons nor needed inputs. *)
+(* Under [every_conflict], verdicts and proofs must be unaffected —
+   reduction only drops clauses that are neither reasons nor needed
+   inputs. *)
 let prop_reduce_preserves_verdicts ?(count = 300) gen =
   QCheck2.Test.make ~count ~name:"aggressive reduction preserves verdicts"
     ~print:print_cnf gen (fun (nvars, clauses) ->
       let s = Solver.create () in
-      Solver.set_reduce s { Solver.enabled = true; base = 1; growth = 1.0; keep_lbd = 0 };
+      Solver.set_reduce s every_conflict;
       for _ = 1 to nvars do
         ignore (Solver.new_var s)
       done;
@@ -858,7 +878,7 @@ let () =
       [ prop_matches_bruteforce gen_cnf; prop_unsat_proof_checks gen_cnf; prop_sat_model_valid;
         prop_assumptions_equal_units; prop_unsat_cores_suffice;
         prop_reduce_preserves_verdicts gen_cnf; prop_incremental_equals_batch gen_cnf;
-        prop_proof_free_same_search;
+        prop_proof_free_same_search gen_cnf;
         prop_incremental_assumptions ]
   in
   (* Alcotest sizes its name column by the longest group name, so group
@@ -866,7 +886,8 @@ let () =
   let chains = List.map QCheck_alcotest.to_alcotest
       [ prop_matches_bruteforce Tutil.gen_cnf_chains; prop_unsat_proof_checks Tutil.gen_cnf_chains;
         prop_reduce_preserves_verdicts Tutil.gen_cnf_chains;
-        prop_incremental_equals_batch ~count:100 Tutil.gen_cnf_chains ]
+        prop_incremental_equals_batch ~count:100 Tutil.gen_cnf_chains;
+        prop_proof_free_same_search ~count:300 ~reduce:every_conflict Tutil.gen_cnf_chains ]
   in
   Alcotest.run "isr_sat"
     [

@@ -18,8 +18,8 @@ let brute_sat nvars cs =
   let rec go m = m < n && (clauses_sat m cs || go (m + 1)) in
   go 0
 
-let fresh_solver nvars =
-  let s = Solver.create () in
+let fresh_solver ?proof nvars =
+  let s = Solver.create ?proof () in
   for _ = 1 to nvars do
     ignore (Solver.new_var s)
   done;
