@@ -236,6 +236,57 @@ let step_counts () =
       (itpseqpba, "amba3g4", 12); (itpseqpba, "vending7bug", 44);
     ]
 
+(* Every engine, the portfolio's randsim lane included, on one safe and
+   one unsafe instance: the steps its run takes and the MD5 of the
+   checkpoint payload it writes half-way.  A step is the unit [Sched]
+   interleaves and a payload is what a resume reads, so neither may move
+   when the run around the search is reorganised.  BMC never proves:
+   on the safe instance it walks to the bound cap, and the cap's answer
+   is a step of its own. *)
+let engine_pins () =
+  let bmc_assume = Bmc.stepper ~check:Bmc.Assume ()
+  and bmc_inc = Bmc.stepper ~check:Bmc.Assume ~incremental:true ()
+  and bmc_exact = Bmc.stepper ~check:Bmc.Exact ()
+  and itp = Itp_verif.stepper ()
+  and kind = Kind.stepper ()
+  and pdr = Pdr.stepper ()
+  and randsim = Portfolio.stepper_of `Randsim in
+  List.iter
+    (fun (label, packed, name, steps, md5) ->
+      let ref_inst = Step.start ~limits packed (build name) in
+      ignore (Step.drive ref_inst);
+      let ctx = label ^ " on " ^ name in
+      Alcotest.(check int) (ctx ^ " steps") steps (Step.steps_done ref_inst);
+      let inst = Step.start ~limits packed (build name) in
+      step_n inst (Step.steps_done ref_inst / 2);
+      let payload = (Step.snapshot inst).Checkpoint.payload in
+      Alcotest.(check string) (ctx ^ " midpoint payload md5") md5
+        (Digest.to_hex (Digest.string payload)))
+    [
+      ("bmc-assume", bmc_assume, "amba3g4", 62, "af5a7d7793a1503fa66f4294023c2d3b");
+      ("bmc-assume", bmc_assume, "vending7bug", 9, "eddd78d1b1c0cc8b0520817976a750ef");
+      ("bmc-assume incremental", bmc_inc, "amba3g4", 62, "af5a7d7793a1503fa66f4294023c2d3b");
+      ("bmc-assume incremental", bmc_inc, "vending7bug", 9, "eddd78d1b1c0cc8b0520817976a750ef");
+      ("bmc-exact", bmc_exact, "amba3g4", 62, "af5a7d7793a1503fa66f4294023c2d3b");
+      ("bmc-exact", bmc_exact, "vending7bug", 9, "eddd78d1b1c0cc8b0520817976a750ef");
+      ("itp", itp, "amba3g4", 8, "cbb01419fa57e6d9423e20b814186a29");
+      ("itp", itp, "vending7bug", 26, "eddd78d1b1c0cc8b0520817976a750ef");
+      ("kind", kind, "amba3g4", 3, "4c53792d0c0347606ac3d0b0cede1d84");
+      ("kind", kind, "vending7bug", 9, "eddd78d1b1c0cc8b0520817976a750ef");
+      ("pdr", pdr, "amba3g4", 5, "f621d4f1669cb7c2606063652d7fe71d");
+      ("pdr", pdr, "vending7bug", 16, "0fd99667366fd7d8b888617b382ded67");
+      ("randsim", randsim, "amba3g4", 1, "d41d8cd98f00b204e9800998ecf8427e");
+      ("randsim", randsim, "vending7bug", 1, "d41d8cd98f00b204e9800998ecf8427e");
+      ("itpseq", itpseq, "amba3g4", 9, "a6cea41b3068385ce1d6e1401273d40e");
+      ("itpseq", itpseq, "vending7bug", 37, "81c6ec6cbbb8ce8f1670a8aa75b95f8f");
+      ("sitpseq", sitpseq, "amba3g4", 9, "a6cea41b3068385ce1d6e1401273d40e");
+      ("sitpseq", sitpseq, "vending7bug", 37, "81c6ec6cbbb8ce8f1670a8aa75b95f8f");
+      ("itpseqcba", itpseqcba, "amba3g4", 11, "00a2483e7762539876af7886dadd5944");
+      ("itpseqcba", itpseqcba, "vending7bug", 37, "2aa259ecef267480cf708cab1f70bda5");
+      ("itpseqpba", itpseqpba, "amba3g4", 12, "05d64e0806383204b24b8069c9d649e1");
+      ("itpseqpba", itpseqpba, "vending7bug", 44, "f8e3c86bad9c389547cc19d8cab819d9");
+    ]
+
 (* --- scheduler ------------------------------------------------------------ *)
 
 let lane_members =
@@ -347,6 +398,7 @@ let () =
           Alcotest.test_case "file round-trip preserves meta" `Quick ckpt_file_roundtrip;
           Alcotest.test_case "itpseq payloads keep their record layouts" `Quick payload_compat;
           Alcotest.test_case "itpseq step counts per strategy" `Quick step_counts;
+          Alcotest.test_case "every engine's steps and midpoint payload" `Quick engine_pins;
         ] );
       ( "sched",
         [
