@@ -2,14 +2,31 @@ open Cmdliner
 
 type budget = { time : float; bound : int; conflicts : int }
 
+(* A budget below 0 is refused as the command line is read, naming the
+   flag: a negative bound would stop every engine before its depth-0
+   check. *)
+let at_least_zero conv zero =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when compare v zero >= 0 -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a value >= 0" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
 let bound default =
-  Arg.(value & opt int default & info [ "bound" ] ~doc:"Per-run bound limit.")
+  Arg.(value & opt (at_least_zero int 0) default & info [ "bound" ] ~doc:"Per-run bound limit.")
 
 let conflicts default =
-  Arg.(value & opt int default & info [ "conflicts" ] ~doc:"Per-run conflict budget.")
+  Arg.(
+    value
+    & opt (at_least_zero int 0) default
+    & info [ "conflicts" ] ~doc:"Per-run conflict budget.")
 
 let budget ~time ~bound:b ~conflicts:c =
-  let time = Arg.(value & opt float time & info [ "time" ] ~doc:"Per-run time limit [s].") in
+  let time =
+    Arg.(value & opt (at_least_zero float 0.0) time & info [ "time" ] ~doc:"Per-run time limit [s].")
+  in
   Term.(const (fun time bound conflicts -> { time; bound; conflicts }) $ time $ bound b $ conflicts c)
 
 let limits ?(reduce = Isr_sat.Solver.default_reduce) b =

@@ -24,7 +24,9 @@ val conflicts : int -> int Cmdliner.Term.t
 (** [--conflicts] with the given default. *)
 
 val budget : time:float -> bound:int -> conflicts:int -> budget Cmdliner.Term.t
-(** [--time], [--bound] and [--conflicts] with the given defaults. *)
+(** [--time], [--bound] and [--conflicts] with the given defaults.  Each
+    of the three refuses a value below 0 as the command line is read,
+    with an error that names the flag. *)
 
 val limits : ?reduce:Isr_sat.Solver.reduce_policy -> budget -> Isr_core.Budget.limits
 (** The engine limits of a budget; [reduce] defaults to

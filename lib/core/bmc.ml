@@ -46,10 +46,7 @@ let check_depth budget stats ?frozen ~proof model ~check ~k =
 (* --- step-wise state machine: one depth per step ------------------------ *)
 
 type st = {
-  model : Model.t;
-  limits : Budget.limits;
-  budget : Budget.t;
-  stats : Verdict.stats;
+  run : Step.run;
   check : check;
   incremental : bool;
   mutable k : int;
@@ -65,21 +62,8 @@ type st = {
 
 type snap = { s_k : int }
 
-let finish st v =
-  Verdict.set_time st.stats (Budget.elapsed st.budget);
-  (v, st.stats)
-
-let mk ~limits ~check ~incremental ~k model =
-  {
-    model;
-    limits;
-    budget = Budget.start limits;
-    stats = Verdict.mk_stats ();
-    check;
-    incremental = incremental && check <> Bound;
-    k;
-    inc = None;
-  }
+let mk ~check ~incremental ~k run =
+  { run; check; incremental = incremental && check <> Bound; k; inc = None }
 
 (* The incremental unrolling with every depth < k already refuted: the
    exact shape deepening leaves behind, so a restored run continues the
@@ -88,76 +72,76 @@ let inc_unroll st =
   match st.inc with
   | Some u -> u
   | None ->
-    let u = Unroll.create ~proof:false st.model in
+    let model = st.run.model in
+    let u = Unroll.create ~proof:false model in
     Unroll.assert_init u ~tag:1;
     for f = 0 to st.k - 1 do
       if st.check = Assume then
-        Unroll.assert_circuit u ~frame:f ~tag:(f + 1) (Model.prop st.model);
+        Unroll.assert_circuit u ~frame:f ~tag:(f + 1) (Model.prop model);
       Unroll.add_transition u ~tag:(f + 1)
     done;
     st.inc <- Some u;
     u
 
 let falsified st u ~k =
-  let tr = Unroll.trace u in
-  let depth = match Sim.first_bad st.model tr with Some d -> d | None -> k in
-  Step.Done (finish st (Verdict.Falsified { depth; trace = tr }))
+  let trace = Unroll.trace u in
+  Some (Verdict.Falsified { depth = Step.cex_depth st.run.model ~k trace; trace })
 
 let step_incremental st k =
+  let { Step.model; budget; stats; _ } = st.run in
   let u = inc_unroll st in
   let solver = Unroll.solver u in
-  Verdict.note_bound st.stats k;
-  Verdict.beat st.stats ~step:k ~detail:(check_name st.check) "bmc.bound";
+  Verdict.note_bound stats k;
+  Verdict.beat stats ~step:k ~detail:(check_name st.check) "bmc.bound";
   let act, result =
     Isr_obs.Trace.span "bmc.bound"
       ~args:[ ("k", string_of_int k); ("check", check_name st.check); ("incremental", "1") ]
       (fun () ->
         let act = Isr_sat.Lit.pos (Solver.new_var solver) in
-        let bad_k = Unroll.encode u ~frame:k ~tag:(k + 1) st.model.Model.bad in
+        let bad_k = Unroll.encode u ~frame:k ~tag:(k + 1) model.Model.bad in
         Solver.add_clause solver ~tag:(k + 1) [ Isr_sat.Lit.neg act; bad_k ];
-        (act, Budget.solve ~assumptions:[ act ] st.budget st.stats solver))
+        (act, Budget.solve ~assumptions:[ act ] budget stats solver))
   in
   match result with
   | Solver.Sat -> falsified st u ~k
   | Solver.Undef -> assert false
   | Solver.Unsat ->
     Solver.add_clause solver [ Isr_sat.Lit.neg act ];
-    if st.check = Assume then
-      Unroll.assert_circuit u ~frame:k ~tag:(k + 1) (Model.prop st.model);
+    if st.check = Assume then Unroll.assert_circuit u ~frame:k ~tag:(k + 1) (Model.prop model);
     Unroll.add_transition u ~tag:(k + 1);
     st.k <- k + 1;
-    Step.Running
+    None
 
 let step st =
-  let status =
-    Step.budget_guard ~finish:(finish st) @@ fun () ->
-    let k = st.k in
-    if k > st.limits.Budget.bound_limit then
-      Step.Done
-        (finish st (Verdict.Unknown (Verdict.Bound_limit st.limits.Budget.bound_limit)))
-    else if st.incremental then step_incremental st k
-    else
-      match check_depth st.budget st.stats ~proof:false st.model ~check:st.check ~k with
-      | `Sat u -> falsified st u ~k
-      | `Unsat _ ->
-        st.k <- k + 1;
-        Step.Running
-  in
-  (st, status)
+  let k = st.k in
+  if st.incremental then step_incremental st k
+  else
+    let { Step.model; budget; stats; _ } = st.run in
+    match check_depth budget stats ~proof:false model ~check:st.check ~k with
+    | `Sat u -> falsified st u ~k
+    | `Unsat _ ->
+      st.k <- k + 1;
+      None
+
+(* The depth-0 check the unbounded engines open with: init ∧ bad. *)
+let check0 { Step.model; budget; stats; _ } =
+  match check_depth budget stats ~proof:false model ~check:Exact ~k:0 with
+  | `Sat u -> Some (Verdict.Falsified { depth = 0; trace = Unroll.trace u })
+  | `Unsat _ -> None
 
 let stepper ?(check = Assume) ?(incremental = false) () =
   Step.Packed
     {
       Step.name = Printf.sprintf "bmc-%s" (check_name check);
-      init = (fun ~limits model -> mk ~limits ~check ~incremental ~k:0 model);
+      init = mk ~check ~incremental ~k:0;
       step;
-      stats = (fun st -> st.stats);
+      at_end = ignore;
       bound = (fun st -> st.k);
       snapshot = (fun st -> Marshal.to_string { s_k = st.k } []);
       restore =
-        (fun ~limits model payload ->
+        (fun run payload ->
           let s : snap = Marshal.from_string payload 0 in
-          mk ~limits ~check ~incremental ~k:s.s_k model);
+          mk ~check ~incremental ~k:s.s_k run);
     }
 
 let run ?(check = Assume) ?(incremental = false) ?(limits = Budget.default_limits) model

@@ -42,6 +42,11 @@ val check_depth :
 (** Builds and solves one depth; the unrolling gives access to the trace
     (on [`Sat]) or, with [proof], the proof (on [`Unsat]). *)
 
+val check0 : Step.run -> Verdict.t option
+(** The depth-0 check the unbounded engines (ITP, ITPSEQ, PDR) open
+    with: [Some (Falsified _)] at depth 0 when an initial state is bad,
+    else [None].  Its solver logs no proof. *)
+
 val stepper : ?check:check -> ?incremental:bool -> unit -> Step.packed
 (** The step-wise form: one step is one depth.  Snapshots carry the next
     depth to attempt; an incremental restore rebuilds its solver with

@@ -115,6 +115,3 @@ let run engine ?limits model =
   match stepper engine with
   | Some p -> Step.drive (Step.start ?limits p model)
   | None -> Portfolio.verify ?limits model
-
-let verify_both ?limits model =
-  List.map (fun e -> (e, fst (run e ?limits model))) all

@@ -45,6 +45,3 @@ val run : t -> ?limits:Budget.limits -> Model.t -> Verdict.t * Verdict.stats
     the {!span} (the portfolio drives its lanes through
     {!Sched} instead).  Verdicts are unchanged from the historical
     direct-recursion engines. *)
-
-val verify_both : ?limits:Budget.limits -> Model.t -> (t * Verdict.t) list
-(** Runs every paper engine; used by cross-checking tests. *)

@@ -38,137 +38,108 @@ type phase =
   | Inner of { j : int; r : Aig.lit; cur : Aig.lit }  (* r = R_{j-1}, cur = I_j *)
 
 type st = {
-  model : Model.t;
-  limits : Budget.limits;
-  budget : Budget.t;
-  stats : Verdict.stats;
+  run : Step.run;
   incl : Incl.t;
-  system : Itp.system option;
   mutable k : int;
   mutable phase : phase;
 }
 
 type snap = { s_k : int }  (* 0 = before the depth-0 check *)
 
-let finish st v =
-  Verdict.set_time st.stats (Budget.elapsed st.budget);
-  (v, st.stats)
-
-let mk ~limits ~system ~k model =
-  let budget = Budget.start limits and stats = Verdict.mk_stats () in
+let mk ~k run =
   {
-    model;
-    limits;
-    budget;
-    stats;
-    incl = Incl.create budget stats model;
-    system;
+    run;
+    incl = Incl.create run.Step.budget run.stats run.model;
     k;
     phase = (if k = 0 then Check0 else Outer);
   }
 
-let falsified st u ~k =
-  let tr = Unroll.trace u in
-  let depth = match Sim.first_bad st.model tr with Some d -> d | None -> k in
-  Step.Done (finish st (Verdict.Falsified { depth; trace = tr }))
-
 let itp_of st u ~k =
-  let man = st.model.Model.man in
+  let model = st.run.model in
+  let man = model.Model.man in
   let proof = Solver.proof (Unroll.solver u) in
-  let i =
-    Itp.interpolant ?system:st.system proof ~cut:1 ~man
-      ~var_map:(Unroll.boundary_map u ~frame:1)
-  in
-  Verdict.add_itp_nodes st.stats (Aig.cone_size man i);
+  let i = Itp.interpolant proof ~cut:1 ~man ~var_map:(Unroll.boundary_map u ~frame:1) in
+  Verdict.add_itp_nodes st.run.stats (Aig.cone_size man i);
   if Isr_check.Level.paranoid () then
-    Isr_check.Lint_itp.enforce ~what:(Printf.sprintf "itp at k=%d" k) st.model i;
+    Isr_check.Lint_itp.enforce ~what:(Printf.sprintf "itp at k=%d" k) model i;
   i
 
 let step st =
-  let status =
-    Step.budget_guard ~finish:(finish st) @@ fun () ->
-    match st.phase with
-    | Check0 -> (
-      (* Depth 0: does a bad state intersect the initial states? *)
-      match Bmc.check_depth st.budget st.stats ~proof:false st.model ~check:Bmc.Exact ~k:0 with
-      | `Sat u -> Step.Done (finish st (Verdict.Falsified { depth = 0; trace = Unroll.trace u }))
-      | `Unsat _ ->
-        st.k <- 1;
-        st.phase <- Outer;
-        Step.Running)
-    | Outer ->
-      let k = st.k in
-      if k > st.limits.Budget.bound_limit then
-        Step.Done
-          (finish st (Verdict.Unknown (Verdict.Bound_limit st.limits.Budget.bound_limit)))
-      else begin
-        Verdict.note_bound st.stats k;
-        Verdict.beat st.stats ~step:k "itp.outer";
-        (* The bound's image chain starts over from new interpolants,
-           which share little with the last bound's encoding. *)
-        Incl.reset st.incl;
-        (* Exact first iteration: A rooted at the real initial states,
-           so a satisfiable answer is a genuine counterexample. *)
-        let first =
-          Isr_obs.Trace.span "itp.outer" ~args:[ ("k", string_of_int k) ] (fun () ->
-              let u = build_bound_instance st.model ~start:`Init ~k in
-              (u, Budget.solve st.budget st.stats (Unroll.solver u)))
-        in
-        match first with
-        | u, Solver.Sat -> falsified st u ~k
-        | _, Solver.Undef -> assert false
-        | u, Solver.Unsat ->
-          st.phase <- Inner { j = 1; r = Model.init_lit st.model; cur = itp_of st u ~k };
-          Step.Running
-      end
-    | Inner { j; r; cur } -> (
-      let k = st.k in
-      let man = st.model.Model.man in
-      (* cur = I_j; r = R_{j-1}. *)
-      let res =
-        Isr_obs.Trace.span "itp.inner"
-          ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
-          (fun () ->
-            if Incl.implies st.incl cur r then `Fixpoint
-            else begin
-              let u = build_bound_instance st.model ~start:(`Circuit cur) ~k in
-              match Budget.solve st.budget st.stats (Unroll.solver u) with
-              | Solver.Sat -> `Deepen
-              | Solver.Unsat -> `Next (itp_of st u ~k)
-              | Solver.Undef -> assert false
-            end)
-      in
-      match res with
-      | `Fixpoint ->
-        Log.debug (fun m -> m "fixpoint at k=%d j=%d" k j);
-        Step.Done (finish st (Verdict.Proved { kfp = k; jfp = j; invariant = Some r }))
-      | `Deepen ->
-        (* possibly spurious: deepen *)
-        st.k <- k + 1;
-        st.phase <- Outer;
-        Step.Running
-      | `Next cur' ->
-        st.phase <- Inner { j = j + 1; r = Aig.or_ man r cur; cur = cur' };
-        Step.Running)
-  in
-  (st, status)
+  let { Step.model; budget; stats; _ } = st.run in
+  match st.phase with
+  | Check0 ->
+    (* Depth 0: does a bad state intersect the initial states? *)
+    let v = Bmc.check0 st.run in
+    if Option.is_none v then begin
+      st.k <- 1;
+      st.phase <- Outer
+    end;
+    v
+  | Outer -> (
+    let k = st.k in
+    Verdict.note_bound stats k;
+    Verdict.beat stats ~step:k "itp.outer";
+    (* The bound's image chain starts over from new interpolants,
+       which share little with the last bound's encoding. *)
+    Incl.reset st.incl;
+    (* Exact first iteration: A rooted at the real initial states,
+       so a satisfiable answer is a genuine counterexample. *)
+    let first =
+      Isr_obs.Trace.span "itp.outer" ~args:[ ("k", string_of_int k) ] (fun () ->
+          let u = build_bound_instance model ~start:`Init ~k in
+          (u, Budget.solve budget stats (Unroll.solver u)))
+    in
+    match first with
+    | u, Solver.Sat ->
+      let trace = Unroll.trace u in
+      Some (Verdict.Falsified { depth = Step.cex_depth model ~k trace; trace })
+    | _, Solver.Undef -> assert false
+    | u, Solver.Unsat ->
+      st.phase <- Inner { j = 1; r = Model.init_lit model; cur = itp_of st u ~k };
+      None)
+  | Inner { j; r; cur } -> (
+    let k = st.k in
+    let man = model.Model.man in
+    (* cur = I_j; r = R_{j-1}. *)
+    let res =
+      Isr_obs.Trace.span "itp.inner"
+        ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
+        (fun () ->
+          if Incl.implies st.incl cur r then `Fixpoint
+          else begin
+            let u = build_bound_instance model ~start:(`Circuit cur) ~k in
+            match Budget.solve budget stats (Unroll.solver u) with
+            | Solver.Sat -> `Deepen
+            | Solver.Unsat -> `Next (itp_of st u ~k)
+            | Solver.Undef -> assert false
+          end)
+    in
+    match res with
+    | `Fixpoint ->
+      Log.debug (fun m -> m "fixpoint at k=%d j=%d" k j);
+      Some (Verdict.Proved { kfp = k; jfp = j; invariant = Some r })
+    | `Deepen ->
+      (* possibly spurious: deepen *)
+      st.k <- k + 1;
+      st.phase <- Outer;
+      None
+    | `Next cur' ->
+      st.phase <- Inner { j = j + 1; r = Aig.or_ man r cur; cur = cur' };
+      None)
 
-let stepper ?system () =
+let stepper () =
   Step.Packed
     {
       Step.name = "itp";
-      init = (fun ~limits model -> mk ~limits ~system ~k:0 model);
+      init = mk ~k:0;
       step;
-      stats = (fun st -> st.stats);
+      at_end = ignore;
       bound = (fun st -> st.k);
       snapshot =
         (fun st ->
           Marshal.to_string { s_k = (match st.phase with Check0 -> 0 | _ -> st.k) } []);
       restore =
-        (fun ~limits model payload ->
+        (fun run payload ->
           let s : snap = Marshal.from_string payload 0 in
-          mk ~limits ~system ~k:s.s_k model);
+          mk ~k:s.s_k run);
     }
-
-let verify ?system ?limits model =
-  Step.drive (Step.start ?limits (stepper ?system ()) model)

@@ -9,16 +9,9 @@
     (I{_j} ⇒ R{_j-1}, PASS) or a satisfiable instance (restart with a
     larger bound). *)
 
-open Isr_model
-
-val stepper : ?system:Isr_itp.Itp.system -> unit -> Step.packed
+val stepper : unit -> Step.packed
 (** The step-wise form: one step is the depth-0 check, the exact first
-    iteration of a bound, or one inner-traversal iteration.  Snapshots
-    carry just the bound: the inner interpolant chain is re-driven from
-    the bound's start on resume, which is deterministic. *)
-
-val verify :
-  ?system:Isr_itp.Itp.system ->
-  ?limits:Budget.limits ->
-  Model.t ->
-  Verdict.t * Verdict.stats
+    iteration of a bound, or one inner-traversal iteration, with
+    interpolants in McMillan's system.  Snapshots carry just the bound:
+    the inner interpolant chain is re-driven from the bound's start on
+    resume, which is deterministic.  Run it with {!Engine.run}. *)

@@ -27,16 +27,13 @@ type phase =
   | Sweep of { j : int; r : Aig.lit }        (* test ℐ_j ⇒ R_{j-1} = r *)
 
 type st = {
-  model : Model.t;
+  run : Step.run;
   (* The columns, the sweep's R_j and every inclusion check live in a
      state space of their own (a manager without transition logic).
      Compaction then adds no node to the model's manager, where a later
      interpolant could hash-cons onto it: that would renumber the cone
      the serial families encode, and change their search. *)
   space : Model.t;
-  limits : Budget.limits;
-  budget : Budget.t;
-  stats : Verdict.stats;
   incl : Incl.t;
   mode : Seq_family.mode;
   check : Bmc.check;
@@ -72,19 +69,17 @@ let num_frozen st =
   Array.iteri (fun i _ -> if frozen st i then incr n) st.mask;
   !n
 
-let finish st v =
-  Verdict.set_time st.stats (Budget.elapsed st.budget);
-  (match st.abstraction with
+(* The abstraction a run ends with: its frozen-latch count. *)
+let at_end st =
+  match st.abstraction with
   | None -> ()
-  | Cba _ | Pba _ -> Verdict.set_abstract_latches st.stats (num_frozen st));
-  (v, st.stats)
+  | Cba _ | Pba _ -> Verdict.set_abstract_latches st.run.stats (num_frozen st)
 
 (* A counterexample on the concrete model, reported at its first bad
    frame. *)
 let falsify st u =
   let trace = Unroll.trace u in
-  let depth = Option.value ~default:st.k (Sim.first_bad st.model trace) in
-  Step.Done (finish st (Verdict.Falsified { depth; trace }))
+  Some (Verdict.Falsified { depth = Step.cex_depth st.run.model ~k:st.k trace; trace })
 
 let bound_entry = function Pba _ -> Concrete | _ -> Family None
 
@@ -109,12 +104,12 @@ let mark_core_latches st u =
 let refine st u =
   let k = st.k in
   let n =
-    Cba.refine st.model st.mask (Unroll.trace u) ~abstract_state:(fun ~frame ->
+    Cba.refine st.run.model st.mask (Unroll.trace u) ~abstract_state:(fun ~frame ->
         Unroll.state_values u ~frame)
   in
   let still_frozen = num_frozen st in
-  Verdict.incr_refinements st.stats;
-  Verdict.beat st.stats ~step:k ~detail:(Printf.sprintf "refined %d" n) "cba.refine";
+  Verdict.incr_refinements st.run.stats;
+  Verdict.beat st.run.stats ~step:k ~detail:(Printf.sprintf "refined %d" n) "cba.refine";
   Log.debug (fun m -> m "k=%d: refined %d latches (%d still frozen)" k n still_frozen)
 
 (* Paranoid: decide that a compacted column is equivalent to its
@@ -122,9 +117,7 @@ let refine st u =
    conflict budget and counts do not depend on the check level. *)
 let check_equiv st ~j c c' =
   if Isr_check.Level.paranoid () then begin
-    let incl =
-      Incl.create (Budget.start (Budget.limits st.budget)) (Verdict.mk_stats ()) st.space
-    in
+    let incl = Incl.create (Budget.start st.run.limits) (Verdict.mk_stats ()) st.space in
     let fwd = Incl.implies incl c c' and bwd = Incl.implies incl c' c in
     Isr_check.Level.check "itpseq.compact_equiv" (fwd && bwd) ~detail:(fun () ->
         Printf.sprintf "k=%d column %d: original => compacted %b, compacted => original %b"
@@ -155,7 +148,7 @@ let compact_columns st =
 (* Update columns: conjoin interior terms, append column k. *)
 let conjoin_family st family =
   let man = st.space.Model.man and entry = st.entry_columns in
-  let copy = Aig.copier ~src:st.model.Model.man ~dst:man ~map:(Aig.input man) in
+  let copy = Aig.copier ~src:st.run.model.Model.man ~dst:man ~map:(Aig.input man) in
   st.columns <-
     Array.init st.k (fun idx ->
         let itp = copy family.(idx) in
@@ -163,85 +156,81 @@ let conjoin_family st family =
   compact_columns st;
   st.phase <- Sweep { j = 1; r = Model.init_lit st.space }
 
-let step st =
-  let status =
-    Step.budget_guard ~finish:(finish st) @@ fun () ->
-    match st.phase with
-    | Check0 -> (
-      match Bmc.check_depth st.budget st.stats ~proof:false st.model ~check:Bmc.Exact ~k:0 with
-      | `Sat u -> falsify st u
-      | `Unsat _ ->
-        st.k <- 1;
-        st.phase <- bound_entry st.abstraction;
-        Step.Running)
-    | Concrete | Family _ when st.k > st.limits.Budget.bound_limit ->
-      Step.Done (finish st (Verdict.Unknown (Verdict.Bound_limit st.limits.Budget.bound_limit)))
-    | Concrete -> (
-      (* Concrete check first: SAT is a real counterexample; UNSAT
-         yields the core that drives the abstraction. *)
-      let k = st.k in
-      match Bmc.check_depth st.budget st.stats ~proof:true st.model ~check:st.check ~k with
-      | `Sat u -> falsify st u
-      | `Unsat u ->
-        mark_core_latches st u;
-        Verdict.incr_refinements st.stats;
-        let nrelevant = Array.length st.mask - num_frozen st in
-        Log.debug (fun m -> m "k=%d: %d relevant latches" k nrelevant);
-        st.phase <- Family (Some u);
-        Step.Running)
-    | Family concrete -> (
-      let k = st.k in
-      let detail =
-        match st.abstraction with
-        | None -> ""
-        | Cba _ -> Printf.sprintf "%d frozen" (num_frozen st)
-        | Pba _ -> Printf.sprintf "%d relevant" (Array.length st.mask - num_frozen st)
-      in
-      Verdict.beat st.stats ~step:k ~detail "itpseq.outer";
+let step st : Verdict.t option =
+  let { Step.model; budget; stats; _ } = st.run in
+  match st.phase with
+  | Check0 ->
+    let v = Bmc.check0 st.run in
+    if Option.is_none v then begin
+      st.k <- 1;
+      st.phase <- bound_entry st.abstraction
+    end;
+    v
+  | Concrete -> (
+    (* Concrete check first: SAT is a real counterexample; UNSAT
+       yields the core that drives the abstraction. *)
+    let k = st.k in
+    match Bmc.check_depth budget stats ~proof:true model ~check:st.check ~k with
+    | `Sat u -> falsify st u
+    | `Unsat u ->
+      mark_core_latches st u;
+      Verdict.incr_refinements stats;
+      let nrelevant = Array.length st.mask - num_frozen st in
+      Log.debug (fun m -> m "k=%d: %d relevant latches" k nrelevant);
+      st.phase <- Family (Some u);
+      None)
+  | Family concrete -> (
+    let k = st.k in
+    let detail =
+      match st.abstraction with
+      | None -> ""
+      | Cba _ -> Printf.sprintf "%d frozen" (num_frozen st)
+      | Pba _ -> Printf.sprintf "%d relevant" (Array.length st.mask - num_frozen st)
+    in
+    Verdict.beat stats ~step:k ~detail "itpseq.outer";
+    match
       Isr_obs.Trace.span "itpseq.outer" ~args:[ ("k", string_of_int k) ] (fun () ->
-          Seq_family.compute ?system:st.system st.budget st.stats ~frozen:(frozen st)
-            st.model ~mode:st.mode ~check:st.check ~k)
-      |> function
-      | `Family family ->
-        conjoin_family st family;
-        Step.Running
-      | `Cex u -> (
-        match st.abstraction with
-        | None -> falsify st u
-        | Cba _ -> (
-          match Cba.extend st.model (Unroll.trace u) with
-          | Some _ -> falsify st u
-          | _ ->
-            refine st u;
-            Step.Running)
-        | Pba _ ->
-          (* Cannot happen — the abstract instance contains the whole
-             unsat core of the concrete one — but stay safe: extract the
-             family from the concrete refutation. *)
-          conjoin_family st
-            (Seq_family.of_refutation st.budget st.stats (Option.get concrete) ~ncuts:k);
-          Step.Running))
-    | Sweep { j; r } ->
-      (* Inclusion sweep: ℐ_j ⇒ R_{j-1} with R_j = R_{j-1} ∨ ℐ_j. *)
-      let k = st.k in
-      let c = st.columns.(j - 1) in
-      if
-        Isr_obs.Trace.span "itpseq.sweep"
-          ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
-          (fun () -> Incl.implies st.incl c r)
-      then begin
-        Log.debug (fun m -> m "fixpoint at k=%d j=%d" k j);
-        let man = st.model.Model.man in
-        let invariant = Aig.copier ~src:st.space.Model.man ~dst:man ~map:(Aig.input man) r in
-        Step.Done (finish st (Verdict.Proved { kfp = k; jfp = j; invariant = Some invariant }))
-      end
-      else begin
-        if j >= k then next_bound st
-        else st.phase <- Sweep { j = j + 1; r = Aig.or_ st.space.Model.man r c };
-        Step.Running
-      end
-  in
-  (st, status)
+          Seq_family.compute ?system:st.system budget stats ~frozen:(frozen st) model
+            ~mode:st.mode ~check:st.check ~k)
+    with
+    | `Family family ->
+      conjoin_family st family;
+      None
+    | `Cex u -> (
+      match st.abstraction with
+      | None -> falsify st u
+      | Cba _ -> (
+        match Cba.extend model (Unroll.trace u) with
+        | Some _ -> falsify st u
+        | _ ->
+          refine st u;
+          None)
+      | Pba _ ->
+        (* Cannot happen — the abstract instance contains the whole
+           unsat core of the concrete one — but stay safe: extract the
+           family from the concrete refutation. *)
+        conjoin_family st
+          (Seq_family.of_refutation budget stats (Option.get concrete) ~ncuts:k);
+        None))
+  | Sweep { j; r } ->
+    (* Inclusion sweep: ℐ_j ⇒ R_{j-1} with R_j = R_{j-1} ∨ ℐ_j. *)
+    let k = st.k in
+    let c = st.columns.(j - 1) in
+    if
+      Isr_obs.Trace.span "itpseq.sweep"
+        ~args:[ ("k", string_of_int k); ("j", string_of_int j) ]
+        (fun () -> Incl.implies st.incl c r)
+    then begin
+      Log.debug (fun m -> m "fixpoint at k=%d j=%d" k j);
+      let man = model.Model.man in
+      let invariant = Aig.copier ~src:st.space.Model.man ~dst:man ~map:(Aig.input man) r in
+      Some (Verdict.Proved { kfp = k; jfp = j; invariant = Some invariant })
+    end
+    else begin
+      if j >= k then next_bound st
+      else st.phase <- Sweep { j = j + 1; r = Aig.or_ st.space.Model.man r c };
+      None
+    end
 
 let stepper ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system
     ?(abstraction = None) () =
@@ -255,17 +244,13 @@ let stepper ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system
     | Cba a, _ -> (Printf.sprintf "itpseqcba%.2g-%s" a c, Seq_family.Serial a)
     | Pba a, _ -> (Printf.sprintf "itpseqpba%.2g-%s" a c, Seq_family.Serial a)
   in
-  let mk ~limits ~k ~cones ~mask model =
-    let budget = Budget.start limits and stats = Verdict.mk_stats () in
-    let space = Model.state_space model in
+  let mk ~k ~cones ~mask run =
+    let space = Model.state_space run.Step.model in
     let columns = Checkpoint.lits_of_cones space.Model.man cones in
     {
-      model;
+      run;
       space;
-      limits;
-      budget;
-      stats;
-      incl = Incl.create budget stats space;
+      incl = Incl.create run.budget run.stats space;
       mode;
       check;
       system;
@@ -282,16 +267,17 @@ let stepper ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system
     {
       Step.name;
       init =
-        (fun ~limits model ->
+        (fun run ->
+          let model = run.Step.model in
           let mask =
             match abstraction with
             | None -> [||]
             | Cba _ -> Cba.initial model
             | Pba _ -> Array.make model.Model.num_latches false
           in
-          mk ~limits ~k:0 ~cones:[||] ~mask model);
+          mk ~k:0 ~cones:[||] ~mask run);
       step;
-      stats = (fun st -> st.stats);
+      at_end;
       bound = (fun st -> st.k);
       snapshot =
         (fun st ->
@@ -302,17 +288,14 @@ let stepper ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system
           | Cba _ | Pba _ ->
             Marshal.to_string { m_k = s_k; m_cols = s_cols; m_mask = st.entry_mask } []);
       restore =
-        (fun ~limits model payload ->
+        (fun run payload ->
           match abstraction with
           | None ->
             let s : snap = Marshal.from_string payload 0 in
-            mk ~limits ~k:s.s_k ~cones:s.s_cols ~mask:[||] model
+            mk ~k:s.s_k ~cones:s.s_cols ~mask:[||] run
           | Cba _ | Pba _ ->
             let s : masked_snap = Marshal.from_string payload 0 in
-            if Array.length s.m_mask <> model.Model.num_latches then
+            if Array.length s.m_mask <> run.model.Model.num_latches then
               invalid_arg "Itpseq_verif.restore: latch count mismatch";
-            mk ~limits ~k:s.m_k ~cones:s.m_cols ~mask:s.m_mask model);
+            mk ~k:s.m_k ~cones:s.m_cols ~mask:s.m_mask run);
     }
-
-let verify ?(mode = Seq_family.Parallel) ?(check = Bmc.Assume) ?system ?limits model =
-  Step.drive (Step.start ?limits (stepper ~mode ~check ?system ()) model)

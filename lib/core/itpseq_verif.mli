@@ -13,8 +13,6 @@
     {e assume-k}, the formulation Section III recommends; [Exact] is
     available for the Figure-7 comparison. *)
 
-open Isr_model
-
 (** How the family at each bound is abstracted.  Both abstractions
     freeze latches (a frozen latch's next-state is a free input) and
     extract a serial family with fraction α from the abstract refutation;
@@ -52,16 +50,9 @@ val stepper :
     and PBA, the frozen or relevant mask as of the bound's entry, so a
     resume re-drives the bound deterministically.  Defaults: mode
     [Parallel], check [Assume], no abstraction; [Cba α] and [Pba α]
-    extract with mode [Serial α] whatever [mode] says.
-    @raise Invalid_argument on [check = Bound]. *)
-
-val verify :
-  ?mode:Seq_family.mode ->
-  ?check:Bmc.check ->
-  ?system:Isr_itp.Itp.system ->
-  ?limits:Budget.limits ->
-  Model.t ->
-  Verdict.t * Verdict.stats
-(** Drives {!stepper} without abstraction to a verdict.
+    extract with mode [Serial α] whatever [mode] says.  CBA and PBA runs
+    end with their frozen-latch count in [abstract_latches].  Run it
+    with {!Engine.run}, or [Step.drive (Step.start …)] for a [system]
+    other than McMillan's.
     @raise Invalid_argument on [check = Bound] (sequences require a
     single-frame target). *)

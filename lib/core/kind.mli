@@ -8,19 +8,11 @@
     transitions through property-satisfying states ending in a violation.
     Simple-path constraints make the method complete. *)
 
-open Isr_model
-
-val stepper : ?unique:bool -> unit -> Step.packed
+val stepper : unit -> Step.packed
 (** The step-wise form: one step is one depth [k] (exact base check plus
-    inductive step query).  Snapshots carry just the depth. *)
-
-val verify :
-  ?unique:bool ->
-  ?limits:Budget.limits ->
-  Model.t ->
-  Verdict.t * Verdict.stats
-(** [unique] (default true) adds the pairwise state-difference clauses;
-    without them k-induction may diverge on safe models.  On [Proved],
-    [kfp] is the inductive depth and [jfp] is 0; a proof at depth 0 whose
-    bad reads latches only carries the property as its invariant, deeper
-    proofs carry none. *)
+    inductive step query, with the pairwise state-difference clauses
+    without which k-induction may diverge on safe models).  Snapshots
+    carry just the depth.  On [Proved], [kfp] is the inductive depth and
+    [jfp] is 0; a proof at depth 0 whose bad reads latches only carries
+    the property as its invariant, deeper proofs carry none.  Run it
+    with {!Engine.run}. *)

@@ -28,9 +28,7 @@ type obligation = {
 }
 
 type ctx = {
-  model : Model.t;
-  budget : Budget.t;
-  stats : Verdict.stats;
+  run : Step.run;
   mutable deltas : Cubeset.t array;  (* level -> cubes blocked exactly there *)
   mutable depth : int;               (* current outer round k *)
 }
@@ -86,10 +84,10 @@ let inputs_at u ~frame =
 (* Is there a bad state inside F_k?  Returns the offending cube and the
    inputs feeding the bad cone. *)
 let bad_query ctx k =
-  let u = Unroll.create ~proof:false ctx.model in
+  let u = Unroll.create ~proof:false ctx.run.model in
   assert_frame ctx u k;
-  Unroll.assert_circuit u ~frame:0 ~tag:1 ctx.model.Model.bad;
-  match Budget.solve ctx.budget ctx.stats (Unroll.solver u) with
+  Unroll.assert_circuit u ~frame:0 ~tag:1 ctx.run.model.Model.bad;
+  match Budget.solve ctx.run.budget ctx.run.stats (Unroll.solver u) with
   | Solver.Sat -> Some (full_cube_at u ~frame:0, inputs_at u ~frame:0)
   | Solver.Unsat -> None
   | Solver.Undef -> assert false
@@ -98,7 +96,7 @@ let bad_query ctx k =
    a predecessor cube and the step inputs; [`Blocked] the core-shrunk
    cube (still excluding the initial state). *)
 let relative_query ctx i cube =
-  let model = ctx.model in
+  let model = ctx.run.model in
   let u = Unroll.create ~proof:false model in
   if i - 1 = 0 then Unroll.assert_init u ~tag:1
   else begin
@@ -114,7 +112,7 @@ let relative_query ctx i cube =
         if v then l else Isr_sat.Lit.neg l)
       cube
   in
-  match Budget.solve ~assumptions ctx.budget ctx.stats (Unroll.solver u) with
+  match Budget.solve ~assumptions ctx.run.budget ctx.run.stats (Unroll.solver u) with
   | Solver.Sat -> `Pred (full_cube_at u ~frame:0, inputs_at u ~frame:0)
   | Solver.Undef -> assert false
   | Solver.Unsat ->
@@ -180,8 +178,8 @@ let block_obligations ctx queue =
     match Q.pop () with
     | None -> ()
     | Some o ->
-      Budget.check_time ctx.budget;
-      if init_in_cube ctx.model o.cube then
+      Budget.check_time ctx.run.budget;
+      if init_in_cube ctx.run.model o.cube then
         (* The cube contains the initial state: concrete counterexample. *)
         raise (Cex (trace_of_chain [] o));
       if o.frame = 0 then raise (Cex (trace_of_chain [] o));
@@ -210,7 +208,7 @@ let propagate_clauses ctx k =
   for i = 1 to k - 1 do
     Cubeset.iter
       (fun cube ->
-        Budget.check_time ctx.budget;
+        Budget.check_time ctx.run.budget;
         match relative_query ctx (i + 1) cube with
         | `Blocked g ->
           ctx.deltas.(i) <- Cubeset.remove cube ctx.deltas.(i);
@@ -228,11 +226,11 @@ let propagate_clauses ctx k =
 (* The invariant at a drained level: the conjunction of all blocked-cube
    clauses of F_{i+1}. *)
 let invariant_circuit ctx i =
-  let man = ctx.model.Model.man in
+  let man = ctx.run.model.Model.man in
   let acc = ref Aig.lit_true in
   for j = i + 1 to Array.length ctx.deltas - 1 do
     Cubeset.iter
-      (fun cube -> acc := Aig.and_ man !acc (Aig.not_ (cube_circuit ctx.model cube)))
+      (fun cube -> acc := Aig.and_ man !acc (Aig.not_ (cube_circuit ctx.run.model cube)))
       ctx.deltas.(j)
   done;
   !acc
@@ -251,7 +249,6 @@ type phase =
 
 type st = {
   ctx : ctx;
-  limits : Budget.limits;
   mutable k : int;
   mutable entry_deltas : Cubeset.t array;    (* [ctx.deltas] at the round's entry *)
   mutable phase : phase;
@@ -259,91 +256,65 @@ type st = {
 
 type snap = { s_k : int; s_deltas : cube list array }
 
-let finish st v =
-  Verdict.set_time st.ctx.stats (Budget.elapsed st.ctx.budget);
-  (v, st.ctx.stats)
-
-let mk ~limits ~k ~deltas model =
-  let ctx =
-    { model; budget = Budget.start limits; stats = Verdict.mk_stats (); deltas; depth = k }
-  in
+let mk ~k ~deltas run =
   {
-    ctx;
-    limits;
+    ctx = { run; deltas; depth = k };
     k;
     entry_deltas = Array.copy deltas;
     phase = (if k = 0 then Check0 else Block);
   }
 
 let step st =
-  let status =
-    Step.budget_guard ~finish:(finish st) @@ fun () ->
-    let ctx = st.ctx in
-    match st.phase with
-    | Check0 -> (
-      (* Depth 0: init ∧ bad. *)
-      match Bmc.check_depth ctx.budget ctx.stats ~proof:false ctx.model ~check:Bmc.Exact ~k:0 with
-      | `Sat u ->
-        Step.Done (finish st (Verdict.Falsified { depth = 0; trace = Unroll.trace u }))
-      | `Unsat _ ->
-        st.k <- 1;
-        st.phase <- Block;
-        Step.Running)
-    | Block -> (
-      let k = st.k in
-      if k > st.limits.Budget.bound_limit then
-        Step.Done
-          (finish st (Verdict.Unknown (Verdict.Bound_limit st.limits.Budget.bound_limit)))
-      else begin
-        ctx.depth <- k;
-        grow_deltas ctx (k + 1);
-        Verdict.note_bound ctx.stats k;
-        Verdict.beat ctx.stats ~step:k "pdr.frame";
-        (* Drain all bad states out of F_k. *)
-        let rec drain () =
-          match bad_query ctx k with
-          | None -> ()
-          | Some (cube, bad_inputs) ->
-            block_obligations ctx
-              [ { cube; frame = k; inputs_to_next = bad_inputs; next = None } ];
-            drain ()
-        in
-        match Isr_obs.Trace.span "pdr.block" ~args:[ ("k", string_of_int k) ] drain with
-        | () ->
-          st.phase <- Propagate;
-          Step.Running
-        | exception Cex trace ->
-          let depth = Trace.depth trace in
-          Step.Done (finish st (Verdict.Falsified { depth; trace }))
-      end)
-    | Propagate -> (
-      let k = st.k in
-      match
-        Isr_obs.Trace.span "pdr.propagate" ~args:[ ("k", string_of_int k) ] (fun () ->
-            propagate_clauses ctx k)
-      with
-      | Some i ->
-        Log.debug (fun m -> m "fixpoint: frame %d drained at round %d" i k);
-        Step.Done
-          (finish st
-             (Verdict.Proved
-                { kfp = k; jfp = i; invariant = Some (invariant_circuit ctx i) }))
-      | None ->
-        st.k <- k + 1;
-        st.entry_deltas <- Array.copy ctx.deltas;
-        st.phase <- Block;
-        Step.Running)
-  in
-  (st, status)
+  let ctx = st.ctx in
+  match st.phase with
+  | Check0 ->
+    let v = Bmc.check0 ctx.run in
+    if Option.is_none v then begin
+      st.k <- 1;
+      st.phase <- Block
+    end;
+    v
+  | Block -> (
+    let k = st.k in
+    ctx.depth <- k;
+    grow_deltas ctx (k + 1);
+    Verdict.note_bound ctx.run.stats k;
+    Verdict.beat ctx.run.stats ~step:k "pdr.frame";
+    (* Drain all bad states out of F_k. *)
+    let rec drain () =
+      match bad_query ctx k with
+      | None -> ()
+      | Some (cube, bad_inputs) ->
+        block_obligations ctx [ { cube; frame = k; inputs_to_next = bad_inputs; next = None } ];
+        drain ()
+    in
+    match Isr_obs.Trace.span "pdr.block" ~args:[ ("k", string_of_int k) ] drain with
+    | () ->
+      st.phase <- Propagate;
+      None
+    | exception Cex trace -> Some (Verdict.Falsified { depth = Trace.depth trace; trace }))
+  | Propagate -> (
+    let k = st.k in
+    match
+      Isr_obs.Trace.span "pdr.propagate" ~args:[ ("k", string_of_int k) ] (fun () ->
+          propagate_clauses ctx k)
+    with
+    | Some i ->
+      Log.debug (fun m -> m "fixpoint: frame %d drained at round %d" i k);
+      Some (Verdict.Proved { kfp = k; jfp = i; invariant = Some (invariant_circuit ctx i) })
+    | None ->
+      st.k <- k + 1;
+      st.entry_deltas <- Array.copy ctx.deltas;
+      st.phase <- Block;
+      None)
 
 let stepper () =
   Step.Packed
     {
       Step.name = "pdr";
-      init =
-        (fun ~limits model -> mk ~limits ~k:0 ~deltas:(Array.make 8 Cubeset.empty) model);
+      init = (fun run -> mk ~k:0 ~deltas:(Array.make 8 Cubeset.empty) run);
       step;
-      stats = (fun st -> st.ctx.stats);
+      at_end = ignore;
       bound = (fun st -> st.k);
       snapshot =
         (fun st ->
@@ -352,12 +323,10 @@ let stepper () =
             { s_k; s_deltas = Array.map Cubeset.elements st.entry_deltas }
             []);
       restore =
-        (fun ~limits model payload ->
+        (fun run payload ->
           let s : snap = Marshal.from_string payload 0 in
           let n = max 8 (Array.length s.s_deltas) in
           let deltas = Array.make n Cubeset.empty in
           Array.iteri (fun i cubes -> deltas.(i) <- Cubeset.of_list cubes) s.s_deltas;
-          mk ~limits ~k:s.s_k ~deltas model);
+          mk ~k:s.s_k ~deltas run);
     }
-
-let verify ?limits model = Step.drive (Step.start ?limits (stepper ()) model)

@@ -13,15 +13,12 @@
     converged frame is returned as a certified inductive invariant; on
     FAIL the obligation chain reconstructs a concrete input trace. *)
 
-open Isr_model
-
 val stepper : unit -> Step.packed
 (** The step-wise form: one step is the depth-0 check, the full
     obligation drain of a round, or the round's forward propagation.
     Snapshots carry the round and the frames (as blocked-cube lists) as
-    of the round's entry, so a resume re-drives the round. *)
-
-val verify : ?limits:Budget.limits -> Model.t -> Verdict.t * Verdict.stats
-(** On [Proved], [kfp] is the outer round and [jfp] the frame at which
-    the fixpoint appeared; the invariant certificate is always present.
-    Counterexamples are shortest (round [k] finds length-[k] traces). *)
+    of the round's entry, so a resume re-drives the round.  On [Proved],
+    [kfp] is the outer round and [jfp] the frame at which the fixpoint
+    appeared; the invariant certificate is always present.
+    Counterexamples are shortest (round [k] finds length-[k] traces).
+    Run it with {!Engine.run}. *)

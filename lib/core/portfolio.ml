@@ -27,53 +27,34 @@ let weight share = max 1 (int_of_float (Float.ceil (share *. 10.)))
    input-robust bugs fall out before any SAT effort.  A hit only bounds
    the bug depth — BMC then minimizes it so the portfolio reports
    shortest counterexamples like every other engine.  One step is the
-   whole attempt; exhaustion retires the lane. *)
+   whole attempt.  A miss retires the lane at the bound cap: it is no
+   deadline, and the cap is the reason {!Sched.worst_reason} ranks last,
+   so the portfolio reports why the other lanes stopped. *)
 let randsim_stepper () =
-  let module S = struct
-    type st = {
-      model : Isr_model.Model.t;
-      limits : Budget.limits;
-      budget : Budget.t;
-      stats : Verdict.stats;
-    }
-  end in
-  let finish (st : S.st) v =
-    Verdict.set_time st.stats (Budget.elapsed st.budget);
-    (v, st.stats)
+  let step (run : Step.run) =
+    match Isr_model.Rand_sim.falsify run.model with
+    | Some trace -> (
+      let cap = Isr_model.Trace.depth trace in
+      let v, bmc_stats =
+        Bmc.run ~check:Bmc.Exact ~limits:{ run.limits with Budget.bound_limit = cap } run.model
+      in
+      (* The minimization's SAT effort goes on the lane's books, the
+         only registry the scheduler merges. *)
+      Verdict.merge_into ~into:run.stats bmc_stats;
+      match v with
+      | Verdict.Falsified _ -> Some v
+      | _ -> Some (Verdict.Falsified { depth = cap; trace }))
+    | None -> Some (Verdict.Unknown (Verdict.Bound_limit run.limits.Budget.bound_limit))
   in
   Step.Packed
     {
       Step.name = "randsim";
-      init =
-        (fun ~limits model ->
-          { S.model; limits; budget = Budget.start limits; stats = Verdict.mk_stats () });
-      step =
-        (fun (st : S.st) ->
-          let status =
-            Step.budget_guard ~finish:(finish st) @@ fun () ->
-            match Isr_model.Rand_sim.falsify st.model with
-            | Some trace -> (
-              let cap = Isr_model.Trace.depth trace in
-              let v, bmc_stats =
-                Bmc.run ~check:Bmc.Exact
-                  ~limits:{ st.limits with Budget.bound_limit = cap }
-                  st.model
-              in
-              (* The minimization's SAT effort goes on the lane's books,
-                 the only registry the scheduler merges. *)
-              Verdict.merge_into ~into:st.stats bmc_stats;
-              match v with
-              | Verdict.Falsified _ -> Step.Done (finish st v)
-              | _ -> Step.Done (finish st (Verdict.Falsified { depth = cap; trace })))
-            | None -> Step.Done (finish st (Verdict.Unknown Verdict.Time_limit))
-          in
-          (st, status));
-      stats = (fun st -> st.S.stats);
+      init = Fun.id;
+      step;
+      at_end = ignore;
       bound = (fun _ -> 0);
       snapshot = (fun _ -> "");
-      restore =
-        (fun ~limits model _ ->
-          { S.model; limits; budget = Budget.start limits; stats = Verdict.mk_stats () });
+      restore = (fun run _ -> run);
     }
 
 let stepper_of = function

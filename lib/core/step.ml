@@ -2,55 +2,52 @@ open Isr_model
 
 type status = Running | Done of (Verdict.t * Verdict.stats)
 
+type run = {
+  model : Model.t;
+  limits : Budget.limits;
+  budget : Budget.t;
+  stats : Verdict.stats;
+}
+
 type 'st engine = {
   name : string;
-  init : limits:Budget.limits -> Model.t -> 'st;
-  step : 'st -> 'st * status;
-  stats : 'st -> Verdict.stats;
+  init : run -> 'st;
+  step : 'st -> Verdict.t option;
+  at_end : 'st -> unit;
   bound : 'st -> int;
   snapshot : 'st -> string;
-  restore : limits:Budget.limits -> Model.t -> string -> 'st;
+  restore : run -> string -> 'st;
 }
 
 type packed = Packed : 'st engine -> packed
 
-(* The uniform resource-exhaustion tail every engine's [step] wants:
-   budget raises become a final Unknown, while [Budget.Cancelled] keeps
-   propagating to the parallel runner. *)
-let budget_guard ~finish f =
-  try f () with
-  | Budget.Out_of_time -> Done (finish (Verdict.Unknown Verdict.Time_limit))
-  | Budget.Out_of_conflicts -> Done (finish (Verdict.Unknown Verdict.Conflict_limit))
+let cex_depth model ~k trace = Option.value ~default:k (Sim.first_bad model trace)
 
 type inst =
   | Inst : {
       eng : 'st engine;
-      model : Model.t;
+      run : run;
       mutable st : 'st;
       mutable steps : int;
       mutable last : status;
       lane : int;
-      started : float;
     }
       -> inst
 
+(* The budget starts here, in the calling domain, so it captures that
+   domain's cancel token. *)
+let new_run limits model =
+  { model; limits; budget = Budget.start limits; stats = Verdict.mk_stats () }
+
 let start ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model =
-  Inst
-    {
-      eng;
-      model;
-      st = eng.init ~limits model;
-      steps = 0;
-      last = Running;
-      lane;
-      started = Isr_obs.Clock.now ();
-    }
+  let run = new_run limits model in
+  Inst { eng; run; st = eng.init run; steps = 0; last = Running; lane }
 
 let name (Inst i) = i.eng.name
 let lane (Inst i) = i.lane
 let steps_done (Inst i) = i.steps
 let bound (Inst i) = i.eng.bound i.st
-let stats (Inst i) = i.eng.stats i.st
+let stats (Inst i) = i.run.stats
 let status (Inst i) = i.last
 
 let status_tag = function
@@ -59,12 +56,29 @@ let status_tag = function
   | Done (Verdict.Falsified _, _) -> "falsified"
   | Done (Verdict.Unknown _, _) -> "unknown"
 
+(* One step under the run's bound cap and budget: a bound past the cap
+   answers without stepping, and budget exhaustion ends the run;
+   [Budget.Cancelled] propagates to the parallel runner. *)
+let advance eng run st =
+  let cap = run.limits.Budget.bound_limit in
+  if eng.bound st > cap then Some (Verdict.Unknown (Verdict.Bound_limit cap))
+  else
+    try eng.step st with
+    | Budget.Out_of_time -> Some (Verdict.Unknown Verdict.Time_limit)
+    | Budget.Out_of_conflicts -> Some (Verdict.Unknown Verdict.Conflict_limit)
+
 let step (Inst i) =
   match i.last with
   | Done _ as d -> d
   | Running ->
-    let st', status = i.eng.step i.st in
-    i.st <- st';
+    let status =
+      match advance i.eng i.run i.st with
+      | None -> Running
+      | Some v ->
+        Verdict.set_time i.run.stats (Budget.elapsed i.run.budget);
+        i.eng.at_end i.st;
+        Done (v, i.run.stats)
+    in
     i.steps <- i.steps + 1;
     i.last <- status;
     if Isr_obs.Event.enabled () then
@@ -82,9 +96,9 @@ let step (Inst i) =
 (* --- checkpoint / resume ------------------------------------------------ *)
 
 let snapshot (Inst i) =
-  Checkpoint.make ~engine:i.eng.name ~model:i.model ~steps:i.steps
+  Checkpoint.make ~engine:i.eng.name ~model:i.run.model ~steps:i.steps
     ~bound:(i.eng.bound i.st)
-    ~elapsed:(Isr_obs.Clock.now () -. i.started)
+    ~elapsed:(Budget.elapsed i.run.budget)
     ~payload:(i.eng.snapshot i.st)
 
 let restore ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model
@@ -96,15 +110,15 @@ let restore ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model
   (match Checkpoint.check_model ck model with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Step.restore: " ^ msg));
+  let run = new_run limits model in
   Inst
     {
       eng;
-      model;
-      st = eng.restore ~limits model ck.Checkpoint.payload;
+      run;
+      st = eng.restore run ck.Checkpoint.payload;
       steps = ck.Checkpoint.steps;
       last = Running;
       lane;
-      started = Isr_obs.Clock.now ();
     }
 
 (* --- driving ------------------------------------------------------------ *)

@@ -5,9 +5,12 @@
     solving anything, and a [step] that performs one bounded unit of
     work — one BMC depth, one interpolation-sequence bound or column
     inclusion test, one k-induction depth, one PDR obligation round or
-    frame propagation — and reports [Running] or a final verdict.
+    frame propagation — and answers a final verdict or [None] to go on.
     Engines are packaged existentially, so heterogeneous engines compose
-    under one scheduler ({!Sched}) and one driver ({!drive}).
+    under one scheduler ({!Sched}) and one driver ({!drive}).  The
+    kernel owns the run around the search: it creates the {!run} (limits,
+    budget, stats), and every step goes through the same bound cap,
+    budget guard and finish ({!step}), so an engine is its search alone.
 
     Step granularity is the preemption and checkpoint granularity: a
     state is snapshotable at {e every} moment because the fields a
@@ -21,22 +24,36 @@ open Isr_model
 
 type status = Running | Done of (Verdict.t * Verdict.stats)
 
+(** What the kernel sets up for one run of an engine, before the
+    engine's [init] or [restore] sees it. *)
+type run = {
+  model : Model.t;
+  limits : Budget.limits;
+  budget : Budget.t;  (** started by {!start} or {!restore} *)
+  stats : Verdict.stats;  (** the run's fresh registry *)
+}
+
 type 'st engine = {
   name : string;
       (** the {!Engine.name} spelling — recorded in checkpoints and
           [Event.Step] records *)
-  init : limits:Budget.limits -> Model.t -> 'st;
-      (** allocate the state (starts the budget); must not solve *)
-  step : 'st -> 'st * status;
-      (** one unit of work.  Catches {!Budget.Out_of_time} /
-          {!Budget.Out_of_conflicts} and answers [Done (Unknown _)];
-          must {e never} catch {!Budget.Cancelled}. *)
-  stats : 'st -> Verdict.stats;
-  bound : 'st -> int;  (** current bound/round, for events and meta *)
+  init : run -> 'st;  (** allocate the state; must not solve *)
+  step : 'st -> Verdict.t option;
+      (** one unit of work; [Some v] ends the run with [v].  Budget
+          exhaustion, the bound cap, the run's time and its stats are
+          the kernel's business (see {!step}). *)
+  at_end : 'st -> unit;
+      (** called once, when the run's verdict is final however it came
+          (the engine's own, budget exhaustion or the bound cap): writes
+          gauges that describe the state a run ends in.  Only a run that
+          ends writes them — a lane that loses a race reports none.
+          [ignore] for engines without such gauges. *)
+  bound : 'st -> int;
+      (** current bound/round, for the bound cap, events and meta *)
   snapshot : 'st -> string;
       (** marshalled pure-data payload describing the entry of the
           current bound; valid whatever the in-step progress *)
-  restore : limits:Budget.limits -> Model.t -> string -> 'st;
+  restore : run -> string -> 'st;
       (** rebuild a state from a payload on a fresh model (possibly in a
           fresh process); inverse of [snapshot] up to re-doing the
           current bound *)
@@ -44,19 +61,20 @@ type 'st engine = {
 
 type packed = Packed : 'st engine -> packed
 
-val budget_guard :
-  finish:(Verdict.t -> Verdict.t * Verdict.stats) -> (unit -> status) -> status
-(** Wraps one step body: {!Budget.Out_of_time} / {!Budget.Out_of_conflicts}
-    become [Done (finish (Unknown _))]; {!Budget.Cancelled} propagates. *)
+val cex_depth : Model.t -> k:int -> Trace.t -> int
+(** The depth a counterexample found at bound [k] is reported at: its
+    first bad frame, else [k]. *)
 
 (** {1 Instances} *)
 
 type inst
-(** A started engine: packed state plus step counter and lane stamp. *)
+(** A started engine: its run, packed state, step counter and lane
+    stamp. *)
 
 val start : ?lane:int -> ?limits:Budget.limits -> packed -> Model.t -> inst
-(** Budgets start ticking here — in a parallel race, call inside the
-    worker domain so the budget captures the domain's cancel token. *)
+(** Creates the {!run} — the budget starts ticking here, so in a parallel
+    race call inside the worker domain and the budget captures the
+    domain's cancel token — then the engine's [init]. *)
 
 val name : inst -> string
 val lane : inst -> int
@@ -66,10 +84,15 @@ val stats : inst -> Verdict.stats
 val status : inst -> status
 
 val step : inst -> status
-(** Execute one step (no-op once [Done]).  When events are enabled,
-    every executed step emits a schema-4 [Event.Step] record — the
-    stream from which [isr_obs steps] reconstructs and {!Sched.run}
-    re-drives an interleaving. *)
+(** Execute one step (no-op once [Done]).  A bound past the limits'
+    [bound_limit] answers [Unknown (Bound_limit _)] without calling the
+    engine; {!Budget.Out_of_time} / {!Budget.Out_of_conflicts} from the
+    engine's step answer [Unknown] with the matching reason, while
+    {!Budget.Cancelled} propagates.  Either way the step counts.  A final
+    verdict stamps the run's time and comes paired with the run's stats.
+    When events are enabled, every executed step emits a schema-4
+    [Event.Step] record — the stream from which [isr_obs steps]
+    reconstructs and {!Sched.run} re-drives an interleaving. *)
 
 (** {1 Checkpoint / resume} *)
 
@@ -91,8 +114,8 @@ val checkpoint_requested : unit -> bool
 (** {1 Driving} *)
 
 val drive : ?checkpoint:string -> inst -> Verdict.t * Verdict.stats
-(** Run to completion: the thin wrapper the engines' historical
-    [run]/[verify] entry points are built on.  Attaches the instance's
+(** Run to completion: [Step.drive (Step.start …)] is how every single
+    engine runs ({!Engine.run}, {!Bmc.run}).  Attaches the instance's
     metrics registry for the duration (GC/RSS accounting, as before).
 
     With [checkpoint]: a [Done (Unknown _)] verdict (budget or bound

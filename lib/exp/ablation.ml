@@ -63,7 +63,9 @@ let systems ?(limits = Budget.default_limits) ?entries ~out:fmt () =
       Format.fprintf fmt "%-16s" entry.Registry.name;
       List.iter
         (fun system ->
-          let verdict, stats = Itpseq_verif.verify ~system ~limits model in
+          let verdict, stats =
+            Step.drive (Step.start ~limits (Itpseq_verif.stepper ~system ()) model)
+          in
           Format.fprintf fmt " | %8s %4s %3s %6d"
             (Runner.time_cell verdict stats)
             (Runner.kfp_cell verdict) (Runner.jfp_cell verdict)

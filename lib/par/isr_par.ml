@@ -171,7 +171,7 @@ let portfolio ?(jobs = 0) ?(limits = Budget.default_limits) model =
 
    Bounds are handed out from one atomic counter, so they are attempted
    in strictly increasing order across the workers.  When some probe
-   comes back satisfiable, its trace is depth-minimised ([Sim.first_bad])
+   comes back satisfiable, its trace is depth-minimised ([Step.cex_depth])
    and published as [best]; from then on no new bound >= best is started,
    and in-flight probes that published a current bound >= best are
    cancelled through their per-worker token.  Probes at bounds < best
@@ -244,7 +244,7 @@ let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?(limits = Budget.default_limits) model
            (match Bmc.check_depth budget stats ~proof:false model ~check ~k with
            | `Sat u ->
              let tr = Unroll.trace u in
-             let depth = match Sim.first_bad model tr with Some d -> d | None -> k in
+             let depth = Step.cex_depth model ~k tr in
              found := (depth, tr) :: !found;
              publish depth i
            | `Unsat _ -> ());

@@ -145,7 +145,7 @@ let test_constraints () =
   | Ok [ model ] -> (
     (* Pushing is forbidden: the counter never moves; k-induction proves
        it quickly. *)
-    match Isr_core.Kind.verify model with
+    match Isr_core.Engine.run Isr_core.Engine.Kind model with
     | Isr_core.Verdict.Proved _, _ -> ()
     | v, _ -> Alcotest.failf "frozen: %a" Isr_core.Verdict.pp v)
   | Ok _ | Error _ -> Alcotest.fail "parse failed (freeze)"
@@ -205,7 +205,7 @@ let test_justice () =
   | Error e -> Alcotest.failf "wrapping parse: %s" e);
   match Btor2.parse_string (justice_text true) with
   | Ok [ model ] -> (
-    match Isr_core.Pdr.verify model with
+    match Isr_core.Engine.run Isr_core.Engine.Pdr model with
     | Isr_core.Verdict.Proved _, _ -> ()
     | v, _ -> Alcotest.failf "saturating: %a" Isr_core.Verdict.pp v)
   | Ok l -> Alcotest.failf "saturating: %d models" (List.length l)
@@ -269,7 +269,7 @@ let test_negated_refs () =
   match Btor2.parse_string text with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok [ model ] -> (
-    match Isr_core.Kind.verify model with
+    match Isr_core.Engine.run Isr_core.Engine.Kind model with
     | Isr_core.Verdict.Proved _, _ -> ()
     | v, _ -> Alcotest.failf "engine: %a" Isr_core.Verdict.pp v)
   | Ok _ -> Alcotest.fail "expected one model"

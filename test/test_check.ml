@@ -531,7 +531,7 @@ let test_compact_paranoid () =
     | Some e -> Isr_suite.Registry.build_validated e
     | None -> Alcotest.fail "tcas12 missing from registry"
   in
-  (match Itpseq_verif.verify model with
+  (match Engine.run (Engine.Itpseq Bmc.Assume) model with
   | Verdict.Falsified { depth = 12; _ }, _ -> ()
   | v, _ -> Alcotest.failf "expected FAIL (depth=12), got %a" Verdict.pp v);
   Alcotest.(check bool) "compacted columns were checked" true

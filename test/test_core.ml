@@ -509,6 +509,14 @@ let test_portfolio_randsim_effort () =
   Alcotest.(check bool) "minimisation effort reported" true (Verdict.sat_calls stats > 0);
   Alcotest.(check int) "counted once" (Verdict.sat_calls bmc) (Verdict.sat_calls stats)
 
+(* A random-simulation miss is not a deadline: on a design every lane
+   leaves undecided at the bound cap, the portfolio reports that cap. *)
+let test_portfolio_miss_reason () =
+  let model = Registry.build_validated (entry "peterson") in
+  match Portfolio.verify ~limits:{ limits with Budget.bound_limit = 2 } model with
+  | Verdict.Unknown (Verdict.Bound_limit 2), _ -> ()
+  | v, _ -> Alcotest.failf "expected unknown (bound 2), got %a" Verdict.pp v
+
 (* Who logs a proof: only the solvers whose caller reads one.  At level
    Off the PDR, k-induction, BMC, certificate and analysis solvers log
    nothing (read from the run's registry, or from the [proof_bytes] that
@@ -616,5 +624,7 @@ let () =
       ( "portfolio",
         [
           Alcotest.test_case "randsim effort counted" `Quick test_portfolio_randsim_effort;
+          Alcotest.test_case "a randsim miss reports the bound" `Quick
+            test_portfolio_miss_reason;
         ] );
     ]

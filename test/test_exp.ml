@@ -321,6 +321,40 @@ let test_session_record () =
       Alcotest.(check (option string)) "hash" (Some e.instance_hash) (str "hash"))
     lines entries
 
+(* A budget below 0 is refused when the command line is read, with the
+   flag named, in every front end that takes the budget flags; 0 is a
+   budget like any other. *)
+let test_budget_flags () =
+  let parse argv =
+    let buf = Buffer.create 80 in
+    let err = Format.formatter_of_buffer buf in
+    let cmd =
+      Cmdliner.Cmd.v (Cmdliner.Cmd.info "t") (Isr_cli.budget ~time:1.0 ~bound:10 ~conflicts:100)
+    in
+    let r = Cmdliner.Cmd.eval_value ~err ~argv:(Array.of_list ("t" :: argv)) cmd in
+    Format.pp_print_flush err ();
+    (r, Buffer.contents buf)
+  in
+  List.iter
+    (fun (arg, flag) ->
+      match parse [ arg ] with
+      | Error `Parse, msg ->
+        let named =
+          let n = String.length flag in
+          let rec at i =
+            i + n <= String.length msg && (String.sub msg i n = flag || at (i + 1))
+          in
+          at 0
+        in
+        Alcotest.(check bool) (Printf.sprintf "%s: %S names %s" arg msg flag) true named
+      | _ -> Alcotest.failf "%s accepted" arg)
+    [ ("--bound=-1", "--bound"); ("--time=-1", "--time"); ("--conflicts=-5", "--conflicts") ];
+  match parse [ "--bound=0"; "--time=0"; "--conflicts=0" ] with
+  | Ok (`Ok b), _ ->
+    Alcotest.(check (list string)) "zero budgets" [ "0"; "0"; "0" ]
+      (List.map snd (Isr_cli.config b))
+  | _, msg -> Alcotest.failf "zero budgets refused: %s" msg
+
 let () =
   Alcotest.run "isr_exp"
     [
@@ -337,6 +371,7 @@ let () =
         [
           Alcotest.test_case "a raising body closes the session" `Quick test_session_raise;
           Alcotest.test_case "metrics lines match ledger entries" `Quick test_session_record;
+          Alcotest.test_case "negative budgets are refused" `Quick test_budget_flags;
         ] );
       ( "bench_store",
         [

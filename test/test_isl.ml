@@ -85,7 +85,7 @@ bad third ^ x[2];
     Alcotest.(check int) "two properties" 2 (List.length models);
     List.iter
       (fun m ->
-        match Isr_core.Kind.verify m with
+        match Isr_core.Engine.run Isr_core.Engine.Kind m with
         | Isr_core.Verdict.Proved _, _ -> ()
         | v, _ -> Alcotest.failf "%s: %a" m.Model.name Isr_core.Verdict.pp v)
       models
@@ -181,7 +181,7 @@ assert always req -> within[%d] ack;
 let test_assert_within () =
   (* Ack comes 4 cycles after req (pending, t0, t1, ack): within[4] holds. *)
   let m = parse_one (handshake_isl 4 true) in
-  (match Isr_core.Pdr.verify m with
+  (match Isr_core.Engine.run Isr_core.Engine.Pdr m with
   | Isr_core.Verdict.Proved _, _ -> ()
   | v, _ -> Alcotest.failf "within[4] should hold: %a" Isr_core.Verdict.pp v);
   (* With a latency budget of 3 it must fail... *)
@@ -207,7 +207,7 @@ assert always req -> next grant;
 |}
   in
   let m = parse_one text in
-  (match Isr_core.Kind.verify m with
+  (match Isr_core.Engine.run Isr_core.Engine.Kind m with
   | Isr_core.Verdict.Proved _, _ -> ()
   | v, _ -> Alcotest.failf "next grant should hold: %a" Isr_core.Verdict.pp v);
   let broken =
@@ -240,7 +240,7 @@ assert always go -> next (busy until[2] fin);
 |}
   in
   let m = parse_one text in
-  (match Isr_core.Pdr.verify m with
+  (match Isr_core.Engine.run Isr_core.Engine.Pdr m with
   | Isr_core.Verdict.Proved _, _ -> ()
   | v, _ -> Alcotest.failf "until should hold: %a" Isr_core.Verdict.pp v);
   (* Shrinking the window below the real latency breaks it. *)

@@ -283,11 +283,10 @@ let test_bmc_jobs_unlimited_bound () =
 (* A lane whose every member merely ran out of bound cap is exhausted,
    not deadline-starved — the distinct cause must appear on its
    self-edge.  With two lanes, the members partition round-robin into
-   (randsim, kind, itp) and (bmc, pdr, itpseqcba): randsim answers
-   [Time_limit] when it finds nothing, so only the second lane can be
-   exhausted — and with the bound cap at 0 on a safe design that no
-   member decides at that cap, it must be, however the two domains are
-   timed: no lane can win the race and cancel the other first. *)
+   (randsim, kind, itp) and (bmc, pdr, itpseqcba); with the bound cap
+   at 0 on a safe design that no member decides at that cap, a lane
+   must report exhaustion however the two domains are timed: no lane
+   can win the race and cancel the other first. *)
 let test_exhausted_cause () =
   let model = Registry.build_validated (entry "amba3g4") in
   let tight = { limits with Budget.bound_limit = 0 } in
@@ -315,6 +314,28 @@ let test_exhausted_cause () =
     (List.exists
        (function `Cancel (_, Event.Exhausted, _) -> true | _ -> false)
        life)
+
+(* No worker records a deadline that never fired: at bound cap 2 on
+   peterson every member of both slates, randsim's miss included, stops
+   at the cap long before the deadline, so both workers are exhausted
+   and the race reports the cap. *)
+let test_no_phantom_deadline () =
+  let model = Registry.build_validated (entry "peterson") in
+  let tight = { limits with Budget.bound_limit = 2 } in
+  let (verdict, _), evs =
+    record_race (fun () -> Isr_par.portfolio ~jobs:2 ~limits:tight model)
+  in
+  (match verdict with
+  | Verdict.Unknown (Verdict.Bound_limit 2) -> ()
+  | v -> Alcotest.failf "expected unknown (bound 2), got %a" Verdict.pp v);
+  let causes =
+    List.filter_map (function `Cancel (w, c, _) -> Some (w, c) | _ -> None) (lifecycle evs)
+  in
+  Alcotest.(check int) "one self-edge per worker" 2 (List.length causes);
+  List.iter
+    (fun (w, c) ->
+      if c <> Event.Exhausted then Alcotest.failf "worker %d records a cause other than exhausted" w)
+    causes
 
 (* Every kind of consumer at once under a two-domain race: a profile
    collector, a Chrome writer and a recorder subscribed side by side,
@@ -491,6 +512,7 @@ let () =
           Alcotest.test_case "bound-parallel cancellation edges" `Slow
             test_bmc_event_story;
           Alcotest.test_case "exhausted slate cause" `Slow test_exhausted_cause;
+          Alcotest.test_case "no deadline that never fired" `Slow test_no_phantom_deadline;
           Alcotest.test_case "consumers under a two-domain race" `Slow test_race_consumers;
         ] );
       ( "pipeline",
