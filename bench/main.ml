@@ -129,6 +129,29 @@ let kernels () =
       (Staged.stage (fun () ->
            ignore (Bmc.build_instance ~proof:true padded ~check:Bmc.Exact ~k:8)))
   in
+  (* The industrial workload's largest frame: each bound instantiates
+     the model's compiled transition CNF once per frame. *)
+  let padded_f2 =
+    match Registry.find "industrialF2" with
+    | Some e -> Registry.build_validated e
+    | None -> assert false
+  in
+  let t_unroll_f2 =
+    Test.make ~name:"unroll encode industrialF2 exact k=8"
+      (Staged.stage (fun () ->
+           ignore (Bmc.build_instance ~proof:true padded_f2 ~check:Bmc.Exact ~k:8)))
+  in
+  (* Conflict analysis under proof logging: thousands of conflicts, each
+     writing its learnt clause and resolution chain into the log. *)
+  let tcas =
+    match Registry.find "tcas25" with Some e -> Registry.build_validated e | None -> assert false
+  in
+  let t_solve_proof =
+    Test.make ~name:"sat-solve proof-logging tcas25 assume k=20"
+      (Staged.stage (fun () ->
+           let u = Bmc.build_instance ~proof:true tcas ~check:Bmc.Assume ~k:20 in
+           ignore (Isr_sat.Solver.solve (Unroll.solver u))))
+  in
   (* Clause intake alone: the Tseitin shape (two binary clauses and one
      ternary per AND gate) over random fanins, 10k gates. *)
   let gates = 10_000 in
@@ -210,8 +233,8 @@ let kernels () =
   let tests =
     Test.make_grouped ~name:"kernels"
       [
-        t_solve; t_unroll; t_unroll_padded; t_add_clause; t_itpseq; t_itpseq_padded; t_bdd;
-        t_randsim; t_lfp; t_fraig;
+        t_solve; t_solve_proof; t_unroll; t_unroll_padded; t_unroll_f2; t_add_clause; t_itpseq;
+        t_itpseq_padded; t_bdd; t_randsim; t_lfp; t_fraig;
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

@@ -17,6 +17,19 @@ val create : man:Aig.man -> solver:Solver.t -> tag:int -> input_lit:(int -> Lit.
 (** [input_lit i] must return the SAT literal standing for AIG input [i];
     it is called at most once per input per context. *)
 
+val of_sink :
+  man:Aig.man ->
+  fresh:(unit -> Lit.t) ->
+  emit:(Lit.t list -> unit) ->
+  input_lit:(int -> Lit.t) ->
+  t
+(** The same encoding into a caller's sink instead of a solver: [fresh]
+    hands out a new variable (as a positive literal) wherever {!create}'s
+    context would allocate one, and [emit] receives each clause, in the
+    order and literal order {!create}'s context would add it.  This is
+    how [Isr_model.Frame_cnf] compiles a transition frame once, so the
+    frames and the one-off cones share one definition. *)
+
 val lit : t -> Aig.lit -> Lit.t
 (** Encodes the cone of an AIG literal (emitting the defining clauses of
     every new AND node) and returns the corresponding SAT literal. *)
@@ -31,6 +44,9 @@ val assert_clause : t -> Aig.lit list -> unit
 
 val tag : t -> int
 val solver : t -> Solver.t
+(** The tag and solver of a {!create} context.
+    @raise Invalid_argument on an {!of_sink} context. *)
+
 val man : t -> Aig.man
 
 val fold_nodes : t -> init:'a -> f:('a -> int -> Lit.t -> 'a) -> 'a

@@ -31,6 +31,7 @@ type inst =
       mutable steps : int;
       mutable last : status;
       lane : int;
+      prior : float;  (* wall seconds of the sessions before a restore *)
     }
       -> inst
 
@@ -41,7 +42,7 @@ let new_run limits model =
 
 let start ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model =
   let run = new_run limits model in
-  Inst { eng; run; st = eng.init run; steps = 0; last = Running; lane }
+  Inst { eng; run; st = eng.init run; steps = 0; last = Running; lane; prior = 0.0 }
 
 let name (Inst i) = i.eng.name
 let lane (Inst i) = i.lane
@@ -98,7 +99,7 @@ let step (Inst i) =
 let snapshot (Inst i) =
   Checkpoint.make ~engine:i.eng.name ~model:i.run.model ~steps:i.steps
     ~bound:(i.eng.bound i.st)
-    ~elapsed:(Budget.elapsed i.run.budget)
+    ~elapsed:(i.prior +. Budget.elapsed i.run.budget)
     ~payload:(i.eng.snapshot i.st)
 
 let restore ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model
@@ -119,6 +120,7 @@ let restore ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model
       steps = ck.Checkpoint.steps;
       last = Running;
       lane;
+      prior = ck.Checkpoint.elapsed;
     }
 
 (* --- driving ------------------------------------------------------------ *)

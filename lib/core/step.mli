@@ -97,6 +97,9 @@ val step : inst -> status
 (** {1 Checkpoint / resume} *)
 
 val snapshot : inst -> Checkpoint.t
+(** The instance's checkpoint.  Its [elapsed] covers every session: a
+    restored instance adds the restored checkpoint's [elapsed] to the
+    time of its own budget. *)
 
 val restore :
   ?lane:int -> ?limits:Budget.limits -> packed -> Model.t -> Checkpoint.t -> inst

@@ -156,6 +156,7 @@ let sweep ?(rounds = 8) ?(conflict_budget = 10_000) (m : Model.t) =
       Model.man = dst;
       next;
       bad;
+      frames = Frame_cnf.cache ();
       name = m.Model.name ^ "_fraig";
     },
     !merges )

@@ -313,7 +313,16 @@ let build ?(name = "aiger") n =
       let bads = List.map (fun (lit, _) -> lit_of lit) n.outputs in
       let bad = match bads with [] -> Aig.lit_false | b :: _ -> b in
       let model =
-        { Model.name; man; num_inputs = h.i; num_latches = h.l; next; init; bad }
+        {
+          Model.name;
+          man;
+          num_inputs = h.i;
+          num_latches = h.l;
+          next;
+          init;
+          bad;
+          frames = Frame_cnf.cache ();
+        }
       in
       Result.map (fun () -> (model, bads)) (Model.validate model)
     with Unresolved msg -> Error msg)

@@ -110,6 +110,7 @@ let finish t ~bad =
       next;
       init;
       bad = copy_lit bad;
+      frames = Frame_cnf.cache ();
     }
   in
   match Model.validate model with

@@ -8,6 +8,7 @@ type t = {
   next : Aig.lit array;
   init : bool array;
   bad : Aig.lit;
+  frames : Frame_cnf.cache;
 }
 
 let input_lit t i =
@@ -36,7 +37,7 @@ let state_space t =
   for _ = 1 to Aig.num_inputs t.man do
     ignore (Aig.fresh_input man)
   done;
-  { t with man; next = [||]; bad = Aig.lit_false }
+  { t with man; next = [||]; bad = Aig.lit_false; frames = Frame_cnf.cache () }
 
 let validate t =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -15,6 +15,10 @@ type t = {
   next : Aig.lit array;  (** next-state function of each latch *)
   init : bool array;     (** initial value of each latch *)
   bad : Aig.lit;         (** bad-state indicator: [not p] *)
+  frames : Frame_cnf.cache;
+      (** the transition frame compiled to CNF, filled by the first
+          unrolling: build a model, or copy one with another [man] or
+          [next], with a fresh [Frame_cnf.cache ()] *)
 }
 
 val input_lit : t -> int -> Aig.lit

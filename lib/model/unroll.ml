@@ -12,8 +12,6 @@ type t = {
   eq_latch : Vec.t; (* latch index of each, at the same position *)
 }
 
-let fresh_lit t = Lit.pos (Solver.new_var t)
-
 (* [n] fresh variables in one block, as positive literals. *)
 let fresh_lits solver n =
   let v0 = Solver.new_vars solver n in
@@ -101,8 +99,11 @@ let assert_init t ~tag =
       Solver.add_clause t.solver ~tag [ l ])
     t.states.(0)
 
-(* The next clause added belongs to latch [i].  A solver that is
-   already refuted adds nothing, and the id is attributed again. *)
+(* The next clause added belongs to latch [i]: proof-based abstraction
+   keys on which state-equality clauses reach the unsat core.  Keyed on
+   stable proof-log ids — database slots shift when the learnt database
+   is reduced.  A solver that is already refuted adds nothing, and the
+   id is attributed again. *)
 let attribute t i =
   let cid = Solver.next_step_id t.solver in
   let n = Vec.size t.eq_ids in
@@ -112,27 +113,21 @@ let attribute t i =
     Vec.push t.eq_latch i
   end
 
-let add_transition ?(frozen = fun _ -> false) t ~tag =
+(* One frame of the model's compiled transition CNF, instantiated over
+   the last frame's state and its PIs, when an earlier [encode] at that
+   frame allocated them. *)
+let add_transition ?frozen t ~tag =
   let frame = t.nframes - 1 in
-  let ctx = frame_ctx t ~frame ~tag in
-  let nl = t.model.Model.num_latches in
-  let next_state =
-    Array.init nl (fun i ->
-        if frozen i then fresh_lit t.solver
-        else begin
-          let enc = Tseitin.lit ctx t.model.Model.next.(i) in
-          let v = fresh_lit t.solver in
-          (* Attribute the two equality clauses to the latch: proof-based
-             abstraction keys on which of them reach the unsat core.
-             Keyed on stable proof-log ids — database slots shift when
-             the learnt database is reduced. *)
-          attribute t i;
-          Solver.add_clause t.solver ~tag [ Lit.neg v; enc ];
-          attribute t i;
-          Solver.add_clause t.solver ~tag [ v; Lit.neg enc ];
-          v
-        end)
+  let m = t.model in
+  let cnf =
+    Frame_cnf.find m.Model.frames ~man:m.Model.man ~num_inputs:m.Model.num_inputs
+      ~next:m.Model.next ~frozen
   in
+  let next_state, pis =
+    Frame_cnf.instantiate cnf t.solver ~tag ~state:t.states.(frame) ~pis:t.pis.(frame)
+      ~attribute:(attribute t)
+  in
+  if Option.is_some pis then t.pis.(frame) <- pis;
   grow t;
   (* The frame map must stay injective and searchable: every state
      variable of the new frame follows every earlier one, or

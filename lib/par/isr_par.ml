@@ -45,7 +45,9 @@ let portfolio_race ~jobs ~limits ~members model =
     let limits =
       { limits with Budget.time_limit = Float.max 0.0 (deadline -. Isr_obs.Clock.now ()) }
     in
-    let lane_model = { model with Model.man = Aig.copy model.Model.man } in
+    let lane_model =
+      { model with Model.man = Aig.copy model.Model.man; frames = Frame_cnf.cache () }
+    in
     lane_models.(i) <- lane_model;
     {
       Sched.id = i;

@@ -69,13 +69,6 @@ let push_lits t lits =
   copy lits t.data ~at:t.len nl;
   t.len <- t.len + nl
 
-let rec push_chain t = function
-  | [] -> ()
-  | (pivot, aid) :: rest ->
-    push t pivot;
-    push t aid;
-    push_chain t rest
-
 let add_input t ~tag lits =
   if tag < 0 then invalid_arg "Proof_log.add_input: negative tag";
   t.ninputs <- t.ninputs + 1;
@@ -95,13 +88,16 @@ let add_derived t ~lits ~first ~chain =
   else begin
     let id = reserve_step t in
     let nl = Array.length lits in
-    let nc = List.length chain in
-    reserve_data t (3 + nl + (2 * nc));
+    let nw = Vec.size chain in
+    reserve_data t (3 + nl + nw);
     push t first;
     push t nl;
     push_lits t lits;
-    push t nc;
-    push_chain t chain;
+    push t (nw / 2);
+    for i = 0 to nw - 1 do
+      Array.unsafe_set t.data (t.len + i) (Vec.unsafe_get chain i)
+    done;
+    t.len <- t.len + nw;
     id
   end
 

@@ -48,9 +48,11 @@ val add_input : t -> tag:int -> Lit.t array -> int
 (** Appends an input clause ([tag >= 0]) and returns its step id.
     The literal array is copied at append time. *)
 
-val add_derived : t -> lits:Lit.t array -> first:int -> chain:(int * int) list -> int
-(** Appends a derived clause with its trivial resolution chain (in
-    resolution order) and returns its step id. *)
+val add_derived : t -> lits:Lit.t array -> first:int -> chain:Vec.t -> int
+(** Appends a derived clause with its trivial resolution chain and
+    returns its step id.  [chain] holds the resolution steps in order,
+    flattened as [pivot; antecedent id; pivot; antecedent id; ...]; it is
+    copied, so the caller may reuse it. *)
 
 val delete : t -> int -> unit
 (** Records a database deletion event for the given step id.  The step

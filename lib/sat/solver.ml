@@ -92,6 +92,11 @@ type t = {
   mutable interrupt : (unit -> bool) option; (* polled during search; true aborts to Undef *)
   mutable seen : Bytes.t;              (* conflict-analysis scratch *)
   mutable mark0 : Bytes.t;             (* level-0 elimination scratch *)
+  mutable nmark0 : int;                (* variables marked in [mark0] *)
+  learnt_buf : Vec.t;                  (* analysis scratch: learnt literals as found *)
+  mutable sort_buf : int array;        (* analysis scratch: the same, by trail position *)
+  chain : Vec.t;                       (* analysis scratch: pivot, antecedent id, ... *)
+  mutable bt_level : int;              (* backjump level of the last analysis *)
   mutable lbd_mark : Bytes.t;          (* level-indexed LBD scratch *)
   pending : Vec.t;                     (* clause slots to re-examine at solve start *)
 }
@@ -147,6 +152,11 @@ let create ?(proof = true) () =
       interrupt = None;
       seen = Bytes.make 16 '\000';
       mark0 = Bytes.make 16 '\000';
+      nmark0 = 0;
+      learnt_buf = Vec.create ();
+      sort_buf = Array.make 16 0;
+      chain = Vec.create ();
+      bt_level = 0;
       lbd_mark = Bytes.make 17 '\000';
       pending = Vec.create ();
     }
@@ -332,18 +342,20 @@ let conflict s ws lit ~i ~j slot =
   raise (Conflict slot)
 
 (* Two-watched-literal propagation; returns the slot of a conflicting
-   clause or -1. *)
+   clause or -1.  Every read is in range by construction: trail
+   positions below its size, watch entries below [wlen], live slots,
+   and literal positions below the clause length. *)
 let propagate s =
   try
     while s.qhead < Vec.size s.trail do
-      let p = Vec.get s.trail s.qhead in
+      let p = Vec.unsafe_get s.trail s.qhead in
       s.qhead <- s.qhead + 1;
       s.propagations <- s.propagations + 1;
       let false_lit = Lit.neg p in
       (* Pushes below go to other literals' lists, never to this one:
          [ws] and [n] stay valid for the whole sweep. *)
-      let ws = s.watches.(false_lit) in
-      let n = s.wlen.(false_lit) in
+      let ws = Array.unsafe_get s.watches false_lit in
+      let n = Array.unsafe_get s.wlen false_lit in
       let j = ref 0 in
       for i = 0 to n - 1 do
         let w = Array.unsafe_get ws i in
@@ -357,22 +369,23 @@ let propagate s =
             (* Conflict analysis reads the conflict clause in literal
                order: leave it as [other; false_lit], as the swap on the
                long-clause path would. *)
-            let lits = s.clauses.(entry_slot w).lits in
-            lits.(0) <- other;
-            lits.(1) <- false_lit;
+            let lits = (Array.unsafe_get s.clauses (entry_slot w)).lits in
+            Array.unsafe_set lits 0 other;
+            Array.unsafe_set lits 1 false_lit;
             conflict s ws false_lit ~i ~j:!j (entry_slot w)
           end
           else if v < 0 then enqueue s other (entry_slot w)
         end
         else begin
           let slot = w in
-          let lits = s.clauses.(slot).lits in
+          let lits = (Array.unsafe_get s.clauses slot).lits in
           (* Ensure the false literal sits at position 1. *)
-          if lits.(0) = false_lit then begin
-            lits.(0) <- lits.(1);
-            lits.(1) <- false_lit
+          if Array.unsafe_get lits 0 = false_lit then begin
+            Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
+            Array.unsafe_set lits 1 false_lit
           end;
-          if lit_val s lits.(0) = 1 then begin
+          let first = Array.unsafe_get lits 0 in
+          if lit_val s first = 1 then begin
             (* Clause already satisfied: keep the watch. *)
             Array.unsafe_set ws !j slot;
             incr j
@@ -380,26 +393,27 @@ let propagate s =
           else begin
             (* Look for a replacement literal to watch. *)
             let len = Array.length lits in
-            let rec find k =
-              if k >= len then -1 else if lit_val s lits.(k) <> 0 then k else find (k + 1)
-            in
-            let k = find 2 in
-            if k >= 0 then begin
-              lits.(1) <- lits.(k);
-              lits.(k) <- false_lit;
-              push_watch s lits.(1) slot
+            let k = ref 2 in
+            while !k < len && lit_val s (Array.unsafe_get lits !k) = 0 do
+              incr k
+            done;
+            if !k < len then begin
+              let l = Array.unsafe_get lits !k in
+              Array.unsafe_set lits 1 l;
+              Array.unsafe_set lits !k false_lit;
+              push_watch s l slot
             end
             else begin
               (* Unit or conflicting: the watch stays. *)
               Array.unsafe_set ws !j slot;
               incr j;
-              if lit_val s lits.(0) = 0 then conflict s ws false_lit ~i ~j:!j slot
-              else enqueue s lits.(0) slot
+              if lit_val s first = 0 then conflict s ws false_lit ~i ~j:!j slot
+              else enqueue s first slot
             end
           end
         end
       done;
-      s.wlen.(false_lit) <- !j
+      Array.unsafe_set s.wlen false_lit !j
     done;
     -1
   with Conflict slot -> slot
@@ -453,55 +467,115 @@ let cancel_until s lvl =
    still carries its conflict-time level. *)
 let compute_lbd s lits =
   let n = ref 0 in
-  Array.iter
-    (fun l ->
-      let lv = s.level.(Lit.var l) in
-      if lv > 0 && Bytes.get s.lbd_mark lv = '\000' then begin
-        Bytes.set s.lbd_mark lv '\001';
-        incr n
-      end)
-    lits;
-  Array.iter
-    (fun l ->
-      let lv = s.level.(Lit.var l) in
-      if lv > 0 then Bytes.set s.lbd_mark lv '\000')
-    lits;
+  for k = 0 to Array.length lits - 1 do
+    let lv = s.level.(Lit.var (Array.unsafe_get lits k)) in
+    if lv > 0 && Bytes.get s.lbd_mark lv = '\000' then begin
+      Bytes.set s.lbd_mark lv '\001';
+      incr n
+    end
+  done;
+  for k = 0 to Array.length lits - 1 do
+    let lv = s.level.(Lit.var (Array.unsafe_get lits k)) in
+    if lv > 0 then Bytes.set s.lbd_mark lv '\000'
+  done;
   max 1 !n
 
-(* Append to [chain] the resolutions eliminating every marked level-0
+(* One resolution step of the chain in [s.chain]: on variable [v],
+   against the clause in [slot], by its proof-log id.  Level-0 variables
+   met on the way are marked in [mark0] and resolved away by
+   [resolve_level0]. *)
+let push_step s v slot =
+  Vec.push s.chain v;
+  Vec.push s.chain (Array.unsafe_get s.clauses slot).cid
+
+let mark0 s v =
+  if Bytes.unsafe_get s.mark0 v = '\000' then begin
+    Bytes.unsafe_set s.mark0 v '\001';
+    s.nmark0 <- s.nmark0 + 1
+  end
+
+(* Append to the chain the resolutions eliminating every marked level-0
    variable from the virtual resolvent.  Walks the level-0 trail segment
-   backwards: a reason clause only mentions literals assigned earlier, so a
-   single sweep eliminates everything in valid resolution order.  Chain
-   entries carry proof-log ids, not database slots. *)
-let resolve_level0 s chain =
-  let bound =
-    if Vec.size s.trail_lim > 0 then Vec.get s.trail_lim 0 else Vec.size s.trail
-  in
-  for i = bound - 1 downto 0 do
-    let v = Lit.var (Vec.get s.trail i) in
-    if Bytes.get s.mark0 v = '\001' then begin
-      Bytes.set s.mark0 v '\000';
+   backwards, down to the last marked variable: a reason clause only
+   mentions literals assigned earlier, so a single sweep eliminates
+   everything in valid resolution order. *)
+let resolve_level0 s =
+  let bound = if Vec.size s.trail_lim > 0 then Vec.get s.trail_lim 0 else Vec.size s.trail in
+  let i = ref (bound - 1) in
+  while s.nmark0 > 0 && !i >= 0 do
+    let v = Lit.var (Vec.unsafe_get s.trail !i) in
+    if Bytes.unsafe_get s.mark0 v = '\001' then begin
+      Bytes.unsafe_set s.mark0 v '\000';
+      s.nmark0 <- s.nmark0 - 1;
       let r = s.reason.(v) in
       if Check.on () then
         Check.check "sat.level0_has_reason" (r >= 0)
           ~detail:(fun () -> Printf.sprintf "level-0 variable %d has no reason clause" v);
-      chain := (v, s.clauses.(r).cid) :: !chain;
-      Array.iter
-        (fun l ->
-          let w = Lit.var l in
-          if w <> v && s.level.(w) = 0 then Bytes.set s.mark0 w '\001')
-        s.clauses.(r).lits
+      push_step s v r;
+      let lits = s.clauses.(r).lits in
+      for k = 0 to Array.length lits - 1 do
+        let w = Lit.var (Array.unsafe_get lits k) in
+        if w <> v && s.level.(w) = 0 then mark0 s w
+      done
+    end;
+    decr i
+  done;
+  s.nmark0 <- 0
+
+(* Sorts [a.(0 .. n-1)], literals assigned at distinct trail positions,
+   latest-assigned first: a heap sort on a min-heap of trail positions. *)
+let tpos_of s l = Array.unsafe_get s.tpos (Lit.var l)
+
+let rec sift_min s a i n =
+  let c = (2 * i) + 1 in
+  if c < n then begin
+    let c = if c + 1 < n && tpos_of s a.(c + 1) < tpos_of s a.(c) then c + 1 else c in
+    if tpos_of s a.(c) < tpos_of s a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_min s a c n
     end
+  end
+
+let sort_by_trail_desc s a n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_min s a i n
+  done;
+  for e = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(e);
+    a.(e) <- x;
+    sift_min s a 0 e
   done
 
+(* Local clause minimization (Sörensson): the learnt literal on [v],
+   with reason [r], is redundant when the reason's other literals are
+   all in the clause ([seen] 1) or fixed at level 0. *)
+let removable s v r =
+  let lits = s.clauses.(r).lits in
+  let k = ref 0 in
+  let len = Array.length lits in
+  while
+    !k < len
+    &&
+    let w = Lit.var (Array.unsafe_get lits !k) in
+    w = v || s.level.(w) = 0 || Bytes.unsafe_get s.seen w = '\001'
+  do
+    incr k
+  done;
+  !k = len
+
 (* First-UIP conflict analysis.  Returns the learned clause (asserting
-   literal first), the backjump level, and the resolution chain over
-   proof-log ids (in resolution order). *)
+   literal first, then the others by increasing trail position) and
+   leaves the backjump level in [s.bt_level] and the resolution chain
+   over proof-log ids in [s.chain], in resolution order.  The only
+   allocation is the returned clause. *)
 let analyze s confl =
   let cur_level = decision_level s in
-  let learnt = ref [] in
-  let chain = ref [] in
-  let zeros = ref false in
+  let learnt = s.learnt_buf in
+  Vec.clear learnt;
+  Vec.clear s.chain;
   let counter = ref 0 in
   let p = ref (-1) in
   let idx = ref (Vec.size s.trail - 1) in
@@ -520,33 +594,33 @@ let analyze s confl =
       let g = compute_lbd s c.lits in
       if g < c.lbd then c.lbd <- g
     end;
-    Array.iter
-      (fun q ->
-        (* Skip the pivot occurrence: reason clauses contain the literal
-           they propagated. *)
-        if !p = -1 || q <> !p then begin
-          let v = Lit.var q in
-          if Bytes.get s.seen v = '\000' then
-            if s.level.(v) = 0 then begin
-              (* Resolved against its level-0 reason afterwards. *)
-              Bytes.set s.mark0 v '\001';
-              zeros := true
-            end
-            else begin
-              Bytes.set s.seen v '\001';
-              bump_var s v;
-              if s.level.(v) = cur_level then incr counter else learnt := q :: !learnt
-            end
-        end)
-      c.lits;
+    let lits = c.lits in
+    for k = 0 to Array.length lits - 1 do
+      let q = Array.unsafe_get lits k in
+      (* Skip the pivot occurrence: reason clauses contain the literal
+         they propagated. *)
+      if !p = -1 || q <> !p then begin
+        let v = Lit.var q in
+        if Bytes.unsafe_get s.seen v = '\000' then
+          if s.level.(v) = 0 then begin
+            (* Resolved against its level-0 reason afterwards. *)
+            mark0 s v
+          end
+          else begin
+            Bytes.unsafe_set s.seen v '\001';
+            bump_var s v;
+            if s.level.(v) = cur_level then incr counter else Vec.push learnt q
+          end
+      end
+    done;
     (* Select the next seen literal on the trail at the current level. *)
-    while Bytes.get s.seen (Lit.var (Vec.get s.trail !idx)) = '\000' do
+    while Bytes.unsafe_get s.seen (Lit.var (Vec.unsafe_get s.trail !idx)) = '\000' do
       decr idx
     done;
-    p := Vec.get s.trail !idx;
+    p := Vec.unsafe_get s.trail !idx;
     decr idx;
     let v = Lit.var !p in
-    Bytes.set s.seen v '\000';
+    Bytes.unsafe_set s.seen v '\000';
     decr counter;
     if !counter = 0 then continue := false
     else begin
@@ -554,71 +628,71 @@ let analyze s confl =
       if Check.on () then
         Check.check "sat.analyze_has_reason" (!slot >= 0)
           ~detail:(fun () -> Printf.sprintf "trail variable %d has no reason clause" v);
-      chain := (v, s.clauses.(!slot).cid) :: !chain
+      push_step s v !slot
     end
   done;
-  (* Local clause minimization (Sörensson): a literal is redundant when
-     its reason's other literals are all in the clause already or fixed
-     at level 0 — resolving it away shrinks the clause without adding
-     anything new.  Literals are processed latest-assigned first (by
-     trail position), so a removal never invalidates the check for the
-     earlier ones; each removal is recorded in the resolution chain to
-     keep proofs exact.  Membership is the [seen] mark, which is 1 on
-     exactly the learnt literals here; a removed literal is marked 2
-     until the final clear. *)
-  let original_learnt = !learnt in
-  if !learnt <> [] then begin
-    let by_pos_desc =
-      List.sort
-        (fun a b -> Int.compare s.tpos.(Lit.var b) s.tpos.(Lit.var a))
-        !learnt
-    in
-    let kept = ref [] in
-    List.iter
-      (fun q ->
-        let v = Lit.var q in
-        let r = s.reason.(v) in
-        let removable =
-          r >= 0
-          && Array.for_all
-               (fun l ->
-                 let w = Lit.var l in
-                 w = v || s.level.(w) = 0 || Bytes.get s.seen w = '\001')
-               s.clauses.(r).lits
-        in
-        if removable then begin
-          Bytes.set s.seen v '\002';
-          chain := (v, s.clauses.(r).cid) :: !chain;
-          Array.iter
-            (fun l ->
-              let w = Lit.var l in
-              if w <> v && s.level.(w) = 0 then begin
-                Bytes.set s.mark0 w '\001';
-                zeros := true
-              end)
-            s.clauses.(r).lits
-        end
-        else kept := q :: !kept)
-      by_pos_desc;
-    learnt := !kept
-  end;
-  if !zeros then resolve_level0 s chain;
-  let learnt_lits = Lit.neg !p :: !learnt in
-  List.iter (fun q -> Bytes.set s.seen (Lit.var q) '\000') original_learnt;
-  let bt_level = List.fold_left (fun acc q -> max acc s.level.(Lit.var q)) 0 !learnt in
-  (Array.of_list learnt_lits, bt_level, s.clauses.(confl).cid, List.rev !chain)
+  (* Minimization visits the literals latest-assigned first, so a
+     removal never invalidates the check for the earlier ones (a reason
+     only mentions earlier literals); each removal is recorded in the
+     resolution chain to keep proofs exact.  Membership is the [seen]
+     mark, which is 1 on exactly the learnt literals here; a removed
+     literal is marked 2 until the final clear.  The kept literals are
+     compacted, in visiting order, to the front of [a]. *)
+  let n = Vec.size learnt in
+  if n > Array.length s.sort_buf then
+    s.sort_buf <- Array.make (max n (2 * Array.length s.sort_buf)) 0;
+  let a = s.sort_buf in
+  for i = 0 to n - 1 do
+    a.(i) <- Vec.unsafe_get learnt i
+  done;
+  sort_by_trail_desc s a n;
+  let nkept = ref 0 in
+  for i = 0 to n - 1 do
+    let q = a.(i) in
+    let v = Lit.var q in
+    let r = s.reason.(v) in
+    if r >= 0 && removable s v r then begin
+      Bytes.unsafe_set s.seen v '\002';
+      push_step s v r;
+      let lits = s.clauses.(r).lits in
+      for k = 0 to Array.length lits - 1 do
+        let w = Lit.var (Array.unsafe_get lits k) in
+        if w <> v && s.level.(w) = 0 then mark0 s w
+      done
+    end
+    else begin
+      a.(!nkept) <- q;
+      incr nkept
+    end
+  done;
+  if s.nmark0 > 0 then resolve_level0 s;
+  let nk = !nkept in
+  let out = Array.make (nk + 1) (Lit.neg !p) in
+  let bt = ref 0 in
+  for i = 1 to nk do
+    let q = a.(nk - i) in
+    out.(i) <- q;
+    let lv = s.level.(Lit.var q) in
+    if lv > !bt then bt := lv
+  done;
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set s.seen (Lit.var (Vec.unsafe_get learnt i)) '\000'
+  done;
+  s.bt_level <- !bt;
+  out
 
 (* Conflict whose literals are all false at decision level 0: derive the
    empty clause and mark the instance unconditionally unsatisfiable.
    The empty clause is a proof-log step only — it never enters the
    clause database (nothing watches or resolves against it). *)
 let analyze_final s confl =
-  let chain = ref [] in
-  Array.iter (fun q -> Bytes.set s.mark0 (Lit.var q) '\001') s.clauses.(confl).lits;
-  resolve_level0 s chain;
-  s.empty_id <-
-    Proof_log.add_derived s.log ~lits:[||] ~first:s.clauses.(confl).cid
-      ~chain:(List.rev !chain);
+  let c = s.clauses.(confl) in
+  Vec.clear s.chain;
+  for k = 0 to Array.length c.lits - 1 do
+    mark0 s (Lit.var (Array.unsafe_get c.lits k))
+  done;
+  resolve_level0 s;
+  s.empty_id <- Proof_log.add_derived s.log ~lits:[||] ~first:c.cid ~chain:s.chain;
   s.ok <- false;
   s.core <- []
 
@@ -656,8 +730,8 @@ let analyze_assumptions s p =
   Bytes.set s.seen v0 '\000';
   !core
 
-let record_learnt s lits ~lbd first chain =
-  let cid = Proof_log.add_derived s.log ~lits ~first ~chain in
+let record_learnt s lits ~lbd ~first =
+  let cid = Proof_log.add_derived s.log ~lits ~first ~chain:s.chain in
   s.learnt_count <- s.learnt_count + 1;
   s.live_learnt <- s.live_learnt + 1;
   let len = Array.length lits in
@@ -834,14 +908,13 @@ let sort_uniq_in_place a =
    root level first.  Unit consequences are deferred to the next solve
    (via the pending list) so that proof shapes do not depend on
    interleaving clause addition with propagation. *)
-let add_clause s ?(tag = 0) lits =
+let add_clause_array s ?(tag = 0) arr =
   if tag < 0 then invalid_arg "Solver.add_clause: negative tag";
   if s.ok then begin
     cancel_until s 0;
     s.last_result <- Undef;
     (* Merge duplicates, drop tautologies.  Literals are otherwise kept
        untouched so the clause matches its proof role exactly. *)
-    let arr = Array.of_list lits in
     let len = sort_uniq_in_place arr in
     let tauto = ref false in
     for i = 1 to len - 1 do
@@ -892,6 +965,8 @@ let add_clause s ?(tag = 0) lits =
         if !pos < 2 then Vec.push s.pending slot
     end
   end
+
+let add_clause s ?tag lits = add_clause_array s ?tag (Array.of_list lits)
 
 (* Re-examine the pending clauses at solve start: enqueue the unit ones,
    derive the empty clause from falsified ones.  Clauses whose literal
@@ -981,15 +1056,16 @@ let solve_core ?(assumptions = []) ?(conflict_budget = max_int) s =
           res := Some Unsat
         end
         else begin
-          let lits, bt_level, first, chain = analyze s confl in
+          let lits = analyze s confl in
+          let first = s.clauses.(confl).cid in
           (* Glue is read off conflict-time levels, before the backjump
              unassigns the asserting literal. *)
           let lbd = compute_lbd s lits in
           (* Never backjump into the middle of the assumption prefix
              without replaying it: cancelling to [bt_level] is safe since
              the decision loop re-installs assumptions by level. *)
-          cancel_until s bt_level;
-          let slot = record_learnt s lits ~lbd first chain in
+          cancel_until s s.bt_level;
+          let slot = record_learnt s lits ~lbd ~first in
           if lit_val s lits.(0) = -1 then enqueue s lits.(0) slot
           else if lit_val s lits.(0) = 0 then begin
             (* Can only happen when the asserting literal is false at the

@@ -72,6 +72,11 @@ val add_clause : t -> ?tag:int -> Lit.t list -> unit
     [tag] (default 0) is recorded in the proof for interpolation; it must
     be [>= 0]. *)
 
+val add_clause_array : t -> ?tag:int -> Lit.t array -> unit
+(** {!add_clause} over an array, which the solver takes over: the
+    caller must neither read nor write it afterwards.  [add_clause s l]
+    is [add_clause_array s (Array.of_list l)]. *)
+
 val solve : ?assumptions:Lit.t list -> ?conflict_budget:int -> t -> result
 (** Runs the search under the given assumption literals (installed as the
     first decisions).  [conflict_budget] bounds the number of conflicts

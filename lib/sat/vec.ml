@@ -7,6 +7,8 @@ let get v i =
   assert (i >= 0 && i < v.n);
   Array.unsafe_get v.a i
 
+let unsafe_get v i = Array.unsafe_get v.a i
+
 let set v i x =
   assert (i >= 0 && i < v.n);
   Array.unsafe_set v.a i x

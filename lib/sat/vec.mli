@@ -5,6 +5,10 @@ type t
 val create : ?cap:int -> unit -> t
 val size : t -> int
 val get : t -> int -> int
+val unsafe_get : t -> int -> int
+(** [get] without the bounds check, for loops whose index is in range by
+    construction. *)
+
 val set : t -> int -> int -> unit
 val push : t -> int -> unit
 val pop : t -> int

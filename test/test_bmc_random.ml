@@ -169,9 +169,241 @@ let prop_engines_match_reachability =
           Engine.Pdr;
         ])
 
+(* --- compiled frames ----------------------------------------------------- *)
+
+(* The oracle for [Unroll.add_transition]: the per-frame Tseitin walk the
+   compiled frames replaced, written out here over a bare solver.  A
+   context caches node literals, allocates one [const_false] on demand,
+   and reads a frame's PIs through [pi_frame], which allocates the whole
+   block at the first PI read. *)
+module Ref_unroll = struct
+  open Isr_sat
+
+  type t = {
+    m : Model.t;
+    s : Solver.t;
+    mutable states : Lit.t array list; (* newest frame first *)
+    pis : (int, Lit.t array) Hashtbl.t;
+    eq : (int, int) Hashtbl.t; (* proof-log id -> latch *)
+  }
+
+  let fresh_block s n =
+    let v0 = Solver.new_vars s n in
+    Array.init n (fun i -> Lit.pos (v0 + i))
+
+  let create ~proof m =
+    let s = Solver.create ~proof () in
+    {
+      m;
+      s;
+      states = [ fresh_block s m.Model.num_latches ];
+      pis = Hashtbl.create 8;
+      eq = Hashtbl.create 64;
+    }
+
+  let nframes t = List.length t.states
+  let state t frame = List.nth t.states (nframes t - 1 - frame)
+
+  let pi_frame t frame =
+    match Hashtbl.find_opt t.pis frame with
+    | Some a -> a
+    | None ->
+      let a = fresh_block t.s t.m.Model.num_inputs in
+      Hashtbl.add t.pis frame a;
+      a
+
+  (* One Tseitin context over a frame: returns its literal encoder. *)
+  let context t ~frame ~tag =
+    let man = t.m.Model.man and ni = t.m.Model.num_inputs in
+    let cache = Hashtbl.create 64 and const_false = ref None in
+    let fresh () = Lit.pos (Solver.new_var t.s) in
+    let rec node n =
+      match Hashtbl.find_opt cache n with
+      | Some l -> l
+      | None ->
+        let a = n lsl 1 in
+        let l =
+          if Aig.is_const man a then (
+            match !const_false with
+            | Some l -> l
+            | None ->
+              let l = fresh () in
+              Solver.add_clause t.s ~tag [ Lit.neg l ];
+              const_false := Some l;
+              l)
+          else if Aig.is_input man a then
+            let i = Aig.input_index man a in
+            if i < ni then (pi_frame t frame).(i) else (state t frame).(i - ni)
+          else begin
+            let f0, f1 = Aig.fanins man a in
+            let l0 = lit f0 in
+            let l1 = lit f1 in
+            let v = fresh () in
+            Solver.add_clause t.s ~tag [ Lit.neg v; l0 ];
+            Solver.add_clause t.s ~tag [ Lit.neg v; l1 ];
+            Solver.add_clause t.s ~tag [ v; Lit.neg l0; Lit.neg l1 ];
+            v
+          end
+        in
+        Hashtbl.add cache n l;
+        l
+    and lit l =
+      let b = node (Aig.node_of l) in
+      if Aig.is_complemented l then Lit.neg b else b
+    in
+    lit
+
+  let assert_circuit t ~frame ~tag l =
+    if l = Aig.lit_true then ()
+    else if l = Aig.lit_false then Solver.add_clause t.s ~tag []
+    else Solver.add_clause t.s ~tag [ context t ~frame ~tag l ]
+
+  let add_transition ?(frozen = fun _ -> false) t ~tag =
+    let frame = nframes t - 1 in
+    let enc = context t ~frame ~tag in
+    let next =
+      Array.init t.m.Model.num_latches (fun i ->
+          if frozen i then Lit.pos (Solver.new_var t.s)
+          else begin
+            let e = enc t.m.Model.next.(i) in
+            let v = Lit.pos (Solver.new_var t.s) in
+            Hashtbl.replace t.eq (Solver.next_step_id t.s) i;
+            Solver.add_clause t.s ~tag [ Lit.neg v; e ];
+            Hashtbl.replace t.eq (Solver.next_step_id t.s) i;
+            Solver.add_clause t.s ~tag [ v; Lit.neg e ];
+            v
+          end)
+    in
+    t.states <- next :: t.states
+end
+
+let rec cone m = function
+  | T -> Aig.lit_true
+  | F -> Aig.lit_false
+  | In i -> Model.input_lit m i
+  | L i -> Model.latch_lit m i
+  | Not e -> Aig.not_ (cone m e)
+  | And (a, b) -> Aig.and_ m.Model.man (cone m a) (cone m b)
+  | Xor (a, b) -> Aig.xor_ m.Model.man (cone m a) (cone m b)
+
+(* What the unroller hands the solver, and the search it gets: the
+   variable count, every input clause's tag and stored literals (read
+   through the proof log, so only when it records), the latch of every
+   proof-log id, then the effort counters and every learnt clause of a
+   solve, and the stored input clauses again. *)
+let intake_digest ~proof s ~latch_of_clause =
+  let open Isr_sat in
+  let buf = Buffer.create 4096 in
+  let add i = Buffer.add_string buf (string_of_int i ^ " ") in
+  let inputs () =
+    if proof then
+      Solver.iter_input_clauses s (fun ~tag lits ->
+        add tag;
+        Array.iter add lits;
+        Buffer.add_char buf '\n')
+  in
+  add (Solver.nvars s);
+  for cid = 0 to Solver.next_step_id s - 1 do
+    match latch_of_clause cid with
+    | Some i ->
+      add cid;
+      add i
+    | None -> ()
+  done;
+  inputs ();
+  Solver.on_learnt s
+    (Some
+       (fun ~lits ~lbd ->
+         add lbd;
+         Array.iter add lits;
+         Buffer.add_char buf '\n'));
+  let r = Solver.solve s in
+  Solver.on_learnt s None;
+  add (match r with Solver.Sat -> 1 | Solver.Unsat -> 0 | Solver.Undef -> 2);
+  List.iter add
+    [
+      Solver.num_conflicts s;
+      Solver.num_decisions s;
+      Solver.num_propagations s;
+      Solver.num_learnt s;
+      Solver.proof_steps s;
+    ];
+  inputs ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Per frame: an optional cone over the frame's inputs and latches,
+   asserted before the transition (so the transition may find the
+   frame's PIs allocated), whether to solve before the transition (a
+   satisfiable solve leaves the trail above the root level, which the
+   transition's first clause cancels), and an optional frozen mask. *)
+let gen_frames =
+  let open QCheck2.Gen in
+  let* k = int_range 1 4 in
+  list_size (pure k)
+    (triple (opt ~ratio:0.5 gen_expr) bool (opt ~ratio:0.5 (array_size (pure nl) bool)))
+
+let print_frames_case (c, proof, frames) =
+  Printf.sprintf "%s proof=%b frames=[%s]" (print_circuit c) proof
+    (String.concat "; "
+       (List.map
+          (fun (pre, solve, mask) ->
+            Printf.sprintf "%s/%s/%s"
+              (if pre = None then "-" else "cone")
+              (if solve then "solve" else "-")
+              (match mask with
+              | None -> "-"
+              | Some m ->
+                String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") m))))
+          frames))
+
+let prop_compiled_frame_is_tseitin_frame =
+  QCheck2.Test.make ~count:300 ~name:"compiled frame = Tseitin frame" ~print:print_frames_case
+    QCheck2.Gen.(triple gen_circuit bool gen_frames)
+    (fun (c, proof, frames) ->
+      let model = build c in
+      let u = Unroll.create ~proof model in
+      let r = Ref_unroll.create ~proof model in
+      Unroll.assert_init u ~tag:1;
+      Array.iteri
+        (fun i l ->
+          let l = if model.Model.init.(i) then l else Isr_sat.Lit.neg l in
+          Isr_sat.Solver.add_clause r.Ref_unroll.s ~tag:1 [ l ])
+        (Ref_unroll.state r 0);
+      List.iteri
+        (fun f (pre, solve, mask) ->
+          let tag = f + 1 in
+          (match pre with
+          | Some e ->
+            let l = cone model e in
+            Unroll.assert_circuit u ~frame:f ~tag l;
+            Ref_unroll.assert_circuit r ~frame:f ~tag l
+          | None -> ());
+          if solve then begin
+            ignore (Isr_sat.Solver.solve (Unroll.solver u));
+            ignore (Isr_sat.Solver.solve r.Ref_unroll.s)
+          end;
+          let frozen = Option.map (fun m i -> m.(i)) mask in
+          Unroll.add_transition ?frozen u ~tag;
+          Ref_unroll.add_transition ?frozen r ~tag)
+        frames;
+      let k = List.length frames in
+      Unroll.assert_circuit u ~frame:k ~tag:(k + 1) model.Model.bad;
+      Ref_unroll.assert_circuit r ~frame:k ~tag:(k + 1) model.Model.bad;
+      let expected =
+        intake_digest ~proof r.Ref_unroll.s ~latch_of_clause:(Hashtbl.find_opt r.Ref_unroll.eq)
+      in
+      let got =
+        intake_digest ~proof (Unroll.solver u) ~latch_of_clause:(Unroll.latch_of_clause u)
+      in
+      String.equal expected got)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_exact_bmc_matches_bfs; prop_engines_match_reachability ]
+      [
+        prop_exact_bmc_matches_bfs;
+        prop_engines_match_reachability;
+        prop_compiled_frame_is_tseitin_frame;
+      ]
   in
   Alcotest.run "isr_bmc_random" [ ("differential", props) ]

@@ -33,6 +33,7 @@ let counter_model () =
       next = [| Aig.and_ man (Aig.not_ b0) (Aig.not_ b1); Aig.and_ man b0 (Aig.not_ b1) |];
       init = [| false; false |];
       bad = Aig.and_ man b0 b1;
+      frames = Frame_cnf.cache ();
     }
   in
   (match Model.validate model with
@@ -251,11 +252,12 @@ let test_view_survives_growth () =
   let c0 = Proof_log.add_input log ~tag:1 [| lit x |] in
   let c1 = Proof_log.add_input log ~tag:1 [| nlit x; lit y |] in
   let c2 = Proof_log.add_input log ~tag:2 [| nlit y |] in
-  let unused = Proof_log.add_derived log ~lits:[| nlit x |] ~first:c1 ~chain:[ (y, c2) ] in
+  let chain pivot aid = Vec.of_array [| pivot; aid |] in
+  let unused = Proof_log.add_derived log ~lits:[| nlit x |] ~first:c1 ~chain:(chain y c2) in
   Proof_log.delete log unused;
-  let d = Proof_log.add_derived log ~lits:[| lit y |] ~first:c1 ~chain:[ (x, c0) ] in
+  let d = Proof_log.add_derived log ~lits:[| lit y |] ~first:c1 ~chain:(chain x c0) in
   Proof_log.delete log c1;
-  let empty = Proof_log.add_derived log ~lits:[||] ~first:d ~chain:[ (y, c2) ] in
+  let empty = Proof_log.add_derived log ~lits:[||] ~first:d ~chain:(chain y c2) in
   let nsteps = Proof_log.n_steps log in
   let view () = Proof_log.view log ~empty ~nvars:2 in
   let answers p =
@@ -363,6 +365,7 @@ let test_lint_itp_support () =
       next = [| latch |];
       init = [| false |];
       bad = Aig.lit_false;
+      frames = Frame_cnf.cache ();
     }
   in
   Alcotest.(check bool) "latch predicate passes" false

@@ -235,6 +235,7 @@ let test_kind_invariant () =
       next = [| Isr_aig.Aig.lit_false |];
       init = [| false |];
       bad = Isr_aig.Aig.and_ man l x;
+      frames = Isr_model.Frame_cnf.cache ();
     }
   in
   let k, inv = kind input_bad in

@@ -163,6 +163,22 @@ let ckpt_file_roundtrip () =
   Sys.remove file;
   Alcotest.(check string) "meta json" (Checkpoint.meta_json ck) (Checkpoint.meta_json ck')
 
+(* A checkpoint's elapsed time is cumulative: a resumed run's snapshot
+   counts the sessions before the restore (stack5 under PDR, 0.200 s
+   recorded before the resume, must not read as the few milliseconds of
+   the resumed session alone). *)
+let ckpt_elapsed_accumulates () =
+  let model = build "stack5" in
+  let packed = Pdr.stepper () in
+  let inst = Step.start ~limits packed model in
+  step_n inst 2;
+  let ck = { (Step.snapshot inst) with Checkpoint.elapsed = 0.200 } in
+  let inst' = Step.restore ~limits packed model ck in
+  step_n inst' 1;
+  let elapsed = (Step.snapshot inst').Checkpoint.elapsed in
+  if elapsed < 0.200 then
+    Alcotest.failf "snapshot after a resume reports %.3f s, below the restored 0.200 s" elapsed
+
 (* The payload records the ITPSEQ, ITPSEQCBA and ITPSEQPBA engines
    marshalled when they were three separate step machines.  Checkpoints
    they wrote must still resume, and new payloads must still read as
@@ -396,6 +412,7 @@ let () =
         [
           Alcotest.test_case "mismatched restores are refused" `Quick restore_mismatch;
           Alcotest.test_case "file round-trip preserves meta" `Quick ckpt_file_roundtrip;
+          Alcotest.test_case "elapsed accumulates across resumes" `Quick ckpt_elapsed_accumulates;
           Alcotest.test_case "itpseq payloads keep their record layouts" `Quick payload_compat;
           Alcotest.test_case "itpseq step counts per strategy" `Quick step_counts;
           Alcotest.test_case "every engine's steps and midpoint payload" `Quick engine_pins;
