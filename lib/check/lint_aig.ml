@@ -191,7 +191,11 @@ let lint_netlist (n : Aiger.netlist) =
           | _ -> ()
         end
       in
-      List.iter (fun (al, _) -> mark (al / 2)) !refs;
+      (* The roots are what the netlist exposes: its output and bad
+         literals and its latches' next states.  An AND fanin is no
+         root: a gate only dead gates read is dead too. *)
+      List.iter (fun (al, _) -> mark (al / 2)) n.Aiger.outputs;
+      List.iter (fun (_, next, _, _) -> mark (next / 2)) n.Aiger.latches;
       let dead = ref 0 in
       Hashtbl.iter
         (fun v (d, _) ->

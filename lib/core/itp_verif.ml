@@ -16,6 +16,7 @@ let build_bound_instance model ~start ~k =
   (match start with
   | `Init -> Unroll.assert_init u ~tag:1
   | `Circuit c -> Unroll.assert_circuit u ~frame:0 ~tag:1 c);
+  Unroll.reserve u ~frames:k ~props:k;
   Unroll.add_transition u ~tag:1;
   for _ = 1 to k - 1 do
     Unroll.add_transition u ~tag:2

@@ -64,13 +64,16 @@ let serial_step ~system budget stats ?frozen model ~check ~k ~j prev =
   @@ fun () ->
   let u = Unroll.create ~proof:true model in
   Unroll.assert_circuit u ~frame:0 ~tag:1 prev;
-  if check = Bmc.Assume && j >= 2 then
+  let local_last = k - j + 1 in
+  let assume = check = Bmc.Assume in
+  Unroll.reserve ?frozen u ~frames:local_last
+    ~props:(1 + (if assume && j >= 2 then 1 else 0) + if assume then local_last - 1 else 0);
+  if assume && j >= 2 then
     (* p(V^{j-1}) belongs to A_j (partition 1 here). *)
     Unroll.assert_circuit u ~frame:0 ~tag:1 (Model.prop model);
   Unroll.add_transition ?frozen u ~tag:1;
-  let local_last = k - j + 1 in
   for g = 1 to local_last - 1 do
-    if check = Bmc.Assume then
+    if assume then
       (* original frame j-1+g <= k-1 always holds here *)
       Unroll.assert_circuit u ~frame:g ~tag:2 (Model.prop model);
     Unroll.add_transition ?frozen u ~tag:2
@@ -94,12 +97,15 @@ let serial_step ~system budget stats ?frozen model ~check ~k ~j prev =
 let serial_tail ~system budget stats ?frozen model ~check ~k ~ns prev =
   let u = Unroll.create ~proof:true model in
   Unroll.assert_circuit u ~frame:0 ~tag:1 prev;
-  if check = Bmc.Assume && ns >= 1 then
-    Unroll.assert_circuit u ~frame:0 ~tag:1 (Model.prop model);
   let len = k - ns in
+  let assume = check = Bmc.Assume in
+  Unroll.reserve ?frozen u ~frames:len
+    ~props:(1 + (if assume && ns >= 1 then 1 else 0) + if assume then len - 1 else 0);
+  if assume && ns >= 1 then
+    Unroll.assert_circuit u ~frame:0 ~tag:1 (Model.prop model);
   for g = 0 to len - 1 do
     Unroll.add_transition ?frozen u ~tag:(g + 1);
-    if check = Bmc.Assume && g + 1 <= len - 1 then
+    if assume && g + 1 <= len - 1 then
       Unroll.assert_circuit u ~frame:(g + 1) ~tag:(g + 2) (Model.prop model)
   done;
   Unroll.assert_circuit u ~frame:len ~tag:(len + 1) model.Model.bad;

@@ -16,13 +16,14 @@ type t = {
   lits : Lit.t array; (* template literals, clause after clause, as emitted *)
   ends : int array;   (* clause [c] is [lits.(ends.(c - 1)) .. lits.(ends.(c) - 1)] *)
   latch : int array;  (* per clause, the latch of a state-equality clause, or -1 *)
+  neq : int;          (* state-equality clauses *)
   next : int array;   (* per latch, the template variable of its next state *)
 }
 
 let compile ~man ~num_inputs ~next ~frozen =
   let nl = Array.length next and ni = num_inputs in
   let nfresh = ref 0 and pi_at = ref (-1) in
-  let pre_fresh = ref 0 and pre_pi = ref false in
+  let pre_fresh = ref 0 and pre_pi = ref false and neq = ref 0 in
   let lits = Vec.create () and ends = Vec.create () and latch = Vec.create () in
   let fresh () =
     let v = nl + ni + !nfresh in
@@ -36,7 +37,8 @@ let compile ~man ~num_inputs ~next ~frozen =
     end;
     List.iter (Vec.push lits) c;
     Vec.push ends (Vec.size lits);
-    Vec.push latch i
+    Vec.push latch i;
+    if i >= 0 then incr neq
   in
   let input_lit i =
     if i >= ni then Lit.pos (i - ni)
@@ -69,8 +71,13 @@ let compile ~man ~num_inputs ~next ~frozen =
     lits = Vec.to_array lits;
     ends = Vec.to_array ends;
     latch = Vec.to_array latch;
+    neq = !neq;
     next;
   }
+
+let vars f = f.nfresh + if f.pi_at >= 0 then f.ni else 0
+let clauses f = Array.length f.ends
+let equalities f = f.neq
 
 (* The solver variable of every template variable, for a frame whose
    first new variable is [base]; whether the frame allocates its PIs. *)

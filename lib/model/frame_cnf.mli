@@ -34,6 +34,17 @@ val instantiate :
     state-equality clause of latch [i] is added.  Returns the next
     state's literals, and the frame's PIs when the frame allocated them. *)
 
+val vars : t -> int
+(** Variables one {!instantiate} allocates at most: the frame's own and,
+    when it reads a primary input, its PI block (allocated only when no
+    earlier encoding did). *)
+
+val clauses : t -> int
+(** Clauses one {!instantiate} adds. *)
+
+val equalities : t -> int
+(** State-equality clauses among them (two per latch not frozen). *)
+
 type cache
 (** At most two compiled frames: the unfrozen one and the latest frozen
     mask's (all that abstraction refinement asks for).  Safe to share

@@ -1,4 +1,5 @@
 open Isr_sat
+open Isr_aig
 module Tseitin = Isr_cnf.Tseitin
 module Check = Isr_check_core.Level
 
@@ -66,15 +67,18 @@ let state_lit t ~frame i =
   if frame < 0 || frame >= t.nframes then invalid_arg "Unroll.state_lit: no such frame";
   t.states.(frame).(i)
 
-let grow t =
-  if t.nframes = Array.length t.states then begin
-    let s = Array.make (2 * t.nframes) [||] in
+(* Room for [n] frames in all. *)
+let reserve_frames t n =
+  if n > Array.length t.states then begin
+    let s = Array.make n [||] in
     Array.blit t.states 0 s 0 t.nframes;
     t.states <- s;
-    let p = Array.make (2 * t.nframes) None in
+    let p = Array.make n None in
     Array.blit t.pis 0 p 0 t.nframes;
     t.pis <- p
   end
+
+let grow t = if t.nframes = Array.length t.states then reserve_frames t (2 * t.nframes)
 
 let pi_frame t frame =
   if frame < 0 || frame >= t.nframes then invalid_arg "Unroll.pi_frame: no such frame";
@@ -113,16 +117,54 @@ let attribute t i =
     Vec.push t.eq_latch i
   end
 
+let frame_cnf ?frozen t =
+  let m = t.model in
+  Frame_cnf.find m.Model.frames ~man:m.Model.man ~num_inputs:m.Model.num_inputs
+    ~next:m.Model.next ~frozen
+
+(* What one encoding of the property cone adds at most: a variable per
+   AND node, per primary input read and for [const_false]; three clauses
+   per AND node, the [const_false] unit and the assertion. *)
+let prop_room m =
+  let man = m.Model.man in
+  let vars = ref 0 and clauses = ref 1 in
+  Aig.iter_cones man [ m.Model.bad ] ~f:(fun node ->
+      let l = node lsl 1 in
+      if Aig.is_const man l then begin
+        incr vars;
+        incr clauses
+      end
+      else if Aig.is_input man l then begin
+        if Aig.input_index man l < m.Model.num_inputs then incr vars
+      end
+      else begin
+        incr vars;
+        clauses := !clauses + 3
+      end);
+  (!vars, !clauses)
+
+let reserve ?frozen ?(init = false) t ~frames ~props =
+  if frames < 0 || props < 0 then invalid_arg "Unroll.reserve: negative count";
+  let m = t.model in
+  let cnf = frame_cnf ?frozen t in
+  let pvars, pclauses = if props = 0 then (0, 0) else prop_room m in
+  Solver.reserve t.solver
+    ~vars:((frames * Frame_cnf.vars cnf) + (props * pvars))
+    ~clauses:
+      ((if init then m.Model.num_latches else 0)
+      + (frames * Frame_cnf.clauses cnf)
+      + (props * pclauses));
+  let neq = Vec.size t.eq_ids + (frames * Frame_cnf.equalities cnf) in
+  Vec.reserve t.eq_ids neq;
+  Vec.reserve t.eq_latch neq;
+  reserve_frames t (t.nframes + frames)
+
 (* One frame of the model's compiled transition CNF, instantiated over
    the last frame's state and its PIs, when an earlier [encode] at that
    frame allocated them. *)
 let add_transition ?frozen t ~tag =
   let frame = t.nframes - 1 in
-  let m = t.model in
-  let cnf =
-    Frame_cnf.find m.Model.frames ~man:m.Model.man ~num_inputs:m.Model.num_inputs
-      ~next:m.Model.next ~frozen
-  in
+  let cnf = frame_cnf ?frozen t in
   let next_state, pis =
     Frame_cnf.instantiate cnf t.solver ~tag ~state:t.states.(frame) ~pis:t.pis.(frame)
       ~attribute:(attribute t)

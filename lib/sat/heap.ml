@@ -8,14 +8,18 @@ let create () = { heap = Vec.create (); pos = Array.make 16 (-1); act = [||] }
 let set_activity h act = h.act <- act
 let size h = Vec.size h.heap
 
+let resize_pos h n' =
+  let pos' = Array.make n' (-1) in
+  Array.blit h.pos 0 pos' 0 (Array.length h.pos);
+  h.pos <- pos'
+
 let ensure_pos h v =
   let n = Array.length h.pos in
-  if v >= n then begin
-    let n' = max (2 * n) (v + 1) in
-    let pos' = Array.make n' (-1) in
-    Array.blit h.pos 0 pos' 0 n;
-    h.pos <- pos'
-  end
+  if v >= n then resize_pos h (max (2 * n) (v + 1))
+
+let reserve h n =
+  if n > Array.length h.pos then resize_pos h n;
+  Vec.reserve h.heap n
 
 let in_heap h v = v < Array.length h.pos && h.pos.(v) >= 0
 let better h a b = h.act.(a) > h.act.(b)

@@ -11,6 +11,10 @@ val set_activity : t -> float array -> unit
 (** Installs the array used for comparisons.  Elements already in the heap
     keep their positions; callers must only grow the array. *)
 
+val reserve : t -> int -> unit
+(** [reserve h n] makes room for variables [0 .. n - 1], so that
+    inserting them allocates nothing.  The heap is unchanged. *)
+
 val in_heap : t -> int -> bool
 val insert : t -> int -> unit
 (** No-op when the variable is already present. *)

@@ -1,11 +1,14 @@
-(* A read-only view of a packed proof log; see proof_log.mli for the
+(* A read-only view of a paged proof log; see proof_log.mli for the
    record layout:
      input:    [-(tag+1); nlits; lit...]
      derived:  [first;    nlits; lit...; nchain; pivot; aid; ...] *)
 
+let page_bits = 16
+let page_mask = (1 lsl page_bits) - 1
+
 type t = {
-  index : int array;          (* step id -> offset into [data] *)
-  data : int array;
+  index : int array;          (* step id -> address: page lsl page_bits lor offset *)
+  pages : int array array;
   nsteps : int;
   empty : int;
   nvars : int;
@@ -14,51 +17,56 @@ type t = {
   mutable used : int array option;  (* memo: ascending ids of the used cone *)
 }
 
-let of_packed ~index ~data ~nsteps ~deletions ~ndeletions ~empty ~nvars =
+let of_packed ~index ~pages ~nsteps ~deletions ~ndeletions ~empty ~nvars =
   if empty < 0 || empty >= nsteps then invalid_arg "Proof.of_packed: bad empty id";
-  { index; data; nsteps; empty; nvars; dels = deletions; ndels = ndeletions; used = None }
+  { index; pages; nsteps; empty; nvars; dels = deletions; ndels = ndeletions; used = None }
 
 let n_steps p = p.nsteps
 let empty p = p.empty
 let nvars p = p.nvars
 let n_deletions p = p.ndels
 
-let is_input p id = p.data.(p.index.(id)) < 0
+(* A record lies within one page: its page, and its offset there. *)
+let page p id = p.pages.(p.index.(id) lsr page_bits)
+let at p id = p.index.(id) land page_mask
+
+let head p id = (page p id).(at p id)
+let is_input p id = head p id < 0
 
 let tag p id =
-  let h = p.data.(p.index.(id)) in
+  let h = head p id in
   if h < 0 then -h - 1 else -1
 
-let nlits p id = p.data.(p.index.(id) + 1)
-let lit p id k = p.data.(p.index.(id) + 2 + k)
+let nlits p id = (page p id).(at p id + 1)
+let lit p id k = (page p id).(at p id + 2 + k)
 let lits p id =
-  let o = p.index.(id) in
-  Array.sub p.data (o + 2) p.data.(o + 1)
+  let d = page p id and o = at p id in
+  Array.sub d (o + 2) d.(o + 1)
 
-let first p id = p.data.(p.index.(id))
+let first p id = head p id
 
 let fold_lits p id f acc =
-  let o = p.index.(id) in
+  let d = page p id and o = at p id in
   let acc = ref acc in
-  for i = o + 2 to o + 1 + p.data.(o + 1) do
-    acc := f !acc p.data.(i)
+  for i = o + 2 to o + 1 + d.(o + 1) do
+    acc := f !acc d.(i)
   done;
   !acc
 
-(* Offset of a derived step's [nchain] word. *)
+(* Offset of a derived step's [nchain] word in its page. *)
 let chain_at p id =
-  let o = p.index.(id) in
-  o + 2 + p.data.(o + 1)
+  let o = at p id in
+  o + 2 + (page p id).(o + 1)
 
-let chain_length p id = p.data.(chain_at p id)
-let pivot p id k = p.data.(chain_at p id + 1 + (2 * k))
-let antecedent p id k = p.data.(chain_at p id + 2 + (2 * k))
+let chain_length p id = (page p id).(chain_at p id)
+let pivot p id k = (page p id).(chain_at p id + 1 + (2 * k))
+let antecedent p id k = (page p id).(chain_at p id + 2 + (2 * k))
 
 let fold_chain p id f acc =
-  let c = chain_at p id in
+  let d = page p id and c = chain_at p id in
   let acc = ref acc in
-  for k = 0 to p.data.(c) - 1 do
-    acc := f !acc p.data.(c + 1 + (2 * k)) p.data.(c + 2 + (2 * k))
+  for k = 0 to d.(c) - 1 do
+    acc := f !acc d.(c + 1 + (2 * k)) d.(c + 2 + (2 * k))
   done;
   !acc
 
@@ -79,7 +87,7 @@ let step p id =
 let tag_range p =
   let lo = ref max_int and hi = ref 0 in
   for id = 0 to p.nsteps - 1 do
-    let h = p.data.(p.index.(id)) in
+    let h = head p id in
     if h < 0 then begin
       let tag = -h - 1 in
       if tag < !lo then lo := tag;
@@ -91,12 +99,12 @@ let tag_range p =
 let var_tag_ranges p =
   let minp = Array.make p.nvars max_int and maxp = Array.make p.nvars 0 in
   for id = 0 to p.nsteps - 1 do
-    let o = p.index.(id) in
-    let h = p.data.(o) in
+    let d = page p id and o = at p id in
+    let h = d.(o) in
     if h < 0 then begin
       let tag = -h - 1 in
-      for i = o + 2 to o + 1 + p.data.(o + 1) do
-        let v = Lit.var p.data.(i) in
+      for i = o + 2 to o + 1 + d.(o + 1) do
+        let v = Lit.var d.(i) in
         if tag < minp.(v) then minp.(v) <- tag;
         if tag > maxp.(v) then maxp.(v) <- tag
       done
@@ -117,13 +125,13 @@ let used p =
     for id = p.empty downto 0 do
       if Bytes.get mark id = '\001' then begin
         incr count;
-        let o = p.index.(id) in
-        let h = p.data.(o) in
+        let d = page p id and o = at p id in
+        let h = d.(o) in
         if h >= 0 then begin
           Bytes.set mark h '\001';
-          let c = o + 2 + p.data.(o + 1) in
-          for k = 0 to p.data.(c) - 1 do
-            Bytes.set mark p.data.(c + 2 + (2 * k)) '\001'
+          let c = o + 2 + d.(o + 1) in
+          for k = 0 to d.(c) - 1 do
+            Bytes.set mark d.(c + 2 + (2 * k)) '\001'
           done
         end
       end

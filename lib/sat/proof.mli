@@ -10,13 +10,15 @@
     derived clause (as a set of literals).  The last step of the proof
     derives the empty clause.
 
-    A proof is a read-only {e view} of the solver's packed, append-only
-    {!Proof_log}: it shares the log's arrays and fixes the step count when
+    A proof is a read-only {e view} of the solver's paged, append-only
+    {!Proof_log}: it shares the log's pages and fixes the step count when
     it is made, so nothing is copied.  The view stays valid while the log
-    grows: growth copies into fresh arrays and appends only above the
-    view's extent, so every record the view can reach is frozen.  The
-    accessors read the log's records in place; {!step} builds one step as
-    a value, for tests and cold paths.
+    grows: a page is never written below its fill, the log appends only
+    above the view's extent, and the arrays that do grow (the step index,
+    the deletion events, the first page until it reaches full size) are
+    copied into fresh ones, so every record the view can reach is
+    frozen.  The accessors read the log's records in place; {!step}
+    builds one step as a value, for tests and cold paths.
 
     Every step of the log is reachable through the view, used or not.
     Interpolation labels variables by their occurrences across {e all}
@@ -25,9 +27,14 @@
 
 type t
 
+val page_bits : int
+(** A record's address is [page lsl page_bits lor offset]: pages hold
+    [1 lsl page_bits] words, except the first while it grows and one
+    opened for a longer record. *)
+
 val of_packed :
   index:int array ->
-  data:int array ->
+  pages:int array array ->
   nsteps:int ->
   deletions:int array ->
   ndeletions:int ->
@@ -35,10 +42,12 @@ val of_packed :
   nvars:int ->
   t
 (** The view behind {!Proof_log.view}: steps [0 .. nsteps - 1] laid out
-    in [data] as {!Proof_log} describes, [index.(id)] the offset of step
-    [id], and [ndeletions] flattened [(pos, id)] pairs in [deletions].
-    The arrays are shared, not copied: the caller must never write them
-    below these extents.
+    as {!Proof_log} describes, step [id]'s record whole within page
+    [pages.(index.(id) lsr page_bits)] from offset
+    [index.(id) land (1 lsl page_bits - 1)], and [ndeletions] flattened
+    [(pos, id)] pairs in [deletions].  The arrays are shared, not copied
+    (the page table excepted, which the view owns): the caller must
+    never write them below these extents.
     @raise Invalid_argument when [empty] is not a step id. *)
 
 val n_steps : t -> int

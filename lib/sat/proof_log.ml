@@ -1,23 +1,32 @@
 (* Packed append-only proof store; see the .mli for the record layout. *)
 
+let page_words = 1 lsl Proof.page_bits
+
 type t = {
   record : bool;              (* false: hand out ids, store nothing *)
-  mutable index : int array;  (* step id -> offset into [data] *)
+  mutable index : int array;  (* step id -> address of its record (see Proof) *)
   mutable nsteps : int;
   mutable ninputs : int;
-  mutable data : int array;
-  mutable len : int;
+  mutable pages : int array array;  (* pages [0 .. npages - 1]; the last is written *)
+  mutable npages : int;
+  mutable page : int array;   (* [pages.(npages - 1)] *)
+  mutable fill : int;         (* words written to [page] *)
+  mutable words : int;        (* words written to every page *)
   mutable dels : int array;   (* flattened (pos, id) deletion events *)
   mutable ndels : int;        (* events recorded (pairs, not words) *)
 }
 
 let create ?(record = true) () =
+  let page = Array.make 256 0 in
   { record;
     index = Array.make 64 0;
     nsteps = 0;
     ninputs = 0;
-    data = Array.make 256 0;
-    len = 0;
+    pages = [| page |];
+    npages = 1;
+    page;
+    fill = 0;
+    words = 0;
     dels = Array.make 16 0;
     ndels = 0;
   }
@@ -26,7 +35,7 @@ let recording t = t.record
 let n_steps t = t.nsteps
 let n_inputs t = t.ninputs
 let n_deletions t = t.ndels
-let bytes t = if t.record then 8 * (t.len + t.nsteps + (2 * t.ndels)) else 0
+let bytes t = if t.record then 8 * (t.words + t.nsteps + (2 * t.ndels)) else 0
 
 let require_record t what =
   if not t.record then invalid_arg (Printf.sprintf "Proof_log.%s: log records no steps" what)
@@ -43,8 +52,9 @@ let copy (src : int array) (dst : int array) ~at n =
     Array.unsafe_set dst (at + i) (Array.unsafe_get src i)
   done
 
-(* Growth always copies into a fresh array and leaves the old one as it
-   was: a {!view} holding the old array keeps reading frozen records. *)
+(* Growth copies into a fresh array and leaves the old one as it was: a
+   {!view} holding the old array keeps reading frozen records.  Only
+   the step index, the deletion events and the first page grow so. *)
 let grown (a : int array) ~used ~need =
   let b = Array.make (max (2 * Array.length a) need) 0 in
   copy a b ~at:0 used;
@@ -53,51 +63,75 @@ let grown (a : int array) ~used ~need =
 let reserve_step t =
   if t.nsteps = Array.length t.index then
     t.index <- grown t.index ~used:t.nsteps ~need:(t.nsteps + 1);
-  t.index.(t.nsteps) <- t.len;
+  t.index.(t.nsteps) <- ((t.npages - 1) lsl Proof.page_bits) lor t.fill;
   next_id t
 
+(* Room for a record of [n] words in the current page.  The first page
+   doubles up to [page_words], as one array would, so a small log costs
+   no more; past that a record that does not fit opens a new page — of
+   its own size when it is longer than a page — and no word is copied
+   again.  Called before [reserve_step], which reads the address. *)
 let reserve_data t n =
-  if t.len + n > Array.length t.data then
-    t.data <- grown t.data ~used:t.len ~need:(t.len + n)
+  if t.fill + n > Array.length t.page then begin
+    let cap = Array.length t.page in
+    if t.npages = 1 && cap < page_words && t.fill + n <= page_words then begin
+      (* Sizes are powers of two from 256: this stops at [page_words]. *)
+      t.page <- grown t.page ~used:t.fill ~need:(t.fill + n);
+      t.pages.(0) <- t.page
+    end
+    else begin
+      if t.npages = Array.length t.pages then begin
+        let p = Array.make (2 * t.npages) [||] in
+        Array.blit t.pages 0 p 0 t.npages;
+        t.pages <- p
+      end;
+      t.page <- Array.make (max page_words n) 0;
+      t.pages.(t.npages) <- t.page;
+      t.npages <- t.npages + 1;
+      t.fill <- 0
+    end
+  end
 
 let push t x =
-  t.data.(t.len) <- x;
-  t.len <- t.len + 1
+  Array.unsafe_set t.page t.fill x;
+  t.fill <- t.fill + 1
 
 let push_lits t lits =
   let nl = Array.length lits in
-  copy lits t.data ~at:t.len nl;
-  t.len <- t.len + nl
+  copy lits t.page ~at:t.fill nl;
+  t.fill <- t.fill + nl
 
 let add_input t ~tag lits =
   if tag < 0 then invalid_arg "Proof_log.add_input: negative tag";
   t.ninputs <- t.ninputs + 1;
   if not t.record then next_id t
   else begin
-    let id = reserve_step t in
     let nl = Array.length lits in
     reserve_data t (2 + nl);
+    let id = reserve_step t in
     push t (-(tag + 1));
     push t nl;
     push_lits t lits;
+    t.words <- t.words + 2 + nl;
     id
   end
 
 let add_derived t ~lits ~first ~chain =
   if not t.record then next_id t
   else begin
-    let id = reserve_step t in
     let nl = Array.length lits in
     let nw = Vec.size chain in
     reserve_data t (3 + nl + nw);
+    let id = reserve_step t in
     push t first;
     push t nl;
     push_lits t lits;
     push t (nw / 2);
     for i = 0 to nw - 1 do
-      Array.unsafe_set t.data (t.len + i) (Vec.unsafe_get chain i)
+      Array.unsafe_set t.page (t.fill + i) (Vec.unsafe_get chain i)
     done;
-    t.len <- t.len + nw;
+    t.fill <- t.fill + nw;
+    t.words <- t.words + 3 + nl + nw;
     id
   end
 
@@ -112,10 +146,13 @@ let delete t id =
 
 let tag t id =
   require_record t "tag";
-  let h = t.data.(t.index.(id)) in
+  let a = t.index.(id) in
+  let h = t.pages.(a lsr Proof.page_bits).(a land (page_words - 1)) in
   if h < 0 then -h - 1 else -1
 
+(* The view gets its own copy of the page table: the first page may
+   still be replaced by a larger copy, and new pages are added. *)
 let view t ~empty ~nvars =
   require_record t "view";
-  Proof.of_packed ~index:t.index ~data:t.data ~nsteps:t.nsteps ~deletions:t.dels
-    ~ndeletions:t.ndels ~empty ~nvars
+  Proof.of_packed ~index:t.index ~pages:(Array.sub t.pages 0 t.npages) ~nsteps:t.nsteps
+    ~deletions:t.dels ~ndeletions:t.ndels ~empty ~nvars

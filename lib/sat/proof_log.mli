@@ -3,25 +3,35 @@
     The solver's in-memory clause database holds only what propagation
     needs (literals, LBD, activity) and may delete learned clauses;
     everything proof-shaped — input tags, resolution chains, deletion
-    events — lives here, packed into a flat integer arena.  Step ids are
+    events — lives here, packed into pages of integers.  Step ids are
     assigned by append order and are {e stable}: they never move when the
     clause database compacts, so they are the id space of
     {!Proof.t}, of LRAT exports, and of the unsat-core-to-latch mapping
     in [Isr_model.Unroll].
 
-    Layout (one record per step at [index.(id)]):
+    Layout (one record per step, at the page and offset that
+    [index.(id)] encodes; see {!Proof.of_packed}):
     {v
       input:    [-(tag+1); nlits; lit...]
       derived:  [first;    nlits; lit...; nchain; pivot; aid; ...]
     v}
     The head word disambiguates: tags are [>= 0] so the input marker is
     [<= -1], while a derived step's [first] antecedent id is [>= 0].
+    A record never straddles two pages.  Pages hold {!page_words} words:
+    the first starts at 256 and doubles until it reaches that size (so a
+    small log costs what one growing array would), every later one is
+    allocated at full size when the current page cannot take the next
+    record, and a record longer than a page gets a page of its own
+    length.  No record is copied once its page is full size.
     Deletion events are [(pos, id)] pairs in a side array, where [pos]
     is the number of steps that existed when the deletion happened.
     {!Proof} reads these records in place through {!view}: this layout
     is the contract between the two modules. *)
 
 type t
+
+val page_words : int
+(** Words in a full page: [1 lsl Proof.page_bits]. *)
 
 val create : ?record:bool -> unit -> t
 (** With [record = false] (default [true]) the log only hands out step
@@ -41,8 +51,10 @@ val n_deletions : t -> int
 (** Number of deletion events recorded so far. *)
 
 val bytes : t -> int
-(** Current footprint of the packed arena in bytes (payload + index +
-    deletion events) — the quantity behind the ["proof.bytes"] gauge. *)
+(** Footprint of the log in bytes: the words of every record, one index
+    word per step and two words per deletion event — the quantity
+    behind the ["proof.bytes"] gauge.  Unused page tails do not count,
+    so the figure does not depend on the page size. *)
 
 val add_input : t -> tag:int -> Lit.t array -> int
 (** Appends an input clause ([tag >= 0]) and returns its step id.
@@ -63,9 +75,13 @@ val tag : t -> int -> int
 (** Partition tag of an input step; [-1] for derived steps. *)
 
 val view : t -> empty:int -> nvars:int -> Proof.t
-(** The log as a {!Proof.t} rooted at the [empty] step, without copying:
-    the view shares the log's arrays and covers the steps and deletion
-    events recorded so far.  Appending afterwards never changes what the
-    view reads — growth moves the log to fresh arrays, and new records
-    land above the view's extent.
+(** The log as a {!Proof.t} rooted at the [empty] step, without copying
+    a record: the view shares the log's pages, step index and deletion
+    events, holds its own copy of the page table, and covers the steps
+    and deletion events recorded so far.  Appending afterwards never
+    changes what the view reads: new records land in page space the
+    view does not reach (above its extent in the current page, or in
+    pages opened later), and the arrays that still grow by copying —
+    the step index, the deletion events and the first page below full
+    size — move to fresh arrays, leaving the view's ones as they were.
     @raise Invalid_argument when [empty] is not a step id. *)

@@ -204,48 +204,67 @@ let reduce_policy s = s.policy
 
 let interrupted s = match s.interrupt with Some f -> f () | None -> false
 
+(* Per-variable storage at capacity [cap'], and per-literal storage at
+   [wcap'] — both exact: [grow_vars] doubles, [reserve] sizes once. *)
+let resize_vars s cap' =
+  let cap = Array.length s.assigns in
+  let grow_int a def =
+    let a' = Array.make cap' def in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  s.assigns <- grow_int s.assigns (-1);
+  s.level <- grow_int s.level 0;
+  s.reason <- grow_int s.reason (-1);
+  s.tpos <- grow_int s.tpos 0;
+  let grow_bytes b =
+    let b' = Bytes.make cap' '\000' in
+    Bytes.blit b 0 b' 0 cap;
+    b'
+  in
+  s.phase <- grow_bytes s.phase;
+  s.seen <- grow_bytes s.seen;
+  s.mark0 <- grow_bytes s.mark0;
+  (* Level-indexed: levels range over 0..nvars inclusive. *)
+  let lbd' = Bytes.make (cap' + 1) '\000' in
+  Bytes.blit s.lbd_mark 0 lbd' 0 (Bytes.length s.lbd_mark);
+  s.lbd_mark <- lbd';
+  let act' = Array.make cap' 0.0 in
+  Array.blit s.activity 0 act' 0 cap;
+  s.activity <- act';
+  Heap.set_activity s.order s.activity
+
+(* A literal gets its own watch list on its first watch: until then it
+   shares the empty array. *)
+let resize_watches s wcap' =
+  let wcap = Array.length s.watches in
+  let w' = Array.make wcap' [||] in
+  Array.blit s.watches 0 w' 0 wcap;
+  s.watches <- w';
+  let l' = Array.make wcap' 0 in
+  Array.blit s.wlen 0 l' 0 wcap;
+  s.wlen <- l'
+
 let grow_vars s n =
   let cap = Array.length s.assigns in
-  if n > cap then begin
-    let cap' = max (2 * cap) n in
-    let grow_int a def =
-      let a' = Array.make cap' def in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    s.assigns <- grow_int s.assigns (-1);
-    s.level <- grow_int s.level 0;
-    s.reason <- grow_int s.reason (-1);
-    s.tpos <- grow_int s.tpos 0;
-    let grow_bytes b =
-      let b' = Bytes.make cap' '\000' in
-      Bytes.blit b 0 b' 0 cap;
-      b'
-    in
-    s.phase <- grow_bytes s.phase;
-    s.seen <- grow_bytes s.seen;
-    s.mark0 <- grow_bytes s.mark0;
-    (* Level-indexed: levels range over 0..nvars inclusive. *)
-    let lbd' = Bytes.make (cap' + 1) '\000' in
-    Bytes.blit s.lbd_mark 0 lbd' 0 (Bytes.length s.lbd_mark);
-    s.lbd_mark <- lbd';
-    let act' = Array.make cap' 0.0 in
-    Array.blit s.activity 0 act' 0 cap;
-    s.activity <- act';
-    Heap.set_activity s.order s.activity
-  end;
+  if n > cap then resize_vars s (max (2 * cap) n);
   let wcap = Array.length s.watches in
-  if 2 * n > wcap then begin
-    let wcap' = max (2 * wcap) (2 * n) in
-    (* A literal gets its own list on its first watch: until then it
-       shares the empty array. *)
-    let w' = Array.make wcap' [||] in
-    Array.blit s.watches 0 w' 0 wcap;
-    s.watches <- w';
-    let l' = Array.make wcap' 0 in
-    Array.blit s.wlen 0 l' 0 wcap;
-    s.wlen <- l'
-  end
+  if 2 * n > wcap then resize_watches s (max (2 * wcap) (2 * n))
+
+let resize_clauses s cap' =
+  let a = Array.make cap' dummy_clause in
+  Array.blit s.clauses 0 a 0 s.nclauses;
+  s.clauses <- a
+
+let reserve s ~vars ~clauses =
+  if vars < 0 || clauses < 0 then invalid_arg "Solver.reserve: negative count";
+  let n = s.nvars + vars in
+  if n > Array.length s.assigns then resize_vars s n;
+  if 2 * n > Array.length s.watches then resize_watches s (2 * n);
+  Heap.reserve s.order n;
+  Vec.reserve s.trail n;
+  let m = s.nclauses + clauses in
+  if m > Array.length s.clauses then resize_clauses s m
 
 (* The variables enter the branching heap in index order, one by one,
    exactly as [n] calls of [new_var] would insert them. *)
@@ -271,11 +290,7 @@ let lit_value s l = lit_val s l = 1
 let decision_level s = Vec.size s.trail_lim
 
 let push_clause s c =
-  if s.nclauses = Array.length s.clauses then begin
-    let a = Array.make (2 * s.nclauses) dummy_clause in
-    Array.blit s.clauses 0 a 0 s.nclauses;
-    s.clauses <- a
-  end;
+  if s.nclauses = Array.length s.clauses then resize_clauses s (2 * s.nclauses);
   let slot = s.nclauses in
   s.clauses.(slot) <- c;
   s.nclauses <- slot + 1;
@@ -845,7 +860,7 @@ let reduce_db s =
     for i = 0 to Vec.size s.pending - 1 do
       Vec.set s.pending i map.(Vec.get s.pending i)
     done;
-    Array.fill s.wlen 0 (Array.length s.wlen) 0;
+    Array.fill s.wlen 0 (2 * s.nvars) 0;
     for i = 0 to s.nclauses - 1 do
       let c = s.clauses.(i) in
       if Array.length c.lits >= 2 then watch_clause s i c.lits

@@ -66,6 +66,19 @@ val new_vars : t -> int -> int
 
 val nvars : t -> int
 
+val reserve : t -> vars:int -> clauses:int -> unit
+(** [reserve s ~vars ~clauses] makes room for [vars] more variables and
+    [clauses] more clauses in one step: every per-variable and
+    per-literal array, the branching heap, the trail and the clause
+    slots are sized for them at once, so adding them allocates none of
+    that storage again.  Capacity only: what the solver holds, its
+    search and its proof are those of a solver never reserved, whether
+    the counts are too small, exact or too large.  Watch lists stay per
+    literal and grow on their own (each literal's list is sized by its
+    watches), and the proof log needs no reservation: it writes into
+    fixed-size pages.
+    @raise Invalid_argument when a count is negative. *)
+
 val add_clause : t -> ?tag:int -> Lit.t list -> unit
 (** Adds a clause; the solver first backtracks to the root level.
     Tautologies are silently dropped; duplicate literals are merged.

@@ -22,6 +22,13 @@ let grow v =
   Array.blit v.a 0 a' 0 v.n;
   v.a <- a'
 
+let reserve v n =
+  if n > Array.length v.a then begin
+    let a' = Array.make n 0 in
+    Array.blit v.a 0 a' 0 v.n;
+    v.a <- a'
+  end
+
 let push v x =
   if v.n = Array.length v.a then grow v;
   Array.unsafe_set v.a v.n x;

@@ -11,6 +11,11 @@ val unsafe_get : t -> int -> int
 
 val set : t -> int -> int -> unit
 val push : t -> int -> unit
+
+val reserve : t -> int -> unit
+(** [reserve v n] makes room for [n] elements in all, so that pushes up
+    to that size allocate nothing.  Contents and size are unchanged. *)
+
 val pop : t -> int
 (** Removes and returns the last element.  Requires a non-empty vector. *)
 

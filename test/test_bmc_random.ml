@@ -342,8 +342,9 @@ let gen_frames =
   list_size (pure k)
     (triple (opt ~ratio:0.5 gen_expr) bool (opt ~ratio:0.5 (array_size (pure nl) bool)))
 
-let print_frames_case (c, proof, frames) =
-  Printf.sprintf "%s proof=%b frames=[%s]" (print_circuit c) proof
+let print_frames_case (c, proof, frames, reserve) =
+  Printf.sprintf "%s proof=%b reserve=%s frames=[%s]" (print_circuit c) proof
+    (match reserve with None -> "-" | Some (f, p) -> Printf.sprintf "%d,%d" f p)
     (String.concat "; "
        (List.map
           (fun (pre, solve, mask) ->
@@ -358,11 +359,19 @@ let print_frames_case (c, proof, frames) =
 
 let prop_compiled_frame_is_tseitin_frame =
   QCheck2.Test.make ~count:300 ~name:"compiled frame = Tseitin frame" ~print:print_frames_case
-    QCheck2.Gen.(triple gen_circuit bool gen_frames)
-    (fun (c, proof, frames) ->
+    QCheck2.Gen.(
+      quad gen_circuit bool gen_frames (opt ~ratio:0.7 (pair (int_range 0 6) (int_range 0 3))))
+    (fun (c, proof, frames, reserve) ->
       let model = build c in
       let u = Unroll.create ~proof model in
       let r = Ref_unroll.create ~proof model in
+      (* Sizing the solver up front, for too few frames, the right number
+         or too many, changes nothing the digest reads. *)
+      (match (reserve, frames) with
+      | Some (frames, props), (_, _, mask) :: _ ->
+        let frozen = Option.map (fun m i -> m.(i)) mask in
+        Unroll.reserve ?frozen ~init:true u ~frames ~props
+      | _ -> ());
       Unroll.assert_init u ~tag:1;
       Array.iteri
         (fun i l ->

@@ -294,6 +294,76 @@ let test_view_survives_growth () =
       (Proof.step early id = Proof.step grown id)
   done
 
+(* Pages.  A small refutation is viewed while the first page is still
+   small; then filler inputs fill that page to exactly its last word, and
+   a second refutation follows whose input clause and derived empty
+   clause are each longer than a page.  Both views read back every
+   record as written, their exports pass the LRAT checker, the early one
+   answers as before, and [bytes] counts the records' words alone. *)
+let test_paged_log () =
+  let log = Proof_log.create () in
+  let w = Proof_log.page_words in
+  let written = ref [] and words = ref 0 in
+  let input ~tag lits =
+    let id = Proof_log.add_input log ~tag (Array.copy lits) in
+    written := (id, lits) :: !written;
+    words := !words + 2 + Array.length lits;
+    id
+  in
+  let derived lits ~first chain =
+    let c = Vec.create () in
+    List.iter (fun (pivot, aid) -> Vec.push c pivot; Vec.push c aid) chain;
+    let id = Proof_log.add_derived log ~lits ~first ~chain:c in
+    written := (id, lits) :: !written;
+    words := !words + 3 + Array.length lits + (2 * List.length chain);
+    id
+  in
+  let x = 0 and y = 1 in
+  let c0 = input ~tag:1 [| lit x |] in
+  let c1 = input ~tag:1 [| nlit x; lit y |] in
+  let c2 = input ~tag:2 [| nlit y |] in
+  let d = derived [| lit y |] ~first:c1 [ (x, c0) ] in
+  Proof_log.delete log c1;
+  let empty1 = derived [||] ~first:d [ (y, c2) ] in
+  let n = w + 10 in
+  let nvars = 2 + n in
+  let early = Proof_log.view log ~empty:empty1 ~nvars in
+  let answers p =
+    (Array.to_list (Proof.used p), Proof.core p, Proof.to_dimacs p, Proof.to_lrat p)
+  in
+  let before = answers early in
+  (* Fillers over x and y, sized so that the last one ends the first page. *)
+  while !words < w do
+    let nl = min 2 (w - !words - 2) in
+    ignore (input ~tag:3 (Array.sub [| lit x; nlit y |] 0 nl))
+  done;
+  Alcotest.(check int) "first page filled to its last word" w !words;
+  let long = Array.init n (fun i -> lit (2 + i)) in
+  let c = input ~tag:1 long in
+  let units = List.init n (fun i -> (2 + i, input ~tag:2 [| nlit (2 + i) |])) in
+  let empty2 = derived [||] ~first:c units in
+  let late = Proof_log.view log ~empty:empty2 ~nvars in
+  Alcotest.(check int) "bytes count record words only"
+    (8 * (!words + Proof_log.n_steps log + (2 * Proof_log.n_deletions log)))
+    (Proof_log.bytes log);
+  List.iter
+    (fun (id, lits) ->
+      if Proof.lits late id <> lits then Alcotest.failf "step %d reads back other literals" id)
+    !written;
+  Alcotest.(check int) "long derived chain" n (Proof.chain_length late empty2);
+  Alcotest.(check bool) "early view unchanged" true (answers early = before);
+  for id = 0 to Proof.n_steps early - 1 do
+    if Proof.step early id <> Proof.step late id then Alcotest.failf "step %d differs" id
+  done;
+  List.iter
+    (fun (what, p) ->
+      match
+        Isr_check.Lrat_check.check_strings ~cnf:(Proof.to_dimacs p) ~lrat:(Proof.to_lrat p)
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s export rejected: %a" what Diag.pp e)
+    [ ("early", early); ("late", late) ]
+
 (* Seeded defect: a proof that deletes a clause and then cites it as a
    hint.  Strict deletion semantics must reject the later step — a
    checker that ignores [d] lines would accept it. *)
@@ -349,6 +419,24 @@ let test_lint_aig_clean () =
   (* Single input wired to the output: nothing to complain about. *)
   let ds = lint_aiger "aag 1 1 0 1 0\n2\n2\n" in
   Alcotest.(check bool) "no errors" false (Diag.has_errors ds)
+
+(* Gate 2 reads the input and gate 3 reads only gate 2; the output is
+   the input itself.  Both gates lie outside every output and
+   next-state cone: a gate that only dead gates read is dead too, in
+   either encoding. *)
+let test_lint_aig_dead_chain () =
+  List.iter
+    (fun (form, text) ->
+      let unreachable =
+        List.filter (fun d -> d.Diag.check = "aig.unreachable") (lint_aiger text)
+      in
+      Alcotest.(check (list string)) (form ^ " dead gates")
+        [ "2 and gates outside every output, bad and next-state cone" ]
+        (List.map (fun d -> d.Diag.message) unreachable))
+    [
+      ("ascii", "aag 3 1 0 1 2\n2\n2\n4 2 2\n6 4 4\n");
+      ("binary", "aig 3 1 0 1 2\n2\n\002\000\002\000");
+    ]
 
 let test_lint_itp_support () =
   (* One primary input, one latch.  An interpolant is a state predicate:
@@ -563,6 +651,7 @@ let () =
           Alcotest.test_case "deletions round-trip" `Quick test_lrat_deletions_roundtrip;
           Alcotest.test_case "deleted hint rejected" `Quick test_lrat_deleted_hint_rejected;
           Alcotest.test_case "view survives log growth" `Quick test_view_survives_growth;
+          Alcotest.test_case "paged log" `Quick test_paged_log;
         ] );
       ( "lint",
         [
@@ -570,6 +659,7 @@ let () =
           Alcotest.test_case "aig truncated" `Quick test_lint_aig_truncated;
           Alcotest.test_case "aig hostile headers" `Quick test_lint_aig_hostile;
           Alcotest.test_case "aig clean" `Quick test_lint_aig_clean;
+          Alcotest.test_case "aig dead gate chain" `Quick test_lint_aig_dead_chain;
           Alcotest.test_case "itp support" `Quick test_lint_itp_support;
           Alcotest.test_case "itp semantic" `Quick test_lint_itp_semantic;
           Alcotest.test_case "cnf clean" `Quick test_lint_cnf_clean;

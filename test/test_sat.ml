@@ -710,6 +710,62 @@ let prop_proof_free_same_search ?(count = 500) ?reduce gen =
       logged = run ~proof:false Isr_check_core.Level.Off
       && logged = run ~proof:false Isr_check_core.Level.Paranoid)
 
+(* Reservation is capacity only.  The clauses arrive in two batches,
+   with a solve after each; the second batch brings [pad] more variables
+   that no clause reads.  A reserved solver sizes itself before each
+   batch — for none, half, exactly or well over what the batch adds —
+   and must learn, search, log and export exactly what a solver that
+   never reserved does. *)
+let prop_reserve_changes_nothing ?(count = 300) gen =
+  let open QCheck2.Gen in
+  let gen =
+    let* nvars, clauses = gen in
+    let* pad = int_range 0 40 and* r1 = int_range 0 3 and* r2 = int_range 0 3 in
+    pure (nvars, clauses, pad, r1, r2)
+  in
+  let print (nvars, clauses, pad, r1, r2) =
+    Printf.sprintf "%s pad=%d reserve=%d,%d" (print_cnf (nvars, clauses)) pad r1 r2
+  in
+  QCheck2.Test.make ~count ~name:"reserve changes nothing" ~print gen
+    (fun (nvars, clauses, pad, r1, r2) ->
+      let half = List.length clauses / 2 in
+      let batch1 = List.filteri (fun i _ -> i < half) clauses in
+      let batch2 = List.filteri (fun i _ -> i >= half) clauses in
+      let amount mode exact =
+        match mode with 0 -> 0 | 1 -> exact / 2 | 2 -> exact | _ -> (4 * exact) + 100
+      in
+      let run reserve =
+        let s = Solver.create () in
+        let buf = Buffer.create 256 in
+        Solver.on_learnt s
+          (Some
+             (fun ~lits ~lbd ->
+               Buffer.add_string buf (string_of_int lbd);
+               Array.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) lits;
+               Buffer.add_char buf '\n'));
+        let batch mode nv cs =
+          if reserve then
+            Solver.reserve s ~vars:(amount mode nv) ~clauses:(amount mode (List.length cs));
+          ignore (Solver.new_vars s nv);
+          List.iter (fun c -> Solver.add_clause s c) cs;
+          Solver.solve s
+        in
+        let a = batch r1 nvars batch1 in
+        let b = batch r2 pad batch2 in
+        let export =
+          if Solver.refuted s then
+            let p = Solver.proof s in
+            Proof.to_dimacs p ^ Proof.to_lrat p
+          else ""
+        in
+        ( (a, b),
+          (Solver.num_conflicts s, Solver.num_decisions s, Solver.num_propagations s),
+          (Solver.num_learnt s, Solver.proof_steps s, Solver.proof_bytes s),
+          Digest.string (Buffer.contents buf),
+          Digest.string export )
+      in
+      run true = run false)
+
 (* Under [every_conflict], verdicts and proofs must be unaffected —
    reduction only drops clauses that are neither reasons nor needed
    inputs. *)
@@ -878,7 +934,7 @@ let () =
       [ prop_matches_bruteforce gen_cnf; prop_unsat_proof_checks gen_cnf; prop_sat_model_valid;
         prop_assumptions_equal_units; prop_unsat_cores_suffice;
         prop_reduce_preserves_verdicts gen_cnf; prop_incremental_equals_batch gen_cnf;
-        prop_proof_free_same_search gen_cnf;
+        prop_proof_free_same_search gen_cnf; prop_reserve_changes_nothing gen_cnf;
         prop_incremental_assumptions ]
   in
   (* Alcotest sizes its name column by the longest group name, so group
@@ -887,7 +943,8 @@ let () =
       [ prop_matches_bruteforce Tutil.gen_cnf_chains; prop_unsat_proof_checks Tutil.gen_cnf_chains;
         prop_reduce_preserves_verdicts Tutil.gen_cnf_chains;
         prop_incremental_equals_batch ~count:100 Tutil.gen_cnf_chains;
-        prop_proof_free_same_search ~count:300 ~reduce:every_conflict Tutil.gen_cnf_chains ]
+        prop_proof_free_same_search ~count:300 ~reduce:every_conflict Tutil.gen_cnf_chains;
+        prop_reserve_changes_nothing Tutil.gen_cnf_chains ]
   in
   Alcotest.run "isr_sat"
     [
