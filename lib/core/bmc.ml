@@ -7,38 +7,31 @@ let check_name = function Bound -> "bound" | Exact -> "exact" | Assume -> "assum
 
 let build_instance ?frozen ~proof model ~check ~k =
   let u = Unroll.create ~proof model in
-  (* An instance whose proof is read is sized once: the target once
-     (exact-k), or at every frame but 0 (bound-k, and assume-k's assumed
-     property with its target).  A proof-free one (k-induction's base
-     case, the BMC stepper) grows as before: it allocates little besides
-     its clauses, the major GC is paced by allocation, and sizing it up
-     front left the garbage of the instances before it uncollected for
-     longer (the portfolio benchmark's peak heap rose 10% over ten
-     pairs, for no resolved time gain). *)
-  if proof then begin
-    let props = if check = Exact then 1 else max 1 k in
-    Unroll.reserve ?frozen ~init:true u ~frames:k ~props
-  end;
   Unroll.assert_init u ~tag:1;
-  if k = 0 then Unroll.assert_circuit u ~frame:0 ~tag:1 model.Model.bad
-  else begin
-    for f = 0 to k - 1 do
-      Unroll.add_transition ?frozen u ~tag:(f + 1);
-      (* Assumed property at the intermediate frames (assume-k only):
-         p(V^f) belongs to partition A_{f+1} together with T(V^f,V^f+1). *)
-      if check = Assume && f >= 1 then
-        Unroll.assert_circuit u ~frame:f ~tag:(f + 1) (Model.prop model)
-    done;
-    match check with
-    | Exact | Assume -> Unroll.assert_circuit u ~frame:k ~tag:(k + 1) model.Model.bad
-    | Bound ->
-      let bads =
-        List.init k (fun i ->
-            let f = i + 1 in
-            Unroll.encode u ~frame:f ~tag:(f + 1) model.Model.bad)
-      in
-      Unroll.add_clause u ~tag:(k + 1) bads
-  end;
+  (* Assumed property at the intermediate frames (assume-k only):
+     p(V^f) belongs to partition A_{f+1} together with T(V^f,V^f+1). *)
+  let assumed f = check = Assume && f >= 1 in
+  (* The target at every frame but 0 (bound-k), or at frame k. *)
+  let bound = check = Bound && k > 0 in
+  let targets = if bound then List.init k (fun i -> i + 1) else [ k ] in
+  (* An instance whose proof is read is sized once.  A proof-free one
+     (k-induction's base case, the BMC stepper) grows as before: it
+     allocates little besides its clauses, the major GC is paced by
+     allocation, and sizing it up front left the garbage of the
+     instances before it uncollected for longer (the portfolio
+     benchmark's peak heap rose 10% over ten pairs, for no resolved
+     time gain). *)
+  if proof then
+    Unroll.reserve ?frozen u ~frames:k
+      ~props:(List.length (List.filter assumed (List.init k Fun.id)) + List.length targets);
+  for f = 0 to k - 1 do
+    Unroll.add_transition ?frozen u ~tag:(f + 1);
+    if assumed f then Unroll.assert_circuit u ~frame:f ~tag:(f + 1) (Model.prop model)
+  done;
+  if bound then
+    Unroll.add_clause u ~tag:(k + 1)
+      (List.map (fun f -> Unroll.encode u ~frame:f ~tag:(f + 1) model.Model.bad) targets)
+  else Unroll.assert_circuit u ~frame:k ~tag:(k + 1) model.Model.bad;
   u
 
 let check_depth budget stats ?frozen ~proof model ~check ~k =

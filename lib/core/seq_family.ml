@@ -65,18 +65,16 @@ let serial_step ~system budget stats ?frozen model ~check ~k ~j prev =
   let u = Unroll.create ~proof:true model in
   Unroll.assert_circuit u ~frame:0 ~tag:1 prev;
   let local_last = k - j + 1 in
-  let assume = check = Bmc.Assume in
+  (* Assumed property (assume-k only) at local frame g: p(V^{j-1}) at
+     g = 0 belongs to A_j (partition 1 here), and original frame
+     j-1+g <= k-1 always holds for the others. *)
+  let assumed g = check = Bmc.Assume && (g >= 1 || j >= 2) in
   Unroll.reserve ?frozen u ~frames:local_last
-    ~props:(1 + (if assume && j >= 2 then 1 else 0) + if assume then local_last - 1 else 0);
-  if assume && j >= 2 then
-    (* p(V^{j-1}) belongs to A_j (partition 1 here). *)
-    Unroll.assert_circuit u ~frame:0 ~tag:1 (Model.prop model);
-  Unroll.add_transition ?frozen u ~tag:1;
-  for g = 1 to local_last - 1 do
-    if assume then
-      (* original frame j-1+g <= k-1 always holds here *)
-      Unroll.assert_circuit u ~frame:g ~tag:2 (Model.prop model);
-    Unroll.add_transition ?frozen u ~tag:2
+    ~props:(1 + List.length (List.filter assumed (List.init local_last Fun.id)));
+  for g = 0 to local_last - 1 do
+    let tag = if g = 0 then 1 else 2 in
+    if assumed g then Unroll.assert_circuit u ~frame:g ~tag (Model.prop model);
+    Unroll.add_transition ?frozen u ~tag
   done;
   Unroll.assert_circuit u ~frame:local_last ~tag:2 model.Model.bad;
   match Budget.solve budget stats (Unroll.solver u) with
@@ -98,15 +96,12 @@ let serial_tail ~system budget stats ?frozen model ~check ~k ~ns prev =
   let u = Unroll.create ~proof:true model in
   Unroll.assert_circuit u ~frame:0 ~tag:1 prev;
   let len = k - ns in
-  let assume = check = Bmc.Assume in
+  let assumed g = check = Bmc.Assume && (g >= 1 || ns >= 1) in
   Unroll.reserve ?frozen u ~frames:len
-    ~props:(1 + (if assume && ns >= 1 then 1 else 0) + if assume then len - 1 else 0);
-  if assume && ns >= 1 then
-    Unroll.assert_circuit u ~frame:0 ~tag:1 (Model.prop model);
+    ~props:(1 + List.length (List.filter assumed (List.init len Fun.id)));
   for g = 0 to len - 1 do
-    Unroll.add_transition ?frozen u ~tag:(g + 1);
-    if assume && g + 1 <= len - 1 then
-      Unroll.assert_circuit u ~frame:(g + 1) ~tag:(g + 2) (Model.prop model)
+    if assumed g then Unroll.assert_circuit u ~frame:g ~tag:(g + 1) (Model.prop model);
+    Unroll.add_transition ?frozen u ~tag:(g + 1)
   done;
   Unroll.assert_circuit u ~frame:len ~tag:(len + 1) model.Model.bad;
   match Budget.solve budget stats (Unroll.solver u) with

@@ -143,17 +143,14 @@ let prop_room m =
       end);
   (!vars, !clauses)
 
-let reserve ?frozen ?(init = false) t ~frames ~props =
+let reserve ?frozen t ~frames ~props =
   if frames < 0 || props < 0 then invalid_arg "Unroll.reserve: negative count";
   let m = t.model in
   let cnf = frame_cnf ?frozen t in
   let pvars, pclauses = if props = 0 then (0, 0) else prop_room m in
   Solver.reserve t.solver
     ~vars:((frames * Frame_cnf.vars cnf) + (props * pvars))
-    ~clauses:
-      ((if init then m.Model.num_latches else 0)
-      + (frames * Frame_cnf.clauses cnf)
-      + (props * pclauses));
+    ~clauses:((frames * Frame_cnf.clauses cnf) + (props * pclauses));
   let neq = Vec.size t.eq_ids + (frames * Frame_cnf.equalities cnf) in
   Vec.reserve t.eq_ids neq;
   Vec.reserve t.eq_latch neq;

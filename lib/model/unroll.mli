@@ -53,13 +53,13 @@ val add_transition : ?frozen:(int -> bool) -> t -> tag:int -> unit
     abstraction used by the CBA engine (a frozen latch behaves as a free
     input). *)
 
-val reserve : ?frozen:(int -> bool) -> ?init:bool -> t -> frames:int -> props:int -> unit
-(** [reserve ?frozen ~init u ~frames ~props] sizes the solver, once, for
-    what the caller is about to add: [frames] calls of
-    [add_transition ?frozen], [props] encodings of the property cone
+val reserve : ?frozen:(int -> bool) -> t -> frames:int -> props:int -> unit
+(** [reserve ?frozen u ~frames ~props] sizes the solver, once, for what
+    the caller is about to add: [frames] calls of
+    [add_transition ?frozen] and [props] encodings of the property cone
     (the cone of [bad], asserted as [bad] or as its negation, or only
-    encoded), and with [init] (default [false]) the units of
-    {!assert_init}.  The frame counts come from the compiled frame, the
+    encoded).  Callers reserve after {!assert_init}, which it does not
+    count.  The frame counts come from the compiled frame, the
     cone's from one walk over it, each an upper bound.  Capacity only:
     the clauses, variables and search that follow are those of an
     unrolling never reserved, whatever the counts.  An unrolling built

@@ -6,8 +6,17 @@
 let page_bits = 16
 let page_mask = (1 lsl page_bits) - 1
 
+(* Only offset 0 of a page longer than [1 lsl page_bits] is addressable:
+   such a page holds one record. *)
+let address ~page ~offset =
+  assert (offset <= page_mask);
+  (page lsl page_bits) lor offset
+
+let page_of a = a lsr page_bits
+let offset_of a = a land page_mask
+
 type t = {
-  index : int array;          (* step id -> address: page lsl page_bits lor offset *)
+  index : int array;          (* step id -> address of its record (see [address]) *)
   pages : int array array;
   nsteps : int;
   empty : int;
@@ -27,8 +36,8 @@ let nvars p = p.nvars
 let n_deletions p = p.ndels
 
 (* A record lies within one page: its page, and its offset there. *)
-let page p id = p.pages.(p.index.(id) lsr page_bits)
-let at p id = p.index.(id) land page_mask
+let page p id = p.pages.(page_of p.index.(id))
+let at p id = offset_of p.index.(id)
 
 let head p id = (page p id).(at p id)
 let is_input p id = head p id < 0

@@ -28,9 +28,18 @@
 type t
 
 val page_bits : int
-(** A record's address is [page lsl page_bits lor offset]: pages hold
-    [1 lsl page_bits] words, except the first while it grows and one
-    opened for a longer record. *)
+(** Pages hold at most [1 lsl page_bits] words (the first one fewer
+    while it grows), except one opened for a single longer record. *)
+
+val address : page:int -> offset:int -> int
+(** A record's address: its page and its offset there, packed in one
+    int.  The offset must be below [1 lsl page_bits]. *)
+
+val page_of : int -> int
+(** The page of an {!address}. *)
+
+val offset_of : int -> int
+(** The offset of an {!address} in its page. *)
 
 val of_packed :
   index:int array ->
@@ -43,8 +52,7 @@ val of_packed :
   t
 (** The view behind {!Proof_log.view}: steps [0 .. nsteps - 1] laid out
     as {!Proof_log} describes, step [id]'s record whole within page
-    [pages.(index.(id) lsr page_bits)] from offset
-    [index.(id) land (1 lsl page_bits - 1)], and [ndeletions] flattened
+    [pages.(page_of index.(id))] from offset [offset_of index.(id)], and [ndeletions] flattened
     [(pos, id)] pairs in [deletions].  The arrays are shared, not copied
     (the page table excepted, which the view owns): the caller must
     never write them below these extents.

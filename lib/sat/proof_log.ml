@@ -53,8 +53,9 @@ let copy (src : int array) (dst : int array) ~at n =
   done
 
 (* Growth copies into a fresh array and leaves the old one as it was: a
-   {!view} holding the old array keeps reading frozen records.  Only
-   the step index, the deletion events and the first page grow so. *)
+   {!view} holding the old array keeps reading frozen records.  The step
+   index and the deletion events grow so, and the first page likewise
+   (below, capped at the page size). *)
 let grown (a : int array) ~used ~need =
   let b = Array.make (max (2 * Array.length a) need) 0 in
   copy a b ~at:0 used;
@@ -63,7 +64,7 @@ let grown (a : int array) ~used ~need =
 let reserve_step t =
   if t.nsteps = Array.length t.index then
     t.index <- grown t.index ~used:t.nsteps ~need:(t.nsteps + 1);
-  t.index.(t.nsteps) <- ((t.npages - 1) lsl Proof.page_bits) lor t.fill;
+  t.index.(t.nsteps) <- Proof.address ~page:(t.npages - 1) ~offset:t.fill;
   next_id t
 
 (* Room for a record of [n] words in the current page.  The first page
@@ -75,9 +76,13 @@ let reserve_data t n =
   if t.fill + n > Array.length t.page then begin
     let cap = Array.length t.page in
     if t.npages = 1 && cap < page_words && t.fill + n <= page_words then begin
-      (* Sizes are powers of two from 256: this stops at [page_words]. *)
-      t.page <- grown t.page ~used:t.fill ~need:(t.fill + n);
-      t.pages.(0) <- t.page
+      (* Capped at [page_words]: a first record longer than doubling
+         gives leaves the size off the powers of two, and an offset at
+         or past [page_words] would not be addressable. *)
+      let p = Array.make (min page_words (max (2 * cap) (t.fill + n))) 0 in
+      copy t.page p ~at:0 t.fill;
+      t.page <- p;
+      t.pages.(0) <- p
     end
     else begin
       if t.npages = Array.length t.pages then begin
@@ -147,7 +152,7 @@ let delete t id =
 let tag t id =
   require_record t "tag";
   let a = t.index.(id) in
-  let h = t.pages.(a lsr Proof.page_bits).(a land (page_words - 1)) in
+  let h = t.pages.(Proof.page_of a).(Proof.offset_of a) in
   if h < 0 then -h - 1 else -1
 
 (* The view gets its own copy of the page table: the first page may

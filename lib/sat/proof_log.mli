@@ -18,8 +18,9 @@
     The head word disambiguates: tags are [>= 0] so the input marker is
     [<= -1], while a derived step's [first] antecedent id is [>= 0].
     A record never straddles two pages.  Pages hold {!page_words} words:
-    the first starts at 256 and doubles until it reaches that size (so a
-    small log costs what one growing array would), every later one is
+    the first starts at 256 and doubles (or grows to fit the next
+    record) until it reaches that size, never past it (so a small log
+    costs what one growing array would), every later one is
     allocated at full size when the current page cannot take the next
     record, and a record longer than a page gets a page of its own
     length.  No record is copied once its page is full size.

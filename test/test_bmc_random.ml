@@ -370,7 +370,7 @@ let prop_compiled_frame_is_tseitin_frame =
       (match (reserve, frames) with
       | Some (frames, props), (_, _, mask) :: _ ->
         let frozen = Option.map (fun m i -> m.(i)) mask in
-        Unroll.reserve ?frozen ~init:true u ~frames ~props
+        Unroll.reserve ?frozen u ~frames ~props
       | _ -> ());
       Unroll.assert_init u ~tag:1;
       Array.iteri

@@ -364,6 +364,45 @@ let test_paged_log () =
       | Error e -> Alcotest.failf "%s export rejected: %a" what Diag.pp e)
     [ ("early", early); ("late", late) ]
 
+(* A first record longer than doubling gives (600 literals against the
+   first page's 256 words) takes the first page's size off the powers of
+   two; it must still stop at the page size, or the records written past
+   offset 2^16 in it get addresses that read as the next page.  Fillers
+   take the log past 2^16 words, then the refutation of the long clause
+   is appended: every record reads back, and the export passes the LRAT
+   checker. *)
+let test_long_first_record () =
+  let log = Proof_log.create () in
+  let n = 600 in
+  let written = ref [] and words = ref 0 in
+  let input ~tag lits =
+    let id = Proof_log.add_input log ~tag (Array.copy lits) in
+    written := (id, lits) :: !written;
+    words := !words + 2 + Array.length lits;
+    id
+  in
+  let long = input ~tag:1 (Array.init n (fun i -> lit (2 + i))) in
+  let x = 0 and y = 1 in
+  while !words < Proof_log.page_words + 1000 do
+    ignore (input ~tag:3 [| lit x; nlit y |])
+  done;
+  let units = List.init n (fun i -> (2 + i, input ~tag:2 [| nlit (2 + i) |])) in
+  let chain = Vec.create () in
+  List.iter (fun (pivot, aid) -> Vec.push chain pivot; Vec.push chain aid) units;
+  let empty = Proof_log.add_derived log ~lits:[||] ~first:long ~chain in
+  let p = Proof_log.view log ~empty ~nvars:(2 + n) in
+  List.iter
+    (fun (id, lits) ->
+      if Proof.lits p id <> lits then Alcotest.failf "step %d reads back other literals" id;
+      if Proof_log.tag log id <> Proof.tag p id then Alcotest.failf "step %d: tags differ" id)
+    !written;
+  Alcotest.(check int) "chain reads back" n (Proof.chain_length p empty);
+  Alcotest.(check int) "core is the long clause and its units" (n + 1)
+    (List.length (Proof.core p));
+  match Isr_check.Lrat_check.check_strings ~cnf:(Proof.to_dimacs p) ~lrat:(Proof.to_lrat p) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "export rejected: %a" Diag.pp e
+
 (* Seeded defect: a proof that deletes a clause and then cites it as a
    hint.  Strict deletion semantics must reject the later step — a
    checker that ignores [d] lines would accept it. *)
@@ -652,6 +691,7 @@ let () =
           Alcotest.test_case "deleted hint rejected" `Quick test_lrat_deleted_hint_rejected;
           Alcotest.test_case "view survives log growth" `Quick test_view_survives_growth;
           Alcotest.test_case "paged log" `Quick test_paged_log;
+          Alcotest.test_case "long first record" `Quick test_long_first_record;
         ] );
       ( "lint",
         [
