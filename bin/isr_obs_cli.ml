@@ -38,6 +38,44 @@ let find_entry entries id =
   | Some e -> e
   | None -> die "no run %S in the ledger (try `isr_obs ls`)" id
 
+(* The stream a command reads: an EVENTS file, the stream of ledger run
+   --run ID, or, where the command takes --attach, the stream of the
+   ledger's most recent run that recorded one.  [None] when the chosen
+   run recorded none. *)
+let stream_path ?attach dir run_id path =
+  match (path, run_id, attach = Some true) with
+  | Some p, None, false -> Some p
+  | None, Some id, false ->
+    let lg, entries = load_entries dir in
+    Option.map (L.resolve lg) (find_entry entries id).L.events_path
+  | None, None, true ->
+    let lg, entries = load_entries dir in
+    List.fold_left
+      (fun acc e ->
+        match e.L.events_path with Some p -> Some (L.resolve lg p) | None -> acc)
+      None entries
+  | None, None, false ->
+    if attach = None then die "give an EVENTS file or --run ID"
+    else die "give an EVENTS file, --run ID, or --attach"
+  | _ ->
+    if attach = None then die "give either EVENTS or --run, not both"
+    else die "give exactly one of EVENTS, --run, --attach"
+
+(* The stream of a command that cannot do without one, and its events. *)
+let read_stream dir run_id path =
+  let path =
+    match stream_path dir run_id path with
+    | Some p -> p
+    | None -> die "run %s has no event stream recorded" (Option.get run_id)
+  in
+  match E.read_jsonl path with
+  | exception Failure msg -> die "%s" msg
+  | events -> (path, events)
+
+let events_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"EVENTS")
+
+let run_arg doc = Arg.(value & opt (some string) None & info [ "run" ] ~docv:"RUN" ~doc)
+
 let depth_cell = function Some d -> string_of_int d | None -> "-"
 
 (* --- ls ------------------------------------------------------------------ *)
@@ -409,35 +447,14 @@ let explain events =
   end
 
 let explain_cmd =
-  let run dir run_id path =
-    let path =
-      match (path, run_id) with
-      | Some p, None -> p
-      | None, Some id ->
-        let lg, entries = load_entries dir in
-        let e = find_entry entries id in
-        (match e.L.events_path with
-        | Some p -> L.resolve lg p
-        | None -> die "run %s has no event stream recorded" id)
-      | Some _, Some _ -> die "give either EVENTS or --run, not both"
-      | None, None -> die "give an EVENTS file or --run ID"
-    in
-    match E.read_jsonl path with
-    | exception Failure msg -> die "%s" msg
-    | events -> explain events
-  in
-  let path_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"EVENTS") in
-  let run_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "run" ] ~docv:"RUN" ~doc:"Take the event stream of this ledger run.")
-  in
+  let run dir run_id path = explain (snd (read_stream dir run_id path)) in
   Cmd.v
     (Cmd.info "explain-race"
        ~doc:"Reconstruct a parallel race from its merged event stream: who won, \
              and why every other worker stopped")
-    Term.(const run $ ledger_arg $ run_arg $ path_arg)
+    Term.(
+      const run $ ledger_arg $ run_arg "Take the event stream of this ledger run."
+      $ events_arg)
 
 (* --- steps -------------------------------------------------------------------- *)
 
@@ -447,21 +464,8 @@ let explain_cmd =
    scheduler replay to re-drive the same interleaving. *)
 let steps_cmd =
   let run dir run_id schedule path =
-    let path =
-      match (path, run_id) with
-      | Some p, None -> p
-      | None, Some id ->
-        let lg, entries = load_entries dir in
-        let e = find_entry entries id in
-        (match e.L.events_path with
-        | Some p -> L.resolve lg p
-        | None -> die "run %s has no event stream recorded" id)
-      | Some _, Some _ -> die "give either EVENTS or --run, not both"
-      | None, None -> die "give an EVENTS file or --run ID"
-    in
-    match E.read_jsonl path with
-    | exception Failure msg -> die "%s" msg
-    | events ->
+    match read_stream dir run_id path with
+    | path, events ->
       let steps =
         List.filter_map
           (fun (e : E.t) ->
@@ -497,13 +501,6 @@ let steps_cmd =
          interrupted (checkpointed?) or still-live run, worth signalling. *)
       if List.exists (fun (_, (_, _, _, st)) -> st = "running") lanes then 1 else 0
   in
-  let path_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"EVENTS") in
-  let run_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "run" ] ~docv:"RUN" ~doc:"Take the event stream of this ledger run.")
-  in
   let schedule_arg =
     Arg.(
       value & flag
@@ -515,7 +512,9 @@ let steps_cmd =
        ~doc:"Reconstruct a step-kernel interleaving from the stream's Step events: \
              per-lane engine, step count, last position and final status (exits 1 \
              when a lane is still mid-flight)")
-    Term.(const run $ ledger_arg $ run_arg $ schedule_arg $ path_arg)
+    Term.(
+      const run $ ledger_arg $ run_arg "Take the event stream of this ledger run."
+      $ schedule_arg $ events_arg)
 
 (* --- ckpt -------------------------------------------------------------------- *)
 
@@ -622,73 +621,28 @@ let clauses_cmd =
 
 (* --- top -------------------------------------------------------------------- *)
 
-(* GC gauge and flight metadata live in the dump's non-event lines
-   ({"snap":...} / {"flight":...}); scan them separately from the event
-   decode. *)
-let scan_flight_lines path =
-  let last_snap = ref None and meta = ref None in
-  (try
-     In_channel.with_open_text path (fun ic ->
-         try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then
-               match J.parse line with
-               | exception J.Parse_error _ -> ()
-               | j ->
-                 (match J.field "snap" j with Some s -> last_snap := Some s | None -> ());
-                 if !meta = None then
-                   match J.field "flight" j with Some m -> meta := Some m | None -> ()
-           done
-         with End_of_file -> ())
-   with Sys_error _ -> ());
-  (!last_snap, !meta)
-
-let gc_line snap =
-  let geti k = Option.value ~default:0 (J.opt_int_field k snap) in
+let gc_line (g : F.snap) =
   Printf.sprintf "gc: heap %.1f MB, %d minor / %d major collections"
-    (float_of_int (geti "heap_words") *. float_of_int (Sys.word_size / 8) /. 1048576.0)
-    (geti "minor_collections") (geti "major_collections")
+    (float_of_int g.F.heap_words *. float_of_int (Sys.word_size / 8) /. 1048576.0)
+    g.F.minor_collections g.F.major_collections
 
 let top_cmd =
   let run dir run_id attach follow interval width path =
-    let resolve () =
-      match (path, run_id, attach) with
-      | Some p, None, false -> Some p
-      | None, Some id, false ->
-        let lg, entries = load_entries dir in
-        let e = find_entry entries id in
-        Option.map (L.resolve lg) e.L.events_path
-      | None, None, true ->
-        (* Attach to the ledger: the most recent run that recorded an
-           event stream (re-resolved every frame, so a freshly started
-           run is picked up mid-follow). *)
-        let lg, entries = load_entries dir in
-        List.fold_left
-          (fun acc e ->
-            match e.L.events_path with Some p -> Some (L.resolve lg p) | None -> acc)
-          None entries
-      | None, None, false -> die "give an EVENTS file, --run ID, or --attach"
-      | _ -> die "give exactly one of EVENTS, --run, --attach"
-    in
     let frame () =
-      match resolve () with
+      (* Re-resolved every frame, so --attach picks up a freshly started
+         run mid-follow. *)
+      match stream_path ~attach dir run_id path with
       | None -> print_endline "(no event stream recorded yet)"
       | Some p -> (
-        match E.read_jsonl p with
+        match F.read p with
         | exception Failure msg -> Printf.printf "(waiting: %s)\n" msg
-        | events ->
-          let snap, meta = scan_flight_lines p in
-          let gc = Option.map gc_line snap in
-          print_string (D.render ?width ?gc (D.view events));
+        | meta, snap, events ->
+          print_string (D.render ?width ?gc:(Option.map gc_line snap) (D.view events));
           Option.iter
-            (fun m ->
-              Printf.printf "flight: dumped on %S, %d recorded, %d evicted (capacity %d x %d domains)\n"
-                (Option.value ~default:"?" (J.opt_str_field "reason" m))
-                (Option.value ~default:0 (J.opt_int_field "recorded" m))
-                (Option.value ~default:0 (J.opt_int_field "evicted" m))
-                (Option.value ~default:0 (J.opt_int_field "capacity" m))
-                (Option.value ~default:0 (J.opt_int_field "domains" m)))
+            (fun (m : F.meta) ->
+              Printf.printf
+                "flight: dumped on %S, %d recorded, %d evicted (capacity %d x %d domains)\n"
+                m.F.reason m.F.recorded m.F.evicted m.F.capacity m.F.domains)
             meta)
     in
     if follow then
@@ -700,13 +654,6 @@ let top_cmd =
       done
     else frame ();
     0
-  in
-  let path_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"EVENTS") in
-  let run_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "run" ] ~docv:"RUN" ~doc:"Render the event stream of this ledger run.")
   in
   let attach_arg =
     Arg.(
@@ -728,8 +675,8 @@ let top_cmd =
        ~doc:"Live multi-domain dashboard over an event stream: per-worker engines, \
              bounds, conflict rates, race state and GC gauges (from flight dumps)")
     Term.(
-      const run $ ledger_arg $ run_arg $ attach_arg $ follow_arg $ interval_arg $ width_arg
-      $ path_arg)
+      const run $ ledger_arg $ run_arg "Render the event stream of this ledger run."
+      $ attach_arg $ follow_arg $ interval_arg $ width_arg $ events_arg)
 
 let () =
   let info =

@@ -55,14 +55,14 @@ let mk ~k run =
     phase = (if k = 0 then Check0 else Outer);
   }
 
-let itp_of st u ~k =
+(* The image I_j from a refuted bound-k instance, charged as cut [j]. *)
+let itp_of st u ~k ~j =
   let model = st.run.model in
   let man = model.Model.man in
   let proof = Solver.proof (Unroll.solver u) in
   let i = Itp.interpolant proof ~cut:1 ~man ~var_map:(Unroll.boundary_map u ~frame:1) in
-  Verdict.add_itp_nodes st.run.stats (Aig.cone_size man i);
-  if Isr_check.Level.paranoid () then
-    Isr_check.Lint_itp.enforce ~what:(Printf.sprintf "itp at k=%d" k) model i;
+  Seq_family.charge_itp ~cut:j st.run.stats man i;
+  Seq_family.lint_itp ~what:(Printf.sprintf "itp at k=%d" k) model i;
   i
 
 let step st =
@@ -96,7 +96,7 @@ let step st =
       Some (Verdict.Falsified { depth = Step.cex_depth model ~k trace; trace })
     | _, Solver.Undef -> assert false
     | u, Solver.Unsat ->
-      st.phase <- Inner { j = 1; r = Model.init_lit model; cur = itp_of st u ~k };
+      st.phase <- Inner { j = 1; r = Model.init_lit model; cur = itp_of st u ~k ~j:1 };
       None)
   | Inner { j; r; cur } -> (
     let k = st.k in
@@ -111,7 +111,7 @@ let step st =
             let u = build_bound_instance model ~start:(`Circuit cur) ~k in
             match Budget.solve budget stats (Unroll.solver u) with
             | Solver.Sat -> `Deepen
-            | Solver.Unsat -> `Next (itp_of st u ~k)
+            | Solver.Unsat -> `Next (itp_of st u ~k ~j:(j + 1))
             | Solver.Undef -> assert false
           end)
     in

@@ -17,6 +17,16 @@ type mode = Parallel | Serial of float  (** serial fraction α ∈ [0,1] *)
 
 val mode_name : mode -> string
 
+val charge_itp : ?cut:int -> Verdict.stats -> Aig.man -> Aig.lit -> unit
+(** Account one extracted interpolant: add its cone size to the run's
+    interpolant-node count and, when someone reads records, emit its
+    {!Isr_obs.Event.kind.Itp_cut} record under [cut] (default 1). *)
+
+val lint_itp : what:string -> Model.t -> Aig.lit -> unit
+(** Under the paranoid sanitizer level, check that an interpolant is a
+    state predicate over the model's latches (see
+    {!Isr_check.Lint_itp}); [what] names it in the violation. *)
+
 val of_refutation :
   ?system:Isr_itp.Itp.system ->
   Budget.t ->

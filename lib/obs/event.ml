@@ -1,11 +1,5 @@
-(* The instrumentation channel and its packed recorder; see the .mli
-   for the model.
-
-   On-the-wire layout (per-domain int buffers): each record is
-     [code; ts_ns; payload...]
-   with a fixed payload arity per code (the Reduce LBD snapshot is
-   length-prefixed).  Strings are interned into one shared table, so a
-   phase name costs one int per event no matter how often it fires. *)
+(* The instrumentation channel and its per-domain event store; see the
+   .mli for the model. *)
 
 (* Schema 2 extends Reduce with the victims' LBD and use-count
    histograms (clause-lifecycle analytics); readers accept schema-1
@@ -71,9 +65,6 @@ let cause_of_name = function
   | "exhausted" -> Some Exhausted
   | _ -> None
 
-let cause_code = function Race_won -> 0 | Deadline -> 1 | Min_depth -> 2 | Exhausted -> 3
-let cause_of_code = function 0 -> Race_won | 1 -> Deadline | 3 -> Exhausted | _ -> Min_depth
-
 (* --- the channel ----------------------------------------------------------- *)
 
 type args = (string * string) list
@@ -133,243 +124,88 @@ let emit_span s = List.iter (fun f -> f s) !span_readers
 let replay c evs =
   Option.iter (fun f -> List.iter (fun e -> f ~ts:e.ts ~dom:e.dom e.kind) evs) c.on_record
 
-(* --- recording --------------------------------------------------------- *)
+(* --- the per-domain store ------------------------------------------------ *)
 
-type buf = { mutable a : int array; mutable len : int }
+type event = t
 
-let mk_buf () = { a = Array.make 256 0; len = 0 }
+module Store = struct
+  (* One growable array per domain, in emission order: it doubles up to
+     the capacity and then wraps, so slot [i mod length] holds the
+     domain's [i]-th record and the live window is the last
+     [min n length] of them. *)
+  type log = { mutable evs : event array; mutable n : int }
 
-let push b x =
-  if b.len = Array.length b.a then begin
-    let a' = Array.make (2 * b.len) 0 in
-    Array.blit b.a 0 a' 0 b.len;
-    b.a <- a'
-  end;
-  b.a.(b.len) <- x;
-  b.len <- b.len + 1
-
-type recorder = {
-  mutable strings : string array; (* id -> string *)
-  mutable nstrings : int;
-  ids : (string, int) Hashtbl.t;
-  bufs : (int, buf) Hashtbl.t; (* domain id -> packed stream *)
-  mutable nevents : int;
-  lock : Mutex.t;
-}
-
-let recorder () =
-  {
-    strings = Array.make 16 "";
-    nstrings = 0;
-    ids = Hashtbl.create 16;
-    bufs = Hashtbl.create 4;
-    nevents = 0;
-    lock = Mutex.create ();
+  type t = {
+    capacity : int;
+    logs : (int, log) Hashtbl.t; (* domain id -> log *)
+    mutable recorded : int;
+    mutable evicted : int;
   }
 
-(* Call under [r.lock]. *)
-let intern r s =
-  match Hashtbl.find_opt r.ids s with
-  | Some id -> id
-  | None ->
-    if r.nstrings = Array.length r.strings then begin
-      let a' = Array.make (2 * r.nstrings) "" in
-      Array.blit r.strings 0 a' 0 r.nstrings;
-      r.strings <- a'
-    end;
-    let id = r.nstrings in
-    r.strings.(id) <- s;
-    r.nstrings <- id + 1;
-    Hashtbl.add r.ids s id;
-    id
+  let create ?(capacity = max_int) () =
+    { capacity = max 1 capacity; logs = Hashtbl.create 4; recorded = 0; evicted = 0 }
 
-let buf_of r dom =
-  match Hashtbl.find_opt r.bufs dom with
-  | Some b -> b
-  | None ->
-    let b = mk_buf () in
-    Hashtbl.add r.bufs dom b;
-    b
-
-(* Nanosecond timestamps keep the packed stream all-int without losing
-   clock resolution (the process clock starts at 0, so 63 bits last
-   centuries). *)
-let ns_of_ts ts = int_of_float (ts *. 1e9)
-let ts_of_ns ns = float_of_int ns *. 1e-9
-
-let record r ~ts ~dom kind =
-  Mutex.protect r.lock (fun () ->
-        let b = buf_of r dom in
-        let str s = intern r s in
-        push b
-          (match kind with
-          | Restart _ -> 0
-          | Reduce _ -> 1
-          | Itp_cut _ -> 2
-          | Phase _ -> 3
-          | Spawn _ -> 4
-          | Dispatch _ -> 5
-          | Cancel _ -> 6
-          | Verdict _ -> 7
-          | Analyze _ -> 8
-          (* 9 is unused, so the codes of the other kinds keep their values. *)
-          | Step _ -> 10);
-        push b (ns_of_ts ts);
-        (match kind with
-        | Restart { conflicts; decisions; learnt; propagations } ->
-          push b conflicts;
-          push b decisions;
-          push b learnt;
-          push b propagations
-        | Reduce { kept; dropped; lbd; dead_lbd; dead_uses } ->
-          push b kept;
-          push b dropped;
-          push b (Array.length lbd);
-          Array.iter (push b) lbd;
-          push b (Array.length dead_lbd);
-          Array.iter (push b) dead_lbd;
-          push b (Array.length dead_uses);
-          Array.iter (push b) dead_uses
-        | Itp_cut { cut; support; nodes } ->
-          push b cut;
-          push b support;
-          push b nodes
-        | Phase { phase; step; total; detail; conflicts; propagations; learnt } ->
-          push b (str phase);
-          push b step;
-          push b (str detail);
-          push b total;
-          push b conflicts;
-          push b propagations;
-          push b learnt
-        | Spawn { worker; engines } ->
-          push b worker;
-          push b (str engines)
-        | Dispatch { worker; bound } ->
-          push b worker;
-          push b bound
-        | Cancel { worker; cause; by } ->
-          push b worker;
-          push b (cause_code cause);
-          push b by
-        | Verdict { worker; verdict } ->
-          push b worker;
-          push b (str verdict)
-        | Analyze { pass; ands_before; ands_after; latches_before; latches_after } ->
-          push b (str pass);
-          push b ands_before;
-          push b ands_after;
-          push b latches_before;
-          push b latches_after
-        | Step { lane; engine; n; pos; status } ->
-          push b lane;
-          push b (str engine);
-          push b n;
-          push b pos;
-          push b (str status));
-        r.nevents <- r.nevents + 1)
-
-let recording r = { on_span = None; on_record = Some (record r) }
-
-let count r = Mutex.protect r.lock (fun () -> r.nevents)
-
-(* --- decoding and deterministic merge ----------------------------------- *)
-
-let decode_domain r dom (b : buf) =
-  let s id = r.strings.(id) in
-  let out = ref [] in
-  let seq = ref 0 in
-  let i = ref 0 in
-  while !i < b.len do
-    let code = b.a.(!i) and ts = ts_of_ns b.a.(!i + 1) in
-    let p = !i + 2 in
-    let kind, next =
-      match code with
-      | 0 ->
-        ( Restart
-            {
-              conflicts = b.a.(p);
-              decisions = b.a.(p + 1);
-              learnt = b.a.(p + 2);
-              propagations = b.a.(p + 3);
-            },
-          p + 4 )
-      | 1 ->
-        let n = b.a.(p + 2) in
-        let q = p + 3 + n in
-        let nd = b.a.(q) in
-        let nu = b.a.(q + 1 + nd) in
-        ( Reduce
-            {
-              kept = b.a.(p);
-              dropped = b.a.(p + 1);
-              lbd = Array.sub b.a (p + 3) n;
-              dead_lbd = Array.sub b.a (q + 1) nd;
-              dead_uses = Array.sub b.a (q + 2 + nd) nu;
-            },
-          q + 2 + nd + nu )
-      | 2 ->
-        (Itp_cut { cut = b.a.(p); support = b.a.(p + 1); nodes = b.a.(p + 2) }, p + 3)
-      | 3 ->
-        ( Phase
-            {
-              phase = s b.a.(p);
-              step = b.a.(p + 1);
-              detail = s b.a.(p + 2);
-              total = b.a.(p + 3);
-              conflicts = b.a.(p + 4);
-              propagations = b.a.(p + 5);
-              learnt = b.a.(p + 6);
-            },
-          p + 7 )
-      | 4 -> (Spawn { worker = b.a.(p); engines = s b.a.(p + 1) }, p + 2)
-      | 5 -> (Dispatch { worker = b.a.(p); bound = b.a.(p + 1) }, p + 2)
-      | 6 ->
-        ( Cancel { worker = b.a.(p); cause = cause_of_code b.a.(p + 1); by = b.a.(p + 2) },
-          p + 3 )
-      | 7 -> (Verdict { worker = b.a.(p); verdict = s b.a.(p + 1) }, p + 2)
-      | 8 ->
-        ( Analyze
-            {
-              pass = s b.a.(p);
-              ands_before = b.a.(p + 1);
-              ands_after = b.a.(p + 2);
-              latches_before = b.a.(p + 3);
-              latches_after = b.a.(p + 4);
-            },
-          p + 5 )
-      | 10 ->
-        ( Step
-            {
-              lane = b.a.(p);
-              engine = s b.a.(p + 1);
-              n = b.a.(p + 2);
-              pos = b.a.(p + 3);
-              status = s b.a.(p + 4);
-            },
-          p + 5 )
-      | c -> invalid_arg (Printf.sprintf "Event.decode: bad code %d" c)
+  let add st ~ts ~dom kind =
+    let l =
+      match Hashtbl.find_opt st.logs dom with
+      | Some l -> l
+      | None ->
+        let l = { evs = [||]; n = 0 } in
+        Hashtbl.add st.logs dom l;
+        l
     in
-    out := { ts; dom; seq = !seq; kind } :: !out;
-    incr seq;
-    i := next
-  done;
-  List.rev !out
+    let e = { ts; dom; seq = l.n; kind } in
+    let len = Array.length l.evs in
+    if l.n < len then l.evs.(l.n) <- e
+    else if len < st.capacity then begin
+      (* The grown array is filled with [e], which puts it in slot [n]. *)
+      let evs = Array.make (min (max 64 (2 * len)) st.capacity) e in
+      Array.blit l.evs 0 evs 0 len;
+      l.evs <- evs
+    end
+    else begin
+      l.evs.(l.n mod len) <- e;
+      st.evicted <- st.evicted + 1
+    end;
+    l.n <- l.n + 1;
+    st.recorded <- st.recorded + 1
 
-(* Merged order is a pure function of the recording: (ts, dom, seq) is a
-   total order — seq breaks ties inside a domain (the clock is
-   monotonic but not strictly), dom breaks ties across domains. *)
-let events r =
-  Mutex.protect r.lock (fun () ->
-      let streams =
-        Hashtbl.fold (fun dom b acc -> decode_domain r dom b :: acc) r.bufs []
-      in
-      List.sort
-        (fun a b ->
-          if a.ts <> b.ts then compare a.ts b.ts
-          else if a.dom <> b.dom then compare a.dom b.dom
-          else compare a.seq b.seq)
-        (List.concat streams))
+  let recorded st = st.recorded
+  let evicted st = st.evicted
+  let domains st = Hashtbl.length st.logs
+
+  (* Merged order is a pure function of the store: (ts, dom, seq) is a
+     total order — seq breaks ties inside a domain (the clock is
+     monotonic but not strictly), dom breaks ties across domains. *)
+  let events st =
+    let window _dom l acc =
+      let len = Array.length l.evs in
+      let out = ref acc in
+      for i = l.n - 1 downto max 0 (l.n - len) do
+        out := l.evs.(i mod len) :: !out
+      done;
+      !out
+    in
+    List.sort
+      (fun a b ->
+        if a.ts <> b.ts then compare a.ts b.ts
+        else if a.dom <> b.dom then compare a.dom b.dom
+        else compare a.seq b.seq)
+      (Hashtbl.fold window st.logs [])
+end
+
+(* --- recording --------------------------------------------------------- *)
+
+type recorder = { store : Store.t; lock : Mutex.t }
+
+let recorder () = { store = Store.create (); lock = Mutex.create () }
+
+let recording r =
+  let record ~ts ~dom kind = Mutex.protect r.lock (fun () -> Store.add r.store ~ts ~dom kind) in
+  { on_span = None; on_record = Some record }
+
+let count r = Mutex.protect r.lock (fun () -> Store.recorded r.store)
+let events r = Mutex.protect r.lock (fun () -> Store.events r.store)
 
 (* --- JSONL --------------------------------------------------------------- *)
 
@@ -560,7 +396,7 @@ let event_of_json j =
     with Json.Parse_error _ -> None)
   | _ -> None
 
-let read_jsonl path =
+let read_jsonl ?(other = ignore) path =
   let ic =
     try open_in path with Sys_error msg -> failwith ("Event.read_jsonl: " ^ msg)
   in
@@ -587,7 +423,7 @@ let read_jsonl path =
                  | None ->
                    failwith (Printf.sprintf "Event.read_jsonl %s: header without a schema" path))
                | _ -> (
-                 match event_of_json j with Some e -> out := e :: !out | None -> ()))
+                 match event_of_json j with Some e -> out := e :: !out | None -> other j))
            end
          done
        with End_of_file -> ());

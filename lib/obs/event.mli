@@ -7,7 +7,7 @@
     transitions (which double as progress heartbeats), and the lifecycle
     of a parallel race (worker spawn, bound dispatch, cancellation with
     its cause).  Each fact is posted once, to one list of {!consumer}s:
-    the packed {!recorder}, the flight rings, the {!Profile} collector,
+    the {!recorder}, the flight rings, the {!Profile} collector,
     the {!Chrome} writer and the {!Progress} reporter all subscribe to
     the same list.
 
@@ -19,12 +19,11 @@
     search payload.
 
     Dispatch takes no lock: each consumer synchronises itself, because
-    records arrive from every racing domain at once.  The recorder
-    packs records into per-domain int arrays (strings interned into a
-    shared table, in the spirit of the proof store's int framing) and
-    merges them deterministically on read by [(timestamp, domain id,
-    per-domain sequence number)], so the same recording always replays
-    in the same order. *)
+    records arrive from every racing domain at once.  The recorder and
+    the flight rings keep records in one {!Store}: a log of {!t} values
+    per domain, merged deterministically on read by [(timestamp, domain
+    id, per-domain sequence number)], so the same recording always
+    replays in the same order. *)
 
 val schema_version : int
 (** Highest schema this reader understands; {!write_jsonl} stamps the
@@ -174,21 +173,56 @@ val dropped : unit -> int
     {!Resource} as the [obs.dropped] gauge together with flight-ring
     evictions. *)
 
+(* --- the per-domain store --------------------------------------------- *)
+
+module Store : sig
+  type event := t
+
+  type t
+  (** Per-domain logs of records, in emission order.  The store takes
+      no lock: its owner guards it (the {!recorder} with its own mutex,
+      {!Flight} with its state mutex). *)
+
+  val create : ?capacity:int -> unit -> t
+  (** An empty store.  Each domain's log grows as records arrive; with a
+      [capacity] (at least 1) it keeps only that domain's last
+      [capacity] records, overwriting the oldest.  Without one it keeps
+      everything. *)
+
+  val add : t -> ts:float -> dom:int -> kind -> unit
+  (** Append one record to domain [dom]'s log, numbered by that log's
+      count of records so far ([seq]); the timestamp is kept exactly. *)
+
+  val events : t -> event list
+  (** Every domain's live window, merged: sorted by [(ts, dom, seq)],
+      each domain's own order preserved. *)
+
+  val recorded : t -> int
+  (** Records ever added. *)
+
+  val evicted : t -> int
+  (** Records overwritten because their domain's log was at capacity. *)
+
+  val domains : t -> int
+  (** Distinct domains that added a record. *)
+end
+
 (* --- recording ------------------------------------------------------- *)
 
 type recorder
+(** A {!Store} without a capacity, under its own lock. *)
 
 val recorder : unit -> recorder
 
 val recording : recorder -> consumer
-(** The recorder's subscription: packs every search record under the
+(** The recorder's subscription: stores every search record under the
     recorder's own lock. *)
 
 val events : recorder -> t list
-(** Decode and deterministically merge every domain's stream: sorted by
-    [(ts, dom, seq)], each domain's own order preserved. *)
+(** Every domain's stream, merged as {!Store.events} does. *)
 
 val count : recorder -> int
+(** Records stored. *)
 
 (* --- JSONL ----------------------------------------------------------- *)
 
@@ -207,8 +241,10 @@ val event_of_json : Json.t -> t option
 (** Inverse of {!json_of_event}; [None] for header or foreign lines, and
     for event lines missing a field the kind requires. *)
 
-val read_jsonl : string -> t list
+val read_jsonl : ?other:(Json.t -> unit) -> string -> t list
 (** Load an exported stream back.  Lines that do not parse, or that lack
     a required field, are skipped; a header with an unsupported or
-    missing schema version fails.
+    missing schema version fails.  [other] sees every parsed line that
+    is neither the header nor an event, in file order (how {!Flight.read}
+    finds its meta and snapshot lines in the same pass).
     @raise Failure on unreadable files or a bad header, naming the file. *)

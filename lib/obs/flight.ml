@@ -1,10 +1,10 @@
 (* Flight recorder; see the .mli for the model.
 
-   Concurrency: the rings are filled through an Event subscription from
-   every racing domain, so all ring state lives under one mutex (records
-   arrive
-   at the solver's coarse cadence — restarts, reductions, phases — not
-   per propagation).  Signal handlers are the delicate part: OCaml runs
+   Concurrency: the rings (an {!Event.Store} with a capacity) are
+   filled through an Event subscription from every racing domain, so
+   all ring state lives under one mutex (records arrive at the solver's
+   coarse cadence — restarts, reductions, phases — not per
+   propagation).  Signal handlers are the delicate part: OCaml runs
    them at safe points inside normal code, which may be *inside* the
    ring lock's critical section on this very thread, so a handler that
    blocked on the lock would self-deadlock.  Handlers therefore record a
@@ -20,17 +20,12 @@ type snap = {
   major_collections : int;
 }
 
-type ring = { evs : Event.t array; mutable n : int }
-
 type state = {
   capacity : int;
   dir : string;
   lock : Mutex.t;
-  rings : (int, ring) Hashtbl.t; (* domain id -> ring *)
-  mutable recorded : int;
-  mutable evicted : int;
+  rings : Event.Store.t;
   mutable snaps : snap list; (* newest first, capped *)
-  mutable nsnaps : int;
   mutable last_snap : float;
 }
 
@@ -52,20 +47,9 @@ let pending : string option Atomic.t = Atomic.make None
    site dumps; collapse the storm to one file write per second. *)
 let last_dump : (string * float * string) ref = ref ("", neg_infinity, "")
 
-let dummy_event =
-  { Event.ts = 0.0; dom = 0; seq = -1; kind = Event.Dispatch { worker = 0; bound = 0 } }
-
 let armed () = !state <> None
-let recorded () = match !state with None -> 0 | Some st -> st.recorded
-let evicted () = match !state with None -> 0 | Some st -> st.evicted
-
-let ring_of (st : state) dom =
-  match Hashtbl.find_opt st.rings dom with
-  | Some r -> r
-  | None ->
-    let r = { evs = Array.make st.capacity dummy_event; n = 0 } in
-    Hashtbl.add st.rings dom r;
-    r
+let recorded () = match !state with None -> 0 | Some st -> Event.Store.recorded st.rings
+let evicted () = match !state with None -> 0 | Some st -> Event.Store.evicted st.rings
 
 let take_snap (st : state) ts =
   st.last_snap <- ts;
@@ -79,53 +63,36 @@ let take_snap (st : state) ts =
       major_collections = g.Gc.major_collections;
     }
   in
-  st.snaps <- s :: (if st.nsnaps >= max_snaps then List.filteri (fun i _ -> i < max_snaps - 1) st.snaps else st.snaps);
-  st.nsnaps <- min (st.nsnaps + 1) max_snaps
-
-(* Called under [st.lock]. *)
-let record_locked (st : state) ~ts ~dom kind =
-  let r = ring_of st dom in
-  let seq = r.n in
-  r.evs.(seq mod st.capacity) <- { Event.ts; dom; seq; kind };
-  if seq >= st.capacity then st.evicted <- st.evicted + 1;
-  r.n <- seq + 1;
-  st.recorded <- st.recorded + 1;
-  if ts -. st.last_snap >= 1.0 then take_snap st ts
-
-(* Called under [st.lock]: each ring's live window in emission order. *)
-let ring_events (st : state) =
-  Hashtbl.fold
-    (fun _dom r acc ->
-      let len = min r.n st.capacity in
-      let first = r.n - len in
-      let out = ref acc in
-      for i = first to r.n - 1 do
-        out := r.evs.(i mod st.capacity) :: !out
-      done;
-      !out)
-    st.rings []
-
-let sort_events =
-  List.sort (fun (a : Event.t) (b : Event.t) ->
-      if a.Event.ts <> b.Event.ts then compare a.Event.ts b.Event.ts
-      else if a.Event.dom <> b.Event.dom then compare a.Event.dom b.Event.dom
-      else compare a.Event.seq b.Event.seq)
+  st.snaps <- s :: List.filteri (fun i _ -> i < max_snaps - 1) st.snaps
 
 let events () =
   match !state with
   | None -> []
-  | Some st -> sort_events (Mutex.protect st.lock (fun () -> ring_events st))
+  | Some st -> Mutex.protect st.lock (fun () -> Event.Store.events st.rings)
 
 let json_of_snap s =
   Printf.sprintf
     "{\"snap\":{\"ts\":%.6f,\"heap_words\":%d,\"minor_words\":%.0f,\"minor_collections\":%d,\"major_collections\":%d}}"
     s.s_ts s.heap_words s.minor_words s.minor_collections s.major_collections
 
-(* File IO happens outside the ring lock, on a snapshot of the state.
-   Torn-tail safety comes from the rename: a dump interrupted mid-write
+(* Called under [st.lock]: everything a dump writes, so the file IO
+   can happen outside the lock. *)
+let snapshot ~reason st =
+  let rings = st.rings in
+  ( {
+      reason;
+      recorded = Event.Store.recorded rings;
+      evicted = Event.Store.evicted rings;
+      capacity = st.capacity;
+      domains = Event.Store.domains rings;
+    },
+    Event.Store.events rings,
+    List.rev st.snaps )
+
+(* Torn-tail safety comes from the rename: a dump interrupted mid-write
    leaves the previous complete file (or nothing), never half a line. *)
-let write_dump ~reason (st : state) evs snaps =
-  let path = Filename.concat st.dir "flight.jsonl" in
+let write_dump dir (m, evs, snaps) =
+  let path = Filename.concat dir "flight.jsonl" in
   let tmp = path ^ ".tmp" in
   try
     let oc = open_out tmp in
@@ -137,50 +104,37 @@ let write_dump ~reason (st : state) evs snaps =
         output_string oc
           (Printf.sprintf
              "{\"flight\":{\"reason\":%s,\"recorded\":%d,\"evicted\":%d,\"capacity\":%d,\"domains\":%d}}\n"
-             (Json.quote reason) st.recorded st.evicted st.capacity
-             (Hashtbl.length st.rings));
-        (* Merge GC snapshots into the event timeline by timestamp, so a
-           reader scrolling the tail sees memory next to the search. *)
-        let rec interleave evs snaps =
-          match (evs, snaps) with
-          | [], [] -> ()
-          | (e : Event.t) :: evs', s :: _ when e.Event.ts <= s.s_ts ->
-            output_string oc (Event.json_of_event e);
-            output_char oc '\n';
-            interleave evs' snaps
-          | (e : Event.t) :: evs', [] ->
-            output_string oc (Event.json_of_event e);
-            output_char oc '\n';
-            interleave evs' snaps
-          | evs, s :: snaps' ->
-            output_string oc (json_of_snap s);
-            output_char oc '\n';
-            interleave evs snaps'
-        in
-        interleave evs snaps);
+             (Json.quote m.reason) m.recorded m.evicted m.capacity m.domains);
+        (* Merge GC snapshots into the event timeline by timestamp (an
+           event first on a tie), so a reader scrolling the tail sees
+           memory next to the search. *)
+        List.iter
+          (fun (_, line) ->
+            output_string oc line;
+            output_char oc '\n')
+          (List.merge
+             (fun (a, _) (b, _) -> Float.compare a b)
+             (List.map (fun (e : Event.t) -> (e.Event.ts, Event.json_of_event e)) evs)
+             (List.map (fun s -> (s.s_ts, json_of_snap s)) snaps)));
     Sys.rename tmp path;
     Some path
   with Sys_error _ -> None
 
-let dump_of_snapshot ~reason st evs snaps =
+let write_throttled st ((m, _, _) as taken) =
   let r, t, p = !last_dump in
   let now = Clock.now () in
-  if r = reason && now -. t < 1.0 then Some p
+  if r = m.reason && now -. t < 1.0 then Some p
   else
-    match write_dump ~reason st evs snaps with
+    match write_dump st.dir taken with
     | Some path ->
-      last_dump := (reason, now, path);
+      last_dump := (m.reason, now, path);
       Some path
     | None -> None
 
 let dump ~reason () =
   match !state with
   | None -> None
-  | Some st ->
-    let evs, snaps =
-      Mutex.protect st.lock (fun () -> (ring_events st, List.rev st.snaps))
-    in
-    dump_of_snapshot ~reason st (sort_events evs) snaps
+  | Some st -> write_throttled st (Mutex.protect st.lock (fun () -> snapshot ~reason st))
 
 (* Handler-side dump: never block.  On contention the request stays
    pending for the next [poll]. *)
@@ -189,13 +143,11 @@ let try_dump ~reason () =
   | None -> Atomic.set pending None
   | Some st ->
     if Mutex.try_lock st.lock then begin
-      let evs, snaps =
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock st.lock)
-          (fun () -> (ring_events st, List.rev st.snaps))
+      let taken =
+        Fun.protect ~finally:(fun () -> Mutex.unlock st.lock) (fun () -> snapshot ~reason st)
       in
       Atomic.set pending None;
-      ignore (dump_of_snapshot ~reason st (sort_events evs) snaps)
+      ignore (write_throttled st taken)
     end
 
 let poll () =
@@ -213,7 +165,10 @@ let consumer =
         (fun ~ts ~dom kind ->
           match !state with
           | None -> ()
-          | Some st -> Mutex.protect st.lock (fun () -> record_locked st ~ts ~dom kind));
+          | Some st ->
+            Mutex.protect st.lock (fun () ->
+                Event.Store.add st.rings ~ts ~dom kind;
+                if ts -. st.last_snap >= 1.0 then take_snap st ts));
   }
 
 let arm ?(capacity = default_capacity) ~dir () =
@@ -224,11 +179,8 @@ let arm ?(capacity = default_capacity) ~dir () =
       capacity;
       dir;
       lock = Mutex.create ();
-      rings = Hashtbl.create 4;
-      recorded = 0;
-      evicted = 0;
+      rings = Event.Store.create ~capacity ();
       snaps = [];
-      nsnaps = 0;
       last_snap = neg_infinity;
     }
   in
@@ -262,31 +214,33 @@ let guard f =
     Printexc.raise_with_backtrace e bt
 
 let read path =
-  let events = Event.read_jsonl path in
-  let meta = ref None in
-  let ic = try open_in path with Sys_error msg -> failwith ("Flight.read: " ^ msg) in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        while !meta = None do
-          let line = input_line ic in
-          if String.trim line <> "" then
-            match Json.parse line with
-            | exception Json.Parse_error _ -> ()
-            | j -> (
-              match Json.field "flight" j with
-              | Some fj ->
-                meta :=
-                  Some
-                    {
-                      reason = Option.value ~default:"" (Json.opt_str_field "reason" fj);
-                      recorded = Option.value ~default:0 (Json.opt_int_field "recorded" fj);
-                      evicted = Option.value ~default:0 (Json.opt_int_field "evicted" fj);
-                      capacity = Option.value ~default:0 (Json.opt_int_field "capacity" fj);
-                      domains = Option.value ~default:0 (Json.opt_int_field "domains" fj);
-                    }
-              | None -> ())
-        done
-      with End_of_file -> ());
-  (!meta, events)
+  let meta = ref None and snap = ref None in
+  let other j =
+    let int k o = Option.value ~default:0 (Json.opt_int_field k o) in
+    let num k o = match Json.field k o with Some (Json.Num f) -> f | _ -> 0.0 in
+    match (Json.field "flight" j, Json.field "snap" j) with
+    | Some m, _ ->
+      if !meta = None then
+        meta :=
+          Some
+            {
+              reason = Option.value ~default:"" (Json.opt_str_field "reason" m);
+              recorded = int "recorded" m;
+              evicted = int "evicted" m;
+              capacity = int "capacity" m;
+              domains = int "domains" m;
+            }
+    | None, Some s ->
+      snap :=
+        Some
+          {
+            s_ts = num "ts" s;
+            heap_words = int "heap_words" s;
+            minor_words = num "minor_words" s;
+            minor_collections = int "minor_collections" s;
+            major_collections = int "major_collections" s;
+          }
+    | None, None -> ()
+  in
+  let events = Event.read_jsonl ~other path in
+  (!meta, !snap, events)

@@ -4,12 +4,15 @@
     The ledger and the event log explain a run after it finishes; the
     runs that most need explaining — timeouts, sanitizer violations,
     hung parallel races, kill -9'd batch jobs — are exactly the ones
-    that never flush a stream.  The flight recorder closes that gap: a
-    per-domain ring buffer subscribed to the {!Event} channel keeps only the
-    most recent [capacity] events per domain (plus periodic GC counter
-    snapshots), costing a bounded amount of memory no matter how long
-    the run.  On {!Budget} expiry, a sanitizer violation, an uncaught
-    exception, or [SIGUSR1]/[SIGTERM], the merged rings are dumped as a
+    that never flush a stream.  The flight recorder closes that gap: the
+    rings, an {!Event.Store} with a capacity subscribed to the {!Event}
+    channel, keep only the most recent [capacity] events per domain
+    (plus periodic GC counter snapshots), costing a bounded amount of
+    memory no matter how long the run.  Records keep their exact
+    timestamps, as in the {!Event.recorder}, so a dump's event lines are
+    the [--events] file's lines for the same records.  On {!Budget}
+    expiry, a sanitizer violation, an uncaught exception, or
+    [SIGUSR1]/[SIGTERM], the merged rings are dumped as a
     schema-versioned [flight.jsonl] into the run directory — a forensic
     trail of the last seconds instead of nothing.
 
@@ -35,6 +38,15 @@ type meta = {
   domains : int;        (** distinct emitting domains seen *)
 }
 
+type snap = {
+  s_ts : float;            (** when the snapshot was taken ({!Clock} time) *)
+  heap_words : int;        (** major heap size, in words *)
+  minor_words : float;     (** words allocated in the minor heap so far *)
+  minor_collections : int;
+  major_collections : int;
+}
+(** One periodic GC counter snapshot (a dump's [snap] lines). *)
+
 val default_capacity : int
 (** Per-domain ring capacity used when [arm] is not given one (256). *)
 
@@ -42,6 +54,10 @@ val arm : ?capacity:int -> dir:string -> unit -> unit
 (** Start recording: subscribe the rings to the {!Event} channel and set
     the signal handlers' target state.  Dumps land in [dir ^ "/flight.jsonl"].  Re-arming
     replaces any previous state. *)
+
+val consumer : Event.consumer
+(** The rings' subscription, which {!arm} subscribes: it stores each
+    record in the armed rings (and does nothing while disarmed). *)
 
 val disarm : unit -> unit
 (** Stop recording and unsubscribe the rings.  Does not dump. *)
@@ -82,7 +98,8 @@ val guard : (unit -> 'a) -> 'a
     ["exception:<name>"] and re-raise.  Wrap engine entry points so an
     uncaught exception leaves a trail. *)
 
-val read : string -> meta option * Event.t list
-(** Load a dump back: the [flight] meta line (if present) and the
-    events, via {!Event.read_jsonl}.
+val read : string -> meta option * snap option * Event.t list
+(** Load a dump back in one pass: the [flight] meta line, the last GC
+    snapshot (each [None] when absent, as in a plain event stream) and
+    the events, via {!Event.read_jsonl}.
     @raise Failure on unreadable files or schema mismatch. *)

@@ -476,7 +476,7 @@ let test_budget_expiry_dumps_flight () =
       | _ -> Alcotest.fail "expected conflict exhaustion");
       let path = Filename.concat dir "flight.jsonl" in
       Alcotest.(check bool) "budget expiry left a dump" true (Sys.file_exists path);
-      let meta, evs = Isr_obs.Flight.read path in
+      let meta, _, evs = Isr_obs.Flight.read path in
       (match meta with
       | Some m ->
         Alcotest.(check string) "dump reason" "budget.conflicts"

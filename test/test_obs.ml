@@ -1245,7 +1245,7 @@ let test_flight_dump_read () =
       | Some path ->
         Alcotest.(check string) "dump lands in the armed dir"
           (Filename.concat dir "flight.jsonl") path;
-        let meta, evs = Flight.read path in
+        let meta, snap, evs = Flight.read path in
         (match meta with
         | None -> Alcotest.fail "no flight metadata line"
         | Some m ->
@@ -1254,6 +1254,13 @@ let test_flight_dump_read () =
           Alcotest.(check int) "recorded" 12 m.Flight.recorded;
           Alcotest.(check int) "evicted" 4 m.Flight.evicted;
           Alcotest.(check int) "domains" 1 m.Flight.domains);
+        (* The first record took a GC snapshot, and the same pass reads it. *)
+        (match snap with
+        | None -> Alcotest.fail "no GC snapshot line"
+        | Some g ->
+          Alcotest.(check bool) "snapshot heap" true (g.Flight.heap_words > 0);
+          Alcotest.(check bool) "snapshot before the last event" true
+            (g.Flight.s_ts <= (List.nth live (List.length live - 1)).Event.ts +. 1e-6));
         (* The acceptance contract: the dump's events are exactly the
            live ring window at dump time. *)
         Alcotest.(check int) "event count matches live ring" (List.length live)
@@ -1280,7 +1287,7 @@ let test_flight_sigusr1 () =
       Flight.poll ();
       let path = Filename.concat dir "flight.jsonl" in
       Alcotest.(check bool) "signal left a dump" true (Sys.file_exists path);
-      let meta, evs = Flight.read path in
+      let meta, _, evs = Flight.read path in
       (match meta with
       | Some m -> Alcotest.(check string) "reason" "sigusr1" m.Flight.reason
       | None -> Alcotest.fail "no flight metadata");
@@ -1292,13 +1299,55 @@ let test_flight_guard () =
       (match Flight.guard (fun () -> failwith "boom") with
       | _ -> Alcotest.fail "guard swallowed the exception"
       | exception Failure msg -> Alcotest.(check string) "exception re-raised" "boom" msg);
-      let meta, evs = Flight.read (Filename.concat dir "flight.jsonl") in
+      let meta, _, evs = Flight.read (Filename.concat dir "flight.jsonl") in
       (match meta with
       | Some m ->
         Alcotest.(check string) "reason names the exception" "exception:Failure"
           m.Flight.reason
       | None -> Alcotest.fail "no flight metadata");
       Alcotest.(check int) "the pre-crash tail survived" 1 (List.length evs))
+
+(* The recorder and the flight rings keep one store: fed the same
+   records, they merge to the same list, and with a smaller capacity each
+   domain's flight window is the tail of that domain's recorded stream.
+   Three domains, emitted out of domain order, with timestamps tied
+   across domains and within one. *)
+let test_flight_is_recorder () =
+  let feed =
+    List.init 40 (fun i ->
+        (float_of_int (i / 4) *. 0.5, i * 7 mod 3, Event.Dispatch { worker = i mod 3; bound = i }))
+  in
+  let n = List.length feed in
+  let run capacity =
+    let r = Event.recorder () in
+    let record = Option.get (Event.recording r).Event.on_record in
+    with_flight ~capacity (fun _ ->
+        let ring = Option.get Flight.consumer.Event.on_record in
+        List.iter
+          (fun (ts, dom, kind) ->
+            record ~ts ~dom kind;
+            ring ~ts ~dom kind)
+          feed;
+        (Event.events r, Flight.events (), Flight.recorded (), Flight.evicted ()))
+  in
+  let evs, ring, recorded, evicted = run n in
+  Alcotest.(check int) "recorder keeps all" n (List.length evs);
+  Alcotest.(check bool) "same merged list" true (evs = ring);
+  Alcotest.(check int) "recorded" n recorded;
+  Alcotest.(check int) "nothing evicted" 0 evicted;
+  let capacity = 5 in
+  let evs, ring, recorded, evicted = run capacity in
+  let of_dom d = List.filter (fun e -> e.Event.dom = d) in
+  for d = 0 to 2 do
+    let mine = of_dom d evs in
+    let tail = List.filteri (fun i _ -> i >= List.length mine - capacity) mine in
+    Alcotest.(check bool)
+      (Printf.sprintf "domain %d window is its recorded tail" d)
+      true
+      (of_dom d ring = tail)
+  done;
+  Alcotest.(check int) "recorded" n recorded;
+  Alcotest.(check int) "evicted = n - kept" (n - List.length ring) evicted
 
 (* --- dashboard ------------------------------------------------------------------ *)
 
@@ -1671,8 +1720,8 @@ let test_missing_fields () =
           | evs -> Alcotest.failf "%s: expected the dispatch alone, got %d" what (List.length evs)
           | exception Json.Parse_error msg -> Alcotest.failf "%s: Parse_error %s" what msg);
           match Flight.read path with
-          | _, [ _ ] -> ()
-          | _, evs -> Alcotest.failf "%s: flight read %d events" what (List.length evs)))
+          | _, _, [ _ ] -> ()
+          | _, _, evs -> Alcotest.failf "%s: flight read %d events" what (List.length evs)))
     [
       ("restart without decisions", "{\"ts\":1.0,\"dom\":0,\"ev\":\"restart\",\"conflicts\":3}");
       ("phase without ts", "{\"dom\":0,\"seq\":1,\"ev\":\"phase\",\"phase\":\"bmc.bound\"}");
@@ -1752,6 +1801,8 @@ let () =
           Alcotest.test_case "dump and read back" `Quick test_flight_dump_read;
           Alcotest.test_case "SIGUSR1 dumps" `Quick test_flight_sigusr1;
           Alcotest.test_case "guard dumps on exception" `Quick test_flight_guard;
+          Alcotest.test_case "rings and recorder are one store" `Quick
+            test_flight_is_recorder;
         ] );
       ( "dash",
         [
