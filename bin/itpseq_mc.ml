@@ -234,6 +234,11 @@ let resume_arg =
 
 let tool = "itpseq_mc"
 
+(* The ledger reads a relative path against its own directory, so a
+   path given on the command line is stored as an absolute one. *)
+let absolute path =
+  if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path
+
 let verify_term =
   let run verbose file name engine budget witness analyze compact certify property
       witness_file json events (obs : Isr_cli.obs) profile_json par no_reduce reduce_base
@@ -397,7 +402,7 @@ let verify_term =
             in
             write_events r (open_out (Isr_obs.Ledger.resolve lg rel));
             Some rel
-          | _ -> events
+          | _ -> Option.map absolute events
         in
         if obs.metrics <> None || obs.ledger <> None then begin
           (* A run is named by the instance the user asked to verify, not
@@ -410,7 +415,8 @@ let verify_term =
               verdict = outcome.verdict; stats }
           in
           match
-            (Isr_cli.record session ?events_path ?profile_path:profile_json run,
+            (Isr_cli.record session ?events_path
+               ?profile_path:(Option.map absolute profile_json) run,
              Isr_cli.ledger session)
           with
           | Some stored, Some lg when not json ->

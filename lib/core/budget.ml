@@ -88,9 +88,6 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
      limits; re-applying an unchanged policy keeps the solver's
      geometric schedule running. *)
   Solver.set_reduce solver b.l.reduce;
-  (* Clauses born in this call carry the logical call index as their
-     origin phase — stable across replays, unlike wall time. *)
-  Solver.set_origin solver (Isr_obs.Metrics.value stats.Verdict.c_sat_calls);
   Solver.on_learnt solver
     (Some
        (fun ~lits ~lbd ->

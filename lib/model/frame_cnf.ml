@@ -77,6 +77,7 @@ let compile ~man ~num_inputs ~next ~frozen =
 
 let vars f = f.nfresh + if f.pi_at >= 0 then f.ni else 0
 let clauses f = Array.length f.ends
+let lits f = Array.length f.lits
 let equalities f = f.neq
 
 (* The solver variable of every template variable, for a frame whose

@@ -42,6 +42,10 @@ val vars : t -> int
 val clauses : t -> int
 (** Clauses one {!instantiate} adds. *)
 
+val lits : t -> int
+(** Literals of those clauses, in all: what they take of the solver's
+    clause store at most (duplicate literals are merged on intake). *)
+
 val equalities : t -> int
 (** State-equality clauses among them (two per latch not frozen). *)
 

@@ -124,33 +124,37 @@ let frame_cnf ?frozen t =
 
 (* What one encoding of the property cone adds at most: a variable per
    AND node, per primary input read and for [const_false]; three clauses
-   per AND node, the [const_false] unit and the assertion. *)
+   of seven literals in all per AND node, the [const_false] unit and the
+   assertion. *)
 let prop_room m =
   let man = m.Model.man in
-  let vars = ref 0 and clauses = ref 1 in
+  let vars = ref 0 and clauses = ref 1 and lits = ref 1 in
   Aig.iter_cones man [ m.Model.bad ] ~f:(fun node ->
       let l = node lsl 1 in
       if Aig.is_const man l then begin
         incr vars;
-        incr clauses
+        incr clauses;
+        incr lits
       end
       else if Aig.is_input man l then begin
         if Aig.input_index man l < m.Model.num_inputs then incr vars
       end
       else begin
         incr vars;
-        clauses := !clauses + 3
+        clauses := !clauses + 3;
+        lits := !lits + 7
       end);
-  (!vars, !clauses)
+  (!vars, !clauses, !lits)
 
 let reserve ?frozen t ~frames ~props =
   if frames < 0 || props < 0 then invalid_arg "Unroll.reserve: negative count";
   let m = t.model in
   let cnf = frame_cnf ?frozen t in
-  let pvars, pclauses = if props = 0 then (0, 0) else prop_room m in
+  let pvars, pclauses, plits = if props = 0 then (0, 0, 0) else prop_room m in
   Solver.reserve t.solver
     ~vars:((frames * Frame_cnf.vars cnf) + (props * pvars))
-    ~clauses:((frames * Frame_cnf.clauses cnf) + (props * pclauses));
+    ~clauses:((frames * Frame_cnf.clauses cnf) + (props * pclauses))
+    ~lits:((frames * Frame_cnf.lits cnf) + (props * plits));
   let neq = Vec.size t.eq_ids + (frames * Frame_cnf.equalities cnf) in
   Vec.reserve t.eq_ids neq;
   Vec.reserve t.eq_latch neq;

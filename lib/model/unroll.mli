@@ -59,10 +59,11 @@ val reserve : ?frozen:(int -> bool) -> t -> frames:int -> props:int -> unit
     [add_transition ?frozen] and [props] encodings of the property cone
     (the cone of [bad], asserted as [bad] or as its negation, or only
     encoded).  Callers reserve after {!assert_init}, which it does not
-    count.  The frame counts come from the compiled frame, the
-    cone's from one walk over it, each an upper bound.  Capacity only:
-    the clauses, variables and search that follow are those of an
-    unrolling never reserved, whatever the counts.  An unrolling built
+    count.  The variable, clause and literal counts of a frame come
+    from the compiled frame, the cone's from one walk over it, each an
+    upper bound.  Capacity only: the clauses, variables and search that
+    follow are those of an unrolling never reserved, whatever the
+    counts.  An unrolling built
     one clause at a time would instead double every per-variable array
     about [log2] of its final size times.
     @raise Invalid_argument when a count is negative. *)

@@ -23,8 +23,9 @@ val decrease : t -> int -> unit
 (** Restores the heap property after the variable's activity increased
     (a higher activity moves it towards the root). *)
 
-val pop : t -> int option
-(** Removes and returns the variable with the highest activity. *)
+val pop : t -> int
+(** Removes and returns the variable with the highest activity; [-1]
+    when the heap is empty. *)
 
 val size : t -> int
 val rebuild : t -> unit

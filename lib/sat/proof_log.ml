@@ -17,14 +17,13 @@ type t = {
 }
 
 let create ?(record = true) () =
-  let page = Array.make 256 0 in
   { record;
     index = Array.make 64 0;
     nsteps = 0;
     ninputs = 0;
-    pages = [| page |];
-    npages = 1;
-    page;
+    pages = [||];
+    npages = 0;
+    page = [||];
     fill = 0;
     words = 0;
     dels = Array.make 16 0;
@@ -54,12 +53,16 @@ let copy (src : int array) (dst : int array) ~at n =
 
 (* Growth copies into a fresh array and leaves the old one as it was: a
    {!view} holding the old array keeps reading frozen records.  The step
-   index and the deletion events grow so, and the first page likewise
-   (below, capped at the page size). *)
+   index and the deletion events grow so. *)
 let grown (a : int array) ~used ~need =
   let b = Array.make (max (2 * Array.length a) need) 0 in
   copy a b ~at:0 used;
   b
+
+let reserve_steps t n =
+  if n < 0 then invalid_arg "Proof_log.reserve_steps: negative count";
+  if t.record && t.nsteps + n > Array.length t.index then
+    t.index <- grown t.index ~used:t.nsteps ~need:(t.nsteps + n)
 
 let reserve_step t =
   if t.nsteps = Array.length t.index then
@@ -67,34 +70,28 @@ let reserve_step t =
   t.index.(t.nsteps) <- Proof.address ~page:(t.npages - 1) ~offset:t.fill;
   next_id t
 
-(* Room for a record of [n] words in the current page.  The first page
-   doubles up to [page_words], as one array would, so a small log costs
-   no more; past that a record that does not fit opens a new page — of
-   its own size when it is longer than a page — and no word is copied
-   again.  Called before [reserve_step], which reads the address. *)
+let first_page_words = 256
+
+(* Room for a record of [n] words in the current page.  A record that
+   does not fit opens a new page, twice as long as the current one up
+   to [page_words] (the first is [first_page_words]), so a small log
+   costs what one growing array would; a record longer than that gets a
+   page of its own length.  No word is ever copied.  Called before
+   [reserve_step], which reads the address. *)
 let reserve_data t n =
   if t.fill + n > Array.length t.page then begin
-    let cap = Array.length t.page in
-    if t.npages = 1 && cap < page_words && t.fill + n <= page_words then begin
-      (* Capped at [page_words]: a first record longer than doubling
-         gives leaves the size off the powers of two, and an offset at
-         or past [page_words] would not be addressable. *)
-      let p = Array.make (min page_words (max (2 * cap) (t.fill + n))) 0 in
-      copy t.page p ~at:0 t.fill;
-      t.page <- p;
-      t.pages.(0) <- p
-    end
-    else begin
-      if t.npages = Array.length t.pages then begin
-        let p = Array.make (2 * t.npages) [||] in
-        Array.blit t.pages 0 p 0 t.npages;
-        t.pages <- p
-      end;
-      t.page <- Array.make (max page_words n) 0;
-      t.pages.(t.npages) <- t.page;
-      t.npages <- t.npages + 1;
-      t.fill <- 0
-    end
+    if t.npages = Array.length t.pages then begin
+      let p = Array.make (max 4 (2 * t.npages)) [||] in
+      Array.blit t.pages 0 p 0 t.npages;
+      t.pages <- p
+    end;
+    let size =
+      if t.npages = 0 then first_page_words else min page_words (2 * Array.length t.page)
+    in
+    t.page <- Array.make (max size n) 0;
+    t.pages.(t.npages) <- t.page;
+    t.npages <- t.npages + 1;
+    t.fill <- 0
   end
 
 let push t x =
@@ -155,8 +152,7 @@ let tag t id =
   let h = t.pages.(Proof.page_of a).(Proof.offset_of a) in
   if h < 0 then -h - 1 else -1
 
-(* The view gets its own copy of the page table: the first page may
-   still be replaced by a larger copy, and new pages are added. *)
+(* The view gets its own copy of the page table: new pages are added. *)
 let view t ~empty ~nvars =
   require_record t "view";
   Proof.of_packed ~index:t.index ~pages:(Array.sub t.pages 0 t.npages) ~nsteps:t.nsteps

@@ -17,13 +17,12 @@
     v}
     The head word disambiguates: tags are [>= 0] so the input marker is
     [<= -1], while a derived step's [first] antecedent id is [>= 0].
-    A record never straddles two pages.  Pages hold {!page_words} words:
-    the first starts at 256 and doubles (or grows to fit the next
-    record) until it reaches that size, never past it (so a small log
-    costs what one growing array would), every later one is
-    allocated at full size when the current page cannot take the next
-    record, and a record longer than a page gets a page of its own
-    length.  No record is copied once its page is full size.
+    A record never straddles two pages.  Pages are opened on demand:
+    the first holds 256 words and each later one twice its
+    predecessor's length, up to {!page_words} (so a small log costs what
+    one growing array would); a record that does not fit the current
+    page opens the next, and one longer than that page gets a page of
+    its own length.  No record is ever copied.
     Deletion events are [(pos, id)] pairs in a side array, where [pos]
     is the number of steps that existed when the deletion happened.
     {!Proof} reads these records in place through {!view}: this layout
@@ -57,6 +56,11 @@ val bytes : t -> int
     behind the ["proof.bytes"] gauge.  Unused page tails do not count,
     so the figure does not depend on the page size. *)
 
+val reserve_steps : t -> int -> unit
+(** [reserve_steps t n] sizes the step index for [n] more steps at once.
+    Capacity only; a log that records nothing ignores it.
+    @raise Invalid_argument when [n < 0]. *)
+
 val add_input : t -> tag:int -> Lit.t array -> int
 (** Appends an input clause ([tag >= 0]) and returns its step id.
     The literal array is copied at append time. *)
@@ -82,7 +86,7 @@ val view : t -> empty:int -> nvars:int -> Proof.t
     and deletion events recorded so far.  Appending afterwards never
     changes what the view reads: new records land in page space the
     view does not reach (above its extent in the current page, or in
-    pages opened later), and the arrays that still grow by copying —
-    the step index, the deletion events and the first page below full
-    size — move to fresh arrays, leaving the view's ones as they were.
+    pages opened later), and the step index and the deletion events are
+    written past the view's extent or, when full, grow into fresh
+    arrays, leaving the view's ones as they were.
     @raise Invalid_argument when [empty] is not a step id. *)

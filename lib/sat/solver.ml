@@ -6,19 +6,15 @@ module Check = Isr_check_core.Level
 
 (* The in-memory clause database holds only what propagation and the
    reduction heuristics need; proof payloads (tags, resolution chains,
-   deletion events) live in the append-only [Proof_log].  [cid] is the
-   clause's stable proof-log step id — database slots compact on
-   [reduce_db], proof ids never move. *)
-type clause = {
-  cid : int;                   (* proof-log step id (stable) *)
-  lits : Lit.t array;
-  learnt : bool;
-  birth_lbd : int;             (* glue at learn time, frozen (0 for inputs) *)
-  origin : int;                (* engine phase (set_origin) current at learn time *)
-  mutable lbd : int;           (* glue: tightened on conflict-analysis reuse *)
-  mutable act : float;         (* clause activity for the reduction sort *)
-  mutable uses : int;          (* conflict-analysis participations *)
-}
+   deletion events) live in the append-only [Proof_log].  It is a flat
+   store owned by the solver, one column per field, indexed by database
+   slot: slot [i]'s literals are [arena.(c_off.(i)) ..
+   arena.(c_off.(i) + c_len.(i) - 1)], in watch order.  Slots are laid
+   out in the arena in slot order, and [reduce_db] compacts both in that
+   order.  [c_cid] is the clause's stable proof-log step id — database
+   slots compact on [reduce_db], proof ids never move.  A clause is
+   learnt exactly when its birth LBD is positive (inputs are born at 0,
+   learnt glue is at least 1). *)
 
 type reduce_policy = {
   enabled : bool;
@@ -46,7 +42,15 @@ let hist_bump h v = h.(min v (hist_buckets - 1)) <- h.(min v (hist_buckets - 1))
 
 type t = {
   mutable nvars : int;
-  mutable clauses : clause array;      (* by database slot; compacts on reduce *)
+  mutable arena : int array;           (* literals of every clause, in slot order *)
+  mutable afill : int;                 (* words of [arena] in use *)
+  mutable c_off : int array;           (* slot -> offset of its literals in [arena] *)
+  mutable c_len : int array;           (* slot -> literal count *)
+  mutable c_cid : int array;           (* slot -> proof-log step id (stable) *)
+  mutable c_lbd : int array;           (* slot -> glue, tightened on conflict-analysis reuse *)
+  mutable c_blbd : int array;          (* slot -> glue at learn time, frozen (0 for inputs) *)
+  mutable c_uses : int array;          (* slot -> conflict-analysis participations *)
+  mutable c_act : float array;         (* slot -> activity for the reduction sort *)
   mutable nclauses : int;
   mutable watches : int array array;   (* literal -> watch entries (see [watch_clause]) *)
   mutable wlen : int array;            (* literal -> live entries of [watches] *)
@@ -78,7 +82,6 @@ type t = {
   mutable policy : reduce_policy;
   mutable reduce_limit : int;          (* next live-learnt threshold *)
   mutable max_learnt_len : int;
-  mutable origin : int;                (* stamped into clauses born from now on *)
   born_lbd : int array;                (* cumulative birth-LBD histogram (16 buckets) *)
   dead_lbd : int array;                (* victims by LBD at death *)
   dead_uses : int array;               (* victims by uses before deletion *)
@@ -101,14 +104,19 @@ type t = {
   pending : Vec.t;                     (* clause slots to re-examine at solve start *)
 }
 
-let dummy_clause =
-  { cid = -1; lits = [||]; learnt = false; birth_lbd = 0; origin = 0; lbd = 0; act = 0.0; uses = 0 }
-
 let create ?(proof = true) () =
   let s =
     {
       nvars = 0;
-      clauses = Array.make 64 dummy_clause;
+      arena = Array.make 256 0;
+      afill = 0;
+      c_off = Array.make 64 0;
+      c_len = Array.make 64 0;
+      c_cid = Array.make 64 0;
+      c_lbd = Array.make 64 0;
+      c_blbd = Array.make 64 0;
+      c_uses = Array.make 64 0;
+      c_act = Array.make 64 0.0;
       nclauses = 0;
       watches = Array.make 32 [||];
       wlen = Array.make 32 0;
@@ -140,7 +148,6 @@ let create ?(proof = true) () =
       policy = default_reduce;
       reduce_limit = default_reduce.base;
       max_learnt_len = 0;
-      origin = 0;
       born_lbd = Array.make hist_buckets 0;
       dead_lbd = Array.make hist_buckets 0;
       dead_uses = Array.make hist_buckets 0;
@@ -181,8 +188,6 @@ let on_learnt s cb = s.learnt_cb <- cb
 let on_restart s cb = s.restart_cb <- cb
 let on_reduce s cb = s.reduce_cb <- cb
 let set_interrupt s cb = s.interrupt <- cb
-let set_origin s o = s.origin <- o
-let origin s = s.origin
 let num_deleted s = s.learnt_count - s.live_learnt
 let birth_lbd_counts s = Array.copy s.born_lbd
 let dead_lbd_counts s = Array.copy s.dead_lbd
@@ -251,20 +256,52 @@ let grow_vars s n =
   let wcap = Array.length s.watches in
   if 2 * n > wcap then resize_watches s (max (2 * wcap) (2 * n))
 
-let resize_clauses s cap' =
-  let a = Array.make cap' dummy_clause in
-  Array.blit s.clauses 0 a 0 s.nclauses;
-  s.clauses <- a
+(* [Array.blit] into an array of the major heap goes through the write
+   barrier element by element; a loop over ints stores directly.  Safe
+   for a forward move within one array ([doff <= soff]). *)
+let blit_ints (src : int array) soff (dst : int array) doff n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
+  done
 
-let reserve s ~vars ~clauses =
-  if vars < 0 || clauses < 0 then invalid_arg "Solver.reserve: negative count";
+(* Every slot column at capacity [cap'], and the arena at [words']. *)
+let resize_clauses s cap' =
+  let n = s.nclauses in
+  let grow a =
+    let a' = Array.make cap' 0 in
+    blit_ints a 0 a' 0 n;
+    a'
+  in
+  s.c_off <- grow s.c_off;
+  s.c_len <- grow s.c_len;
+  s.c_cid <- grow s.c_cid;
+  s.c_lbd <- grow s.c_lbd;
+  s.c_blbd <- grow s.c_blbd;
+  s.c_uses <- grow s.c_uses;
+  let act' = Array.make cap' 0.0 in
+  Array.blit s.c_act 0 act' 0 n;
+  s.c_act <- act'
+
+let resize_arena s words' =
+  let a = Array.make words' 0 in
+  blit_ints s.arena 0 a 0 s.afill;
+  s.arena <- a
+
+let reserve s ~vars ~clauses ~lits =
+  if vars < 0 || clauses < 0 || lits < 0 then invalid_arg "Solver.reserve: negative count";
   let n = s.nvars + vars in
   if n > Array.length s.assigns then resize_vars s n;
   if 2 * n > Array.length s.watches then resize_watches s (2 * n);
   Heap.reserve s.order n;
   Vec.reserve s.trail n;
-  let m = s.nclauses + clauses in
-  if m > Array.length s.clauses then resize_clauses s m
+  (* An eighth more for learnt clauses: a store sized exactly for the
+     inputs would double its arena and every column at the first learnt
+     clause, and a large instance often learns only a few. *)
+  let m = s.nclauses + clauses + (clauses / 8) in
+  if m > Array.length s.c_off then resize_clauses s m;
+  let w = s.afill + lits + (lits / 8) in
+  if w > Array.length s.arena then resize_arena s w;
+  Proof_log.reserve_steps s.log clauses
 
 (* The variables enter the branching heap in index order, one by one,
    exactly as [n] calls of [new_var] would insert them. *)
@@ -289,10 +326,22 @@ let value s v = s.assigns.(v) = 1
 let lit_value s l = lit_val s l = 1
 let decision_level s = Vec.size s.trail_lim
 
-let push_clause s c =
-  if s.nclauses = Array.length s.clauses then resize_clauses s (2 * s.nclauses);
-  let slot = s.nclauses in
-  s.clauses.(slot) <- c;
+(* A new slot holding [lits.(0 .. len - 1)], born with glue [lbd] (0
+   for an input clause) and activity [act]. *)
+let push_clause s lits len ~cid ~lbd ~act =
+  if s.nclauses = Array.length s.c_off then resize_clauses s (2 * s.nclauses);
+  if s.afill + len > Array.length s.arena then
+    resize_arena s (max (2 * Array.length s.arena) (s.afill + len));
+  let slot = s.nclauses and off = s.afill in
+  blit_ints lits 0 s.arena off len;
+  s.afill <- off + len;
+  s.c_off.(slot) <- off;
+  s.c_len.(slot) <- len;
+  s.c_cid.(slot) <- cid;
+  s.c_lbd.(slot) <- lbd;
+  s.c_blbd.(slot) <- lbd;
+  s.c_uses.(slot) <- 0;
+  s.c_act.(slot) <- act;
   s.nclauses <- slot + 1;
   slot
 
@@ -320,14 +369,17 @@ let push_watch s lit w =
   Array.unsafe_set ws n w;
   s.wlen.(lit) <- n + 1
 
-let watch_clause s slot lits =
-  if Array.length lits = 2 then begin
-    push_watch s lits.(0) (((lits.(1) + 1) lsl 32) lor slot);
-    push_watch s lits.(1) (((lits.(0) + 1) lsl 32) lor slot)
+(* Watches the slot's first two literals. *)
+let watch_clause s slot =
+  let off = s.c_off.(slot) in
+  let l0 = s.arena.(off) and l1 = s.arena.(off + 1) in
+  if s.c_len.(slot) = 2 then begin
+    push_watch s l0 (((l1 + 1) lsl 32) lor slot);
+    push_watch s l1 (((l0 + 1) lsl 32) lor slot)
   end
   else begin
-    push_watch s lits.(0) slot;
-    push_watch s lits.(1) slot
+    push_watch s l0 slot;
+    push_watch s l1 slot
   end
 
 let enqueue s lit reason =
@@ -359,8 +411,10 @@ let conflict s ws lit ~i ~j slot =
 (* Two-watched-literal propagation; returns the slot of a conflicting
    clause or -1.  Every read is in range by construction: trail
    positions below its size, watch entries below [wlen], live slots,
-   and literal positions below the clause length. *)
+   and literal positions below the clause length.  No clause is added
+   while it runs, so the store's arrays are read once. *)
 let propagate s =
+  let arena = s.arena and c_off = s.c_off and c_len = s.c_len in
   try
     while s.qhead < Vec.size s.trail do
       let p = Vec.unsafe_get s.trail s.qhead in
@@ -384,22 +438,22 @@ let propagate s =
             (* Conflict analysis reads the conflict clause in literal
                order: leave it as [other; false_lit], as the swap on the
                long-clause path would. *)
-            let lits = (Array.unsafe_get s.clauses (entry_slot w)).lits in
-            Array.unsafe_set lits 0 other;
-            Array.unsafe_set lits 1 false_lit;
+            let off = Array.unsafe_get c_off (entry_slot w) in
+            Array.unsafe_set arena off other;
+            Array.unsafe_set arena (off + 1) false_lit;
             conflict s ws false_lit ~i ~j:!j (entry_slot w)
           end
           else if v < 0 then enqueue s other (entry_slot w)
         end
         else begin
           let slot = w in
-          let lits = (Array.unsafe_get s.clauses slot).lits in
+          let off = Array.unsafe_get c_off slot in
           (* Ensure the false literal sits at position 1. *)
-          if Array.unsafe_get lits 0 = false_lit then begin
-            Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
-            Array.unsafe_set lits 1 false_lit
+          if Array.unsafe_get arena off = false_lit then begin
+            Array.unsafe_set arena off (Array.unsafe_get arena (off + 1));
+            Array.unsafe_set arena (off + 1) false_lit
           end;
-          let first = Array.unsafe_get lits 0 in
+          let first = Array.unsafe_get arena off in
           if lit_val s first = 1 then begin
             (* Clause already satisfied: keep the watch. *)
             Array.unsafe_set ws !j slot;
@@ -407,15 +461,15 @@ let propagate s =
           end
           else begin
             (* Look for a replacement literal to watch. *)
-            let len = Array.length lits in
-            let k = ref 2 in
-            while !k < len && lit_val s (Array.unsafe_get lits !k) = 0 do
+            let stop = off + Array.unsafe_get c_len slot in
+            let k = ref (off + 2) in
+            while !k < stop && lit_val s (Array.unsafe_get arena !k) = 0 do
               incr k
             done;
-            if !k < len then begin
-              let l = Array.unsafe_get lits !k in
-              Array.unsafe_set lits 1 l;
-              Array.unsafe_set lits !k false_lit;
+            if !k < stop then begin
+              let l = Array.unsafe_get arena !k in
+              Array.unsafe_set arena (off + 1) l;
+              Array.unsafe_set arena !k false_lit;
               push_watch s l slot
             end
             else begin
@@ -447,12 +501,12 @@ let bump_var s v =
   end;
   Heap.decrease s.order v
 
-let bump_clause s c =
-  c.act <- c.act +. s.cla_inc;
-  if c.act > 1e20 then begin
+let bump_clause s slot =
+  let act = s.c_act in
+  act.(slot) <- act.(slot) +. s.cla_inc;
+  if act.(slot) > 1e20 then begin
     for i = 0 to s.nclauses - 1 do
-      let c' = s.clauses.(i) in
-      if c'.learnt then c'.act <- c'.act *. 1e-20
+      if s.c_blbd.(i) > 0 then act.(i) <- act.(i) *. 1e-20
     done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
@@ -477,20 +531,21 @@ let cancel_until s lvl =
     s.qhead <- Vec.size s.trail
   end
 
-(* Glue (LBD) of a clause: distinct non-root decision levels among its
-   literals, at least 1.  Called before the backjump so every literal
-   still carries its conflict-time level. *)
-let compute_lbd s lits =
+(* Glue (LBD) of the clause [a.(off .. off + len - 1)]: distinct
+   non-root decision levels among its literals, at least 1.  Called
+   before the backjump so every literal still carries its conflict-time
+   level. *)
+let compute_lbd s a off len =
   let n = ref 0 in
-  for k = 0 to Array.length lits - 1 do
-    let lv = s.level.(Lit.var (Array.unsafe_get lits k)) in
+  for k = off to off + len - 1 do
+    let lv = s.level.(Lit.var (Array.unsafe_get a k)) in
     if lv > 0 && Bytes.get s.lbd_mark lv = '\000' then begin
       Bytes.set s.lbd_mark lv '\001';
       incr n
     end
   done;
-  for k = 0 to Array.length lits - 1 do
-    let lv = s.level.(Lit.var (Array.unsafe_get lits k)) in
+  for k = off to off + len - 1 do
+    let lv = s.level.(Lit.var (Array.unsafe_get a k)) in
     if lv > 0 then Bytes.set s.lbd_mark lv '\000'
   done;
   max 1 !n
@@ -501,13 +556,22 @@ let compute_lbd s lits =
    [resolve_level0]. *)
 let push_step s v slot =
   Vec.push s.chain v;
-  Vec.push s.chain (Array.unsafe_get s.clauses slot).cid
+  Vec.push s.chain (Array.unsafe_get s.c_cid slot)
 
 let mark0 s v =
   if Bytes.unsafe_get s.mark0 v = '\000' then begin
     Bytes.unsafe_set s.mark0 v '\001';
     s.nmark0 <- s.nmark0 + 1
   end
+
+(* Marks in [mark0] every level-0 variable of the clause in [slot] but
+   [v]. *)
+let mark0_reason s v slot =
+  let off = s.c_off.(slot) in
+  for k = off to off + s.c_len.(slot) - 1 do
+    let w = Lit.var (Array.unsafe_get s.arena k) in
+    if w <> v && s.level.(w) = 0 then mark0 s w
+  done
 
 (* Append to the chain the resolutions eliminating every marked level-0
    variable from the virtual resolvent.  Walks the level-0 trail segment
@@ -527,11 +591,7 @@ let resolve_level0 s =
         Check.check "sat.level0_has_reason" (r >= 0)
           ~detail:(fun () -> Printf.sprintf "level-0 variable %d has no reason clause" v);
       push_step s v r;
-      let lits = s.clauses.(r).lits in
-      for k = 0 to Array.length lits - 1 do
-        let w = Lit.var (Array.unsafe_get lits k) in
-        if w <> v && s.level.(w) = 0 then mark0 s w
-      done
+      mark0_reason s v r
     end;
     decr i
   done;
@@ -568,18 +628,18 @@ let sort_by_trail_desc s a n =
    with reason [r], is redundant when the reason's other literals are
    all in the clause ([seen] 1) or fixed at level 0. *)
 let removable s v r =
-  let lits = s.clauses.(r).lits in
-  let k = ref 0 in
-  let len = Array.length lits in
+  let off = s.c_off.(r) in
+  let stop = off + s.c_len.(r) in
+  let k = ref off in
   while
-    !k < len
+    !k < stop
     &&
-    let w = Lit.var (Array.unsafe_get lits !k) in
+    let w = Lit.var (Array.unsafe_get s.arena !k) in
     w = v || s.level.(w) = 0 || Bytes.unsafe_get s.seen w = '\001'
   do
     incr k
   done;
-  !k = len
+  !k = stop
 
 (* First-UIP conflict analysis.  Returns the learned clause (asserting
    literal first, then the others by increasing trail position) and
@@ -597,21 +657,22 @@ let analyze s confl =
   let slot = ref confl in
   let continue = ref true in
   while !continue do
-    let c = s.clauses.(!slot) in
-    if c.learnt then begin
+    let c = !slot in
+    let off = s.c_off.(c) and len = s.c_len.(c) in
+    if s.c_blbd.(c) > 0 then begin
       bump_clause s c;
       (* Clause-lifecycle accounting: participating in a conflict
          analysis is the "useful" event, and — glucose-style — the
          moment to tighten the stored glue (every literal of a reason
          clause is assigned here, so [compute_lbd] sees real levels).
          LBD only ever improves; the drift histogram relies on that. *)
-      c.uses <- c.uses + 1;
-      let g = compute_lbd s c.lits in
-      if g < c.lbd then c.lbd <- g
+      s.c_uses.(c) <- s.c_uses.(c) + 1;
+      let g = compute_lbd s s.arena off len in
+      if g < s.c_lbd.(c) then s.c_lbd.(c) <- g
     end;
-    let lits = c.lits in
-    for k = 0 to Array.length lits - 1 do
-      let q = Array.unsafe_get lits k in
+    let arena = s.arena in
+    for k = off to off + len - 1 do
+      let q = Array.unsafe_get arena k in
       (* Skip the pivot occurrence: reason clauses contain the literal
          they propagated. *)
       if !p = -1 || q <> !p then begin
@@ -669,11 +730,7 @@ let analyze s confl =
     if r >= 0 && removable s v r then begin
       Bytes.unsafe_set s.seen v '\002';
       push_step s v r;
-      let lits = s.clauses.(r).lits in
-      for k = 0 to Array.length lits - 1 do
-        let w = Lit.var (Array.unsafe_get lits k) in
-        if w <> v && s.level.(w) = 0 then mark0 s w
-      done
+      mark0_reason s v r
     end
     else begin
       a.(!nkept) <- q;
@@ -701,13 +758,13 @@ let analyze s confl =
    The empty clause is a proof-log step only — it never enters the
    clause database (nothing watches or resolves against it). *)
 let analyze_final s confl =
-  let c = s.clauses.(confl) in
   Vec.clear s.chain;
-  for k = 0 to Array.length c.lits - 1 do
-    mark0 s (Lit.var (Array.unsafe_get c.lits k))
+  let off = s.c_off.(confl) in
+  for k = off to off + s.c_len.(confl) - 1 do
+    mark0 s (Lit.var (Array.unsafe_get s.arena k))
   done;
   resolve_level0 s;
-  s.empty_id <- Proof_log.add_derived s.log ~lits:[||] ~first:c.cid ~chain:s.chain;
+  s.empty_id <- Proof_log.add_derived s.log ~lits:[||] ~first:s.c_cid.(confl) ~chain:s.chain;
   s.ok <- false;
   s.core <- []
 
@@ -735,11 +792,11 @@ let analyze_assumptions s p =
            [seen] flag behind the sweep, and the next conflict analysis
            on this solver would silently drop that variable from its
            learnt clause. *)
-        Array.iter
-          (fun l ->
-            let w = Lit.var l in
-            if w <> v && s.level.(w) > 0 then Bytes.set s.seen w '\001')
-          s.clauses.(r).lits
+        let off = s.c_off.(r) in
+        for k = off to off + s.c_len.(r) - 1 do
+          let w = Lit.var s.arena.(k) in
+          if w <> v && s.level.(w) > 0 then Bytes.set s.seen w '\001'
+        done
     end
   done;
   Bytes.set s.seen v0 '\000';
@@ -760,24 +817,22 @@ let record_learnt s lits ~lbd ~first =
     s.birth <- b'
   end;
   Bytes.set s.birth cid (Char.chr (min lbd 255));
-  (* Fired before the watch swap below: the hook sees the literals in
-     learnt order, asserting literal first. *)
+  (* The hook sees the literals in learnt order, asserting literal
+     first; the store's copy takes the watch swap below. *)
   (match s.learnt_cb with None -> () | Some f -> f ~lits ~lbd);
-  let slot =
-    push_clause s
-      { cid; lits; learnt = true; birth_lbd = lbd; origin = s.origin; lbd; act = s.cla_inc; uses = 0 }
-  in
-  if Array.length lits >= 2 then begin
-    (* lits.(0) is the asserting literal; the second watch must be the
+  let slot = push_clause s lits len ~cid ~lbd ~act:s.cla_inc in
+  if len >= 2 then begin
+    (* The asserting literal comes first; the second watch must be the
        highest-level other literal so the invariant survives backjumps. *)
-    let best = ref 1 in
-    for k = 2 to Array.length lits - 1 do
-      if s.level.(Lit.var lits.(k)) > s.level.(Lit.var lits.(!best)) then best := k
+    let a = s.arena and off = s.c_off.(slot) in
+    let best = ref (off + 1) in
+    for k = off + 2 to off + len - 1 do
+      if s.level.(Lit.var a.(k)) > s.level.(Lit.var a.(!best)) then best := k
     done;
-    let tmp = lits.(1) in
-    lits.(1) <- lits.(!best);
-    lits.(!best) <- tmp;
-    watch_clause s slot lits
+    let tmp = a.(off + 1) in
+    a.(off + 1) <- a.(!best);
+    a.(!best) <- tmp;
+    watch_clause s slot
   end;
   slot
 
@@ -785,33 +840,35 @@ let record_learnt s lits ~lbd ~first =
    live learnt clauses that are neither binary, nor glue (lbd <=
    keep_lbd), nor locked as some assigned variable's reason; the worst
    half by (lbd desc, activity asc) is dropped.  Deletions are recorded
-   in the proof log (for LRAT [d] lines), the clause array compacts, and
-   reasons, the pending list and every watch list are rebuilt on the new
-   slots — proof ids are untouched.  Safe at any decision level: the
-   watched-positions-0/1 invariant holds for every clause of length >= 2,
-   so watch lists can be reconstructed from scratch. *)
+   in the proof log (for LRAT [d] lines), the store compacts in slot
+   order — every surviving slot and its literals move down, in place,
+   keeping their order — and reasons, the pending list and every watch
+   list are rebuilt on the new slots; proof ids are untouched.  Safe at
+   any decision level: the watched-positions-0/1 invariant holds for
+   every clause of length >= 2, so watch lists can be reconstructed from
+   scratch. *)
 let reduce_db s =
-  let locked = Array.make s.nclauses false in
+  let n = s.nclauses in
+  let locked = Array.make n false in
   Vec.iter
     (fun l ->
       let r = s.reason.(Lit.var l) in
       if r >= 0 then locked.(r) <- true)
     s.trail;
   let cand = ref [] in
-  for i = 0 to s.nclauses - 1 do
-    let c = s.clauses.(i) in
-    if c.learnt && Array.length c.lits > 2 && c.lbd > s.policy.keep_lbd && not locked.(i)
+  for i = 0 to n - 1 do
+    if s.c_blbd.(i) > 0 && s.c_len.(i) > 2 && s.c_lbd.(i) > s.policy.keep_lbd && not locked.(i)
     then cand := i :: !cand
   done;
   let cand = Array.of_list !cand in
+  let lbd = s.c_lbd and act = s.c_act in
   Array.sort
     (fun a b ->
-      let ca = s.clauses.(a) and cb = s.clauses.(b) in
-      if ca.lbd <> cb.lbd then compare cb.lbd ca.lbd else compare ca.act cb.act)
+      if lbd.(a) <> lbd.(b) then compare lbd.(b) lbd.(a) else Float.compare act.(a) act.(b))
     cand;
   let ndelete = Array.length cand / 2 in
   if ndelete > 0 then begin
-    let dead = Array.make s.nclauses false in
+    let dead = Array.make n false in
     (* Per-reduction victim histograms, also folded into the cumulative
        lifecycle statistics.  Cheap (three bumps per victim), so always
        on — the registry invariants (dead sums = deleted count) must
@@ -821,30 +878,38 @@ let reduce_db s =
     let dd = Array.make hist_buckets 0 in
     for k = 0 to ndelete - 1 do
       let slot = cand.(k) in
-      let c = s.clauses.(slot) in
-      hist_bump dl c.lbd;
-      hist_bump du c.uses;
-      hist_bump dd (max 0 (c.birth_lbd - c.lbd));
+      hist_bump dl lbd.(slot);
+      hist_bump du s.c_uses.(slot);
+      hist_bump dd (max 0 (s.c_blbd.(slot) - lbd.(slot)));
       dead.(slot) <- true;
-      Proof_log.delete s.log c.cid
+      Proof_log.delete s.log s.c_cid.(slot)
     done;
     Array.iteri (fun i n -> s.dead_lbd.(i) <- s.dead_lbd.(i) + n) dl;
     Array.iteri (fun i n -> s.dead_uses.(i) <- s.dead_uses.(i) + n) du;
     Array.iteri (fun i n -> s.dead_drift.(i) <- s.dead_drift.(i) + n) dd;
-    (* Compact the database and remap every stored slot. *)
-    let map = Array.make s.nclauses (-1) in
-    let j = ref 0 in
-    for i = 0 to s.nclauses - 1 do
+    (* Compact the store and remap every stored slot.  Slot [j <= i]
+       lands at arena offset [fill <= c_off.(i)], so moving forward in
+       slot order never overwrites what is still to move. *)
+    let map = Array.make n (-1) in
+    let j = ref 0 and fill = ref 0 in
+    for i = 0 to n - 1 do
       if not dead.(i) then begin
-        s.clauses.(!j) <- s.clauses.(i);
+        let len = s.c_len.(i) in
+        blit_ints s.arena s.c_off.(i) s.arena !fill len;
+        s.c_off.(!j) <- !fill;
+        s.c_len.(!j) <- len;
+        s.c_cid.(!j) <- s.c_cid.(i);
+        lbd.(!j) <- lbd.(i);
+        s.c_blbd.(!j) <- s.c_blbd.(i);
+        s.c_uses.(!j) <- s.c_uses.(i);
+        act.(!j) <- act.(i);
+        fill := !fill + len;
         map.(i) <- !j;
         incr j
       end
     done;
-    for i = !j to s.nclauses - 1 do
-      s.clauses.(i) <- dummy_clause
-    done;
     s.nclauses <- !j;
+    s.afill <- !fill;
     Vec.iter
       (fun l ->
         let v = Lit.var l in
@@ -862,8 +927,7 @@ let reduce_db s =
     done;
     Array.fill s.wlen 0 (2 * s.nvars) 0;
     for i = 0 to s.nclauses - 1 do
-      let c = s.clauses.(i) in
-      if Array.length c.lits >= 2 then watch_clause s i c.lits
+      if s.c_len.(i) >= 2 then watch_clause s i
     done;
     s.live_learnt <- s.live_learnt - ndelete;
     s.reduces <- s.reduces + 1;
@@ -872,16 +936,15 @@ let reduce_db s =
       (* LBD distribution of the surviving learnt clauses; only computed
          when someone is listening (the victim histograms were already
          paid above). *)
-      let lbd = Array.make hist_buckets 0 in
+      let kept = Array.make hist_buckets 0 in
       for i = 0 to s.nclauses - 1 do
-        let c = s.clauses.(i) in
-        if c.learnt then hist_bump lbd c.lbd
+        if s.c_blbd.(i) > 0 then hist_bump kept lbd.(i)
       done;
       f
         {
           kept = s.live_learnt;
           deleted = ndelete;
-          kept_lbd = lbd;
+          kept_lbd = kept;
           dead_lbd = dl;
           dead_uses = du;
           dead_drift = dd;
@@ -943,30 +1006,12 @@ let add_clause_array s ?(tag = 0) arr =
       done;
       let arr = if len = Array.length arr then arr else Array.sub arr 0 len in
       let cid = Proof_log.add_input s.log ~tag arr in
-      let slot =
-        push_clause s
-          {
-            cid;
-            lits = arr;
-            learnt = false;
-            birth_lbd = 0;
-            origin = s.origin;
-            lbd = 0;
-            act = 0.0;
-            uses = 0;
-          }
-      in
-      match len with
-      | 0 ->
-        s.ok <- false;
-        s.empty_id <- cid
-      | 1 -> Vec.push s.pending slot
-      | _ ->
-        (* Watch two non-false literals when possible (under the current
-           root-level assignment), moving them to the front in clause
-           order; when fewer exist, the clause is unit or false right now
-           and goes to the pending list. *)
-        let pos = ref 0 and i = ref 0 in
+      (* Watch two non-false literals when possible (under the current
+         root-level assignment), moving them to the front in clause
+         order; when fewer exist, the clause is unit or false right now
+         and goes to the pending list. *)
+      let pos = ref 0 and i = ref 0 in
+      if len >= 2 then
         while !pos < 2 && !i < len do
           let l = arr.(!i) in
           if lit_val s l <> 0 then begin
@@ -976,7 +1021,14 @@ let add_clause_array s ?(tag = 0) arr =
           end;
           incr i
         done;
-        watch_clause s slot arr;
+      let slot = push_clause s arr len ~cid ~lbd:0 ~act:0.0 in
+      match len with
+      | 0 ->
+        s.ok <- false;
+        s.empty_id <- cid
+      | 1 -> Vec.push s.pending slot
+      | _ ->
+        watch_clause s slot;
         if !pos < 2 then Vec.push s.pending slot
     end
   end
@@ -992,9 +1044,12 @@ let flush_pending s =
   Vec.iter
     (fun slot ->
       if not !failed then begin
-        let lits = s.clauses.(slot).lits in
+        let off = s.c_off.(slot) in
         let nonfalse = ref [] in
-        Array.iter (fun l -> if lit_val s l <> 0 then nonfalse := l :: !nonfalse) lits;
+        for k = off to off + s.c_len.(slot) - 1 do
+          let l = s.arena.(k) in
+          if lit_val s l <> 0 then nonfalse := l :: !nonfalse
+        done;
         match !nonfalse with
         | [] ->
           analyze_final s slot;
@@ -1011,13 +1066,9 @@ let flush_pending s =
   List.iter (fun slot -> Vec.push s.pending slot) (List.rev !kept);
   not !failed
 
-let pick_branch_var s =
-  let rec loop () =
-    match Heap.pop s.order with
-    | None -> -1
-    | Some v -> if s.assigns.(v) < 0 then v else loop ()
-  in
-  loop ()
+let rec pick_branch_var s =
+  let v = Heap.pop s.order in
+  if v < 0 || s.assigns.(v) < 0 then v else pick_branch_var s
 
 (* Luby restart sequence (MiniSat formulation), scaled by [restart_base]. *)
 let luby x =
@@ -1072,10 +1123,10 @@ let solve_core ?(assumptions = []) ?(conflict_budget = max_int) s =
         end
         else begin
           let lits = analyze s confl in
-          let first = s.clauses.(confl).cid in
+          let first = s.c_cid.(confl) in
           (* Glue is read off conflict-time levels, before the backjump
              unassigns the asserting literal. *)
-          let lbd = compute_lbd s lits in
+          let lbd = compute_lbd s lits 0 (Array.length lits) in
           (* Never backjump into the middle of the assumption prefix
              without replaying it: cancelling to [bt_level] is safe since
              the decision loop re-installs assumptions by level. *)
@@ -1189,9 +1240,10 @@ let core_birth_lbd s =
   h
 
 (* The watch invariant behind propagation and [reduce_db]'s rebuild:
-   every clause of length >= 2 is watched exactly once on [lits.(0)] and
-   once on [lits.(1)], every entry names a live slot watching the list's
-   literal, and a binary clause's entry carries its other literal. *)
+   every clause of length >= 2 is watched exactly once on its first and
+   once on its second literal, every entry names a live slot watching
+   the list's literal, and a binary clause's entry carries its other
+   literal. *)
 let watches_consistent s =
   let on0 = Array.make s.nclauses 0 and on1 = Array.make s.nclauses 0 in
   let ok = ref true in
@@ -1204,27 +1256,31 @@ let watches_consistent s =
           let slot = entry_slot w in
           if slot >= s.nclauses then ok := false
           else begin
-            let lits = s.clauses.(slot).lits in
-            let len = Array.length lits in
+            let off = s.c_off.(slot) and len = s.c_len.(slot) in
             if len < 2 then ok := false
             else begin
-              let pos = if lits.(0) = lit then 0 else if lits.(1) = lit then 1 else -1 in
+              let l0 = s.arena.(off) and l1 = s.arena.(off + 1) in
+              let pos = if l0 = lit then 0 else if l1 = lit then 1 else -1 in
               if pos < 0 then ok := false
               else begin
                 let counts = if pos = 0 then on0 else on1 in
                 counts.(slot) <- counts.(slot) + 1;
-                let other = if len = 2 then lits.(1 - pos) else -1 in
+                let other = if len = 2 then (if pos = 0 then l1 else l0) else -1 in
                 if entry_other w <> other then ok := false
               end
             end
           end
         done)
     s.watches;
+  (* The store is packed in slot order, as [reduce_db] relies on. *)
+  let fill = ref 0 in
   for i = 0 to s.nclauses - 1 do
-    if Array.length s.clauses.(i).lits >= 2 && (on0.(i) <> 1 || on1.(i) <> 1) then
-      ok := false
+    if s.c_len.(i) >= 2 && (on0.(i) <> 1 || on1.(i) <> 1) then
+      ok := false;
+    if s.c_off.(i) <> !fill then ok := false;
+    fill := !fill + s.c_len.(i)
   done;
-  !ok
+  !ok && !fill = s.afill
 
 (* Sanitizer probes at the solve boundary.  Fast checks the answer
    against the clause database (trail consistency; on Sat, every input
@@ -1243,10 +1299,12 @@ let check_result s r =
       Check.probe "sat.model_satisfies" (fun () ->
           let ok = ref true in
           for i = 0 to s.nclauses - 1 do
-            let c = s.clauses.(i) in
-            if not c.learnt then begin
+            if s.c_blbd.(i) = 0 then begin
               let sat = ref false in
-              Array.iter (fun l -> if lit_val s l = 1 then sat := true) c.lits;
+              let off = s.c_off.(i) in
+              for k = off to off + s.c_len.(i) - 1 do
+                if lit_val s s.arena.(k) = 1 then sat := true
+              done;
               if not !sat then ok := false
             end
           done;
@@ -1295,6 +1353,6 @@ let unsat_core s =
 
 let iter_input_clauses s f =
   for i = 0 to s.nclauses - 1 do
-    let c = s.clauses.(i) in
-    if not c.learnt then f ~tag:(Proof_log.tag s.log c.cid) c.lits
+    if s.c_blbd.(i) = 0 then
+      f ~tag:(Proof_log.tag s.log s.c_cid.(i)) (Array.sub s.arena s.c_off.(i) s.c_len.(i))
   done

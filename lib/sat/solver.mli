@@ -13,9 +13,12 @@
     input tags and deletion events live in an append-only {!Proof_log},
     while the in-memory database keeps only literals plus the LBD and
     activity scores driving MiniSat-style learnt-clause deletion
-    ({!reduce_policy}).  Deleting a learnt clause from the database
-    never loses a proof antecedent — the log is append-only and
-    {!proof} is a read-only view of it. *)
+    ({!reduce_policy}).  That database is one flat store: every
+    clause's literals in one integer arena, and its offset, length,
+    proof id, glue, birth glue, use count and activity in per-slot
+    arrays, so a clause costs no heap block of its own.  Deleting a
+    learnt clause from the database never loses a proof antecedent —
+    the log is append-only and {!proof} is a read-only view of it. *)
 
 type t
 
@@ -66,17 +69,19 @@ val new_vars : t -> int -> int
 
 val nvars : t -> int
 
-val reserve : t -> vars:int -> clauses:int -> unit
-(** [reserve s ~vars ~clauses] makes room for [vars] more variables and
-    [clauses] more clauses in one step: every per-variable and
-    per-literal array, the branching heap, the trail and the clause
-    slots are sized for them at once, so adding them allocates none of
+val reserve : t -> vars:int -> clauses:int -> lits:int -> unit
+(** [reserve s ~vars ~clauses ~lits] makes room for [vars] more
+    variables and [clauses] more clauses of [lits] literals in all, in
+    one step: every per-variable and per-literal array, the branching
+    heap, the trail, the clause store's slots and literal arena (with
+    an eighth more room for learnt clauses), and the proof log's step
+    index are sized for them at once, so adding them allocates none of
     that storage again.  Capacity only: what the solver holds, its
     search and its proof are those of a solver never reserved, whether
-    the counts are too small, exact or too large.  Watch lists stay per
-    literal and grow on their own (each literal's list is sized by its
-    watches), and the proof log needs no reservation: it writes into
-    fixed-size pages.
+    the counts are too small, exact or too large.
+    Watch lists stay per literal and grow on their own (each literal's
+    list is sized by its watches), and the proof log's records need no
+    reservation: it writes into pages that are never copied.
     @raise Invalid_argument when a count is negative. *)
 
 val add_clause : t -> ?tag:int -> Lit.t list -> unit
@@ -86,9 +91,10 @@ val add_clause : t -> ?tag:int -> Lit.t list -> unit
     be [>= 0]. *)
 
 val add_clause_array : t -> ?tag:int -> Lit.t array -> unit
-(** {!add_clause} over an array, which the solver takes over: the
-    caller must neither read nor write it afterwards.  [add_clause s l]
-    is [add_clause_array s (Array.of_list l)]. *)
+(** {!add_clause} over an array, which the solver uses as scratch: it
+    reorders the literals in place and keeps no reference to the array,
+    so the caller must not rely on its contents afterwards.
+    [add_clause s l] is [add_clause_array s (Array.of_list l)]. *)
 
 val solve : ?assumptions:Lit.t list -> ?conflict_budget:int -> t -> result
 (** Runs the search under the given assumption literals (installed as the
@@ -126,9 +132,9 @@ val next_step_id : t -> int
 
 val iter_input_clauses : t -> (tag:int -> Lit.t array -> unit) -> unit
 (** Iterates the input (non-learned) clauses in insertion order with
-    their partition tags, as stored after duplicate-literal merging.
-    The array is live watch-ordered storage — do not mutate or retain
-    it.  Used by the CNF linter of [Isr_check]. *)
+    their partition tags, as stored after duplicate-literal merging: a
+    fresh copy of each clause's literals, in the watch order the search
+    left them in.  Used by the CNF linter of [Isr_check]. *)
 
 val set_reduce : t -> reduce_policy -> unit
 (** Installs the learnt-database reduction policy.  Re-installing the
@@ -152,13 +158,6 @@ val num_live_learnt : t -> int
 val num_deleted : t -> int
 (** Learnt clauses deleted by database reductions so far; by
     construction [num_deleted s + num_live_learnt s = num_learnt s]. *)
-
-val set_origin : t -> int -> unit
-(** Tag clauses born from now on with this engine phase (a logical SAT
-    call index, a BMC bound…).  Purely observational: it feeds the
-    clause-lifecycle analytics and never affects search. *)
-
-val origin : t -> int
 
 val birth_lbd_counts : t -> int array
 (** Cumulative histogram of learnt clauses by LBD at learn time

@@ -1703,6 +1703,58 @@ let pin_cases =
 (* A line that lacks a field is skipped like a torn line, and a header
    that lacks its schema fails with a [Failure] naming the file — never
    with the JSON reader's own exception. *)
+(* The ledger reads a relative path against its own directory, so
+   [verify] must store the [--events] and [--profile-json] paths it was
+   given relative to the working directory as absolute ones: every
+   [isr_obs] reader of the entry then finds the files, from any
+   directory. *)
+let test_ledger_relative_paths () =
+  let bin name =
+    let here = Filename.dirname Sys.executable_name in
+    let here = if Filename.is_relative here then Filename.concat (Sys.getcwd ()) here else here in
+    Filename.concat (Filename.concat here "../bin") name
+  in
+  let dir = Filename.temp_file "isr_ledger_paths" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let run fmt =
+    Printf.ksprintf
+      (fun cmd -> Sys.command (Printf.sprintf "cd %s && %s" (Filename.quote dir) cmd))
+      fmt
+  in
+  let rc =
+    run "%s verify --name amba3g4 --engine portfolio --par 2 --events e.jsonl \
+         --profile-json p.json --ledger L > /dev/null"
+      (Filename.quote (bin "itpseq_mc.exe"))
+  in
+  Alcotest.(check int) "verify proves" 0 rc;
+  let e = Option.get (Ledger.find (Ledger.open_ (Filename.concat dir "L")) "r0001") in
+  let stored what file = function
+    | Some p ->
+      Alcotest.(check bool) (what ^ " is absolute") false (Filename.is_relative p);
+      Alcotest.(check string) (what ^ " names the file") file (Filename.basename p);
+      Alcotest.(check bool) (what ^ " exists") true (Sys.file_exists p)
+    | None -> Alcotest.failf "no %s in the entry" what
+  in
+  stored "events path" "e.jsonl" e.Ledger.events_path;
+  stored "profile path" "p.json" e.Ledger.profile_path;
+  (* [steps] exits 1 when a lane's last step says "running", as a race
+     loser's does; a path it cannot read would exit 2. *)
+  List.iter
+    (fun (args, codes, expect) ->
+      let rc = run "%s %s > out.txt 2>&1" (Filename.quote (bin "isr_obs_cli.exe")) args in
+      let out = In_channel.with_open_bin (Filename.concat dir "out.txt") In_channel.input_all in
+      if not (List.mem rc codes) then Alcotest.failf "%s exits %d:\n%s" args rc out;
+      Alcotest.(check bool) (args ^ " reads the run") true
+        (contains out expect && not (contains out "unreadable")))
+    [ ("steps --ledger L --run r0001", [ 0; 1 ], "step events across");
+      ("explain-race --ledger L --run r0001", [ 0 ], "winner:");
+      ("top --run r0001 --ledger L", [ 0 ], "lanes");
+      ("show --ledger L r0001", [ 0 ], "p.json");
+      ("diff --ledger L r0001 r0001", [ 0 ], "metric deltas") ];
+  ignore (run "rm -rf L e.jsonl p.json out.txt");
+  Sys.rmdir dir
+
 let test_missing_fields () =
   let with_lines lines f =
     let path = Filename.temp_file "isr_missing" ".jsonl" in
@@ -1822,6 +1874,7 @@ let () =
           Alcotest.test_case "torn lines and future schema" `Quick test_ledger_robustness;
           Alcotest.test_case "missing fields skipped, missing schema named" `Quick
             test_missing_fields;
+          Alcotest.test_case "relative paths of a verify run" `Quick test_ledger_relative_paths;
         ] );
       ( "profile",
         [

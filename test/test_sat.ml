@@ -713,18 +713,21 @@ let prop_proof_free_same_search ?(count = 500) ?reduce gen =
 (* Reservation is capacity only.  The clauses arrive in two batches,
    with a solve after each; the second batch brings [pad] more variables
    that no clause reads.  A reserved solver sizes itself before each
-   batch — for none, half, exactly or well over what the batch adds —
-   and must learn, search, log and export exactly what a solver that
-   never reserved does. *)
+   batch — variables and clauses by one choice, literals by another, each
+   for none, half, exactly or well over what the batch adds — and must
+   learn, search, log and export exactly what a solver that never
+   reserved does. *)
 let prop_reserve_changes_nothing ?(count = 300) gen =
   let open QCheck2.Gen in
   let gen =
     let* nvars, clauses = gen in
     let* pad = int_range 0 40 and* r1 = int_range 0 3 and* r2 = int_range 0 3 in
-    pure (nvars, clauses, pad, r1, r2)
+    let* l1 = int_range 0 3 and* l2 = int_range 0 3 in
+    pure (nvars, clauses, pad, (r1, l1), (r2, l2))
   in
-  let print (nvars, clauses, pad, r1, r2) =
-    Printf.sprintf "%s pad=%d reserve=%d,%d" (print_cnf (nvars, clauses)) pad r1 r2
+  let print (nvars, clauses, pad, (r1, l1), (r2, l2)) =
+    Printf.sprintf "%s pad=%d reserve=%d,%d lits=%d,%d" (print_cnf (nvars, clauses)) pad r1 r2
+      l1 l2
   in
   QCheck2.Test.make ~count ~name:"reserve changes nothing" ~print gen
     (fun (nvars, clauses, pad, r1, r2) ->
@@ -743,9 +746,10 @@ let prop_reserve_changes_nothing ?(count = 300) gen =
                Buffer.add_string buf (string_of_int lbd);
                Array.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) lits;
                Buffer.add_char buf '\n'));
-        let batch mode nv cs =
+        let batch (mode, lmode) nv cs =
           if reserve then
-            Solver.reserve s ~vars:(amount mode nv) ~clauses:(amount mode (List.length cs));
+            Solver.reserve s ~vars:(amount mode nv) ~clauses:(amount mode (List.length cs))
+              ~lits:(amount lmode (List.fold_left (fun n c -> n + List.length c) 0 cs));
           ignore (Solver.new_vars s nv);
           List.iter (fun c -> Solver.add_clause s c) cs;
           Solver.solve s
@@ -924,6 +928,129 @@ let prop_watches_consistent =
         rounds;
       watch_probes () - before = List.length rounds)
 
+(* --- the clause store under churn ---------------------------------------- *)
+
+(* The clauses arrive in batches, each followed by a solve under a few
+   assumptions, and the database is reduced after every conflict, so
+   slots and literals move on every reduction.  After each solve the
+   test reads the store back and holds it against what it keeps itself:
+   - every input clause, in insertion order, holds the literals the test
+     added ([List.sort_uniq], tautologies dropped, nothing after a
+     refutation), in whatever watch order the search left them;
+   - the watch lists pass [sat.watches_consistent] (the suite runs at
+     Paranoid, so every solve ends with that probe).
+   [store_trace] also renders the run — every learnt clause and glue
+   as [on_learnt] saw them, each read-back in stored literal order,
+   every verdict and counter — for the reference digests below. *)
+let gen_store gen =
+  let open QCheck2.Gen in
+  let* nvars, clauses = gen in
+  let gen_lit = map2 (fun v neg -> Lit.of_var ~neg v) (int_range 0 (nvars - 1)) bool in
+  let* nbatches = int_range 1 4 in
+  let* assumptions = list_size (pure nbatches) (list_size (int_range 0 2) gen_lit) in
+  pure (nvars, clauses, assumptions)
+
+let store_trace (nvars, clauses, assumptions) =
+  let s = Tutil.fresh_solver nvars in
+  Solver.set_reduce s every_conflict;
+  let buf = Buffer.create 4096 in
+  let add_int i =
+    Buffer.add_string buf (string_of_int i);
+    Buffer.add_char buf ' '
+  in
+  Solver.on_learnt s
+    (Some
+       (fun ~lits ~lbd ->
+         add_int lbd;
+         Array.iter add_int lits;
+         Buffer.add_char buf '\n'));
+  let nbatches = List.length assumptions in
+  let size = (List.length clauses + nbatches - 1) / nbatches in
+  let reference = ref [] in
+  let ok = ref true in
+  List.iteri
+    (fun b assumptions ->
+      List.iteri
+        (fun i c ->
+          if i / size = b then begin
+            if not (Solver.refuted s) then begin
+              let c' = List.sort_uniq Lit.compare c in
+              if not (tautology c') then reference := c' :: !reference
+            end;
+            Solver.add_clause s c
+          end)
+        clauses;
+      let r = Solver.solve ~assumptions s in
+      Buffer.add_string buf
+        (match r with Solver.Sat -> "sat" | Solver.Unsat -> "unsat" | Solver.Undef -> "undef");
+      Buffer.add_char buf '\n';
+      let stored = ref [] in
+      Solver.iter_input_clauses s (fun ~tag:_ lits ->
+          Array.iter add_int lits;
+          Buffer.add_char buf '\n';
+          stored := Array.to_list lits :: !stored);
+      if List.map (List.sort Lit.compare) !stored <> !reference then ok := false;
+      List.iter add_int
+        [ Solver.num_clauses s; Solver.num_conflicts s; Solver.num_decisions s;
+          Solver.num_propagations s; Solver.num_learnt s; Solver.num_live_learnt s;
+          Solver.num_reduces s ];
+      Buffer.add_char buf '\n')
+    assumptions;
+  (!ok, Buffer.contents buf)
+
+let print_store (nvars, clauses, assumptions) =
+  Printf.sprintf "%s solving under %s" (print_cnf (nvars, clauses))
+    (String.concat " | "
+       (List.map
+          (fun a -> String.concat "," (List.map (fun l -> string_of_int (Lit.to_dimacs l)) a))
+          assumptions))
+
+let prop_store_churn ?(count = 300) gen =
+  QCheck2.Test.make ~count ~name:"clause store reads back under churn" ~print:print_store
+    (gen_store gen) (fun case ->
+      let before = watch_probes () in
+      let ok, _ = store_trace case in
+      let _, _, assumptions = case in
+      ok && watch_probes () - before = List.length assumptions)
+
+(* The reference digests of [store_trace] over fixed cases: 200 drawn
+   from each generator with a fixed seed.  They were recorded with the
+   clause store of one record and one literal array per clause; the flat
+   store must reproduce them. *)
+let store_pins =
+  [ ("random", gen_cnf, "2f1faca988e0b8517e04b6e64f3bc92f");
+    ("chains", Tutil.gen_cnf_chains, "ac7069507bd892a0d917f5488f8aaff9") ]
+
+(* The search under frequent reductions, whose order reads every
+   slot's glue and activity: 12 reductions on a problem of the search
+   pins, recorded with the record store. *)
+let reduce_pins =
+  [
+    ( "random 3-sat seed 7, reduce base 300",
+      (fun () ->
+        let s = cnf_solver (random_3sat ~seed:7 ~nvars:150 ~nclauses:639) in
+        Solver.set_reduce s { Solver.enabled = true; base = 300; growth = 1.1; keep_lbd = 2 };
+        let fp = search_fingerprint s (fun () -> Solver.solve s) in
+        Printf.sprintf "%s reduces=%d deleted=%d" fp (Solver.num_reduces s) (Solver.num_deleted s)),
+      "unsat conflicts=3109 decisions=3705 propagations=97472 learnt=3108 steps=3743 \
+       digest=a38748c2eaa2ef43274b963a3ee512d0 reduces=12 deleted=2264" );
+  ]
+
+let store_reference_cases =
+  List.map
+    (fun (name, run, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "search fingerprint" expected (run ())))
+    reduce_pins
+  @ List.map
+    (fun (name, gen, expected) ->
+      Alcotest.test_case ("store under churn, " ^ name) `Quick (fun () ->
+          let cases = QCheck2.Gen.generate ~rand:(Random.State.make [| 32 |]) ~n:200 (gen_store gen) in
+          let traces = List.map (fun c -> snd (store_trace c)) cases in
+          Alcotest.(check string) "store digest" expected
+            (Digest.to_hex (Digest.string (String.concat "" traces)))))
+    store_pins
+
 let () =
   (* The whole solver suite runs under the Paranoid sanitizer: every
      unconditional UNSAT answer is proof-replayed inside Solver.solve
@@ -935,7 +1062,7 @@ let () =
         prop_assumptions_equal_units; prop_unsat_cores_suffice;
         prop_reduce_preserves_verdicts gen_cnf; prop_incremental_equals_batch gen_cnf;
         prop_proof_free_same_search gen_cnf; prop_reserve_changes_nothing gen_cnf;
-        prop_incremental_assumptions ]
+        prop_incremental_assumptions; prop_store_churn gen_cnf ]
   in
   (* Alcotest sizes its name column by the longest group name, so group
      names stay at most as long as "properties" to keep test names whole. *)
@@ -944,7 +1071,8 @@ let () =
         prop_reduce_preserves_verdicts Tutil.gen_cnf_chains;
         prop_incremental_equals_batch ~count:100 Tutil.gen_cnf_chains;
         prop_proof_free_same_search ~count:300 ~reduce:every_conflict Tutil.gen_cnf_chains;
-        prop_reserve_changes_nothing Tutil.gen_cnf_chains ]
+        prop_reserve_changes_nothing Tutil.gen_cnf_chains;
+        prop_store_churn Tutil.gen_cnf_chains ]
   in
   Alcotest.run "isr_sat"
     [
@@ -971,7 +1099,7 @@ let () =
             test_clause_lifecycle_invariants;
           Alcotest.test_case "reduce policy validation" `Quick test_set_reduce_validates;
         ] );
-      ("identity", search_identity_cases);
+      ("identity", search_identity_cases @ store_reference_cases);
       ("lit", [ Alcotest.test_case "roundtrips" `Quick test_lit_roundtrip ]);
       ("vec", [ Alcotest.test_case "empty vector grows" `Quick test_vec_empty_grows ]);
       ( "dimacs",
