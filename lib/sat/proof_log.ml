@@ -44,19 +44,12 @@ let next_id t =
   t.nsteps <- id + 1;
   id
 
-(* [Array.blit] into an array of the major heap goes through the write
-   barrier element by element; a loop over ints stores directly. *)
-let copy (src : int array) (dst : int array) ~at n =
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst (at + i) (Array.unsafe_get src i)
-  done
-
 (* Growth copies into a fresh array and leaves the old one as it was: a
    {!view} holding the old array keeps reading frozen records.  The step
    index and the deletion events grow so. *)
 let grown (a : int array) ~used ~need =
   let b = Array.make (max (2 * Array.length a) need) 0 in
-  copy a b ~at:0 used;
+  Vec.blit_ints a 0 b 0 used;
   b
 
 let reserve_steps t n =
@@ -100,7 +93,7 @@ let push t x =
 
 let push_lits t lits =
   let nl = Array.length lits in
-  copy lits t.page ~at:t.fill nl;
+  Vec.blit_ints lits 0 t.page t.fill nl;
   t.fill <- t.fill + nl
 
 let add_input t ~tag lits =

@@ -256,20 +256,12 @@ let grow_vars s n =
   let wcap = Array.length s.watches in
   if 2 * n > wcap then resize_watches s (max (2 * wcap) (2 * n))
 
-(* [Array.blit] into an array of the major heap goes through the write
-   barrier element by element; a loop over ints stores directly.  Safe
-   for a forward move within one array ([doff <= soff]). *)
-let blit_ints (src : int array) soff (dst : int array) doff n =
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
-  done
-
 (* Every slot column at capacity [cap'], and the arena at [words']. *)
 let resize_clauses s cap' =
   let n = s.nclauses in
   let grow a =
     let a' = Array.make cap' 0 in
-    blit_ints a 0 a' 0 n;
+    Vec.blit_ints a 0 a' 0 n;
     a'
   in
   s.c_off <- grow s.c_off;
@@ -284,7 +276,7 @@ let resize_clauses s cap' =
 
 let resize_arena s words' =
   let a = Array.make words' 0 in
-  blit_ints s.arena 0 a 0 s.afill;
+  Vec.blit_ints s.arena 0 a 0 s.afill;
   s.arena <- a
 
 let reserve s ~vars ~clauses ~lits =
@@ -333,7 +325,7 @@ let push_clause s lits len ~cid ~lbd ~act =
   if s.afill + len > Array.length s.arena then
     resize_arena s (max (2 * Array.length s.arena) (s.afill + len));
   let slot = s.nclauses and off = s.afill in
-  blit_ints lits 0 s.arena off len;
+  Vec.blit_ints lits 0 s.arena off len;
   s.afill <- off + len;
   s.c_off.(slot) <- off;
   s.c_len.(slot) <- len;
@@ -895,7 +887,7 @@ let reduce_db s =
     for i = 0 to n - 1 do
       if not dead.(i) then begin
         let len = s.c_len.(i) in
-        blit_ints s.arena s.c_off.(i) s.arena !fill len;
+        Vec.blit_ints s.arena s.c_off.(i) s.arena !fill len;
         s.c_off.(!j) <- !fill;
         s.c_len.(!j) <- len;
         s.c_cid.(!j) <- s.c_cid.(i);

@@ -1,5 +1,13 @@
 type t = { mutable a : int array; mutable n : int }
 
+(* [Array.blit] into an array of the major heap goes through the write
+   barrier element by element; a loop over ints stores directly.  Safe
+   for a forward move within one array ([doff <= soff]). *)
+let blit_ints (src : int array) soff (dst : int array) doff n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
+  done
+
 let create ?(cap = 16) () = { a = Array.make (max cap 1) 0; n = 0 }
 let size v = v.n
 

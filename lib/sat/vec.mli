@@ -2,6 +2,13 @@
 
 type t
 
+val blit_ints : int array -> int -> int array -> int -> int -> unit
+(** [blit_ints src soff dst doff n] is [Array.blit] for int arrays, but
+    stores directly instead of through the write barrier, which
+    [Array.blit] takes for every element of a destination in the major
+    heap.  Unchecked: the ranges must be in bounds.  Moving within one
+    array is safe when [doff <= soff]. *)
+
 val create : ?cap:int -> unit -> t
 val size : t -> int
 val get : t -> int -> int
