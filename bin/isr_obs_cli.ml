@@ -471,15 +471,37 @@ let steps_cmd =
           (fun (e : E.t) ->
             match e.E.kind with
             | E.Step { lane; engine; n; pos; status } ->
-              Some (e.E.ts, lane, engine, n, pos, status)
+              Some (e.E.dom, lane, engine, n, pos, status)
             | _ -> None)
           events
       in
       if steps = [] then die "no Step events in %s (schema < 4, or kernel events off)" path;
+      (* A lane left "running" stopped with its scheduler when another
+         lane of its domain decided, or when a [Cancel] edge reached the
+         worker its domain's [Spawn] binds it to: it is cancelled, not
+         mid-flight. *)
+      let dom_of = Hashtbl.create 8 and stopped = Hashtbl.create 8 in
+      List.iter
+        (fun (e : E.t) ->
+          match e.E.kind with
+          | E.Spawn { worker; _ } -> Hashtbl.replace dom_of worker e.E.dom
+          | _ -> ())
+        events;
+      List.iter
+        (fun (e : E.t) ->
+          match e.E.kind with
+          | E.Cancel { worker; _ } ->
+            Option.iter (fun d -> Hashtbl.replace stopped d ()) (Hashtbl.find_opt dom_of worker)
+          | E.Step { status = "proved" | "falsified"; _ } -> Hashtbl.replace stopped e.E.dom ()
+          | _ -> ())
+        events;
       (* Per-lane last-write-wins summary, in lane-id order. *)
       let tbl = Hashtbl.create 8 in
       List.iter
-        (fun (_, lane, engine, n, pos, status) ->
+        (fun (dom, lane, engine, n, pos, status) ->
+          let status =
+            if status = "running" && Hashtbl.mem stopped dom then "cancelled" else status
+          in
           Hashtbl.replace tbl lane (engine, n, pos, status))
         steps;
       let lanes =

@@ -335,21 +335,19 @@ let verify_term =
               { Isr_sat.Solver.default_reduce with enabled = not no_reduce; base = reduce_base }
             budget
         in
-        (* The explicit kernel path: start (or restore) the instance and
-           drive it with the checkpoint plumbing armed.  The cancel token
-           must be ambient before [Step.start] so the engine's budget
-           captures it. *)
+        (* The explicit kernel path: start (or restore) the instance under
+           the SIGTERM token and drive it with the checkpoint plumbing
+           armed. *)
         let drive model =
-          Budget.with_cancel ckpt_cancel @@ fun () ->
           match Engine.stepper eng with
           | None -> assert false (* portfolio rejected above *)
           | Some p -> (
             match resume_ck with
             | Some ck -> (
-              match Step.restore ~limits p model ck with
+              match Step.restore ~limits ~cancel:ckpt_cancel p model ck with
               | inst -> Step.drive ?checkpoint inst
               | exception Invalid_argument msg -> Isr_cli.fail ~tool msg)
-            | None -> Step.drive ?checkpoint (Step.start ~limits p model))
+            | None -> Step.drive ?checkpoint (Step.start ~limits ~cancel:ckpt_cancel p model))
         in
         let report r =
           if not json then begin

@@ -149,6 +149,6 @@ let stepper ?(check = Assume) ?(incremental = false) () =
           mk ~check ~incremental ~k:s.s_k run);
     }
 
-let run ?(check = Assume) ?(incremental = false) ?(limits = Budget.default_limits) model
-    =
-  Step.drive (Step.start ~limits (stepper ~check ~incremental ()) model)
+let run ?(check = Assume) ?(incremental = false) ?(limits = Budget.default_limits) ?cancel
+    model =
+  Step.drive (Step.start ~limits ?cancel (stepper ~check ~incremental ()) model)

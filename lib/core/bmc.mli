@@ -57,9 +57,11 @@ val run :
   ?check:check ->
   ?incremental:bool ->
   ?limits:Budget.limits ->
+  ?cancel:bool Atomic.t ->
   Model.t ->
   Verdict.t * Verdict.stats
-(** Iterative deepening from depth 0 up to the bound limit.  BMC alone
+(** Iterative deepening from depth 0 up to the bound limit, under
+    [cancel] when given ({!Budget.start}).  BMC alone
     can only falsify: it answers [Unknown (Bound_limit _)] on safe
     models.  With [incremental] (default false) all depths share one
     solver: frame targets are guarded by assumed activation literals and

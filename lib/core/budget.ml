@@ -18,37 +18,25 @@ exception Out_of_time
 exception Out_of_conflicts
 exception Cancelled
 
-(* Ambient cancel token.  The parallel portfolio runner needs every
-   budget created inside a worker domain to observe its race's cancel
-   flag, without threading a parameter through every engine signature —
-   so the token lives in domain-local storage and [start] captures
-   whatever is current.  Sequential runs never set one and pay nothing
-   beyond an option check. *)
-let cancel_key : bool Atomic.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let set_cancel c = Domain.DLS.set cancel_key c
-let current_cancel () = Domain.DLS.get cancel_key
-
-let with_cancel c f =
-  let old = current_cancel () in
-  set_cancel (Some c);
-  Fun.protect ~finally:(fun () -> set_cancel old) f
-
 type t = {
   l : limits;
   t0 : float;
   mutable conflicts_left : int;
   cancel : bool Atomic.t option;
+  uses0 : int array;   (* the solver's victim histograms at the slice's start *)
+  drift0 : int array;
 }
 
-let start l =
+let start ?cancel l =
   { l;
     t0 = Isr_obs.Clock.now ();
     conflicts_left = l.conflict_limit;
-    cancel = current_cancel ();
+    cancel;
+    uses0 = Array.make 16 0;
+    drift0 = Array.make 16 0;
   }
 
+let cancel b = b.cancel
 let limits b = b.l
 let elapsed b = Isr_obs.Clock.now () -. b.t0
 let cancelled b = match b.cancel with Some c -> Atomic.get c | None -> false
@@ -67,21 +55,24 @@ let check_time b =
    resumable after an exhausted conflict budget. *)
 let slice = 20_000
 
-(* One logical SAT call: charges a call plus the conflict, decision,
-   propagation and restart deltas to the run's metrics registry, feeds
-   the learned-clause-length histogram, and brackets the whole call in a
-   "sat.call" span (the per-slice "sat.solve" spans nest inside it). *)
-(* Fold a 16-bucket count array into a registry histogram (bucket index
-   = sample value).  Reductions and verdicts are rare; the inner loop is
-   nowhere near any hot path. *)
-let observe_counts h counts =
+(* Fold the growth of a 16-bucket count array into a registry histogram
+   (bucket index = sample value).  Reductions and verdicts are rare; the
+   inner loop is nowhere near any hot path. *)
+let observe_growth h ~before after =
   Array.iteri
     (fun v n ->
-      for _ = 1 to n do
+      for _ = 1 to n - before.(v) do
         Isr_obs.Metrics.observe h (float_of_int v)
       done)
-    counts
+    after
 
+let zeros = Array.make 16 0
+
+(* One logical SAT call: charges a call plus the conflict, decision,
+   propagation, restart and reduction deltas to the run's metrics
+   registry, feeds the learned-clause-length histogram, and brackets the
+   whole call in a "sat.call" span (the per-slice "sat.solve" spans nest
+   inside it). *)
 let solve ?assumptions b (stats : Verdict.stats) solver =
   Isr_obs.Metrics.incr stats.Verdict.c_sat_calls;
   (* The reduction policy is a formulation-level knob carried by the
@@ -106,10 +97,11 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
        (fun () ->
          Isr_obs.Flight.poll ();
          cancelled b || elapsed b > b.l.time_limit));
-  (* Restart and reduction records, which the progress reporter renders
-     as heartbeats.  Deltas are charged to the registry only at slice
-     boundaries, so read the live solver counters here: registry value
-     before this call plus the in-call delta. *)
+  (* Restart records, which the progress reporter renders as heartbeats
+     (the solver posts its own reduction records).  Deltas are charged
+     to the registry only at slice boundaries, so read the live solver
+     counters here: registry value before this call plus the in-call
+     delta. *)
   let c_base = Isr_obs.Metrics.value stats.Verdict.c_conflicts
   and p_base = Isr_obs.Metrics.value stats.Verdict.c_propagations in
   let sc0 = Solver.num_conflicts solver and sp0 = Solver.num_propagations solver in
@@ -125,32 +117,25 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
                   learnt = Solver.num_live_learnt solver;
                   propagations = p_base + Solver.num_propagations solver - sp0;
                 })));
-  Solver.on_reduce solver
-    (Some
-       (fun (ri : Solver.reduce_info) ->
-         Isr_obs.Metrics.incr stats.Verdict.c_db_reduce;
-         Isr_obs.Metrics.set stats.Verdict.g_db_kept (float_of_int ri.Solver.kept);
-         (* Victim lifecycle histograms: how useful were the clauses we
-            just threw away, and how much did their glue improve. *)
-         observe_counts stats.Verdict.h_clause_uses_death ri.Solver.dead_uses;
-         observe_counts stats.Verdict.h_clause_drift ri.Solver.dead_drift;
-         if Isr_obs.Event.enabled () then
-           Isr_obs.Event.emit
-             (Isr_obs.Event.Reduce
-                {
-                  kept = ri.Solver.kept;
-                  dropped = ri.Solver.deleted;
-                  lbd = ri.Solver.kept_lbd;
-                  dead_lbd = ri.Solver.dead_lbd;
-                  dead_uses = ri.Solver.dead_uses;
-                })));
-  let charge_from c0 d0 p0 r0 bo0 x0 =
+  let charge_from c0 d0 p0 r0 bo0 x0 red0 =
     Isr_obs.Metrics.add stats.Verdict.c_conflicts (Solver.num_conflicts solver - c0);
     Isr_obs.Metrics.add stats.Verdict.c_decisions (Solver.num_decisions solver - d0);
     Isr_obs.Metrics.add stats.Verdict.c_propagations (Solver.num_propagations solver - p0);
     Isr_obs.Metrics.add stats.Verdict.c_restarts (Solver.num_restarts solver - r0);
     Isr_obs.Metrics.add stats.Verdict.c_clause_born (Solver.num_learnt solver - bo0);
-    Isr_obs.Metrics.add stats.Verdict.c_clause_deleted (Solver.num_deleted solver - x0)
+    Isr_obs.Metrics.add stats.Verdict.c_clause_deleted (Solver.num_deleted solver - x0);
+    let reds = Solver.num_reduces solver - red0 in
+    if reds > 0 then begin
+      (* Victim lifecycle histograms: how useful were the clauses the
+         slice's reductions threw away, and how much did their glue
+         improve. *)
+      Isr_obs.Metrics.add stats.Verdict.c_db_reduce reds;
+      Isr_obs.Metrics.set stats.Verdict.g_db_kept (float_of_int (Solver.reduce_kept solver));
+      observe_growth stats.Verdict.h_clause_uses_death ~before:b.uses0
+        (Solver.dead_uses_counts solver);
+      observe_growth stats.Verdict.h_clause_drift ~before:b.drift0
+        (Solver.dead_drift_counts solver)
+    end
   in
   let rec go () =
     check_time b;
@@ -162,10 +147,12 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
     let d0 = Solver.num_decisions solver and p0 = Solver.num_propagations solver in
     let r0 = Solver.num_restarts solver in
     let bo0 = Solver.num_learnt solver and x0 = Solver.num_deleted solver in
+    let red0 = Solver.num_reduces solver in
+    Solver.dead_counts_into solver ~uses:b.uses0 ~drift:b.drift0;
     let r = Solver.solve ?assumptions ~conflict_budget:(min slice b.conflicts_left) solver in
     let used = Solver.num_conflicts solver - before in
     b.conflicts_left <- b.conflicts_left - used;
-    charge_from before d0 p0 r0 bo0 x0;
+    charge_from before d0 p0 r0 bo0 x0 red0;
     match r with
     | Solver.Undef -> go ()
     | r ->
@@ -174,7 +161,8 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
          on (it costs a sweep of the used cone) and only when a refutation
          actually exists (Unsat under assumptions has none). *)
       if r = Solver.Unsat && Isr_obs.Event.enabled () && Solver.refuted solver then
-        observe_counts stats.Verdict.h_clause_core_lbd (Solver.core_birth_lbd solver);
+        observe_growth stats.Verdict.h_clause_core_lbd ~before:zeros
+          (Solver.core_birth_lbd solver);
       r
   in
   let res = ref Solver.Undef in
@@ -195,7 +183,6 @@ let solve ?assumptions b (stats : Verdict.stats) solver =
     ~finally:(fun () ->
       Solver.on_learnt solver None;
       Solver.on_restart solver None;
-      Solver.on_reduce solver None;
       Solver.set_interrupt solver None;
       (* Proof-store gauges track the largest log the run grew (gauges
          keep the maximum on merge; [set_max] keeps it across calls). *)

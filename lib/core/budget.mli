@@ -20,7 +20,16 @@ val default_limits : limits
 
 type t
 
-val start : limits -> t
+val start : ?cancel:bool Atomic.t -> limits -> t
+(** Starts the clock and the conflict pool.  With [cancel], every
+    {!check_time} and {!solve} on the budget aborts with {!Cancelled}
+    once the token reads [true]: the token is how a parallel race stops
+    its losers and how SIGTERM stops a checkpointed run. *)
+
+val cancel : t -> bool Atomic.t option
+(** The token the budget was started with — for budgets started inside
+    a running lane, which must stop with it. *)
+
 val limits : t -> limits
 
 exception Out_of_time
@@ -28,52 +37,39 @@ exception Out_of_conflicts
 
 exception Cancelled
 (** Raised (from {!check_time} and from inside {!solve}) when the
-    ambient cancel token is set: another portfolio member already
-    answered.  Deliberately distinct from {!Out_of_time} /
+    budget's cancel token is set: another portfolio member already
+    answered, or SIGTERM asked a checkpointed run to stop.  Deliberately distinct from {!Out_of_time} /
     {!Out_of_conflicts} so that engines' resource-exhaustion handlers
     do not swallow it — it propagates to the parallel runner. *)
-
-val with_cancel : bool Atomic.t -> (unit -> 'a) -> 'a
-(** [with_cancel c f] runs [f] with [c] as the current domain's cancel
-    token: every budget {!start}ed inside captures [c] and aborts with
-    {!Cancelled} once [c] reads [true].  The previous token is restored
-    when [f] returns or raises.  Tokens are domain-local — install one
-    inside each worker domain, not before spawning. *)
-
-val set_cancel : bool Atomic.t option -> unit
-(** Imperative form of {!with_cancel} (no scoping); [None] clears. *)
-
-val current_cancel : unit -> bool Atomic.t option
-(** The calling domain's current cancel token, if any. *)
 
 val check_time : t -> unit
 (** A passed deadline also dumps the flight recorder (when armed)
     before raising, so budget-expired runs leave their forensic trail.
-    @raise Cancelled when the captured cancel token is set.
+    @raise Cancelled when the budget's cancel token is set.
     @raise Out_of_time when the deadline passed. *)
 
 val solve : ?assumptions:Lit.t list -> t -> Verdict.stats -> Solver.t -> Solver.result
 (** Runs the solver under the remaining conflict budget, charging one
-    SAT call plus the conflict/decision/propagation/restart deltas, the
-    learned-clause lengths and the database-reduction events
-    (["sat.db.reduce"] / ["sat.db.kept"]) to the [stats] registry,
-    inside a ["sat.call"] trace span; on the way out the ["proof.steps"]
-    / ["proof.bytes"] gauges are refreshed from the solver's proof log.
+    SAT call plus the conflict/decision/propagation/restart deltas and
+    the learned-clause lengths to the [stats] registry, inside a
+    ["sat.call"] trace span; on the way out the ["proof.steps"] /
+    ["proof.bytes"] gauges are refreshed from the solver's proof log.
     The limits' {!Isr_sat.Solver.reduce_policy} is installed at call
-    entry.  Clause-lifecycle analytics ride along: the call index is
-    stamped as the solver's clause origin, births/deletions charge the
-    ["clause.*"] counters and histograms, and an unconditional [Unsat]
-    folds the proof core's birth-LBD histogram — the latter only when
+    entry.  Clause-lifecycle analytics ride along: births and deletions
+    charge the ["clause.*"] counters and histograms, the reductions of
+    each conflict slice charge ["sat.db.reduce"], ["sat.db.kept"] and
+    the victims' ["clause.uses_at_death"] / ["clause.lbd_drift"] from
+    the solver's cumulative counts, and an unconditional [Unsat] folds
+    the proof core's birth-LBD histogram — the latter only when
     {!Isr_obs.Event.enabled} (it costs a sweep of the proof's used
-    cone, which later readers of the proof then share).  The
-    interrupt poll also services deferred flight-recorder dump
-    requests, and both budget-exhaustion raises dump the flight
-    recorder first when it is armed.  Whatever the outcome, the
-    solver's [on_learnt] / [on_restart] / [on_reduce] / interrupt hooks
-    are cleared on return — they capture this call's registry and must
-    not leak into the next.
+    cone, which later readers of the proof then share).  The interrupt
+    poll also services deferred flight-recorder dump requests, and both
+    budget-exhaustion raises dump the flight recorder first when it is
+    armed.  Whatever the outcome, the solver's [on_learnt] /
+    [on_restart] / interrupt hooks are cleared on return — they capture
+    this call's registry and must not leak into the next.
     @raise Out_of_conflicts when the pool is exhausted
     @raise Out_of_time when the deadline passed before the call
-    @raise Cancelled when the ambient cancel token was set. *)
+    @raise Cancelled when the budget's cancel token was set. *)
 
 val elapsed : t -> float

@@ -103,9 +103,9 @@ let sat_and t a b =
   in
   (* Paranoid: re-decide on an encoding of its own, with its own budget
      and registry so the run's conflict budget and counts do not depend
-     on the check level. *)
+     on the check level; the run's cancel token still stops it. *)
   if Isr_check.Level.paranoid () then begin
-    let budget = Budget.start (Budget.limits t.budget) in
+    let budget = Budget.start ?cancel:(Budget.cancel t.budget) (Budget.limits t.budget) in
     Isr_check.Level.check "incl.incremental_agrees"
       (decide budget (Verdict.mk_stats ()) (encoding t.man) a b = r)
       ~detail:(fun () ->

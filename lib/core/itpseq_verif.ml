@@ -114,10 +114,12 @@ let refine st u =
 
 (* Paranoid: decide that a compacted column is equivalent to its
    original, on a session with its own budget and registry so the run's
-   conflict budget and counts do not depend on the check level. *)
+   conflict budget and counts do not depend on the check level; the
+   run's cancel token still stops it. *)
 let check_equiv st ~j c c' =
   if Isr_check.Level.paranoid () then begin
-    let incl = Incl.create (Budget.start st.run.limits) (Verdict.mk_stats ()) st.space in
+    let budget = Budget.start ?cancel:(Budget.cancel st.run.budget) st.run.limits in
+    let incl = Incl.create budget (Verdict.mk_stats ()) st.space in
     let fwd = Incl.implies incl c c' and bwd = Incl.implies incl c' c in
     Isr_check.Level.check "itpseq.compact_equiv" (fwd && bwd) ~detail:(fun () ->
         Printf.sprintf "k=%d column %d: original => compacted %b, compacted => original %b"

@@ -26,8 +26,9 @@ let weight share = max 1 (int_of_float (Float.ceil (share *. 10.)))
 (* Bit-parallel random simulation as a single-step engine: shallow
    input-robust bugs fall out before any SAT effort.  A hit only bounds
    the bug depth — BMC then minimizes it so the portfolio reports
-   shortest counterexamples like every other engine.  One step is the
-   whole attempt.  A miss retires the lane at the bound cap: it is no
+   shortest counterexamples like every other engine, under the lane's
+   cancel token, so a race can stop it.  One step is the whole
+   attempt.  A miss retires the lane at the bound cap: it is no
    deadline, and the cap is the reason {!Sched.worst_reason} ranks last,
    so the portfolio reports why the other lanes stopped. *)
 let randsim_stepper () =
@@ -36,7 +37,9 @@ let randsim_stepper () =
     | Some trace -> (
       let cap = Isr_model.Trace.depth trace in
       let v, bmc_stats =
-        Bmc.run ~check:Bmc.Exact ~limits:{ run.limits with Budget.bound_limit = cap } run.model
+        Bmc.run ~check:Bmc.Exact
+          ~limits:{ run.limits with Budget.bound_limit = cap }
+          ?cancel:(Budget.cancel run.budget) run.model
       in
       (* The minimization's SAT effort goes on the lane's books, the
          only registry the scheduler merges. *)

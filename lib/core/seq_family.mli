@@ -36,7 +36,7 @@ val of_refutation :
   Aig.lit array
 (** Parallel family straight from an unrolling whose solver already
     answered Unsat (Equation 2): one interpolant per cut [1..ncuts].
-    Re-checks the deadline (and the ambient cancel token) between cuts,
+    Re-checks the deadline (and the budget's cancel token) between cuts,
     so extraction over a large proof cannot overshoot the budget by more
     than one cut — may raise {!Budget.Out_of_time} or
     {!Budget.Cancelled}. *)

@@ -35,13 +35,11 @@ type inst =
     }
       -> inst
 
-(* The budget starts here, in the calling domain, so it captures that
-   domain's cancel token. *)
-let new_run limits model =
-  { model; limits; budget = Budget.start limits; stats = Verdict.mk_stats () }
+let new_run ?cancel limits model =
+  { model; limits; budget = Budget.start ?cancel limits; stats = Verdict.mk_stats () }
 
-let start ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model =
-  let run = new_run limits model in
+let start ?(lane = 0) ?(limits = Budget.default_limits) ?cancel (Packed eng) model =
+  let run = new_run ?cancel limits model in
   Inst { eng; run; st = eng.init run; steps = 0; last = Running; lane; prior = 0.0 }
 
 let name (Inst i) = i.eng.name
@@ -102,7 +100,7 @@ let snapshot (Inst i) =
     ~elapsed:(i.prior +. Budget.elapsed i.run.budget)
     ~payload:(i.eng.snapshot i.st)
 
-let restore ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model
+let restore ?(lane = 0) ?(limits = Budget.default_limits) ?cancel (Packed eng) model
     (ck : Checkpoint.t) =
   if not (String.equal ck.Checkpoint.engine eng.name) then
     invalid_arg
@@ -111,7 +109,7 @@ let restore ?(lane = 0) ?(limits = Budget.default_limits) (Packed eng) model
   (match Checkpoint.check_model ck model with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Step.restore: " ^ msg));
-  let run = new_run limits model in
+  let run = new_run ?cancel limits model in
   Inst
     {
       eng;

@@ -71,10 +71,11 @@ type inst
 (** A started engine: its run, packed state, step counter and lane
     stamp. *)
 
-val start : ?lane:int -> ?limits:Budget.limits -> packed -> Model.t -> inst
-(** Creates the {!run} — the budget starts ticking here, so in a parallel
-    race call inside the worker domain and the budget captures the
-    domain's cancel token — then the engine's [init]. *)
+val start :
+  ?lane:int -> ?limits:Budget.limits -> ?cancel:bool Atomic.t -> packed -> Model.t -> inst
+(** Creates the {!run} — the budget starts ticking here, under [cancel]
+    when given ({!Budget.start}) — then the engine's [init].  The
+    instance may be stepped from any domain, one at a time. *)
 
 val name : inst -> string
 val lane : inst -> int
@@ -102,15 +103,21 @@ val snapshot : inst -> Checkpoint.t
     time of its own budget. *)
 
 val restore :
-  ?lane:int -> ?limits:Budget.limits -> packed -> Model.t -> Checkpoint.t -> inst
+  ?lane:int ->
+  ?limits:Budget.limits ->
+  ?cancel:bool Atomic.t ->
+  packed ->
+  Model.t ->
+  Checkpoint.t ->
+  inst
 (** @raise Invalid_argument when the checkpoint's engine spelling or
     model signature do not match. *)
 
 val request_checkpoint : unit -> unit
 (** Signal-handler-safe: raise a flag that makes the next {!drive} step
     boundary (or its [Budget.Cancelled] unwind) write the checkpoint
-    and exit 143.  Pair it with setting the ambient cancel token so an
-    in-flight SAT call aborts promptly. *)
+    and exit 143.  Pair it with setting the instance's cancel token
+    ({!start}'s [cancel]) so an in-flight SAT call aborts promptly. *)
 
 val checkpoint_requested : unit -> bool
 

@@ -134,8 +134,9 @@ let view events =
         let a = lane_of_dom e.Event.dom in
         a.a_cuts <- a.a_cuts + 1;
         touch a
-      | Event.Step { lane = l; pos; _ } ->
-        let a = lane l in
+      | Event.Step { pos; _ } ->
+        (* [lane] is the member's id, not a worker index. *)
+        let a = lane_of_dom e.Event.dom in
         a.a_bound <- pos;
         touch a
       | Event.Analyze _ -> ())

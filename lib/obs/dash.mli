@@ -41,7 +41,8 @@ val view : Event.t list -> view
 (** Fold a merged stream (as from {!Event.events} / {!Event.read_jsonl})
     into the dashboard model.  Worker attribution: [Spawn] events bind
     their emitting domain to a worker index, and dom-only events
-    (restarts, reductions, phases, cuts) follow that binding; streams
+    (restarts, reductions, phases, cuts, kernel steps) follow that
+    binding; streams
     without a race lifecycle get one lane per domain. *)
 
 val lane_label : int -> string

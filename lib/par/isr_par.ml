@@ -53,7 +53,7 @@ let portfolio_race ~jobs ~limits ~members model =
       Sched.id = i;
       name = Portfolio.member_name m;
       weight = Portfolio.weight w;
-      inst = Step.start ~lane:i ~limits (Portfolio.stepper_of m) lane_model;
+      inst = Step.start ~lane:i ~limits ~cancel (Portfolio.stepper_of m) lane_model;
     }
   in
   let claim ((i, _, _) as x) =
@@ -78,7 +78,6 @@ let portfolio_race ~jobs ~limits ~members model =
      a worker whose whole slate retires without a verdict records a
      deadline (or exhaustion) self-edge. *)
   let worker w group seed () =
-    Budget.with_cancel cancel @@ fun () ->
     if Isr_obs.Event.enabled () then
       Isr_obs.Event.emit
         (Isr_obs.Event.Spawn
@@ -222,10 +221,9 @@ let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?(limits = Budget.default_limits) model
     end
   in
   let worker i () =
-    Budget.with_cancel tokens.(i) @@ fun () ->
     if Isr_obs.Event.enabled () then
       Isr_obs.Event.emit (Isr_obs.Event.Spawn { worker = i; engines = "bmc" });
-    let budget = Budget.start limits in
+    let budget = Budget.start ~cancel:tokens.(i) limits in
     let stats = Verdict.mk_stats () in
     let found = ref [] in
     let reason = ref None in

@@ -25,18 +25,6 @@ type reduce_policy = {
 
 let default_reduce = { enabled = true; base = 4000; growth = 1.3; keep_lbd = 2 }
 
-(* One completed database reduction, as seen by [on_reduce].  The
-   histograms share the 16-bucket convention of the cumulative clause
-   statistics: index = value, last bucket saturates. *)
-type reduce_info = {
-  kept : int;                (* live learnt clauses after the reduction *)
-  deleted : int;             (* victims of this reduction *)
-  kept_lbd : int array;      (* survivors by current LBD *)
-  dead_lbd : int array;      (* victims by LBD at death *)
-  dead_uses : int array;     (* victims by conflict-analysis uses before deletion *)
-  dead_drift : int array;    (* victims by birth LBD - death LBD (glue improvement) *)
-}
-
 let hist_buckets = 16
 let hist_bump h v = h.(min v (hist_buckets - 1)) <- h.(min v (hist_buckets - 1)) + 1
 
@@ -81,7 +69,7 @@ type t = {
   mutable reduces : int;               (* completed database reductions *)
   mutable policy : reduce_policy;
   mutable reduce_limit : int;          (* next live-learnt threshold *)
-  mutable max_learnt_len : int;
+  mutable reduce_kept : int;           (* live learnt clauses after the last reduction *)
   born_lbd : int array;                (* cumulative birth-LBD histogram (16 buckets) *)
   dead_lbd : int array;                (* victims by LBD at death *)
   dead_uses : int array;               (* victims by uses before deletion *)
@@ -90,8 +78,6 @@ type t = {
   mutable learnt_cb : (lits:Lit.t array -> lbd:int -> unit) option;
       (* observes each learned clause (literals, lent for the call, and glue) *)
   mutable restart_cb : (int -> unit) option; (* observes each restart (cumulative count) *)
-  mutable reduce_cb : (reduce_info -> unit) option;
-      (* observes each database reduction *)
   mutable interrupt : (unit -> bool) option; (* polled during search; true aborts to Undef *)
   mutable seen : Bytes.t;              (* conflict-analysis scratch *)
   mutable mark0 : Bytes.t;             (* level-0 elimination scratch *)
@@ -147,7 +133,7 @@ let create ?(proof = true) () =
       reduces = 0;
       policy = default_reduce;
       reduce_limit = default_reduce.base;
-      max_learnt_len = 0;
+      reduce_kept = 0;
       born_lbd = Array.make hist_buckets 0;
       dead_lbd = Array.make hist_buckets 0;
       dead_uses = Array.make hist_buckets 0;
@@ -155,7 +141,6 @@ let create ?(proof = true) () =
       birth = Bytes.make 64 '\000';
       learnt_cb = None;
       restart_cb = None;
-      reduce_cb = None;
       interrupt = None;
       seen = Bytes.make 16 '\000';
       mark0 = Bytes.make 16 '\000';
@@ -179,20 +164,24 @@ let num_restarts s = s.restarts
 let num_learnt s = s.learnt_count
 let num_live_learnt s = s.live_learnt
 let num_reduces s = s.reduces
-let max_learnt_len s = s.max_learnt_len
+let reduce_kept s = s.reduce_kept
 let num_clauses s = s.nclauses
 let next_step_id s = Proof_log.n_steps s.log
 let proof_steps s = if Proof_log.recording s.log then Proof_log.n_steps s.log else 0
 let proof_bytes s = Proof_log.bytes s.log
 let on_learnt s cb = s.learnt_cb <- cb
 let on_restart s cb = s.restart_cb <- cb
-let on_reduce s cb = s.reduce_cb <- cb
 let set_interrupt s cb = s.interrupt <- cb
 let num_deleted s = s.learnt_count - s.live_learnt
 let birth_lbd_counts s = Array.copy s.born_lbd
 let dead_lbd_counts s = Array.copy s.dead_lbd
 let dead_uses_counts s = Array.copy s.dead_uses
 let dead_drift_counts s = Array.copy s.dead_drift
+
+let dead_counts_into s ~uses ~drift =
+  Array.blit s.dead_uses 0 uses 0 hist_buckets;
+  Array.blit s.dead_drift 0 drift 0 hist_buckets
+
 let refuted s = (not s.ok) && s.empty_id >= 0 && Proof_log.recording s.log
 
 let set_reduce s p =
@@ -799,7 +788,6 @@ let record_learnt s lits ~lbd ~first =
   s.learnt_count <- s.learnt_count + 1;
   s.live_learnt <- s.live_learnt + 1;
   let len = Array.length lits in
-  if len > s.max_learnt_len then s.max_learnt_len <- len;
   hist_bump s.born_lbd lbd;
   (* Birth LBD per proof id, outliving the database clause: proof-core
      attribution ([core_birth_lbd]) needs it after deletion. *)
@@ -861,24 +849,23 @@ let reduce_db s =
   let ndelete = Array.length cand / 2 in
   if ndelete > 0 then begin
     let dead = Array.make n false in
-    (* Per-reduction victim histograms, also folded into the cumulative
-       lifecycle statistics.  Cheap (three bumps per victim), so always
+    (* Per-reduction victim histograms (the [Reduce] record's), also
+       folded into the cumulative lifecycle statistics that [Budget]
+       charges to the run.  Cheap (three bumps per victim), so always
        on — the registry invariants (dead sums = deleted count) must
        hold whether or not anyone listens. *)
     let dl = Array.make hist_buckets 0 in
     let du = Array.make hist_buckets 0 in
-    let dd = Array.make hist_buckets 0 in
     for k = 0 to ndelete - 1 do
       let slot = cand.(k) in
       hist_bump dl lbd.(slot);
       hist_bump du s.c_uses.(slot);
-      hist_bump dd (max 0 (s.c_blbd.(slot) - lbd.(slot)));
+      hist_bump s.dead_drift (max 0 (s.c_blbd.(slot) - lbd.(slot)));
       dead.(slot) <- true;
       Proof_log.delete s.log s.c_cid.(slot)
     done;
     Array.iteri (fun i n -> s.dead_lbd.(i) <- s.dead_lbd.(i) + n) dl;
     Array.iteri (fun i n -> s.dead_uses.(i) <- s.dead_uses.(i) + n) du;
-    Array.iteri (fun i n -> s.dead_drift.(i) <- s.dead_drift.(i) + n) dd;
     (* Compact the store and remap every stored slot.  Slot [j <= i]
        lands at arena offset [fill <= c_off.(i)], so moving forward in
        slot order never overwrites what is still to move. *)
@@ -923,8 +910,8 @@ let reduce_db s =
     done;
     s.live_learnt <- s.live_learnt - ndelete;
     s.reduces <- s.reduces + 1;
-    match s.reduce_cb with
-    | Some f ->
+    s.reduce_kept <- s.live_learnt;
+    if Isr_obs.Event.enabled () then begin
       (* LBD distribution of the surviving learnt clauses; only computed
          when someone is listening (the victim histograms were already
          paid above). *)
@@ -932,16 +919,10 @@ let reduce_db s =
       for i = 0 to s.nclauses - 1 do
         if s.c_blbd.(i) > 0 then hist_bump kept lbd.(i)
       done;
-      f
-        {
-          kept = s.live_learnt;
-          deleted = ndelete;
-          kept_lbd = kept;
-          dead_lbd = dl;
-          dead_uses = du;
-          dead_drift = dd;
-        }
-    | None -> ()
+      Isr_obs.Event.emit
+        (Isr_obs.Event.Reduce
+           { kept = s.live_learnt; dropped = ndelete; lbd = kept; dead_lbd = dl; dead_uses = du })
+    end
   end;
   (* Grow the threshold even when nothing was deletable, so an
      all-glue/all-locked database does not retrigger every conflict. *)

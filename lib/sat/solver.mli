@@ -176,6 +176,10 @@ val dead_drift_counts : t -> int array
     death, never negative — stored LBD only tightens); sums to
     {!num_deleted}. *)
 
+val dead_counts_into : t -> uses:int array -> drift:int array -> unit
+(** Copies {!dead_uses_counts} into [uses] and {!dead_drift_counts}
+    into [drift] (16 buckets each) without allocating. *)
+
 val refuted : t -> bool
 (** Whether an unconditional refutation (empty clause) has been derived
     and logged — exactly when {!proof} will not raise. *)
@@ -191,8 +195,11 @@ val core_birth_lbd : t -> int array
 val num_reduces : t -> int
 (** Completed learnt-database reductions. *)
 
-val max_learnt_len : t -> int
-(** Longest learned clause so far (0 before any conflict). *)
+val reduce_kept : t -> int
+(** Live learnt clauses left by the last reduction (0 before any).  A
+    reduction also posts an {!Isr_obs.Event.kind.Reduce} record, with
+    the survivors' LBD histogram and the victims' LBD and use
+    histograms, when {!Isr_obs.Event.enabled}. *)
 
 val num_clauses : t -> int
 (** Current size of the clause database (inputs plus live learnt). *)
@@ -216,26 +223,6 @@ val on_restart : t -> (int -> unit) option -> unit
 (** Installs (or clears) an observer called with the cumulative restart
     count at every restart — the hook behind the ["sat.restart"]
     progress heartbeat. *)
-
-type reduce_info = {
-  kept : int;              (** live learnt clauses after the reduction *)
-  deleted : int;           (** victims of this reduction *)
-  kept_lbd : int array;    (** survivors by current LBD *)
-  dead_lbd : int array;    (** victims by LBD at death *)
-  dead_uses : int array;   (** victims by conflict-analysis uses before deletion *)
-  dead_drift : int array;  (** victims by birth LBD - death LBD (glue improvement) *)
-}
-(** One completed database reduction as seen by {!on_reduce}.  All
-    histograms use the 16-bucket convention: index = value, last bucket
-    saturating. *)
-
-val on_reduce : t -> (reduce_info -> unit) option -> unit
-(** Installs (or clears) an observer called after every learnt-database
-    reduction — the hook behind the ["sat.db.reduce"] / ["sat.db.kept"]
-    metrics, the clause-lifecycle histograms and the [db.reduce] search
-    event.  The victim histograms are accounted unconditionally (they
-    also feed the cumulative [dead_*_counts]); only the survivor
-    snapshot is computed on demand. *)
 
 val set_interrupt : t -> (unit -> bool) option -> unit
 (** Installs (or clears) a cooperative-cancellation poll.  The search

@@ -1360,12 +1360,17 @@ let ev ts dom seq kind = { Event.ts; dom; seq; kind }
 
 let test_dash_fixture () =
   (* A canned two-worker race: w0 (dom 4) searches and is cancelled, w1
-     (dom 5) dispatches bound 3 and publishes the verdict. *)
+     (dom 5) dispatches bound 3 and publishes the verdict.  Kernel steps
+     name member lanes, not workers: member 3 runs on w1, and member 1
+     on w0. *)
+  let step ~lane pos = Event.Step { lane; engine = "pdr"; n = 1; pos; status = "running" } in
   let events =
     [
       ev 0.00 4 0 (Event.Spawn { worker = 0; engines = "itpseq" });
       ev 0.01 5 0 (Event.Spawn { worker = 1; engines = "bmc" });
+      ev 0.015 5 1 (step ~lane:3 9);
       ev 0.02 5 1 (Event.Dispatch { worker = 1; bound = 3 });
+      ev 0.03 4 1 (step ~lane:1 7);
       ev 0.10 4 1
         (Event.Restart { conflicts = 100; decisions = 50; learnt = 10; propagations = 0 });
       ev 0.60 4 2
@@ -1684,9 +1689,7 @@ let pin_observe (bench, engine) =
     @ ("== heartbeats" :: List.rev !beats))
   ^ "\n"
 
-let test_pin run () =
-  let actual = pin_observe run in
-  let name = pin_name run in
+let check_pin name actual =
   let expected =
     let path = Filename.concat "pins" (name ^ ".txt") in
     if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else ""
@@ -1697,8 +1700,53 @@ let test_pin run () =
       name name name
   end
 
+let test_pin run () = check_pin (pin_name run) (pin_observe run)
+
+(* A run that reduces its learnt database many times (68 reductions of
+   fifo3 under ITPSEQ at a threshold of 50 learnt clauses): the
+   reduction records and the run's sat.db.* and clause.* metrics. *)
+let test_reduce_pin () =
+  let open Isr_core in
+  let model = Isr_suite.Registry.build_validated (Option.get (Isr_suite.Registry.find "fifo3")) in
+  let eng = match Engine.of_name "itpseq-assume" with Ok e -> e | Error m -> Alcotest.fail m in
+  let limits =
+    { pin_limits with Budget.reduce = { Isr_sat.Solver.default_reduce with base = 50 } }
+  in
+  let recorder = Event.recorder () in
+  let consumer = Event.recording recorder in
+  Event.subscribe consumer;
+  let verdict, stats =
+    Fun.protect
+      ~finally:(fun () -> Event.unsubscribe consumer)
+      (fun () -> Engine.run eng ~limits model)
+  in
+  let reduces =
+    List.filter_map
+      (fun (e : Event.t) ->
+        match e.Event.kind with Event.Reduce _ -> Some (pin_record e) | _ -> None)
+      (Event.events recorder)
+  in
+  let metrics =
+    match Json.parse (Metrics.to_json (Verdict.registry stats)) with
+    | Json.Obj kvs ->
+      List.filter_map
+        (fun (k, v) ->
+          let has p = String.length k > String.length p && String.sub k 0 (String.length p) = p in
+          if has "sat.db." || has "clause." then Some (k ^ " " ^ Json.render v) else None)
+        kvs
+    | _ -> Alcotest.fail "metrics are not an object"
+  in
+  check_pin "fifo3-itpseq-assume-reduce50"
+    (String.concat "\n"
+       ((Printf.sprintf "verdict kfp=%s"
+           (match Verdict.kfp verdict with Some k -> string_of_int k | None -> "-")
+        :: "== reductions" :: reduces)
+       @ ("== metrics" :: metrics))
+    ^ "\n")
+
 let pin_cases =
   List.map (fun run -> Alcotest.test_case (pin_name run) `Quick (test_pin run)) pin_runs
+  @ [ Alcotest.test_case "fifo3-itpseq-assume-reduce50" `Quick test_reduce_pin ]
 
 (* A line that lacks a field is skipped like a torn line, and a header
    that lacks its schema fails with a [Failure] naming the file — never
@@ -1738,8 +1786,8 @@ let test_ledger_relative_paths () =
   in
   stored "events path" "e.jsonl" e.Ledger.events_path;
   stored "profile path" "p.json" e.Ledger.profile_path;
-  (* [steps] exits 1 when a lane's last step says "running", as a race
-     loser's does; a path it cannot read would exit 2. *)
+  (* The race's losing lanes stopped with it, so [steps] exits 0; a path
+     it cannot read would exit 2. *)
   List.iter
     (fun (args, codes, expect) ->
       let rc = run "%s %s > out.txt 2>&1" (Filename.quote (bin "isr_obs_cli.exe")) args in
@@ -1747,12 +1795,23 @@ let test_ledger_relative_paths () =
       if not (List.mem rc codes) then Alcotest.failf "%s exits %d:\n%s" args rc out;
       Alcotest.(check bool) (args ^ " reads the run") true
         (contains out expect && not (contains out "unreadable")))
-    [ ("steps --ledger L --run r0001", [ 0; 1 ], "step events across");
+    [ ("steps --ledger L --run r0001", [ 0 ], "step events across");
       ("explain-race --ledger L --run r0001", [ 0 ], "winner:");
       ("top --run r0001 --ledger L", [ 0 ], "lanes");
       ("show --ledger L r0001", [ 0 ], "p.json");
       ("diff --ledger L r0001 r0001", [ 0 ], "metric deltas") ];
-  ignore (run "rm -rf L e.jsonl p.json out.txt");
+  (* A stream that ends while a lane runs — no verdict on its domain, no
+     cancellation of its worker — is mid-flight: exit 1. *)
+  Out_channel.with_open_text (Filename.concat dir "mid.jsonl") (fun oc ->
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        [ "{\"stream\":\"isr-events\",\"schema\":4}";
+          "{\"ts\":0.1,\"dom\":1,\"seq\":0,\"ev\":\"spawn\",\"worker\":0,\"engines\":\"bmc+pdr\"}";
+          "{\"ts\":0.2,\"dom\":1,\"seq\":1,\"ev\":\"step\",\"lane\":1,\"engine\":\"pdr\",\"n\":1,\"pos\":1,\"status\":\"running\"}";
+          "{\"ts\":0.3,\"dom\":2,\"seq\":0,\"ev\":\"cancel\",\"worker\":1,\"cause\":\"winner\",\"by\":0}" ]);
+  Alcotest.(check int) "steps exits 1 mid-flight" 1
+    (run "%s steps mid.jsonl > out.txt 2>&1" (Filename.quote (bin "isr_obs_cli.exe")));
+  ignore (run "rm -rf L e.jsonl p.json out.txt mid.jsonl");
   Sys.rmdir dir
 
 let test_missing_fields () =

@@ -87,11 +87,7 @@ let test_race_deadline () =
 (* A pre-set token aborts before any search is attempted. *)
 let test_cancel_preset () =
   let token = Atomic.make true in
-  match
-    Budget.with_cancel token (fun () ->
-        let b = Budget.start limits in
-        Budget.check_time b)
-  with
+  match Budget.check_time (Budget.start ~cancel:token limits) with
   | exception Budget.Cancelled -> ()
   | () -> Alcotest.fail "expected Cancelled"
 
@@ -104,7 +100,6 @@ let test_cancel_mid_search () =
   let open Isr_sat in
   let token = Atomic.make false in
   let worker () =
-    Budget.with_cancel token @@ fun () ->
     let s = Solver.create () in
     for _ = 1 to (n + 1) * n do
       ignore (Solver.new_var s)
@@ -120,7 +115,7 @@ let test_cancel_mid_search () =
         done
       done
     done;
-    let b = Budget.start { limits with Budget.time_limit = 600.0 } in
+    let b = Budget.start ~cancel:token { limits with Budget.time_limit = 600.0 } in
     let stats = Verdict.mk_stats () in
     match Budget.solve b stats s with
     | exception Budget.Cancelled -> `Cancelled

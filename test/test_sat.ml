@@ -225,29 +225,44 @@ let test_reduce_fires () =
   let nv, cls = pigeonhole 6 in
   let s = Solver.create () in
   Solver.set_reduce s { Solver.enabled = true; base = 30; growth = 1.1; keep_lbd = 2 };
-  let deleted_total = ref 0 in
-  let lbd_snapshots = ref 0 in
-  let lbd_mismatches = ref 0 in
-  let dead_mismatches = ref 0 in
-  Solver.on_reduce s
-    (Some
-       (fun (ri : Solver.reduce_info) ->
-         deleted_total := !deleted_total + ri.Solver.deleted;
-         incr lbd_snapshots;
-         (* The survivor snapshot must account for every kept learnt
-            clause, and the victim histograms for every deleted one. *)
-         if Array.fold_left ( + ) 0 ri.Solver.kept_lbd <> ri.Solver.kept then
-           incr lbd_mismatches;
-         let sum = Array.fold_left ( + ) 0 in
-         if sum ri.Solver.dead_lbd <> ri.Solver.deleted then incr dead_mismatches;
-         if sum ri.Solver.dead_uses <> ri.Solver.deleted then incr dead_mismatches;
-         if sum ri.Solver.dead_drift <> ri.Solver.deleted then incr dead_mismatches));
   for _ = 1 to nv do
     ignore (Solver.new_var s)
   done;
   List.iter (fun c -> Solver.add_clause s c) cls;
-  Alcotest.(check bool) "php 6 unsat" true (Solver.solve s = Solver.Unsat);
+  (* The solver posts one record per reduction while a listener is
+     subscribed. *)
+  let recorder = Isr_obs.Event.recorder () in
+  let consumer = Isr_obs.Event.recording recorder in
+  Isr_obs.Event.subscribe consumer;
+  let r =
+    Fun.protect ~finally:(fun () -> Isr_obs.Event.unsubscribe consumer) (fun () -> Solver.solve s)
+  in
+  Alcotest.(check bool) "php 6 unsat" true (r = Solver.Unsat);
   Alcotest.(check bool) "reductions fired" true (Solver.num_reduces s > 0);
+  let deleted_total = ref 0 in
+  let lbd_snapshots = ref 0 in
+  let lbd_mismatches = ref 0 in
+  let dead_mismatches = ref 0 in
+  let last_kept = ref (-1) in
+  List.iter
+    (fun (e : Isr_obs.Event.t) ->
+      match e.Isr_obs.Event.kind with
+      | Isr_obs.Event.Reduce { kept; dropped; lbd; dead_lbd; dead_uses } ->
+        deleted_total := !deleted_total + dropped;
+        last_kept := kept;
+        incr lbd_snapshots;
+        (* The survivor snapshot must account for every kept learnt
+           clause, and the victim histograms for every deleted one. *)
+        let sum = Array.fold_left ( + ) 0 in
+        if sum lbd <> kept then incr lbd_mismatches;
+        if sum dead_lbd <> dropped then incr dead_mismatches;
+        if sum dead_uses <> dropped then incr dead_mismatches
+      | _ -> ())
+    (Isr_obs.Event.events recorder);
+  Alcotest.(check int) "one record per reduction" (Solver.num_reduces s) !lbd_snapshots;
+  Alcotest.(check int) "records account for every deletion" (Solver.num_deleted s)
+    !deleted_total;
+  Alcotest.(check int) "last record's survivors" (Solver.reduce_kept s) !last_kept;
   Alcotest.(check bool) "observer saw deletions" true (!deleted_total > 0);
   Alcotest.(check bool) "lbd snapshots delivered" true (!lbd_snapshots > 0);
   Alcotest.(check int) "every lbd snapshot sums to kept" 0 !lbd_mismatches;

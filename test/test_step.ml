@@ -403,6 +403,40 @@ let stepper_names () =
     (Engine.Portfolio :: Engine.Bmc_only Bmc.Assume :: Engine.Kind :: Engine.Pdr
      :: Engine.Itpseq_pba (0.0, Bmc.Exact) :: Engine.all)
 
+(* The cancel token is an argument, not domain state: an instance
+   started in this domain and driven in another stops when the token is
+   set from here. *)
+let token_crosses_domains () =
+  let token = Atomic.make false in
+  let packed =
+    match Result.map Engine.stepper (Engine.of_name "sitpseq0.5-exact") with
+    | Ok (Some p) -> p
+    | _ -> Alcotest.fail "no sitpseq stepper"
+  in
+  let inst = Step.start ~limits ~cancel:token packed (build "fifo3") in
+  let d =
+    Domain.spawn (fun () ->
+        match Step.drive inst with exception Budget.Cancelled -> None | v, _ -> Some v)
+  in
+  Unix.sleepf 0.05;
+  Atomic.set token true;
+  match Domain.join d with
+  | None -> ()
+  | Some v -> Alcotest.failf "fifo3 ran to %a past its token" Verdict.pp v
+
+(* Random simulation hits vending7bug; the BMC run that minimises the
+   hit runs under the lane's token, so a set token stops it. *)
+let randsim_minimisation_cancelled () =
+  Alcotest.(check bool) "random simulation hits the bug" true
+    (Isr_model.Rand_sim.falsify (build "vending7bug") <> None);
+  let inst =
+    Step.start ~limits ~cancel:(Atomic.make true) (Portfolio.stepper_of `Randsim)
+      (build "vending7bug")
+  in
+  match Step.step inst with
+  | exception Budget.Cancelled -> ()
+  | _ -> Alcotest.fail "the minimising BMC run ignored the lane's token"
+
 let () =
   Alcotest.run "step"
     [
@@ -421,6 +455,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_interleaving;
           Alcotest.test_case "exhaustion + work hand-off" `Quick sched_exhaustion;
+        ] );
+      ( "cancel",
+        [
+          Alcotest.test_case "a token set in another domain" `Quick token_crosses_domains;
+          Alcotest.test_case "randsim's minimisation" `Quick randsim_minimisation_cancelled;
         ] );
       ( "naming",
         [
