@@ -1756,12 +1756,13 @@ let pin_cases =
    given relative to the working directory as absolute ones: every
    [isr_obs] reader of the entry then finds the files, from any
    directory. *)
+(* A built executable of bin/ (the test stanza depends on them). *)
+let bin name =
+  let here = Filename.dirname Sys.executable_name in
+  let here = if Filename.is_relative here then Filename.concat (Sys.getcwd ()) here else here in
+  Filename.concat (Filename.concat here "../bin") name
+
 let test_ledger_relative_paths () =
-  let bin name =
-    let here = Filename.dirname Sys.executable_name in
-    let here = if Filename.is_relative here then Filename.concat (Sys.getcwd ()) here else here in
-    Filename.concat (Filename.concat here "../bin") name
-  in
   let dir = Filename.temp_file "isr_ledger_paths" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -1813,6 +1814,55 @@ let test_ledger_relative_paths () =
     (run "%s steps mid.jsonl > out.txt 2>&1" (Filename.quote (bin "isr_obs_cli.exe")));
   ignore (run "rm -rf L e.jsonl p.json out.txt mid.jsonl");
   Sys.rmdir dir
+
+(* The reading subcommands of isr_obs on recorded files under golden/:
+   three real event streams (a portfolio race, a bound-parallel BMC
+   race, a sequential run), a hand-written race that uses every record
+   kind and cancel cause, a two-entry ledger over two of them with their
+   profiles, and a checkpoint.  Pinned: each command's stdout and exit
+   code. *)
+let golden_commands =
+  let ev f = "golden/ledger/events/" ^ f in
+  let streams =
+    List.map ev
+      [ "amba3g4-portfolio-par2.jsonl"; "vending7bug-bmc-par2.jsonl";
+        "peterson-itpseqcba.jsonl"; "race-synthetic.jsonl" ]
+  in
+  List.concat_map
+    (fun s ->
+      [ "explain-race " ^ s; "steps " ^ s; "steps --schedule " ^ s; "top --width 200 " ^ s;
+        "tail " ^ s ])
+    streams
+  @ [ "ls --ledger golden/ledger";
+      "show --ledger golden/ledger r0001";
+      "show --ledger golden/ledger r0002";
+      "diff --ledger golden/ledger r0001 r0002";
+      "diff --ledger golden/ledger --top 3 r0002 r0001";
+      "clauses --ledger golden/ledger r0001";
+      "clauses --ledger golden/ledger r0002";
+      "explain-race --ledger golden/ledger --run r0001";
+      "steps --ledger golden/ledger --run r0002";
+      "top --width 200 --ledger golden/ledger --attach";
+      "ckpt golden/peterson-itpseq-b3.ck";
+      "ckpt golden/ledger/ledger.jsonl";
+      "ckpt golden/missing.ck" ]
+
+let test_golden () =
+  let out = Filename.temp_file "isr_obs_golden" ".out" in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun args ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2> /dev/null" (Filename.quote (bin "isr_obs_cli.exe")) args
+             (Filename.quote out))
+      in
+      Buffer.add_string b (Printf.sprintf "$ isr_obs %s\n" args);
+      Buffer.add_string b (In_channel.with_open_bin out In_channel.input_all);
+      Buffer.add_string b (Printf.sprintf "[exit %d]\n" rc))
+    golden_commands;
+  Sys.remove out;
+  check_pin "isr_obs-golden" (Buffer.contents b)
 
 let test_missing_fields () =
   let with_lines lines f =
@@ -1934,6 +1984,7 @@ let () =
           Alcotest.test_case "missing fields skipped, missing schema named" `Quick
             test_missing_fields;
           Alcotest.test_case "relative paths of a verify run" `Quick test_ledger_relative_paths;
+          Alcotest.test_case "isr_obs on recorded files" `Quick test_golden;
         ] );
       ( "profile",
         [
