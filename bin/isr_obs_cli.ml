@@ -8,7 +8,12 @@
      isr_obs explain-race events.jsonl    # who won the race, and why
      isr_obs export events.jsonl -o t.json  # Chrome trace of the stream
      isr_obs clauses r0003                # clause-lifecycle report
-     isr_obs top --follow events.jsonl    # live multi-domain dashboard *)
+     isr_obs top --follow events.jsonl    # live multi-domain dashboard
+
+   Every format read here is decoded by the library module that writes
+   it (Dash.view folds event streams, Metrics.of_json reads snapshots,
+   Profile.read_self_times profiles, Checkpoint.read checkpoints); this
+   file only renders. *)
 
 open Cmdliner
 module J = Isr_obs.Json
@@ -17,6 +22,7 @@ module E = Isr_obs.Event
 module CR = Isr_obs.Clause_report
 module D = Isr_obs.Dash
 module F = Isr_obs.Flight
+module M = Isr_obs.Metrics
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("isr_obs: " ^ msg); exit 2) fmt
 
@@ -121,22 +127,15 @@ let show_cmd =
     Option.iter (fun p -> Printf.printf "profile   %s\n" (L.resolve lg p)) e.L.profile_path;
     if e.L.metrics_json <> "" then begin
       print_endline "metrics:";
-      match J.parse e.L.metrics_json with
-      | exception J.Parse_error msg -> Printf.printf "  (unreadable: %s)\n" msg
-      | J.Obj kvs ->
+      match M.of_json e.L.metrics_json with
+      | exception Failure msg -> Printf.printf "  (unreadable: %s)\n" msg
+      | readings ->
         List.iter
-          (fun (k, v) ->
-            match v with
-            | J.Num f -> Printf.printf "  %-28s %s\n" k (J.float_ f)
-            | J.Obj _ as h ->
-              let count = Option.value ~default:0 (J.opt_int_field "count" h) in
-              let max_v =
-                match J.field "max" h with Some (J.Num m) -> m | _ -> 0.0
-              in
-              Printf.printf "  %-28s count=%d max=%s\n" k count (J.float_ max_v)
-            | _ -> ())
-          kvs
-      | _ -> print_endline "  (not an object)"
+          (function
+            | k, M.Number f -> Printf.printf "  %-28s %s\n" k (J.float_ f)
+            | k, M.Histogram { count; max; _ } ->
+              Printf.printf "  %-28s count=%d max=%s\n" k count (J.float_ max))
+          readings
     end;
     0
   in
@@ -145,45 +144,6 @@ let show_cmd =
     Term.(const run $ ledger_arg $ id_arg)
 
 (* --- diff ------------------------------------------------------------------ *)
-
-(* Flatten a metrics snapshot to comparable scalars: counters and gauges
-   by name, histograms by their count. *)
-let scalars_of_metrics json =
-  if json = "" then []
-  else
-    match J.parse json with
-    | exception J.Parse_error _ -> []
-    | J.Obj kvs ->
-      List.filter_map
-        (fun (k, v) ->
-          match v with
-          | J.Num f -> Some (k, f)
-          | J.Obj _ as h ->
-            Option.map (fun c -> (k ^ ".count", float_of_int c)) (J.opt_int_field "count" h)
-          | _ -> None)
-        kvs
-    | _ -> []
-
-(* Flatten a profile tree to span-path -> (calls, total_s, self_s). *)
-let rec flatten_profile prefix j acc =
-  match j with
-  | J.Obj _ ->
-    let name = Option.value ~default:"?" (J.opt_str_field "name" j) in
-    let path = if prefix = "" then name else prefix ^ "/" ^ name in
-    let self = match J.field "self_s" j with Some (J.Num f) -> f | _ -> 0.0 in
-    let acc = (path, self) :: acc in
-    (match J.field "children" j with
-    | Some (J.Arr cs) -> List.fold_left (fun acc c -> flatten_profile path c acc) acc cs
-    | _ -> acc)
-  | _ -> acc
-
-let load_profile path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error _ -> None
-  | text -> (
-    match J.parse (String.trim text) with
-    | exception J.Parse_error _ -> None
-    | j -> Some (flatten_profile "" j []))
 
 let pct base delta = if base <> 0.0 then Printf.sprintf "%+.1f%%" (100.0 *. delta /. base) else "new"
 
@@ -213,9 +173,19 @@ let diff_cmd =
     depth "jfp" a.L.jfp b.L.jfp;
     Printf.printf "wall:     %.3f s -> %.3f s  (%s)\n" a.L.wall_s b.L.wall_s
       (pct a.L.wall_s (b.L.wall_s -. a.L.wall_s));
-    (* Metric deltas, largest relative movement first. *)
-    let ma = scalars_of_metrics a.L.metrics_json
-    and mb = scalars_of_metrics b.L.metrics_json in
+    (* Metric deltas, largest relative movement first: counters and
+       gauges by name, histograms by their count. *)
+    let scalars json =
+      match M.of_json json with
+      | exception Failure _ -> []
+      | readings ->
+        List.map
+          (function
+            | k, M.Number f -> (k, f)
+            | k, M.Histogram { count; _ } -> (k ^ ".count", float_of_int count))
+          readings
+    in
+    let ma = scalars a.L.metrics_json and mb = scalars b.L.metrics_json in
     let deltas =
       List.filter_map
         (fun (k, va) ->
@@ -255,7 +225,8 @@ let diff_cmd =
     (* Profile diff when both runs dumped one. *)
     (match (a.L.profile_path, b.L.profile_path) with
     | Some pa, Some pb -> (
-      match (load_profile (L.resolve lg pa), load_profile (L.resolve lg pb)) with
+      let read p = Isr_obs.Profile.read_self_times (L.resolve lg p) in
+      match (read pa, read pb) with
       | Some fa, Some fb ->
         let moved =
           List.filter_map
@@ -312,12 +283,7 @@ let pp_event (e : E.t) =
     | E.Spawn { worker; engines } -> Printf.sprintf "spawn         w%d [%s]" worker engines
     | E.Dispatch { worker; bound } -> Printf.sprintf "dispatch      w%d bound=%d" worker bound
     | E.Cancel { worker; cause; by } ->
-      Printf.sprintf "cancel        w%d by=w%d cause=%s" worker by
-        (match cause with
-        | E.Race_won -> "winner-verdict"
-        | E.Deadline -> "deadline"
-        | E.Min_depth -> "minimised-depth"
-        | E.Exhausted -> "slate-exhausted")
+      Printf.sprintf "cancel        w%d by=w%d cause=%s" worker by (D.cause_name cause)
     | E.Verdict { worker; verdict } -> Printf.sprintf "VERDICT       w%d %s" worker verdict
     | E.Analyze { pass; ands_before; ands_after; latches_before; latches_after } ->
       Printf.sprintf "analyze       %s ands=%d->%d latches=%d->%d" pass ands_before
@@ -365,84 +331,49 @@ let cause_text = function
   | E.Min_depth -> "a shallower counterexample made its bound doomed"
   | E.Exhausted -> "its member slate was exhausted (all bound-limited)"
 
-(* Reconstruct the portfolio/bound-parallel story from the merged stream
-   alone: who was spawned on what, who published the verdict, and the
-   first causal cancellation edge of every other worker. *)
+(* The portfolio/bound-parallel story of the merged stream: who was
+   spawned on what, who published the verdict, and the first causal
+   cancellation edge of every other worker. *)
 let explain events =
-  let spawns =
-    List.filter_map
-      (function
-        | { E.kind = E.Spawn { worker; engines }; _ } as e -> Some (worker, engines, e)
-        | _ -> None)
-      events
-  in
-  if spawns = [] then begin
+  let v = D.view events in
+  if v.D.spawns = [] then begin
     print_endline "no worker lifecycle in this stream (not a --par run?)";
     1
   end
   else begin
-    let t0 =
-      List.fold_left (fun acc e -> Float.min acc e.E.ts) infinity events
-    in
-    Printf.printf "%d workers spawned:\n" (List.length spawns);
+    let at ts = ts -. v.D.t0 in
+    let spawned = List.map (fun w -> List.find (fun l -> l.D.worker = w) v.D.lanes) v.D.spawns in
+    Printf.printf "%d workers spawned:\n" (List.length spawned);
     List.iter
-      (fun (worker, engines, e) ->
-        let dispatches =
-          List.length
-            (List.filter
-               (function
-                 | { E.kind = E.Dispatch { worker = w; _ }; _ } -> w = worker
-                 | _ -> false)
-               events)
-        in
-        Printf.printf "  w%d  [%s]  spawned at +%.4fs%s\n" worker engines (e.E.ts -. t0)
-          (if dispatches > 0 then Printf.sprintf ", %d bound(s) dispatched" dispatches
+      (fun l ->
+        Printf.printf "  w%d  [%s]  spawned at +%.4fs%s\n" l.D.worker l.D.engines
+          (at (Option.get l.D.spawned))
+          (if l.D.dispatches > 0 then Printf.sprintf ", %d bound(s) dispatched" l.D.dispatches
            else ""))
-      spawns;
-    let verdicts =
-      List.filter_map
-        (function
-          | { E.kind = E.Verdict { worker; verdict }; _ } as e -> Some (worker, verdict, e)
-          | _ -> None)
-        events
-    in
+      spawned;
     (* The verdict that stands is the LAST one published: bound-parallel
        BMC lets workers below a found depth keep minimising, and each
        shallower counterexample supersedes the previous publication.
        A portfolio race publishes exactly once. *)
-    (match List.rev verdicts with
+    (match List.rev v.D.verdicts with
     | [] -> print_endline "no verdict was published (every worker exhausted its budget)"
-    | (w, verdict, e) :: superseded ->
+    | (w, verdict, ts) :: superseded ->
       List.iter
-        (fun (worker, verdict, e') ->
-          Printf.printf "w%d published %s at +%.4fs (superseded by a shallower one)\n"
-            worker verdict (e'.E.ts -. t0))
+        (fun (w', verdict', ts') ->
+          Printf.printf "w%d published %s at +%.4fs (superseded by a shallower one)\n" w'
+            verdict' (at ts'))
         (List.rev superseded);
-      Printf.printf "winner: w%d published %s at +%.4fs\n" w verdict (e.E.ts -. t0));
+      Printf.printf "winner: w%d published %s at +%.4fs\n" w verdict (at ts));
     List.iter
-      (fun (worker, _, _) ->
-        let cancels =
-          List.filter_map
-            (function
-              | { E.kind = E.Cancel { worker = w; cause; by }; _ } as e when w = worker ->
-                Some (cause, by, e)
-              | _ -> None)
-            events
-        in
-        match cancels with
-        | (cause, by, e) :: _ ->
-          Printf.printf "  w%d: %s (edge from w%d at +%.4fs)\n" worker (cause_text cause) by
-            (e.E.ts -. t0)
-        | [] ->
-          if
-            not
-              (List.exists
-                 (function
-                   | { E.kind = E.Verdict { worker = w; _ }; _ } -> w = worker
-                   | _ -> false)
-                 events)
-          then Printf.printf "  w%d: finished on its own (no cancellation recorded)\n" worker)
-      spawns;
+      (fun l ->
+        match (l.D.cancelled, l.D.verdict) with
+        | Some (cause, by, ts), _ ->
+          Printf.printf "  w%d: %s (edge from w%d at +%.4fs)\n" l.D.worker (cause_text cause) by
+            (at ts)
+        | None, None ->
+          Printf.printf "  w%d: finished on its own (no cancellation recorded)\n" l.D.worker
+        | None, Some _ -> ())
+      spawned;
     0
   end
 
@@ -458,70 +389,30 @@ let explain_cmd =
 
 (* --- steps -------------------------------------------------------------------- *)
 
-(* Reconstruct the step-kernel interleaving from schema-4 Step events:
+(* The step-kernel interleaving of the stream's schema-4 Step events:
    which lanes ran, in what order, and where each one ended up.  With
    --schedule the exact lane-id sequence is printed — feed it back to a
    scheduler replay to re-drive the same interleaving. *)
 let steps_cmd =
   let run dir run_id schedule path =
-    match read_stream dir run_id path with
-    | path, events ->
-      let steps =
-        List.filter_map
-          (fun (e : E.t) ->
-            match e.E.kind with
-            | E.Step { lane; engine; n; pos; status } ->
-              Some (e.E.dom, lane, engine, n, pos, status)
-            | _ -> None)
-          events
-      in
-      if steps = [] then die "no Step events in %s (schema < 4, or kernel events off)" path;
-      (* A lane left "running" stopped with its scheduler when another
-         lane of its domain decided, or when a [Cancel] edge reached the
-         worker its domain's [Spawn] binds it to: it is cancelled, not
-         mid-flight. *)
-      let dom_of = Hashtbl.create 8 and stopped = Hashtbl.create 8 in
-      List.iter
-        (fun (e : E.t) ->
-          match e.E.kind with
-          | E.Spawn { worker; _ } -> Hashtbl.replace dom_of worker e.E.dom
-          | _ -> ())
-        events;
-      List.iter
-        (fun (e : E.t) ->
-          match e.E.kind with
-          | E.Cancel { worker; _ } ->
-            Option.iter (fun d -> Hashtbl.replace stopped d ()) (Hashtbl.find_opt dom_of worker)
-          | E.Step { status = "proved" | "falsified"; _ } -> Hashtbl.replace stopped e.E.dom ()
-          | _ -> ())
-        events;
-      (* Per-lane last-write-wins summary, in lane-id order. *)
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun (dom, lane, engine, n, pos, status) ->
-          let status =
-            if status = "running" && Hashtbl.mem stopped dom then "cancelled" else status
-          in
-          Hashtbl.replace tbl lane (engine, n, pos, status))
-        steps;
-      let lanes =
-        List.sort compare (Hashtbl.fold (fun lane v acc -> (lane, v) :: acc) tbl [])
-      in
-      Printf.printf "%d step events across %d lanes\n" (List.length steps)
-        (List.length lanes);
-      Printf.printf "%-5s %-22s %8s %8s %s\n" "lane" "engine" "steps" "pos" "final";
-      List.iter
-        (fun (lane, (engine, n, pos, status)) ->
-          Printf.printf "l%-4d %-22s %8d %8d %s\n" lane engine n pos status)
-        lanes;
-      if schedule then begin
-        print_string "schedule:";
-        List.iter (fun (_, lane, _, _, _, _) -> Printf.printf " %d" lane) steps;
-        print_newline ()
-      end;
-      (* A lane left "running" means the stream stops mid-flight — an
-         interrupted (checkpointed?) or still-live run, worth signalling. *)
-      if List.exists (fun (_, (_, _, _, st)) -> st = "running") lanes then 1 else 0
+    let path, events = read_stream dir run_id path in
+    let v = D.view events in
+    if v.D.schedule = [] then die "no Step events in %s (schema < 4, or kernel events off)" path;
+    Printf.printf "%d step events across %d lanes\n" (List.length v.D.schedule)
+      (List.length v.D.members);
+    Printf.printf "%-5s %-22s %8s %8s %s\n" "lane" "engine" "steps" "pos" "final";
+    List.iter
+      (fun (m : D.member) ->
+        Printf.printf "l%-4d %-22s %8d %8d %s\n" m.D.id m.D.engine m.D.n m.D.pos m.D.status)
+      v.D.members;
+    if schedule then begin
+      print_string "schedule:";
+      List.iter (Printf.printf " %d") v.D.schedule;
+      print_newline ()
+    end;
+    (* A lane left "running" means the stream stops mid-flight — an
+       interrupted (checkpointed?) or still-live run, worth signalling. *)
+    if List.exists (fun (m : D.member) -> m.D.status = "running") v.D.members then 1 else 0
   in
   let schedule_arg =
     Arg.(
@@ -540,33 +431,17 @@ let steps_cmd =
 
 (* --- ckpt -------------------------------------------------------------------- *)
 
-(* The checkpoint envelope is a JSON meta line followed by an opaque
-   binary payload; only the meta line is read here, so isr_obs needs no
-   isr_core dependency to inspect a checkpoint. *)
 let ckpt_cmd =
   let run path =
-    let meta =
-      try In_channel.with_open_bin path input_line
-      with Sys_error msg | Failure msg -> die "%s" msg
-    in
-    match J.parse meta with
-    | exception J.Parse_error msg -> die "%s: not a checkpoint (bad meta line: %s)" path msg
-    | j ->
-      (match J.opt_str_field "stream" j with
-      | Some "isr-checkpoint" -> ()
-      | _ -> die "%s: not an isr checkpoint" path);
-      let str k = Option.value ~default:"?" (J.opt_str_field k j) in
-      let int k = Option.value ~default:0 (J.opt_int_field k j) in
-      let elapsed =
-        match J.field "elapsed" j with Some (J.Num f) -> f | _ -> 0.0
-      in
-      Printf.printf "checkpoint %s (version %d)\n" path (int "version");
-      Printf.printf "  engine:  %s\n" (str "engine");
-      Printf.printf "  model:   %s  [%s]\n" (str "model") (str "sig");
-      Printf.printf "  taken:   after %d kernel steps, at bound %d, %.3fs elapsed\n"
-        (int "steps") (int "bound") elapsed;
-      Printf.printf "  payload: %d bytes\n" (int "bytes");
-      0
+    let module C = Isr_core.Checkpoint in
+    let c = try C.read path with Failure msg -> die "%s" msg in
+    Printf.printf "checkpoint %s (version %d)\n" path c.C.version;
+    Printf.printf "  engine:  %s\n" c.C.engine;
+    Printf.printf "  model:   %s  [%s]\n" c.C.model c.C.model_sig;
+    Printf.printf "  taken:   after %d kernel steps, at bound %d, %.3fs elapsed\n" c.C.steps
+      c.C.bound c.C.elapsed;
+    Printf.printf "  payload: %d bytes\n" (String.length c.C.payload);
+    0
   in
   let path_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"CKPT") in
   Cmd.v
@@ -610,11 +485,11 @@ let clauses_cmd =
     let metrics =
       if e.L.metrics_json = "" then None
       else
-        match J.parse e.L.metrics_json with
-        | exception J.Parse_error msg ->
+        match M.of_json e.L.metrics_json with
+        | exception Failure msg ->
           Printf.eprintf "isr_obs: metrics of %s unreadable (%s)\n" id msg;
           None
-        | j -> Some j
+        | readings -> Some readings
     in
     let events =
       match e.L.events_path with
@@ -650,6 +525,11 @@ let gc_line (g : F.snap) =
 
 let top_cmd =
   let run dir run_id attach follow interval width path =
+    (* Only a live frame is clamped to the terminal; a one-shot frame is
+       printed whole, so piped output keeps its state column. *)
+    let width =
+      if follow && width = None then Some (Isr_obs.Progress.default_width ()) else width
+    in
     let frame () =
       (* Re-resolved every frame, so --attach picks up a freshly started
          run mid-follow. *)
@@ -690,7 +570,7 @@ let top_cmd =
     Arg.(value & opt float 0.5 & info [ "interval" ] ~docv:"S" ~doc:"Redraw period for --follow.")
   in
   let width_arg =
-    Arg.(value & opt (some int) None & info [ "width" ] ~docv:"COLS" ~doc:"Frame width (default \\$COLUMNS).")
+    Arg.(value & opt (some int) None & info [ "width" ] ~docv:"COLS" ~doc:"Clamp frame lines to $(docv) columns (default under --follow: \\$COLUMNS, else no clamp).")
   in
   Cmd.v
     (Cmd.info "top"

@@ -108,37 +108,50 @@ let write path t =
   Sys.rename tmp path
 
 let read path =
+  let fail fmt = Printf.ksprintf (fun msg -> failwith ("Checkpoint.read " ^ path ^ ": " ^ msg)) fmt in
   let ic =
     try open_in_bin path with Sys_error msg -> failwith ("Checkpoint.read: " ^ msg)
   in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let meta = try input_line ic with End_of_file -> failwith ("Checkpoint.read " ^ path ^ ": empty file") in
+      let meta = try input_line ic with End_of_file -> fail "empty file" in
       let j =
         match Json.parse meta with
-        | exception Json.Parse_error _ ->
-          failwith ("Checkpoint.read " ^ path ^ ": not a checkpoint (bad meta line)")
+        | exception Json.Parse_error _ -> fail "not a checkpoint (bad meta line)"
         | j -> j
       in
       (match Json.field "stream" j with
       | Some (Json.Str "isr-checkpoint") -> ()
-      | _ -> failwith ("Checkpoint.read " ^ path ^ ": not a checkpoint stream"));
-      let num name = int_of_float (Json.num_field name j) in
-      let v = num "version" in
-      if v > version then
-        failwith
-          (Printf.sprintf "Checkpoint.read %s: envelope version %d is newer than %d" path v
-             version);
-      let bytes = num "bytes" in
+      | _ -> fail "not a checkpoint stream");
+      let float name =
+        match Json.field name j with
+        | Some (Json.Num f) -> f
+        | _ -> fail "the meta line has no number %S" name
+      in
+      let int name =
+        let f = float name in
+        if Float.is_integer f && Float.abs f < 0x1p62 then int_of_float f
+        else fail "%S is not an integer" name
+      in
+      let str name =
+        match Json.field name j with
+        | Some (Json.Str s) -> s
+        | _ -> fail "the meta line has no string %S" name
+      in
+      let v = int "version" in
+      if v > version then fail "envelope version %d is newer than %d" v version;
+      (* The payload is the rest of the file, exactly. *)
+      let bytes = int "bytes" and left = in_channel_length ic - pos_in ic in
+      if bytes <> left then fail "the meta line announces %d payload bytes, the file holds %d" bytes left;
       let payload = really_input_string ic bytes in
       {
         version = v;
-        engine = Json.str_field "engine" j;
-        model = Json.str_field "model" j;
-        model_sig = Json.str_field "sig" j;
-        steps = num "steps";
-        bound = num "bound";
-        elapsed = Json.num_field "elapsed" j;
+        engine = str "engine";
+        model = str "model";
+        model_sig = str "sig";
+        steps = int "steps";
+        bound = int "bound";
+        elapsed = float "elapsed";
         payload;
       })

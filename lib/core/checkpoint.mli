@@ -4,8 +4,9 @@
     envelope version, engine spelling, model identity, driver step
     count, engine bound, elapsed seconds, payload byte count) followed
     by the engine's opaque binary payload.  The meta line is readable by
-    any JSON tool — [isr_obs ckpt] pretty-prints it without linking the
-    engines — while the payload is private to the engine that wrote it.
+    any JSON tool, and {!read} is its one decoder ([isr_obs ckpt]
+    pretty-prints what it returns); the payload is private to the engine
+    that wrote it.
 
     Payloads must be {e pure data}: no closures, no solver handles, no
     manager-relative AIG literals.  Engines serialize the AIG part of
@@ -79,5 +80,7 @@ val write : string -> t -> unit
     @raise Sys_error on unwritable paths. *)
 
 val read : string -> t
-(** @raise Failure on missing files, foreign content, or a newer
-    envelope version. *)
+(** @raise Failure on missing files, foreign content, a newer envelope
+    version, a meta line that lacks a field or mistypes it, and a
+    payload whose length is not the announced byte count (a truncated
+    file).  The payload itself is not validated. *)

@@ -26,36 +26,20 @@ type t = {
   violations : string list;
 }
 
-let int_field name j =
-  match Json.field name j with
-  | Some (Json.Num f) -> Some (int_of_float f)
-  | _ -> None
-
-let hist_field name j =
-  match Json.field name j with
-  | Some (Json.Obj _ as h) ->
-    let count = Option.value ~default:0 (int_field "count" h) in
-    let sum = match Json.field "sum" h with Some (Json.Num f) -> f | _ -> 0.0 in
-    let max_v = match Json.field "max" h with Some (Json.Num f) -> f | _ -> 0.0 in
-    let buckets =
-      match Json.field "buckets" h with
-      | Some (Json.Arr bs) ->
-        List.filter_map
-          (fun b ->
-            match (Json.field "le" b, Json.field "n" b) with
-            | Some (Json.Num le), Some (Json.Num n) -> Some (le, int_of_float n)
-            | _ -> None)
-          bs
-      | _ -> []
-    in
-    Some { count; mean = (if count > 0 then sum /. float_of_int count else 0.0); max_v; buckets }
-  | _ -> None
-
 let nbuckets = 16
 
 let of_run ~metrics ~events =
-  let geti name = match metrics with None -> 0 | Some j -> Option.value ~default:0 (int_field name j) in
-  let hist name = match metrics with None -> None | Some j -> hist_field name j in
+  let reading name = Option.bind metrics (List.assoc_opt name) in
+  let geti name =
+    match reading name with Some (Metrics.Number f) -> int_of_float f | _ -> 0
+  in
+  let hist name =
+    match reading name with
+    | Some (Metrics.Histogram { count; sum; max; buckets }) ->
+      Some
+        { count; mean = (if count > 0 then sum /. float_of_int count else 0.0); max_v = max; buckets }
+    | _ -> None
+  in
   let born = geti "clause.born" in
   let deleted = geti "clause.deleted" in
   let reduces = geti "sat.db.reduce" in

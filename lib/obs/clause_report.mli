@@ -8,7 +8,7 @@
     analyses the deleted ones served first, how much their glue
     improved, and which birth-LBD band the proof-core clauses came from
     — exactly the evidence a HordeSat-style clause-sharing export
-    filter needs.  Pure: inputs are parsed JSON and decoded events,
+    filter needs.  Pure: inputs are a decoded snapshot and events,
     rendering is a formatter, so the report is unit-testable against
     canned runs.  Backed by the [isr_obs clauses] subcommand. *)
 
@@ -38,9 +38,10 @@ type t = {
           empty for a consistent run *)
 }
 
-val of_run : metrics:Json.t option -> events:Event.t list -> t
-(** Build the report from a parsed metrics snapshot (as stored in the
-    ledger's [metrics_json]) and a decoded event stream; either side may
-    be missing and the report degrades to what is available. *)
+val of_run : metrics:(string * Metrics.reading) list option -> events:Event.t list -> t
+(** Build the report from a metrics snapshot (the ledger's
+    [metrics_json] read by {!Metrics.of_json}) and a decoded event
+    stream; either side may be missing and the report degrades to what
+    is available. *)
 
 val pp : Format.formatter -> t -> unit

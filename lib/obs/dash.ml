@@ -1,79 +1,71 @@
-(* Dashboard model for [isr_obs top]; see the .mli.  The fold reuses the
-   attribution rules of explain-race: lifecycle events ([Spawn],
-   [Dispatch], [Cancel], [Verdict]) name their worker explicitly, and a
-   [Spawn] binds its emitting domain to that worker so the dom-only
-   solver events land in the right lane. *)
+(* The one fold of a merged event stream; see the .mli.  Lifecycle
+   records ([Spawn], [Dispatch], [Cancel], [Verdict]) name their worker
+   explicitly, and a [Spawn] binds its emitting domain to that worker so
+   the dom-only solver events land in the right lane. *)
 
 type lane = {
   worker : int;
-  engines : string;
-  bound : int;
-  conflicts : int;
-  learnt : int;
-  restarts : int;
-  reduces : int;
-  kept : int;
-  rate : float;
-  phase : string;
-  cuts : int;
-  verdict : string option;
-  cancelled : (Event.cause * int) option;
-  last_ts : float;
+  mutable engines : string;
+  mutable spawned : float option;
+  mutable dom : int option;
+  mutable dispatches : int;
+  mutable bound : int;
+  mutable conflicts : int;
+  mutable learnt : int;
+  mutable restarts : int;
+  mutable reduces : int;
+  mutable kept : int;
+  mutable rate : float;
+  mutable phase : string;
+  mutable cuts : int;
+  mutable verdict : string option;
+  mutable cancelled : (Event.cause * int * float) option;
+  mutable last_ts : float;
 }
+
+type member = { id : int; engine : string; n : int; pos : int; status : string }
 
 type view = {
   t0 : float;
   t_end : float;
   lanes : lane list;
   total : int;
-  winner : (int * string) option;
-}
-
-(* Mutable fold accumulator; flattened into the pure [lane] at the end. *)
-type acc = {
-  mutable a_engines : string;
-  mutable a_bound : int;
-  mutable a_conflicts : int;
-  mutable a_learnt : int;
-  mutable a_restarts : int;
-  mutable a_reduces : int;
-  mutable a_kept : int;
-  mutable a_rate : float;
-  mutable a_prev_restart : (float * int) option;
-  mutable a_phase : string;
-  mutable a_cuts : int;
-  mutable a_verdict : string option;
-  mutable a_cancelled : (Event.cause * int) option;
-  mutable a_last_ts : float;
+  spawns : int list;
+  verdicts : (int * string * float) list;
+  members : member list;
+  schedule : int list;
 }
 
 let view events =
-  let lanes : (int, acc) Hashtbl.t = Hashtbl.create 8 in
+  let lanes : (int, lane) Hashtbl.t = Hashtbl.create 8 in
   let dom_of : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let lane w =
     match Hashtbl.find_opt lanes w with
-    | Some a -> a
+    | Some l -> l
     | None ->
-      let a =
+      let l =
         {
-          a_engines = "-";
-          a_bound = -1;
-          a_conflicts = 0;
-          a_learnt = 0;
-          a_restarts = 0;
-          a_reduces = 0;
-          a_kept = -1;
-          a_rate = 0.0;
-          a_prev_restart = None;
-          a_phase = "";
-          a_cuts = 0;
-          a_verdict = None;
-          a_cancelled = None;
-          a_last_ts = 0.0;
+          worker = w;
+          engines = "-";
+          spawned = None;
+          dom = None;
+          dispatches = 0;
+          bound = -1;
+          conflicts = 0;
+          learnt = 0;
+          restarts = 0;
+          reduces = 0;
+          kept = -1;
+          rate = 0.0;
+          phase = "";
+          cuts = 0;
+          verdict = None;
+          cancelled = None;
+          last_ts = 0.0;
         }
       in
-      Hashtbl.add lanes w a;
-      a
+      Hashtbl.add lanes w l;
+      l
   in
   (* Dom-only events go to the worker their domain was bound to by a
      [Spawn]; unbound domains (sequential streams, or events before the
@@ -82,99 +74,113 @@ let view events =
   let lane_of_dom dom =
     match Hashtbl.find_opt dom_of dom with Some w -> lane w | None -> lane (-1 - dom)
   in
+  (* Each lane's previous restart (ts, conflicts), for the rate. *)
+  let prev_restart : (int, float * int) Hashtbl.t = Hashtbl.create 8 in
+  (* Member lanes: the last [Step] of each, with its domain; and the
+     domains whose scheduler decided (one of its lanes proved or
+     falsified). *)
+  let steps : (int, int * member) Hashtbl.t = Hashtbl.create 8 in
+  let decided : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let t0 = ref infinity and t_end = ref 0.0 and total = ref 0 in
-  let winner = ref None in
+  let spawns = ref [] and verdicts = ref [] and schedule = ref [] in
   List.iter
     (fun (e : Event.t) ->
       incr total;
-      if e.Event.ts < !t0 then t0 := e.Event.ts;
-      if e.Event.ts > !t_end then t_end := e.Event.ts;
-      let touch a = if e.Event.ts > a.a_last_ts then a.a_last_ts <- e.Event.ts in
-      match e.Event.kind with
-      | Event.Spawn { worker; engines } ->
-        Hashtbl.replace dom_of e.Event.dom worker;
-        let a = lane worker in
-        a.a_engines <- engines;
-        touch a
-      | Event.Dispatch { worker; bound } ->
-        let a = lane worker in
-        a.a_bound <- bound;
-        touch a
-      | Event.Cancel { worker; cause; by } ->
-        let a = lane worker in
-        if a.a_cancelled = None then a.a_cancelled <- Some (cause, by);
-        touch a
-      | Event.Verdict { worker; verdict } ->
-        let a = lane worker in
-        a.a_verdict <- Some verdict;
-        winner := Some (worker, verdict);
-        touch a
-      | Event.Restart { conflicts; learnt; _ } ->
-        let a = lane_of_dom e.Event.dom in
-        a.a_restarts <- a.a_restarts + 1;
-        a.a_conflicts <- conflicts;
-        a.a_learnt <- learnt;
-        (match a.a_prev_restart with
-        | Some (pts, pc) when e.Event.ts > pts ->
-          a.a_rate <- float_of_int (conflicts - pc) /. (e.Event.ts -. pts)
-        | _ -> ());
-        a.a_prev_restart <- Some (e.Event.ts, conflicts);
-        touch a
-      | Event.Reduce { kept; _ } ->
-        let a = lane_of_dom e.Event.dom in
-        a.a_reduces <- a.a_reduces + 1;
-        a.a_kept <- kept;
-        touch a
-      | Event.Phase { phase; step; _ } ->
-        let a = lane_of_dom e.Event.dom in
-        a.a_phase <- phase;
-        if step >= 0 then a.a_bound <- step;
-        touch a
-      | Event.Itp_cut _ ->
-        let a = lane_of_dom e.Event.dom in
-        a.a_cuts <- a.a_cuts + 1;
-        touch a
-      | Event.Step { pos; _ } ->
-        (* [lane] is the member's id, not a worker index. *)
-        let a = lane_of_dom e.Event.dom in
-        a.a_bound <- pos;
-        touch a
-      | Event.Analyze _ -> ())
+      let ts = e.Event.ts in
+      if ts < !t0 then t0 := ts;
+      if ts > !t_end then t_end := ts;
+      let l =
+        match e.Event.kind with
+        | Event.Spawn { worker; engines } ->
+          Hashtbl.replace dom_of e.Event.dom worker;
+          spawns := worker :: !spawns;
+          let l = lane worker in
+          l.engines <- engines;
+          l.spawned <- Some ts;
+          l.dom <- Some e.Event.dom;
+          Some l
+        | Event.Dispatch { worker; bound } ->
+          let l = lane worker in
+          l.dispatches <- l.dispatches + 1;
+          l.bound <- bound;
+          Some l
+        | Event.Cancel { worker; cause; by } ->
+          let l = lane worker in
+          if l.cancelled = None then l.cancelled <- Some (cause, by, ts);
+          Some l
+        | Event.Verdict { worker; verdict } ->
+          let l = lane worker in
+          l.verdict <- Some verdict;
+          verdicts := (worker, verdict, ts) :: !verdicts;
+          Some l
+        | Event.Restart { conflicts; learnt; _ } ->
+          let l = lane_of_dom e.Event.dom in
+          l.restarts <- l.restarts + 1;
+          l.conflicts <- conflicts;
+          l.learnt <- learnt;
+          (match Hashtbl.find_opt prev_restart l.worker with
+          | Some (pts, pc) when ts > pts -> l.rate <- float_of_int (conflicts - pc) /. (ts -. pts)
+          | _ -> ());
+          Hashtbl.replace prev_restart l.worker (ts, conflicts);
+          Some l
+        | Event.Reduce { kept; _ } ->
+          let l = lane_of_dom e.Event.dom in
+          l.reduces <- l.reduces + 1;
+          l.kept <- kept;
+          Some l
+        | Event.Phase { phase; step; _ } ->
+          let l = lane_of_dom e.Event.dom in
+          l.phase <- phase;
+          if step >= 0 then l.bound <- step;
+          Some l
+        | Event.Itp_cut _ ->
+          let l = lane_of_dom e.Event.dom in
+          l.cuts <- l.cuts + 1;
+          Some l
+        | Event.Step { lane = id; engine; n; pos; status } ->
+          schedule := id :: !schedule;
+          Hashtbl.replace steps id (e.Event.dom, { id; engine; n; pos; status });
+          if status = "proved" || status = "falsified" then Hashtbl.replace decided e.Event.dom ();
+          (* [id] is the member's, not a worker index. *)
+          let l = lane_of_dom e.Event.dom in
+          l.bound <- pos;
+          Some l
+        | Event.Analyze _ -> None
+      in
+      Option.iter (fun l -> if ts > l.last_ts then l.last_ts <- ts) l)
     events;
-  let lanes =
-    Hashtbl.fold
-      (fun w a rest ->
-        {
-          worker = w;
-          engines = a.a_engines;
-          bound = a.a_bound;
-          conflicts = a.a_conflicts;
-          learnt = a.a_learnt;
-          restarts = a.a_restarts;
-          reduces = a.a_reduces;
-          kept = a.a_kept;
-          rate = a.a_rate;
-          phase = a.a_phase;
-          cuts = a.a_cuts;
-          verdict = a.a_verdict;
-          cancelled = a.a_cancelled;
-          last_ts = a.a_last_ts;
-        }
-        :: rest)
-      lanes []
-    (* Worker lanes first in index order, then the per-domain lanes in
-       domain order (their keys are [-1 - dom]). *)
-    |> List.sort (fun l1 l2 ->
-           let key l = if l.worker >= 0 then (0, l.worker) else (1, -1 - l.worker) in
-           compare (key l1) (key l2))
+  (* A member left "running" stopped with its scheduler when another
+     lane of its domain decided, or when a [Cancel] edge reached the
+     worker its domain's [Spawn] binds it to: it is cancelled, not
+     mid-flight. *)
+  let stopped dom =
+    Hashtbl.mem decided dom
+    || Hashtbl.fold (fun _ l acc -> acc || (l.dom = Some dom && l.cancelled <> None)) lanes false
   in
+  let members =
+    Hashtbl.fold
+      (fun _ (dom, m) acc ->
+        (if m.status = "running" && stopped dom then { m with status = "cancelled" } else m) :: acc)
+      steps []
+    |> List.sort (fun m1 m2 -> compare m1.id m2.id)
+  in
+  (* Worker lanes first in index order, then the per-domain lanes in
+     domain order (their keys are [-1 - dom]). *)
+  let key l = if l.worker >= 0 then (0, l.worker) else (1, -1 - l.worker) in
   {
     t0 = (if !t0 = infinity then 0.0 else !t0);
     t_end = !t_end;
-    lanes;
+    lanes =
+      List.sort (fun l1 l2 -> compare (key l1) (key l2)) (List.of_seq (Hashtbl.to_seq_values lanes));
     total = !total;
-    winner = !winner;
+    spawns = List.rev !spawns;
+    verdicts = List.rev !verdicts;
+    members;
+    schedule = List.rev !schedule;
   }
+
+let winner v =
+  match List.rev v.verdicts with (w, verdict, _) :: _ -> Some (w, verdict) | [] -> None
 
 (* --- rendering ------------------------------------------------------------ *)
 
@@ -194,19 +200,22 @@ let lane_label w = if w >= 0 then Printf.sprintf "w%d" w else Printf.sprintf "d%
 let state v l =
   match (l.verdict, l.cancelled) with
   | Some verdict, _ -> "VERDICT " ^ verdict
-  | None, Some (cause, by) -> Printf.sprintf "cancelled (%s, by %s)" (cause_name cause) (lane_label by)
+  | None, Some (cause, by, _) -> Printf.sprintf "cancelled (%s, by %s)" (cause_name cause) (lane_label by)
   | None, None ->
     (* "Running" only means "was alive at the tail of the stream". *)
     if v.t_end -. l.last_ts < 1.0 then "running"
     else Printf.sprintf "idle %.1fs" (v.t_end -. l.last_ts)
 
 let render ?width ?gc v =
-  let width = match width with Some w -> w | None -> Progress.default_width () in
   let b = Buffer.create 1024 in
   let line fmt =
     Printf.ksprintf
       (fun s ->
-        let s = if String.length s > width then String.sub s 0 (max 0 width) else s in
+        let s =
+          match width with
+          | Some w when String.length s > w -> String.sub s 0 (max 0 w)
+          | _ -> s
+        in
         Buffer.add_string b s;
         Buffer.add_char b '\n')
       fmt
@@ -228,7 +237,7 @@ let render ?width ?gc v =
         (if l.phase = "" then "-" else l.phase)
         (state v l))
     v.lanes;
-  (match v.winner with
+  (match winner v with
   | Some (w, verdict) ->
     line "race: %s published %s at +%.2fs" (lane_label w) verdict (v.t_end -. v.t0)
   | None -> if List.length v.lanes > 1 then line "race: no verdict published yet");

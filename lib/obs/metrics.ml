@@ -189,6 +189,36 @@ let to_json r =
   Buffer.add_string b "\n}";
   Buffer.contents b
 
+type reading =
+  | Number of float
+  | Histogram of { count : int; sum : float; max : float; buckets : (float * int) list }
+
+let of_json text =
+  let num name j = match Json.field name j with Some (Json.Num f) -> f | _ -> 0.0 in
+  let reading = function
+    | Json.Num f -> Some (Number f)
+    | Json.Obj _ as h ->
+      let buckets =
+        match Json.field "buckets" h with
+        | Some (Json.Arr bs) ->
+          List.filter_map
+            (fun b ->
+              match (Json.field "le" b, Json.field "n" b) with
+              | Some (Json.Num le), Some (Json.Num n) -> Some (le, int_of_float n)
+              | _ -> None)
+            bs
+        | _ -> []
+      in
+      Some
+        (Histogram
+           { count = int_of_float (num "count" h); sum = num "sum" h; max = num "max" h; buckets })
+    | _ -> None
+  in
+  match Json.parse text with
+  | exception Json.Parse_error msg -> failwith msg
+  | Json.Obj kvs -> List.filter_map (fun (k, v) -> Option.map (fun r -> (k, r)) (reading v)) kvs
+  | _ -> failwith "not an object"
+
 let pp fmt r =
   List.iter
     (fun name ->

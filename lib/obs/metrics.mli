@@ -83,5 +83,18 @@ val to_json : t -> string
 (** One JSON object: counters and gauges as numbers, histograms as
     [{"count","sum","max","buckets":[{"le","n"},...]}]. *)
 
+(** One metric of a snapshot read back: counters and gauges alike as
+    numbers (the JSON does not tell them apart), histograms as their
+    exact count, sum and maximum and their non-empty buckets. *)
+type reading =
+  | Number of float
+  | Histogram of { count : int; sum : float; max : float; buckets : (float * int) list }
+
+val of_json : string -> (string * reading) list
+(** Read back a snapshot written by {!to_json}, in its order.  Values
+    that are neither numbers nor objects are skipped; a histogram field
+    that is missing reads as 0.
+    @raise Failure when the text is not a JSON object. *)
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable snapshot, one metric per line. *)

@@ -218,3 +218,25 @@ let to_json root =
   in
   emit root;
   Buffer.contents b
+
+(* Read a [to_json] dump back as its call paths ("(root)/engine/...")
+   with their self times, in reverse pre-order. *)
+let read_self_times path =
+  let rec flatten prefix j acc =
+    match j with
+    | Json.Obj _ ->
+      let name = Option.value ~default:"?" (Json.opt_str_field "name" j) in
+      let path = if prefix = "" then name else prefix ^ "/" ^ name in
+      let self = match Json.field "self_s" j with Some (Json.Num f) -> f | _ -> 0.0 in
+      let acc = (path, self) :: acc in
+      (match Json.field "children" j with
+      | Some (Json.Arr cs) -> List.fold_left (fun acc c -> flatten path c acc) acc cs
+      | _ -> acc)
+    | _ -> acc
+  in
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text -> (
+    match Json.parse (String.trim text) with
+    | exception Json.Parse_error _ -> None
+    | j -> Some (flatten "" j []))

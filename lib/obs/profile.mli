@@ -48,3 +48,8 @@ val pp : ?top:int -> ?max_depth:int -> ?min_frac:float -> Format.formatter -> no
 
 val to_json : node -> string
 (** Nested JSON: [{"name","calls","total_s","self_s","children":[...]}]. *)
+
+val read_self_times : string -> (string * float) list option
+(** Read a {!to_json} dump back from a file as its call paths
+    (["(root)/engine/bmc.bound"]) with their self seconds, in reverse
+    pre-order; [None] when the file cannot be read or parsed. *)

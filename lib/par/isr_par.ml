@@ -293,12 +293,7 @@ let bmc ?(check = Bmc.Exact) ?(jobs = 0) ?(limits = Budget.default_limits) model
   | (depth, trace) :: _ -> (Verdict.Falsified { depth; trace }, total)
   | [] ->
     let reasons = List.filter_map (fun (_, r, _) -> r) results in
-    let reason =
-      if List.mem Verdict.Time_limit reasons then Verdict.Time_limit
-      else if List.mem Verdict.Conflict_limit reasons then Verdict.Conflict_limit
-      else Verdict.Bound_limit limits.Budget.bound_limit
-    in
-    (Verdict.Unknown reason, total)
+    (Verdict.Unknown (Sched.worst_reason reasons (Bound_limit limits.Budget.bound_limit)), total)
 
 type outcome = { verdict : Verdict.t; stats : Verdict.stats; model : Model.t }
 

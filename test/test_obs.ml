@@ -469,6 +469,27 @@ let test_metrics_json () =
     Alcotest.(check (float 0.0)) "n" 1.0 (jnum (member_exn "n" b))
   | _ -> Alcotest.fail "expected one bucket"
 
+(* [Metrics.of_json] reads back what [to_json] wrote, in registration
+   order; anything but a JSON object is refused with [Failure]. *)
+let test_metrics_read_back () =
+  let r = Metrics.create () in
+  Metrics.add (Metrics.counter r "sat.calls") 3;
+  Metrics.set (Metrics.gauge r "engine.time_s") 1.5;
+  let h = Metrics.histogram r "sat.learnt_len" in
+  List.iter (Metrics.observe h) [ 1.0; 5.0; 6.0 ];
+  (match Metrics.of_json (Metrics.to_json r) with
+  | [ ("sat.calls", Metrics.Number 3.0);
+      ("engine.time_s", Metrics.Number 1.5);
+      ("sat.learnt_len", Metrics.Histogram { count = 3; sum = 12.0; max = 6.0; buckets }) ] ->
+    Alcotest.(check (list (pair (float 0.0) int))) "buckets" (Metrics.hist_buckets h) buckets
+  | _ -> Alcotest.fail "the snapshot did not read back");
+  List.iter
+    (fun text ->
+      match Metrics.of_json text with
+      | _ -> Alcotest.failf "%S was read as a snapshot" text
+      | exception Failure _ -> ())
+    [ ""; "[1]"; "{\"a\":" ]
+
 let test_chrome_flush_idempotent () =
   let path = Filename.temp_file "isr_trace" ".json" in
   let read () = In_channel.with_open_bin path In_channel.input_all in
@@ -1395,12 +1416,23 @@ let test_dash_fixture () =
   Alcotest.(check bool) "conflict rate from restart deltas" true
     (Float.abs (l0.Dash.rate -. 1000.0) < 1.0);
   (match l0.Dash.cancelled with
-  | Some (Event.Race_won, 1) -> ()
+  | Some (Event.Race_won, 1, 0.91) -> ()
   | _ -> Alcotest.fail "cancellation edge lost");
   Alcotest.(check int) "dispatch bound" 3 l1.Dash.bound;
-  (match v.Dash.winner with
+  (match Dash.winner v with
   | Some (1, "falsified(d=3)") -> ()
   | _ -> Alcotest.fail "winner not reconstructed");
+  (* What explain-race and steps render: spawn order and times, dispatch
+     counts, every verdict, and the member lanes — member 1's worker was
+     cancelled, member 3's was not and its domain did not decide. *)
+  Alcotest.(check (list int)) "spawn order" [ 0; 1 ] v.Dash.spawns;
+  Alcotest.(check (option (float 0.0))) "spawn time" (Some 0.01) l1.Dash.spawned;
+  Alcotest.(check int) "dispatch count" 1 l1.Dash.dispatches;
+  Alcotest.(check int) "verdicts" 1 (List.length v.Dash.verdicts);
+  Alcotest.(check (list int)) "schedule" [ 3; 1 ] v.Dash.schedule;
+  Alcotest.(check (list (pair int string)))
+    "member lanes" [ (1, "cancelled"); (3, "running") ]
+    (List.map (fun (m : Dash.member) -> (m.Dash.id, m.Dash.status)) v.Dash.members);
   (* Rendering: race state visible at full width, every line clamped at
      a narrow one. *)
   let lines = String.split_on_char '\n' (Dash.render ~width:120 v) in
@@ -1445,7 +1477,7 @@ let test_clause_report () =
         ~dead_uses:[| 10; 5 |];
     ]
   in
-  let r = Clause_report.of_run ~metrics:(Some (Json.parse clause_metrics)) ~events in
+  let r = Clause_report.of_run ~metrics:(Some (Metrics.of_json clause_metrics)) ~events in
   Alcotest.(check int) "born" 100 r.Clause_report.born;
   Alcotest.(check int) "deleted" 40 r.Clause_report.deleted;
   Alcotest.(check int) "kept pins born - deleted" 60 r.Clause_report.kept;
@@ -1479,7 +1511,7 @@ let test_clause_report_violations () =
   let events =
     [ reduce_ev 0.5 0 ~kept:6 ~dropped:4 ~dead_lbd:[| 1; 1 |] ~dead_uses:[| 4 |] ]
   in
-  let r = Clause_report.of_run ~metrics:(Some (Json.parse metrics)) ~events in
+  let r = Clause_report.of_run ~metrics:(Some (Metrics.of_json metrics)) ~events in
   Alcotest.(check int) "both violations detected" 2
     (List.length r.Clause_report.violations);
   let txt = Format.asprintf "%a" Clause_report.pp r in
@@ -1488,7 +1520,7 @@ let test_clause_report_violations () =
   (* deleted > born is the third family. *)
   let r' =
     Clause_report.of_run
-      ~metrics:(Some (Json.parse "{\"clause.born\":3,\"clause.deleted\":7}"))
+      ~metrics:(Some (Metrics.of_json "{\"clause.born\":3,\"clause.deleted\":7}"))
       ~events:[]
   in
   Alcotest.(check bool) "deleted beyond born flagged" true
@@ -1864,6 +1896,27 @@ let test_golden () =
   Sys.remove out;
   check_pin "isr_obs-golden" (Buffer.contents b)
 
+(* Without --follow, [top] prints its frame whole: with no $COLUMNS
+   and no --width, its lines are not clamped to 80 columns, where the
+   state column (verdicts, cancel causes) would start past the edge. *)
+let test_top_unclamped () =
+  let top args =
+    let out = Filename.temp_file "isr_obs_top" ".out" in
+    let rc =
+      Sys.command
+        (Printf.sprintf "env -u COLUMNS %s top %s golden/ledger/events/amba3g4-portfolio-par2.jsonl > %s"
+           (Filename.quote (bin "isr_obs_cli.exe")) args (Filename.quote out))
+    in
+    Alcotest.(check int) ("top " ^ args ^ " exits 0") 0 rc;
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    text
+  in
+  let frame = top "" in
+  Alcotest.(check string) "the same frame as at 200 columns" (top "--width 200") frame;
+  Alcotest.(check bool) "the state column is shown" true
+    (contains frame "cancelled (winner-verdict, by w0)")
+
 let test_missing_fields () =
   let with_lines lines f =
     let path = Filename.temp_file "isr_missing" ".jsonl" in
@@ -1934,6 +1987,7 @@ let () =
           Alcotest.test_case "chrome trace parse-back" `Quick test_chrome_json;
           Alcotest.test_case "chrome channel file" `Quick test_chrome_channel_file;
           Alcotest.test_case "metrics snapshot" `Quick test_metrics_json;
+          Alcotest.test_case "metrics snapshot reads back" `Quick test_metrics_read_back;
           Alcotest.test_case "chrome flush idempotent" `Quick test_chrome_flush_idempotent;
           Alcotest.test_case "shared escaper covers C0" `Quick test_json_escape_c0;
           Alcotest.test_case "parse/render round trip" `Quick test_json_parse_render;
@@ -1985,6 +2039,7 @@ let () =
             test_missing_fields;
           Alcotest.test_case "relative paths of a verify run" `Quick test_ledger_relative_paths;
           Alcotest.test_case "isr_obs on recorded files" `Quick test_golden;
+          Alcotest.test_case "one-shot top is not clamped" `Quick test_top_unclamped;
         ] );
       ( "profile",
         [

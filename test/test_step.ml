@@ -179,6 +179,76 @@ let ckpt_elapsed_accumulates () =
   if elapsed < 0.200 then
     Alcotest.failf "snapshot after a resume reports %.3f s, below the restored 0.200 s" elapsed
 
+(* A malformed envelope fails [Checkpoint.read] with [Failure], which
+   [verify --resume] and [isr_obs ckpt] report as exit 2 — never with the
+   channel's, the JSON reader's or [Bytes.create]'s own exception.  The
+   cases: an empty file, a truncated payload, a negative byte count, a
+   meta line without one, bytes after the payload, every truncation
+   point of a real checkpoint, and seeded mutants of its meta line.  A
+   mutant that still reads must restore, or be refused by [Step.restore]
+   with [Invalid_argument].  Payload bytes are not mutated: [Marshal]
+   does not validate its input, and neither does a resume. *)
+let ckpt_malformed () =
+  let module J = Isr_obs.Json in
+  let inst = Step.start ~limits itpseq (build "peterson") in
+  step_n inst 6;
+  let file = Filename.temp_file "isr_ck" ".ck" in
+  Checkpoint.write file (Step.snapshot inst);
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  let nl = String.index text '\n' in
+  let meta = String.sub text 0 nl in
+  let payload = String.sub text (nl + 1) (String.length text - nl - 1) in
+  let read ctx contents =
+    Out_channel.with_open_bin file (fun oc -> output_string oc contents);
+    match Checkpoint.read file with
+    | ck -> Some ck
+    | exception Failure _ -> None
+    | exception e -> Alcotest.failf "%s: Checkpoint.read raised %s" ctx (Printexc.to_string e)
+  in
+  let refused ctx contents =
+    if read ctx contents <> None then Alcotest.failf "%s: Checkpoint.read accepted it" ctx
+  in
+  let fields = match J.parse meta with J.Obj kvs -> kvs | _ -> Alcotest.fail "meta line" in
+  let with_fields kvs = J.render (J.Obj kvs) ^ "\n" ^ payload in
+  let set k v = with_fields (List.map (fun (k', v') -> (k', if k' = k then v else v')) fields) in
+  let drop k = with_fields (List.remove_assoc k fields) in
+  Alcotest.(check bool) "the real checkpoint reads" true (read "original" text <> None);
+  refused "empty file" "";
+  refused "truncated payload" (String.sub text 0 (String.length text - 1));
+  refused "negative byte count" (set "bytes" (J.Num (-5.0)));
+  refused "no byte count" (drop "bytes");
+  refused "bytes after the payload" (text ^ "x");
+  for cut = 0 to String.length text - 1 do
+    refused (Printf.sprintf "cut at byte %d" cut) (String.sub text 0 cut)
+  done;
+  let rng = Random.State.make [| 35 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let values =
+    [ J.Num (-5.0); J.Num 1e30; J.Num 0.5; J.Num 99999999999.0; J.Str "x"; J.Null; J.Arr [] ]
+  in
+  let chars = "0123456789-.e\"{}:,[]x " in
+  let mutant () =
+    let at = Random.State.int rng (String.length meta) in
+    let c () = String.make 1 chars.[Random.State.int rng (String.length chars)] in
+    match Random.State.int rng 5 with
+    | 0 -> set (fst (pick fields)) (pick values)
+    | 1 -> drop (fst (pick fields))
+    | 2 -> String.sub meta 0 at ^ String.sub meta (at + 1) (nl - at - 1) ^ "\n" ^ payload
+    | 3 -> String.sub meta 0 at ^ c () ^ String.sub meta at (nl - at) ^ "\n" ^ payload
+    | _ -> String.sub meta 0 at ^ c () ^ String.sub meta (at + 1) (nl - at - 1) ^ "\n" ^ payload
+  in
+  let original = Option.get (read "original" text) in
+  for i = 1 to 400 do
+    let ctx = Printf.sprintf "meta mutant %d" i in
+    match read ctx (mutant ()) with
+    | Some ck when ck.Checkpoint.engine = original.Checkpoint.engine -> (
+      match Step.restore ~limits itpseq (build "peterson") ck with
+      | _ -> ()
+      | exception Invalid_argument _ -> ())
+    | Some _ | None -> ()
+  done;
+  Sys.remove file
+
 (* The payload records the ITPSEQ, ITPSEQCBA and ITPSEQPBA engines
    marshalled when they were three separate step machines.  Checkpoints
    they wrote must still resume, and new payloads must still read as
@@ -447,6 +517,7 @@ let () =
           Alcotest.test_case "mismatched restores are refused" `Quick restore_mismatch;
           Alcotest.test_case "file round-trip preserves meta" `Quick ckpt_file_roundtrip;
           Alcotest.test_case "elapsed accumulates across resumes" `Quick ckpt_elapsed_accumulates;
+          Alcotest.test_case "malformed envelopes fail with Failure" `Quick ckpt_malformed;
           Alcotest.test_case "itpseq payloads keep their record layouts" `Quick payload_compat;
           Alcotest.test_case "itpseq step counts per strategy" `Quick step_counts;
           Alcotest.test_case "every engine's steps and midpoint payload" `Quick engine_pins;
