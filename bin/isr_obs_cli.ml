@@ -570,7 +570,8 @@ let top_cmd =
     Arg.(value & opt float 0.5 & info [ "interval" ] ~docv:"S" ~doc:"Redraw period for --follow.")
   in
   let width_arg =
-    Arg.(value & opt (some int) None & info [ "width" ] ~docv:"COLS" ~doc:"Clamp frame lines to $(docv) columns (default under --follow: \\$COLUMNS, else no clamp).")
+    let doc = "Clamp frame lines to $(docv) columns (default: \\$COLUMNS under --follow)." in
+    Arg.(value & opt (some int) None & info [ "width" ] ~docv:"COLS" ~doc)
   in
   Cmd.v
     (Cmd.info "top"

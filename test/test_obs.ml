@@ -1783,17 +1783,17 @@ let pin_cases =
 (* A line that lacks a field is skipped like a torn line, and a header
    that lacks its schema fails with a [Failure] naming the file — never
    with the JSON reader's own exception. *)
-(* The ledger reads a relative path against its own directory, so
-   [verify] must store the [--events] and [--profile-json] paths it was
-   given relative to the working directory as absolute ones: every
-   [isr_obs] reader of the entry then finds the files, from any
-   directory. *)
 (* A built executable of bin/ (the test stanza depends on them). *)
 let bin name =
   let here = Filename.dirname Sys.executable_name in
   let here = if Filename.is_relative here then Filename.concat (Sys.getcwd ()) here else here in
   Filename.concat (Filename.concat here "../bin") name
 
+(* The ledger reads a relative path against its own directory, so
+   [verify] must store the [--events] and [--profile-json] paths it was
+   given relative to the working directory as absolute ones: every
+   [isr_obs] reader of the entry then finds the files, from any
+   directory. *)
 let test_ledger_relative_paths () =
   let dir = Filename.temp_file "isr_ledger_paths" "" in
   Sys.remove dir;
