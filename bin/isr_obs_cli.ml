@@ -33,8 +33,10 @@ let ledger_arg =
     & info [ "ledger" ] ~docv:"DIR"
         ~doc:"Run-ledger directory (as written by --ledger elsewhere).")
 
+(* Every command here only reads, so a mistyped --ledger is an error
+   and creates nothing. *)
 let load_entries dir =
-  let lg = L.open_ dir in
+  let lg = try L.open_existing dir with Sys_error msg -> die "%s" msg in
   match L.load lg with
   | exception Failure msg -> die "%s" msg
   | entries -> (lg, entries)

@@ -6,12 +6,28 @@
 
     The matrix of interpolants is maintained column-wise:
     ℐ{_j} = ⋀{_i≥j} I{^i}{_j}, and the fixpoint test ℐ{_j} ⇒ R{_j-1}
-    runs after every column update.  Each update rebuilds the columns in
-    BDD-canonical form ({!Isr_bdd.Compact.column}) in a state space of
-    their own ({!Isr_model.Model.state_space}), so they stay small and
-    add nothing to the model's manager.  The BMC check defaults to
-    {e assume-k}, the formulation Section III recommends; [Exact] is
-    available for the Figure-7 comparison. *)
+    runs after every column update.  The test reads only the latches,
+    so how the columns are kept depends on the model's width:
+
+    - {b At most {!Isr_aig.Truth.max_vars} (10) latches}: the columns,
+      the sweep's R{_j} and the initial state are truth tables, one
+      word up to 6 latches and 2{^(n-6)} words up to 10.  One dense
+      simulation of a bound's family fills them, and the sweep is word
+      operations: no copy into a state space, no BDD round trip, no
+      inclusion solve.  The invariant is built from R's table once,
+      when the sweep closes.  At the Paranoid level the circuits below
+      are kept beside the tables, and each table and each answer is
+      checked against them.
+    - {b Above}: a table would double per latch, so each update copies
+      the family into a state space of the columns' own
+      ({!Isr_model.Model.state_space}), rebuilds the columns in
+      BDD-canonical form ({!Isr_bdd.Compact.column}) and decides the
+      sweep with {!Incl}.
+
+    Either way nothing is added to the model's manager before the sweep
+    closes, so the SAT instances and interpolants are the same.  The BMC
+    check defaults to {e assume-k}, the formulation Section III
+    recommends; [Exact] is available for the Figure-7 comparison. *)
 
 (** How the family at each bound is abstracted.  Both abstractions
     freeze latches (a frozen latch's next-state is a free input) and
@@ -46,7 +62,9 @@ val stepper :
     family — for CBA a non-extending counterexample refines the
     abstraction and the bound is retried in the next step — or one
     inclusion test of the sweep.  Snapshots carry the bound, the column
-    circuits as of the bound's entry (as portable cones) and, for CBA
+    circuits as of the bound's entry (as portable cones; a narrow run
+    builds them from its tables, and restores them into tables, so any
+    checkpoint resumes on either path) and, for CBA
     and PBA, the frozen or relevant mask as of the bound's entry, so a
     resume re-drives the bound deterministically.  Defaults: mode
     [Parallel], check [Assume], no abstraction; [Cba α] and [Pba α]

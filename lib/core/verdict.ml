@@ -30,6 +30,7 @@ type stats = {
   h_itp_size : M.histogram;
   c_incl_checks : M.counter;
   c_incl_cached : M.counter;
+  c_incl_tables : M.counter;
   c_incl_vars : M.counter;
   g_last_bound : M.gauge;
   c_refinements : M.counter;
@@ -63,6 +64,7 @@ let mk_stats () =
     h_itp_size = M.histogram m "itp.size";
     c_incl_checks = M.counter m "incl.checks";
     c_incl_cached = M.counter m "incl.cached";
+    c_incl_tables = M.counter m "incl.tables";
     c_incl_vars = M.counter m "incl.new_vars";
     g_last_bound = M.gauge m "bmc.last_bound";
     c_refinements = M.counter m "abs.refinements";
@@ -96,12 +98,17 @@ let add_itp_nodes s n =
 
 let incl_checks s = M.value s.c_incl_checks
 let incl_cached s = M.value s.c_incl_cached
+let incl_tables s = M.value s.c_incl_tables
 let incl_new_vars s = M.value s.c_incl_vars
 
 let add_incl_check s ~cached ~new_vars =
   M.incr s.c_incl_checks;
   if cached then M.incr s.c_incl_cached;
   M.add s.c_incl_vars new_vars
+
+let add_incl_table s =
+  M.incr s.c_incl_checks;
+  M.incr s.c_incl_tables
 
 let incr_refinements s = M.incr s.c_refinements
 let set_abstract_latches s n = M.set s.g_frozen_latches (float_of_int n)
@@ -166,8 +173,9 @@ let pp_stats fmt s =
     Format.fprintf fmt ", %d proof steps (~%d bytes)" (proof_steps s)
       (int_of_float (M.gauge_value s.g_proof_bytes));
   if incl_checks s > 0 then
-    Format.fprintf fmt ", %d inclusion checks (%d from remembered states)" (incl_checks s)
-      (incl_cached s);
+    Format.fprintf fmt ", %d inclusion checks (%d from remembered states%s)" (incl_checks s)
+      (incl_cached s)
+      (if incl_tables s > 0 then Printf.sprintf ", %d on truth tables" (incl_tables s) else "");
   if refinements s > 0 then
     Format.fprintf fmt ", %d refinements (%d latches still frozen)" (refinements s)
       (abstract_latches s);

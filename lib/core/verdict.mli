@@ -56,6 +56,7 @@ type stats = {
   h_itp_size : Isr_obs.Metrics.histogram;
   c_incl_checks : Isr_obs.Metrics.counter;
   c_incl_cached : Isr_obs.Metrics.counter;
+  c_incl_tables : Isr_obs.Metrics.counter;
   c_incl_vars : Isr_obs.Metrics.counter;
   g_last_bound : Isr_obs.Metrics.gauge;
   c_refinements : Isr_obs.Metrics.counter;
@@ -125,6 +126,11 @@ val add_itp_nodes : stats -> int -> unit
 val add_incl_check : stats -> cached:bool -> new_vars:int -> unit
 (** Charge one inclusion check that added [new_vars] SAT variables, or
     that a remembered assignment answered ([cached]). *)
+
+val add_incl_table : stats -> unit
+(** Charge one inclusion check answered on truth tables, with no SAT
+    call: it counts in ["incl.checks"] and ["incl.tables"] (ITPSEQ on
+    models of at most {!Isr_aig.Truth.max_vars} latches). *)
 
 val incr_refinements : stats -> unit
 val set_abstract_latches : stats -> int -> unit

@@ -101,27 +101,15 @@ let of_run ~metrics ~events =
 
 (* --- rendering ------------------------------------------------------------ *)
 
-(* Registry buckets are cumulative ([le] bounds); de-cumulate into
-   per-bucket (le, n) pairs for display and cross-histogram joins. *)
-let decumulate buckets =
-  let prev = ref 0 in
-  List.map
-    (fun (le, n) ->
-      let d = n - !prev in
-      prev := n;
-      (le, d))
-    buckets
-
 let pp_hist fmt label h =
   Format.fprintf fmt "  %-22s count=%d mean=%.2f max=%g@." label h.count h.mean h.max_v;
-  let per = decumulate h.buckets in
-  let widest = List.fold_left (fun m (_, n) -> max m n) 1 per in
+  let widest = List.fold_left (fun m (_, n) -> max m n) 1 h.buckets in
   List.iter
     (fun (le, n) ->
       if n > 0 then
         Format.fprintf fmt "    le %-6g %6d  %s@." le n
           (String.make (max 1 (40 * n / widest)) '#'))
-    per
+    h.buckets
 
 let pp_exact fmt label a =
   let total = Array.fold_left ( + ) 0 a in
@@ -152,14 +140,13 @@ let pp fmt r =
          with different bucket counts (the core one stops growing at the
          largest core LBD seen). *)
       Format.fprintf fmt "  core fraction by birth-LBD bucket:@.";
-      let core_per = decumulate core.buckets in
       List.iter
         (fun (le, db) ->
           if db > 0 then
-            let dc = try List.assoc le core_per with Not_found -> 0 in
+            let dc = Option.value ~default:0 (List.assoc_opt le core.buckets) in
             Format.fprintf fmt "    le %-6g %d/%d (%.1f%%)@." le dc db
               (100.0 *. float_of_int dc /. float_of_int db))
-        (decumulate birth.buckets)
+        birth.buckets
     end
   | Some core, None -> pp_hist fmt "proof core by birth LBD" core
   | None, _ -> ());

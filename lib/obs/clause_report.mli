@@ -16,7 +16,10 @@ type hist = {
   count : int;
   mean : float;
   max_v : float;
-  buckets : (float * int) list;  (** cumulative [le] upper bounds, as in {!Metrics} *)
+  buckets : (float * int) list;
+      (** [(le, n)]: [n] samples in the bucket whose upper bound is [le]
+          (above the previous bound), as {!Metrics.to_json} writes them;
+          empty buckets are left out *)
 }
 
 type t = {

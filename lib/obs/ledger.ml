@@ -55,6 +55,10 @@ let open_ root =
   mkdir_p (events_dir t);
   t
 
+let open_existing root =
+  if Sys.file_exists root && Sys.is_directory root then { root }
+  else raise (Sys_error (root ^ ": no such ledger directory"))
+
 let fingerprint kvs =
   List.sort (fun (a, _) (b, _) -> compare a b) kvs
   |> List.map (fun (k, v) -> k ^ "=" ^ v)

@@ -41,7 +41,13 @@ type entry = {
 type t
 
 val open_ : string -> t
-(** Open (creating if needed) the ledger rooted at this directory. *)
+(** Open (creating if needed) the ledger rooted at this directory: the
+    opener of the commands that append to it. *)
+
+val open_existing : string -> t
+(** Open the ledger rooted at this directory for reading, creating
+    nothing: a directory without entries reads as an empty ledger.
+    @raise Sys_error when the directory does not exist. *)
 
 val dir : t -> string
 

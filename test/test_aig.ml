@@ -216,12 +216,48 @@ let prop_prog_eval64 =
            (fun s -> agrees (Prog.word buf s) (Prog.node p s lsl 1))
            (List.init (Prog.size p) Fun.id))
 
+(* Truth tables over n <= 10 latch inputs that follow [lo] primary
+   inputs, as in a model's manager: each table is [Aig.eval] on every
+   state, the word operations are the pointwise ones, and table -> AIG
+   -> table is the identity. *)
+let prop_truth_tables =
+  QCheck2.Test.make ~count:300 ~name:"truth table = Aig.eval on every state"
+    ~print:(fun (n, (a, b)) -> Printf.sprintf "n=%d: %s ; %s" n (print_expr a) (print_expr b))
+    QCheck2.Gen.(int_range 1 Truth.max_vars >>= fun n -> pair (pure n) (pair (gen_expr n) (gen_expr n)))
+    (fun (n, (a, b)) ->
+      let lo = 2 in
+      let m = Aig.create () in
+      let pis = Array.init lo (fun _ -> Aig.fresh_input m) in
+      let latches = Array.init n (fun _ -> Aig.fresh_input m) in
+      ignore (Aig.and_ m pis.(0) (Aig.not_ pis.(1)));
+      let la = build m latches a and lb = build m latches b in
+      let tables = Truth.of_lits m ~nvars:n ~var:(fun i -> i - lo) [| la; lb |] in
+      let ta = tables.(0) and tb = tables.(1) in
+      let states = List.init (1 lsl n) Fun.id in
+      let env s i = i >= lo && (s lsr (i - lo)) land 1 = 1 in
+      let pointwise t f = List.for_all (fun s -> Truth.get t s = f s) states in
+      let fresh = Aig.create () in
+      let inputs = Array.init n (fun _ -> Aig.fresh_input fresh) in
+      let back t =
+        (Truth.of_lits fresh ~nvars:n ~var:Fun.id [| Truth.to_aig fresh ~var_lit:(Array.get inputs) t |]).(0)
+      in
+      pointwise ta (fun s -> Aig.eval m (env s) la)
+      && pointwise tb (fun s -> Aig.eval m (env s) lb)
+      && pointwise (Truth.and_ ta tb) (fun s -> Truth.get ta s && Truth.get tb s)
+      && pointwise (Truth.or_ ta tb) (fun s -> Truth.get ta s || Truth.get tb s)
+      && pointwise (Truth.not_ ta) (fun s -> not (Truth.get ta s))
+      && Truth.implies ta tb = List.for_all (fun s -> (not (Truth.get ta s)) || Truth.get tb s) states
+      && pointwise (back ta) (Truth.get ta)
+      && pointwise (back tb) (Truth.get tb)
+      && pointwise ta (fun s ->
+             Aig.eval m (env s) (Truth.to_aig m ~var_lit:(fun v -> latches.(v)) ta)))
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
       [
         prop_eval_matches; prop_eval64_matches; prop_support_sound; prop_substitute_semantics;
-        prop_prog_eval64;
+        prop_prog_eval64; prop_truth_tables;
       ]
   in
   Alcotest.run "isr_aig"

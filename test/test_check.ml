@@ -649,21 +649,33 @@ let test_engine_paranoid () =
   Alcotest.(check bool) "watch lists were checked" true
     (counter_value "check.sat.watches_consistent.pass" > 0);
   Alcotest.(check bool) "inclusion answers were re-decided" true
-    (counter_value "check.incl.incremental_agrees.pass" > 0)
+    (counter_value "check.incl.incremental_agrees.pass" > 0);
+  (* vending11 has 4 latches, so its columns are truth tables: each one
+     is checked against the circuit it replaces, and each table answer
+     is re-decided by Incl on those circuits. *)
+  Alcotest.(check bool) "column tables were checked" true
+    (counter_value "check.itpseq.table_column.pass" > 0);
+  Alcotest.(check bool) "table answers were re-decided" true
+    (counter_value "check.itpseq.table_incl.pass" > 0);
+  Alcotest.(check int) "no table mismatch" 0
+    (counter_value "check.itpseq.table_column.fail" + counter_value "check.itpseq.table_incl.fail")
 
 let test_compact_paranoid () =
-  (* ITPSEQ compacts its columns at every bound before tcas12's depth-12
-     bug; under Paranoid each rebuilt column is decided equivalent to its
-     original. *)
+  (* ITPSEQ compacts its columns at every bound on a model wider than
+     the truth-table cap (ring12u9 has 12 latches, and its bug is at
+     depth 9); under Paranoid each rebuilt column is decided equivalent
+     to its original. *)
   with_level Check.Paranoid @@ fun () ->
   let model =
-    match Isr_suite.Registry.find "tcas12" with
+    match Isr_suite.Registry.find "ring12u9" with
     | Some e -> Isr_suite.Registry.build_validated e
-    | None -> Alcotest.fail "tcas12 missing from registry"
+    | None -> Alcotest.fail "ring12u9 missing from registry"
   in
+  Alcotest.(check bool) "above the cap" true
+    (model.Isr_model.Model.num_latches > Isr_aig.Truth.max_vars);
   (match Engine.run (Engine.Itpseq Bmc.Assume) model with
-  | Verdict.Falsified { depth = 12; _ }, _ -> ()
-  | v, _ -> Alcotest.failf "expected FAIL (depth=12), got %a" Verdict.pp v);
+  | Verdict.Falsified { depth = 9; _ }, _ -> ()
+  | v, _ -> Alcotest.failf "expected FAIL (depth=9), got %a" Verdict.pp v);
   Alcotest.(check bool) "compacted columns were checked" true
     (counter_value "check.itpseq.compact_equiv.pass" > 0);
   Alcotest.(check int) "no mismatch" 0 (counter_value "check.itpseq.compact_equiv.fail")

@@ -1463,7 +1463,7 @@ let test_dash_sequential () =
 (* --- clause report -------------------------------------------------------------- *)
 
 let clause_metrics =
-  "{\"clause.born\":100,\"clause.deleted\":40,\"sat.db.reduce\":2,\"clause.birth_lbd\":{\"count\":100,\"sum\":300,\"max\":9,\"buckets\":[{\"le\":2,\"n\":50},{\"le\":4,\"n\":90},{\"le\":8,\"n\":99},{\"le\":16,\"n\":100}]},\"clause.uses_at_death\":{\"count\":40,\"sum\":20,\"max\":4,\"buckets\":[]},\"clause.lbd_drift\":{\"count\":40,\"sum\":10,\"max\":3,\"buckets\":[]},\"clause.core_birth_lbd\":{\"count\":30,\"sum\":60,\"max\":5,\"buckets\":[{\"le\":2,\"n\":20},{\"le\":4,\"n\":28},{\"le\":8,\"n\":30},{\"le\":16,\"n\":30}]}}"
+  "{\"clause.born\":100,\"clause.deleted\":40,\"sat.db.reduce\":2,\"clause.birth_lbd\":{\"count\":100,\"sum\":300,\"max\":9,\"buckets\":[{\"le\":2,\"n\":50},{\"le\":4,\"n\":40},{\"le\":8,\"n\":9},{\"le\":16,\"n\":1}]},\"clause.uses_at_death\":{\"count\":40,\"sum\":20,\"max\":4,\"buckets\":[]},\"clause.lbd_drift\":{\"count\":40,\"sum\":10,\"max\":3,\"buckets\":[]},\"clause.core_birth_lbd\":{\"count\":30,\"sum\":60,\"max\":5,\"buckets\":[{\"le\":2,\"n\":20},{\"le\":4,\"n\":8},{\"le\":8,\"n\":2}]}}"
 
 let reduce_ev ts seq ~kept ~dropped ~dead_lbd ~dead_uses =
   ev ts 0 seq (Event.Reduce { kept; dropped; lbd = [| kept |]; dead_lbd; dead_uses })
@@ -1497,6 +1497,10 @@ let test_clause_report () =
   let txt = Format.asprintf "%a" Clause_report.pp r in
   Alcotest.(check bool) "headline rendered" true
     (contains txt "born 100, deleted 40, kept 60");
+  (* Buckets are per-bucket counts, as Metrics.to_json writes them. *)
+  Alcotest.(check bool) "birth bucket le 4 holds 40" true (contains txt "le 4          40");
+  Alcotest.(check bool) "last birth bucket rendered" true (contains txt "le 16          1");
+  Alcotest.(check bool) "core fraction per bucket" true (contains txt "le 4      8/40 (20.0%)");
   (* Degraded inputs: no metrics at all still yields the event side. *)
   let r' = Clause_report.of_run ~metrics:None ~events in
   Alcotest.(check int) "no metrics: event histograms survive" 40
@@ -1847,6 +1851,41 @@ let test_ledger_relative_paths () =
   ignore (run "rm -rf L e.jsonl p.json out.txt mid.jsonl");
   Sys.rmdir dir
 
+(* The reading subcommands of isr_obs only read: on a --ledger path that
+   does not exist each one exits 2 with one error line, and the path is
+   still absent afterwards.  Writers ([verify]/[bench] --ledger) create
+   it, as [Ledger.open_] does. *)
+let test_readers_create_nothing () =
+  let dir = Filename.temp_file "isr_ledger_ro" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let missing = Filename.concat dir "no-such-dir" in
+  List.iter
+    (fun args ->
+      let err = Filename.concat dir "err.txt" in
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s --ledger %s > /dev/null 2> %s"
+             (Filename.quote (bin "isr_obs_cli.exe")) args (Filename.quote missing)
+             (Filename.quote err))
+      in
+      let lines =
+        In_channel.with_open_bin err In_channel.input_all
+        |> String.split_on_char '\n' |> List.filter (( <> ) "")
+      in
+      Alcotest.(check int) (args ^ " exits 2") 2 rc;
+      Alcotest.(check int) (args ^ ": one error line") 1 (List.length lines);
+      Alcotest.(check bool) (args ^ " creates nothing") false (Sys.file_exists missing);
+      Sys.remove err)
+    [ "ls"; "show r0001"; "diff r0001 r0002"; "clauses r0001"; "top --attach";
+      "steps --run r0001"; "explain-race --run r0001" ];
+  ignore (Ledger.open_ missing);
+  Alcotest.(check bool) "the writers' opener creates the events directory" true
+    (Sys.file_exists (Filename.concat missing "events"));
+  Sys.rmdir (Filename.concat missing "events");
+  Sys.rmdir missing;
+  Sys.rmdir dir
+
 (* The reading subcommands of isr_obs on recorded files under golden/:
    three real event streams (a portfolio race, a bound-parallel BMC
    race, a sequential run), a hand-written race that uses every record
@@ -2040,6 +2079,7 @@ let () =
           Alcotest.test_case "relative paths of a verify run" `Quick test_ledger_relative_paths;
           Alcotest.test_case "isr_obs on recorded files" `Quick test_golden;
           Alcotest.test_case "one-shot top is not clamped" `Quick test_top_unclamped;
+          Alcotest.test_case "readers create no directory" `Quick test_readers_create_nothing;
         ] );
       ( "profile",
         [

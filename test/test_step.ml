@@ -306,6 +306,29 @@ let payload_compat () =
       (itpseqpba, as_pba, true);
     ]
 
+(* A checkpoint recorded before narrow models kept their columns as
+   truth tables: its cones are the compacted circuits of that time.  It
+   still resumes, to the verdict, k_fp and j_fp of an uninterrupted run,
+   and the resumed proof certifies. *)
+let recorded_checkpoint () =
+  let ck = Checkpoint.read "golden/peterson-itpseq-b3.ck" in
+  Alcotest.(check string) "engine" "itpseq-assume" ck.Checkpoint.engine;
+  Alcotest.(check int) "bound" 4 ck.Checkpoint.bound;
+  let model = build "peterson" in
+  (match Checkpoint.check_model ck model with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let v, _ = Step.drive (Step.restore ~limits itpseq model ck) in
+  (match v with
+  | Verdict.Proved { kfp = 11; jfp = 7; _ } -> ()
+  | v -> Alcotest.failf "expected PASS (kfp=11, jfp=7), got %a" Verdict.pp v);
+  same_verdict "resumed against uninterrupted"
+    (fst (Step.drive (Step.start ~limits itpseq (build "peterson"))))
+    v;
+  match Certify.check_verdict ~limits model v with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "the resumed proof fails certification: %s" msg
+
 (* Steps are what [Sched] interleaves, so each strategy must take as many
    as its engine did as a separate step machine — PBA's concrete solve
    and each CBA refinement are steps of their own. *)
@@ -363,14 +386,14 @@ let engine_pins () =
       ("pdr", pdr, "vending7bug", 16, "0fd99667366fd7d8b888617b382ded67");
       ("randsim", randsim, "amba3g4", 1, "d41d8cd98f00b204e9800998ecf8427e");
       ("randsim", randsim, "vending7bug", 1, "d41d8cd98f00b204e9800998ecf8427e");
-      ("itpseq", itpseq, "amba3g4", 9, "a6cea41b3068385ce1d6e1401273d40e");
-      ("itpseq", itpseq, "vending7bug", 37, "81c6ec6cbbb8ce8f1670a8aa75b95f8f");
-      ("sitpseq", sitpseq, "amba3g4", 9, "a6cea41b3068385ce1d6e1401273d40e");
-      ("sitpseq", sitpseq, "vending7bug", 37, "81c6ec6cbbb8ce8f1670a8aa75b95f8f");
-      ("itpseqcba", itpseqcba, "amba3g4", 11, "00a2483e7762539876af7886dadd5944");
-      ("itpseqcba", itpseqcba, "vending7bug", 37, "2aa259ecef267480cf708cab1f70bda5");
-      ("itpseqpba", itpseqpba, "amba3g4", 12, "05d64e0806383204b24b8069c9d649e1");
-      ("itpseqpba", itpseqpba, "vending7bug", 44, "f8e3c86bad9c389547cc19d8cab819d9");
+      ("itpseq", itpseq, "amba3g4", 9, "8a1edf6ef2d6cb348ab90081447ee20f");
+      ("itpseq", itpseq, "vending7bug", 37, "c0b0fe9c7016e662237aa3ad86b64566");
+      ("sitpseq", sitpseq, "amba3g4", 9, "8a1edf6ef2d6cb348ab90081447ee20f");
+      ("sitpseq", sitpseq, "vending7bug", 37, "c0b0fe9c7016e662237aa3ad86b64566");
+      ("itpseqcba", itpseqcba, "amba3g4", 11, "5082ccc430834502d7ebf48f50afbf48");
+      ("itpseqcba", itpseqcba, "vending7bug", 37, "f177d43133fd79a41a24e833755e0531");
+      ("itpseqpba", itpseqpba, "amba3g4", 12, "000bd5038ac9cd3109d82a2a886aec11");
+      ("itpseqpba", itpseqpba, "vending7bug", 44, "4c3255c6833e5c7d0ad12fd0ac64684a");
     ]
 
 (* --- scheduler ------------------------------------------------------------ *)
@@ -521,6 +544,7 @@ let () =
           Alcotest.test_case "itpseq payloads keep their record layouts" `Quick payload_compat;
           Alcotest.test_case "itpseq step counts per strategy" `Quick step_counts;
           Alcotest.test_case "every engine's steps and midpoint payload" `Quick engine_pins;
+          Alcotest.test_case "a recorded itpseq checkpoint resumes" `Quick recorded_checkpoint;
         ] );
       ( "sched",
         [
